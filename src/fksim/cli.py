@@ -13,7 +13,7 @@ import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, nan, sqrt
 
 import numpy as np
 from scipy import stats as _stats
@@ -155,6 +155,9 @@ def sweep_variance(cfg, seed=None, threads=1):
     if k_max < k_min:
         raise ConfigError("t_exp_max must be >= t_exp_min")
     m_draws = _get(cfg, "ensemble", int, 0)
+    if m_draws != 0 and m_draws < 3:
+        raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
+                          "jackknife SE divides by ensemble - 2)")
     fixed_radius = _get(cfg, "radius", int)
     seed = seed if seed is not None else _get(cfg, "seed", int, 0)
     spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
@@ -170,7 +173,7 @@ def sweep_variance(cfg, seed=None, threads=1):
         frozen = frozen_variance_sum(t, graph, pot, model)
         lower = lower_bound_sum(t, pot.alpha, model, graph) if do_lower else None
         ens_var = ens_se = None
-        if m_draws >= 2:
+        if m_draws:
             est = ensemble_variance(graph, spec, pot, model, radius, t,
                                     m_draws, seed + k, threads=threads)
             ens_var, ens_se = est.value, est.stderr
@@ -287,6 +290,9 @@ def _write_rigidity_csv(report, cfg, out):
 
 @dataclass(frozen=True)
 class TailReport:
+    """``passed``: no row breaks the bound.  That holds vacuously without
+    rows, which the CLI therefore reports as a failure."""
+
     rows: tuple          # (x, empirical, bound, se)
     passed: bool
 
@@ -341,6 +347,10 @@ def spectral_check(cfg, seed=None):
     radius = _get(cfg, "radius", int, 8)
     n_trials = _get(cfg, "trials", int, 50)
     t_grid = tuple(float(s) for s in _get(cfg, "t_grid", str, "0.5 1").split())
+    if n_trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if not t_grid:
+        raise ConfigError("empty t grid")
     tol = _get(cfg, "residual_tol", float, 1e-8)
     seed = seed if seed is not None else _get(cfg, "seed", int, 0)
     spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
@@ -377,15 +387,19 @@ def fk_compare(cfg, seed=None):
     n_paths = _get(cfg, "n_paths", int, 200_000)
     seed = seed if seed is not None else _get(cfg, "seed", int, 0)
     spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
-    field_ball, _ = graph.ball(graph.root, radius + 50)
-    xi = sample_field(model, graph, field_ball,
-                      rng=np.random.default_rng(seed))
+    # Killed walkers stop at their exit, so the field is needed on the
+    # truncation ball alone.
+    ball, _ = graph.ball(graph.root, radius)
+    xi = sample_field(model, graph, ball, rng=np.random.default_rng(seed))
     est = mc_dirichlet_trace(graph, spec, pot, xi, radius, t, n_paths,
                              seed + 1)
     exact = exact_dirichlet_trace(graph, spec, pot, xi, radius, t)
-    z = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
+    # Without a finite positive SE (a stratum with one path, or every weight
+    # zero) there is no evidence either way: z is NaN and the check fails.
+    evidence = isfinite(est.stderr) and est.stderr > 0
+    z = (est.mean - exact) / est.stderr if evidence else nan
     return CompareReport(mc_mean=est.mean, mc_se=est.stderr, exact=exact,
-                         z=z, passed=abs(z) <= 4.0)
+                         z=z, passed=evidence and abs(z) <= 4.0)
 
 
 # -- entry point ------------------------------------------------------------------------
@@ -438,8 +452,9 @@ def main(argv=None):
             _write_tail_csv(res, cfg, out)
             if out is not sys.stdout:
                 out.close()
-            print(f"points={len(res.rows)} pass={res.passed}")
-            return 0 if res.passed else 2
+            passed = res.passed and bool(res.rows)
+            print(f"points={len(res.rows)} pass={passed}")
+            return 0 if passed else 2
         if args.command == "spectral-check":
             res = spectral_check(cfg)
             print(f"max_residual={res.max_residual:.3e} "

@@ -1,15 +1,21 @@
 """Path-integral estimators of semigroup kernels and traces, the paired-walker
 variance identity, and the deterministic sums behind the small-t scaling laws.
 
-Monte Carlo routes sample continuous-time walks and weight them by the
-exponential of accumulated potential; deterministic routes evaluate the
-frozen-walk double sums in closed radial form with certified box truncation.
+Monte Carlo routes describe the vertices a walk may visit once as a
+``walker.Region`` and sample all paths in numpy batches with
+``walker.sample_walks``.  Kernel and trace estimators weight each path by
+e^{-integral of (V + xi)}; killed-trace walkers stop at their exit from the
+ball, so the field is needed on the ball alone.  The paired-walker variance
+uses dense local-time rows, so that every start pair of a replicate comes
+from one matrix product with the box covariance.  Deterministic routes
+evaluate the frozen-walk double sums in closed radial form with certified box
+truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, e as _E, exp, gamma as _gamma_fn, inf, sqrt
+from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, nan, sqrt
 from typing import Optional
 
 import numpy as np
@@ -17,9 +23,9 @@ from scipy.special import comb as _comb, gammainc, gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
-from .noise import CONSTANT, IID, POWER_DECAY, covariance, variance_at_origin
+from .noise import CONSTANT, IID, POWER_DECAY, variance_at_origin
 from .operators import assemble, expm_neg
-from .walker import sample_path
+from .walker import _MAX_ELEMS, Region, sample_path, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
@@ -69,15 +75,26 @@ def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
 # -- Monte Carlo kernel and trace ---------------------------------------------
 
 
-def _path_weight(path, graph, pot, xi):
-    """e^{-<L, V + xi>} with the convention e^{-inf} = 0 on Dirichlet vertices."""
-    s = 0.0
-    for x, lt in path.local_time.items():
-        v = pot.value(graph, x)
-        if v == inf:
-            return 0.0
-        s += lt * (v + xi[x])
-    return exp(-s)
+def _region_cost(graph, pot, xi, region):
+    """V + xi on the region's vertices; +inf on Dirichlet vertices."""
+    cost = np.empty(len(region.vertices))
+    for i, v in enumerate(region.vertices):
+        p = pot.value(graph, v)
+        cost[i] = inf if p == inf else p + xi[v]
+    return cost
+
+
+def _field_region(graph, spec, pot, xi):
+    """The region of an unkilled walk: every vertex the field covers."""
+    region = Region.build(graph, spec, xi.vertices)
+    return region, _region_cost(graph, pot, xi, region)
+
+
+def _region_id(region, v):
+    try:
+        return region.index[v]
+    except KeyError:
+        raise InputError(f"field has no value at vertex {v!r}") from None
 
 
 def mc_kernel(graph, spec, pot, xi, u, v, t, n_paths, seed):
@@ -86,49 +103,56 @@ def mc_kernel(graph, spec, pot, xi, u, v, t, n_paths, seed):
         raise DomainError("t must be positive")
     if n_paths < 1:
         raise DomainError("need at least one path")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(n_paths):
-        p = sample_path(graph, spec, u, t, rng=rng, light=True)
-        w = _path_weight(p, graph, pot, xi) if p.endpoint == v else 0.0
-        total += w
-        total_sq += w * w
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean * mean, 0.0)
+    region, cost = _field_region(graph, spec, pot, xi)
+    walks = sample_walks(region, np.full(n_paths, _region_id(region, u)), t,
+                         np.random.default_rng(seed), cost=cost)
+    # These walkers never stop early, so no endpoint is -1.
+    hit = walks.endpoint == region.index.get(v, -1)
+    w = np.where(hit, np.exp(-walks.integral), 0.0)
+    mean = float(w.mean())
+    var = max(float((w * w).mean()) - mean * mean, 0.0)
     return TraceEstimate(mean=mean, stderr=sqrt(var / n_paths), n_paths=n_paths, t=t)
 
 
-def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed):
+def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed, unkilled=True):
     """Per-start-vertex killed and unkilled return weights from shared paths.
 
     Returns (vertices, killed, unkilled) where killed/unkilled are lists of
-    float arrays, one array per start vertex.
+    float arrays, one array per start vertex.  Without ``unkilled`` the
+    walkers stop at their exit from the ball, the field is read on the ball
+    alone, and the unkilled list is None.
     """
     ball, _ = graph.ball(graph.root, n)
     starts = [v for v in ball if pot.value(graph, v) != inf]
     per = max(1, ceil(n_paths / max(1, len(starts))))
-    rng = np.random.default_rng(seed)
-    killed, unkilled = [], []
-    for u in starts:
-        kw = np.empty(per)
-        uw = np.empty(per)
-        for i in range(per):
-            p = sample_path(graph, spec, u, t, rng=rng, light=True,
-                            kill_radius=n)
-            w = _path_weight(p, graph, pot, xi) if p.endpoint == u else 0.0
-            uw[i] = w
-            kw[i] = w if p.exit_time is None else 0.0
-        killed.append(kw)
-        unkilled.append(uw)
-    return starts, killed, unkilled
+    if unkilled:
+        region, cost = _field_region(graph, spec, pot, xi)
+    else:
+        # Dirichlet vertices stay out of the region: entering one stops the
+        # walker like an exit, and both leave a zero weight.
+        region = Region.build(graph, spec, starts)
+        cost = _region_cost(graph, pot, xi, region)
+    ids = np.repeat([_region_id(region, u) for u in starts], per)
+    walks = sample_walks(region, ids, t, np.random.default_rng(seed),
+                         cost=cost, kill_radius=n, stop_at_exit=not unkilled)
+    uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
+    kw = np.where(walks.exited, 0.0, uw)
+    killed = list(kw.reshape(len(starts), per))
+    if not unkilled:
+        return starts, killed, None
+    return starts, killed, list(uw.reshape(len(starts), per))
 
 
 def _stratified_estimate(weights, t):
+    """Sum of the stratum means; the SE is NaN when a stratum has fewer than
+    two paths, since its variance is then undefined."""
     n_total = sum(len(w) for w in weights)
     mean = sum(float(np.mean(w)) for w in weights)
-    var = sum(float(np.var(w, ddof=1)) / len(w) for w in weights)
-    return TraceEstimate(mean=mean, stderr=sqrt(var), n_paths=n_total, t=t)
+    if any(len(w) < 2 for w in weights):
+        se = nan
+    else:
+        se = sqrt(sum(float(np.var(w, ddof=1)) / len(w) for w in weights))
+    return TraceEstimate(mean=mean, stderr=se, n_paths=n_total, t=t)
 
 
 def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
@@ -137,12 +161,13 @@ def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
 
     Stratifies n_paths evenly across the ball's start vertices.  With
     ``with_unkilled`` also returns the no-killing trace estimate computed
-    from the same sampled paths.
+    from the same sampled paths, which then walk on past their exit and need
+    the field wherever they go; otherwise the field is read on the ball only.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     _, killed, unkilled = _trace_samples(graph, spec, pot, xi, n, t,
-                                         n_paths, seed)
+                                         n_paths, seed, unkilled=with_unkilled)
     est = _stratified_estimate(killed, t)
     if with_unkilled:
         return est, _stratified_estimate(unkilled, t)
@@ -161,8 +186,9 @@ def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed,
                       threads=1):
     """Var over the noise of the exact truncated trace, with jackknife SE."""
-    if m_draws < 2:
-        raise DomainError("need at least two noise draws")
+    if m_draws < 3:
+        raise DomainError("need at least three noise draws (the jackknife "
+                          "divides by m - 2)")
     from .noise import sample_field
 
     ball, _ = graph.ball(graph.root, n)
@@ -189,26 +215,21 @@ def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed,
     return VarianceEstimate(value=value, stderr=se, n_samples=m, t=t, radius=n)
 
 
-def _inner_products(path, other, graph, model):
-    """(<L,L>, <L~,L~>, <L,L~>) under the model covariance."""
+def _covariance_matrix(model, graph, verts):
+    """gamma(u, v) over an ordered vertex list."""
+    m = len(verts)
     if model.kind == IID:
-        g0 = model.gamma0
-        aa = g0 * sum(lt * lt for lt in path.local_time.values())
-        bb = g0 * sum(lt * lt for lt in other.local_time.values())
-        ab = g0 * sum(lt * other.local_time.get(x, 0.0)
-                      for x, lt in path.local_time.items())
-        return aa, bb, ab
+        return model.gamma0 * np.eye(m)
     if model.kind == CONSTANT:
-        g0 = model.gamma0
-        sa = sum(path.local_time.values())
-        sb = sum(other.local_time.values())
-        return g0 * sa * sa, g0 * sb * sb, g0 * sa * sb
-    def quad(l1, l2):
-        return sum(a * b * covariance(model, graph, x, y)
-                   for x, a in l1.items() for y, b in l2.items())
-    return (quad(path.local_time, path.local_time),
-            quad(other.local_time, other.local_time),
-            quad(path.local_time, other.local_time))
+        return np.full((m, m), model.gamma0)
+    if graph.kind in (ZD_L1, ZD_LINF):
+        coords = np.array(verts, dtype=float).reshape(m, graph.d)
+        dist = np.abs(coords[:, None, :] - coords[None, :, :])
+        dist = dist.sum(axis=2) if graph.kind == ZD_L1 else dist.max(axis=2)
+    else:
+        dist = np.array([[graph.distance(u, v) for v in verts]
+                         for u in verts], dtype=float).reshape(m, m)
+    return model.decay_scale * (dist + 1.0) ** (-model.beta)
 
 
 def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
@@ -219,6 +240,8 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     start vertex; every ordered vertex pair contributes
     e^{-<L+L~,V>} * e^{(<L,L>+<L~,L~>)/2} (e^{<L,L~>} - 1)
     when both walkers return to their starts without leaving the box.
+    With local-time rows L_a, L_b of a replicate's two families, all the
+    <L,L~> of the replicate are the matrix L_a Gamma L_b^T.
     """
     if model.kind not in (IID, CONSTANT, POWER_DECAY):
         raise ConfigError(f"unsupported noise kind {model.kind!r} "
@@ -227,37 +250,33 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
         raise DomainError("need at least two replicates")
     ball, _ = graph.ball(graph.root, box_radius)
     starts = [v for v in ball if pot.value(graph, v) != inf]
+    # Dirichlet vertices stay out of the region: entering one stops the
+    # walker like an exit, and both leave a zero weight.
+    region = Region.build(graph, spec, starts)
+    pv = np.array([pot.value(graph, v) for v in starts])
+    gamma = _covariance_matrix(model, graph, starts)
     rng = np.random.default_rng(seed)
-    zero_xi = {}
-
-    def draw_family():
-        fam = []
-        for u in starts:
-            p = sample_path(graph, spec, u, t, rng=rng, light=True,
-                            kill_radius=box_radius)
-            w = 0.0
-            if p.endpoint == u and p.exit_time is None:
-                pv = sum(lt * pot.value(graph, x)
-                         for x, lt in p.local_time.items())
-                if pv != inf:
-                    w = exp(-pv)
-            fam.append((p, w))
-        return fam
-
+    m = len(starts)
+    ids = np.arange(m)
+    # Replicates per block: L, L Gamma and the m x m pair matrices.
+    block = max(1, _MAX_ELEMS // max(1, 3 * m * m))
     totals = np.empty(n_rep)
-    for r in range(n_rep):
-        fam_a = draw_family()
-        fam_b = draw_family()
-        tot = 0.0
-        for pa, wa in fam_a:
-            if wa == 0.0:
-                continue
-            for pb, wb in fam_b:
-                if wb == 0.0:
-                    continue
-                aa, bb, ab = _inner_products(pa, pb, graph, model)
-                tot += wa * wb * exp(0.5 * (aa + bb)) * (exp(ab) - 1.0)
-        totals[r] = tot
+    for lo in range(0, n_rep, block):
+        r = min(block, n_rep - lo)
+        block_ids = np.tile(ids, 2 * r)
+        walks = sample_walks(region, block_ids, t, rng, stop_at_exit=True)
+        loc = walks.local
+        lg = loc @ gamma
+        back = walks.endpoint == block_ids
+        # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest.
+        u = np.zeros(len(loc))
+        u[back] = np.exp(-(loc[back] @ pv)
+                         + 0.5 * np.einsum("ij,ij->i", lg[back], loc[back]))
+        u = u.reshape(r, 2, m)
+        ab = lg.reshape(r, 2, m, m)[:, 0] \
+            @ loc.reshape(r, 2, m, m)[:, 1].transpose(0, 2, 1)
+        totals[lo:lo + r] = np.einsum("ra,rab,rb->r", u[:, 0], np.expm1(ab),
+                                      u[:, 1])
     value = float(totals.mean())
     se = float(totals.std(ddof=1)) / sqrt(n_rep)
     return VarianceEstimate(value=value, stderr=se, n_samples=n_rep, t=t,
@@ -299,21 +318,14 @@ def _radial_weight_sum(graph, value_fn, r, chunk=2_000_000):
     return total
 
 
-def _ball_arrays(graph, pot, r):
-    """Ball vertices with potential vector and pairwise distance matrix."""
+def _ball_arrays(graph, pot, model, r):
+    """Potential vector and covariance matrix over the radius-r ball."""
     verts, _ = graph.ball(graph.root, r)
     m = len(verts)
     if m * m > 40_000_000:
         raise DomainError(f"pairwise sum over {m} vertices is too large")
     vvec = np.array([pot.value(graph, v) for v in verts])
-    if graph.kind in (ZD_L1, ZD_LINF):
-        coords = np.array(verts, dtype=float)
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        dist = diff.sum(axis=2) if graph.kind == ZD_L1 else diff.max(axis=2)
-    else:
-        dist = np.array([[graph.distance(u, v) for v in verts] for u in verts],
-                        dtype=float)
-    return vvec, dist
+    return vvec, _covariance_matrix(model, graph, verts)
 
 
 def frozen_variance_sum(t, graph, pot, model, r=None):
@@ -333,22 +345,21 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
     t2 = t * t
     g0 = variance_at_origin(model)
     if model.kind == IID:
-        factor = exp(t2 * g0) * (exp(t2 * g0) - 1.0)
+        factor = exp(t2 * g0) * expm1(t2 * g0)
         radial = _radial_weight_sum(
             graph, lambda ns: np.exp(-2.0 * t * (pot.kappa * ns) ** pot.alpha
                                      + 2.0 * t * pot.mu), r)
         return factor * radial
     if model.kind == CONSTANT:
-        factor = exp(t2 * g0) * (exp(t2 * g0) - 1.0)
+        factor = exp(t2 * g0) * expm1(t2 * g0)
         radial = _radial_weight_sum(
             graph, lambda ns: np.exp(-t * (pot.kappa * ns) ** pot.alpha
                                      + t * pot.mu), r)
         return factor * radial * radial
     if model.kind == POWER_DECAY:
-        vvec, dist = _ball_arrays(graph, pot, r)
+        vvec, gam = _ball_arrays(graph, pot, model, r)
         w = np.exp(-t * vvec)
-        gam = model.decay_scale * (dist + 1.0) ** (-model.beta)
-        return float(exp(t2 * g0) * (w @ (np.exp(t2 * gam) - 1.0) @ w))
+        return float(exp(t2 * g0) * (w @ np.expm1(t2 * gam) @ w))
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
@@ -396,18 +407,17 @@ def lower_bound_sum(t, delta, model, graph, r=None):
     g0 = variance_at_origin(model)
     pref = exp(-2.0 * t + t2 * g0)
     if model.kind == IID:
-        inner = (exp(t2 * g0) - 1.0) * _radial_sum_with_tail(graph, 2.0 * t,
-                                                             delta, r)
+        inner = expm1(t2 * g0) * _radial_sum_with_tail(graph, 2.0 * t, delta,
+                                                       r)
         return pref * inner
     if model.kind == CONSTANT:
         s = _radial_sum_with_tail(graph, t, delta, r)
-        return pref * (exp(t2 * g0) - 1.0) * s * s
+        return pref * expm1(t2 * g0) * s * s
     if model.kind == POWER_DECAY:
         from .operators import PotentialSpec
-        vvec, dist = _ball_arrays(graph, PotentialSpec(alpha=delta), r)
+        vvec, gam = _ball_arrays(graph, PotentialSpec(alpha=delta), model, r)
         w = np.exp(-t * vvec)
-        gam = model.decay_scale * (dist + 1.0) ** (-model.beta)
-        return pref * float(w @ (np.exp(t2 * gam) - 1.0) @ w)
+        return pref * float(w @ np.expm1(t2 * gam) @ w)
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 

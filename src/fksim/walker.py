@@ -1,15 +1,30 @@
-"""Continuous-time Markov walks with local times and jump-count tail bounds."""
+"""Continuous-time Markov walks with local times and jump-count tail bounds.
+
+Walks are sampled exactly (Gillespie-style): an exponential holding time at
+each visited vertex, then a jump drawn from the vertex's kernel; time is
+never discretised.  ``sample_path`` draws one trajectory with its local-time
+map.  The Monte Carlo estimators instead describe the vertices a walk may
+visit once as a ``Region`` of arrays and advance whole batches of walkers
+together in numpy with ``sample_walks``.  ``sample_jump_counts`` gives the
+jump counts of constant-rate walks for the Poisson-tail checks.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, exp, log, log1p
+from math import ceil, exp, inf, log, log1p
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InputError
+
+# Walkers advanced together by sample_walks, and the entry budget of the
+# estimators' array blocks (4.1 million float64 entries, 33 MB): peak memory
+# stays bounded whatever the number of paths or replicates.
+_BATCH = 1 << 17
+_MAX_ELEMS = 4_100_000
 
 
 @dataclass(frozen=True)
@@ -148,11 +163,170 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
                       jump_times=jump_times, states=states)
 
 
+@dataclass(frozen=True)
+class Region:
+    """The vertices a walk may visit, as arrays indexed by region id.
+
+    Row i describes ``vertices[i]``: ``nbr[i, k]`` is the region id of its
+    k-th kernel target (-1 for a target outside the region, and as padding
+    beyond its ``deg[i]`` targets), ``cum[i, k]`` the cumulative probability
+    of targets 0..k, ``rate[i]`` its jump rate and ``dist[i]`` its graph
+    distance to the root.
+    """
+
+    vertices: tuple
+    index: dict
+    nbr: np.ndarray
+    cum: np.ndarray
+    deg: np.ndarray
+    rate: np.ndarray
+    dist: np.ndarray
+
+    @classmethod
+    def build(cls, graph, spec, vertices):
+        """Region over an ordered vertex list; calls ``spec.rate`` and
+        ``spec.kernel`` once per vertex."""
+        vertices = tuple(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        m = len(vertices)
+        kernels = [spec.kernel(v) for v in vertices]
+        width = max([1] + [len(targets) for targets, _ in kernels])
+        nbr = np.full((m, width), -1, dtype=np.intp)
+        cum = np.full((m, width), inf)
+        deg = np.empty(m, dtype=np.intp)
+        rate = np.empty(m)
+        for i, (v, (targets, probs)) in enumerate(zip(vertices, kernels)):
+            r = spec.rate(v)
+            if r < 0:
+                raise ConfigError(f"rate at vertex {v} must be nonnegative")
+            if r > 0 and not targets:
+                raise ConfigError(f"vertex {v} has a positive rate but no "
+                                  "jump targets")
+            k = len(targets)
+            deg[i] = k
+            nbr[i, :k] = [index.get(u, -1) for u in targets]
+            cum[i, :k] = probs
+            rate[i] = r
+        dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
+                           dtype=np.int64, count=m)
+        return cls(vertices=vertices, index=index, nbr=nbr, cum=cum, deg=deg,
+                   rate=rate, dist=dist)
+
+
+@dataclass(frozen=True)
+class Walks:
+    """Per-path results of ``sample_walks``, in the order of the starts.
+
+    ``endpoint`` is the region id at the horizon (-1 for a walker stopped at
+    its exit), ``exited`` whether the walker exited before it.  Exactly
+    one of ``integral`` (the integral of the cost along the path) and
+    ``local`` (a dense row of local times over the region) is set.
+    """
+
+    endpoint: np.ndarray
+    exited: np.ndarray
+    integral: Optional[np.ndarray] = None
+    local: Optional[np.ndarray] = None
+
+
+def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None,
+                 stop_at_exit=False):
+    """Sample one walk from each start (a region id) up to the horizon.
+
+    All walkers of a batch advance together in numpy; each live walker draws
+    an exponential holding time and then its jump, as in ``sample_path``.
+    The result is deterministic given the generator state.
+
+    A walker exits when it reaches a vertex farther than ``kill_radius`` from
+    the root.  With ``stop_at_exit`` an exited walker stops there, and a jump
+    out of the region also counts as an exit; otherwise the walker goes on,
+    and a jump out of the region raises InputError.
+
+    With a ``cost`` vector over the region each path carries the integral of
+    the cost along it; a vertex of infinite cost absorbs the walker, and its
+    integral is then inf.  Without one each path carries its local times.
+    """
+    if horizon < 0:
+        raise DomainError("horizon must be >= 0")
+    starts = np.asarray(starts, dtype=np.intp)
+    n = len(starts)
+    endpoint = starts.copy()
+    exited = np.zeros(n, dtype=bool)
+    if cost is None:
+        acc = np.zeros((n, len(region.vertices)))
+    else:
+        cost = np.asarray(cost, dtype=float)
+        acc = np.zeros(n)
+    limit = inf if kill_radius is None else kill_radius
+    for lo in range(0, n, _BATCH):
+        part = slice(lo, lo + _BATCH)
+        _advance(region, endpoint[part], exited[part], acc[part], horizon,
+                 rng, cost, limit, stop_at_exit)
+    if cost is None:
+        return Walks(endpoint=endpoint, exited=exited, local=acc)
+    return Walks(endpoint=endpoint, exited=exited, integral=acc)
+
+
+def _advance(region, cur, exited, acc, horizon, rng, cost, limit, stop):
+    """Walk one batch in place: ``cur`` holds the start ids on entry and the
+    endpoints on return; ``acc`` receives integrals or local-time rows."""
+    rate, nbr, cum, deg, dist = (region.rate, region.nbr, region.cum,
+                                 region.deg, region.dist)
+
+    def charge(idx, verts, dt):
+        if cost is None:
+            acc[idx, verts] += dt    # idx holds each walker at most once
+        else:
+            acc[idx] += cost[verts] * dt
+
+    left = np.full(len(cur), float(horizon))
+    live = np.arange(len(cur))
+    if cost is not None:
+        absorbed = np.isinf(cost[cur])
+        acc[absorbed] = inf
+        live = live[~absorbed]
+    while live.size:
+        at = cur[live]
+        draw = rng.standard_exponential(live.size)
+        # The holding time draw / rate outlasts the remaining time (always so
+        # at rate 0): the walker sits until the horizon.
+        sits = draw >= rate[at] * left[live]
+        if sits.any():
+            charge(live[sits], at[sits], left[live[sits]])
+        moves = ~sits
+        live, at = live[moves], at[moves]
+        if not live.size:
+            break
+        hold = draw[moves] / rate[at]
+        charge(live, at, hold)
+        left[live] -= hold
+        u = rng.random(live.size)
+        k = np.minimum((cum[at] <= u[:, None]).sum(axis=1), deg[at] - 1)
+        nxt = nbr[at, k]
+        out = nxt < 0
+        if out.any() and not stop:
+            v = region.vertices[at[np.argmax(out)]]
+            raise InputError(f"a walk left the region from vertex {v!r}")
+        gone = out | (dist[nxt] > limit)
+        exited[live[gone]] = True
+        keep = np.ones(live.size, dtype=bool)
+        if stop:
+            nxt[gone] = -1
+            keep &= ~gone
+        if cost is not None:
+            absorbed = (nxt >= 0) & np.isinf(cost[nxt])
+            acc[live[absorbed]] = inf
+            keep &= ~absorbed
+        cur[live] = nxt
+        live = live[keep]
+
+
 def sample_jump_counts(q, horizon, n_paths, seed, chunk=100_000):
     """Jump counts of n_paths constant-rate walks, vectorized over paths.
 
     Holding times are i.i.d. exponential(q); the count is the number of
-    arrivals before the horizon.
+    arrivals before the horizon.  Each round draws one more holding time,
+    only for the paths whose last arrival is still before the horizon.
     """
     if q <= 0:
         raise ConfigError("jump rate must be positive")
@@ -161,16 +335,19 @@ def sample_jump_counts(q, horizon, n_paths, seed, chunk=100_000):
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     rng = np.random.default_rng(seed)
-    out = np.empty(n_paths, dtype=np.int64)
-    done = 0
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        holds = rng.exponential(1.0 / q, size=(m, cap))
-        counts = (np.cumsum(holds, axis=1) < horizon).sum(axis=1)
-        if counts.max() >= cap:
+    out = np.zeros(n_paths, dtype=np.int64)
+    for lo in range(0, n_paths, chunk):
+        counts = out[lo:lo + chunk]
+        elapsed = np.zeros(len(counts))
+        live = np.arange(len(counts))
+        for _ in range(cap):
+            elapsed[live] += rng.exponential(1.0 / q, size=live.size)
+            live = live[elapsed[live] < horizon]
+            if not live.size:
+                break
+            counts[live] += 1
+        if live.size:
             raise ConfigError("jump-count cap saturated; horizon too large")
-        out[done:done + m] = counts
-        done += m
     return out
 
 

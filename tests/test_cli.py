@@ -179,3 +179,51 @@ def test_cli_spectral_check(tmp_path, capsys):
 def test_cli_fk_compare(tmp_path, capsys):
     cfg = _write(tmp_path, "radius = 6\nt = 0.25\nn_paths = 20000\n")
     assert cli.main(["fk-compare", "--config", cfg, "--seed", "4"]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "radius = 10\nn_paths = 5\n",          # one path per stratum: SE is NaN
+    "radius = 2\nt = 1500\nn_paths = 2000\n",   # every weight underflows: SE 0
+])
+def test_cli_fk_compare_refuses_without_evidence(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    assert cli.main(["fk-compare", "--config", cfg, "--seed", "0"]) == 2
+    assert "pass=False" in capsys.readouterr().out
+
+
+def test_cli_fk_compare_summary_repeats_for_a_seed(tmp_path, capsys):
+    cfg = _write(tmp_path, "radius = 6\nt = 0.25\nn_paths = 20000\n")
+    outs = []
+    for _ in range(2):
+        assert cli.main(["fk-compare", "--config", cfg, "--seed", "5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text", [
+    "q = 1\nt = 20\nn_paths = 1000\nx_max = 10\n",   # every x <= q t
+    "t = 0\n",
+])
+def test_cli_tail_check_refuses_without_rows(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    assert cli.main(["tail-check", "--config", cfg, "--out",
+                     str(tmp_path / "tail.csv")]) == 2
+    assert "points=0 pass=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["radius = 4\ntrials = 0\n",
+                                  "radius = 4\ntrials = 3\nt_grid =\n"])
+def test_spectral_check_refuses_without_trials(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    with pytest.raises(ConfigError):
+        cli.spectral_check(cli.parse_config(cfg))
+    assert cli.main(["spectral-check", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, -1])
+def test_sweep_rejects_too_small_ensemble(tmp_path, capsys, m):
+    cfg = _write(tmp_path, f"t_exp_min = 2\nt_exp_max = 5\nradius = 5\n"
+                           f"ensemble = {m}\n")
+    with pytest.raises(ConfigError):
+        cli.sweep_variance(cli.parse_config(cfg))
+    assert cli.main(["sweep-variance", "--config", cfg]) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fksim.errors import DomainError
+from fksim.errors import DomainError, InputError
 from fksim.lattice import GraphModel
 from fksim.noise import (FieldSample, constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
@@ -249,3 +249,71 @@ def test_radius_for_monotone_in_t():
     assert fk.radius_for(2.0 ** -12) > fk.radius_for(2.0 ** -6)
     with pytest.raises(DomainError):
         fk.radius_for(0.0)
+
+
+def test_killed_trace_needs_the_field_on_the_ball_only():
+    # Killed walkers stop at their exit, so a field on ball(2) suffices even
+    # for a long horizon.
+    verts, _ = G1.ball((0,), 2)
+    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
+    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 2, 5.0, 2000, seed=2)
+    assert math.isfinite(est.mean) and est.mean > 0
+    assert math.isfinite(est.stderr) and est.stderr > 0
+
+
+def test_unkilled_trace_refuses_walks_beyond_the_field():
+    verts, _ = G1.ball((0,), 2)
+    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
+    with pytest.raises(InputError):
+        fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 2, 5.0, 2000, seed=2,
+                              with_unkilled=True)
+
+
+def test_stratified_se_undefined_with_one_path_per_stratum():
+    verts, _ = G1.ball((0,), 10)
+    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=4)
+    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 10, 0.25, 5, seed=5)
+    assert math.isnan(est.stderr)
+
+
+def test_paired_walker_power_decay_agrees_with_ensemble():
+    t = 0.5
+    model = power_decay_gaussian(beta=1.0)
+    ens = fk.ensemble_variance(G1, SPEC, POT, model, 4, t, 3000, seed=15)
+    pw = fk.paired_walker_variance(G1, SPEC, POT, model, t, 1200, 4, seed=16)
+    lo1, hi1 = ens.ci95()
+    lo2, hi2 = pw.ci95()
+    assert max(lo1, lo2) <= min(hi1, hi2)
+
+
+def test_ensemble_variance_rejects_two_draws():
+    with pytest.raises(DomainError):
+        fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 2,
+                             seed=23)
+
+
+def test_power_decay_pair_terms_use_expm1():
+    # t = 2^-17: t^2 gamma is about 6e-11, where exp(x) - 1 keeps only five
+    # significant digits.  Steep potentials keep the certified balls small.
+    t = 2.0 ** -17
+    model = power_decay_gaussian(beta=0.5)
+    t2 = t * t
+
+    def pair_sum(verts, weight):
+        return sum(weight(u) * weight(v)
+                   * math.expm1(t2 * (abs(u[0] - v[0]) + 1.0) ** -0.5)
+                   for u in verts for v in verts)
+
+    pot = PotentialSpec(alpha=2.0, kappa=1000.0)
+    verts, _ = G1.ball((0,), fk.radius_for(t, 2.0, 1000.0))
+    frozen = math.exp(t2) * pair_sum(
+        verts, lambda u: math.exp(-t * (1000.0 * abs(u[0])) ** 2))
+    got = fk.frozen_variance_sum(t, G1, pot, model)
+    assert got == pytest.approx(frozen, rel=1e-12, abs=0.0)
+
+    delta = 8.0
+    verts, _ = G1.ball((0,), fk.radius_for(t, delta, 1.0))
+    lower = math.exp(-2.0 * t + t2) * pair_sum(
+        verts, lambda u: math.exp(-t * abs(u[0]) ** delta))
+    assert fk.lower_bound_sum(t, delta, model, G1) == \
+        pytest.approx(lower, rel=1e-12, abs=0.0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fksim.errors import DomainError
+from fksim.errors import DomainError, InputError
 from fksim.lattice import GraphModel
-from fksim.walker import (chernoff_jump_bound, sample_jump_counts,
-                          sample_path, stay_probability, symmetric_walk,
+from fksim.walker import (MarkovSpec, Region, chernoff_jump_bound,
+                          sample_jump_counts, sample_path, sample_walks,
+                          stay_probability, symmetric_walk,
                           validate_markov_spec)
 
 G1 = GraphModel.zd_l1(1)
@@ -90,3 +91,133 @@ def test_chernoff_bound_domain():
 def test_negative_horizon_rejected():
     with pytest.raises(DomainError):
         sample_path(G1, SPEC, (0,), -1.0, seed=0)
+
+
+# -- batched sampler against the single-path reference ----------------------
+
+
+def _reference_walks(graph, spec, start, horizon, kill_radius, cost_of, n,
+                     seed):
+    """Endpoints, exit flags and cost integrals of n sample_path walks."""
+    rng = np.random.default_rng(seed)
+    ends, exits, costs = [], [], []
+    for _ in range(n):
+        p = sample_path(graph, spec, start, horizon, rng=rng, light=True,
+                        kill_radius=kill_radius)
+        ends.append(p.endpoint)
+        exits.append(p.exit_time is not None)
+        costs.append(sum(lt * cost_of(x) for x, lt in p.local_time.items()))
+    return ends, np.array(exits), np.array(costs)
+
+
+def _two_sample_z(p1, n1, p2, n2):
+    se = math.sqrt(p1 * (1 - p1) / n1 + p2 * (1 - p2) / n2)
+    return abs(p1 - p2) / se if se > 0 else 0.0
+
+
+def _assert_matches_reference(graph, spec, region_verts, start, horizon,
+                              kill_radius, cost_of, seed):
+    n = 20000
+    region = Region.build(graph, spec, region_verts)
+    cost = np.array([cost_of(v) for v in region.vertices])
+    walks = sample_walks(region, np.full(n, region.index[start]), horizon,
+                         np.random.default_rng(seed), cost=cost,
+                         kill_radius=kill_radius)
+    ends, exits, costs = _reference_walks(graph, spec, start, horizon,
+                                          kill_radius, cost_of, n, seed + 1)
+    # Every endpoint probability, the exit frequency and the mean integral
+    # agree within 5 two-sample SE (20000 paths per side).
+    got = [region.vertices[i] for i in walks.endpoint]
+    for v in set(got) | set(ends):
+        assert _two_sample_z(got.count(v) / n, n, ends.count(v) / n, n) < 5, v
+    assert _two_sample_z(walks.exited.mean(), n, exits.mean(), n) < 5
+    se = math.sqrt(walks.integral.var() / n + costs.var() / n)
+    assert abs(walks.integral.mean() - costs.mean()) < 5 * se
+    assert 0 < exits.mean() < 1   # both outcomes occur, so the check bites
+
+
+def test_batched_walks_match_sample_path_on_z1():
+    verts, _ = G1.ball((0,), 15)
+    _assert_matches_reference(G1, SPEC, verts, (1,), 1.5, 2,
+                              lambda v: float(v[0] ** 2), seed=30)
+
+
+def _explicit_spec(graph):
+    """Site-dependent rates and a non-uniform, non-symmetric kernel."""
+    def kernel(v):
+        targets = graph.neighbors(v)
+        w = np.array([u + 1.0 for u in targets])
+        return targets, list(np.cumsum(w / w.sum()))
+    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
+                      kernel=kernel)
+
+
+# 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4
+G_EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                     (4, 5), (1, 4)])
+
+
+def test_batched_walks_match_sample_path_on_explicit_graph():
+    spec = _explicit_spec(G_EXPLICIT)
+    validate_markov_spec(G_EXPLICIT, spec, range(6))
+    _assert_matches_reference(G_EXPLICIT, spec, range(6), 0, 2.0, 1,
+                              lambda v: 0.3 * v - 0.5, seed=31)
+
+
+def test_batched_walks_local_times_agree_with_integrals():
+    # The same stream gives the same paths in both modes, so the local-time
+    # rows reproduce the integrals and sum to the horizon.
+    spec = _explicit_spec(G_EXPLICIT)
+    region = Region.build(G_EXPLICIT, spec, range(6))
+    cost = np.linspace(-1.0, 2.0, 6)
+    starts = np.arange(3000) % 6
+    a = sample_walks(region, starts, 1.7, np.random.default_rng(32), cost=cost)
+    b = sample_walks(region, starts, 1.7, np.random.default_rng(32))
+    assert np.array_equal(a.endpoint, b.endpoint)
+    np.testing.assert_allclose(b.local @ cost, a.integral, rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(b.local.sum(axis=1), 1.7, rtol=1e-12)
+
+
+def test_batched_walks_byte_identical_for_a_seed():
+    verts, _ = G1.ball((0,), 3)
+    region = Region.build(G1, SPEC, verts)
+    runs = [sample_walks(region, np.repeat(np.arange(7), 500), 2.0,
+                         np.random.default_rng(33), kill_radius=2,
+                         stop_at_exit=True) for _ in range(2)]
+    for name in ("endpoint", "exited", "local"):
+        assert getattr(runs[0], name).tobytes() == \
+            getattr(runs[1], name).tobytes()
+
+
+def test_batched_walks_stop_or_refuse_at_the_region_edge():
+    verts, _ = G1.ball((0,), 1)
+    region = Region.build(G1, SPEC, verts)
+    starts = np.full(200, region.index[(0,)])
+    walks = sample_walks(region, starts, 5.0, np.random.default_rng(34),
+                         cost=np.zeros(3), stop_at_exit=True)
+    assert walks.exited.any()
+    assert np.all(walks.endpoint[walks.exited] == -1)
+    with pytest.raises(InputError):
+        sample_walks(region, starts, 5.0, np.random.default_rng(34),
+                     cost=np.zeros(3))
+
+
+def test_batched_walks_absorb_at_infinite_cost():
+    verts, _ = G1.ball((0,), 6)
+    region = Region.build(G1, SPEC, verts)
+    cost = np.where(np.array([v[0] for v in verts]) == 1, np.inf, 0.0)
+    walks = sample_walks(region, np.full(500, region.index[(0,)]), 3.0,
+                         np.random.default_rng(35), cost=cost)
+    hit = np.isinf(walks.integral)
+    assert hit.any() and not hit.all()
+    assert np.all(region.dist[walks.endpoint[hit]] == 1)
+
+
+def test_jump_count_tail_matches_poisson():
+    from scipy import stats
+    n = 200000
+    counts = sample_jump_counts(1.0, 0.5, n, seed=36, chunk=30000)
+    for x in range(1, 6):
+        p = stats.poisson.sf(x - 1, 0.5)
+        assert abs((counts >= x).mean() - p) < 5 * math.sqrt(p * (1 - p) / n)
