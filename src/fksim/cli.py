@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isfinite, nan, sqrt
 
@@ -22,7 +21,8 @@ from .errors import ConfigError, DomainError
 from .lattice import GraphModel
 from .noise import (constant_gaussian, iid_gaussian, power_decay_gaussian,
                     sample_field)
-from .operators import PotentialSpec, assemble, spectrum
+from .operators import (PotentialSpec, Truncation, spectrum,
+                        trace_identity_residual)
 from .feynman_kac import (ensemble_variance, exact_dirichlet_trace,
                           frozen_variance_sum, lower_bound_sum,
                           mc_dirichlet_trace, radius_for)
@@ -146,7 +146,7 @@ class SweepResult:
     passed: bool
 
 
-def sweep_variance(cfg, seed=None, threads=1):
+def sweep_variance(cfg, seed=None):
     graph = _graph_from(cfg)
     model = _noise_from(cfg)
     pot = _potential_from(cfg)
@@ -175,7 +175,7 @@ def sweep_variance(cfg, seed=None, threads=1):
         ens_var = ens_se = None
         if m_draws:
             est = ensemble_variance(graph, spec, pot, model, radius, t,
-                                    m_draws, seed + k, threads=threads)
+                                    m_draws, seed + k)
             ens_var, ens_se = est.value, est.stderr
         rows.append((t, frozen, ens_var, ens_se, lower, radius))
 
@@ -208,7 +208,7 @@ class RigidityReport:
     passed: bool
 
 
-def rigidity_demo(cfg, seed=None, threads=1):
+def rigidity_demo(cfg, seed=None):
     """Predict the inside-B eigenvalue count from outside data only.
 
     The predictor is (plug-in ensemble mean of the full exponential linear
@@ -232,22 +232,17 @@ def rigidity_demo(cfg, seed=None, threads=1):
     dim = len(ball)
     if dim > 400:
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
+    trunc = Truncation.build(graph, spec, pot, radius)
 
     def member(ss):
         xi = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
-        asm = assemble(graph, spec, pot, xi, radius)
         eigs = []
-        for lam, m in spectrum(asm.matrix).clusters:
+        for lam, m in spectrum(trunc.assemble(xi).matrix).clusters:
             eigs.extend([lam.real] * m)
         return np.sort(eigs)
 
     seeds = np.random.SeedSequence(seed).spawn(members)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            spectra = list(pool.map(member, seeds))
-    else:
-        spectra = [member(ss) for ss in seeds]
-    spectra = np.array(spectra)   # members x dim, each row sorted
+    spectra = np.array([member(ss) for ss in seeds])   # members x dim, sorted
 
     cut = _get(cfg, "cut_value", float)
     if cut is None:
@@ -290,8 +285,8 @@ def _write_rigidity_csv(report, cfg, out):
 
 @dataclass(frozen=True)
 class TailReport:
-    """``passed``: no row breaks the bound.  That holds vacuously without
-    rows, which the CLI therefore reports as a failure."""
+    """``passed``: there is at least one row and no row breaks the bound;
+    a check without rows has no evidence and fails."""
 
     rows: tuple          # (x, empirical, bound, se)
     passed: bool
@@ -305,7 +300,7 @@ def tail_check(cfg, seed=None):
     x_max = _get(cfg, "x_max", int, 10)
     seed = seed if seed is not None else _get(cfg, "seed", int, 0)
     if t == 0.0:
-        return TailReport(rows=(), passed=True)
+        return TailReport(rows=(), passed=False)
     counts = sample_jump_counts(q, t, n_paths, seed)
     rows = []
     ok = True
@@ -317,7 +312,7 @@ def tail_check(cfg, seed=None):
         bound = chernoff_jump_bound(q, t, x)
         ok = ok and emp <= bound + 3.0 * se
         rows.append((x, emp, bound, se))
-    return TailReport(rows=tuple(rows), passed=ok)
+    return TailReport(rows=tuple(rows), passed=ok and bool(rows))
 
 
 def _write_tail_csv(report, cfg, out):
@@ -340,7 +335,6 @@ class SpectralReport:
 def spectral_check(cfg, seed=None):
     """Trace of the matrix exponential vs the exponential linear statistic
     over random assemblies."""
-    from .operators import trace_identity_residual
     graph = _graph_from(cfg)
     model = _noise_from(cfg)
     pot = _potential_from(cfg)
@@ -355,12 +349,13 @@ def spectral_check(cfg, seed=None):
     seed = seed if seed is not None else _get(cfg, "seed", int, 0)
     spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
     ball, _ = graph.ball(graph.root, radius)
+    trunc = Truncation.build(graph, spec, pot, radius)
     worst = 0.0
     for ss in np.random.SeedSequence(seed).spawn(n_trials):
         xi = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
-        asm = assemble(graph, spec, pot, xi, radius)
+        mat = trunc.assemble(xi).matrix
         for t in t_grid:
-            worst = max(worst, trace_identity_residual(asm.matrix, t))
+            worst = max(worst, trace_identity_residual(mat, t))
     return SpectralReport(max_residual=worst, n_trials=n_trials,
                           passed=worst < tol)
 
@@ -405,8 +400,36 @@ def fk_compare(cfg, seed=None):
 # -- entry point ------------------------------------------------------------------------
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+# The keys of the graph, noise, potential and walk, then per subcommand its
+# run, CSV writer, summary before "pass=" and other keys ("seed" is for all).
+_MODEL_KEYS = ("graph", "d", "graph_file", "noise", "gamma0",
+               "moment_constant", "beta", "decay_scale", "alpha", "kappa",
+               "mu", "q")
+_COMMANDS = {
+    "sweep-variance": (
+        sweep_variance, _write_sweep_csv,
+        lambda r: f"slope={r.slope:.6f} ci95={r.slope_ci:.6f} "
+                  f"r2={r.r_squared:.6f}",
+        _MODEL_KEYS + ("t_exp_min", "t_exp_max", "ensemble", "radius",
+                       "expect_slope", "slope_tol")),
+    "rigidity-demo": (
+        rigidity_demo, _write_rigidity_csv,
+        lambda r: f"cut={r.cut:.6f} mae={['%.4f' % m for m in r.mae]}",
+        _MODEL_KEYS + ("radius", "members", "t_grid", "mae_threshold",
+                       "cut_value", "cut_index")),
+    "tail-check": (
+        tail_check, _write_tail_csv, lambda r: f"points={len(r.rows)}",
+        ("q", "t", "n_paths", "x_max")),
+    "spectral-check": (
+        spectral_check, None,
+        lambda r: f"max_residual={r.max_residual:.3e} trials={r.n_trials}",
+        _MODEL_KEYS + ("radius", "trials", "t_grid", "residual_tol")),
+    "fk-compare": (
+        fk_compare, None,
+        lambda r: f"mc={r.mc_mean:.6f} se={r.mc_se:.6f} "
+                  f"exact={r.exact:.6f} z={r.z:.3f}",
+        _MODEL_KEYS + ("radius", "t", "n_paths")),
+}
 
 
 def main(argv=None):
@@ -415,57 +438,33 @@ def main(argv=None):
         description="Simulation and verification suite for random "
                     "Schrodinger operators on graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sweep-variance", "rigidity-demo", "tail-check",
-                 "spectral-check", "fk-compare"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:   # a usage error is an input error: exit 1
+        return 1 if err.code else 0
+    run, write, summary, keys = _COMMANDS[args.command]
 
     try:
         cfg = parse_config(args.config)
+        unknown = sorted(set(cfg) - set(keys) - {"seed"})
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {args.command}: "
+                              + ", ".join(map(repr, unknown)))
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
-        if args.command == "sweep-variance":
-            res = sweep_variance(cfg, threads=args.threads)
-            out = _open_out(args.out)
-            _write_sweep_csv(res, cfg, out)
-            if out is not sys.stdout:
-                out.close()
-            print(f"slope={res.slope:.6f} ci95={res.slope_ci:.6f} "
-                  f"r2={res.r_squared:.6f} pass={res.passed}")
-            return 0 if res.passed else 2
-        if args.command == "rigidity-demo":
-            res = rigidity_demo(cfg, threads=args.threads)
-            out = _open_out(args.out)
-            _write_rigidity_csv(res, cfg, out)
-            if out is not sys.stdout:
-                out.close()
-            print(f"cut={res.cut:.6f} mae={['%.4f' % m for m in res.mae]} "
-                  f"pass={res.passed}")
-            return 0 if res.passed else 2
-        if args.command == "tail-check":
-            res = tail_check(cfg)
-            out = _open_out(args.out)
-            _write_tail_csv(res, cfg, out)
-            if out is not sys.stdout:
-                out.close()
-            passed = res.passed and bool(res.rows)
-            print(f"points={len(res.rows)} pass={passed}")
-            return 0 if passed else 2
-        if args.command == "spectral-check":
-            res = spectral_check(cfg)
-            print(f"max_residual={res.max_residual:.3e} "
-                  f"trials={res.n_trials} pass={res.passed}")
-            return 0 if res.passed else 2
-        if args.command == "fk-compare":
-            res = fk_compare(cfg)
-            print(f"mc={res.mc_mean:.6f} se={res.mc_se:.6f} "
-                  f"exact={res.exact:.6f} z={res.z:.3f} pass={res.passed}")
-            return 0 if res.passed else 2
-        raise ConfigError(f"unknown command {args.command!r}")
+        res = run(cfg)
+        if write is not None and args.out:
+            with open(args.out, "w") as out:
+                write(res, cfg, out)
+        elif write is not None:
+            write(res, cfg, sys.stdout)
+        print(f"{summary(res)} pass={res.passed}")
+        return 0 if res.passed else 2
     except Exception as err:   # noqa: BLE001 - CLI boundary
         print(f"error: {err}", file=sys.stderr)
         return 1

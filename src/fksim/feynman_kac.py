@@ -5,7 +5,8 @@ Monte Carlo routes describe the vertices a walk may visit once as a
 ``walker.Region`` and sample all paths in numpy batches with
 ``walker.sample_walks``.  Kernel and trace estimators weight each path by
 e^{-integral of (V + xi)}; killed-trace walkers stop at their exit from the
-ball, so the field is needed on the ball alone.  The paired-walker variance
+ball of the ``operators.Truncation`` that the exact routes assemble, so the
+field is needed on the ball alone.  The paired-walker variance
 uses dense local-time rows, so that every start pair of a replicate comes
 from one matrix product with the box covariance.  Deterministic routes
 evaluate the frozen-walk double sums in closed radial form with certified box
@@ -15,7 +16,7 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, nan, sqrt
+from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, nan, sqrt
 from typing import Optional
 
 import numpy as np
@@ -23,8 +24,9 @@ from scipy.special import comb as _comb, gammainc, gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
-from .noise import CONSTANT, IID, POWER_DECAY, variance_at_origin
-from .operators import assemble, expm_neg
+from .noise import (CONSTANT, IID, POWER_DECAY, covariance_matrix,
+                    sample_field, variance_at_origin)
+from .operators import Truncation, expm_neg
 from .walker import _MAX_ELEMS, Region, sample_path, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
@@ -75,19 +77,12 @@ def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
 # -- Monte Carlo kernel and trace ---------------------------------------------
 
 
-def _region_cost(graph, pot, xi, region):
-    """V + xi on the region's vertices; +inf on Dirichlet vertices."""
-    cost = np.empty(len(region.vertices))
-    for i, v in enumerate(region.vertices):
-        p = pot.value(graph, v)
-        cost[i] = inf if p == inf else p + xi[v]
-    return cost
-
-
 def _field_region(graph, spec, pot, xi):
-    """The region of an unkilled walk: every vertex the field covers."""
+    """The region of an unkilled walk, every vertex the field covers, and
+    V + xi on it (+inf on Dirichlet vertices)."""
     region = Region.build(graph, spec, xi.vertices)
-    return region, _region_cost(graph, pot, xi, region)
+    return region, np.array([pot.value(graph, v) + xi[v]
+                             for v in region.vertices])
 
 
 def _region_id(region, v):
@@ -122,17 +117,17 @@ def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed, unkilled=True):
     walkers stop at their exit from the ball, the field is read on the ball
     alone, and the unkilled list is None.
     """
-    ball, _ = graph.ball(graph.root, n)
-    starts = [v for v in ball if pot.value(graph, v) != inf]
-    per = max(1, ceil(n_paths / max(1, len(starts))))
+    trunc = Truncation.build(graph, spec, pot, n)
+    starts = trunc.region.vertices
+    per = max(1, ceil(n_paths / len(starts)))
     if unkilled:
         region, cost = _field_region(graph, spec, pot, xi)
+        ids = np.repeat([_region_id(region, u) for u in starts], per)
     else:
         # Dirichlet vertices stay out of the region: entering one stops the
         # walker like an exit, and both leave a zero weight.
-        region = Region.build(graph, spec, starts)
-        cost = _region_cost(graph, pot, xi, region)
-    ids = np.repeat([_region_id(region, u) for u in starts], per)
+        region, cost = trunc.region, trunc.potential + trunc.field(xi)
+        ids = np.repeat(np.arange(len(starts)), per)
     walks = sample_walks(region, ids, t, np.random.default_rng(seed),
                          cost=cost, kill_radius=n, stop_at_exit=not unkilled)
     uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
@@ -179,31 +174,24 @@ def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
 
 def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
     """Tr e^{-tH_n} by dense matrix exponential."""
-    asm = assemble(graph, spec, pot, xi, n)
-    return float(np.trace(expm_neg(asm.matrix, t)))
+    return _exact_trace(Truncation.build(graph, spec, pot, n), xi, t)
 
 
-def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed,
-                      threads=1):
+def _exact_trace(trunc, xi, t):
+    return float(np.trace(expm_neg(trunc.assemble(xi).matrix, t)))
+
+
+def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
     """Var over the noise of the exact truncated trace, with jackknife SE."""
     if m_draws < 3:
         raise DomainError("need at least three noise draws (the jackknife "
                           "divides by m - 2)")
-    from .noise import sample_field
-
+    trunc = Truncation.build(graph, spec, pot, n)
     ball, _ = graph.ball(graph.root, n)
-    seeds = np.random.SeedSequence(seed).spawn(m_draws)
-    def member(ss):
-        xi = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
-        return exact_dirichlet_trace(graph, spec, pot, xi, n, t)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = np.fromiter(pool.map(member, seeds), dtype=float,
-                                 count=m_draws)
-    else:
-        traces = np.fromiter(map(member, seeds), dtype=float, count=m_draws)
+    traces = np.array([
+        _exact_trace(trunc, sample_field(model, graph, ball,
+                                         rng=np.random.default_rng(ss)), t)
+        for ss in np.random.SeedSequence(seed).spawn(m_draws)])
 
     value = float(np.var(traces, ddof=1))
     # Leave-one-out variances from running sums.
@@ -213,23 +201,6 @@ def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed,
     loo = (s2 - traces ** 2 - (s1 - traces) ** 2 / (m - 1)) / (m - 2)
     se = sqrt((m - 1) / m * float(((loo - loo.mean()) ** 2).sum()))
     return VarianceEstimate(value=value, stderr=se, n_samples=m, t=t, radius=n)
-
-
-def _covariance_matrix(model, graph, verts):
-    """gamma(u, v) over an ordered vertex list."""
-    m = len(verts)
-    if model.kind == IID:
-        return model.gamma0 * np.eye(m)
-    if model.kind == CONSTANT:
-        return np.full((m, m), model.gamma0)
-    if graph.kind in (ZD_L1, ZD_LINF):
-        coords = np.array(verts, dtype=float).reshape(m, graph.d)
-        dist = np.abs(coords[:, None, :] - coords[None, :, :])
-        dist = dist.sum(axis=2) if graph.kind == ZD_L1 else dist.max(axis=2)
-    else:
-        dist = np.array([[graph.distance(u, v) for v in verts]
-                         for u in verts], dtype=float).reshape(m, m)
-    return model.decay_scale * (dist + 1.0) ** (-model.beta)
 
 
 def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
@@ -248,15 +219,13 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
                           "(closed-form inner covariance is Gaussian-only)")
     if n_rep < 2:
         raise DomainError("need at least two replicates")
-    ball, _ = graph.ball(graph.root, box_radius)
-    starts = [v for v in ball if pot.value(graph, v) != inf]
     # Dirichlet vertices stay out of the region: entering one stops the
     # walker like an exit, and both leave a zero weight.
-    region = Region.build(graph, spec, starts)
-    pv = np.array([pot.value(graph, v) for v in starts])
-    gamma = _covariance_matrix(model, graph, starts)
+    trunc = Truncation.build(graph, spec, pot, box_radius)
+    region, pv = trunc.region, trunc.potential
+    gamma = covariance_matrix(model, graph, region.vertices)
     rng = np.random.default_rng(seed)
-    m = len(starts)
+    m = len(region.vertices)
     ids = np.arange(m)
     # Replicates per block: L, L Gamma and the m x m pair matrices.
     block = max(1, _MAX_ELEMS // max(1, 3 * m * m))
@@ -325,7 +294,7 @@ def _ball_arrays(graph, pot, model, r):
     if m * m > 40_000_000:
         raise DomainError(f"pairwise sum over {m} vertices is too large")
     vvec = np.array([pot.value(graph, v) for v in verts])
-    return vvec, _covariance_matrix(model, graph, verts)
+    return vvec, covariance_matrix(model, graph, verts)
 
 
 def frozen_variance_sum(t, graph, pot, model, r=None):

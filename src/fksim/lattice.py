@@ -43,8 +43,6 @@ class GraphModel:
             self.degree_bound = degree_bound if degree_bound is not None else max(degs, default=0)
             if max(degs, default=0) > self.degree_bound:
                 raise ConfigError("declared degree_bound below actual maximum degree")
-        # The vertex degree dominates c_n / n^(d-1) on both lattice kinds.
-        self.coord_constant = float(self.degree_bound)
         self._dist_cache = {}
 
     # -- constructors ----------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InputError, NumericalError
+from .lattice import ZD_L1, ZD_LINF
 
 IID = "iid"
 POWER_DECAY = "power_decay"
@@ -85,6 +86,25 @@ def covariance(model, graph, u, v):
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
+def covariance_matrix(model, graph, vertices):
+    """gamma(u, v) over an ordered vertex list, as a dense matrix."""
+    m = len(vertices)
+    if model.kind == IID:
+        return model.gamma0 * np.eye(m)
+    if model.kind == CONSTANT:
+        return np.full((m, m), model.gamma0)
+    if model.kind != POWER_DECAY:
+        raise DomainError(f"unknown noise kind {model.kind!r}")
+    if graph.kind in (ZD_L1, ZD_LINF):
+        coords = np.array(vertices, dtype=float).reshape(m, graph.d)
+        dist = np.abs(coords[:, None, :] - coords[None, :, :])
+        dist = dist.sum(axis=2) if graph.kind == ZD_L1 else dist.max(axis=2)
+    else:
+        dist = np.array([[graph.distance(u, v) for v in vertices]
+                         for u in vertices], dtype=float).reshape(m, m)
+    return model.decay_scale * (dist + 1.0) ** (-model.beta)
+
+
 def variance_at_origin(model):
     """gamma(v, v), identical for all v by stationarity."""
     if model.kind == POWER_DECAY:
@@ -103,12 +123,7 @@ def sample_field(model, graph, vertices, seed=None, rng=None):
     elif model.kind == CONSTANT:
         vals = np.full(n, sqrt(model.gamma0) * rng.standard_normal())
     elif model.kind == POWER_DECAY:
-        cov = np.empty((n, n))
-        for i, u in enumerate(vertices):
-            cov[i, i] = model.decay_scale
-            for j in range(i + 1, n):
-                cov[i, j] = cov[j, i] = covariance(model, graph, u, vertices[j])
-        chol = _psd_factor(cov)
+        chol = _psd_factor(covariance_matrix(model, graph, vertices))
         vals = chol @ rng.standard_normal(n)
     else:
         raise DomainError(f"unknown noise kind {model.kind!r}")
@@ -237,12 +252,7 @@ def _field_matrix(model, graph, vertices, n_samples, rng):
         z = rng.standard_normal((n_samples, 1))
         return sqrt(model.gamma0) * np.broadcast_to(z, (n_samples, n)).copy()
     if model.kind == POWER_DECAY:
-        cov = np.empty((n, n))
-        for i, u in enumerate(vertices):
-            cov[i, i] = model.decay_scale
-            for j in range(i + 1, n):
-                cov[i, j] = cov[j, i] = covariance(model, graph, u, vertices[j])
-        chol = _psd_factor(cov)
+        chol = _psd_factor(covariance_matrix(model, graph, vertices))
         return rng.standard_normal((n_samples, n)) @ chol.T
     raise DomainError(f"unknown noise kind {model.kind!r}")
 

@@ -1,8 +1,10 @@
 """Finite Dirichlet truncations of H = -H_X + V + xi and their spectra.
 
 The truncated operator lives on the radius-n ball around the root with the
-infinite-potential vertices removed entirely; matrix exponentials use
-degree-13 Pade approximation with scaling and squaring.
+infinite-potential vertices removed entirely.  ``Truncation`` describes that
+region once as arrays (a ``walker.Region`` and the potential vector), which
+the dense assembly and the killed Monte Carlo walks share.  Matrix
+exponentials use degree-13 Pade approximation with scaling and squaring.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InputError, NumericalError
+from .walker import Region
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,6 @@ class PotentialSpec:
                 raise InputError(f"custom potential has no value at {v!r}") from None
         return (self.kappa * graph.distance(graph.root, v)) ** self.alpha - self.mu
 
-    def radial_value(self, n):
-        """V at distance n from the root (radial presets only)."""
-        if self.custom is not None:
-            raise DomainError("radial evaluation undefined for custom potentials")
-        return (self.kappa * n) ** self.alpha - self.mu
-
 
 @dataclass(frozen=True)
 class OperatorAssembly:
@@ -58,35 +55,57 @@ class OperatorAssembly:
     omega0: float
 
 
+@dataclass(frozen=True)
+class Truncation:
+    """The radius-n ball minus its Dirichlet vertices, as arrays.
+
+    ``region`` holds the walk's vertices, neighbour table, jump rates and
+    distances; ``potential[i]`` is V at ``region.vertices[i]``.  Built once
+    per (graph, walk, potential, radius), it serves any number of fields.
+    """
+
+    region: Region
+    potential: np.ndarray
+    radius: int
+
+    @classmethod
+    def build(cls, graph, spec, pot, n):
+        if n < 0:
+            raise DomainError("truncation radius must be >= 0")
+        ball, _ = graph.ball(graph.root, n)
+        values = [pot.value(graph, v) for v in ball]
+        vertices = [v for v, p in zip(ball, values) if p != inf]
+        if not vertices:
+            raise InputError("empty vertex list after Dirichlet removal")
+        return cls(region=Region.build(graph, spec, vertices),
+                   potential=np.array([p for p in values if p != inf]),
+                   radius=n)
+
+    def field(self, xi):
+        """The field's values on the truncation's vertices."""
+        return np.fromiter(map(xi.__getitem__, self.region.vertices),
+                           dtype=float, count=len(self.region.vertices))
+
+    def assemble(self, xi):
+        """Dense matrix of -H_X + V + xi on the truncation."""
+        reg = self.region
+        diag = self.potential + self.field(xi)
+        h = np.diag(reg.rate + diag)
+        # Targets inside the region (nbr -1 marks the others and the padding),
+        # with their jump probabilities from the cumulative rows.
+        rows, k = np.nonzero(reg.nbr >= 0)
+        prob = reg.cum[rows, k] - np.where(k > 0, reg.cum[rows, k - 1], 0.0)
+        hit = prob > 0.0
+        rows, k = rows[hit], k[hit]
+        h[rows, reg.nbr[rows, k]] = -reg.rate[rows] * prob[hit]
+        return OperatorAssembly(vertices=reg.vertices, index=reg.index,
+                                matrix=h, radius=self.radius,
+                                omega0=float(diag.min()))
+
+
 def assemble(graph, spec, pot, xi, n):
     """Build the radius-n Dirichlet truncation of -H_X + V + xi."""
-    if n < 0:
-        raise DomainError("truncation radius must be >= 0")
-    ball, _ = graph.ball(graph.root, n)
-    vertices = [v for v in ball if pot.value(graph, v) != inf]
-    if not vertices:
-        raise InputError("empty vertex list after Dirichlet removal")
-    for v in vertices:
-        if v not in xi:
-            raise InputError(f"field sample missing vertex {v!r}")
-    index = {v: i for i, v in enumerate(vertices)}
-    m = len(vertices)
-    h = np.zeros((m, m))
-    omega0 = inf
-    for v, i in index.items():
-        diag_pot = pot.value(graph, v) + xi[v]
-        h[i, i] = spec.rate(v) + diag_pot
-        omega0 = min(omega0, diag_pot)
-        targets, cum = spec.kernel(v)
-        prev = 0.0
-        for u, c in zip(targets, cum):
-            p = c - prev
-            prev = c
-            j = index.get(u)
-            if j is not None and p > 0.0:
-                h[i, j] = -spec.rate(v) * p
-    return OperatorAssembly(vertices=tuple(vertices), index=index, matrix=h,
-                            radius=n, omega0=omega0)
+    return Truncation.build(graph, spec, pot, n).assemble(xi)
 
 
 def omega0(pot, graph, xi, region):

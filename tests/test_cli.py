@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_sweep_csv_byte_identical(tmp_path, capsys):
     assert header[1] == "t,frozen,ens_var,ens_se,lower,radius"
 
 
-def test_sweep_with_ensemble_thread_invariant(tmp_path):
+def test_sweep_with_ensemble_repeats_for_a_seed(tmp_path, capsys):
     path = _write(tmp_path, """
 t_exp_min = 2
 t_exp_max = 5
@@ -105,12 +107,13 @@ ensemble = 40
 radius = 5
 """)
     outs = []
-    for threads, name in ((1, "t1.csv"), (3, "t3.csv")):
+    for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        cli.main(["sweep-variance", "--config", path, "--seed", "2",
-                  "--threads", str(threads), "--out", str(out)])
+        assert cli.main(["sweep-variance", "--config", path, "--seed", "2",
+                         "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    assert all(row.split(",")[2] for row in outs[0].decode().splitlines()[2:])
 
 
 def test_rigidity_demo_deterministic_noise(tmp_path):
@@ -156,7 +159,13 @@ x_max = 8
 def test_tail_check_t_zero_trivial(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "t = 0\n"))
     rep = cli.tail_check(cfg)
-    assert rep.passed and rep.rows == ()
+    assert not rep.passed and rep.rows == ()
+
+
+def test_tail_check_without_rows_fails():
+    rep = cli.tail_check({"q": "1", "t": "20", "n_paths": "1000",
+                          "x_max": "10"}, seed=0)
+    assert rep.rows == () and not rep.passed
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -169,6 +178,70 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["sweep-variance", "--config", broken]) == 1
     assert cli.main(["sweep-variance", "--config",
                      str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-variance"],                                   # no --config
+    ["sweep-variance", "--config", "x.cfg", "--frobnicate"],
+    ["sweep-variance", "--config", "x.cfg", "--threads", "2"],
+    ["sweep-variance", "--config", "x.cfg", "--seed", "one"],
+    ["no-such-command", "--config", "x.cfg"],
+    [],
+])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    # Exit 2 means that a check failed; a malformed command line is an
+    # input error like a malformed config.
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["tail-check", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    path = _write(tmp_path, "t_exp_min = 6\nt_exp_mx = 9\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep-variance", "--config", path, "--out",
+                     str(out)]) == 1
+    assert "'t_exp_mx'" in capsys.readouterr().err
+    assert not out.exists()   # refused before any work
+
+
+@pytest.mark.parametrize("command, text", [
+    ("tail-check", "t = 0.5\nn_paths = 1000\nradius = 4\n"),
+    ("fk-compare", "radius = 4\nx_max = 3\n"),
+    ("spectral-check", "radius = 4\nmembers = 3\n"),
+])
+def test_cli_keys_are_per_subcommand(tmp_path, capsys, command, text):
+    # A key that another subcommand reads is still unknown here.
+    path = _write(tmp_path, text)
+    assert cli.main([command, "--config", path]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_cli_accepts_seed_key(tmp_path, capsys):
+    path = _write(tmp_path, "seed = 3\nradius = 6\ntrials = 2\n")
+    assert cli.main(["spectral-check", "--config", path]) == 0
+
+
+# Subcommand of each benchmark config; mc_paired.cfg feeds a library call.
+_BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+_BENCH_COMMANDS = {"exact_rigidity_demo": "rigidity-demo",
+                   "exact_spectral_check": "spectral-check",
+                   "exact_sweep_variance": "sweep-variance",
+                   "mc_fk_compare": "fk-compare",
+                   "mc_tail_check": "tail-check",
+                   "power_spectral_check": "spectral-check",
+                   "power_sweep_variance": "sweep-variance"}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_COMMANDS))
+def test_benchmark_configs_use_known_keys(name):
+    cfg = cli.parse_config(_BENCH_CONFIGS / f"{name}.cfg")
+    keys = cli._COMMANDS[_BENCH_COMMANDS[name]][3]
+    assert set(cfg) <= set(keys) | {"seed"}
 
 
 def test_cli_spectral_check(tmp_path, capsys):

@@ -98,12 +98,12 @@ def test_ensemble_variance_single_vertex_lognormal():
     assert abs(est.value - exact) < 3 * est.stderr
 
 
-def test_ensemble_variance_thread_count_invariant():
+def test_ensemble_variance_repeats_for_a_seed():
     a = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 60,
-                             seed=13, threads=1)
+                             seed=13)
     b = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 60,
-                             seed=13, threads=4)
-    assert a.value == b.value and a.stderr == b.stderr
+                             seed=13)
+    assert a == b and a.value > 0.0
 
 
 def test_paired_walker_single_vertex_lognormal():

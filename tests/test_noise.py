@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fksim.errors import DomainError, InputError
 from fksim.lattice import GraphModel
 from fksim.noise import (FieldSample, constant_gaussian, covariance,
-                         covariance_series, exp_cov_gaussian, gaussian_moment,
+                         covariance_matrix, covariance_series, exp_cov_gaussian, gaussian_moment,
                          iid_gaussian, moment_bound_probe,
                          power_decay_gaussian, sample_field,
                          taylor_bound_check, variance_at_origin)
@@ -22,6 +22,26 @@ def test_covariance_values():
     m = power_decay_gaussian(beta=1.0)
     assert covariance(m, G1, (0,), (3,)) == pytest.approx(0.25)
     assert variance_at_origin(m) == 1.0
+
+
+_EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                    (4, 5), (1, 4)])
+
+
+@pytest.mark.parametrize("model", [
+    iid_gaussian(1.3), constant_gaussian(0.7),
+    power_decay_gaussian(beta=1.0), power_decay_gaussian(beta=0.7,
+                                                         decay_scale=2.5)])
+@pytest.mark.parametrize("graph", [GraphModel.zd_l1(2), GraphModel.zd_linf(2),
+                                   _EXPLICIT])
+def test_covariance_matrix_matches_scalar_covariance(model, graph):
+    verts, _ = graph.ball(graph.root, 3)
+    ref = np.array([[covariance(model, graph, u, v) for v in verts]
+                    for u in verts])
+    got = covariance_matrix(model, graph, verts)
+    # numpy's and Python's pow may differ in the last bit for non-integer beta.
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+    assert np.array_equal(np.diag(got), np.diag(ref))
 
 
 def test_power_decay_requires_positive_parameters():

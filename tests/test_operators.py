@@ -7,10 +7,10 @@ from scipy.linalg import expm as scipy_expm
 from fksim.errors import DomainError, InputError, NumericalError
 from fksim.lattice import GraphModel
 from fksim.noise import FieldSample, iid_gaussian, sample_field
-from fksim.operators import (PotentialSpec, assemble, dump_matrix, expm_neg,
-                             load_matrix, multiplicity_pushforward, omega0,
-                             spectrum, trace_identity_residual)
-from fksim.walker import symmetric_walk
+from fksim.operators import (PotentialSpec, Truncation, assemble, dump_matrix,
+                             expm_neg, load_matrix, multiplicity_pushforward,
+                             omega0, spectrum, trace_identity_residual)
+from fksim.walker import MarkovSpec, symmetric_walk
 
 G1 = GraphModel.zd_l1(1)
 SPEC = symmetric_walk(G1, 1.0)
@@ -150,3 +150,97 @@ def test_assemble_missing_field_value():
     xi = _zero_field(verts[:-1])
     with pytest.raises(InputError):
         assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 2)
+
+
+def _reference_assembly(graph, spec, pot, xi, n):
+    """The per-vertex loop that filled the truncation matrix entry by entry."""
+    ball, _ = graph.ball(graph.root, n)
+    vertices = [v for v in ball if pot.value(graph, v) != math.inf]
+    index = {v: i for i, v in enumerate(vertices)}
+    m = len(vertices)
+    h = np.zeros((m, m))
+    omega = math.inf
+    for v, i in index.items():
+        diag_pot = pot.value(graph, v) + xi[v]
+        h[i, i] = spec.rate(v) + diag_pot
+        omega = min(omega, diag_pot)
+        targets, cum = spec.kernel(v)
+        prev = 0.0
+        for u, c in zip(targets, cum):
+            p = c - prev
+            prev = c
+            j = index.get(u)
+            if j is not None and p > 0.0:
+                h[i, j] = -spec.rate(v) * p
+    return tuple(vertices), index, h, omega
+
+
+def _assert_same_assembly(asm, ref):
+    vertices, index, h, omega = ref
+    assert asm.vertices == vertices and asm.index == index
+    assert np.array_equal(asm.matrix, h)
+    assert asm.matrix.tobytes() == h.tobytes()   # zeros keep their sign too
+    assert asm.omega0 == omega
+
+
+# 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4
+G_EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                     (4, 5), (1, 4)])
+
+
+def _explicit_spec(graph):
+    """Site-dependent rates and a non-uniform, non-symmetric kernel; vertex 0
+    is a target of probability zero."""
+    def kernel(v):
+        targets = graph.neighbors(v)
+        w = np.array([float(u) for u in targets])
+        return targets, list(np.cumsum(w / w.sum()))
+    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
+                      kernel=kernel)
+
+
+def _random_field(verts, seed):
+    vals = np.random.default_rng(seed).standard_normal(len(verts))
+    return FieldSample(tuple(verts), dict(zip(verts, vals)))
+
+
+def test_truncation_matches_loop_on_explicit_graph():
+    # Radius 2 leaves vertex 5 outside and vertex 3 is Dirichlet, so targets
+    # drop out both ways; the kernel makes the matrix non-symmetric.
+    spec = _explicit_spec(G_EXPLICIT)
+    pot = PotentialSpec(custom={v: 0.3 * v - 0.4 for v in range(6)},
+                        dirichlet=frozenset({3}))
+    xi = _random_field(list(range(6)), seed=40)
+    trunc = Truncation.build(G_EXPLICIT, spec, pot, 2)
+    asm = trunc.assemble(xi)
+    _assert_same_assembly(asm, _reference_assembly(G_EXPLICIT, spec, pot,
+                                                   xi, 2))
+    assert asm.vertices == (0, 1, 2, 4)
+    assert not np.array_equal(asm.matrix, asm.matrix.T)
+    assert np.array_equal(trunc.potential, [-0.4, 0.3 - 0.4, 0.6 - 0.4,
+                                            1.2 - 0.4])
+
+
+def test_truncation_matches_loop_on_z2_linf_ball():
+    g = GraphModel.zd_linf(2)
+    spec = symmetric_walk(g, 1.5)
+    pot = PotentialSpec(alpha=2.0, kappa=0.5, mu=1.0)
+    verts, _ = g.ball(g.root, 3)
+    xi = _random_field(verts, seed=41)
+    asm = Truncation.build(g, spec, pot, 3).assemble(xi)
+    assert asm.matrix.shape == (49, 49)
+    _assert_same_assembly(asm, _reference_assembly(g, spec, pot, xi, 3))
+
+
+def test_one_truncation_serves_many_fields():
+    g = GraphModel.zd_l1(2)
+    spec = symmetric_walk(g, 1.0)
+    pot = PotentialSpec(alpha=2.0)
+    verts, _ = g.ball(g.root, 4)
+    trunc = Truncation.build(g, spec, pot, 4)
+    for seed in (42, 43):
+        xi = _random_field(verts, seed)
+        a, b = trunc.assemble(xi), assemble(g, spec, pot, xi, 4)
+        assert np.array_equal(a.matrix, b.matrix)
+        assert (a.vertices, a.omega0, a.radius) == \
+            (b.vertices, b.omega0, b.radius)
