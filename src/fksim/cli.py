@@ -1,9 +1,11 @@
 """Command-line driver: config parsing, variance sweeps with exponent fits,
 the rigidity-predictor demonstration, jump-tail checks, and spectral checks.
 
-Configs are flat key=value text files ('#' starts a comment).  Every CSV
-begins with a '# config_hash=...' line echoing a hash of the effective
-configuration, so outputs are traceable to their inputs.
+Configs are flat key=value text files ('#' starts a comment).  Each
+subcommand declares the keys it reads once, with their types and defaults
+(``_COMMANDS``).  Every CSV begins with a '# config_hash=...' line: a hash of
+the effective configuration (defaults included, values typed) and the
+package version, so outputs are traceable to their inputs.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from .errors import ConfigError, DomainError
 from .lattice import GraphModel
 from .noise import (constant_gaussian, iid_gaussian, power_decay_gaussian,
                     sample_field)
-from .operators import (PotentialSpec, Truncation, spectrum,
-                        trace_identity_residual)
+from .operators import PotentialSpec, Truncation, expm_neg
 from .feynman_kac import (ensemble_variance, exact_dirichlet_trace,
                           frozen_variance_sum, lower_bound_sum,
-                          mc_dirichlet_trace, radius_for)
+                          mc_dirichlet_trace, member_fields, radius_for)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
 
@@ -48,55 +49,75 @@ def parse_config(path):
     return out
 
 
+def effective_config(command, cfg):
+    """The typed values ``command`` runs with: each key it declares, read
+    from ``cfg`` or else its default (a key with neither is left out).
+    Applied to its own output it changes nothing."""
+    out = {}
+    for key, (cast, default) in _COMMANDS[command][3].items():
+        if key not in cfg:
+            if default is not None:
+                out[key] = default
+            continue
+        try:
+            out[key] = cast(cfg[key])
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: cannot parse "
+                              f"{cfg[key]!r}") from None
+    return out
+
+
 def config_hash(cfg):
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+    """Hash of a config and the package version.  Given the effective
+    config, a default written out or left out hashes alike."""
+    from . import __version__
+    canon = "\n".join([f"version={__version__}"]
+                      + [f"{k}={cfg[k]!r}" for k in sorted(cfg)])
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _get(cfg, key, cast, default=None, required=False):
+def _required(cfg, key):
     if key not in cfg:
-        if required:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse "
-                          f"{cfg[key]!r}") from None
+        raise ConfigError(f"missing config key {key!r}")
+    return cfg[key]
 
 
 def _graph_from(cfg):
-    kind = _get(cfg, "graph", str, "zd_l1")
-    d = _get(cfg, "d", int, 1)
+    kind, d = cfg["graph"], cfg["d"]
     if kind == "zd_l1":
         return GraphModel.zd_l1(d)
     if kind == "zd_linf":
         return GraphModel.zd_linf(d)
     if kind == "edge_list":
-        return GraphModel.from_edge_list(_get(cfg, "graph_file", str,
-                                               required=True), d=d)
+        return GraphModel.from_edge_list(_required(cfg, "graph_file"), d=d)
     raise ConfigError(f"unknown graph kind {kind!r}")
 
 
 def _noise_from(cfg):
-    kind = _get(cfg, "noise", str, "iid")
-    gamma0 = _get(cfg, "gamma0", float, 1.0)
-    moment = _get(cfg, "moment_constant", float, 1.0)
+    kind, gamma0, moment = cfg["noise"], cfg["gamma0"], cfg["moment_constant"]
     if kind == "iid":
         return iid_gaussian(gamma0, moment)
     if kind == "constant":
         return constant_gaussian(gamma0, moment)
     if kind == "power_decay":
-        return power_decay_gaussian(_get(cfg, "beta", float, required=True),
-                                    _get(cfg, "decay_scale", float, 1.0),
-                                    moment)
+        return power_decay_gaussian(_required(cfg, "beta"),
+                                    cfg["decay_scale"], moment)
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def _potential_from(cfg):
-    return PotentialSpec(alpha=_get(cfg, "alpha", float, 2.0),
-                         kappa=_get(cfg, "kappa", float, 1.0),
-                         mu=_get(cfg, "mu", float, 0.0))
+def _model_from(cfg):
+    """The graph, noise model, potential and walk a config describes."""
+    graph = _graph_from(cfg)
+    return (graph, _noise_from(cfg),
+            PotentialSpec(alpha=cfg["alpha"], kappa=cfg["kappa"],
+                          mu=cfg["mu"]),
+            symmetric_walk(graph, cfg["q"]))
+
+
+def _floats(value):
+    """A whitespace-separated list of numbers (or an already parsed one)."""
+    return tuple(map(float, value.split() if isinstance(value, str)
+                     else value))
 
 
 def _fmt(x):
@@ -147,20 +168,17 @@ class SweepResult:
 
 
 def sweep_variance(cfg, seed=None):
-    graph = _graph_from(cfg)
-    model = _noise_from(cfg)
-    pot = _potential_from(cfg)
-    k_min = _get(cfg, "t_exp_min", int, 6)
-    k_max = _get(cfg, "t_exp_max", int, 12)
+    cfg = effective_config("sweep-variance", cfg)
+    graph, model, pot, spec = _model_from(cfg)
+    k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
     if k_max < k_min:
         raise ConfigError("t_exp_max must be >= t_exp_min")
-    m_draws = _get(cfg, "ensemble", int, 0)
+    m_draws = cfg["ensemble"]
     if m_draws != 0 and m_draws < 3:
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
-    fixed_radius = _get(cfg, "radius", int)
-    seed = seed if seed is not None else _get(cfg, "seed", int, 0)
-    spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
+    fixed_radius = cfg.get("radius")
+    seed = seed if seed is not None else cfg["seed"]
     do_lower = pot.kappa == 1.0 and pot.mu == 0.0 and model.gamma0 >= 0
 
     rows = []
@@ -180,9 +198,8 @@ def sweep_variance(cfg, seed=None):
         rows.append((t, frozen, ens_var, ens_se, lower, radius))
 
     slope, ci, r2 = fit_exponent([(t, f) for t, f, *_ in rows])
-    expect = _get(cfg, "expect_slope", float)
-    tol = _get(cfg, "slope_tol", float, 0.1)
-    passed = expect is None or abs(slope - expect) <= tol
+    expect = cfg.get("expect_slope")
+    passed = expect is None or abs(slope - expect) <= cfg["slope_tol"]
     return SweepResult(rows=tuple(rows), slope=slope, slope_ci=ci,
                        r_squared=r2, passed=passed)
 
@@ -214,58 +231,49 @@ def rigidity_demo(cfg, seed=None):
     The predictor is (plug-in ensemble mean of the full exponential linear
     statistic) minus the member's outside-of-B statistic; B is the
     half-plane {Re lambda <= cut}.  The exact expectation is unavailable, so
-    the ensemble mean stands in for it.
+    the ensemble mean stands in for it.  An eigenvalue within roundoff,
+    1e-12 (1 + max |lambda|), of the cut counts as outside B: a cut at an
+    eigenvalue that every member shares (the mean of equal values may round
+    one ulp off) then puts that eigenvalue on the same side in every member.
     """
-    graph = _graph_from(cfg)
-    model = _noise_from(cfg)
-    pot = _potential_from(cfg)
-    radius = _get(cfg, "radius", int, 12)
-    members = _get(cfg, "members", int, 500)
-    t_grid = tuple(float(s) for s in
-                   _get(cfg, "t_grid", str, "1 0.5 0.25 0.125").split())
+    cfg = effective_config("rigidity-demo", cfg)
+    graph, model, pot, spec = _model_from(cfg)
+    radius, members, t_grid = cfg["radius"], cfg["members"], cfg["t_grid"]
     if not t_grid:
         raise ConfigError("empty t grid")
-    threshold = _get(cfg, "mae_threshold", float, 0.25)
-    seed = seed if seed is not None else _get(cfg, "seed", int, 0)
-    spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
-    ball, _ = graph.ball(graph.root, radius)
-    dim = len(ball)
+    if members < 1:
+        raise ConfigError("members must be >= 1")
+    seed = seed if seed is not None else cfg["seed"]
+    dim = len(graph.ball(graph.root, radius)[0])
     if dim > 400:
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
     trunc = Truncation.build(graph, spec, pot, radius)
+    # members x dim, ascending real parts
+    spectra = trunc.eigenvalues(member_fields(trunc, graph, model, seed,
+                                              members)).real
 
-    def member(ss):
-        xi = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
-        eigs = []
-        for lam, m in spectrum(trunc.assemble(xi).matrix).clusters:
-            eigs.extend([lam.real] * m)
-        return np.sort(eigs)
-
-    seeds = np.random.SeedSequence(seed).spawn(members)
-    spectra = np.array([member(ss) for ss in seeds])   # members x dim, sorted
-
-    cut = _get(cfg, "cut_value", float)
+    cut = cfg.get("cut_value")
     if cut is None:
-        idx = _get(cfg, "cut_index", int, 1)
+        idx = cfg["cut_index"]
         if not 1 <= idx <= spectra.shape[1]:
             raise ConfigError(f"cut_index {idx} outside 1..{spectra.shape[1]}")
         cut = float(spectra.mean(axis=0)[idx - 1])
-    empty_b = bool(cut < spectra.min())
+    outside = spectra > cut - 1e-12 * (1.0 + np.abs(spectra).max())
+    inside = (~outside).sum(axis=1)
+    empty_b = bool(outside.all())
     if empty_b:
         print("warning: cut below the spectral range; B is empty",
               file=sys.stderr)
 
     mean_stats, maes = [], []
     for t in t_grid:
-        stat = np.exp(-t * spectra).sum(axis=1)
-        mean_stat = float(stat.mean())
-        outside = np.where(spectra > cut, np.exp(-t * spectra), 0.0).sum(axis=1)
-        predictor = mean_stat - outside
-        inside = (spectra <= cut).sum(axis=1)
+        weight = np.exp(-t * spectra)
+        mean_stat = float(weight.sum(axis=1).mean())
+        predictor = mean_stat - np.where(outside, weight, 0.0).sum(axis=1)
         maes.append(float(np.abs(np.rint(predictor) - inside).mean()))
         mean_stats.append(mean_stat)
     inversions = sum(1 for a, b in zip(maes, maes[1:]) if b > a + 1e-12)
-    passed = inversions <= 1 and maes[-1] < threshold
+    passed = inversions <= 1 and maes[-1] < cfg["mae_threshold"]
     return RigidityReport(t_grid=t_grid, mean_statistic=tuple(mean_stats),
                           mae=tuple(maes), cut=cut, empty_b=empty_b,
                           passed=passed)
@@ -294,11 +302,9 @@ class TailReport:
 
 def tail_check(cfg, seed=None):
     """Empirical jump-count tail versus the analytic Chernoff bound."""
-    q = _get(cfg, "q", float, 1.0)
-    t = _get(cfg, "t", float, 0.5)
-    n_paths = _get(cfg, "n_paths", int, 10 ** 6)
-    x_max = _get(cfg, "x_max", int, 10)
-    seed = seed if seed is not None else _get(cfg, "seed", int, 0)
+    cfg = effective_config("tail-check", cfg)
+    q, t, n_paths, x_max = cfg["q"], cfg["t"], cfg["n_paths"], cfg["x_max"]
+    seed = seed if seed is not None else cfg["seed"]
     if t == 0.0:
         return TailReport(rows=(), passed=False)
     counts = sample_jump_counts(q, t, n_paths, seed)
@@ -334,30 +340,25 @@ class SpectralReport:
 
 def spectral_check(cfg, seed=None):
     """Trace of the matrix exponential vs the exponential linear statistic
-    over random assemblies."""
-    graph = _graph_from(cfg)
-    model = _noise_from(cfg)
-    pot = _potential_from(cfg)
-    radius = _get(cfg, "radius", int, 8)
-    n_trials = _get(cfg, "trials", int, 50)
-    t_grid = tuple(float(s) for s in _get(cfg, "t_grid", str, "0.5 1").split())
+    over random assemblies; each trial's eigenvalues serve every t."""
+    cfg = effective_config("spectral-check", cfg)
+    graph, model, pot, spec = _model_from(cfg)
+    n_trials, t_grid = cfg["trials"], cfg["t_grid"]
     if n_trials < 1:
         raise ConfigError("trials must be >= 1")
     if not t_grid:
         raise ConfigError("empty t grid")
-    tol = _get(cfg, "residual_tol", float, 1e-8)
-    seed = seed if seed is not None else _get(cfg, "seed", int, 0)
-    spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
-    ball, _ = graph.ball(graph.root, radius)
-    trunc = Truncation.build(graph, spec, pot, radius)
+    seed = seed if seed is not None else cfg["seed"]
+    trunc = Truncation.build(graph, spec, pot, cfg["radius"])
+    fields = member_fields(trunc, graph, model, seed, n_trials)
     worst = 0.0
-    for ss in np.random.SeedSequence(seed).spawn(n_trials):
-        xi = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
-        mat = trunc.assemble(xi).matrix
+    for field, eigs in zip(fields, trunc.eigenvalues(fields)):
+        mat = trunc.matrices(field[None])[0]
         for t in t_grid:
-            worst = max(worst, trace_identity_residual(mat, t))
+            tr = np.trace(expm_neg(mat, t))
+            worst = max(worst, abs(tr - np.exp(-t * eigs).sum()) / abs(tr))
     return SpectralReport(max_residual=worst, n_trials=n_trials,
-                          passed=worst < tol)
+                          passed=worst < cfg["residual_tol"])
 
 
 # -- fk-compare ----------------------------------------------------------------------
@@ -374,14 +375,10 @@ class CompareReport:
 
 def fk_compare(cfg, seed=None):
     """Monte Carlo Dirichlet trace against the dense matrix exponential."""
-    graph = _graph_from(cfg)
-    model = _noise_from(cfg)
-    pot = _potential_from(cfg)
-    radius = _get(cfg, "radius", int, 10)
-    t = _get(cfg, "t", float, 0.25)
-    n_paths = _get(cfg, "n_paths", int, 200_000)
-    seed = seed if seed is not None else _get(cfg, "seed", int, 0)
-    spec = symmetric_walk(graph, _get(cfg, "q", float, 1.0))
+    cfg = effective_config("fk-compare", cfg)
+    graph, model, pot, spec = _model_from(cfg)
+    radius, t, n_paths = cfg["radius"], cfg["t"], cfg["n_paths"]
+    seed = seed if seed is not None else cfg["seed"]
     # Killed walkers stop at their exit, so the field is needed on the
     # truncation ball alone.
     ball, _ = graph.ball(graph.root, radius)
@@ -400,35 +397,46 @@ def fk_compare(cfg, seed=None):
 # -- entry point ------------------------------------------------------------------------
 
 
-# The keys of the graph, noise, potential and walk, then per subcommand its
-# run, CSV writer, summary before "pass=" and other keys ("seed" is for all).
-_MODEL_KEYS = ("graph", "d", "graph_file", "noise", "gamma0",
-               "moment_constant", "beta", "decay_scale", "alpha", "kappa",
-               "mu", "q")
+# The keys of the graph, noise, potential, walk and seed, then per subcommand
+# its run, CSV writer, summary before "pass=" and keys.  A key maps to its
+# type and default; None means no default (optional, or required where the
+# run needs it).
+_MODEL_KEYS = {
+    "graph": (str, "zd_l1"), "d": (int, 1), "graph_file": (str, None),
+    "noise": (str, "iid"), "gamma0": (float, 1.0),
+    "moment_constant": (float, 1.0), "beta": (float, None),
+    "decay_scale": (float, 1.0), "alpha": (float, 2.0), "kappa": (float, 1.0),
+    "mu": (float, 0.0), "q": (float, 1.0), "seed": (int, 0)}
 _COMMANDS = {
     "sweep-variance": (
         sweep_variance, _write_sweep_csv,
         lambda r: f"slope={r.slope:.6f} ci95={r.slope_ci:.6f} "
                   f"r2={r.r_squared:.6f}",
-        _MODEL_KEYS + ("t_exp_min", "t_exp_max", "ensemble", "radius",
-                       "expect_slope", "slope_tol")),
+        {**_MODEL_KEYS, "t_exp_min": (int, 6), "t_exp_max": (int, 12),
+         "ensemble": (int, 0), "radius": (int, None),
+         "expect_slope": (float, None), "slope_tol": (float, 0.1)}),
     "rigidity-demo": (
         rigidity_demo, _write_rigidity_csv,
         lambda r: f"cut={r.cut:.6f} mae={['%.4f' % m for m in r.mae]}",
-        _MODEL_KEYS + ("radius", "members", "t_grid", "mae_threshold",
-                       "cut_value", "cut_index")),
+        {**_MODEL_KEYS, "radius": (int, 12), "members": (int, 500),
+         "t_grid": (_floats, (1.0, 0.5, 0.25, 0.125)),
+         "mae_threshold": (float, 0.25), "cut_value": (float, None),
+         "cut_index": (int, 1)}),
     "tail-check": (
         tail_check, _write_tail_csv, lambda r: f"points={len(r.rows)}",
-        ("q", "t", "n_paths", "x_max")),
+        {"q": (float, 1.0), "t": (float, 0.5), "n_paths": (int, 10 ** 6),
+         "x_max": (int, 10), "seed": (int, 0)}),
     "spectral-check": (
         spectral_check, None,
         lambda r: f"max_residual={r.max_residual:.3e} trials={r.n_trials}",
-        _MODEL_KEYS + ("radius", "trials", "t_grid", "residual_tol")),
+        {**_MODEL_KEYS, "radius": (int, 8), "trials": (int, 50),
+         "t_grid": (_floats, (0.5, 1.0)), "residual_tol": (float, 1e-8)}),
     "fk-compare": (
         fk_compare, None,
         lambda r: f"mc={r.mc_mean:.6f} se={r.mc_se:.6f} "
                   f"exact={r.exact:.6f} z={r.z:.3f}",
-        _MODEL_KEYS + ("radius", "t", "n_paths")),
+        {**_MODEL_KEYS, "radius": (int, 10), "t": (float, 0.25),
+         "n_paths": (int, 200_000)}),
 }
 
 
@@ -451,12 +459,13 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
-        unknown = sorted(set(cfg) - set(keys) - {"seed"})
+        unknown = sorted(set(cfg) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config key(s) for {args.command}: "
                               + ", ".join(map(repr, unknown)))
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
+        cfg = effective_config(args.command, cfg)
         res = run(cfg)
         if write is not None and args.out:
             with open(args.out, "w") as out:

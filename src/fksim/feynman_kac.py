@@ -174,31 +174,46 @@ def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
 
 def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
     """Tr e^{-tH_n} by dense matrix exponential."""
-    return _exact_trace(Truncation.build(graph, spec, pot, n), xi, t)
+    return float(np.trace(expm_neg(
+        Truncation.build(graph, spec, pot, n).assemble(xi).matrix, t)))
 
 
-def _exact_trace(trunc, xi, t):
-    return float(np.trace(expm_neg(trunc.assemble(xi).matrix, t)))
+def member_fields(trunc, graph, model, seed, m):
+    """Fields of m ensemble members on the truncation's vertices, one row
+    each: member i draws on the truncation's ball from the i-th child of
+    SeedSequence(seed)."""
+    ball, _ = graph.ball(graph.root, trunc.radius)
+    return np.array([
+        trunc.field(sample_field(model, graph, ball,
+                                 rng=np.random.default_rng(ss)))
+        for ss in np.random.SeedSequence(seed).spawn(m)])
 
 
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
-    """Var over the noise of the exact truncated trace, with jackknife SE."""
+    """Var over the noise of the exact truncated trace, with jackknife SE.
+
+    Member traces are sum e^{-t lambda} over the eigenvalues on the
+    symmetric eigen route and Tr e^{-tM} by matrix exponential otherwise.
+    The variance and the leave-one-out variances are taken of the traces
+    less the first member's, so identical members give exactly 0.
+    """
     if m_draws < 3:
         raise DomainError("need at least three noise draws (the jackknife "
                           "divides by m - 2)")
     trunc = Truncation.build(graph, spec, pot, n)
-    ball, _ = graph.ball(graph.root, n)
-    traces = np.array([
-        _exact_trace(trunc, sample_field(model, graph, ball,
-                                         rng=np.random.default_rng(ss)), t)
-        for ss in np.random.SeedSequence(seed).spawn(m_draws)])
-
-    value = float(np.var(traces, ddof=1))
+    fields = member_fields(trunc, graph, model, seed, m_draws)
+    if trunc.symmetric:
+        traces = np.exp(-t * trunc.eigenvalues(fields)).sum(axis=1)
+    else:
+        traces = np.array([np.trace(expm_neg(trunc.matrices(f[None])[0], t))
+                           for f in fields])
+    d = traces - traces[0]
+    value = float(np.var(d, ddof=1))
     # Leave-one-out variances from running sums.
     m = m_draws
-    s1 = traces.sum()
-    s2 = (traces ** 2).sum()
-    loo = (s2 - traces ** 2 - (s1 - traces) ** 2 / (m - 1)) / (m - 2)
+    s1 = d.sum()
+    s2 = (d ** 2).sum()
+    loo = (s2 - d ** 2 - (s1 - d) ** 2 / (m - 1)) / (m - 2)
     se = sqrt((m - 1) / m * float(((loo - loo.mean()) ** 2).sum()))
     return VarianceEstimate(value=value, stderr=se, n_samples=m, t=t, radius=n)
 

@@ -2,21 +2,25 @@
 
 The truncated operator lives on the radius-n ball around the root with the
 infinite-potential vertices removed entirely.  ``Truncation`` describes that
-region once as arrays (a ``walker.Region`` and the potential vector), which
-the dense assembly and the killed Monte Carlo walks share.  Matrix
-exponentials use degree-13 Pade approximation with scaling and squaring.
+region once as arrays (a ``walker.Region``, the potential vector and the
+off-diagonal entries), which the dense assembly, the batched eigenvalues and
+the killed Monte Carlo walks share.  At build it decides the eigen route:
+a truncation whose off-diagonal part is symmetric up to roundoff (the
+lattices) takes LAPACK's symmetric solver, any other the general one.
+Matrix exponentials are scipy's Pade-13 scaling and squaring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, log2
+from math import inf
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import expm as _scipy_expm
 
 from .errors import DomainError, InputError, NumericalError
-from .walker import Region
+from .walker import _MAX_ELEMS, Region
 
 
 @dataclass(frozen=True)
@@ -55,18 +59,29 @@ class OperatorAssembly:
     omega0: float
 
 
+# Off-diagonal entries that differ by at most this fraction of the largest
+# one count as symmetric: jump probabilities are differences of cumulative
+# rows, so Z^3 l1 entries differ by 1.1e-16 where the exact values agree.
+_SYMMETRY_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class Truncation:
     """The radius-n ball minus its Dirichlet vertices, as arrays.
 
     ``region`` holds the walk's vertices, neighbour table, jump rates and
-    distances; ``potential[i]`` is V at ``region.vertices[i]``.  Built once
-    per (graph, walk, potential, radius), it serves any number of fields.
+    distances; ``potential[i]`` is V at ``region.vertices[i]``; ``offdiag``
+    is the (rows, cols, values) of -H_X off the diagonal.  ``symmetric``
+    says whether those entries are symmetric up to roundoff, which selects
+    the eigen route.  Built once per (graph, walk, potential, radius), it
+    serves any number of fields.
     """
 
     region: Region
     potential: np.ndarray
     radius: int
+    offdiag: tuple
+    symmetric: bool
 
     @classmethod
     def build(cls, graph, spec, pot, n):
@@ -77,30 +92,67 @@ class Truncation:
         vertices = [v for v, p in zip(ball, values) if p != inf]
         if not vertices:
             raise InputError("empty vertex list after Dirichlet removal")
-        return cls(region=Region.build(graph, spec, vertices),
-                   potential=np.array([p for p in values if p != inf]),
-                   radius=n)
-
-    def field(self, xi):
-        """The field's values on the truncation's vertices."""
-        return np.fromiter(map(xi.__getitem__, self.region.vertices),
-                           dtype=float, count=len(self.region.vertices))
-
-    def assemble(self, xi):
-        """Dense matrix of -H_X + V + xi on the truncation."""
-        reg = self.region
-        diag = self.potential + self.field(xi)
-        h = np.diag(reg.rate + diag)
+        reg = Region.build(graph, spec, vertices)
         # Targets inside the region (nbr -1 marks the others and the padding),
         # with their jump probabilities from the cumulative rows.
         rows, k = np.nonzero(reg.nbr >= 0)
         prob = reg.cum[rows, k] - np.where(k > 0, reg.cum[rows, k - 1], 0.0)
         hit = prob > 0.0
         rows, k = rows[hit], k[hit]
-        h[rows, reg.nbr[rows, k]] = -reg.rate[rows] * prob[hit]
-        return OperatorAssembly(vertices=reg.vertices, index=reg.index,
-                                matrix=h, radius=self.radius,
-                                omega0=float(diag.min()))
+        cols, vals = reg.nbr[rows, k], -reg.rate[rows] * prob[hit]
+        # Symmetric when the transposed pattern is the same pattern and each
+        # entry matches its mirror image.
+        flat, mirror = rows * len(vertices) + cols, cols * len(vertices) + rows
+        a, b = np.argsort(flat), np.argsort(mirror)
+        tol = _SYMMETRY_RTOL * np.abs(vals).max(initial=0.0)
+        symmetric = bool(np.array_equal(flat[a], mirror[b])
+                         and np.all(np.abs(vals[a] - vals[b]) <= tol))
+        return cls(region=reg,
+                   potential=np.array([p for p in values if p != inf]),
+                   radius=n, offdiag=(rows, cols, vals), symmetric=symmetric)
+
+    def field(self, xi):
+        """The field's values on the truncation's vertices."""
+        return np.fromiter(map(xi.__getitem__, self.region.vertices),
+                           dtype=float, count=len(self.region.vertices))
+
+    def matrices(self, fields):
+        """Dense matrices of -H_X + V + xi, one per row of ``fields`` (the
+        field's values on the truncation's vertices)."""
+        fields = np.asarray(fields, dtype=float)
+        size = len(self.potential)
+        if fields.ndim != 2 or fields.shape[1] != size:
+            raise InputError(f"fields must be rows of {size} values")
+        h = np.zeros((len(fields), size, size))
+        diag = np.arange(size)
+        h[:, diag, diag] = self.region.rate + (self.potential + fields)
+        rows, cols, vals = self.offdiag
+        h[:, rows, cols] = vals
+        return h
+
+    def assemble(self, xi):
+        """Dense matrix of -H_X + V + xi on the truncation."""
+        field = self.field(xi)
+        return OperatorAssembly(vertices=self.region.vertices,
+                                index=self.region.index,
+                                matrix=self.matrices(field[None])[0],
+                                radius=self.radius,
+                                omega0=float((self.potential + field).min()))
+
+    def eigenvalues(self, fields):
+        """Ascending eigenvalues of the matrix of each row of ``fields``.
+
+        The symmetric route (``eigvalsh``) gives real rows; the general one
+        (``eigvals``) gives rows sorted by real then imaginary part.  The
+        matrices are filled in stacks of at most ``_MAX_ELEMS`` entries.
+        """
+        fields = np.asarray(fields, dtype=float)
+        size = len(self.potential)
+        solve = np.linalg.eigvalsh if self.symmetric else np.linalg.eigvals
+        step = max(1, _MAX_ELEMS // (size * size))
+        parts = [solve(self.matrices(fields[lo:lo + step]))
+                 for lo in range(0, len(fields), step)]
+        return np.sort(np.concatenate(parts or [np.empty((0, size))]), axis=1)
 
 
 def assemble(graph, spec, pot, xi, n):
@@ -119,15 +171,8 @@ def omega0(pot, graph, xi, region):
 
 # -- matrix exponential ------------------------------------------------------
 
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
 def expm_neg(mat, t=1.0):
-    """e^{-t M} by degree-13 Pade approximation with scaling and squaring."""
+    """e^{-t M} by scipy's degree-13 Pade scaling and squaring."""
     a = np.asarray(mat)
     if not np.issubdtype(a.dtype, np.complexfloating):
         a = a.astype(float)
@@ -136,28 +181,11 @@ def expm_neg(mat, t=1.0):
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix has non-finite entries")
     a = -t * a
-    norm = np.linalg.norm(a, 1)
-    if not np.isfinite(norm):
+    if not np.all(np.isfinite(a)):
         raise NumericalError("overflow forming -t*M")
-    squarings = max(0, int(ceil(log2(norm / _THETA13)))) if norm > _THETA13 else 0
-    a = a / (2.0 ** squarings)
-    b = _PADE13
-    ident = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    try:
-        r = np.linalg.solve(v - u, v + u)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"Pade solve failed: {err}") from None
-    for _ in range(squarings):
-        r = r @ r
+    r = _scipy_expm(a)
     if not np.all(np.isfinite(r)):
-        raise NumericalError("overflow during squaring phase")
+        raise NumericalError("overflow in the matrix exponential")
     return r
 
 
@@ -180,16 +208,17 @@ class SpectrumResult:
 
 
 def default_cluster_tol(eigenvalues):
-    radius = max((abs(e) for e in eigenvalues), default=0.0)
-    return 1e-6 * (1.0 + radius)
+    return 1e-6 * (1.0 + float(np.abs(eigenvalues).max(initial=0.0)))
 
 
 def spectrum(mat, cluster_tol=None):
     """Eigenvalues with algebraic multiplicities obtained by clustering.
 
     The dense solver (balanced Hessenberg reduction plus shifted QR, via
-    LAPACK) provides the raw eigenvalues; values within the tolerance of a
-    cluster's running mean are merged.
+    LAPACK) provides the raw eigenvalues.  Sorted by real part, they split
+    where consecutive real parts are more than the tolerance apart; each run,
+    sorted by imaginary part, splits the same way.  A cluster is reported at
+    the mean of its eigenvalues.
     """
     a = np.asarray(mat)
     if a.shape[0] > 2000:
@@ -200,22 +229,17 @@ def spectrum(mat, cluster_tol=None):
         raise NumericalError(f"QR iteration failed: {err}") from None
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(eigs)
-    order = np.lexsort((eigs.imag, eigs.real))
-    centers = []   # running means
-    counts = []
-    for lam in eigs[order]:
-        placed = False
-        for k in range(len(centers)):
-            if abs(lam - centers[k]) <= cluster_tol:
-                centers[k] = (centers[k] * counts[k] + lam) / (counts[k] + 1)
-                counts[k] += 1
-                placed = True
-                break
-        if not placed:
-            centers.append(lam)
-            counts.append(1)
+    eigs = eigs[np.argsort(eigs.real)]
+    run = np.concatenate(([0], np.cumsum(np.diff(eigs.real) > cluster_tol)))
+    order = np.lexsort((eigs.imag, run))
+    eigs, run = eigs[order], run[order]
+    label = np.concatenate(([0], np.cumsum(
+        (np.diff(run) != 0) | (np.diff(eigs.imag) > cluster_tol))))
+    counts = np.bincount(label)
+    centers = (np.bincount(label, eigs.real)
+               + 1j * np.bincount(label, eigs.imag)) / counts
     clusters = tuple(sorted(
-        ((complex(c), m) for c, m in zip(centers, counts)),
+        ((complex(c), int(m)) for c, m in zip(centers, counts)),
         key=lambda cm: (cm[0].real, cm[0].imag)))
     return SpectrumResult(clusters=clusters, tol=cluster_tol)
 

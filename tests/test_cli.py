@@ -130,6 +130,17 @@ cut_index = 3
     assert rep.passed
 
 
+def test_rigidity_demo_cut_at_shared_eigenvalue_any_ensemble_size():
+    # Without noise cut = mean of m equal third eigenvalues, which may round
+    # one ulp above or below it depending on m; the eigenvalue must land
+    # outside B in every member either way.
+    for members in range(3, 41):
+        cfg = {"radius": "6", "members": str(members), "gamma0": "0",
+               "t_grid": "1 0.5 0.25 0.125", "cut_index": "3"}
+        rep = cli.rigidity_demo(cfg)
+        assert rep.passed and rep.mae[-1] == 0.0, (members, rep.mae)
+
+
 def test_rigidity_demo_cut_below_spectrum(tmp_path, capsys):
     cfg = cli.parse_config(_write(tmp_path, """
 radius = 5
@@ -219,6 +230,41 @@ def test_cli_keys_are_per_subcommand(tmp_path, capsys, command, text):
     path = _write(tmp_path, text)
     assert cli.main([command, "--config", path]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_hash_covers_defaults(tmp_path, capsys):
+    # t_exp_min = 6 is the default: writing it out runs the same sweep and
+    # must give the same hash; another value must not.
+    heads = []
+    for name, text in (("a", "t_exp_max = 10\n"),
+                       ("b", "t_exp_min = 6\nt_exp_max = 10\n"),
+                       ("c", "t_exp_min = 7\nt_exp_max = 10\n")):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["sweep-variance", "--config",
+                         _write(tmp_path, text, f"{name}.cfg"), "--seed", "1",
+                         "--out", str(out)]) == 0
+        heads.append(out.read_text().splitlines())
+    assert heads[0] == heads[1]
+    assert heads[0][0] != heads[2][0]
+
+
+def test_config_hash_covers_version(monkeypatch):
+    import fksim
+    cfg = cli.effective_config("tail-check", {"t": "0.5", "seed": "3"})
+    before = cli.config_hash(cfg)
+    monkeypatch.setattr(fksim, "__version__", fksim.__version__ + ".post1")
+    assert cli.config_hash(cfg) != before
+
+
+def test_effective_config_types_and_defaults():
+    cfg = cli.effective_config("rigidity-demo", {"gamma0": "1",
+                                                 "t_grid": "1  0.5"})
+    assert cfg["gamma0"] == 1.0 and cfg["t_grid"] == (1.0, 0.5)
+    assert cfg["radius"] == 12 and cfg["seed"] == 0
+    assert "cut_value" not in cfg and "beta" not in cfg
+    assert cli.effective_config("rigidity-demo", cfg) == cfg
+    with pytest.raises(ConfigError):
+        cli.effective_config("rigidity-demo", {"radius": "6.5"})
 
 
 def test_cli_accepts_seed_key(tmp_path, capsys):

@@ -7,7 +7,7 @@ from fksim.errors import DomainError, InputError
 from fksim.lattice import GraphModel
 from fksim.noise import (FieldSample, constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
-from fksim.operators import PotentialSpec
+from fksim.operators import PotentialSpec, Truncation, expm_neg
 from fksim.walker import sample_path, symmetric_walk
 from fksim import feynman_kac as fk
 
@@ -85,6 +85,50 @@ def test_ensemble_variance_degenerate_noise():
     est = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), 4, 0.5,
                                50, seed=11)
     assert est.value == 0.0
+
+
+@pytest.mark.parametrize("m", [7, 50])
+def test_ensemble_variance_identical_members_give_zero(m):
+    # Zero noise makes every member the same matrix.  The mean of m equal
+    # traces need not round back to the trace, so an unshifted variance
+    # reads about 1e-31 in many of these cases.
+    for n in range(1, 9):
+        for t in (1.0, 0.5, 0.25, 0.125):
+            est = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), n,
+                                       t, m, seed=11)
+            assert (est.value, est.stderr) == (0.0, 0.0), (n, t)
+
+
+def _traces_by_expm(graph, spec, pot, model, n, t, m, seed):
+    trunc = Truncation.build(graph, spec, pot, n)
+    return trunc, np.array([
+        np.trace(expm_neg(trunc.matrices(f[None])[0], t))
+        for f in fk.member_fields(trunc, graph, model, seed, m)])
+
+
+# 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4: uniform jumps on
+# vertices of degree 1 to 3 make the truncation non-symmetric.
+G_IRREGULAR = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                      (4, 5), (1, 4)])
+
+
+@pytest.mark.parametrize("graph, n, symmetric", [
+    (GraphModel.zd_l1(2), 3, True), (G_IRREGULAR, 2, False)])
+def test_ensemble_variance_matches_expm_traces(graph, n, symmetric):
+    spec = symmetric_walk(graph, 1.0)
+    pot = PotentialSpec(custom={v: 0.2 * i for i, v in
+                                enumerate(graph.ball(graph.root, n)[0])})
+    t, m = 0.5, 40
+    trunc, traces = _traces_by_expm(graph, spec, pot, iid_gaussian(1.0), n,
+                                    t, m, seed=47)
+    assert trunc.symmetric == symmetric
+    eigs = trunc.eigenvalues(fk.member_fields(trunc, graph,
+                                              iid_gaussian(1.0), 47, m))
+    assert np.allclose(np.exp(-t * eigs).sum(axis=1), traces, rtol=1e-12,
+                       atol=0.0)
+    est = fk.ensemble_variance(graph, spec, pot, iid_gaussian(1.0), n, t, m,
+                               seed=47)
+    assert est.value == pytest.approx(np.var(traces, ddof=1), rel=1e-12)
 
 
 def test_ensemble_variance_single_vertex_lognormal():

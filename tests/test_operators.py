@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm as scipy_expm
 
+from fksim import operators
 from fksim.errors import DomainError, InputError, NumericalError
 from fksim.lattice import GraphModel
 from fksim.noise import FieldSample, iid_gaussian, sample_field
@@ -56,13 +56,53 @@ def test_omega0_is_potential_floor():
     assert omega0(PotentialSpec(alpha=2.0), G1, xi, verts) == pytest.approx(0.5)
 
 
-def test_expm_matches_scipy():
+def _rotation_blocks(parts):
+    """Block-diagonal real matrix of [[a, b], [-b, a]] blocks (eigenvalues
+    a -+ ib) and e^{-t} of it in closed form."""
+    def pair(t):
+        n = 2 * len(parts)
+        b, e = np.zeros((n, n)), np.zeros((n, n))
+        for k, (re, im) in enumerate(parts):
+            i = slice(2 * k, 2 * k + 2)
+            b[i, i] = [[re, im], [-im, re]]
+            c, s = math.cos(t * im), math.sin(t * im)
+            e[i, i] = math.exp(-t * re) * np.array([[c, -s], [s, c]])
+        return b, e
+    return pair
+
+
+def test_expm_matches_eigendecomposition():
+    # M = V B V^-1 with B diagonal, or block-diagonal with complex pairs,
+    # so that e^{-tM} = V e^{-tB} V^-1 is known without any expm routine.
     rng = np.random.default_rng(0)
-    for n in (3, 10, 40):
-        m = rng.standard_normal((n, n)) * 3.0
+    for n in (4, 10, 40):
+        v = rng.standard_normal((n, n)) + n ** 0.5 * np.eye(n)
+        v_inv = np.linalg.inv(v)
+        lam = rng.uniform(-3.0, 3.0, n)
+        pairs = _rotation_blocks(list(zip(rng.uniform(-3.0, 3.0, n // 2),
+                                          rng.uniform(0.5, 4.0, n // 2))))
         for t in (0.1, 1.0, 4.0):
-            assert np.allclose(expm_neg(m, t), scipy_expm(-t * m),
-                               rtol=1e-10, atol=1e-10)
+            blocks, e_blocks = pairs(t)
+            for b, e in ((np.diag(lam), np.diag(np.exp(-t * lam))),
+                         (blocks, e_blocks)):
+                ref = v @ e @ v_inv
+                got = expm_neg(v @ b @ v_inv, t)
+                assert np.allclose(got, ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+
+
+def test_expm_jordan_block_closed_form():
+    # e^{-tJ} = e^{-t lam} [[1, -t], [0, 1]] for J = [[lam, 1], [0, lam]],
+    # also conjugated into a dense non-normal matrix.
+    v = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for lam in (-1.5, 0.0, 2.0):
+        j = np.array([[lam, 1.0], [0.0, lam]])
+        for t in (0.25, 1.0, 3.0):
+            ref = math.exp(-t * lam) * np.array([[1.0, -t], [0.0, 1.0]])
+            assert np.allclose(expm_neg(j, t), ref, rtol=1e-13, atol=0.0)
+            conj = v @ ref @ np.linalg.inv(v)
+            assert np.allclose(expm_neg(v @ j @ np.linalg.inv(v), t), conj,
+                               rtol=1e-12, atol=1e-12 * np.abs(conj).max())
 
 
 def test_expm_identity_at_t_zero():
@@ -85,6 +125,19 @@ def test_spectrum_multiplicities():
     assert res.total_multiplicity == 3
     vals = sorted((lam.real, m) for lam, m in res.clusters)
     assert vals == [(pytest.approx(1.0), 2), (pytest.approx(2.0), 1)]
+
+
+def test_spectrum_clusters_interleaved_complex_pairs():
+    # Two copies of 1 -+ 2i and one 1: real parts tie up to roundoff, so a
+    # split on real gaps alone would see the pairs in any order.
+    b = np.zeros((5, 5))
+    b[:4, :4] = np.kron(np.eye(2), [[1.0, 2.0], [-2.0, 1.0]])
+    b[4, 4] = 1.0
+    v = np.random.default_rng(3).standard_normal((5, 5)) + 3.0 * np.eye(5)
+    res = spectrum(v @ b @ np.linalg.inv(v))
+    got = sorted((round(lam.real, 6), round(lam.imag, 6), m)
+                 for lam, m in res.clusters)
+    assert got == [(1.0, -2.0, 2), (1.0, 0.0, 1), (1.0, 2.0, 2)]
 
 
 def test_spectrum_clusters_near_degenerate():
@@ -244,3 +297,87 @@ def test_one_truncation_serves_many_fields():
         assert np.array_equal(a.matrix, b.matrix)
         assert (a.vertices, a.omega0, a.radius) == \
             (b.vertices, b.omega0, b.radius)
+
+
+# -- eigen route ----------------------------------------------------------------
+
+
+def _build(graph, n, pot=PotentialSpec(alpha=2.0)):
+    return Truncation.build(graph, symmetric_walk(graph, 1.0), pot, n)
+
+
+@pytest.mark.parametrize("graph, n", [
+    (GraphModel.zd_l1(1), 5), (GraphModel.zd_l1(2), 3),
+    (GraphModel.zd_linf(2), 3), (GraphModel.zd_l1(3), 2)])
+def test_lattice_truncations_take_the_symmetric_route(graph, n):
+    assert _build(graph, n).symmetric
+
+
+def test_z3_route_allows_roundoff_asymmetry():
+    # Z^3 l1 jump probabilities are differences of sixths: some mirror
+    # entries differ in the last bits and the route is still symmetric.
+    trunc = _build(GraphModel.zd_l1(3), 2)
+    h = trunc.matrices(np.zeros((1, len(trunc.potential))))[0]
+    assert 0.0 < np.abs(h - h.T).max() < 1e-15
+    assert trunc.symmetric
+
+
+def test_non_regular_graph_takes_the_general_route():
+    # Uniform jumps on vertices of degree 2, 3 and 1 give rates 1/deg that
+    # differ between an edge's two directions.
+    pot = PotentialSpec(custom={v: 0.0 for v in range(6)})
+    trunc = _build(G_EXPLICIT, 3, pot)
+    h = trunc.matrices(np.zeros((1, 6)))[0]
+    assert not np.allclose(h, h.T)
+    assert not trunc.symmetric
+
+
+def _route_cases():
+    z2 = _build(GraphModel.zd_l1(2), 3)
+    pot = PotentialSpec(custom={v: 0.1 * v for v in range(6)})
+    return [(z2, np.linalg.eigvalsh), (_build(G_EXPLICIT, 3, pot),
+                                       np.linalg.eigvals)]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("per_stack", [1, 2, 3, 7, 100])
+def test_batched_eigenvalues_match_per_member(monkeypatch, case, per_stack):
+    # The entry budget sets how many of the 7 members share a stack, so a
+    # member lands first, inside or last in a full or a partial stack.
+    trunc, solve = _route_cases()[case]
+    size = len(trunc.potential)
+    monkeypatch.setattr(operators, "_MAX_ELEMS", per_stack * size * size)
+    fields = np.random.default_rng(44).standard_normal((7, size))
+    stacks, fill = [], Truncation.matrices
+    monkeypatch.setattr(Truncation, "matrices",
+                        lambda self, f: stacks.append(len(f)) or fill(self, f))
+    got = trunc.eigenvalues(fields)
+    monkeypatch.setattr(Truncation, "matrices", fill)
+    assert stacks == [min(per_stack, 7 - lo) for lo in range(0, 7, per_stack)]
+    for f, row in zip(fields, got):
+        want = np.sort(solve(trunc.matrices(f[None])[0]))
+        assert np.array_equal(row, want)
+    assert got.shape == fields.shape
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_eigen_traces_match_matrix_exponential(case):
+    trunc, _ = _route_cases()[case]
+    fields = np.random.default_rng(45).standard_normal(
+        (5, len(trunc.potential)))
+    eigs = trunc.eigenvalues(fields)
+    for t in (0.125, 1.0):
+        got = np.exp(-t * eigs).sum(axis=1)
+        want = [np.trace(expm_neg(trunc.matrices(f[None])[0], t))
+                for f in fields]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_assemble_is_one_row_of_matrices():
+    trunc = _build(GraphModel.zd_l1(2), 3)
+    verts, _ = GraphModel.zd_l1(2).ball((0, 0), 3)
+    xi = _random_field(verts, seed=46)
+    stack = trunc.matrices(trunc.field(xi)[None])
+    assert stack.tobytes() == trunc.assemble(xi).matrix.tobytes()
+    with pytest.raises(InputError):
+        trunc.matrices(np.zeros((2, 3)))
