@@ -1,6 +1,9 @@
 """Simulation and verification suite for random Schrodinger operators
 H = -H_X + V + xi on graphs: Monte Carlo Feynman-Kac estimators, exact
 finite truncations, variance scaling laws, and a number-rigidity predictor.
+
+The command-line driver is ``fksim.cli`` (``python -m fksim``); it is not
+imported here, so that ``python -m fksim.cli`` runs it without a warning.
 """
 
 from .errors import ConfigError, DomainError, InputError, NumericalError
@@ -22,8 +25,6 @@ from .feynman_kac import (PairedSample, TraceEstimate, VarianceEstimate,
                           mc_dirichlet_trace, min_range_distance,
                           paired_sample, paired_walker_variance, radius_for,
                           riemann_tail_sum)
-from .cli import (RigidityReport, SweepResult, fit_exponent, main,
-                  parse_config, rigidity_demo, sweep_variance, tail_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

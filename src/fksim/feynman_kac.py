@@ -9,8 +9,10 @@ ball of the ``operators.Truncation`` that the exact routes assemble, so the
 field is needed on the ball alone.  The paired-walker variance
 uses dense local-time rows, so that every start pair of a replicate comes
 from one matrix product with the box covariance.  Deterministic routes
-evaluate the frozen-walk double sums in closed radial form with certified box
-truncation.
+evaluate the frozen-walk double sums on a certified box: in closed radial
+form for independent and constant noise, and for power decay on the
+lattices as one FFT autocorrelation of the weights against the covariance
+kernel.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, nan, sqrt
 from typing import Optional
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.special import comb as _comb, gammainc, gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (CONSTANT, IID, POWER_DECAY, covariance_matrix,
                     sample_field, variance_at_origin)
-from .operators import Truncation, expm_neg
+from .operators import PotentialSpec, Truncation, expm_neg
 from .walker import _MAX_ELEMS, Region, sample_path, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
@@ -312,14 +315,69 @@ def _ball_arrays(graph, pot, model, r):
     return vvec, covariance_matrix(model, graph, verts)
 
 
+def _grid_norms(graph, coords):
+    """Lattice norm (l1 or l-infinity) of every point of coords^d, as a
+    d-dimensional array indexed like the coordinate array along each axis."""
+    a = np.abs(coords).astype(float)
+    combine = np.add if graph.kind == ZD_L1 else np.maximum
+    out = a
+    for _ in range(graph.d - 1):
+        out = combine.outer(out, a)
+    return out
+
+
+def _power_decay_pair_sum(t, graph, pot, model, r):
+    """S = sum over u, v in the radius-r ball of
+    w(u) w(v) expm1(t^2 gamma(u, v)), w = e^{-tV}, for power-decay gamma.
+
+    On the lattices gamma depends on the norm of u - v alone, so S is
+    sum_z K(z) A(z) over the lags z in [-2r, 2r]^d, with
+    K(z) = expm1(t^2 scale (|z| + 1)^-beta) and A the autocorrelation of w
+    on the (2r+1)^d box (0 outside the ball).  A is
+    irfftn(|rfftn(w, s)|^2, s) with s = next_fast_len(4r + 1) per axis, so
+    lags up to 2r do not alias; a grid of more than ``_MAX_ELEMS`` points is
+    refused before anything is allocated.  Roundoff: the FFT leaves an
+    absolute error of about eps log(s^d) A(0) at each lag, and since A and K
+    are nonnegative, S >= K(0) A(0), so the relative error of S is at most
+    about eps log(s^d) sum_z K(z) / K(0).  Explicit graphs have no
+    translation invariance and take the pairwise sum over the ball.
+    """
+    t2 = t * t
+    if graph.kind not in (ZD_L1, ZD_LINF):
+        vvec, gam = _ball_arrays(graph, pot, model, r)
+        w = np.exp(-t * vvec)
+        return float(w @ np.expm1(t2 * gam) @ w)
+    d = graph.d
+    s = next_fast_len(4 * r + 1, real=True)
+    if s ** d > _MAX_ELEMS:
+        raise DomainError(f"FFT grid of {s}^{d} = {s ** d} points for box "
+                          f"radius {r} exceeds the budget of {_MAX_ELEMS}")
+    norm = _grid_norms(graph, np.arange(-r, r + 1))
+    w = np.where(norm <= r,
+                 np.exp(-t * ((pot.kappa * norm) ** pot.alpha - pot.mu)), 0.0)
+    spec = rfftn(w, (s,) * d)
+    acf = irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d)
+    # Lag -k sits at index s - k, which a negative index reads directly.
+    lags = np.r_[0:2 * r + 1, -2 * r:0]
+    kern = np.expm1(t2 * model.decay_scale
+                    * (_grid_norms(graph, lags) + 1.0) ** -model.beta)
+    return float((kern * acf[np.ix_(*[lags] * d)]).sum())
+
+
 def frozen_variance_sum(t, graph, pot, model, r=None):
     """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}].
 
     Independent and constant covariances collapse to radial single sums;
-    power decay is evaluated as an explicit pairwise sum over the ball.
+    power decay is a convolution on the lattices and a pairwise sum over the
+    ball on explicit graphs (``_power_decay_pair_sum``).  Every route
+    assumes the radial potential V = (kappa d)^alpha - mu, so a potential
+    with Dirichlet vertices or custom values is refused.
     """
     if t <= 0:
         raise DomainError("t must be positive")
+    if pot.custom is not None or pot.dirichlet:
+        raise DomainError("the frozen sum needs the radial potential; custom "
+                          "values and Dirichlet vertices are not supported")
     required = radius_for(t, pot.alpha, pot.kappa)
     if r is None:
         r = required
@@ -341,9 +399,7 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
                                      + t * pot.mu), r)
         return factor * radial * radial
     if model.kind == POWER_DECAY:
-        vvec, gam = _ball_arrays(graph, pot, model, r)
-        w = np.exp(-t * vvec)
-        return float(exp(t2 * g0) * (w @ np.expm1(t2 * gam) @ w))
+        return exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot, model, r)
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
@@ -398,10 +454,8 @@ def lower_bound_sum(t, delta, model, graph, r=None):
         s = _radial_sum_with_tail(graph, t, delta, r)
         return pref * expm1(t2 * g0) * s * s
     if model.kind == POWER_DECAY:
-        from .operators import PotentialSpec
-        vvec, gam = _ball_arrays(graph, PotentialSpec(alpha=delta), model, r)
-        w = np.exp(-t * vvec)
-        return pref * float(w @ np.expm1(t2 * gam) @ w)
+        return pref * _power_decay_pair_sum(
+            t, graph, PotentialSpec(alpha=delta), model, r)
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 

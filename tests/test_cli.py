@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fksim
 from fksim.errors import ConfigError, DomainError
 from fksim import cli
 
@@ -293,6 +297,20 @@ def test_benchmark_configs_use_known_keys(name):
 def test_cli_spectral_check(tmp_path, capsys):
     cfg = _write(tmp_path, "radius = 6\ntrials = 5\n")
     assert cli.main(["spectral-check", "--config", cfg, "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("module", ["fksim", "fksim.cli"])
+def test_python_m_runs_the_cli_quietly(tmp_path, module):
+    # The package does not import its cli, so running fksim.cli as a script
+    # finds no half-imported copy in sys.modules and warns about nothing.
+    cfg = _write(tmp_path, "radius = 3\ntrials = 2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fksim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", module, "spectral-check",
+                           "--config", cfg], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "pass=True" in proc.stdout
 
 
 def test_cli_fk_compare(tmp_path, capsys):

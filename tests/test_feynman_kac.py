@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,3 +363,87 @@ def test_power_decay_pair_terms_use_expm1():
         verts, lambda u: math.exp(-t * abs(u[0]) ** delta))
     assert fk.lower_bound_sum(t, delta, model, G1) == \
         pytest.approx(lower, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [iid_gaussian(1.0), constant_gaussian(1.0),
+                                   power_decay_gaussian(beta=1.0)],
+                         ids=["iid", "constant", "power_decay"])
+@pytest.mark.parametrize("pot", [
+    PotentialSpec(alpha=2.0, dirichlet=frozenset({(0,), (1,), (-1,)})),
+    PotentialSpec(alpha=2.0, custom={(0,): 0.0})], ids=["dirichlet", "custom"])
+def test_frozen_sum_refuses_non_radial_potential(model, pot):
+    # Every route assumes V = (kappa d)^alpha - mu; iid noise used to ignore
+    # the Dirichlet vertices while power decay honoured them.
+    with pytest.raises(DomainError, match="radial potential"):
+        fk.frozen_variance_sum(0.25, G1, pot, model)
+
+
+def _pairwise_power_decay(graph, pot, beta, t, r):
+    """The double sum over the radius-r ball, pair by pair."""
+    norm = (lambda x: sum(map(abs, x))) if graph.kind == "zd_l1" \
+        else (lambda x: max(map(abs, x)))
+    verts = [v for v in itertools.product(range(-r, r + 1), repeat=graph.d)
+             if norm(v) <= r]
+    w = [math.exp(-t * ((pot.kappa * norm(v)) ** pot.alpha - pot.mu))
+         for v in verts]
+    return math.fsum(
+        wu * wv * math.expm1(t * t * (norm([a - b for a, b in zip(u, v)])
+                                      + 1.0) ** -beta)
+        for u, wu in zip(verts, w) for v, wv in zip(verts, w))
+
+
+@pytest.mark.parametrize("r", [0, 1, 5, 12])
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("graph", [G1, GraphModel.zd_l1(2),
+                                   GraphModel.zd_linf(2)],
+                         ids=["z1", "z2_l1", "z2_linf"])
+def test_power_decay_convolution_matches_pairwise(graph, beta, r):
+    t = 0.25
+    pot = PotentialSpec(alpha=1.5, kappa=0.5, mu=0.3)
+    got = fk._power_decay_pair_sum(t, graph, pot, power_decay_gaussian(beta),
+                                   r)
+    want = _pairwise_power_decay(graph, pot, beta, t, r)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_power_decay_explicit_path_graph_takes_the_pairwise_route():
+    # A path graph rooted in its middle is Z^1 out to the certified radius,
+    # so the explicit graph's pairwise sum is a second route to the lattice
+    # convolution at a certified radius.
+    t = 2.0 ** -6
+    r = fk.radius_for(t)
+    path = GraphModel.explicit(2 * r + 1, [(i, i + 1) for i in range(2 * r)],
+                               root=r)
+    model = power_decay_gaussian(beta=0.5)
+    assert fk.frozen_variance_sum(t, path, POT, model) == pytest.approx(
+        fk.frozen_variance_sum(t, G1, POT, model), rel=1e-12, abs=0.0)
+    assert fk.lower_bound_sum(t, 2.0, model, path) == pytest.approx(
+        fk.lower_bound_sum(t, 2.0, model, G1), rel=1e-12, abs=0.0)
+
+
+def test_power_decay_grid_refused_before_allocation():
+    # Z^3 at t = 2^-6: r = 84, s = next_fast_len(337) = 360, and 360^3 is
+    # about 47M points, above the array budget.
+    t = 2.0 ** -6
+    assert fk.radius_for(t) == 84
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"360\^3 = 46656000 .* 84"):
+            fk.frozen_variance_sum(t, GraphModel.zd_l1(3), POT,
+                                   power_decay_gaussian(beta=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_power_decay_lower_bound_is_shifted_frozen_sum():
+    # The power-decay sweep (Z^1, alpha = 2, beta = 0.5, t = 2^-6..2^-17)
+    # has kappa = 1 and mu = 0, where both sums share the weights and the
+    # radius: the lower column is e^{-2t} times the frozen one.
+    model = power_decay_gaussian(beta=0.5)
+    for k in range(6, 18):
+        t = 2.0 ** -k
+        assert fk.lower_bound_sum(t, 2.0, model, G1) == pytest.approx(
+            math.exp(-2.0 * t) * fk.frozen_variance_sum(t, G1, POT, model),
+            rel=1e-15, abs=0.0)
