@@ -27,8 +27,8 @@ from scipy.special import comb as _comb, gammainc, gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
-from .noise import (CONSTANT, IID, POWER_DECAY, covariance_matrix,
-                    sample_field, variance_at_origin)
+from .noise import (CONSTANT, IID, POWER_DECAY, _field_rows,
+                    covariance_matrix, variance_at_origin)
 from .operators import PotentialSpec, Truncation, expm_neg
 from .walker import _MAX_ELEMS, Region, sample_path, sample_walks
 
@@ -184,12 +184,14 @@ def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
 def member_fields(trunc, graph, model, seed, m):
     """Fields of m ensemble members on the truncation's vertices, one row
     each: member i draws on the truncation's ball from the i-th child of
-    SeedSequence(seed)."""
+    SeedSequence(seed), as ``sample_field`` would, so a member does not
+    depend on m.  The covariance is factored once for all members."""
     ball, _ = graph.ball(graph.root, trunc.radius)
-    return np.array([
-        trunc.field(sample_field(model, graph, ball,
-                                 rng=np.random.default_rng(ss)))
-        for ss in np.random.SeedSequence(seed).spawn(m)])
+    pos = {v: i for i, v in enumerate(ball)}
+    cols = [pos[v] for v in trunc.region.vertices]
+    rngs = (np.random.default_rng(ss)
+            for ss in np.random.SeedSequence(seed).spawn(m))
+    return _field_rows(model, graph, ball, rngs)[:, cols]
 
 
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):

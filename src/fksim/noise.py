@@ -117,17 +117,31 @@ def sample_field(model, graph, vertices, seed=None, rng=None):
     if rng is None:
         rng = np.random.default_rng(seed)
     vertices = tuple(vertices)
+    vals = _field_rows(model, graph, vertices, [rng])[0]
+    return FieldSample(vertices=vertices, values=dict(zip(vertices, vals)))
+
+
+def _field_rows(model, graph, vertices, rngs):
+    """One draw of the field on an ordered vertex list per generator, one
+    row each, with the covariance factored once.
+
+    A row takes from its generator what a single draw takes, and a
+    power-decay row is ``chol @ z`` (a stacked ``Z @ chol.T`` is another
+    BLAS call whose last bits differ), so rows do not depend on how many
+    are drawn together.
+    """
     n = len(vertices)
     if model.kind == IID:
-        vals = sqrt(model.gamma0) * rng.standard_normal(n)
-    elif model.kind == CONSTANT:
-        vals = np.full(n, sqrt(model.gamma0) * rng.standard_normal())
-    elif model.kind == POWER_DECAY:
+        z = np.array([rng.standard_normal(n) for rng in rngs])
+        return sqrt(model.gamma0) * z.reshape(-1, n)
+    if model.kind == CONSTANT:
+        z = np.array([rng.standard_normal() for rng in rngs])
+        return np.repeat(sqrt(model.gamma0) * z[:, None], n, axis=1)
+    if model.kind == POWER_DECAY:
         chol = _psd_factor(covariance_matrix(model, graph, vertices))
-        vals = chol @ rng.standard_normal(n)
-    else:
-        raise DomainError(f"unknown noise kind {model.kind!r}")
-    return FieldSample(vertices=vertices, values=dict(zip(vertices, vals)))
+        return np.array([chol @ rng.standard_normal(n)
+                         for rng in rngs]).reshape(-1, n)
+    raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
 def _psd_factor(cov):

@@ -7,7 +7,9 @@ off-diagonal entries), which the dense assembly, the batched eigenvalues and
 the killed Monte Carlo walks share.  At build it decides the eigen route:
 a truncation whose off-diagonal part is symmetric up to roundoff (the
 lattices) takes LAPACK's symmetric solver, any other the general one.
-Matrix exponentials are scipy's Pade-13 scaling and squaring.
+Matrix exponentials are scipy's Pade-13 scaling and squaring; traces over a
+t grid square e^{-tM} where the grid doubles t instead of exponentiating
+again.
 """
 
 from __future__ import annotations
@@ -187,6 +189,35 @@ def expm_neg(mat, t=1.0):
     if not np.all(np.isfinite(r)):
         raise NumericalError("overflow in the matrix exponential")
     return r
+
+
+def _expm_traces(mat, t_grid):
+    """Tr e^{-tM} for each t of ``t_grid``, in grid order.
+
+    The distinct t are walked in ascending order.  When t/2 is in the grid
+    (halving is exact in binary), E = e^{-(t/2)M} is at hand and the trace
+    is Tr E^2 = sum_ij E_ij E_ji, an elementwise product; E @ E itself is
+    formed only when 2t is in the grid too.  Any other t takes ``expm_neg``,
+    so a grid of successive doublings costs one matrix exponential.  A
+    trace that overflows raises, as ``expm_neg`` does.
+    """
+    wanted = set(t_grid)
+    traces, halves = {}, {}
+    for t in sorted(wanted):
+        e = halves.pop(t / 2, None)
+        if e is None:
+            e = expm_neg(mat, t)
+            tr = np.trace(e)
+        else:
+            tr = np.sum(e * e.T)
+            if 2 * t in wanted:
+                e = e @ e
+        if not np.isfinite(tr):
+            raise NumericalError("overflow in the matrix exponential")
+        traces[t] = tr
+        if 2 * t in wanted:
+            halves[t] = e
+    return [traces[t] for t in t_grid]
 
 
 # -- spectra ------------------------------------------------------------------

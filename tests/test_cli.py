@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import fksim
 from fksim.errors import ConfigError, DomainError
-from fksim import cli
+from fksim import cli, operators
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -43,6 +44,32 @@ def test_fit_exponent_noisy_power_law():
             for t in np.geomspace(1e-4, 1e-1, 12)]
     slope, ci, r2 = cli.fit_exponent(rows)
     assert abs(slope - 1.5) < 0.05
+
+
+def test_fit_exponent_ci_matches_scipy_stats():
+    from scipy import stats
+    rng = np.random.default_rng(53)
+    for n in range(4, 41):
+        rows = [(t, t ** 1.5 * np.exp(0.1 * rng.standard_normal()))
+                for t in np.geomspace(1e-3, 0.5, n)]
+        slope, ci, _ = cli.fit_exponent(rows)
+        x, y = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
+        xm, ym = x.mean(), y.mean()
+        sxx = ((x - xm) ** 2).sum()
+        resid = y - ((ym - slope * xm) + slope * x)
+        se = math.sqrt(float((resid ** 2).sum()) / (n - 2) / sxx)
+        assert ci == float(stats.t.ppf(0.975, n - 2)) * se, n
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the start-up time and no subcommand needs it.
+    code = ("import sys; from fksim import cli; print(sorted(k for k in "
+            "sys.modules if k.split('.')[:2] == ['scipy', 'stats']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(fksim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fit_exponent_too_few_rows():
@@ -297,6 +324,19 @@ def test_benchmark_configs_use_known_keys(name):
 def test_cli_spectral_check(tmp_path, capsys):
     cfg = _write(tmp_path, "radius = 6\ntrials = 5\n")
     assert cli.main(["spectral-check", "--config", cfg, "--seed", "3"]) == 0
+
+
+def test_spectral_check_one_expm_per_trial(monkeypatch):
+    calls, real = [], operators.expm_neg
+    monkeypatch.setattr(operators, "expm_neg",
+                        lambda mat, t: calls.append(t) or real(mat, t))
+    for grid, per_trial in (("0.5 1", 1), ("1 .5 .25 .125", 1),
+                            ("0.3 0.7", 2)):
+        calls.clear()
+        rep = cli.spectral_check({"radius": "3", "trials": "4",
+                                  "t_grid": grid})
+        assert rep.passed
+        assert len(calls) == 4 * per_trial
 
 
 @pytest.mark.parametrize("module", ["fksim", "fksim.cli"])

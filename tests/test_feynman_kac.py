@@ -11,7 +11,7 @@ from fksim.noise import (FieldSample, constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
 from fksim.operators import PotentialSpec, Truncation, expm_neg
 from fksim.walker import sample_path, symmetric_walk
-from fksim import feynman_kac as fk
+from fksim import feynman_kac as fk, noise
 
 G1 = GraphModel.zd_l1(1)
 SPEC = symmetric_walk(G1, 1.0)
@@ -447,3 +447,83 @@ def test_power_decay_lower_bound_is_shifted_frozen_sum():
         assert fk.lower_bound_sum(t, 2.0, model, G1) == pytest.approx(
             math.exp(-2.0 * t) * fk.frozen_variance_sum(t, G1, POT, model),
             rel=1e-15, abs=0.0)
+
+
+# -- member fields -----------------------------------------------------------------
+
+
+def _single_draw(model, graph, vertices, rng):
+    """One field draw as sample_field made it with its own sampler."""
+    n = len(vertices)
+    if model.kind == noise.IID:
+        vals = math.sqrt(model.gamma0) * rng.standard_normal(n)
+    elif model.kind == noise.CONSTANT:
+        vals = np.full(n, math.sqrt(model.gamma0) * rng.standard_normal())
+    else:
+        chol = noise._psd_factor(noise.covariance_matrix(model, graph,
+                                                         vertices))
+        vals = chol @ rng.standard_normal(n)
+    return FieldSample(tuple(vertices), dict(zip(vertices, vals)))
+
+
+def _member_fields_loop(trunc, graph, model, seed, m):
+    """member_fields as a loop of single draws on the ball, read back on the
+    truncation's vertices."""
+    ball, _ = graph.ball(graph.root, trunc.radius)
+    return np.array([
+        trunc.field(_single_draw(model, graph, ball,
+                                 np.random.default_rng(ss)))
+        for ss in np.random.SeedSequence(seed).spawn(m)])
+
+
+def _field_cases():
+    # The explicit graph's radius-3 ball is (0, 1, 2, 4, 3, 5); Dirichlet
+    # vertex 2 drops the third column, not a trailing one.
+    explicit = Truncation.build(
+        G_IRREGULAR, symmetric_walk(G_IRREGULAR, 1.0),
+        PotentialSpec(custom={v: 0.1 * v for v in range(6)},
+                      dirichlet=frozenset({2})), 3)
+    assert explicit.region.vertices == (0, 1, 4, 3, 5)
+    g2 = GraphModel.zd_l1(2)
+    return [(G1, Truncation.build(G1, SPEC, POT, 5)),
+            (g2, Truncation.build(g2, symmetric_walk(g2, 1.0), POT, 3)),
+            (G_IRREGULAR, explicit)]
+
+
+_FIELD_MODELS = [iid_gaussian(1.7), constant_gaussian(0.6),
+                 power_decay_gaussian(1.0, decay_scale=0.8)]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+@pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
+def test_member_fields_equal_single_draws(case, model):
+    graph, trunc = _field_cases()[case]
+    got = fk.member_fields(trunc, graph, model, 49, 9)
+    want = _member_fields_loop(trunc, graph, model, 49, 9)
+    assert got.shape == (9, len(trunc.region.vertices))
+    assert got.tobytes() == want.tobytes()
+    # The public single draw shares the sampler and keeps its bits.
+    ball, _ = graph.ball(graph.root, trunc.radius)
+    ss = np.random.SeedSequence(50)
+    one = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
+    ref = _single_draw(model, graph, ball, np.random.default_rng(ss))
+    assert np.array([one[v] for v in ball]).tobytes() == \
+        np.array([ref[v] for v in ball]).tobytes()
+
+
+@pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
+def test_member_fields_do_not_depend_on_m(model):
+    for graph, trunc in _field_cases():
+        few = fk.member_fields(trunc, graph, model, 51, 5)
+        many = fk.member_fields(trunc, graph, model, 51, 12)
+        assert few.tobytes() == many[:5].tobytes()
+
+
+def test_member_fields_factor_the_covariance_once(monkeypatch):
+    calls, real = [], noise.covariance_matrix
+    monkeypatch.setattr(noise, "covariance_matrix",
+                        lambda *a: calls.append(a) or real(*a))
+    for graph, trunc in _field_cases():
+        calls.clear()
+        fk.member_fields(trunc, graph, power_decay_gaussian(1.0), 52, 11)
+        assert len(calls) == 1

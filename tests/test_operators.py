@@ -381,3 +381,41 @@ def test_assemble_is_one_row_of_matrices():
     assert stack.tobytes() == trunc.assemble(xi).matrix.tobytes()
     with pytest.raises(InputError):
         trunc.matrices(np.zeros((2, 3)))
+
+
+# -- traces over a t grid --------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("grid, n_expm", [
+    ((0.5, 1.0), 1), ((1.0, 0.5, 0.25, 0.125), 1), ((0.3, 0.7), 2),
+    ((0.5, 0.5, 1.0), 1)])
+def test_grid_traces_match_per_t_expm(monkeypatch, case, grid, n_expm):
+    # Case 1 is non-symmetric, where sum_ij E_ij E_ij (no transpose) is not
+    # Tr E^2; t/2 in the grid must reuse e^{-(t/2)M}, anything else not.
+    trunc, _ = _route_cases()[case]
+    fields = np.random.default_rng(48).standard_normal(
+        (3, len(trunc.potential)))
+    calls, real = [], operators.expm_neg
+    monkeypatch.setattr(operators, "expm_neg",
+                        lambda mat, t: calls.append(t) or real(mat, t))
+    for f in fields:
+        mat = trunc.matrices(f[None])[0]
+        assert np.array_equal(mat, mat.T) == (case == 0)
+        got = operators._expm_traces(mat, grid)
+        want = [np.trace(real(mat, t)) for t in grid]
+        assert len(got) == len(grid)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert len(calls) == n_expm * len(fields)
+
+
+def test_grid_traces_refuse_overflow_in_the_square():
+    # e^{400} is finite, its square e^{800} is not: as expm_neg at t = 2.
+    mat = np.array([[-400.0]])
+    assert operators._expm_traces(mat, (1.0,))[0] == pytest.approx(
+        math.exp(400.0))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError):
+            expm_neg(mat, 2.0)
+        with pytest.raises(NumericalError):
+            operators._expm_traces(mat, (1.0, 2.0))
