@@ -27,4 +27,4 @@ from .feynman_kac import (PairedSample, TraceEstimate, VarianceEstimate,
                           riemann_tail_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -229,7 +229,8 @@ def rigidity_demo(cfg, seed=None):
 
     The predictor is (plug-in ensemble mean of the full exponential linear
     statistic) minus the member's outside-of-B statistic; B is the
-    half-plane {Re lambda <= cut}.  The exact expectation is unavailable, so
+    half-plane {Re lambda <= cut}, and a spectrum with imaginary parts above
+    roundoff is refused.  The exact expectation is unavailable, so
     the ensemble mean stands in for it.  An eigenvalue within roundoff,
     1e-12 (1 + max |lambda|), of the cut counts as outside B: a cut at an
     eigenvalue that every member shares (the mean of equal values may round
@@ -248,8 +249,14 @@ def rigidity_demo(cfg, seed=None):
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
     trunc = Truncation.build(graph, spec, pot, radius)
     # members x dim, ascending real parts
-    spectra = trunc.eigenvalues(member_fields(trunc, graph, model, seed,
-                                              members)).real
+    eigs = trunc.eigenvalues(member_fields(trunc, graph, model, seed, members))
+    # B is a half-plane of real eigenvalues until B in C is supported:
+    # taking Re would turn sum e^{-t lambda} into sum e^{-t Re lambda}.
+    imag = np.abs(eigs.imag).max()
+    if imag > 1e-9 * (1.0 + np.abs(eigs).max()):
+        raise DomainError(f"rigidity-demo needs a real spectrum; eigenvalues "
+                          f"have imaginary parts up to {imag:.3e}")
+    spectra = eigs.real
 
     cut = cfg.get("cut_value")
     if cut is None:
@@ -307,12 +314,14 @@ def tail_check(cfg, seed=None):
     if t == 0.0:
         return TailReport(rows=(), passed=False)
     counts = sample_jump_counts(q, t, n_paths, seed)
+    # at_least[x]: the number of paths with x or more jumps.
+    at_least = np.bincount(counts, minlength=x_max + 2)[::-1].cumsum()[::-1]
     rows = []
     ok = True
     for x in range(1, x_max + 1):
         if x <= q * t:   # bound undefined at or below the mean regime
             continue
-        emp = float((counts >= x).mean())
+        emp = float(at_least[x] / n_paths)
         se = sqrt(emp * (1.0 - emp) / n_paths)
         bound = chernoff_jump_bound(q, t, x)
         ok = ok and emp <= bound + 3.0 * se

@@ -183,15 +183,14 @@ def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
 
 def member_fields(trunc, graph, model, seed, m):
     """Fields of m ensemble members on the truncation's vertices, one row
-    each: member i draws on the truncation's ball from the i-th child of
-    SeedSequence(seed), as ``sample_field`` would, so a member does not
-    depend on m.  The covariance is factored once for all members."""
+    each: member i is row i of one (m, n) draw of ``default_rng(seed)`` on
+    the truncation's ball, so a member does not depend on m.  The
+    covariance is factored once for all members."""
     ball, _ = graph.ball(graph.root, trunc.radius)
     pos = {v: i for i, v in enumerate(ball)}
     cols = [pos[v] for v in trunc.region.vertices]
-    rngs = (np.random.default_rng(ss)
-            for ss in np.random.SeedSequence(seed).spawn(m))
-    return _field_rows(model, graph, ball, rngs)[:, cols]
+    return _field_rows(model, graph, ball, m,
+                       np.random.default_rng(seed))[:, cols]
 
 
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):

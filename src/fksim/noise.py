@@ -117,30 +117,30 @@ def sample_field(model, graph, vertices, seed=None, rng=None):
     if rng is None:
         rng = np.random.default_rng(seed)
     vertices = tuple(vertices)
-    vals = _field_rows(model, graph, vertices, [rng])[0]
+    vals = _field_rows(model, graph, vertices, 1, rng)[0]
     return FieldSample(vertices=vertices, values=dict(zip(vertices, vals)))
 
 
-def _field_rows(model, graph, vertices, rngs):
-    """One draw of the field on an ordered vertex list per generator, one
-    row each, with the covariance factored once.
+def _field_rows(model, graph, vertices, m, rng):
+    """m draws of the field on an ordered vertex list from one generator,
+    one row each, with the covariance factored once.
 
-    A row takes from its generator what a single draw takes, and a
-    power-decay row is ``chol @ z`` (a stacked ``Z @ chol.T`` is another
-    BLAS call whose last bits differ), so rows do not depend on how many
-    are drawn together.
+    Row i comes from row i of one (m, n) standard-normal draw (one normal
+    per row for constant noise), and a power-decay row is ``chol @ z`` as
+    a batched product (a stacked ``Z @ chol.T`` is one BLAS call whose last
+    bits depend on m), so the rows for m are a prefix of those for any
+    larger m.
     """
     n = len(vertices)
     if model.kind == IID:
-        z = np.array([rng.standard_normal(n) for rng in rngs])
-        return sqrt(model.gamma0) * z.reshape(-1, n)
+        return sqrt(model.gamma0) * rng.standard_normal((m, n))
     if model.kind == CONSTANT:
-        z = np.array([rng.standard_normal() for rng in rngs])
-        return np.repeat(sqrt(model.gamma0) * z[:, None], n, axis=1)
+        z = rng.standard_normal((m, 1))
+        return np.repeat(sqrt(model.gamma0) * z, n, axis=1)
     if model.kind == POWER_DECAY:
         chol = _psd_factor(covariance_matrix(model, graph, vertices))
-        return np.array([chol @ rng.standard_normal(n)
-                         for rng in rngs]).reshape(-1, n)
+        z = rng.standard_normal((m, n))
+        return np.matmul(chol, z[:, :, None])[..., 0]
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
@@ -257,20 +257,6 @@ class BoundReport:
     passed: bool
 
 
-def _field_matrix(model, graph, vertices, n_samples, rng):
-    """n_samples draws of the field on a fixed vertex tuple, one row each."""
-    n = len(vertices)
-    if model.kind == IID:
-        return sqrt(model.gamma0) * rng.standard_normal((n_samples, n))
-    if model.kind == CONSTANT:
-        z = rng.standard_normal((n_samples, 1))
-        return sqrt(model.gamma0) * np.broadcast_to(z, (n_samples, n)).copy()
-    if model.kind == POWER_DECAY:
-        chol = _psd_factor(covariance_matrix(model, graph, vertices))
-        return rng.standard_normal((n_samples, n)) @ chol.T
-    raise DomainError(f"unknown noise kind {model.kind!r}")
-
-
 def taylor_bound_check(f, model, graph, n_samples, seed):
     """Monte Carlo check of |E e^{<f,xi>} - 1| <= 2 m^2 |f|_1^2."""
     m = model.moment_constant
@@ -283,7 +269,7 @@ def taylor_bound_check(f, model, graph, n_samples, seed):
         return BoundReport(lhs=0.0, rhs=rhs, stderr=0.0, passed=True)
     coeffs = np.array([f[v] for v in support])
     rng = np.random.default_rng(seed)
-    fields = _field_matrix(model, graph, support, n_samples, rng)
+    fields = _field_rows(model, graph, support, n_samples, rng)
     vals = np.exp(fields @ coeffs)
     lhs = abs(vals.mean() - 1.0)
     se = vals.std(ddof=1) / sqrt(n_samples)
@@ -295,7 +281,7 @@ def moment_bound_probe(model, graph, p_max, n_samples, seed):
     if p_max > 10:
         raise DomainError("sampling accuracy limits the probe to p <= 10")
     rng = np.random.default_rng(seed)
-    draws = _field_matrix(model, graph, (graph.root,), n_samples, rng)[:, 0]
+    draws = _field_rows(model, graph, (graph.root,), n_samples, rng)[:, 0]
     m = model.moment_constant
     worst = 0.0
     for p in range(2, p_max + 1, 2):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 import fksim
 from fksim.errors import ConfigError, DomainError
 from fksim import cli, operators
+from fksim.feynman_kac import member_fields
+from fksim.walker import MarkovSpec, chernoff_jump_bound, sample_jump_counts
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -186,6 +189,36 @@ cut_value = -1000
     assert rep.mae[-1] < 0.05
 
 
+def _rotation_walk(bias):
+    """A stand-in for symmetric_walk on Z^2: jumps tilted by ``bias``
+    toward the counterclockwise tangent, a non-reversible walk."""
+    def make(graph, q):
+        def kernel(v):
+            x, y = v
+            targets = graph.neighbors(v)
+            norm = math.hypot(x, y) or 1.0
+            w = np.array([1.0 + bias * ((u[1] - y) * x - (u[0] - x) * y)
+                          / norm for u in targets])
+            return targets, list(np.cumsum(w / w.sum()))
+        return MarkovSpec(rate=lambda v: q, sup_rate=q, kernel=kernel)
+    return make
+
+
+def test_rigidity_demo_refuses_complex_spectra(monkeypatch):
+    # Without noise every member has the walk's own spectrum.
+    cfg = {"graph": "zd_l1", "d": "2", "radius": "6", "members": "5",
+           "gamma0": "0"}
+    monkeypatch.setattr(cli, "symmetric_walk", _rotation_walk(0.6))
+    graph, model, pot, spec = cli._model_from(cli.effective_config(
+        "rigidity-demo", cfg))
+    trunc = operators.Truncation.build(graph, spec, pot, 6)
+    eigs = trunc.eigenvalues(member_fields(trunc, graph, model, 0, 5))
+    assert not trunc.symmetric and np.abs(eigs.imag).max() > 0.01
+    with pytest.raises(DomainError, match="imaginary parts up to "
+                       f"{np.abs(eigs.imag).max():.3e}"):
+        cli.rigidity_demo(cfg)
+
+
 def test_tail_check_passes(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, """
 q = 1
@@ -196,6 +229,31 @@ x_max = 8
     rep = cli.tail_check(cfg, seed=0)
     assert rep.passed
     assert all(x > 0.5 for x, *_ in rep.rows)   # x <= q t excluded
+
+
+def _tail_rows_by_scan(q, t, n_paths, x_max, seed):
+    """tail_check's rows as one scan of the counts per x, and the largest
+    count."""
+    counts = sample_jump_counts(q, t, n_paths, seed)
+    rows = []
+    for x in range(1, x_max + 1):
+        if x > q * t:
+            emp = float((counts >= x).mean())
+            rows.append((x, emp, chernoff_jump_bound(q, t, x),
+                         math.sqrt(emp * (1.0 - emp) / n_paths)))
+    return tuple(rows), int(counts.max())
+
+
+@pytest.mark.parametrize("q, t, x_max, beyond", [
+    (1.0, 0.5, 10, True), (2.0, 0.7, 6, False), (3.0, 1.0, 25, True),
+    (0.5, 4.0, 9, False)])
+def test_tail_check_rows_equal_a_scan_per_x(q, t, x_max, beyond):
+    # beyond: some x exceeds every count; q t >= 1 in the last two cases.
+    cfg = {"q": str(q), "t": str(t), "n_paths": "20000", "x_max": str(x_max)}
+    rep = cli.tail_check(cfg, seed=5)
+    rows, top = _tail_rows_by_scan(q, t, 20000, x_max, 5)
+    assert rep.rows == rows and rows
+    assert (x_max > top) == beyond
 
 
 def test_tail_check_t_zero_trivial(tmp_path):
@@ -285,6 +343,13 @@ def test_config_hash_covers_version(monkeypatch):
     before = cli.config_hash(cfg)
     monkeypatch.setattr(fksim, "__version__", fksim.__version__ + ".post1")
     assert cli.config_hash(cfg) != before
+
+
+def test_package_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project,
+                     re.MULTILINE).group(1) == fksim.__version__
 
 
 def test_effective_config_types_and_defaults():

@@ -466,14 +466,24 @@ def _single_draw(model, graph, vertices, rng):
     return FieldSample(tuple(vertices), dict(zip(vertices, vals)))
 
 
-def _member_fields_loop(trunc, graph, model, seed, m):
-    """member_fields as a loop of single draws on the ball, read back on the
+def _member_fields_reference(trunc, graph, model, seed, m):
+    """member_fields written out: row i of one (m, n) standard-normal draw
+    of default_rng(seed) on the ball (one normal per row for constant
+    noise), correlated row by row as a single draw is, and read back on the
     truncation's vertices."""
     ball, _ = graph.ball(graph.root, trunc.radius)
-    return np.array([
-        trunc.field(_single_draw(model, graph, ball,
-                                 np.random.default_rng(ss)))
-        for ss in np.random.SeedSequence(seed).spawn(m)])
+    n = len(ball)
+    rng = np.random.default_rng(seed)
+    if model.kind == noise.IID:
+        rows = math.sqrt(model.gamma0) * rng.standard_normal((m, n))
+    elif model.kind == noise.CONSTANT:
+        z = rng.standard_normal((m, 1))
+        rows = np.repeat(math.sqrt(model.gamma0) * z, n, axis=1)
+    else:
+        chol = noise._psd_factor(noise.covariance_matrix(model, graph, ball))
+        rows = [chol @ z for z in rng.standard_normal((m, n))]
+    return np.array([trunc.field(FieldSample(tuple(ball), dict(zip(ball, r))))
+                     for r in rows])
 
 
 def _field_cases():
@@ -497,18 +507,58 @@ _FIELD_MODELS = [iid_gaussian(1.7), constant_gaussian(0.6),
 @pytest.mark.parametrize("case", [0, 1, 2])
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
 def test_member_fields_equal_single_draws(case, model):
+    """Members are the rows of a single draw of one generator per ensemble,
+    and the public single draw keeps its bits."""
     graph, trunc = _field_cases()[case]
     got = fk.member_fields(trunc, graph, model, 49, 9)
-    want = _member_fields_loop(trunc, graph, model, 49, 9)
+    want = _member_fields_reference(trunc, graph, model, 49, 9)
     assert got.shape == (9, len(trunc.region.vertices))
     assert got.tobytes() == want.tobytes()
-    # The public single draw shares the sampler and keeps its bits.
     ball, _ = graph.ball(graph.root, trunc.radius)
     ss = np.random.SeedSequence(50)
     one = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
     ref = _single_draw(model, graph, ball, np.random.default_rng(ss))
     assert np.array([one[v] for v in ball]).tobytes() == \
         np.array([ref[v] for v in ball]).tobytes()
+
+
+@pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
+def test_member_fields_are_prefixes_of_larger_ensembles(model):
+    for graph, trunc in _field_cases():
+        many = fk.member_fields(trunc, graph, model, 53, 200)
+        for m in (1, 2, 5, 12):
+            few = fk.member_fields(trunc, graph, model, 53, m)
+            assert few.tobytes() == many[:m].tobytes(), m
+
+
+def test_member_fields_use_one_generator(monkeypatch):
+    made, spawned, drawn = [], [], []
+    default_rng, field_rows = np.random.default_rng, fk._field_rows
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    def counting_rng(*a):
+        made.append(a)
+        return default_rng(*a)
+
+    def recording_rows(model, graph, vertices, m, rng):
+        drawn.append((m, type(rng)))
+        return field_rows(model, graph, vertices, m, rng)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(fk, "_field_rows", recording_rows)
+    for model in _FIELD_MODELS:
+        for graph, trunc in _field_cases():
+            made.clear()
+            drawn.clear()
+            fk.member_fields(trunc, graph, model, 54, 13)
+            assert made == [(54,)]
+            assert drawn == [(13, np.random.Generator)]
+    assert spawned == []
 
 
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)

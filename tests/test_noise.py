@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fksim.errors import DomainError, InputError
+from fksim import noise
 from fksim.lattice import GraphModel
 from fksim.noise import (FieldSample, constant_gaussian, covariance,
                          covariance_matrix, covariance_series, exp_cov_gaussian, gaussian_moment,
@@ -164,3 +165,47 @@ def test_sampling_deterministic_given_seed(seed):
     f1 = sample_field(m, G1, verts, seed=seed)
     f2 = sample_field(m, G1, verts, seed=seed)
     assert all(f1[v] == f2[v] for v in verts)
+
+
+def _old_field_matrix(model, graph, vertices, n_samples, rng):
+    """The Taylor and moment checks' own sampler before they shared the
+    ensemble's: one stacked draw, correlated as Z @ chol.T."""
+    n = len(vertices)
+    if model.kind == "iid":
+        return math.sqrt(model.gamma0) * rng.standard_normal((n_samples, n))
+    if model.kind == "constant":
+        z = rng.standard_normal((n_samples, 1))
+        return math.sqrt(model.gamma0) \
+            * np.broadcast_to(z, (n_samples, n)).copy()
+    chol = np.linalg.cholesky(covariance_matrix(model, graph, vertices))
+    return rng.standard_normal((n_samples, n)) @ chol.T
+
+
+@pytest.mark.parametrize("model", [
+    iid_gaussian(1.7), constant_gaussian(0.6),
+    power_decay_gaussian(1.0, decay_scale=0.8)], ids=lambda m: m.kind)
+def test_bound_checks_keep_their_draws(model):
+    g2 = GraphModel.zd_l1(2)
+    support = tuple(g2.ball(g2.root, 1)[0]) + ((2, 0),)
+    f = {v: 0.05 * (-1) ** i * (i + 1) / 3 for i, v in enumerate(support)}
+    coeffs = np.array([f[v] for v in support])
+    rows = _old_field_matrix(model, g2, support, 5000,
+                             np.random.default_rng(17))
+    vals = np.exp(rows @ coeffs)
+    lhs, se = abs(vals.mean() - 1.0), vals.std(ddof=1) / math.sqrt(5000)
+    rep = taylor_bound_check(f, model, g2, n_samples=5000, seed=17)
+    draws = _old_field_matrix(model, g2, (g2.root,), 20000,
+                              np.random.default_rng(18))[:, 0]
+    worst = max((np.abs(draws) ** p).mean() / math.factorial(p)
+                for p in (2, 4, 6, 8))
+    ratio = moment_bound_probe(model, g2, p_max=8, n_samples=20000, seed=18)
+    if model.kind == "power_decay":
+        got = noise._field_rows(model, g2, support, 5000,
+                                np.random.default_rng(17))
+        assert np.abs(got - rows).max() <= 1e-15 * np.abs(rows).max()
+        # lhs = |mean - 1| is about 5e-3 here, so draws 1e-15 apart may
+        # move it by some 1e-13 relative.
+        assert (rep.lhs, rep.stderr) == pytest.approx((lhs, se), rel=1e-12)
+        assert ratio == pytest.approx(worst, rel=1e-15)
+    else:
+        assert (rep.lhs, rep.stderr, ratio) == (lhs, se, worst)
