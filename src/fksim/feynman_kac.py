@@ -1,9 +1,9 @@
-"""Path-integral estimators of semigroup kernels and traces, the paired-walker
-variance identity, and the deterministic sums behind the small-t scaling laws.
+"""Path-integral estimators of semigroup traces, the paired-walker variance
+identity, and the deterministic sums behind the small-t scaling laws.
 
 Monte Carlo routes describe the vertices a walk may visit once as a
 ``walker.Region`` and sample all paths in numpy batches with
-``walker.sample_walks``.  Kernel and trace estimators weight each path by
+``walker.sample_walks``.  Trace estimators weight each path by
 e^{-integral of (V + xi)}; killed-trace walkers stop at their exit from the
 ball of the ``operators.Truncation`` that the exact routes assemble, so the
 field is needed on the ball alone.  The paired-walker variance
@@ -23,14 +23,14 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import comb as _comb, gammainc, gammaincc
+from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (CONSTANT, IID, POWER_DECAY, _field_rows,
                     covariance_matrix, variance_at_origin)
 from .operators import PotentialSpec, Truncation, expm_neg
-from .walker import _MAX_ELEMS, Region, sample_path, sample_walks
+from .walker import _MAX_ELEMS, Region, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
@@ -58,16 +58,6 @@ class VarianceEstimate:
         return (self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr)
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """Two independent trajectories with their range separation."""
-
-    first: object
-    second: object
-    range_distance: int
-    joint_stay: bool
-
-
 def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
     """Box radius making the truncated terms < 1e-12 of the central one,
     plus an allowance for walker displacement over the horizon."""
@@ -77,7 +67,7 @@ def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
     return core + ceil(q_sup * _E * t) + 40
 
 
-# -- Monte Carlo kernel and trace ---------------------------------------------
+# -- Monte Carlo trace ---------------------------------------------------------
 
 
 def _field_region(graph, spec, pot, xi):
@@ -93,23 +83,6 @@ def _region_id(region, v):
         return region.index[v]
     except KeyError:
         raise InputError(f"field has no value at vertex {v!r}") from None
-
-
-def mc_kernel(graph, spec, pot, xi, u, v, t, n_paths, seed):
-    """Estimate the kernel entry K_t(u, v) over n_paths walks from u."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if n_paths < 1:
-        raise DomainError("need at least one path")
-    region, cost = _field_region(graph, spec, pot, xi)
-    walks = sample_walks(region, np.full(n_paths, _region_id(region, u)), t,
-                         np.random.default_rng(seed), cost=cost)
-    # These walkers never stop early, so no endpoint is -1.
-    hit = walks.endpoint == region.index.get(v, -1)
-    w = np.where(hit, np.exp(-walks.integral), 0.0)
-    mean = float(w.mean())
-    var = max(float((w * w).mean()) - mean * mean, 0.0)
-    return TraceEstimate(mean=mean, stderr=sqrt(var / n_paths), n_paths=n_paths, t=t)
 
 
 def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed, unkilled=True):
@@ -274,24 +247,11 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
 # -- deterministic radial sums -------------------------------------------------
 
 
-def _coord_counts(graph, n):
-    """Vectorized c_n for the lattice kinds (n: integer array, n >= 1)."""
-    n = np.asarray(n, dtype=float)
-    d = graph.d
-    if graph.kind == ZD_L1:
-        out = np.zeros_like(n)
-        for k in range(1, d + 1):
-            out += _comb(d, k, exact=True) * (2.0 ** k) * _comb(n - 1, k - 1)
-        return out
-    if graph.kind == ZD_LINF:
-        return (2 * n + 1) ** d - (2 * n - 1) ** d
-    raise DomainError("radial closed forms require a lattice kind")
-
-
 def _coord_leading(graph):
     """Leading coefficient of c_n ~ const * n^(d-1)."""
     big = float(2 ** 20)
-    return float(_coord_counts(graph, np.array([big]))[0]) / big ** (graph.d - 1)
+    return float(graph.coordination_count(np.array([big]))[0]) \
+        / big ** (graph.d - 1)
 
 
 def _radial_weight_sum(graph, value_fn, r, chunk=2_000_000):
@@ -301,7 +261,7 @@ def _radial_weight_sum(graph, value_fn, r, chunk=2_000_000):
     while lo <= r:
         hi = min(r, lo + chunk - 1)
         ns = np.arange(lo, hi + 1, dtype=float)
-        total += float(np.dot(_coord_counts(graph, ns), value_fn(ns)))
+        total += float(np.dot(graph.coordination_count(ns), value_fn(ns)))
         lo = hi + 1
     return total
 
@@ -491,23 +451,3 @@ def riemann_tail_sum(t, kappa, alpha, d=None, graph=None):
                           f"increase the cutoff beyond {n_max}")
     normalized = t ** (d / alpha) * total / lead
     return total, normalized
-
-
-# -- path-pair geometry ---------------------------------------------------------
-
-
-def min_range_distance(graph, p1, p2):
-    """Minimum graph distance between the two trajectories' ranges."""
-    v1, v2 = p1.local_time, p2.local_time
-    if not v1 or not v2:
-        raise InputError("paths must record visited vertices")
-    return min(graph.distance(x, y) for x in v1 for y in v2)
-
-
-def paired_sample(graph, spec, u, v, t, rng):
-    """Draw one independent trajectory pair and its range statistics."""
-    p1 = sample_path(graph, spec, u, t, rng=rng, light=True)
-    p2 = sample_path(graph, spec, v, t, rng=rng, light=True)
-    return PairedSample(first=p1, second=p2,
-                        range_distance=min_range_distance(graph, p1, p2),
-                        joint_stay=(p1.jumps == 0 and p2.jumps == 0))

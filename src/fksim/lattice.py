@@ -10,6 +10,8 @@ import itertools
 from collections import deque
 from math import comb
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, InputError
 
 ZD_L1 = "zd_l1"
@@ -22,7 +24,7 @@ _LATTICE_KINDS = (ZD_L1, ZD_LINF)
 class GraphModel:
     """A rooted graph with distance, sphere/ball enumeration and coordination bounds.
 
-    Immutable after construction (distance caches aside); safe for concurrent reads.
+    Immutable after construction (distance caches aside).
     """
 
     def __init__(self, kind, d, root, adjacency=None, degree_bound=None):
@@ -191,17 +193,32 @@ class GraphModel:
         """c_n(center): number of vertices at distance exactly n.
 
         Closed forms for the lattice kinds (center-independent); BFS for
-        explicit graphs.
+        explicit graphs.  On the lattices ``n`` may also be an array of
+        n >= 1, which gives float counts.  Both closed forms are sums of
+        positive terms, so nothing cancels: an integer n gives the exact
+        count, an array the count to roundoff (exact below 2**53).
         """
-        if n < 0:
+        if np.ndim(n):
+            if self.kind not in _LATTICE_KINDS:
+                raise DomainError("radial closed forms require a lattice kind")
+            n = np.asarray(n, dtype=float)
+        elif n < 0:
             raise InputError("n must be >= 0")
-        if n == 0:
+        elif n == 0:
             return 1
         d = self.d
         if self.kind == ZD_L1:
-            return sum(comb(d, k) * (2 ** k) * comb(n - 1, k - 1)
-                       for k in range(1, min(d, n) + 1))
+            # sum over k of C(d, k) 2^k C(n-1, k-1); binom steps through
+            # C(n-1, k-1), which is 0 from k = n + 1 on.
+            total = 0
+            binom = np.ones_like(n) if np.ndim(n) else 1
+            for k in range(1, d + 1):
+                total = total + comb(d, k) * 2 ** k * binom
+                binom = binom * (n - k) // k
+            return total
         if self.kind == ZD_LINF:
-            return (2 * n + 1) ** d - (2 * n - 1) ** d
+            # (2n+1)^d - (2n-1)^d as the sum of its odd binomial terms.
+            return sum(2 * comb(d, k) * (2 * n) ** (d - k)
+                       for k in range(1, d + 1, 2))
         center = self.root if center is None else center
         return len(self._spheres(center, n)[n])

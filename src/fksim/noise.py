@@ -1,15 +1,13 @@
 """Gaussian noise fields on vertex sets and covariance machinery.
 
 Three covariance structures are shipped: independent sites, distance power
-decay, and a fully correlated (constant) field.  Exponential functionals of
-the field have closed-form covariances; a Wick-expansion series provides an
-independent route to the same quantities.
+decay, and a fully correlated (constant) field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, factorial, sqrt
+from math import factorial, sqrt
 from typing import Optional
 
 import numpy as np
@@ -20,8 +18,6 @@ from .lattice import ZD_L1, ZD_LINF
 IID = "iid"
 POWER_DECAY = "power_decay"
 CONSTANT = "constant"
-
-_WICK_CAP = 10  # 9!! = 945 pairings; enumeration cost is factorial beyond this
 
 
 @dataclass(frozen=True)
@@ -168,85 +164,6 @@ def _first_bad_minor(cov):
         except np.linalg.LinAlgError:
             return k
     return cov.shape[0]
-
-
-def exp_cov_gaussian(t, model, graph, u, v):
-    """Cov[e^{-t xi(u)}, e^{-t xi(v)}] = e^{t^2 gamma(0)} (e^{t^2 gamma(u,v)} - 1)."""
-    g0 = variance_at_origin(model)
-    guv = covariance(model, graph, u, v)
-    return exp(t * t * g0) * (exp(t * t * guv) - 1.0)
-
-
-def gaussian_moment(vertices, cov_fn):
-    """E[xi(v1)...xi(vk)] for a centered Gaussian via Wick pairing."""
-    k = len(vertices)
-    if k == 0:
-        return 1.0
-    if k % 2:
-        return 0.0
-    v0 = vertices[0]
-    total = 0.0
-    for j in range(1, k):
-        c = cov_fn(v0, vertices[j])
-        if c != 0.0:
-            total += c * gaussian_moment(vertices[1:j] + vertices[j + 1:], cov_fn)
-    return total
-
-
-def covariance_series(f, g, model, graph, p_max):
-    """Partial sum of the covariance expansion of Cov[e^{<f,xi>}, e^{<g,xi>}].
-
-    ``f`` and ``g`` are finitely supported vertex -> coefficient maps.  The
-    order-p term couples m factors of f with p - m factors of g through mixed
-    Gaussian moments.
-    """
-    if p_max < 2:
-        raise DomainError("p_max must be >= 2")
-    if p_max > _WICK_CAP:
-        raise DomainError(f"Wick enumeration capped at p = {_WICK_CAP}")
-    norm_f = sum(abs(x) for x in f.values())
-    norm_g = sum(abs(x) for x in g.values())
-    if model.moment_constant * (norm_f + norm_g) >= 1.0:
-        raise DomainError("series domination requires m*(|f|_1 + |g|_1) < 1")
-
-    fs = [(v, c) for v, c in f.items() if c != 0.0]
-    gs = [(v, c) for v, c in g.items() if c != 0.0]
-    if not fs or not gs:
-        return 0.0
-
-    def cov_fn(u, v):
-        return covariance(model, graph, u, v)
-
-    total = 0.0
-    for p in range(2, p_max + 1):
-        a_p = 0.0
-        for m in range(1, p):
-            coeff = comb(p, m)
-            block = 0.0
-            for fv in _tuples(fs, m):
-                for gv in _tuples(gs, p - m):
-                    vs = tuple(v for v, _ in fv) + tuple(v for v, _ in gv)
-                    joint = gaussian_moment(vs, cov_fn)
-                    left = gaussian_moment(tuple(v for v, _ in fv), cov_fn)
-                    right = gaussian_moment(tuple(v for v, _ in gv), cov_fn)
-                    weight = 1.0
-                    for _, c in fv:
-                        weight *= c
-                    for _, c in gv:
-                        weight *= c
-                    block += (joint - left * right) * weight
-            a_p += coeff * block
-        total += a_p / factorial(p)
-    return total
-
-
-def _tuples(items, k):
-    if k == 0:
-        yield ()
-        return
-    for head in items:
-        for rest in _tuples(items, k - 1):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)

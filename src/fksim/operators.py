@@ -162,15 +162,6 @@ def assemble(graph, spec, pot, xi, n):
     return Truncation.build(graph, spec, pot, n).assemble(xi)
 
 
-def omega0(pot, graph, xi, region):
-    """min of V + xi over the region, Dirichlet vertices excluded."""
-    vals = [pot.value(graph, v) + xi[v] for v in region
-            if pot.value(graph, v) != inf]
-    if not vals:
-        raise InputError("region empty after Dirichlet removal")
-    return min(vals)
-
-
 # -- matrix exponential ------------------------------------------------------
 
 def expm_neg(mat, t=1.0):
@@ -238,10 +229,6 @@ class SpectrumResult:
         return sum(m * np.exp(-t * lam) for lam, m in self.clusters)
 
 
-def default_cluster_tol(eigenvalues):
-    return 1e-6 * (1.0 + float(np.abs(eigenvalues).max(initial=0.0)))
-
-
 def spectrum(mat, cluster_tol=None):
     """Eigenvalues with algebraic multiplicities obtained by clustering.
 
@@ -259,7 +246,7 @@ def spectrum(mat, cluster_tol=None):
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"QR iteration failed: {err}") from None
     if cluster_tol is None:
-        cluster_tol = default_cluster_tol(eigs)
+        cluster_tol = 1e-6 * (1.0 + float(np.abs(eigs).max(initial=0.0)))
     eigs = eigs[np.argsort(eigs.real)]
     run = np.concatenate(([0], np.cumsum(np.diff(eigs.real) > cluster_tol)))
     order = np.lexsort((eigs.imag, run))
@@ -323,24 +310,3 @@ def multiplicity_pushforward(mat, t, cluster_tol=1e-6):
                                    mult_summed=summed,
                                    sources=tuple(sources), aliased=aliased))
     return checks
-
-
-# -- plain-text matrix dump ---------------------------------------------------
-
-def dump_matrix(mat, path):
-    """Write 'n' then n rows of shortest-repr decimals; round-trip exact."""
-    a = np.asarray(mat, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"{a.shape[0]}\n")
-        for row in a:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_matrix(path):
-    with open(path) as fh:
-        n = int(fh.readline())
-        rows = [list(map(float, fh.readline().split())) for _ in range(n)]
-    a = np.array(rows)
-    if a.shape != (n, n):
-        raise InputError(f"matrix file {path} is malformed")
-    return a

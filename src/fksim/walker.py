@@ -100,14 +100,6 @@ class PathRecord:
     jump_times: Optional[list] = None
     states: Optional[list] = None
 
-    @property
-    def visited(self):
-        return self.local_time.keys()
-
-    def max_displacement(self, graph):
-        """Largest graph distance from the start over the trajectory."""
-        return max(graph.distance(self.start, v) for v in self.local_time)
-
 
 def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
                 light=False, rng=None):
@@ -360,10 +352,3 @@ def chernoff_jump_bound(q_sup, horizon, x):
     if horizon == 0:
         return 0.0
     return exp(-q_sup * horizon + x * (log(q_sup * horizon / x) + 1.0))
-
-
-def stay_probability(q, horizon):
-    """Probability of zero jumps up to the horizon: e^{-q t}."""
-    if horizon < 0:
-        raise DomainError("horizon must be >= 0")
-    return exp(-q * horizon)

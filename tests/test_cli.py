@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import re
@@ -384,6 +385,21 @@ def test_benchmark_configs_use_known_keys(name):
     cfg = cli.parse_config(_BENCH_CONFIGS / f"{name}.cfg")
     keys = cli._COMMANDS[_BENCH_COMMANDS[name]][3]
     assert set(cfg) <= set(keys) | {"seed"}
+
+
+def test_every_traced_function_exists():
+    # perfbench traces these functions at their module paths; one that is
+    # renamed or moved would drop its layer metrics from a traced run.
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", _BENCH_CONFIGS.parent / "bench_trace.py")
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    with bench_trace.Tracer() as tracer:
+        pass
+    assert tracer.missing == set()
+    # The names perfbench/run.py imports from the package.
+    from fksim import (GraphModel, PotentialSpec, feynman_kac,  # noqa: F401
+                       iid_gaussian, symmetric_walk)
 
 
 def test_cli_spectral_check(tmp_path, capsys):

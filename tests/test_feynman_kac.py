@@ -10,7 +10,7 @@ from fksim.lattice import GraphModel
 from fksim.noise import (FieldSample, constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
 from fksim.operators import PotentialSpec, Truncation, expm_neg
-from fksim.walker import sample_path, symmetric_walk
+from fksim.walker import symmetric_walk
 from fksim import feynman_kac as fk, noise
 
 G1 = GraphModel.zd_l1(1)
@@ -25,35 +25,6 @@ def _zero_field(verts):
 def _wide_zero_field(radius=80):
     verts, _ = G1.ball((0,), radius)
     return _zero_field(verts)
-
-
-def test_mc_kernel_reduces_to_walk_probability():
-    # zero potential: estimate of K_t(u,u) is the return probability
-    xi = _wide_zero_field()
-    pot = PotentialSpec(alpha=1.0, kappa=0.0)
-    est = fk.mc_kernel(G1, SPEC, pot, xi, (0,), (0,), 1.0, 40000, seed=1)
-    # exact return probability from a large truncation of the walk generator
-    from fksim.operators import assemble, expm_neg
-    asm = assemble(G1, SPEC, pot, xi, 30)
-    k = expm_neg(asm.matrix, 1.0)[asm.index[(0,)], asm.index[(0,)]]
-    assert abs(est.mean - k) < 4 * est.stderr
-
-
-def test_mc_kernel_small_t_is_identity():
-    verts, _ = G1.ball((0,), 50)
-    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=2)
-    est = fk.mc_kernel(G1, SPEC, POT, xi, (0,), (0,), 1e-3, 20000, seed=3)
-    assert abs(est.mean - 1.0) < max(3 * est.stderr, 5e-3)
-
-
-def test_mc_kernel_matches_matrix_exponential():
-    from fksim.operators import assemble, expm_neg
-    verts, _ = G1.ball((0,), 60)
-    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=4)
-    est = fk.mc_kernel(G1, SPEC, POT, xi, (0,), (0,), 0.25, 100000, seed=5)
-    asm = assemble(G1, SPEC, POT, xi, 12)
-    k = expm_neg(asm.matrix, 0.25)[asm.index[(0,)], asm.index[(0,)]]
-    assert abs(est.mean - k) < 4 * est.stderr
 
 
 def test_dirichlet_root_only():
@@ -256,33 +227,6 @@ def test_riemann_z2_alpha_one():
     _, norm = fk.riemann_tail_sum(1e-5, 1.0, 1.0, graph=g2)
     # Gamma(2)^2 = 1 after the kappa and coordination normalizations
     assert norm ** 2 == pytest.approx(1.0, rel=0.01)
-
-
-def test_min_range_distance():
-    p1 = sample_path(G1, SPEC, (0,), 0.0, seed=0)
-    p2 = sample_path(G1, SPEC, (5,), 0.0, seed=0)
-    assert fk.min_range_distance(G1, p1, p2) == 5
-
-
-def test_range_distance_under_bounded_displacement():
-    # both walkers displaced at most 2 from starts 8 apart: ranges stay
-    # at least 4 apart
-    rng = np.random.default_rng(20)
-    found = 0
-    for _ in range(500):
-        p1 = sample_path(G1, SPEC, (0,), 0.5, rng=rng, light=True)
-        p2 = sample_path(G1, SPEC, (8,), 0.5, rng=rng, light=True)
-        if p1.max_displacement(G1) <= 2 and p2.max_displacement(G1) <= 2:
-            found += 1
-            assert fk.min_range_distance(G1, p1, p2) >= 4
-    assert found > 0
-
-
-def test_paired_sample_joint_stay():
-    rng = np.random.default_rng(21)
-    s = fk.paired_sample(G1, SPEC, (0,), (3,), 0.1, rng)
-    if s.joint_stay:
-        assert s.range_distance == 3
 
 
 def test_paired_walker_rejects_short_runs():

@@ -1,6 +1,9 @@
+from math import comb
+
+import numpy as np
 import pytest
 
-from fksim.errors import ConfigError, InputError
+from fksim.errors import ConfigError, DomainError, InputError
 from fksim.lattice import GraphModel
 
 
@@ -39,6 +42,40 @@ def test_coordination_counts_linf():
     for n in range(1, 4):
         assert g.coordination_count(n) == (2 * n + 1) ** 2 - (2 * n - 1) ** 2
         assert g.coordination_count(n) == len(g.sphere((0, 0), n))
+
+
+def _exact_count(graph, n):
+    """c_n in Python integers."""
+    d = graph.d
+    if graph.kind == "zd_l1":
+        return sum(comb(d, k) * 2 ** k * comb(n - 1, k - 1)
+                   for k in range(1, d + 1))
+    return (2 * n + 1) ** d - (2 * n - 1) ** d
+
+
+@pytest.mark.parametrize("make", [GraphModel.zd_l1, GraphModel.zd_linf])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coordination_count_arrays_are_exact(make, d):
+    g = make(d)
+    large = [10 ** 5, 10 ** 6, 2 ** 20, 12_345_677]
+    ns = list(range(1, 5000)) + large
+    got = g.coordination_count(np.array(ns))
+    assert got.dtype == float
+    assert got.tolist() == [float(_exact_count(g, n)) for n in ns]
+    assert [g.coordination_count(n) for n in large] == \
+        [_exact_count(g, n) for n in large]
+    # Nothing cancels: elsewhere above 2**53 the counts stay within roundoff.
+    ns = np.random.default_rng(d).integers(5000, 60_000_000, 200)
+    want = np.array([float(_exact_count(g, int(n))) for n in ns])
+    err = np.abs(g.coordination_count(ns) - want) / want
+    assert err.max() <= 4 * np.finfo(float).eps
+
+
+def test_coordination_count_arrays_need_a_lattice():
+    g = GraphModel.explicit(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.coordination_count(2) == 1
+    with pytest.raises(DomainError):
+        g.coordination_count(np.arange(1, 3))
 
 
 def test_ball_sizes_and_index():

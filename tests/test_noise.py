@@ -8,8 +8,7 @@ from fksim.errors import DomainError, InputError
 from fksim import noise
 from fksim.lattice import GraphModel
 from fksim.noise import (FieldSample, constant_gaussian, covariance,
-                         covariance_matrix, covariance_series, exp_cov_gaussian, gaussian_moment,
-                         iid_gaussian, moment_bound_probe,
+                         covariance_matrix, iid_gaussian, moment_bound_probe,
                          power_decay_gaussian, sample_field,
                          taylor_bound_check, variance_at_origin)
 
@@ -85,57 +84,6 @@ def test_constant_field_is_flat():
     f = sample_field(constant_gaussian(1.0), G1, verts, seed=2)
     vals = {f[v] for v in verts}
     assert len(vals) == 1
-
-
-def test_exp_cov_gaussian_at_zero_t():
-    assert exp_cov_gaussian(0.0, iid_gaussian(1.0), G1, (0,), (0,)) == 0.0
-
-
-def test_exp_cov_gaussian_lognormal_variance():
-    got = exp_cov_gaussian(1.0, iid_gaussian(1.0), G1, (0,), (0,))
-    assert got == pytest.approx(math.e * (math.e - 1.0))
-
-
-def test_exp_cov_nonnegative_all_kinds():
-    models = [iid_gaussian(0.8), constant_gaussian(1.2),
-              power_decay_gaussian(beta=1.5, decay_scale=0.5)]
-    for model in models:
-        for t in (0.1, 0.5, 1.0, 2.0):
-            for v in ((0,), (1,), (4,)):
-                assert exp_cov_gaussian(t, model, G1, (0,), v) >= 0.0
-
-
-def test_gaussian_moment_wick():
-    # E[x^4] = 3 for standard normal via pairings
-    cov = lambda u, v: 1.0
-    assert gaussian_moment(((0,),) * 4, cov) == pytest.approx(3.0)
-    assert gaussian_moment(((0,),) * 3, cov) == 0.0
-
-
-@pytest.mark.parametrize("model", [iid_gaussian(0.9), constant_gaussian(1.0),
-                                   power_decay_gaussian(beta=1.0)])
-@pytest.mark.parametrize("t", [0.05, 0.1, 0.2])
-def test_series_matches_closed_form(model, t):
-    # Cov[e^{-t xi(u)}, e^{-t xi(v)}] expanded in mixed moments
-    f = {(0,): -t}
-    g = {(1,): -t}
-    series = covariance_series(f, g, model, G1, p_max=10)
-    closed = exp_cov_gaussian(t, model, G1, (0,), (1,))
-    assert series == pytest.approx(closed, abs=1e-6)
-
-
-def test_series_requires_small_arguments():
-    f = {(0,): -5.0}
-    with pytest.raises(DomainError):
-        covariance_series(f, f, iid_gaussian(1.0), G1, p_max=6)
-
-
-def test_third_wick_moment_vanishes():
-    # centered Gaussians have no third moments, so the triple-decay
-    # condition holds with zero left-hand side
-    model = power_decay_gaussian(beta=2.0)
-    cov = lambda u, v: covariance(model, G1, u, v)
-    assert gaussian_moment(((0,), (1,), (2,)), cov) == 0.0
 
 
 def test_power_decay_order_certificate():

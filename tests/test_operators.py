@@ -7,9 +7,9 @@ from fksim import operators
 from fksim.errors import DomainError, InputError, NumericalError
 from fksim.lattice import GraphModel
 from fksim.noise import FieldSample, iid_gaussian, sample_field
-from fksim.operators import (PotentialSpec, Truncation, assemble, dump_matrix,
-                             expm_neg, load_matrix, multiplicity_pushforward,
-                             omega0, spectrum, trace_identity_residual)
+from fksim.operators import (PotentialSpec, Truncation, assemble, expm_neg,
+                             multiplicity_pushforward, spectrum,
+                             trace_identity_residual)
 from fksim.walker import MarkovSpec, symmetric_walk
 
 G1 = GraphModel.zd_l1(1)
@@ -53,7 +53,6 @@ def test_omega0_is_potential_floor():
     xi = FieldSample(tuple(verts), {v: 0.5 for v in verts})
     asm = assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 3)
     assert asm.omega0 == pytest.approx(0.5)
-    assert omega0(PotentialSpec(alpha=2.0), G1, xi, verts) == pytest.approx(0.5)
 
 
 def _rotation_blocks(parts):
@@ -188,14 +187,6 @@ def test_multiplicity_pushforward_aliased():
 def test_pushforward_dimension_cap():
     with pytest.raises(DomainError):
         multiplicity_pushforward(np.eye(60), 1.0)
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((6, 6))
-    p = tmp_path / "m.txt"
-    dump_matrix(m, p)
-    assert np.array_equal(load_matrix(p), m)
 
 
 def test_assemble_missing_field_value():
