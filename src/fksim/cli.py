@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from math import isfinite, nan, sqrt
+from math import exp, isfinite, nan, sqrt
 
 import numpy as np
 from scipy.special import stdtrit
@@ -25,8 +25,8 @@ from .noise import (constant_gaussian, iid_gaussian, power_decay_gaussian,
                     sample_field)
 from .operators import PotentialSpec, Truncation, _expm_traces
 from .feynman_kac import (ensemble_variance, exact_dirichlet_trace,
-                          frozen_variance_sum, lower_bound_sum,
-                          mc_dirichlet_trace, member_fields, radius_for)
+                          frozen_variance_sum, mc_dirichlet_trace,
+                          member_fields, radius_for)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
 
@@ -178,7 +178,10 @@ def sweep_variance(cfg, seed=None):
                           "jackknife SE divides by ensemble - 2)")
     fixed_radius = cfg.get("radius")
     seed = seed if seed is not None else cfg["seed"]
-    do_lower = pot.kappa == 1.0 and pot.mu == 0.0 and model.gamma0 >= 0
+    # With a nonnegative covariance no path pair lowers the variance, and
+    # each walker stays put with probability >= e^{-q t}: the pairs in which
+    # neither jumps give lower = e^{-2qt} frozen for any radial potential.
+    do_lower = model.gamma0 >= 0
 
     rows = []
     for k in range(k_min, k_max + 1):
@@ -188,7 +191,7 @@ def sweep_variance(cfg, seed=None):
         # The frozen-sum column always uses its certified radius; a fixed
         # radius only constrains the matrix-exponential ensemble.
         frozen = frozen_variance_sum(t, graph, pot, model)
-        lower = lower_bound_sum(t, pot.alpha, model, graph) if do_lower else None
+        lower = exp(-2.0 * spec.sup_rate * t) * frozen if do_lower else None
         ens_var = ens_se = None
         if m_draws:
             est = ensemble_variance(graph, spec, pot, model, radius, t,

@@ -9,7 +9,7 @@ ball of the ``operators.Truncation`` that the exact routes assemble, so the
 field is needed on the ball alone.  The paired-walker variance
 uses dense local-time rows, so that every start pair of a replicate comes
 from one matrix product with the box covariance.  Deterministic routes
-evaluate the frozen-walk double sums on a certified box: in closed radial
+evaluate the frozen-walk double sum on a certified box: in closed radial
 form for independent and constant noise, and for power decay on the
 lattices as one FFT autocorrelation of the weights against the covariance
 kernel.
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
@@ -34,6 +34,7 @@ from .walker import _MAX_ELEMS, Region, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
+_RADIAL_CHUNK = 2_000_000      # radial terms per vectorised block
 
 
 @dataclass(frozen=True)
@@ -254,15 +255,29 @@ def _coord_leading(graph):
         / big ** (graph.d - 1)
 
 
-def _radial_weight_sum(graph, value_fn, r, chunk=2_000_000):
-    """sum over n = 0..r of c_n * value_fn(n), chunked over n."""
-    total = float(value_fn(np.array([0.0]))[0])
-    lo = 1
-    while lo <= r:
-        hi = min(r, lo + chunk - 1)
-        ns = np.arange(lo, hi + 1, dtype=float)
-        total += float(np.dot(graph.coordination_count(ns), value_fn(ns)))
-        lo = hi + 1
+def _radial_weight_sum(graph, pot, c, r):
+    """sum over n = 0..r of c_n e^{-c V(n)}, V(n) = (kappa n)^alpha - mu.
+
+    The terms are summed exactly, in blocks of ``_RADIAL_CHUNK``.  On Z^1 a
+    box radius past ``_EXACT_TERM_CAP`` adds the remainder as a certified
+    integral lower bound instead: c_n = 2 for n >= 1 on both kinds, and the
+    summand e^{c mu} e^{-b n^alpha}, b = c kappa^alpha, decreases, so its
+    sum over n = cap + 1 .. r is at least its integral from cap + 1 to r + 1,
+    a difference of upper incomplete gamma functions.  Other graphs sum
+    every term.
+    """
+    n_exact = min(r, _EXACT_TERM_CAP) if graph.d == 1 else r
+    total = float(np.exp(-c * pot.radial(np.array([0.0])))[0])
+    for lo in range(1, n_exact + 1, _RADIAL_CHUNK):
+        ns = np.arange(lo, min(n_exact, lo + _RADIAL_CHUNK - 1) + 1,
+                       dtype=float)
+        total += float(np.dot(graph.coordination_count(ns),
+                              np.exp(-c * pot.radial(ns))))
+    if r > n_exact:
+        k, b = 1.0 / pot.alpha, c * pot.kappa ** pot.alpha
+        total += 2.0 * exp(c * pot.mu) * _gamma_fn(k) * b ** -k / pot.alpha \
+            * (gammaincc(k, b * (n_exact + 1) ** pot.alpha)
+               - gammaincc(k, b * (r + 1) ** pot.alpha))
     return total
 
 
@@ -314,8 +329,7 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
         raise DomainError(f"FFT grid of {s}^{d} = {s ** d} points for box "
                           f"radius {r} exceeds the budget of {_MAX_ELEMS}")
     norm = _grid_norms(graph, np.arange(-r, r + 1))
-    w = np.where(norm <= r,
-                 np.exp(-t * ((pot.kappa * norm) ** pot.alpha - pot.mu)), 0.0)
+    w = np.where(norm <= r, np.exp(-t * pot.radial(norm)), 0.0)
     spec = rfftn(w, (s,) * d)
     acf = irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d)
     # Lag -k sits at index s - k, which a negative index reads directly.
@@ -328,9 +342,11 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
 def frozen_variance_sum(t, graph, pot, model, r=None):
     """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}].
 
-    Independent and constant covariances collapse to radial single sums;
-    power decay is a convolution on the lattices and a pairwise sum over the
-    ball on explicit graphs (``_power_decay_pair_sum``).  Every route
+    Independent and constant covariances collapse to radial single sums
+    (``_radial_weight_sum``, with its integral tail on Z^1 past
+    ``_EXACT_TERM_CAP`` terms); power decay is a convolution on the lattices
+    and a pairwise sum over the ball on explicit graphs
+    (``_power_decay_pair_sum``).  Every route
     assumes the radial potential V = (kappa d)^alpha - mu, so a potential
     with Dirichlet vertices or custom values is refused.
     """
@@ -349,84 +365,34 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
     g0 = variance_at_origin(model)
     if model.kind == IID:
         factor = exp(t2 * g0) * expm1(t2 * g0)
-        radial = _radial_weight_sum(
-            graph, lambda ns: np.exp(-2.0 * t * (pot.kappa * ns) ** pot.alpha
-                                     + 2.0 * t * pot.mu), r)
-        return factor * radial
+        return factor * _radial_weight_sum(graph, pot, 2.0 * t, r)
     if model.kind == CONSTANT:
         factor = exp(t2 * g0) * expm1(t2 * g0)
-        radial = _radial_weight_sum(
-            graph, lambda ns: np.exp(-t * (pot.kappa * ns) ** pot.alpha
-                                     + t * pot.mu), r)
+        radial = _radial_weight_sum(graph, pot, t, r)
         return factor * radial * radial
     if model.kind == POWER_DECAY:
         return exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot, model, r)
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
-def _radial_sum_with_tail(graph, t_coef, delta, r):
-    """sum over n=0..r of c_n e^{-t_coef * n^delta}, exact to cap then a
-    certified integral lower bound for the remainder (d = 1 only)."""
-    n_exact = min(r, _EXACT_TERM_CAP)
-    total = _radial_weight_sum(graph,
-                               lambda ns: np.exp(-t_coef * ns ** delta),
-                               n_exact)
-    if r > n_exact:
-        if graph.d != 1:
-            raise DomainError(f"box radius {r} needs the integral tail, which "
-                              "is certified for d = 1 only")
-        # c_n = 2 for n >= 1 on both one-dimensional kinds; the integrand is
-        # decreasing, so sum_{n=a}^{b} f(n) >= int_a^{b+1} f(x) dx.
-        a, b = n_exact + 1, r + 1
-        k = 1.0 / delta
-        scale = _gamma_fn(k) * t_coef ** (-k) / delta
-        total += 2.0 * scale * (gammainc(k, t_coef * b ** delta)
-                                - gammainc(k, t_coef * a ** delta))
-    return total
-
-
 def lower_bound_sum(t, delta, model, graph, r=None):
-    """Certified lower bound e^{-2t + t^2 g(0)} * sum of
-    e^{-t d(u)^delta - t d(v)^delta} (e^{t^2 gamma(u,v)} - 1) over the box.
-
-    The potential preset is V(v) = d(0, v)^delta; the covariance must be
-    nonnegative for the bound to hold.
+    """Certified lower bound e^{-2t} * frozen sum for the preset
+    V(v) = d(0, v)^delta and unit jump rate: each walker of a pair stays at
+    its start with probability e^{-t}, and with a nonnegative covariance no
+    other path pair contributes negatively.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
     if delta <= 0:
         raise DomainError("delta must be positive")
     if model.gamma0 < 0 or (model.kind == POWER_DECAY and model.decay_scale < 0):
         raise DomainError("covariance must be nonnegative for the lower bound")
-    required = radius_for(t, delta, 1.0)
-    if r is None:
-        r = required
-    elif r < required:
-        raise DomainError(f"box radius {r} below certified radius {required} "
-                          f"for t={t}")
-    t2 = t * t
-    g0 = variance_at_origin(model)
-    pref = exp(-2.0 * t + t2 * g0)
-    if model.kind == IID:
-        inner = expm1(t2 * g0) * _radial_sum_with_tail(graph, 2.0 * t, delta,
-                                                       r)
-        return pref * inner
-    if model.kind == CONSTANT:
-        s = _radial_sum_with_tail(graph, t, delta, r)
-        return pref * expm1(t2 * g0) * s * s
-    if model.kind == POWER_DECAY:
-        return pref * _power_decay_pair_sum(
-            t, graph, PotentialSpec(alpha=delta), model, r)
-    raise DomainError(f"unknown noise kind {model.kind!r}")
+    return exp(-2.0 * t) * frozen_variance_sum(
+        t, graph, PotentialSpec(alpha=delta), model, r)
 
 
-def riemann_tail_sum(t, kappa, alpha, d=None, graph=None):
+def riemann_tail_sum(t, kappa, alpha, graph):
     """S(t) = sum_n c_n e^{-(kappa t^{1/alpha} n)^{min(alpha,1)}} and its
     normalization t^{d/alpha} S / c_lead, whose square tends to the
     kappa^{-2d} Gamma(d/min(1,alpha))^2 / min(1,alpha^2) limit."""
-    if graph is None:
-        from .lattice import GraphModel
-        graph = GraphModel.zd_l1(d if d is not None else 1)
     d = graph.d
     if t <= 0 or kappa <= 0 or alpha <= 0:
         raise DomainError("t, kappa, alpha must be positive")
@@ -441,7 +407,8 @@ def riemann_tail_sum(t, kappa, alpha, d=None, graph=None):
     if n_max > 60_000_000:
         raise DomainError(f"tail certification needs {n_max} terms, above the "
                           "summation cap")
-    total = _radial_weight_sum(graph, lambda ns: np.exp(-(s * ns) ** m), n_max)
+    total = _radial_weight_sum(graph, PotentialSpec(alpha=m, kappa=s), 1.0,
+                               n_max)
     # Certified tail: c_n <= 2 * lead * n^(d-1) for large n; integral upper
     # bound of the decreasing summand.
     tail = (2.0 * lead / m) * s ** (-d) * _gamma_fn(d / m) \

@@ -94,12 +94,6 @@ class GraphModel:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def n_vertices(self):
-        if self.kind != EXPLICIT:
-            return None
-        return len(self.adjacency)
-
     def check_vertex(self, v):
         if self.kind == EXPLICIT:
             if not (isinstance(v, int) and 0 <= v < len(self.adjacency)):

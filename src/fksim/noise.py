@@ -66,9 +66,6 @@ class FieldSample:
         except KeyError:
             raise InputError(f"field has no value at vertex {v!r}") from None
 
-    def __contains__(self, v):
-        return v in self.values
-
 
 def covariance(model, graph, u, v):
     """gamma(u, v) = E[xi(u) xi(v)] for the given model."""

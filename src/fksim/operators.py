@@ -47,7 +47,11 @@ class PotentialSpec:
                 return self.custom[v]
             except KeyError:
                 raise InputError(f"custom potential has no value at {v!r}") from None
-        return (self.kappa * graph.distance(graph.root, v)) ** self.alpha - self.mu
+        return self.radial(graph.distance(graph.root, v))
+
+    def radial(self, dist):
+        """(kappa * dist)**alpha - mu, elementwise for an array of distances."""
+        return (self.kappa * dist) ** self.alpha - self.mu
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,50 @@ radius = 5
     assert all(row.split(",")[2] for row in outs[0].decode().splitlines()[2:])
 
 
+def _sweep_rows(tmp_path, text, seed):
+    """The sweep CSV's rows as dicts of floats (None for an empty cell)."""
+    path, out = _write(tmp_path, text), tmp_path / "sweep.csv"
+    assert cli.main(["sweep-variance", "--config", path, "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    head, *rows = out.read_text().splitlines()[1:]
+    return [{k: float(v) if v else None
+             for k, v in zip(head.split(","), row.split(","))}
+            for row in rows]
+
+
+def test_sweep_lower_bound_uses_the_jump_rate(tmp_path, capsys):
+    # Each walker stays put with probability e^{-qt}: at q = 8 the lower
+    # column is e^{-16t} frozen.  The unit-rate factor e^{-2t} gives 0.80 at
+    # t = 1, far above the ensemble variance of 0.0113 +- 0.0006.
+    rows = _sweep_rows(tmp_path, """
+graph = zd_l1
+d = 1
+alpha = 2
+q = 8
+noise = iid
+gamma0 = 1
+radius = 8
+ensemble = 3000
+t_exp_min = 0
+t_exp_max = 3
+""", seed=3)
+    assert [r["t"] for r in rows] == [1.0, 0.5, 0.25, 0.125]
+    for r in rows:
+        assert r["lower"] <= r["ens_var"] + 3.0 * r["ens_se"]
+        assert r["lower"] == math.exp(-2.0 * 8.0 * r["t"]) * r["frozen"]
+
+
+def test_sweep_lower_bound_for_a_shifted_potential(tmp_path, capsys):
+    rows = _sweep_rows(tmp_path, """
+kappa = 0.8
+mu = 0.2
+t_exp_min = 2
+t_exp_max = 5
+""", seed=1)
+    for r in rows:
+        assert r["lower"] == math.exp(-2.0 * r["t"]) * r["frozen"] > 0.0
+
+
 def test_rigidity_demo_deterministic_noise(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, """
 radius = 6

@@ -215,6 +215,40 @@ def test_lower_bound_decays_for_large_delta():
         assert rho == pytest.approx(2.0 ** -1.5, rel=0.05)
 
 
+@pytest.mark.parametrize("model", [iid_gaussian(1.0), constant_gaussian(1.0)],
+                         ids=["iid", "constant"])
+@pytest.mark.parametrize("pot", [PotentialSpec(alpha=0.5),
+                                 PotentialSpec(alpha=0.7, kappa=0.8, mu=0.2)],
+                         ids=["alpha0.5", "shifted"])
+def test_radial_tail_is_a_close_lower_bound(monkeypatch, model, pot):
+    # Past the cap, Z^1 adds the integral of the decreasing summand from the
+    # first omitted term on: never above the all-terms sum, and close to it.
+    t = 2.0 ** -4
+    assert fk.radius_for(t, pot.alpha, pot.kappa) > 1000
+    every = fk.frozen_variance_sum(t, G1, pot, model)
+    monkeypatch.setattr(fk, "_EXACT_TERM_CAP", 1000)
+    capped = fk.frozen_variance_sum(t, G1, pot, model)
+    assert every * (1.0 - 1e-3) <= capped < every
+
+
+def test_radial_sum_ignores_the_cap_off_z1(monkeypatch):
+    g2 = GraphModel.zd_l1(2)
+    t = 2.0 ** -4
+    every = fk.lower_bound_sum(t, 1.0, iid_gaussian(1.0), g2)
+    monkeypatch.setattr(fk, "_EXACT_TERM_CAP", 10)
+    assert fk.lower_bound_sum(t, 1.0, iid_gaussian(1.0), g2) == every
+
+
+def test_lower_bound_is_the_stay_put_frozen_sum():
+    # Criterion 04's smallest t: a box radius of about 1.3e10, summed
+    # exactly to the cap and then by the integral tail.
+    t = 2.0 ** -12
+    model = iid_gaussian(1.0)
+    assert fk.radius_for(t, 0.5, 1.0) > 10 ** 10
+    assert fk.lower_bound_sum(t, 0.5, model, G1) == math.exp(-2.0 * t) \
+        * fk.frozen_variance_sum(t, G1, PotentialSpec(alpha=0.5), model)
+
+
 def test_riemann_limits():
     _, norm1 = fk.riemann_tail_sum(1e-6, 1.0, 2.0, graph=G1)
     assert norm1 ** 2 == pytest.approx(1.0, rel=0.01)
