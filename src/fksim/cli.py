@@ -247,10 +247,10 @@ def rigidity_demo(cfg, seed=None):
     if members < 1:
         raise ConfigError("members must be >= 1")
     seed = seed if seed is not None else cfg["seed"]
-    dim = len(graph.ball(graph.root, radius)[0])
+    trunc = Truncation.build(graph, spec, pot, radius)
+    dim = len(trunc.region.vertices)
     if dim > 400:
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
-    trunc = Truncation.build(graph, spec, pot, radius)
     # members x dim, ascending real parts
     eigs = trunc.eigenvalues(member_fields(trunc, graph, model, seed, members))
     # B is a half-plane of real eigenvalues until B in C is supported:

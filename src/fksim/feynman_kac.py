@@ -28,7 +28,7 @@ from scipy.special import gammaincc
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (CONSTANT, IID, POWER_DECAY, _field_rows,
-                    covariance_matrix, variance_at_origin)
+                    covariance_matrix, decay_kernel, variance_at_origin)
 from .operators import PotentialSpec, Truncation, expm_neg
 from .walker import _MAX_ELEMS, Region, sample_walks
 
@@ -73,7 +73,7 @@ def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
 
 def _field_region(graph, spec, pot, xi):
     """The region of an unkilled walk, every vertex the field covers, and
-    V + xi on it (+inf on Dirichlet vertices)."""
+    V + xi on it."""
     region = Region.build(graph, spec, xi.vertices)
     return region, np.array([pot.value(graph, v) + xi[v]
                              for v in region.vertices])
@@ -101,8 +101,6 @@ def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed, unkilled=True):
         region, cost = _field_region(graph, spec, pot, xi)
         ids = np.repeat([_region_id(region, u) for u in starts], per)
     else:
-        # Dirichlet vertices stay out of the region: entering one stops the
-        # walker like an exit, and both leave a zero weight.
         region, cost = trunc.region, trunc.potential + trunc.field(xi)
         ids = np.repeat(np.arange(len(starts)), per)
     walks = sample_walks(region, ids, t, np.random.default_rng(seed),
@@ -157,14 +155,11 @@ def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
 
 def member_fields(trunc, graph, model, seed, m):
     """Fields of m ensemble members on the truncation's vertices, one row
-    each: member i is row i of one (m, n) draw of ``default_rng(seed)`` on
-    the truncation's ball, so a member does not depend on m.  The
-    covariance is factored once for all members."""
-    ball, _ = graph.ball(graph.root, trunc.radius)
-    pos = {v: i for i, v in enumerate(ball)}
-    cols = [pos[v] for v in trunc.region.vertices]
-    return _field_rows(model, graph, ball, m,
-                       np.random.default_rng(seed))[:, cols]
+    each: member i is row i of one (m, n) draw of ``default_rng(seed)``, so
+    a member does not depend on m.  The covariance is factored once for all
+    members."""
+    return _field_rows(model, graph, trunc.region.vertices, m,
+                       np.random.default_rng(seed))
 
 
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
@@ -212,8 +207,6 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
                           "(closed-form inner covariance is Gaussian-only)")
     if n_rep < 2:
         raise DomainError("need at least two replicates")
-    # Dirichlet vertices stay out of the region: entering one stops the
-    # walker like an exit, and both leave a zero weight.
     trunc = Truncation.build(graph, spec, pot, box_radius)
     region, pv = trunc.region, trunc.potential
     gamma = covariance_matrix(model, graph, region.vertices)
@@ -334,8 +327,7 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
     acf = irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d)
     # Lag -k sits at index s - k, which a negative index reads directly.
     lags = np.r_[0:2 * r + 1, -2 * r:0]
-    kern = np.expm1(t2 * model.decay_scale
-                    * (_grid_norms(graph, lags) + 1.0) ** -model.beta)
+    kern = np.expm1(t2 * decay_kernel(model, _grid_norms(graph, lags)))
     return float((kern * acf[np.ix_(*[lags] * d)]).sum())
 
 
@@ -346,15 +338,14 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
     (``_radial_weight_sum``, with its integral tail on Z^1 past
     ``_EXACT_TERM_CAP`` terms); power decay is a convolution on the lattices
     and a pairwise sum over the ball on explicit graphs
-    (``_power_decay_pair_sum``).  Every route
-    assumes the radial potential V = (kappa d)^alpha - mu, so a potential
-    with Dirichlet vertices or custom values is refused.
+    (``_power_decay_pair_sum``).  Every route assumes the radial potential
+    V = (kappa d)^alpha - mu, so a potential with custom values is refused.
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    if pot.custom is not None or pot.dirichlet:
+    if pot.custom is not None:
         raise DomainError("the frozen sum needs the radial potential; custom "
-                          "values and Dirichlet vertices are not supported")
+                          "values are not supported")
     required = radius_for(t, pot.alpha, pot.kappa)
     if r is None:
         r = required

@@ -22,12 +22,12 @@ _LATTICE_KINDS = (ZD_L1, ZD_LINF)
 
 
 class GraphModel:
-    """A rooted graph with distance, sphere/ball enumeration and coordination bounds.
+    """A rooted graph with distance, sphere/ball enumeration and coordination counts.
 
     Immutable after construction (distance caches aside).
     """
 
-    def __init__(self, kind, d, root, adjacency=None, degree_bound=None):
+    def __init__(self, kind, d, root, adjacency=None):
         if kind not in (_LATTICE_KINDS + (EXPLICIT,)):
             raise ConfigError(f"unknown graph kind {kind!r}")
         if d < 1:
@@ -36,15 +36,6 @@ class GraphModel:
         self.d = int(d)
         self.root = root
         self.adjacency = adjacency
-        if kind == ZD_L1:
-            self.degree_bound = 2 * self.d
-        elif kind == ZD_LINF:
-            self.degree_bound = 3 ** self.d - 1
-        else:
-            degs = [len(nb) for nb in adjacency]
-            self.degree_bound = degree_bound if degree_bound is not None else max(degs, default=0)
-            if max(degs, default=0) > self.degree_bound:
-                raise ConfigError("declared degree_bound below actual maximum degree")
         self._dist_cache = {}
 
     # -- constructors ----------------------------------------------------
@@ -58,7 +49,7 @@ class GraphModel:
         return cls(ZD_LINF, d, root=(0,) * d)
 
     @classmethod
-    def explicit(cls, n_vertices, edges, root=0, degree_bound=None, d=1):
+    def explicit(cls, n_vertices, edges, root=0, d=1):
         adj = [set() for _ in range(n_vertices)]
         for u, v in edges:
             if u == v:
@@ -70,7 +61,7 @@ class GraphModel:
         adjacency = tuple(tuple(sorted(s)) for s in adj)
         if not 0 <= root < n_vertices:
             raise InputError(f"root {root} not a vertex")
-        return cls(EXPLICIT, d, root, adjacency=adjacency, degree_bound=degree_bound)
+        return cls(EXPLICIT, d, root, adjacency=adjacency)
 
     @classmethod
     def from_edge_list(cls, path, d=1):
@@ -183,14 +174,14 @@ class GraphModel:
         index = {v: i for i, v in enumerate(verts)}
         return verts, index
 
-    def coordination_count(self, n, center=None):
-        """c_n(center): number of vertices at distance exactly n.
+    def coordination_count(self, n):
+        """c_n: number of vertices at distance exactly n from the root.
 
-        Closed forms for the lattice kinds (center-independent); BFS for
-        explicit graphs.  On the lattices ``n`` may also be an array of
-        n >= 1, which gives float counts.  Both closed forms are sums of
-        positive terms, so nothing cancels: an integer n gives the exact
-        count, an array the count to roundoff (exact below 2**53).
+        Closed forms for the lattice kinds; BFS for explicit graphs.  On the
+        lattices ``n`` may also be an array of n >= 1, which gives float
+        counts.  Both closed forms are sums of positive terms, so nothing
+        cancels: an integer n gives the exact count, an array the count to
+        roundoff (exact below 2**53).
         """
         if np.ndim(n):
             if self.kind not in _LATTICE_KINDS:
@@ -214,5 +205,4 @@ class GraphModel:
             # (2n+1)^d - (2n-1)^d as the sum of its odd binomial terms.
             return sum(2 * comb(d, k) * (2 * n) ** (d - k)
                        for k in range(1, d + 1, 2))
-        center = self.root if center is None else center
-        return len(self._spheres(center, n)[n])
+        return len(self._spheres(self.root, n)[n])

@@ -74,8 +74,7 @@ def covariance(model, graph, u, v):
     if model.kind == CONSTANT:
         return model.gamma0
     if model.kind == POWER_DECAY:
-        dist = graph.distance(u, v)
-        return model.decay_scale * (dist + 1.0) ** (-model.beta)
+        return decay_kernel(model, graph.distance(u, v))
     raise DomainError(f"unknown noise kind {model.kind!r}")
 
 
@@ -95,7 +94,13 @@ def covariance_matrix(model, graph, vertices):
     else:
         dist = np.array([[graph.distance(u, v) for v in vertices]
                          for u in vertices], dtype=float).reshape(m, m)
-    return model.decay_scale * (dist + 1.0) ** (-model.beta)
+    return decay_kernel(model, dist)
+
+
+def decay_kernel(model, dist):
+    """Power-decay covariance decay_scale * (dist + 1)^-beta at graph
+    distance ``dist`` (elementwise for an array)."""
+    return model.decay_scale * (dist + 1.0) ** -model.beta
 
 
 def variance_at_origin(model):

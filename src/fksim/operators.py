@@ -1,10 +1,10 @@
 """Finite Dirichlet truncations of H = -H_X + V + xi and their spectra.
 
-The truncated operator lives on the radius-n ball around the root with the
-infinite-potential vertices removed entirely.  ``Truncation`` describes that
-region once as arrays (a ``walker.Region``, the potential vector and the
-off-diagonal entries), which the dense assembly, the batched eigenvalues and
-the killed Monte Carlo walks share.  At build it decides the eigen route:
+The truncated operator lives on the radius-n ball around the root; a walk
+is killed when it leaves the ball.  ``Truncation`` describes that ball once
+as arrays (a ``walker.Region``, the potential vector and the off-diagonal
+entries), which the dense assembly, the batched eigenvalues and the killed
+Monte Carlo walks share.  At build it decides the eigen route:
 a truncation whose off-diagonal part is symmetric up to roundoff (the
 lattices) takes LAPACK's symmetric solver, any other the general one.
 Matrix exponentials are scipy's Pade-13 scaling and squaring; traces over a
@@ -15,7 +15,7 @@ again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -29,19 +29,21 @@ from .walker import _MAX_ELEMS, Region
 class PotentialSpec:
     """Deterministic potential V(v) = (kappa * d(0, v))**alpha - mu.
 
-    Vertices in ``dirichlet`` carry V = +inf and are removed from every
-    truncation.  A ``custom`` map overrides the radial rule entirely.
+    A ``custom`` map overrides the radial rule entirely; its values must be
+    finite.
     """
 
     alpha: float = 2.0
     kappa: float = 1.0
     mu: float = 0.0
-    dirichlet: frozenset = frozenset()
     custom: Optional[dict] = None
 
+    def __post_init__(self):
+        if self.custom is not None and not all(map(isfinite,
+                                                   self.custom.values())):
+            raise InputError("custom potential values must be finite")
+
     def value(self, graph, v):
-        if v in self.dirichlet:
-            return inf
         if self.custom is not None:
             try:
                 return self.custom[v]
@@ -73,7 +75,7 @@ _SYMMETRY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Truncation:
-    """The radius-n ball minus its Dirichlet vertices, as arrays.
+    """The radius-n ball, as arrays in ``graph.ball`` order.
 
     ``region`` holds the walk's vertices, neighbour table, jump rates and
     distances; ``potential[i]`` is V at ``region.vertices[i]``; ``offdiag``
@@ -93,11 +95,8 @@ class Truncation:
     def build(cls, graph, spec, pot, n):
         if n < 0:
             raise DomainError("truncation radius must be >= 0")
-        ball, _ = graph.ball(graph.root, n)
-        values = [pot.value(graph, v) for v in ball]
-        vertices = [v for v, p in zip(ball, values) if p != inf]
-        if not vertices:
-            raise InputError("empty vertex list after Dirichlet removal")
+        vertices, _ = graph.ball(graph.root, n)
+        potential = np.array([pot.value(graph, v) for v in vertices])
         reg = Region.build(graph, spec, vertices)
         # Targets inside the region (nbr -1 marks the others and the padding),
         # with their jump probabilities from the cumulative rows.
@@ -113,9 +112,8 @@ class Truncation:
         tol = _SYMMETRY_RTOL * np.abs(vals).max(initial=0.0)
         symmetric = bool(np.array_equal(flat[a], mirror[b])
                          and np.all(np.abs(vals[a] - vals[b]) <= tol))
-        return cls(region=reg,
-                   potential=np.array([p for p in values if p != inf]),
-                   radius=n, offdiag=(rows, cols, vals), symmetric=symmetric)
+        return cls(region=reg, potential=potential, radius=n,
+                   offdiag=(rows, cols, vals), symmetric=symmetric)
 
     def field(self, xi):
         """The field's values on the truncation's vertices."""

@@ -25,6 +25,8 @@ from .errors import ConfigError, DomainError, InputError
 # stays bounded whatever the number of paths or replicates.
 _BATCH = 1 << 17
 _MAX_ELEMS = 4_100_000
+# Paths per round of sample_jump_counts; the draws depend on it.
+_JUMP_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,7 @@ def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None,
     and a jump out of the region raises InputError.
 
     With a ``cost`` vector over the region each path carries the integral of
-    the cost along it; a vertex of infinite cost absorbs the walker, and its
-    integral is then inf.  Without one each path carries its local times.
+    the cost along it; without one it carries its local times.
     """
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
@@ -273,10 +274,6 @@ def _advance(region, cur, exited, acc, horizon, rng, cost, limit, stop):
 
     left = np.full(len(cur), float(horizon))
     live = np.arange(len(cur))
-    if cost is not None:
-        absorbed = np.isinf(cost[cur])
-        acc[absorbed] = inf
-        live = live[~absorbed]
     while live.size:
         at = cur[live]
         draw = rng.standard_exponential(live.size)
@@ -301,19 +298,13 @@ def _advance(region, cur, exited, acc, horizon, rng, cost, limit, stop):
             raise InputError(f"a walk left the region from vertex {v!r}")
         gone = out | (dist[nxt] > limit)
         exited[live[gone]] = True
-        keep = np.ones(live.size, dtype=bool)
-        if stop:
-            nxt[gone] = -1
-            keep &= ~gone
-        if cost is not None:
-            absorbed = (nxt >= 0) & np.isinf(cost[nxt])
-            acc[live[absorbed]] = inf
-            keep &= ~absorbed
         cur[live] = nxt
-        live = live[keep]
+        if stop:
+            cur[live[gone]] = -1
+            live = live[~gone]
 
 
-def sample_jump_counts(q, horizon, n_paths, seed, chunk=100_000):
+def sample_jump_counts(q, horizon, n_paths, seed):
     """Jump counts of n_paths constant-rate walks, vectorized over paths.
 
     Holding times are i.i.d. exponential(q); the count is the number of
@@ -328,8 +319,8 @@ def sample_jump_counts(q, horizon, n_paths, seed, chunk=100_000):
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     rng = np.random.default_rng(seed)
     out = np.zeros(n_paths, dtype=np.int64)
-    for lo in range(0, n_paths, chunk):
-        counts = out[lo:lo + chunk]
+    for lo in range(0, n_paths, _JUMP_CHUNK):
+        counts = out[lo:lo + _JUMP_CHUNK]
         elapsed = np.zeros(len(counts))
         live = np.arange(len(counts))
         for _ in range(cap):

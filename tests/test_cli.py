@@ -220,6 +220,13 @@ def test_rigidity_demo_cut_at_shared_eigenvalue_any_ensemble_size():
         assert rep.passed and rep.mae[-1] == 0.0, (members, rep.mae)
 
 
+def test_rigidity_demo_caps_the_dimension():
+    # The Z^1 truncations of radius 199 and 200 have 399 and 401 vertices.
+    cli.rigidity_demo({"radius": "199", "members": "3"})
+    with pytest.raises(DomainError, match="dimension 401 exceeds the 400 cap"):
+        cli.rigidity_demo({"radius": "200", "members": "3"})
+
+
 def test_rigidity_demo_cut_below_spectrum(tmp_path, capsys):
     cfg = cli.parse_config(_write(tmp_path, """
 radius = 5
@@ -429,6 +436,22 @@ def test_benchmark_configs_use_known_keys(name):
     cfg = cli.parse_config(_BENCH_CONFIGS / f"{name}.cfg")
     keys = cli._COMMANDS[_BENCH_COMMANDS[name]][3]
     assert set(cfg) <= set(keys) | {"seed"}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_COMMANDS))
+def test_benchmark_configs_repeat_for_a_seed(name, tmp_path, capsys):
+    # Two runs at one seed print the same summary and write the same CSV
+    # (spectral-check and fk-compare write none).
+    argv = [_BENCH_COMMANDS[name], "--config",
+            str(_BENCH_CONFIGS / f"{name}.cfg"), "--seed", "41", "--out"]
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"{k}.csv"
+        rc = cli.main(argv + [str(out)])
+        runs.append((rc, capsys.readouterr().out,
+                     out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_every_traced_function_exists():

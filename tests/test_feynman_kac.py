@@ -347,11 +347,9 @@ def test_power_decay_pair_terms_use_expm1():
                                    power_decay_gaussian(beta=1.0)],
                          ids=["iid", "constant", "power_decay"])
 @pytest.mark.parametrize("pot", [
-    PotentialSpec(alpha=2.0, dirichlet=frozenset({(0,), (1,), (-1,)})),
-    PotentialSpec(alpha=2.0, custom={(0,): 0.0})], ids=["dirichlet", "custom"])
+    PotentialSpec(alpha=2.0, custom={(0,): 0.0})], ids=["custom"])
 def test_frozen_sum_refuses_non_radial_potential(model, pot):
-    # Every route assumes V = (kappa d)^alpha - mu; iid noise used to ignore
-    # the Dirichlet vertices while power decay honoured them.
+    # Every route assumes V = (kappa d)^alpha - mu.
     with pytest.raises(DomainError, match="radial potential"):
         fk.frozen_variance_sum(0.25, G1, pot, model)
 
@@ -465,13 +463,11 @@ def _member_fields_reference(trunc, graph, model, seed, m):
 
 
 def _field_cases():
-    # The explicit graph's radius-3 ball is (0, 1, 2, 4, 3, 5); Dirichlet
-    # vertex 2 drops the third column, not a trailing one.
+    # The explicit graph's ball keeps BFS order, not sorted order.
     explicit = Truncation.build(
         G_IRREGULAR, symmetric_walk(G_IRREGULAR, 1.0),
-        PotentialSpec(custom={v: 0.1 * v for v in range(6)},
-                      dirichlet=frozenset({2})), 3)
-    assert explicit.region.vertices == (0, 1, 4, 3, 5)
+        PotentialSpec(custom={v: 0.1 * v for v in range(6)}), 3)
+    assert explicit.region.vertices == (0, 1, 2, 4, 3, 5)
     g2 = GraphModel.zd_l1(2)
     return [(G1, Truncation.build(G1, SPEC, POT, 5)),
             (g2, Truncation.build(g2, symmetric_walk(g2, 1.0), POT, 3)),

@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from fksim.errors import ConfigError, DomainError, InputError
+from fksim.errors import DomainError, InputError
 from fksim.lattice import GraphModel
 
 
@@ -102,11 +102,6 @@ def test_explicit_disconnected_raises():
     g = GraphModel.explicit(4, [(0, 1), (2, 3)])
     with pytest.raises(InputError):
         g.distance(0, 3)
-
-
-def test_degree_bound_check():
-    with pytest.raises(ConfigError):
-        GraphModel.explicit(3, [(0, 1), (0, 2), (1, 2)], degree_bound=1)
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -28,14 +28,11 @@ def test_two_vertex_assembly():
     assert np.allclose(asm.matrix, [[1.0, -1.0], [-1.0, 1.0]])
 
 
-def test_dirichlet_vertex_removed():
-    g = GraphModel.explicit(2, [(0, 1)])
-    spec = symmetric_walk(g, 1.0)
-    xi = _zero_field([0, 1])
-    pot = PotentialSpec(custom={0: 0.0, 1: 0.0}, dirichlet=frozenset({1}))
-    asm = assemble(g, spec, pot, xi, 1)
-    assert asm.vertices == (0,)
-    assert np.allclose(asm.matrix, [[1.0]])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_custom_potential_must_be_finite(bad):
+    # An infinite value would otherwise reach the matrices and the walks.
+    with pytest.raises(InputError, match="finite"):
+        PotentialSpec(custom={0: 0.0, 1: bad})
 
 
 def test_z1_quadratic_potential_assembly():
@@ -198,8 +195,7 @@ def test_assemble_missing_field_value():
 
 def _reference_assembly(graph, spec, pot, xi, n):
     """The per-vertex loop that filled the truncation matrix entry by entry."""
-    ball, _ = graph.ball(graph.root, n)
-    vertices = [v for v in ball if pot.value(graph, v) != math.inf]
+    vertices, _ = graph.ball(graph.root, n)
     index = {v: i for i, v in enumerate(vertices)}
     m = len(vertices)
     h = np.zeros((m, m))
@@ -249,20 +245,19 @@ def _random_field(verts, seed):
 
 
 def test_truncation_matches_loop_on_explicit_graph():
-    # Radius 2 leaves vertex 5 outside and vertex 3 is Dirichlet, so targets
-    # drop out both ways; the kernel makes the matrix non-symmetric.
+    # Radius 2 leaves vertex 5 outside, so targets drop out; the kernel
+    # makes the matrix non-symmetric.
     spec = _explicit_spec(G_EXPLICIT)
-    pot = PotentialSpec(custom={v: 0.3 * v - 0.4 for v in range(6)},
-                        dirichlet=frozenset({3}))
+    pot = PotentialSpec(custom={v: 0.3 * v - 0.4 for v in range(6)})
     xi = _random_field(list(range(6)), seed=40)
     trunc = Truncation.build(G_EXPLICIT, spec, pot, 2)
     asm = trunc.assemble(xi)
     _assert_same_assembly(asm, _reference_assembly(G_EXPLICIT, spec, pot,
                                                    xi, 2))
-    assert asm.vertices == (0, 1, 2, 4)
+    assert asm.vertices == (0, 1, 2, 4, 3)
     assert not np.array_equal(asm.matrix, asm.matrix.T)
-    assert np.array_equal(trunc.potential, [-0.4, 0.3 - 0.4, 0.6 - 0.4,
-                                            1.2 - 0.4])
+    assert np.array_equal(trunc.potential,
+                          [0.3 * v - 0.4 for v in (0, 1, 2, 4, 3)])
 
 
 def test_truncation_matches_loop_on_z2_linf_ball():
