@@ -183,11 +183,13 @@ def sweep_variance(cfg, seed=None):
     # neither jumps give lower = e^{-2qt} frozen for any radial potential.
     do_lower = model.gamma0 >= 0
 
-    rows = []
+    rows, below = [], []
     for k in range(k_min, k_max + 1):
         t = 2.0 ** (-k)
-        radius = fixed_radius if fixed_radius is not None \
-            else radius_for(t, pot.alpha, pot.kappa)
+        certified = radius_for(t, pot.alpha, pot.kappa)
+        radius = certified if fixed_radius is None else fixed_radius
+        if m_draws and radius < certified:
+            below.append(t)
         # The frozen-sum column always uses its certified radius; a fixed
         # radius only constrains the matrix-exponential ensemble.
         frozen = frozen_variance_sum(t, graph, pot, model)
@@ -198,6 +200,11 @@ def sweep_variance(cfg, seed=None):
                                     m_draws, seed + k)
             ens_var, ens_se = est.value, est.stderr
         rows.append((t, frozen, ens_var, ens_se, lower, radius))
+    if below:
+        print(f"warning: radius {fixed_radius} is below radius_for(t) at "
+              f"t = {', '.join(map(_fmt, below))}; frozen and lower are "
+              f"summed over the certified box and need not bound those rows' "
+              f"ens_var", file=sys.stderr)
 
     slope, ci, r2 = fit_exponent([(t, f) for t, f, *_ in rows])
     expect = cfg.get("expect_slope")
@@ -391,12 +398,13 @@ def fk_compare(cfg, seed=None):
     radius, t, n_paths = cfg["radius"], cfg["t"], cfg["n_paths"]
     seed = seed if seed is not None else cfg["seed"]
     # Killed walkers stop at their exit, so the field is needed on the
-    # truncation ball alone.
-    ball, _ = graph.ball(graph.root, radius)
-    xi = sample_field(model, graph, ball, rng=np.random.default_rng(seed))
-    est = mc_dirichlet_trace(graph, spec, pot, xi, radius, t, n_paths,
+    # truncation ball alone.  Both estimators share the one truncation.
+    trunc = Truncation.build(graph, spec, pot, radius)
+    xi = sample_field(model, graph, trunc.region.vertices,
+                      rng=np.random.default_rng(seed))
+    est = mc_dirichlet_trace(graph, spec, pot, xi, trunc, t, n_paths,
                              seed + 1)
-    exact = exact_dirichlet_trace(graph, spec, pot, xi, radius, t)
+    exact = exact_dirichlet_trace(trunc, xi, t)
     # Without a finite positive SE (a stratum with one path, or every weight
     # zero) there is no evidence either way: z is NaN and the check fails.
     evidence = isfinite(est.stderr) and est.stderr > 0

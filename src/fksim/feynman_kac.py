@@ -86,15 +86,16 @@ def _region_id(region, v):
         raise InputError(f"field has no value at vertex {v!r}") from None
 
 
-def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed, unkilled=True):
-    """Per-start-vertex killed and unkilled return weights from shared paths.
+def _trace_samples(graph, spec, pot, xi, trunc, t, n_paths, seed,
+                   unkilled=True):
+    """Per-start-vertex killed and unkilled return weights from shared paths
+    on ``trunc``, the radius-n truncation of (graph, spec, pot).
 
     Returns (vertices, killed, unkilled) where killed/unkilled are lists of
     float arrays, one array per start vertex.  Without ``unkilled`` the
     walkers stop at their exit from the ball, the field is read on the ball
     alone, and the unkilled list is None.
     """
-    trunc = Truncation.build(graph, spec, pot, n)
     starts = trunc.region.vertices
     per = max(1, ceil(n_paths / len(starts)))
     if unkilled:
@@ -104,7 +105,8 @@ def _trace_samples(graph, spec, pot, xi, n, t, n_paths, seed, unkilled=True):
         region, cost = trunc.region, trunc.potential + trunc.field(xi)
         ids = np.repeat(np.arange(len(starts)), per)
     walks = sample_walks(region, ids, t, np.random.default_rng(seed),
-                         cost=cost, kill_radius=n, stop_at_exit=not unkilled)
+                         cost=cost, kill_radius=trunc.radius,
+                         stop_at_exit=not unkilled)
     uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
     kw = np.where(walks.exited, 0.0, uw)
     killed = list(kw.reshape(len(starts), per))
@@ -125,9 +127,10 @@ def _stratified_estimate(weights, t):
     return TraceEstimate(mean=mean, stderr=se, n_paths=n_total, t=t)
 
 
-def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
+def mc_dirichlet_trace(graph, spec, pot, xi, trunc, t, n_paths, seed,
                        with_unkilled=False):
-    """Estimate Tr e^{-tH_n}: paths killed on leaving the radius-n ball.
+    """Estimate Tr e^{-tH_n}: paths killed on leaving the radius-n ball of
+    ``trunc``, the radius-n truncation of (graph, spec, pot).
 
     Stratifies n_paths evenly across the ball's start vertices.  With
     ``with_unkilled`` also returns the no-killing trace estimate computed
@@ -136,7 +139,7 @@ def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    _, killed, unkilled = _trace_samples(graph, spec, pot, xi, n, t,
+    _, killed, unkilled = _trace_samples(graph, spec, pot, xi, trunc, t,
                                          n_paths, seed, unkilled=with_unkilled)
     est = _stratified_estimate(killed, t)
     if with_unkilled:
@@ -147,10 +150,9 @@ def mc_dirichlet_trace(graph, spec, pot, xi, n, t, n_paths, seed,
 # -- variance estimators -------------------------------------------------------
 
 
-def exact_dirichlet_trace(graph, spec, pot, xi, n, t):
-    """Tr e^{-tH_n} by dense matrix exponential."""
-    return float(np.trace(expm_neg(
-        Truncation.build(graph, spec, pot, n).assemble(xi).matrix, t)))
+def exact_dirichlet_trace(trunc, xi, t):
+    """Tr e^{-tH_n} on the truncation ``trunc`` by dense matrix exponential."""
+    return float(np.trace(expm_neg(trunc.assemble(xi).matrix, t)))
 
 
 def member_fields(trunc, graph, model, seed, m):

@@ -7,19 +7,20 @@ entries), which the dense assembly, the batched eigenvalues and the killed
 Monte Carlo walks share.  At build it decides the eigen route:
 a truncation whose off-diagonal part is symmetric up to roundoff (the
 lattices) takes LAPACK's symmetric solver, any other the general one.
-Matrix exponentials are scipy's Pade-13 scaling and squaring; traces over a
-t grid square e^{-tM} where the grid doubles t instead of exponentiating
+Matrix exponentials are a degree-16 Taylor polynomial, evaluated with six
+matrix products (Paterson-Stockmeyer), with scaling and squaring and a
+diagonal shift folded into the scale; no linear solve.  Traces over a t
+grid square e^{-tM} where the grid doubles t instead of exponentiating
 again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import ceil, factorial, isfinite, log2
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .errors import DomainError, InputError, NumericalError
 from .walker import _MAX_ELEMS, Region
@@ -166,8 +167,28 @@ def assemble(graph, spec, pot, xi, n):
 
 # -- matrix exponential ------------------------------------------------------
 
+# The largest theta with sum_{k>16} theta^k / k! <= 2^-53: for ||X||_1 <=
+# theta the degree-16 Taylor remainder of e^X is below unit roundoff.
+_THETA_16 = 0.8246
+# 1/k! for k = 4j + i in row j, column i: the Paterson-Stockmeyer blocks
+# B_j = sum_i c_{4j+i} X^i of T(X) = B_0 + X^4 (B_1 + X^4 (B_2 + X^4 (B_3
+# + c_16 X^4))).
+_TAYLOR_BLOCKS = np.array([[1.0 / factorial(4 * j + i) for i in range(4)]
+                           for j in range(4)])
+_TAYLOR_16 = 1.0 / factorial(16)
+
+
 def expm_neg(mat, t=1.0):
-    """e^{-t M} by scipy's degree-13 Pade scaling and squaring."""
+    """e^{-t M} by Taylor scaling and squaring (Higham 2005's shift).
+
+    With A = -tM and mu the midpoint of the real parts of A's diagonal,
+    e^A = e^mu e^{A - mu I}.  X = (A - mu I) / 2^s has ||X||_1 <= 0.8246;
+    its degree-16 Taylor polynomial (six products, Paterson-Stockmeyer with
+    block 4) times e^{mu / 2^s} is squared s times.  Folding e^mu into the
+    scaled factor keeps every intermediate within the size of the unshifted
+    method's, so the shift adds no overflow.  Real and complex M; a
+    non-finite or overflowing result raises ``NumericalError``.
+    """
     a = np.asarray(mat)
     if not np.issubdtype(a.dtype, np.complexfloating):
         a = a.astype(float)
@@ -178,7 +199,32 @@ def expm_neg(mat, t=1.0):
     a = -t * a
     if not np.all(np.isfinite(a)):
         raise NumericalError("overflow forming -t*M")
-    r = _scipy_expm(a)
+    n = len(a)
+    if n == 0:
+        return a
+    diag = np.arange(n)
+    real = a.real.diagonal()
+    mu = 0.5 * (real.max() + real.min())
+    a[diag, diag] -= mu
+    norm = np.abs(a).sum(axis=0).max()
+    if not isfinite(norm):
+        raise NumericalError("overflow in the matrix exponential")
+    s = max(0, ceil(log2(norm / _THETA_16))) if norm > 0.0 else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.empty((3, n, n), dtype=a.dtype)
+        np.multiply(a, 2.0 ** -s, out=powers[0])
+        np.matmul(powers[0], powers[0], out=powers[1])
+        np.matmul(powers[1], powers[0], out=powers[2])
+        x4 = powers[1] @ powers[1]
+        blocks = np.tensordot(_TAYLOR_BLOCKS[:, 1:], powers, axes=1)
+        blocks[:, diag, diag] += _TAYLOR_BLOCKS[:, :1]
+        r = _TAYLOR_16 * x4 + blocks[3]
+        for j in (2, 1, 0):
+            r = x4 @ r
+            r += blocks[j]
+        r *= np.exp(mu * 2.0 ** -s)
+        for _ in range(s):
+            r = r @ r
     if not np.all(np.isfinite(r)):
         raise NumericalError("overflow in the matrix exponential")
     return r

@@ -11,8 +11,8 @@ from fksim.lattice import GraphModel
 from fksim.noise import (constant_gaussian, iid_gaussian, moment_bound_probe,
                          power_decay_gaussian, sample_field,
                          taylor_bound_check)
-from fksim.operators import (PotentialSpec, assemble, multiplicity_pushforward,
-                             trace_identity_residual)
+from fksim.operators import (PotentialSpec, Truncation, assemble,
+                             multiplicity_pushforward, trace_identity_residual)
 from fksim.walker import symmetric_walk
 from fksim import feynman_kac as fk
 
@@ -140,8 +140,10 @@ def _fixed_field(radius=80, seed=800):
 def test_criterion_08_fk_vs_expm():
     xi = _fixed_field()
     t = 0.25
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 10, t, 200_000, seed=80)
-    exact = fk.exact_dirichlet_trace(G1, SPEC, POT, xi, 10, t)
+    trunc = Truncation.build(G1, SPEC, POT, 10)
+    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, trunc, t, 200_000,
+                                seed=80)
+    exact = fk.exact_dirichlet_trace(trunc, xi, t)
     z = abs(est.mean - exact) / est.stderr
     rel = est.stderr / exact
     ok = z <= 4.0 and rel < 0.02
@@ -151,12 +153,13 @@ def test_criterion_08_fk_vs_expm():
 def test_criterion_09_dirichlet_kernel():
     xi = _fixed_field()
     t = 0.25
-    starts, killed, unkilled = fk._trace_samples(G1, SPEC, POT, xi, 4, t,
+    trunc = Truncation.build(G1, SPEC, POT, 4)
+    starts, killed, unkilled = fk._trace_samples(G1, SPEC, POT, xi, trunc, t,
                                                  200_000, seed=90)
     pathwise = all(np.all(kw <= uw + 1e-15)
                    for kw, uw in zip(killed, unkilled))
     est = fk._stratified_estimate(killed, t)
-    exact = fk.exact_dirichlet_trace(G1, SPEC, POT, xi, 4, t)
+    exact = fk.exact_dirichlet_trace(trunc, xi, t)
     z = abs(est.mean - exact) / est.stderr
     ok = z <= 4.0 and pathwise
     _report(9, f"dirichlet kernel z={z:.2f} killed<=unkilled={pathwise}", ok)

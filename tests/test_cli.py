@@ -13,6 +13,7 @@ import fksim
 from fksim.errors import ConfigError, DomainError
 from fksim import cli, operators
 from fksim.feynman_kac import member_fields
+from fksim.lattice import GraphModel
 from fksim.walker import MarkovSpec, chernoff_jump_bound, sample_jump_counts
 
 
@@ -65,15 +66,26 @@ def test_fit_exponent_ci_matches_scipy_stats():
         assert ci == float(stats.t.ppf(0.975, n - 2)) * se, n
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the start-up time and no subcommand needs it.
+def _scipy_modules_after_cli_import(sub):
+    """The scipy.<sub> modules that a fresh ``import fksim.cli`` loads."""
     code = ("import sys; from fksim import cli; print(sorted(k for k in "
-            "sys.modules if k.split('.')[:2] == ['scipy', 'stats']))")
+            f"sys.modules if k.split('.')[:2] == ['scipy', {sub!r}]))")
     env = {**os.environ, "PYTHONPATH": str(Path(fksim.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the start-up time and no subcommand needs it.
+    assert _scipy_modules_after_cli_import("stats") == "[]"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # The matrix exponential is numpy products alone; scipy.linalg took
+    # about 0.27 s of the import.
+    assert _scipy_modules_after_cli_import("linalg") == "[]"
 
 
 def test_fit_exponent_too_few_rows():
@@ -193,6 +205,32 @@ t_exp_max = 5
 """, seed=1)
     for r in rows:
         assert r["lower"] == math.exp(-2.0 * r["t"]) * r["frozen"] > 0.0
+
+
+@pytest.mark.parametrize("text, warned", [
+    ("radius = 55\n", (0.125, 0.0625)),  # radius_for: 50, 52, 56, 63
+    ("radius = 70\n", ()),
+    ("", ()),                            # each t at its certified radius
+    ("radius = 55\nensemble = 0\n", ()),  # no ens_var column to bound
+])
+def test_sweep_warns_below_the_certified_radius(tmp_path, capsys, text,
+                                                warned):
+    path = _write(tmp_path, "ensemble = 3\nt_exp_min = 1\nt_exp_max = 4\n"
+                  + text)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep-variance", "--config", path, "--seed", "6",
+                     "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    if not warned:
+        assert err == ""
+        return
+    line, = err.splitlines()
+    assert line.startswith("warning: radius 55 is below radius_for(t) at t = "
+                           + ", ".join(map(repr, warned)) + ";")
+    assert "ens_var" in line
+    radius = [int(row.split(",")[-1])
+              for row in out.read_text().splitlines()[2:]]
+    assert radius == [55] * 4
 
 
 def test_rigidity_demo_deterministic_noise(tmp_path):
@@ -514,6 +552,17 @@ def test_cli_fk_compare_refuses_without_evidence(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
     assert cli.main(["fk-compare", "--config", cfg, "--seed", "0"]) == 2
     assert "pass=False" in capsys.readouterr().out
+
+
+def test_cli_fk_compare_builds_one_ball(tmp_path, capsys, monkeypatch):
+    # The field, the Monte Carlo walks and the exact trace share one
+    # truncation, so the radius-n ball is built once.
+    balls, real = [], GraphModel.ball
+    monkeypatch.setattr(GraphModel, "ball",
+                        lambda self, *a: balls.append(a) or real(self, *a))
+    cfg = _write(tmp_path, "radius = 6\nt = 0.25\nn_paths = 2000\n")
+    cli.main(["fk-compare", "--config", cfg, "--seed", "5"])
+    assert balls == [((0,), 6)]
 
 
 def test_cli_fk_compare_summary_repeats_for_a_seed(tmp_path, capsys):

@@ -18,6 +18,10 @@ SPEC = symmetric_walk(G1, 1.0)
 POT = PotentialSpec(alpha=2.0)
 
 
+def _trunc(n):
+    return Truncation.build(G1, SPEC, POT, n)
+
+
 def _zero_field(verts):
     return FieldSample(tuple(verts), {v: 0.0 for v in verts})
 
@@ -33,7 +37,8 @@ def test_dirichlet_root_only():
     verts, _ = G1.ball((0,), 50)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=6)
     t = 0.5
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 0, t, 40000, seed=7)
+    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(0), t, 40000,
+                                seed=7)
     expected = math.exp(-t * (1.0 + 0.0 + xi[(0,)]))
     assert abs(est.mean - expected) < 3 * est.stderr
 
@@ -41,16 +46,16 @@ def test_dirichlet_root_only():
 def test_killed_below_unkilled_pathwise():
     verts, _ = G1.ball((0,), 60)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=8)
-    starts, killed, unkilled = fk._trace_samples(G1, SPEC, POT, xi, 3, 0.8,
-                                                 5000, seed=9)
+    starts, killed, unkilled = fk._trace_samples(G1, SPEC, POT, xi, _trunc(3),
+                                                 0.8, 5000, seed=9)
     for kw, uw in zip(killed, unkilled):
         assert np.all(kw <= uw + 1e-15)
 
 
 def test_killing_immaterial_for_huge_radius():
     xi = _wide_zero_field()
-    k, u = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 40, 0.5, 3000, seed=10,
-                                 with_unkilled=True)
+    k, u = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(40), 0.5, 3000,
+                                 seed=10, with_unkilled=True)
     assert k.mean == u.mean
 
 
@@ -280,7 +285,8 @@ def test_killed_trace_needs_the_field_on_the_ball_only():
     # for a long horizon.
     verts, _ = G1.ball((0,), 2)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 2, 5.0, 2000, seed=2)
+    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(2), 5.0, 2000,
+                                seed=2)
     assert math.isfinite(est.mean) and est.mean > 0
     assert math.isfinite(est.stderr) and est.stderr > 0
 
@@ -289,14 +295,15 @@ def test_unkilled_trace_refuses_walks_beyond_the_field():
     verts, _ = G1.ball((0,), 2)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
     with pytest.raises(InputError):
-        fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 2, 5.0, 2000, seed=2,
-                              with_unkilled=True)
+        fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(2), 5.0, 2000,
+                              seed=2, with_unkilled=True)
 
 
 def test_stratified_se_undefined_with_one_path_per_stratum():
     verts, _ = G1.ball((0,), 10)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=4)
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, 10, 0.25, 5, seed=5)
+    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(10), 0.25, 5,
+                                seed=5)
     assert math.isnan(est.stderr)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from fksim import operators
 from fksim.errors import DomainError, InputError, NumericalError
+from fksim.feynman_kac import member_fields
 from fksim.lattice import GraphModel
 from fksim.noise import FieldSample, iid_gaussian, sample_field
 from fksim.operators import (PotentialSpec, Truncation, assemble, expm_neg,
@@ -114,6 +115,44 @@ def test_expm_rejects_nonfinite():
 def test_expm_rejects_nonsquare():
     with pytest.raises(InputError):
         expm_neg(np.zeros((2, 3)))
+
+
+def test_expm_complex_hermitian_matches_eigh():
+    # e^{-tH} = Q e^{-t Lambda} Q* for a complex Hermitian H = Q Lambda Q*.
+    rng = np.random.default_rng(1)
+    for n in (3, 12, 40):
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = c + c.conj().T + np.diag(rng.uniform(0.0, 10.0, n))
+        lam, q = np.linalg.eigh(h)
+        for t in (0.1, 1.0, 4.0):
+            ref = (q * np.exp(-t * lam)) @ q.conj().T
+            got = expm_neg(h, t)
+            assert got.dtype == complex
+            assert np.allclose(got, ref, rtol=0.0,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+def test_expm_wide_diagonal_needs_no_overflow():
+    # The shift by the diagonal's midpoint (-1000) is folded into the scaled
+    # factor, so e^{-2000} underflows to 0 and nothing overflows on the way.
+    got = expm_neg(np.diag([0.0, 2000.0]), 1.0)
+    assert np.allclose(got, [[1.0, 0.0], [0.0, 0.0]], rtol=1e-12, atol=0.0)
+
+
+def test_expm_traces_match_eigenvalues_at_benchmark_scale():
+    # The Z^2 radius-10 ball (dimension 221) with i.i.d. noise, as the
+    # exact_spectral_check config runs it.
+    graph = GraphModel.zd_l1(2)
+    trunc = Truncation.build(graph, symmetric_walk(graph, 1.0),
+                             PotentialSpec(alpha=2.0), 10)
+    for seed in range(5):
+        field = member_fields(trunc, graph, iid_gaussian(1.0), seed, 1)
+        mat = trunc.matrices(field)[0]
+        lam = np.linalg.eigvalsh(mat)
+        got = operators._expm_traces(mat, (0.5, 1.0))
+        for t, tr in zip((0.5, 1.0), got):
+            assert tr == pytest.approx(np.exp(-t * lam).sum(), rel=1e-12,
+                                       abs=0.0)
 
 
 def test_spectrum_multiplicities():
