@@ -8,10 +8,10 @@ imported here, so that ``python -m fksim.cli`` runs it without a warning.
 
 from .errors import ConfigError, DomainError, InputError, NumericalError
 from .lattice import GraphModel
-from .noise import (FieldSample, NoiseModel, constant_gaussian, covariance,
-                    iid_gaussian, moment_bound_probe, power_decay_gaussian,
-                    sample_field, taylor_bound_check, variance_at_origin)
-from .operators import (OperatorAssembly, PotentialSpec, assemble, expm_neg,
+from .noise import (NoiseModel, constant_gaussian, covariance, iid_gaussian,
+                    moment_bound_probe, power_decay_gaussian, sample_field,
+                    taylor_bound_check, variance_at_origin)
+from .operators import (PotentialSpec, assemble, expm_neg,
                         multiplicity_pushforward, spectrum,
                         trace_identity_residual)
 from .walker import (MarkovSpec, PathRecord, chernoff_jump_bound,

@@ -400,11 +400,10 @@ def fk_compare(cfg, seed=None):
     # Killed walkers stop at their exit, so the field is needed on the
     # truncation ball alone.  Both estimators share the one truncation.
     trunc = Truncation.build(graph, spec, pot, radius)
-    xi = sample_field(model, graph, trunc.region.vertices,
-                      rng=np.random.default_rng(seed))
-    est = mc_dirichlet_trace(graph, spec, pot, xi, trunc, t, n_paths,
-                             seed + 1)
-    exact = exact_dirichlet_trace(trunc, xi, t)
+    field = sample_field(model, graph, trunc.region.vertices,
+                         rng=np.random.default_rng(seed))
+    est = mc_dirichlet_trace(trunc, field, t, n_paths, seed + 1)
+    exact = exact_dirichlet_trace(trunc, field, t)
     # Without a finite positive SE (a stratum with one path, or every weight
     # zero) there is no evidence either way: z is NaN and the check fails.
     evidence = isfinite(est.stderr) and est.stderr > 0

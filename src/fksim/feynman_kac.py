@@ -1,12 +1,14 @@
 """Path-integral estimators of semigroup traces, the paired-walker variance
 identity, and the deterministic sums behind the small-t scaling laws.
 
-Monte Carlo routes describe the vertices a walk may visit once as a
-``walker.Region`` and sample all paths in numpy batches with
-``walker.sample_walks``.  Trace estimators weight each path by
-e^{-integral of (V + xi)}; killed-trace walkers stop at their exit from the
-ball of the ``operators.Truncation`` that the exact routes assemble, so the
-field is needed on the ball alone.  The paired-walker variance
+Monte Carlo routes walk on the region of an ``operators.Truncation`` and
+sample all paths in numpy batches with ``walker.sample_walks``.  A field
+is a float array on the truncation's vertices, as the exact routes take
+it.  Trace estimators weight each path by e^{-integral of (V + xi)};
+killed-trace walkers stop at their exit from the truncation's ball, so the
+field is needed on the ball alone, unless the no-killing estimate is
+wanted too: then they walk inside a larger truncation that carries the
+field and are flagged past the ball's radius.  The paired-walker variance
 uses dense local-time rows, so that every start pair of a replicate comes
 from one matrix product with the box covariance.  Deterministic routes
 evaluate the frozen-walk double sum on a certified box: in closed radial
@@ -30,7 +32,7 @@ from .lattice import ZD_L1, ZD_LINF
 from .noise import (CONSTANT, IID, POWER_DECAY, _field_rows,
                     covariance_matrix, decay_kernel, variance_at_origin)
 from .operators import PotentialSpec, Truncation, expm_neg
-from .walker import _MAX_ELEMS, Region, sample_walks
+from .walker import _MAX_ELEMS, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
@@ -71,48 +73,38 @@ def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
 # -- Monte Carlo trace ---------------------------------------------------------
 
 
-def _field_region(graph, spec, pot, xi):
-    """The region of an unkilled walk, every vertex the field covers, and
-    V + xi on it."""
-    region = Region.build(graph, spec, xi.vertices)
-    return region, np.array([pot.value(graph, v) + xi[v]
-                             for v in region.vertices])
-
-
-def _region_id(region, v):
-    try:
-        return region.index[v]
-    except KeyError:
-        raise InputError(f"field has no value at vertex {v!r}") from None
-
-
-def _trace_samples(graph, spec, pot, xi, trunc, t, n_paths, seed,
-                   unkilled=True):
+def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
     """Per-start-vertex killed and unkilled return weights from shared paths
-    on ``trunc``, the radius-n truncation of (graph, spec, pot).
+    on the truncation ``trunc`` with ``field`` on its vertices.
 
-    Returns (vertices, killed, unkilled) where killed/unkilled are lists of
-    float arrays, one array per start vertex.  Without ``unkilled`` the
-    walkers stop at their exit from the ball, the field is read on the ball
-    alone, and the unkilled list is None.
+    Returns (killed, unkilled), lists of float arrays with one array per
+    start vertex.  Without
+    ``kill_radius`` the walks start on every vertex of ``trunc``, are killed
+    on leaving it and stop there, and unkilled is None.  With it, they start
+    on the vertices within ``kill_radius`` of the root (the radius-n ball,
+    in its order), are killed past it and walk on inside ``trunc``.
     """
-    starts = trunc.region.vertices
-    per = max(1, ceil(n_paths / len(starts)))
-    if unkilled:
-        region, cost = _field_region(graph, spec, pot, xi)
-        ids = np.repeat([_region_id(region, u) for u in starts], per)
+    region = trunc.region
+    field = np.asarray(field, dtype=float)
+    if field.shape != trunc.potential.shape:
+        raise InputError(f"field must have {len(trunc.potential)} values")
+    if kill_radius is None:
+        starts = np.arange(len(region.vertices))
+    elif kill_radius < 0:
+        raise DomainError("kill radius must be >= 0")
     else:
-        region, cost = trunc.region, trunc.potential + trunc.field(xi)
-        ids = np.repeat(np.arange(len(starts)), per)
+        starts = np.flatnonzero(region.dist <= kill_radius)
+    per = max(1, ceil(n_paths / len(starts)))
+    ids = np.repeat(starts, per)
     walks = sample_walks(region, ids, t, np.random.default_rng(seed),
-                         cost=cost, kill_radius=trunc.radius,
-                         stop_at_exit=not unkilled)
+                         cost=trunc.potential + field,
+                         kill_radius=kill_radius)
     uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
     kw = np.where(walks.exited, 0.0, uw)
     killed = list(kw.reshape(len(starts), per))
-    if not unkilled:
-        return starts, killed, None
-    return starts, killed, list(uw.reshape(len(starts), per))
+    if kill_radius is None:
+        return killed, None
+    return killed, list(uw.reshape(len(starts), per))
 
 
 def _stratified_estimate(weights, t):
@@ -127,32 +119,32 @@ def _stratified_estimate(weights, t):
     return TraceEstimate(mean=mean, stderr=se, n_paths=n_total, t=t)
 
 
-def mc_dirichlet_trace(graph, spec, pot, xi, trunc, t, n_paths, seed,
-                       with_unkilled=False):
-    """Estimate Tr e^{-tH_n}: paths killed on leaving the radius-n ball of
-    ``trunc``, the radius-n truncation of (graph, spec, pot).
+def mc_dirichlet_trace(trunc, field, t, n_paths, seed, kill_radius=None):
+    """Estimate Tr e^{-tH_n} from paths killed on leaving the radius-n ball,
+    stratified evenly over the ball's start vertices.
 
-    Stratifies n_paths evenly across the ball's start vertices.  With
-    ``with_unkilled`` also returns the no-killing trace estimate computed
-    from the same sampled paths, which then walk on past their exit and need
-    the field wherever they go; otherwise the field is read on the ball only.
+    Without ``kill_radius`` the ball is the truncation ``trunc`` and
+    ``field`` its values there.  With ``kill_radius=n``, ``trunc`` is a
+    larger truncation carrying the field, the killed walkers walk on inside
+    it, and the no-killing estimate from the same paths is returned too.
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    _, killed, unkilled = _trace_samples(graph, spec, pot, xi, trunc, t,
-                                         n_paths, seed, unkilled=with_unkilled)
+    killed, unkilled = _trace_samples(trunc, field, t, n_paths, seed,
+                                      kill_radius)
     est = _stratified_estimate(killed, t)
-    if with_unkilled:
-        return est, _stratified_estimate(unkilled, t)
-    return est
+    if kill_radius is None:
+        return est
+    return est, _stratified_estimate(unkilled, t)
 
 
 # -- variance estimators -------------------------------------------------------
 
 
-def exact_dirichlet_trace(trunc, xi, t):
-    """Tr e^{-tH_n} on the truncation ``trunc`` by dense matrix exponential."""
-    return float(np.trace(expm_neg(trunc.assemble(xi).matrix, t)))
+def exact_dirichlet_trace(trunc, field, t):
+    """Tr e^{-tH_n} on the truncation ``trunc``, with ``field`` on its
+    vertices, by dense matrix exponential."""
+    return float(np.trace(expm_neg(trunc.matrices([field])[0], t)))
 
 
 def member_fields(trunc, graph, model, seed, m):
@@ -221,7 +213,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)
         block_ids = np.tile(ids, 2 * r)
-        walks = sample_walks(region, block_ids, t, rng, stop_at_exit=True)
+        walks = sample_walks(region, block_ids, t, rng)
         loc = walks.local
         lg = loc @ gamma
         back = walks.endpoint == block_ids
@@ -278,7 +270,7 @@ def _radial_weight_sum(graph, pot, c, r):
 
 def _ball_arrays(graph, pot, model, r):
     """Potential vector and covariance matrix over the radius-r ball."""
-    verts, _ = graph.ball(graph.root, r)
+    verts = graph.ball(graph.root, r)
     m = len(verts)
     if m * m > 40_000_000:
         raise DomainError(f"pairwise sum over {m} vertices is too large")

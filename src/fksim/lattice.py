@@ -162,17 +162,16 @@ class GraphModel:
         return layers
 
     def ball(self, center, n):
-        """Ordered vertex list of the radius-n ball and its vertex -> index map.
+        """Ordered vertex list of the radius-n ball.
 
         Lattice kinds are lexicographically ordered for reproducible matrices;
-        explicit graphs keep BFS insertion order.
+        explicit graphs keep BFS insertion order.  Either way the radius-k
+        ball, k <= n, is the radius-n ball's vertices within k, in order.
         """
-        layers = self._spheres(center, n)
-        verts = [v for layer in layers for v in layer]
+        verts = [v for layer in self._spheres(center, n) for v in layer]
         if self.kind in _LATTICE_KINDS:
             verts.sort()
-        index = {v: i for i, v in enumerate(verts)}
-        return verts, index
+        return verts
 
     def coordination_count(self, n):
         """c_n: number of vertices at distance exactly n from the root.

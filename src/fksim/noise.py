@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalError
+from .errors import DomainError, NumericalError
 from .lattice import ZD_L1, ZD_LINF
 
 IID = "iid"
@@ -51,20 +51,6 @@ def power_decay_gaussian(beta, decay_scale=1.0, moment_constant=1.0):
 
 def constant_gaussian(gamma0=1.0, moment_constant=1.0):
     return NoiseModel(CONSTANT, gamma0=gamma0, moment_constant=moment_constant)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """A realized field: one value per requested vertex."""
-
-    vertices: tuple
-    values: dict
-
-    def __getitem__(self, v):
-        try:
-            return self.values[v]
-        except KeyError:
-            raise InputError(f"field has no value at vertex {v!r}") from None
 
 
 def covariance(model, graph, u, v):
@@ -111,12 +97,11 @@ def variance_at_origin(model):
 
 
 def sample_field(model, graph, vertices, seed=None, rng=None):
-    """Draw one realization of the field on an ordered vertex list."""
+    """One realization of the field on an ordered vertex list: a float
+    array whose i-th value is the field at ``vertices[i]``."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    vertices = tuple(vertices)
-    vals = _field_rows(model, graph, vertices, 1, rng)[0]
-    return FieldSample(vertices=vertices, values=dict(zip(vertices, vals)))
+    return _field_rows(model, graph, tuple(vertices), 1, rng)[0]
 
 
 def _field_rows(model, graph, vertices, m, rng):

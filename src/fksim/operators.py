@@ -57,17 +57,6 @@ class PotentialSpec:
         return (self.kappa * dist) ** self.alpha - self.mu
 
 
-@dataclass(frozen=True)
-class OperatorAssembly:
-    """Dense truncation matrix with its vertex ordering and potential floor."""
-
-    vertices: tuple
-    index: dict
-    matrix: np.ndarray
-    radius: int
-    omega0: float
-
-
 # Off-diagonal entries that differ by at most this fraction of the largest
 # one count as symmetric: jump probabilities are differences of cumulative
 # rows, so Z^3 l1 entries differ by 1.1e-16 where the exact values agree.
@@ -83,7 +72,8 @@ class Truncation:
     is the (rows, cols, values) of -H_X off the diagonal.  ``symmetric``
     says whether those entries are symmetric up to roundoff, which selects
     the eigen route.  Built once per (graph, walk, potential, radius), it
-    serves any number of fields.
+    serves any number of fields; a field is a float array with one value
+    per vertex, in ``region.vertices`` order.
     """
 
     region: Region
@@ -96,7 +86,7 @@ class Truncation:
     def build(cls, graph, spec, pot, n):
         if n < 0:
             raise DomainError("truncation radius must be >= 0")
-        vertices, _ = graph.ball(graph.root, n)
+        vertices = graph.ball(graph.root, n)
         potential = np.array([pot.value(graph, v) for v in vertices])
         reg = Region.build(graph, spec, vertices)
         # Targets inside the region (nbr -1 marks the others and the padding),
@@ -116,11 +106,6 @@ class Truncation:
         return cls(region=reg, potential=potential, radius=n,
                    offdiag=(rows, cols, vals), symmetric=symmetric)
 
-    def field(self, xi):
-        """The field's values on the truncation's vertices."""
-        return np.fromiter(map(xi.__getitem__, self.region.vertices),
-                           dtype=float, count=len(self.region.vertices))
-
     def matrices(self, fields):
         """Dense matrices of -H_X + V + xi, one per row of ``fields`` (the
         field's values on the truncation's vertices)."""
@@ -134,15 +119,6 @@ class Truncation:
         rows, cols, vals = self.offdiag
         h[:, rows, cols] = vals
         return h
-
-    def assemble(self, xi):
-        """Dense matrix of -H_X + V + xi on the truncation."""
-        field = self.field(xi)
-        return OperatorAssembly(vertices=self.region.vertices,
-                                index=self.region.index,
-                                matrix=self.matrices(field[None])[0],
-                                radius=self.radius,
-                                omega0=float((self.potential + field).min()))
 
     def eigenvalues(self, fields):
         """Ascending eigenvalues of the matrix of each row of ``fields``.
@@ -160,9 +136,10 @@ class Truncation:
         return np.sort(np.concatenate(parts or [np.empty((0, size))]), axis=1)
 
 
-def assemble(graph, spec, pot, xi, n):
-    """Build the radius-n Dirichlet truncation of -H_X + V + xi."""
-    return Truncation.build(graph, spec, pot, n).assemble(xi)
+def assemble(graph, spec, pot, field, n):
+    """Dense matrix of the radius-n Dirichlet truncation of -H_X + V + xi,
+    with ``field`` the values of xi in ``graph.ball`` order."""
+    return Truncation.build(graph, spec, pot, n).matrices([field])[0]
 
 
 # -- matrix exponential ------------------------------------------------------
@@ -314,10 +291,8 @@ def trace_identity_residual(mat, t, cluster_tol=None):
     """Relative gap between Tr e^{-tM} and the exponential linear statistic."""
     if t <= 0:
         raise DomainError("t must be positive")
-    a = getattr(mat, "matrix", mat)
-    tr = np.trace(expm_neg(a, t))
-    spec = spectrum(a, cluster_tol)
-    stat = spec.linear_statistic(t)
+    tr = np.trace(expm_neg(mat, t))
+    stat = spectrum(mat, cluster_tol).linear_statistic(t)
     return abs(tr - stat) / abs(tr)
 
 

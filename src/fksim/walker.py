@@ -5,8 +5,10 @@ each visited vertex, then a jump drawn from the vertex's kernel; time is
 never discretised.  ``sample_path`` draws one trajectory with its local-time
 map.  The Monte Carlo estimators instead describe the vertices a walk may
 visit once as a ``Region`` of arrays and advance whole batches of walkers
-together in numpy with ``sample_walks``.  ``sample_jump_counts`` gives the
-jump counts of constant-rate walks for the Poisson-tail checks.
+together in numpy with ``sample_walks``; a walker stops on leaving the
+region or, given a kill radius, is flagged past it and walks on.
+``sample_jump_counts`` gives the jump counts of constant-rate walks for the
+Poisson-tail checks.
 """
 
 from __future__ import annotations
@@ -169,7 +171,6 @@ class Region:
     """
 
     vertices: tuple
-    index: dict
     nbr: np.ndarray
     cum: np.ndarray
     deg: np.ndarray
@@ -203,8 +204,8 @@ class Region:
             rate[i] = r
         dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
                            dtype=np.int64, count=m)
-        return cls(vertices=vertices, index=index, nbr=nbr, cum=cum, deg=deg,
-                   rate=rate, dist=dist)
+        return cls(vertices=vertices, nbr=nbr, cum=cum, deg=deg, rate=rate,
+                   dist=dist)
 
 
 @dataclass(frozen=True)
@@ -223,18 +224,17 @@ class Walks:
     local: Optional[np.ndarray] = None
 
 
-def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None,
-                 stop_at_exit=False):
+def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None):
     """Sample one walk from each start (a region id) up to the horizon.
 
     All walkers of a batch advance together in numpy; each live walker draws
     an exponential holding time and then its jump, as in ``sample_path``.
     The result is deterministic given the generator state.
 
-    A walker exits when it reaches a vertex farther than ``kill_radius`` from
-    the root.  With ``stop_at_exit`` an exited walker stops there, and a jump
-    out of the region also counts as an exit; otherwise the walker goes on,
-    and a jump out of the region raises InputError.
+    Without ``kill_radius`` a walker exits by leaving the region and stops
+    there.  With it, a walker exits on reaching a vertex farther than
+    ``kill_radius`` from the root and walks on, so the region must hold
+    every vertex it reaches: a jump out of the region raises InputError.
 
     With a ``cost`` vector over the region each path carries the integral of
     the cost along it; without one it carries its local times.
@@ -244,23 +244,24 @@ def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None,
     starts = np.asarray(starts, dtype=np.intp)
     n = len(starts)
     endpoint = starts.copy()
-    exited = np.zeros(n, dtype=bool)
+    # A walker that starts past the kill radius has exited, jump or not.
+    exited = (np.zeros(n, dtype=bool) if kill_radius is None
+              else region.dist[starts] > kill_radius)
     if cost is None:
         acc = np.zeros((n, len(region.vertices)))
     else:
         cost = np.asarray(cost, dtype=float)
         acc = np.zeros(n)
-    limit = inf if kill_radius is None else kill_radius
     for lo in range(0, n, _BATCH):
         part = slice(lo, lo + _BATCH)
         _advance(region, endpoint[part], exited[part], acc[part], horizon,
-                 rng, cost, limit, stop_at_exit)
+                 rng, cost, kill_radius)
     if cost is None:
         return Walks(endpoint=endpoint, exited=exited, local=acc)
     return Walks(endpoint=endpoint, exited=exited, integral=acc)
 
 
-def _advance(region, cur, exited, acc, horizon, rng, cost, limit, stop):
+def _advance(region, cur, exited, acc, horizon, rng, cost, kill_radius):
     """Walk one batch in place: ``cur`` holds the start ids on entry and the
     endpoints on return; ``acc`` receives integrals or local-time rows."""
     rate, nbr, cum, deg, dist = (region.rate, region.nbr, region.cum,
@@ -292,16 +293,16 @@ def _advance(region, cur, exited, acc, horizon, rng, cost, limit, stop):
         u = rng.random(live.size)
         k = np.minimum((cum[at] <= u[:, None]).sum(axis=1), deg[at] - 1)
         nxt = nbr[at, k]
+        cur[live] = nxt
         out = nxt < 0
-        if out.any() and not stop:
+        if kill_radius is None:
+            exited[live[out]] = True
+            live = live[~out]
+        elif out.any():
             v = region.vertices[at[np.argmax(out)]]
             raise InputError(f"a walk left the region from vertex {v!r}")
-        gone = out | (dist[nxt] > limit)
-        exited[live[gone]] = True
-        cur[live] = nxt
-        if stop:
-            cur[live[gone]] = -1
-            live = live[~gone]
+        else:
+            exited[live[dist[nxt] > kill_radius]] = True
 
 
 def sample_jump_counts(q, horizon, n_paths, seed):

@@ -66,14 +66,14 @@ def test_criterion_05_riemann_limit():
 
 
 def test_criterion_06_trace_identity():
-    verts, _ = G1.ball((0,), 8)
+    verts = G1.ball((0,), 8)
     rng = np.random.default_rng(60)
     worst = 0.0
     for _ in range(50):
         xi = sample_field(iid_gaussian(1.0), G1, verts, rng=rng)
-        asm = assemble(G1, SPEC, POT, xi, 8)
+        h = assemble(G1, SPEC, POT, xi, 8)
         for t in (0.5, 1.0):
-            worst = max(worst, trace_identity_residual(asm, t))
+            worst = max(worst, trace_identity_residual(h, t))
     _report(6, f"trace identity worst residual={worst:.2e}", worst < 1e-8)
 
 
@@ -132,17 +132,26 @@ def test_criterion_07_multiplicity_pushforward():
             ok and saw_alias)
 
 
-def _fixed_field(radius=80, seed=800):
-    verts, _ = G1.ball((0,), radius)
-    return sample_field(iid_gaussian(1.0), G1, verts, seed=seed)
+_WIDE = 80
+
+
+def _fixed_field():
+    """One field on the radius-80 ball, in its order."""
+    return sample_field(iid_gaussian(1.0), G1, G1.ball((0,), _WIDE),
+                        seed=800)
+
+
+def _on_ball(field, n):
+    """The fixed field's values on the radius-n ball, in its order."""
+    pos = {v: i for i, v in enumerate(G1.ball((0,), _WIDE))}
+    return field[[pos[v] for v in G1.ball((0,), n)]]
 
 
 def test_criterion_08_fk_vs_expm():
-    xi = _fixed_field()
+    xi = _on_ball(_fixed_field(), 10)
     t = 0.25
     trunc = Truncation.build(G1, SPEC, POT, 10)
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, trunc, t, 200_000,
-                                seed=80)
+    est = fk.mc_dirichlet_trace(trunc, xi, t, 200_000, seed=80)
     exact = fk.exact_dirichlet_trace(trunc, xi, t)
     z = abs(est.mean - exact) / est.stderr
     rel = est.stderr / exact
@@ -151,15 +160,18 @@ def test_criterion_08_fk_vs_expm():
 
 
 def test_criterion_09_dirichlet_kernel():
+    # Unkilled walkers go past radius 4, so they walk on the wide ball that
+    # carries the field.
     xi = _fixed_field()
     t = 0.25
-    trunc = Truncation.build(G1, SPEC, POT, 4)
-    starts, killed, unkilled = fk._trace_samples(G1, SPEC, POT, xi, trunc, t,
-                                                 200_000, seed=90)
+    outer = Truncation.build(G1, SPEC, POT, _WIDE)
+    killed, unkilled = fk._trace_samples(outer, xi, t, 200_000, seed=90,
+                                         kill_radius=4)
     pathwise = all(np.all(kw <= uw + 1e-15)
                    for kw, uw in zip(killed, unkilled))
     est = fk._stratified_estimate(killed, t)
-    exact = fk.exact_dirichlet_trace(trunc, xi, t)
+    exact = fk.exact_dirichlet_trace(Truncation.build(G1, SPEC, POT, 4),
+                                     _on_ball(xi, 4), t)
     z = abs(est.mean - exact) / est.stderr
     ok = z <= 4.0 and pathwise
     _report(9, f"dirichlet kernel z={z:.2f} killed<=unkilled={pathwise}", ok)

@@ -7,7 +7,7 @@ import pytest
 
 from fksim.errors import DomainError, InputError
 from fksim.lattice import GraphModel
-from fksim.noise import (FieldSample, constant_gaussian, iid_gaussian,
+from fksim.noise import (constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
 from fksim.operators import PotentialSpec, Truncation, expm_neg
 from fksim.walker import symmetric_walk
@@ -22,40 +22,30 @@ def _trunc(n):
     return Truncation.build(G1, SPEC, POT, n)
 
 
-def _zero_field(verts):
-    return FieldSample(tuple(verts), {v: 0.0 for v in verts})
-
-
-def _wide_zero_field(radius=80):
-    verts, _ = G1.ball((0,), radius)
-    return _zero_field(verts)
-
-
 def test_dirichlet_root_only():
     # radius 0: the walker must not jump at all, and the expectation is the
     # 1x1 semigroup value e^{-t (q + V(0) + xi(0))}
-    verts, _ = G1.ball((0,), 50)
+    verts = G1.ball((0,), 50)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=6)
+    at_root = xi[verts.index((0,))]
     t = 0.5
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(0), t, 40000,
-                                seed=7)
-    expected = math.exp(-t * (1.0 + 0.0 + xi[(0,)]))
+    est = fk.mc_dirichlet_trace(_trunc(0), [at_root], t, 40000, seed=7)
+    expected = math.exp(-t * (1.0 + 0.0 + at_root))
     assert abs(est.mean - expected) < 3 * est.stderr
 
 
 def test_killed_below_unkilled_pathwise():
-    verts, _ = G1.ball((0,), 60)
+    verts = G1.ball((0,), 60)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=8)
-    starts, killed, unkilled = fk._trace_samples(G1, SPEC, POT, xi, _trunc(3),
-                                                 0.8, 5000, seed=9)
+    killed, unkilled = fk._trace_samples(_trunc(60), xi, 0.8, 5000, seed=9,
+                                         kill_radius=3)
     for kw, uw in zip(killed, unkilled):
         assert np.all(kw <= uw + 1e-15)
 
 
 def test_killing_immaterial_for_huge_radius():
-    xi = _wide_zero_field()
-    k, u = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(40), 0.5, 3000,
-                                 seed=10, with_unkilled=True)
+    k, u = fk.mc_dirichlet_trace(_trunc(80), np.zeros(161), 0.5, 3000,
+                                 seed=10, kill_radius=40)
     assert k.mean == u.mean
 
 
@@ -95,7 +85,7 @@ G_IRREGULAR = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
 def test_ensemble_variance_matches_expm_traces(graph, n, symmetric):
     spec = symmetric_walk(graph, 1.0)
     pot = PotentialSpec(custom={v: 0.2 * i for i, v in
-                                enumerate(graph.ball(graph.root, n)[0])})
+                                enumerate(graph.ball(graph.root, n))})
     t, m = 0.5, 40
     trunc, traces = _traces_by_expm(graph, spec, pot, iid_gaussian(1.0), n,
                                     t, m, seed=47)
@@ -174,7 +164,7 @@ def test_frozen_sum_power_decay_brute_force():
     t = 1.0
     model = power_decay_gaussian(beta=1.0)
     r = fk.radius_for(t)
-    verts, _ = G1.ball((0,), r)
+    verts = G1.ball((0,), r)
     brute = 0.0
     for u in verts:
         for v in verts:
@@ -283,27 +273,40 @@ def test_radius_for_monotone_in_t():
 def test_killed_trace_needs_the_field_on_the_ball_only():
     # Killed walkers stop at their exit, so a field on ball(2) suffices even
     # for a long horizon.
-    verts, _ = G1.ball((0,), 2)
+    verts = G1.ball((0,), 2)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(2), 5.0, 2000,
-                                seed=2)
+    est = fk.mc_dirichlet_trace(_trunc(2), xi, 5.0, 2000, seed=2)
     assert math.isfinite(est.mean) and est.mean > 0
     assert math.isfinite(est.stderr) and est.stderr > 0
 
 
 def test_unkilled_trace_refuses_walks_beyond_the_field():
-    verts, _ = G1.ball((0,), 2)
+    verts = G1.ball((0,), 2)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
     with pytest.raises(InputError):
-        fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(2), 5.0, 2000,
-                              seed=2, with_unkilled=True)
+        fk.mc_dirichlet_trace(_trunc(2), xi, 5.0, 2000, seed=2,
+                              kill_radius=2)
+
+
+@pytest.mark.parametrize("field", [[0.3], np.zeros(4), np.zeros((1, 5))])
+def test_trace_refuses_a_field_of_another_shape(field):
+    # Radius 2 on Z^1 has 5 vertices; a length-1 row would broadcast.
+    with pytest.raises(InputError):
+        fk.mc_dirichlet_trace(_trunc(2), field, 0.5, 100, seed=2)
+    with pytest.raises(InputError):
+        fk.exact_dirichlet_trace(_trunc(2), field, 0.5)
+
+
+def test_trace_refuses_a_negative_kill_radius():
+    with pytest.raises(DomainError):
+        fk.mc_dirichlet_trace(_trunc(2), np.zeros(5), 0.5, 100, seed=2,
+                              kill_radius=-1)
 
 
 def test_stratified_se_undefined_with_one_path_per_stratum():
-    verts, _ = G1.ball((0,), 10)
+    verts = G1.ball((0,), 10)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=4)
-    est = fk.mc_dirichlet_trace(G1, SPEC, POT, xi, _trunc(10), 0.25, 5,
-                                seed=5)
+    est = fk.mc_dirichlet_trace(_trunc(10), xi, 0.25, 5, seed=5)
     assert math.isnan(est.stderr)
 
 
@@ -336,14 +339,14 @@ def test_power_decay_pair_terms_use_expm1():
                    for u in verts for v in verts)
 
     pot = PotentialSpec(alpha=2.0, kappa=1000.0)
-    verts, _ = G1.ball((0,), fk.radius_for(t, 2.0, 1000.0))
+    verts = G1.ball((0,), fk.radius_for(t, 2.0, 1000.0))
     frozen = math.exp(t2) * pair_sum(
         verts, lambda u: math.exp(-t * (1000.0 * abs(u[0])) ** 2))
     got = fk.frozen_variance_sum(t, G1, pot, model)
     assert got == pytest.approx(frozen, rel=1e-12, abs=0.0)
 
     delta = 8.0
-    verts, _ = G1.ball((0,), fk.radius_for(t, delta, 1.0))
+    verts = G1.ball((0,), fk.radius_for(t, delta, 1.0))
     lower = math.exp(-2.0 * t + t2) * pair_sum(
         verts, lambda u: math.exp(-t * abs(u[0]) ** delta))
     assert fk.lower_bound_sum(t, delta, model, G1) == \
@@ -439,14 +442,11 @@ def _single_draw(model, graph, vertices, rng):
     """One field draw as sample_field made it with its own sampler."""
     n = len(vertices)
     if model.kind == noise.IID:
-        vals = math.sqrt(model.gamma0) * rng.standard_normal(n)
-    elif model.kind == noise.CONSTANT:
-        vals = np.full(n, math.sqrt(model.gamma0) * rng.standard_normal())
-    else:
-        chol = noise._psd_factor(noise.covariance_matrix(model, graph,
-                                                         vertices))
-        vals = chol @ rng.standard_normal(n)
-    return FieldSample(tuple(vertices), dict(zip(vertices, vals)))
+        return math.sqrt(model.gamma0) * rng.standard_normal(n)
+    if model.kind == noise.CONSTANT:
+        return np.full(n, math.sqrt(model.gamma0) * rng.standard_normal())
+    chol = noise._psd_factor(noise.covariance_matrix(model, graph, vertices))
+    return chol @ rng.standard_normal(n)
 
 
 def _member_fields_reference(trunc, graph, model, seed, m):
@@ -454,7 +454,7 @@ def _member_fields_reference(trunc, graph, model, seed, m):
     of default_rng(seed) on the ball (one normal per row for constant
     noise), correlated row by row as a single draw is, and read back on the
     truncation's vertices."""
-    ball, _ = graph.ball(graph.root, trunc.radius)
+    ball = graph.ball(graph.root, trunc.radius)
     n = len(ball)
     rng = np.random.default_rng(seed)
     if model.kind == noise.IID:
@@ -465,8 +465,7 @@ def _member_fields_reference(trunc, graph, model, seed, m):
     else:
         chol = noise._psd_factor(noise.covariance_matrix(model, graph, ball))
         rows = [chol @ z for z in rng.standard_normal((m, n))]
-    return np.array([trunc.field(FieldSample(tuple(ball), dict(zip(ball, r))))
-                     for r in rows])
+    return np.array(rows)[:, [ball.index(v) for v in trunc.region.vertices]]
 
 
 def _field_cases():
@@ -495,12 +494,11 @@ def test_member_fields_equal_single_draws(case, model):
     want = _member_fields_reference(trunc, graph, model, 49, 9)
     assert got.shape == (9, len(trunc.region.vertices))
     assert got.tobytes() == want.tobytes()
-    ball, _ = graph.ball(graph.root, trunc.radius)
+    ball = graph.ball(graph.root, trunc.radius)
     ss = np.random.SeedSequence(50)
     one = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
     ref = _single_draw(model, graph, ball, np.random.default_rng(ss))
-    assert np.array([one[v] for v in ball]).tobytes() == \
-        np.array([ref[v] for v in ball]).tobytes()
+    assert one.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)

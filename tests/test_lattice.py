@@ -80,7 +80,8 @@ def test_coordination_count_arrays_need_a_lattice():
 
 def test_ball_sizes_and_index():
     g = GraphModel.zd_l1(1)
-    verts, index = g.ball((0,), 3)
+    verts = g.ball((0,), 3)
+    index = {v: i for i, v in enumerate(verts)}
     assert len(verts) == 7
     assert verts == sorted(verts)
     assert all(index[v] == i for i, v in enumerate(verts))
@@ -88,7 +89,21 @@ def test_ball_sizes_and_index():
 
 def test_ball_ordering_reproducible():
     g = GraphModel.zd_l1(2)
-    assert g.ball((0, 0), 4)[0] == g.ball((0, 0), 4)[0]
+    assert g.ball((0, 0), 4) == g.ball((0, 0), 4)
+
+
+@pytest.mark.parametrize("g", [
+    GraphModel.zd_l1(2), GraphModel.zd_linf(2),
+    GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                            (1, 4)])], ids=["l1", "linf", "explicit"])
+def test_smaller_ball_is_the_larger_balls_order(g):
+    """The radius-k ball is the radius-n ball's vertices within k, in
+    order: walks started on an outer ball's inner vertices keep the inner
+    ball's stratum order."""
+    outer = g.ball(g.root, 4)
+    for k in range(5):
+        assert g.ball(g.root, k) == [v for v in outer
+                                     if g.distance(g.root, v) <= k]
 
 
 def test_explicit_graph_bfs_distance():

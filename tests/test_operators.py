@@ -7,7 +7,7 @@ from fksim import operators
 from fksim.errors import DomainError, InputError, NumericalError
 from fksim.feynman_kac import member_fields
 from fksim.lattice import GraphModel
-from fksim.noise import FieldSample, iid_gaussian, sample_field
+from fksim.noise import iid_gaussian, sample_field
 from fksim.operators import (PotentialSpec, Truncation, assemble, expm_neg,
                              multiplicity_pushforward, spectrum,
                              trace_identity_residual)
@@ -17,16 +17,12 @@ G1 = GraphModel.zd_l1(1)
 SPEC = symmetric_walk(G1, 1.0)
 
 
-def _zero_field(verts):
-    return FieldSample(tuple(verts), {v: 0.0 for v in verts})
-
-
 def test_two_vertex_assembly():
     g = GraphModel.explicit(2, [(0, 1)])
     spec = symmetric_walk(g, 1.0)
-    xi = _zero_field([0, 1])
-    asm = assemble(g, spec, PotentialSpec(custom={0: 0.0, 1: 0.0}), xi, 1)
-    assert np.allclose(asm.matrix, [[1.0, -1.0], [-1.0, 1.0]])
+    h = assemble(g, spec, PotentialSpec(custom={0: 0.0, 1: 0.0}),
+                 np.zeros(2), 1)
+    assert np.allclose(h, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -37,20 +33,12 @@ def test_custom_potential_must_be_finite(bad):
 
 
 def test_z1_quadratic_potential_assembly():
-    verts, _ = G1.ball((0,), 1)
-    asm = assemble(G1, SPEC, PotentialSpec(alpha=2.0), _zero_field(verts), 1)
-    assert asm.vertices == ((-1,), (0,), (1,))
+    assert G1.ball((0,), 1) == [(-1,), (0,), (1,)]
+    h = assemble(G1, SPEC, PotentialSpec(alpha=2.0), np.zeros(3), 1)
     expected = np.array([[2.0, -0.5, 0.0],
                          [-0.5, 1.0, -0.5],
                          [0.0, -0.5, 2.0]])
-    assert np.allclose(asm.matrix, expected)
-
-
-def test_omega0_is_potential_floor():
-    verts, _ = G1.ball((0,), 3)
-    xi = FieldSample(tuple(verts), {v: 0.5 for v in verts})
-    asm = assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 3)
-    assert asm.omega0 == pytest.approx(0.5)
+    assert np.allclose(h, expected)
 
 
 def _rotation_blocks(parts):
@@ -182,13 +170,13 @@ def test_spectrum_clusters_near_degenerate():
 
 
 def test_trace_identity_on_random_assemblies():
-    verts, _ = G1.ball((0,), 8)
+    verts = G1.ball((0,), 8)
     rng = np.random.default_rng(7)
     for _ in range(10):
         xi = sample_field(iid_gaussian(1.0), G1, verts, rng=rng)
-        asm = assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 8)
+        h = assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 8)
         for t in (0.5, 1.0):
-            assert trace_identity_residual(asm, t) < 1e-8
+            assert trace_identity_residual(h, t) < 1e-8
 
 
 def test_multiplicity_pushforward_diagonal():
@@ -226,23 +214,21 @@ def test_pushforward_dimension_cap():
 
 
 def test_assemble_missing_field_value():
-    verts, _ = G1.ball((0,), 2)
-    xi = _zero_field(verts[:-1])
+    verts = G1.ball((0,), 2)
+    xi = np.zeros(len(verts) - 1)
     with pytest.raises(InputError):
         assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 2)
 
 
 def _reference_assembly(graph, spec, pot, xi, n):
-    """The per-vertex loop that filled the truncation matrix entry by entry."""
-    vertices, _ = graph.ball(graph.root, n)
+    """The per-vertex loop that filled the truncation matrix entry by entry;
+    ``xi[i]`` is the field at the i-th vertex of the ball."""
+    vertices = graph.ball(graph.root, n)
     index = {v: i for i, v in enumerate(vertices)}
     m = len(vertices)
     h = np.zeros((m, m))
-    omega = math.inf
     for v, i in index.items():
-        diag_pot = pot.value(graph, v) + xi[v]
-        h[i, i] = spec.rate(v) + diag_pot
-        omega = min(omega, diag_pot)
+        h[i, i] = spec.rate(v) + (pot.value(graph, v) + xi[i])
         targets, cum = spec.kernel(v)
         prev = 0.0
         for u, c in zip(targets, cum):
@@ -251,15 +237,12 @@ def _reference_assembly(graph, spec, pot, xi, n):
             j = index.get(u)
             if j is not None and p > 0.0:
                 h[i, j] = -spec.rate(v) * p
-    return tuple(vertices), index, h, omega
+    return h
 
 
-def _assert_same_assembly(asm, ref):
-    vertices, index, h, omega = ref
-    assert asm.vertices == vertices and asm.index == index
-    assert np.array_equal(asm.matrix, h)
-    assert asm.matrix.tobytes() == h.tobytes()   # zeros keep their sign too
-    assert asm.omega0 == omega
+def _assert_same_assembly(h, ref):
+    assert np.array_equal(h, ref)
+    assert h.tobytes() == ref.tobytes()   # zeros keep their sign too
 
 
 # 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4
@@ -279,8 +262,7 @@ def _explicit_spec(graph):
 
 
 def _random_field(verts, seed):
-    vals = np.random.default_rng(seed).standard_normal(len(verts))
-    return FieldSample(tuple(verts), dict(zip(verts, vals)))
+    return np.random.default_rng(seed).standard_normal(len(verts))
 
 
 def test_truncation_matches_loop_on_explicit_graph():
@@ -288,13 +270,14 @@ def test_truncation_matches_loop_on_explicit_graph():
     # makes the matrix non-symmetric.
     spec = _explicit_spec(G_EXPLICIT)
     pot = PotentialSpec(custom={v: 0.3 * v - 0.4 for v in range(6)})
-    xi = _random_field(list(range(6)), seed=40)
     trunc = Truncation.build(G_EXPLICIT, spec, pot, 2)
-    asm = trunc.assemble(xi)
-    _assert_same_assembly(asm, _reference_assembly(G_EXPLICIT, spec, pot,
-                                                   xi, 2))
-    assert asm.vertices == (0, 1, 2, 4, 3)
-    assert not np.array_equal(asm.matrix, asm.matrix.T)
+    assert trunc.region.vertices == (0, 1, 2, 4, 3)
+    # The values drawn for vertices 0..5, read on the ball.
+    xi = _random_field(list(range(6)), seed=40)[list(trunc.region.vertices)]
+    h = assemble(G_EXPLICIT, spec, pot, xi, 2)
+    _assert_same_assembly(h, _reference_assembly(G_EXPLICIT, spec, pot, xi,
+                                                 2))
+    assert not np.array_equal(h, h.T)
     assert np.array_equal(trunc.potential,
                           [0.3 * v - 0.4 for v in (0, 1, 2, 4, 3)])
 
@@ -303,25 +286,23 @@ def test_truncation_matches_loop_on_z2_linf_ball():
     g = GraphModel.zd_linf(2)
     spec = symmetric_walk(g, 1.5)
     pot = PotentialSpec(alpha=2.0, kappa=0.5, mu=1.0)
-    verts, _ = g.ball(g.root, 3)
+    verts = g.ball(g.root, 3)
     xi = _random_field(verts, seed=41)
-    asm = Truncation.build(g, spec, pot, 3).assemble(xi)
-    assert asm.matrix.shape == (49, 49)
-    _assert_same_assembly(asm, _reference_assembly(g, spec, pot, xi, 3))
+    h = assemble(g, spec, pot, xi, 3)
+    assert h.shape == (49, 49)
+    _assert_same_assembly(h, _reference_assembly(g, spec, pot, xi, 3))
 
 
 def test_one_truncation_serves_many_fields():
     g = GraphModel.zd_l1(2)
     spec = symmetric_walk(g, 1.0)
     pot = PotentialSpec(alpha=2.0)
-    verts, _ = g.ball(g.root, 4)
+    verts = g.ball(g.root, 4)
     trunc = Truncation.build(g, spec, pot, 4)
     for seed in (42, 43):
         xi = _random_field(verts, seed)
-        a, b = trunc.assemble(xi), assemble(g, spec, pot, xi, 4)
-        assert np.array_equal(a.matrix, b.matrix)
-        assert (a.vertices, a.omega0, a.radius) == \
-            (b.vertices, b.omega0, b.radius)
+        assert np.array_equal(trunc.matrices([xi])[0],
+                              assemble(g, spec, pot, xi, 4))
 
 
 # -- eigen route ----------------------------------------------------------------
@@ -399,11 +380,12 @@ def test_eigen_traces_match_matrix_exponential(case):
 
 
 def test_assemble_is_one_row_of_matrices():
-    trunc = _build(GraphModel.zd_l1(2), 3)
-    verts, _ = GraphModel.zd_l1(2).ball((0, 0), 3)
-    xi = _random_field(verts, seed=46)
-    stack = trunc.matrices(trunc.field(xi)[None])
-    assert stack.tobytes() == trunc.assemble(xi).matrix.tobytes()
+    g = GraphModel.zd_l1(2)
+    trunc = _build(g, 3)
+    xi = _random_field(g.ball((0, 0), 3), seed=46)
+    stack = trunc.matrices(xi[None])
+    h = assemble(g, symmetric_walk(g, 1.0), PotentialSpec(alpha=2.0), xi, 3)
+    assert stack.tobytes() == h.tobytes()
     with pytest.raises(InputError):
         trunc.matrices(np.zeros((2, 3)))
 

@@ -16,7 +16,7 @@ SPEC = symmetric_walk(G1, 1.0)
 
 
 def test_spec_is_valid_on_a_ball():
-    verts, _ = G1.ball((0,), 5)
+    verts = G1.ball((0,), 5)
     validate_markov_spec(G1, SPEC, verts)
 
 
@@ -120,8 +120,8 @@ def _assert_matches_reference(graph, spec, region_verts, start, horizon,
     n = 20000
     region = Region.build(graph, spec, region_verts)
     cost = np.array([cost_of(v) for v in region.vertices])
-    walks = sample_walks(region, np.full(n, region.index[start]), horizon,
-                         np.random.default_rng(seed), cost=cost,
+    walks = sample_walks(region, np.full(n, region.vertices.index(start)),
+                         horizon, np.random.default_rng(seed), cost=cost,
                          kill_radius=kill_radius)
     ends, exits, costs = _reference_walks(graph, spec, start, horizon,
                                           kill_radius, cost_of, n, seed + 1)
@@ -137,7 +137,7 @@ def _assert_matches_reference(graph, spec, region_verts, start, horizon,
 
 
 def test_batched_walks_match_sample_path_on_z1():
-    verts, _ = G1.ball((0,), 15)
+    verts = G1.ball((0,), 15)
     _assert_matches_reference(G1, SPEC, verts, (1,), 1.5, 2,
                               lambda v: float(v[0] ** 2), seed=30)
 
@@ -180,27 +180,40 @@ def test_batched_walks_local_times_agree_with_integrals():
 
 
 def test_batched_walks_byte_identical_for_a_seed():
-    verts, _ = G1.ball((0,), 3)
+    verts = G1.ball((0,), 3)
     region = Region.build(G1, SPEC, verts)
     runs = [sample_walks(region, np.repeat(np.arange(7), 500), 2.0,
-                         np.random.default_rng(33), kill_radius=2,
-                         stop_at_exit=True) for _ in range(2)]
+                         np.random.default_rng(33)) for _ in range(2)]
+    assert runs[0].exited.any()
     for name in ("endpoint", "exited", "local"):
         assert getattr(runs[0], name).tobytes() == \
             getattr(runs[1], name).tobytes()
 
 
 def test_batched_walks_stop_or_refuse_at_the_region_edge():
-    verts, _ = G1.ball((0,), 1)
+    # Without a kill radius a walker exits by leaving the region and stops;
+    # with one it walks on, so leaving the region is refused.
+    verts = G1.ball((0,), 1)
     region = Region.build(G1, SPEC, verts)
-    starts = np.full(200, region.index[(0,)])
+    starts = np.full(200, verts.index((0,)))
     walks = sample_walks(region, starts, 5.0, np.random.default_rng(34),
-                         cost=np.zeros(3), stop_at_exit=True)
+                         cost=np.zeros(3))
     assert walks.exited.any()
     assert np.all(walks.endpoint[walks.exited] == -1)
     with pytest.raises(InputError):
         sample_walks(region, starts, 5.0, np.random.default_rng(34),
-                     cost=np.zeros(3))
+                     cost=np.zeros(3), kill_radius=1)
+
+
+def test_batched_walks_started_past_the_kill_radius_have_exited():
+    # Over a short horizon most walkers never jump; each is still flagged.
+    verts = G1.ball((0,), 3)
+    region = Region.build(G1, SPEC, verts)
+    starts = np.repeat([verts.index((0,)), verts.index((2,))], 1000)
+    walks = sample_walks(region, starts, 1e-3, np.random.default_rng(35),
+                         cost=np.zeros(7), kill_radius=1)
+    assert np.array_equal(walks.exited[1000:], np.ones(1000, dtype=bool))
+    assert walks.exited[:1000].sum() < 10
 
 
 def test_jump_count_tail_matches_poisson(monkeypatch):
