@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import exp, isfinite, nan, sqrt
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ConfigError, DomainError
 from .lattice import GraphModel
@@ -128,16 +127,24 @@ def _fmt(x):
 
 
 def fit_exponent(rows):
-    """OLS fit of log value against log t: (slope, 95% CI half-width, R^2)."""
+    """OLS fit of log value against log t: (slope, 95% CI half-width, R^2).
+
+    A non-finite or non-positive t or value is refused, naming its row, and
+    so are rows that share one log t (sxx = 0): no fit is NaN.
+    """
     if len(rows) < 4:
         raise DomainError(f"exponent fit needs >= 4 rows, got {len(rows)}")
     for i, (t, v) in enumerate(rows):
-        if v <= 0:
-            raise DomainError(f"row {i}: value {v} is not positive")
-        if t <= 0:
-            raise DomainError(f"row {i}: t {t} is not positive")
+        for name, val in (("value", v), ("t", t)):
+            if not isfinite(val):
+                raise DomainError(f"row {i}: {name} {val} is not finite")
+            if val <= 0:
+                raise DomainError(f"row {i}: {name} {val} is not positive")
     x = np.log([t for t, _ in rows])
     y = np.log([v for _, v in rows])
+    if x.min() == x.max():
+        raise DomainError(f"every row has log t = {float(x[0])!r}: the "
+                          "slope is undefined (sxx = 0)")
     n = len(rows)
     xm, ym = x.mean(), y.mean()
     sxx = ((x - xm) ** 2).sum()
@@ -148,8 +155,10 @@ def fit_exponent(rows):
     ss_tot = float(((y - ym) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     se = sqrt(ss_res / (n - 2) / sxx)
-    # stdtrit is the t quantile that scipy.stats.t.ppf evaluates, without
-    # the import cost of scipy.stats.
+    # stdtrit is the t quantile that scipy.stats.t.ppf evaluates.  It is
+    # imported here, so that scipy.special loads only when a slope is fitted
+    # (sweep-variance) and the other subcommands start on numpy alone.
+    from scipy.special import stdtrit
     ci = float(stdtrit(n - 2, 0.975)) * se
     return slope, ci, r2
 

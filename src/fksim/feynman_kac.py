@@ -24,8 +24,6 @@ from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, nan, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import gammaincc
 
 from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
@@ -261,6 +259,7 @@ def _radial_weight_sum(graph, pot, c, r):
         total += float(np.dot(graph.coordination_count(ns),
                               np.exp(-c * pot.radial(ns))))
     if r > n_exact:
+        from scipy.special import gammaincc
         k, b = 1.0 / pot.alpha, c * pot.kappa ** pot.alpha
         total += 2.0 * exp(c * pot.mu) * _gamma_fn(k) * b ** -k / pot.alpha \
             * (gammaincc(k, b * (n_exact + 1) ** pot.alpha)
@@ -289,6 +288,21 @@ def _grid_norms(graph, coords):
     return out
 
 
+def _next_fast_len(n):
+    """The smallest 5-smooth integer >= n (n >= 1): the FFT length that
+    ``scipy.fft.next_fast_len(n, real=True)`` picks, without scipy."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The least power-of-two multiple of p35 that reaches n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _power_decay_pair_sum(t, graph, pot, model, r):
     """S = sum over u, v in the radius-r ball of
     w(u) w(v) expm1(t^2 gamma(u, v)), w = e^{-tV}, for power-decay gamma.
@@ -297,7 +311,7 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
     sum_z K(z) A(z) over the lags z in [-2r, 2r]^d, with
     K(z) = expm1(t^2 scale (|z| + 1)^-beta) and A the autocorrelation of w
     on the (2r+1)^d box (0 outside the ball).  A is
-    irfftn(|rfftn(w, s)|^2, s) with s = next_fast_len(4r + 1) per axis, so
+    irfftn(|rfftn(w, s)|^2, s) with s = _next_fast_len(4r + 1) per axis, so
     lags up to 2r do not alias; a grid of more than ``_MAX_ELEMS`` points is
     refused before anything is allocated.  Roundoff: the FFT leaves an
     absolute error of about eps log(s^d) A(0) at each lag, and since A and K
@@ -311,14 +325,15 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
         w = np.exp(-t * vvec)
         return float(w @ np.expm1(t2 * gam) @ w)
     d = graph.d
-    s = next_fast_len(4 * r + 1, real=True)
+    s = _next_fast_len(4 * r + 1)
     if s ** d > _MAX_ELEMS:
         raise DomainError(f"FFT grid of {s}^{d} = {s ** d} points for box "
                           f"radius {r} exceeds the budget of {_MAX_ELEMS}")
     norm = _grid_norms(graph, np.arange(-r, r + 1))
     w = np.where(norm <= r, np.exp(-t * pot.radial(norm)), 0.0)
-    spec = rfftn(w, (s,) * d)
-    acf = irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d)
+    axes = tuple(range(d))
+    spec = np.fft.rfftn(w, (s,) * d, axes)
+    acf = np.fft.irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d, axes)
     # Lag -k sits at index s - k, which a negative index reads directly.
     lags = np.r_[0:2 * r + 1, -2 * r:0]
     kern = np.expm1(t2 * decay_kernel(model, _grid_norms(graph, lags)))
@@ -384,6 +399,7 @@ def riemann_tail_sum(t, kappa, alpha, graph):
     m = min(alpha, 1.0)
     s = kappa * t ** (1.0 / alpha)
     lead = _coord_leading(graph)
+    from scipy.special import gammaincc
     # Cutoff z with the relative integral tail below 1e-9.
     z = 25.0
     while 2.0 * gammaincc(d / m, z) > 1e-9 and z < 200.0:

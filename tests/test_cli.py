@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import os
@@ -66,26 +67,75 @@ def test_fit_exponent_ci_matches_scipy_stats():
         assert ci == float(stats.t.ppf(0.975, n - 2)) * se, n
 
 
-def _scipy_modules_after_cli_import(sub):
-    """The scipy.<sub> modules that a fresh ``import fksim.cli`` loads."""
-    code = ("import sys; from fksim import cli; print(sorted(k for k in "
-            f"sys.modules if k.split('.')[:2] == ['scipy', {sub!r}]))")
+def _scipy_modules_after(code, prefix=("scipy",)):
+    """The modules under ``prefix`` (a dotted name as a tuple) that a fresh
+    Python process has loaded after running ``code``."""
+    code += ("\nimport sys\nprint(sorted(k for k in sys.modules if "
+             f"tuple(k.split('.')[:{len(prefix)}]) == {tuple(prefix)!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(fksim.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is most of the start-up time and no subcommand needs it.
-    assert _scipy_modules_after_cli_import("stats") == "[]"
+    assert _scipy_modules_after("from fksim import cli",
+                                ("scipy", "stats")) == []
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # The matrix exponential is numpy products alone; scipy.linalg took
     # about 0.27 s of the import.
-    assert _scipy_modules_after_cli_import("linalg") == "[]"
+    assert _scipy_modules_after("from fksim import cli",
+                                ("scipy", "linalg")) == []
+
+
+@pytest.mark.parametrize("code", ["import fksim", "from fksim import cli"])
+def test_import_loads_no_scipy(code):
+    # The FFT is numpy's, and the three scipy.special functions are imported
+    # where they are used, so start-up is numpy alone.
+    assert _scipy_modules_after(code) == []
+
+
+def _scipy_modules_after_main(tmp_path, command, text):
+    """scipy modules loaded by a fresh process that runs ``command`` to
+    completion, with a passing result, on the config ``text``."""
+    cfg = _write(tmp_path, text, f"{command}.cfg")
+    argv = [command, "--config", cfg, "--seed", "3",
+            "--out", str(tmp_path / f"{command}.csv")]
+    return _scipy_modules_after(
+        f"from fksim import cli\nassert cli.main({argv!r}) == 0")
+
+
+_NUMPY_ONLY_CONFIGS = {
+    "fk-compare": "radius = 4\nt = 0.25\nn_paths = 20000\n",
+    "tail-check": "q = 1\nt = 0.5\nn_paths = 20000\nx_max = 6\n",
+    "spectral-check": "noise = power_decay\nbeta = 1\nd = 2\nradius = 3\n"
+                      "trials = 2\n",
+    "rigidity-demo": "radius = 6\nmembers = 30\ngamma0 = 0\ncut_index = 3\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NUMPY_ONLY_CONFIGS))
+def test_subcommand_runs_without_scipy(tmp_path, command):
+    assert _scipy_modules_after_main(
+        tmp_path, command, _NUMPY_ONLY_CONFIGS[command]) == []
+
+
+def test_sweep_variance_loads_scipy_special_alone(tmp_path):
+    # The fitted slope's CI takes the Student-t quantile from
+    # scipy.special; the power-decay sums take their FFT from numpy.
+    mods = _scipy_modules_after_main(
+        tmp_path, "sweep-variance",
+        "noise = power_decay\nbeta = 0.5\nt_exp_min = 6\nt_exp_max = 9\n")
+    assert "scipy.special" in mods
+    public = {m.split(".")[1] for m in mods
+              if m.count(".") and not m.split(".")[1].startswith("_")}
+    subpackages = {p for p in public if importlib.util.find_spec(
+        f"scipy.{p}").submodule_search_locations is not None}
+    assert subpackages == {"special"}
 
 
 def test_fit_exponent_too_few_rows():
@@ -98,6 +148,23 @@ def test_fit_exponent_nonpositive_value():
     with pytest.raises(DomainError) as err:
         cli.fit_exponent(rows)
     assert "row 1" in str(err.value)
+
+
+@pytest.mark.parametrize("row", [(0.25, math.nan), (0.25, math.inf),
+                                 (math.nan, 0.5), (math.inf, 0.5)])
+def test_fit_exponent_refuses_a_non_finite_row(row):
+    # A NaN value used to give a (nan, nan, nan) fit, which sweep-variance
+    # without expect_slope printed as pass=True.
+    rows = [(0.5, 1.0), row, (0.125, 0.3), (0.0625, 0.1)]
+    with pytest.raises(DomainError, match=r"row 1: .* is not finite"):
+        cli.fit_exponent(rows)
+
+
+def test_fit_exponent_refuses_a_single_t():
+    # Rows that share one t have sxx = 0 and no slope.
+    rows = [(0.1, v) for v in (1.0, 0.5, 0.3, 0.1)]
+    with pytest.raises(DomainError, match=r"sxx = 0"):
+        cli.fit_exponent(rows)
 
 
 def test_sweep_variance_iid_slope(tmp_path):

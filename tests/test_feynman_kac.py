@@ -407,6 +407,12 @@ def test_power_decay_explicit_path_graph_takes_the_pairwise_route():
         fk.lower_bound_sum(t, 2.0, model, G1), rel=1e-12, abs=0.0)
 
 
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert [fk._next_fast_len(n) for n in range(1, 3000)] == \
+        [next_fast_len(n, real=True) for n in range(1, 3000)]
+
+
 def test_power_decay_grid_refused_before_allocation():
     # Z^3 at t = 2^-6: r = 84, s = next_fast_len(337) = 360, and 360^3 is
     # about 47M points, above the array budget.
