@@ -329,6 +329,8 @@ def tail_check(cfg, seed=None):
     """Empirical jump-count tail versus the analytic Chernoff bound."""
     cfg = effective_config("tail-check", cfg)
     q, t, n_paths, x_max = cfg["q"], cfg["t"], cfg["n_paths"], cfg["x_max"]
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1")
     seed = seed if seed is not None else cfg["seed"]
     if t == 0.0:
         return TailReport(rows=(), passed=False)
@@ -405,6 +407,8 @@ def fk_compare(cfg, seed=None):
     cfg = effective_config("fk-compare", cfg)
     graph, model, pot, spec = _model_from(cfg)
     radius, t, n_paths = cfg["radius"], cfg["t"], cfg["n_paths"]
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1")
     seed = seed if seed is not None else cfg["seed"]
     # Killed walkers stop at their exit, so the field is needed on the
     # truncation ball alone.  Both estimators share the one truncation.

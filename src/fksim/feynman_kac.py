@@ -215,10 +215,10 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
         loc = walks.local
         lg = loc @ gamma
         back = walks.endpoint == block_ids
-        # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest.
-        u = np.zeros(len(loc))
-        u[back] = np.exp(-(loc[back] @ pv)
-                         + 0.5 * np.einsum("ij,ij->i", lg[back], loc[back]))
+        # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest; only
+        # returning rows are exponentiated, so the others cannot overflow.
+        expo = 0.5 * np.einsum("ij,ij->i", lg, loc) - loc @ pv
+        u = np.exp(expo, out=np.zeros(len(loc)), where=back)
         u = u.reshape(r, 2, m)
         ab = lg.reshape(r, 2, m, m)[:, 0] \
             @ loc.reshape(r, 2, m, m)[:, 1].transpose(0, 2, 1)

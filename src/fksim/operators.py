@@ -193,7 +193,8 @@ def expm_neg(mat, t=1.0):
         np.matmul(powers[0], powers[0], out=powers[1])
         np.matmul(powers[1], powers[0], out=powers[2])
         x4 = powers[1] @ powers[1]
-        blocks = np.tensordot(_TAYLOR_BLOCKS[:, 1:], powers, axes=1)
+        blocks = (_TAYLOR_BLOCKS[:, 1:]
+                  @ powers.reshape(3, -1)).reshape(4, n, n)
         blocks[:, diag, diag] += _TAYLOR_BLOCKS[:, :1]
         r = _TAYLOR_16 * x4 + blocks[3]
         for j in (2, 1, 0):

@@ -309,11 +309,18 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     """Jump counts of n_paths constant-rate walks, vectorized over paths.
 
     Holding times are i.i.d. exponential(q); the count is the number of
-    arrivals before the horizon.  Each round draws one more holding time,
-    only for the paths whose last arrival is still before the horizon.
+    arrivals before the horizon.  Per chunk of ``_JUMP_CHUNK`` paths the
+    first holding time is drawn for the whole chunk; after that only the
+    survivors (paths whose last arrival is before the horizon) are kept,
+    as two compact arrays of their indices and arrival times, and each
+    round draws one more holding time for each of them.  The output bits
+    depend on the generator calls alone: one ``exponential`` per round, of
+    the survivors' number, in chunk order.
     """
     if q <= 0:
         raise ConfigError("jump rate must be positive")
+    if horizon < 0:
+        raise DomainError("horizon must be >= 0")
     if horizon == 0:
         return np.zeros(n_paths, dtype=np.int64)
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
@@ -322,14 +329,18 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     out = np.zeros(n_paths, dtype=np.int64)
     for lo in range(0, n_paths, _JUMP_CHUNK):
         counts = out[lo:lo + _JUMP_CHUNK]
-        elapsed = np.zeros(len(counts))
-        live = np.arange(len(counts))
-        for _ in range(cap):
-            elapsed[live] += rng.exponential(1.0 / q, size=live.size)
-            live = live[elapsed[live] < horizon]
+        arrival = rng.exponential(1.0 / q, size=len(counts))
+        live = np.flatnonzero(arrival < horizon)
+        arrival = arrival[live]
+        # Round k counts the k-th arrival of the survivors and draws their
+        # (k+1)-th; a survivor after round cap - 1 has cap arrivals.
+        for _ in range(cap - 1):
             if not live.size:
                 break
             counts[live] += 1
+            arrival += rng.exponential(1.0 / q, size=live.size)
+            alive = arrival < horizon
+            live, arrival = live[alive], arrival[alive]
         if live.size:
             raise ConfigError("jump-count cap saturated; horizon too large")
     return out

@@ -425,6 +425,30 @@ def test_tail_check_without_rows_fails():
     assert rep.rows == () and not rep.passed
 
 
+@pytest.mark.parametrize("command, text", [
+    ("tail-check", "n_paths = 0\n"),
+    ("tail-check", "n_paths = -3\n"),
+    ("fk-compare", "radius = 4\nn_paths = 0\n"),
+    ("fk-compare", "radius = 4\nn_paths = -5\n")])
+def test_cli_refuses_fewer_than_one_path(tmp_path, capsys, command, text):
+    # No path is no evidence: refused as an input error, not run to a
+    # division by zero (tail-check) or 21 walks with se=nan (fk-compare).
+    cfg = _write(tmp_path, text)
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_paths" in captured.err
+    run = {"tail-check": cli.tail_check, "fk-compare": cli.fk_compare}[command]
+    with pytest.raises(ConfigError, match="n_paths"):
+        run(cli.parse_config(cfg))
+
+
+def test_cli_tail_check_refuses_negative_t(tmp_path, capsys):
+    cfg = _write(tmp_path, "t = -1\n")
+    assert cli.main(["tail-check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: horizon must be >= 0\n"
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     good = _write(tmp_path, "t_exp_min = 6\nt_exp_max = 10\n", "good.cfg")
     assert cli.main(["sweep-variance", "--config", good]) == 0
@@ -647,6 +671,30 @@ def test_cli_fk_compare_benchmark_summary_is_pinned(capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == \
         "mc=3.140079 se=0.007583 exact=3.137941 z=0.282 pass=True\n"
+
+
+def test_cli_tail_check_benchmark_csv_is_pinned(tmp_path, capsys):
+    # Every generator call of the jump-count sampler, in its order and
+    # sizes, feeds these rows, so a change to the draw order shows here.
+    out = tmp_path / "tail.csv"
+    argv = ["tail-check", "--config", str(_BENCH_CONFIGS / "mc_tail_check.cfg"),
+            "--seed", "41", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "points=10 pass=True\n"
+    assert out.read_text() == """\
+# config_hash=04ce2274ea1830ff
+x,empirical,bound,se
+1,0.393002,0.8243606353500641,0.0004884172683228962
+2,0.090381,0.2801055668961291,0.00028672682964626803
+3,0.014412,0.05640043500325683,0.0001191817698140114
+4,0.001791,0.008084827138352622,4.22822932088599e-05
+5,0.000171,0.0009001713130052196,1.3075578725241955e-05
+6,1.7e-05,8.194683302530091e-05,4.123070579070895e-06
+7,0.0,6.309833254801593e-06,0.0
+8,0.0,4.20967679111302e-07,0.0
+9,0.0,2.4777104370464048e-08,0.0
+10,0.0,1.3046608232091703e-09,0.0
+"""
 
 
 def test_cli_fk_compare_summary_repeats_for_a_seed(tmp_path, capsys):

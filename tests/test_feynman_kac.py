@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_ensemble_variance_repeats_for_a_seed():
     b = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 60,
                              seed=13)
     assert a == b and a.value > 0.0
+
+
+def test_paired_walker_benchmark_estimate_is_pinned():
+    # perfbench's mc_paired.cfg at seed 41: the walk stream, the local-time
+    # rows and the pair weights all feed these two floats.
+    from fksim.cli import parse_config
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "perfbench"
+                       / "configs" / "mc_paired.cfg")
+    assert (cfg["graph"], cfg["d"], cfg["noise"]) == ("zd_l1", "1", "iid")
+    g = GraphModel.zd_l1(1)
+    est = fk.paired_walker_variance(
+        g, symmetric_walk(g, float(cfg["q"])),
+        PotentialSpec(alpha=float(cfg["alpha"])),
+        iid_gaussian(float(cfg["gamma0"])), float(cfg["t"]),
+        int(cfg["n_rep"]), int(cfg["box_radius"]), seed=41)
+    assert (est.value, est.stderr) == (0.2604176500283649,
+                                       0.003954473740516742)
 
 
 def test_paired_walker_single_vertex_lognormal():

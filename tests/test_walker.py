@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fksim import walker
-from fksim.errors import DomainError, InputError
+from fksim.errors import ConfigError, DomainError, InputError
 from fksim.lattice import GraphModel
 from fksim.walker import (MarkovSpec, Region, chernoff_jump_bound,
                           sample_jump_counts, sample_path, sample_walks,
@@ -91,6 +91,8 @@ def test_chernoff_bound_domain():
 def test_negative_horizon_rejected():
     with pytest.raises(DomainError):
         sample_path(G1, SPEC, (0,), -1.0, seed=0)
+    with pytest.raises(DomainError):
+        sample_jump_counts(1.0, -1.0, 10, seed=0)
 
 
 # -- batched sampler against the single-path reference ----------------------
@@ -225,3 +227,75 @@ def test_jump_count_tail_matches_poisson(monkeypatch):
     for x in range(1, 6):
         p = stats.poisson.sf(x - 1, 0.5)
         assert abs((counts >= x).mean() - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
+# -- jump counts: survivor arrays against the whole-chunk loop --------------
+
+
+def _jump_counts_by_chunk_rounds(q, horizon, n_paths, seed):
+    """sample_jump_counts as a loop that re-indexes the chunk's full
+    elapsed-time array every round; the survivor-array sampler must make the
+    same generator calls, in the same order and sizes."""
+    cap = math.ceil(q * horizon) + max(40, int(10 * math.ceil(q * horizon)))
+    rng = np.random.default_rng(seed)
+    out = np.zeros(n_paths, dtype=np.int64)
+    for lo in range(0, n_paths, walker._JUMP_CHUNK):
+        counts = out[lo:lo + walker._JUMP_CHUNK]
+        elapsed = np.zeros(len(counts))
+        live = np.arange(len(counts))
+        for _ in range(cap):
+            elapsed[live] += rng.exponential(1.0 / q, size=live.size)
+            live = live[elapsed[live] < horizon]
+            if not live.size:
+                break
+            counts[live] += 1
+        if live.size:
+            raise ConfigError("jump-count cap saturated")
+    return out
+
+
+@pytest.mark.parametrize("q, horizon, n, seed", [
+    (0.3, 0.5, 150_001, 41), (1.0, 0.5, 150_001, 42), (2.7, 0.5, 150_001, 43),
+    (2.7, 1.5, 50_000, 44),     # q t >= 1
+    (1.0, 0.0, 10, 45)])
+def test_jump_counts_equal_the_chunk_loop(q, horizon, n, seed):
+    assert np.array_equal(sample_jump_counts(q, horizon, n, seed),
+                          _jump_counts_by_chunk_rounds(q, horizon, n, seed))
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0, 2.7])
+def test_jump_counts_equal_the_chunk_loop_over_small_chunks(monkeypatch, q):
+    # 25 001 paths in rounds of 7000: three full chunks and a short one.
+    monkeypatch.setattr(walker, "_JUMP_CHUNK", 7000)
+    assert np.array_equal(sample_jump_counts(q, 0.8, 25_001, 46),
+                          _jump_counts_by_chunk_rounds(q, 0.8, 25_001, 46))
+
+
+class _EvenHolds:
+    """A generator stand-in whose every holding time is ``hold``."""
+
+    def __init__(self, hold):
+        self.hold = hold
+
+    def exponential(self, scale, size):
+        return np.full(size, self.hold)
+
+
+@pytest.mark.parametrize("arrivals", [40, 41])
+def test_jump_count_cap_refuses_exactly_at_cap_arrivals(monkeypatch,
+                                                        arrivals):
+    # q = 1, t = 0.5: the cap is 41 arrivals.  Every path has `arrivals`
+    # arrivals before the horizon, so the sampler refuses at 41 and
+    # returns 40 everywhere at 40, as the chunk loop does.
+    hold = 0.5 / (arrivals + 0.5)
+    monkeypatch.setattr(walker.np.random, "default_rng",
+                        lambda seed: _EvenHolds(hold))
+    if arrivals == 41:
+        for sampler in (sample_jump_counts, _jump_counts_by_chunk_rounds):
+            with pytest.raises(ConfigError):
+                sampler(1.0, 0.5, 1000, 0)
+    else:
+        counts = sample_jump_counts(1.0, 0.5, 1000, 0)
+        assert np.array_equal(counts, np.full(1000, 40))
+        assert np.array_equal(counts,
+                              _jump_counts_by_chunk_rounds(1.0, 0.5, 1000, 0))
