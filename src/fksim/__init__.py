@@ -18,9 +18,9 @@ from .walker import (MarkovSpec, PathRecord, chernoff_jump_bound,
                      sample_jump_counts, sample_path, symmetric_walk,
                      validate_markov_spec)
 from .feynman_kac import (TraceEstimate, VarianceEstimate, ensemble_variance,
-                          exact_dirichlet_trace, frozen_variance_sum,
-                          lower_bound_sum, mc_dirichlet_trace,
-                          paired_walker_variance, radius_for, riemann_tail_sum)
+                          frozen_variance_sum, lower_bound_sum,
+                          mc_dirichlet_trace, paired_walker_variance,
+                          radius_for, riemann_tail_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.2.0"

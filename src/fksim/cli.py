@@ -23,9 +23,8 @@ from .lattice import GraphModel
 from .noise import (constant_gaussian, iid_gaussian, power_decay_gaussian,
                     sample_field)
 from .operators import PotentialSpec, Truncation, _expm_traces
-from .feynman_kac import (ensemble_variance, exact_dirichlet_trace,
-                          frozen_variance_sum, mc_dirichlet_trace,
-                          member_fields, radius_for)
+from .feynman_kac import (ensemble_variance, frozen_variance_sum,
+                          mc_dirichlet_trace, member_fields, radius_for)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
 
@@ -175,7 +174,7 @@ class SweepResult:
     passed: bool
 
 
-def sweep_variance(cfg, seed=None):
+def sweep_variance(cfg):
     cfg = effective_config("sweep-variance", cfg)
     graph, model, pot, spec = _model_from(cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
@@ -186,7 +185,6 @@ def sweep_variance(cfg, seed=None):
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
     fixed_radius = cfg.get("radius")
-    seed = seed if seed is not None else cfg["seed"]
     # With a nonnegative covariance no path pair lowers the variance, and
     # each walker stays put with probability >= e^{-q t}: the pairs in which
     # neither jumps give lower = e^{-2qt} frozen for any radial potential.
@@ -206,7 +204,7 @@ def sweep_variance(cfg, seed=None):
         ens_var = ens_se = None
         if m_draws:
             est = ensemble_variance(graph, spec, pot, model, radius, t,
-                                    m_draws, seed + k)
+                                    m_draws, cfg["seed"] + k)
             ens_var, ens_se = est.value, est.stderr
         rows.append((t, frozen, ens_var, ens_se, lower, radius))
     if below:
@@ -243,7 +241,7 @@ class RigidityReport:
     passed: bool
 
 
-def rigidity_demo(cfg, seed=None):
+def rigidity_demo(cfg):
     """Predict the inside-B eigenvalue count from outside data only.
 
     The predictor is (plug-in ensemble mean of the full exponential linear
@@ -262,13 +260,13 @@ def rigidity_demo(cfg, seed=None):
         raise ConfigError("empty t grid")
     if members < 1:
         raise ConfigError("members must be >= 1")
-    seed = seed if seed is not None else cfg["seed"]
     trunc = Truncation.build(graph, spec, pot, radius)
-    dim = len(trunc.region.vertices)
+    dim = len(trunc.vertices)
     if dim > 400:
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
     # members x dim, ascending real parts
-    eigs = trunc.eigenvalues(member_fields(trunc, graph, model, seed, members))
+    eigs = trunc.eigenvalues(member_fields(trunc, graph, model, cfg["seed"],
+                                           members))
     # B is a half-plane of real eigenvalues until B in C is supported:
     # taking Re would turn sum e^{-t lambda} into sum e^{-t Re lambda}.
     imag = np.abs(eigs.imag).max()
@@ -325,16 +323,17 @@ class TailReport:
     passed: bool
 
 
-def tail_check(cfg, seed=None):
+def tail_check(cfg):
     """Empirical jump-count tail versus the analytic Chernoff bound."""
     cfg = effective_config("tail-check", cfg)
     q, t, n_paths, x_max = cfg["q"], cfg["t"], cfg["n_paths"], cfg["x_max"]
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    seed = seed if seed is not None else cfg["seed"]
+    if x_max < 1:
+        raise ConfigError("x_max must be >= 1")
     if t == 0.0:
         return TailReport(rows=(), passed=False)
-    counts = sample_jump_counts(q, t, n_paths, seed)
+    counts = sample_jump_counts(q, t, n_paths, cfg["seed"])
     # at_least[x]: the number of paths with x or more jumps.
     at_least = np.bincount(counts, minlength=x_max + 2)[::-1].cumsum()[::-1]
     rows = []
@@ -367,7 +366,7 @@ class SpectralReport:
     passed: bool
 
 
-def spectral_check(cfg, seed=None):
+def spectral_check(cfg):
     """Trace of the matrix exponential vs the exponential linear statistic
     over random assemblies.  Each trial's eigenvalues serve every t, and so
     does its one matrix exponential where the grid doubles t."""
@@ -378,9 +377,8 @@ def spectral_check(cfg, seed=None):
         raise ConfigError("trials must be >= 1")
     if not t_grid:
         raise ConfigError("empty t grid")
-    seed = seed if seed is not None else cfg["seed"]
     trunc = Truncation.build(graph, spec, pot, cfg["radius"])
-    fields = member_fields(trunc, graph, model, seed, n_trials)
+    fields = member_fields(trunc, graph, model, cfg["seed"], n_trials)
     worst = 0.0
     for field, eigs in zip(fields, trunc.eigenvalues(fields)):
         traces = _expm_traces(trunc.matrices(field[None])[0], t_grid)
@@ -402,21 +400,20 @@ class CompareReport:
     passed: bool
 
 
-def fk_compare(cfg, seed=None):
-    """Monte Carlo Dirichlet trace against the dense matrix exponential."""
+def fk_compare(cfg):
+    """Monte Carlo Dirichlet trace against the exact trace."""
     cfg = effective_config("fk-compare", cfg)
     graph, model, pot, spec = _model_from(cfg)
     radius, t, n_paths = cfg["radius"], cfg["t"], cfg["n_paths"]
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    seed = seed if seed is not None else cfg["seed"]
     # Killed walkers stop at their exit, so the field is needed on the
     # truncation ball alone.  Both estimators share the one truncation.
     trunc = Truncation.build(graph, spec, pot, radius)
-    field = sample_field(model, graph, trunc.region.vertices,
-                         rng=np.random.default_rng(seed))
-    est = mc_dirichlet_trace(trunc, field, t, n_paths, seed + 1)
-    exact = exact_dirichlet_trace(trunc, field, t)
+    field = sample_field(model, graph, trunc.vertices,
+                         rng=np.random.default_rng(cfg["seed"]))
+    est = mc_dirichlet_trace(trunc, field, t, n_paths, cfg["seed"] + 1)
+    exact = float(trunc.traces([field], t)[0])
     # Without a finite positive SE (a stratum with one path, or every weight
     # zero) there is no evidence either way: z is NaN and the check fails.
     evidence = isfinite(est.stderr) and est.stderr > 0

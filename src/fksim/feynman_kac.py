@@ -1,20 +1,19 @@
 """Path-integral estimators of semigroup traces, the paired-walker variance
 identity, and the deterministic sums behind the small-t scaling laws.
 
-Monte Carlo routes walk on the region of an ``operators.Truncation`` and
-sample all paths in numpy batches with ``walker.sample_walks``.  A field
-is a float array on the truncation's vertices, as the exact routes take
-it.  Trace estimators weight each path by e^{-integral of (V + xi)};
-killed-trace walkers stop at their exit from the truncation's ball, so the
-field is needed on the ball alone, unless the no-killing estimate is
-wanted too: then they walk inside a larger truncation that carries the
-field and are flagged past the ball's radius.  The paired-walker variance
-uses dense local-time rows, so that every start pair of a replicate comes
-from one matrix product with the box covariance.  Deterministic routes
-evaluate the frozen-walk double sum on a certified box: in closed radial
-form for independent and constant noise, and for power decay on the
-lattices as one FFT autocorrelation of the weights against the covariance
-kernel.
+Monte Carlo routes walk on an ``operators.Truncation`` and sample all
+paths in numpy batches with ``walker.sample_walks``.  A field is a float
+array on the truncation's vertices, as its exact traces take it.  Trace
+estimators weight each path by e^{-integral of (V + xi)}; killed-trace
+walkers stop at their exit from the truncation's ball, so the field is
+needed on the ball alone, unless the no-killing estimate is wanted too:
+then they walk inside a larger truncation that carries the field and are
+flagged past the ball's radius.  The paired-walker variance uses dense
+local-time rows, so that every start pair of a replicate comes from one
+matrix product with the box covariance.  Deterministic routes evaluate the
+frozen-walk double sum on a certified box: in closed radial form for
+independent and constant noise, and for power decay on the lattices as one
+FFT autocorrelation of the weights against the covariance kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import ConfigError, DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (CONSTANT, IID, POWER_DECAY, _field_rows,
                     covariance_matrix, decay_kernel, variance_at_origin)
-from .operators import PotentialSpec, Truncation, expm_neg
+from .operators import PotentialSpec, Truncation
 from .walker import _MAX_ELEMS, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
@@ -75,46 +74,43 @@ def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
     """Per-start-vertex killed and unkilled return weights from shared paths
     on the truncation ``trunc`` with ``field`` on its vertices.
 
-    Returns (killed, unkilled), lists of float arrays with one array per
-    start vertex.  Without
-    ``kill_radius`` the walks start on every vertex of ``trunc``, are killed
-    on leaving it and stop there, and unkilled is None.  With it, they start
-    on the vertices within ``kill_radius`` of the root (the radius-n ball,
-    in its order), are killed past it and walk on inside ``trunc``.
+    Returns (killed, unkilled), float arrays with one row of paths per
+    start vertex.  Without ``kill_radius`` the walks start on every vertex
+    of ``trunc``, are killed on leaving it and stop there, and unkilled is
+    None.  With it, they start on the vertices within ``kill_radius`` of
+    the root (the radius-n ball, in its order), are killed past it and walk
+    on inside ``trunc``.
     """
-    region = trunc.region
     field = np.asarray(field, dtype=float)
     if field.shape != trunc.potential.shape:
         raise InputError(f"field must have {len(trunc.potential)} values")
     if kill_radius is None:
-        starts = np.arange(len(region.vertices))
+        starts = np.arange(len(trunc.vertices))
     elif kill_radius < 0:
         raise DomainError("kill radius must be >= 0")
     else:
-        starts = np.flatnonzero(region.dist <= kill_radius)
+        starts = np.flatnonzero(trunc.dist <= kill_radius)
     per = max(1, ceil(n_paths / len(starts)))
     ids = np.repeat(starts, per)
-    walks = sample_walks(region, ids, t, np.random.default_rng(seed),
+    walks = sample_walks(trunc, ids, t, np.random.default_rng(seed),
                          cost=trunc.potential + field,
                          kill_radius=kill_radius)
     uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
-    kw = np.where(walks.exited, 0.0, uw)
-    killed = list(kw.reshape(len(starts), per))
-    if kill_radius is None:
-        return killed, None
-    return killed, list(uw.reshape(len(starts), per))
+    uw = uw.reshape(len(starts), per)
+    kw = np.where(walks.exited.reshape(uw.shape), 0.0, uw)
+    return kw, (None if kill_radius is None else uw)
 
 
 def _stratified_estimate(weights, t):
-    """Sum of the stratum means; the SE is NaN when a stratum has fewer than
-    two paths, since its variance is then undefined."""
-    n_total = sum(len(w) for w in weights)
-    mean = sum(float(np.mean(w)) for w in weights)
-    if any(len(w) < 2 for w in weights):
+    """Sum of the stratum (row) means, in row order; the SE is NaN when a
+    stratum has fewer than two paths, since its variance is then undefined."""
+    per = weights.shape[1]
+    mean = sum(weights.mean(axis=1).tolist())
+    if per < 2:
         se = nan
     else:
-        se = sqrt(sum(float(np.var(w, ddof=1)) / len(w) for w in weights))
-    return TraceEstimate(mean=mean, stderr=se, n_paths=n_total, t=t)
+        se = sqrt(sum((weights.var(axis=1, ddof=1) / per).tolist()))
+    return TraceEstimate(mean=mean, stderr=se, n_paths=weights.size, t=t)
 
 
 def mc_dirichlet_trace(trunc, field, t, n_paths, seed, kill_radius=None):
@@ -139,39 +135,27 @@ def mc_dirichlet_trace(trunc, field, t, n_paths, seed, kill_radius=None):
 # -- variance estimators -------------------------------------------------------
 
 
-def exact_dirichlet_trace(trunc, field, t):
-    """Tr e^{-tH_n} on the truncation ``trunc``, with ``field`` on its
-    vertices, by dense matrix exponential."""
-    return float(np.trace(expm_neg(trunc.matrices([field])[0], t)))
-
-
 def member_fields(trunc, graph, model, seed, m):
     """Fields of m ensemble members on the truncation's vertices, one row
     each: member i is row i of one (m, n) draw of ``default_rng(seed)``, so
     a member does not depend on m.  The covariance is factored once for all
     members."""
-    return _field_rows(model, graph, trunc.region.vertices, m,
+    return _field_rows(model, graph, trunc.vertices, m,
                        np.random.default_rng(seed))
 
 
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
     """Var over the noise of the exact truncated trace, with jackknife SE.
 
-    Member traces are sum e^{-t lambda} over the eigenvalues on the
-    symmetric eigen route and Tr e^{-tM} by matrix exponential otherwise.
-    The variance and the leave-one-out variances are taken of the traces
-    less the first member's, so identical members give exactly 0.
+    Member traces come from ``Truncation.traces``.  The variance and the
+    leave-one-out variances are taken of the traces less the first
+    member's, so identical members give exactly 0.
     """
     if m_draws < 3:
         raise DomainError("need at least three noise draws (the jackknife "
                           "divides by m - 2)")
     trunc = Truncation.build(graph, spec, pot, n)
-    fields = member_fields(trunc, graph, model, seed, m_draws)
-    if trunc.symmetric:
-        traces = np.exp(-t * trunc.eigenvalues(fields)).sum(axis=1)
-    else:
-        traces = np.array([np.trace(expm_neg(trunc.matrices(f[None])[0], t))
-                           for f in fields])
+    traces = trunc.traces(member_fields(trunc, graph, model, seed, m_draws), t)
     d = traces - traces[0]
     value = float(np.var(d, ddof=1))
     # Leave-one-out variances from running sums.
@@ -200,10 +184,10 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     if n_rep < 2:
         raise DomainError("need at least two replicates")
     trunc = Truncation.build(graph, spec, pot, box_radius)
-    region, pv = trunc.region, trunc.potential
-    gamma = covariance_matrix(model, graph, region.vertices)
+    pv = trunc.potential
+    gamma = covariance_matrix(model, graph, trunc.vertices)
     rng = np.random.default_rng(seed)
-    m = len(region.vertices)
+    m = len(trunc.vertices)
     ids = np.arange(m)
     # Replicates per block: L, L Gamma and the m x m pair matrices.
     block = max(1, _MAX_ELEMS // max(1, 3 * m * m))
@@ -211,7 +195,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)
         block_ids = np.tile(ids, 2 * r)
-        walks = sample_walks(region, block_ids, t, rng)
+        walks = sample_walks(trunc, block_ids, t, rng)
         loc = walks.local
         lg = loc @ gamma
         back = walks.endpoint == block_ids

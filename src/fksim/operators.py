@@ -2,11 +2,13 @@
 
 The truncated operator lives on the radius-n ball around the root; a walk
 is killed when it leaves the ball.  ``Truncation`` describes that ball once
-as arrays (a ``walker.Region``, the potential vector and the off-diagonal
-entries), which the dense assembly, the batched eigenvalues and the killed
-Monte Carlo walks share.  At build it decides the eigen route:
-a truncation whose off-diagonal part is symmetric up to roundoff (the
-lattices) takes LAPACK's symmetric solver, any other the general one.
+as arrays (vertices, neighbour table, cumulative jump rows, rates,
+distances, the potential vector and the off-diagonal entries), which the
+dense assembly, the batched eigenvalues, the exact traces and the Monte
+Carlo walks share.  At build it decides the eigen route: a truncation
+whose off-diagonal part is symmetric up to roundoff (the lattices) takes
+LAPACK's symmetric solver, any other the general one, and
+``Truncation.traces`` takes the exact traces Tr e^{-tM} the same way.
 Matrix exponentials are a degree-16 Taylor polynomial, evaluated with six
 matrix products (Paterson-Stockmeyer), with scaling and squaring and a
 diagonal shift folded into the scale; no linear solve.  Traces over a t
@@ -17,13 +19,13 @@ again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, isfinite, log2
+from math import ceil, factorial, inf, isfinite, log2
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalError
-from .walker import _MAX_ELEMS, Region
+from .errors import ConfigError, DomainError, InputError, NumericalError
+from .walker import _MAX_ELEMS
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,24 @@ _SYMMETRY_RTOL = 1e-12
 class Truncation:
     """The radius-n ball, as arrays in ``graph.ball`` order.
 
-    ``region`` holds the walk's vertices, neighbour table, jump rates and
-    distances; ``potential[i]`` is V at ``region.vertices[i]``; ``offdiag``
-    is the (rows, cols, values) of -H_X off the diagonal.  ``symmetric``
-    says whether those entries are symmetric up to roundoff, which selects
-    the eigen route.  Built once per (graph, walk, potential, radius), it
-    serves any number of fields; a field is a float array with one value
-    per vertex, in ``region.vertices`` order.
+    Row i describes ``vertices[i]``: ``nbr[i, k]`` is the row of its k-th
+    kernel target (-1 for a target outside the ball, and as padding beyond
+    its ``deg[i]`` targets), ``cum[i, k]`` the cumulative probability of
+    targets 0..k, ``rate[i]`` its jump rate, ``dist[i]`` its graph distance
+    to the root and ``potential[i]`` V there.  ``offdiag`` is the (rows,
+    cols, values) of -H_X off the diagonal, and ``symmetric`` says whether
+    those entries are symmetric up to roundoff, which selects the eigen
+    route.  Built once per (graph, walk, potential, radius), it serves the
+    walker and any number of fields; a field is a float array with one value
+    per vertex, in ``vertices`` order.
     """
 
-    region: Region
+    vertices: tuple
+    nbr: np.ndarray
+    cum: np.ndarray
+    deg: np.ndarray
+    rate: np.ndarray
+    dist: np.ndarray
     potential: np.ndarray
     radius: int
     offdiag: tuple
@@ -84,26 +94,50 @@ class Truncation:
 
     @classmethod
     def build(cls, graph, spec, pot, n):
+        """Truncation of the radius-n ball; calls ``spec.rate``,
+        ``spec.kernel`` and ``pot.value`` once per vertex."""
         if n < 0:
             raise DomainError("truncation radius must be >= 0")
-        vertices = graph.ball(graph.root, n)
+        vertices = tuple(graph.ball(graph.root, n))
+        index = {v: i for i, v in enumerate(vertices)}
+        m = len(vertices)
         potential = np.array([pot.value(graph, v) for v in vertices])
-        reg = Region.build(graph, spec, vertices)
-        # Targets inside the region (nbr -1 marks the others and the padding),
+        kernels = [spec.kernel(v) for v in vertices]
+        width = max([1] + [len(targets) for targets, _ in kernels])
+        nbr = np.full((m, width), -1, dtype=np.intp)
+        cum = np.full((m, width), inf)
+        deg = np.empty(m, dtype=np.intp)
+        rate = np.empty(m)
+        for i, (v, (targets, probs)) in enumerate(zip(vertices, kernels)):
+            r = spec.rate(v)
+            if r < 0:
+                raise ConfigError(f"rate at vertex {v} must be nonnegative")
+            if r > 0 and not targets:
+                raise ConfigError(f"vertex {v} has a positive rate but no "
+                                  "jump targets")
+            k = len(targets)
+            deg[i] = k
+            nbr[i, :k] = [index.get(u, -1) for u in targets]
+            cum[i, :k] = probs
+            rate[i] = r
+        dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
+                           dtype=np.int64, count=m)
+        # Targets inside the ball (nbr -1 marks the others and the padding),
         # with their jump probabilities from the cumulative rows.
-        rows, k = np.nonzero(reg.nbr >= 0)
-        prob = reg.cum[rows, k] - np.where(k > 0, reg.cum[rows, k - 1], 0.0)
+        rows, k = np.nonzero(nbr >= 0)
+        prob = cum[rows, k] - np.where(k > 0, cum[rows, k - 1], 0.0)
         hit = prob > 0.0
         rows, k = rows[hit], k[hit]
-        cols, vals = reg.nbr[rows, k], -reg.rate[rows] * prob[hit]
+        cols, vals = nbr[rows, k], -rate[rows] * prob[hit]
         # Symmetric when the transposed pattern is the same pattern and each
         # entry matches its mirror image.
-        flat, mirror = rows * len(vertices) + cols, cols * len(vertices) + rows
+        flat, mirror = rows * m + cols, cols * m + rows
         a, b = np.argsort(flat), np.argsort(mirror)
         tol = _SYMMETRY_RTOL * np.abs(vals).max(initial=0.0)
         symmetric = bool(np.array_equal(flat[a], mirror[b])
                          and np.all(np.abs(vals[a] - vals[b]) <= tol))
-        return cls(region=reg, potential=potential, radius=n,
+        return cls(vertices=vertices, nbr=nbr, cum=cum, deg=deg, rate=rate,
+                   dist=dist, potential=potential, radius=n,
                    offdiag=(rows, cols, vals), symmetric=symmetric)
 
     def matrices(self, fields):
@@ -115,7 +149,7 @@ class Truncation:
             raise InputError(f"fields must be rows of {size} values")
         h = np.zeros((len(fields), size, size))
         diag = np.arange(size)
-        h[:, diag, diag] = self.region.rate + (self.potential + fields)
+        h[:, diag, diag] = self.rate + (self.potential + fields)
         rows, cols, vals = self.offdiag
         h[:, rows, cols] = vals
         return h
@@ -134,6 +168,18 @@ class Truncation:
         parts = [solve(self.matrices(fields[lo:lo + step]))
                  for lo in range(0, len(fields), step)]
         return np.sort(np.concatenate(parts or [np.empty((0, size))]), axis=1)
+
+    def traces(self, fields, t):
+        """Tr e^{-tM} for the matrix M of each row of ``fields``.
+
+        The symmetric route sums e^{-t lambda} over ``eigenvalues``; the
+        general one takes the trace of ``expm_neg`` one member at a time,
+        so no more than one matrix is held.
+        """
+        if self.symmetric:
+            return np.exp(-t * self.eigenvalues(fields)).sum(axis=1)
+        return np.array([np.trace(expm_neg(self.matrices(f[None])[0], t))
+                         for f in np.asarray(fields, dtype=float)])
 
 
 def assemble(graph, spec, pot, field, n):

@@ -3,10 +3,11 @@
 Walks are sampled exactly (Gillespie-style): an exponential holding time at
 each visited vertex, then a jump drawn from the vertex's kernel; time is
 never discretised.  ``sample_path`` draws one trajectory with its local-time
-map.  The Monte Carlo estimators instead describe the vertices a walk may
-visit once as a ``Region`` of arrays and advance whole batches of walkers
-together in numpy with ``sample_walks``; a walker stops on leaving the
-region or, given a kill radius, is flagged past it and walks on.
+map.  The Monte Carlo estimators instead advance whole batches of walkers
+together in numpy with ``sample_walks``, over the arrays of an
+``operators.Truncation`` (vertex ids, neighbour table, cumulative jump
+rows, rates and distances); a walker stops on leaving the truncation's
+ball or, given a kill radius, is flagged past it and walks on.
 ``sample_jump_counts`` gives the jump counts of constant-rate walks for the
 Poisson-tail checks.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, exp, inf, log, log1p
+from math import ceil, exp, log, log1p
 from typing import Callable, Optional
 
 import numpy as np
@@ -160,62 +161,13 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
 
 
 @dataclass(frozen=True)
-class Region:
-    """The vertices a walk may visit, as arrays indexed by region id.
-
-    Row i describes ``vertices[i]``: ``nbr[i, k]`` is the region id of its
-    k-th kernel target (-1 for a target outside the region, and as padding
-    beyond its ``deg[i]`` targets), ``cum[i, k]`` the cumulative probability
-    of targets 0..k, ``rate[i]`` its jump rate and ``dist[i]`` its graph
-    distance to the root.
-    """
-
-    vertices: tuple
-    nbr: np.ndarray
-    cum: np.ndarray
-    deg: np.ndarray
-    rate: np.ndarray
-    dist: np.ndarray
-
-    @classmethod
-    def build(cls, graph, spec, vertices):
-        """Region over an ordered vertex list; calls ``spec.rate`` and
-        ``spec.kernel`` once per vertex."""
-        vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        m = len(vertices)
-        kernels = [spec.kernel(v) for v in vertices]
-        width = max([1] + [len(targets) for targets, _ in kernels])
-        nbr = np.full((m, width), -1, dtype=np.intp)
-        cum = np.full((m, width), inf)
-        deg = np.empty(m, dtype=np.intp)
-        rate = np.empty(m)
-        for i, (v, (targets, probs)) in enumerate(zip(vertices, kernels)):
-            r = spec.rate(v)
-            if r < 0:
-                raise ConfigError(f"rate at vertex {v} must be nonnegative")
-            if r > 0 and not targets:
-                raise ConfigError(f"vertex {v} has a positive rate but no "
-                                  "jump targets")
-            k = len(targets)
-            deg[i] = k
-            nbr[i, :k] = [index.get(u, -1) for u in targets]
-            cum[i, :k] = probs
-            rate[i] = r
-        dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
-                           dtype=np.int64, count=m)
-        return cls(vertices=vertices, nbr=nbr, cum=cum, deg=deg, rate=rate,
-                   dist=dist)
-
-
-@dataclass(frozen=True)
 class Walks:
     """Per-path results of ``sample_walks``, in the order of the starts.
 
-    ``endpoint`` is the region id at the horizon (-1 for a walker stopped at
-    its exit), ``exited`` whether the walker exited before it.  Exactly
+    ``endpoint`` is the vertex row at the horizon (-1 for a walker stopped
+    at its exit), ``exited`` whether the walker exited before it.  Exactly
     one of ``integral`` (the integral of the cost along the path) and
-    ``local`` (a dense row of local times over the region) is set.
+    ``local`` (a dense row of local times over the ball) is set.
     """
 
     endpoint: np.ndarray
@@ -224,19 +176,20 @@ class Walks:
     local: Optional[np.ndarray] = None
 
 
-def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None):
-    """Sample one walk from each start (a region id) up to the horizon.
+def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
+    """Sample one walk from each start (a vertex row of the truncation
+    ``trunc``) up to the horizon.
 
     All walkers of a batch advance together in numpy; each live walker draws
     an exponential holding time and then its jump, as in ``sample_path``.
     The result is deterministic given the generator state.
 
-    Without ``kill_radius`` a walker exits by leaving the region and stops
+    Without ``kill_radius`` a walker exits by leaving the ball and stops
     there.  With it, a walker exits on reaching a vertex farther than
-    ``kill_radius`` from the root and walks on, so the region must hold
-    every vertex it reaches: a jump out of the region raises InputError.
+    ``kill_radius`` from the root and walks on, so the ball must hold every
+    vertex it reaches: a jump out of the ball raises InputError.
 
-    With a ``cost`` vector over the region each path carries the integral of
+    With a ``cost`` vector over the ball each path carries the integral of
     the cost along it; without one it carries its local times.
     """
     if horizon < 0:
@@ -246,26 +199,26 @@ def sample_walks(region, starts, horizon, rng, *, cost=None, kill_radius=None):
     endpoint = starts.copy()
     # A walker that starts past the kill radius has exited, jump or not.
     exited = (np.zeros(n, dtype=bool) if kill_radius is None
-              else region.dist[starts] > kill_radius)
+              else trunc.dist[starts] > kill_radius)
     if cost is None:
-        acc = np.zeros((n, len(region.vertices)))
+        acc = np.zeros((n, len(trunc.vertices)))
     else:
         cost = np.asarray(cost, dtype=float)
         acc = np.zeros(n)
     for lo in range(0, n, _BATCH):
         part = slice(lo, lo + _BATCH)
-        _advance(region, endpoint[part], exited[part], acc[part], horizon,
+        _advance(trunc, endpoint[part], exited[part], acc[part], horizon,
                  rng, cost, kill_radius)
     if cost is None:
         return Walks(endpoint=endpoint, exited=exited, local=acc)
     return Walks(endpoint=endpoint, exited=exited, integral=acc)
 
 
-def _advance(region, cur, exited, acc, horizon, rng, cost, kill_radius):
+def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
     """Walk one batch in place: ``cur`` holds the start ids on entry and the
     endpoints on return; ``acc`` receives integrals or local-time rows."""
-    rate, nbr, cum, deg, dist = (region.rate, region.nbr, region.cum,
-                                 region.deg, region.dist)
+    rate, nbr, cum, deg, dist = (trunc.rate, trunc.nbr, trunc.cum, trunc.deg,
+                                 trunc.dist)
 
     def charge(idx, verts, dt):
         if cost is None:
@@ -299,8 +252,8 @@ def _advance(region, cur, exited, acc, horizon, rng, cost, kill_radius):
             exited[live[out]] = True
             live = live[~out]
         elif out.any():
-            v = region.vertices[at[np.argmax(out)]]
-            raise InputError(f"a walk left the region from vertex {v!r}")
+            v = trunc.vertices[at[np.argmax(out)]]
+            raise InputError(f"a walk left the ball from vertex {v!r}")
         else:
             exited[live[dist[nxt] > kill_radius]] = True
 
@@ -321,6 +274,8 @@ def sample_jump_counts(q, horizon, n_paths, seed):
         raise ConfigError("jump rate must be positive")
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
+    if n_paths < 0:
+        raise ConfigError("n_paths must be >= 0")
     if horizon == 0:
         return np.zeros(n_paths, dtype=np.int64)
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).

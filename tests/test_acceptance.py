@@ -152,7 +152,7 @@ def test_criterion_08_fk_vs_expm():
     t = 0.25
     trunc = Truncation.build(G1, SPEC, POT, 10)
     est = fk.mc_dirichlet_trace(trunc, xi, t, 200_000, seed=80)
-    exact = fk.exact_dirichlet_trace(trunc, xi, t)
+    exact = trunc.traces([xi], t)[0]
     z = abs(est.mean - exact) / est.stderr
     rel = est.stderr / exact
     ok = z <= 4.0 and rel < 0.02
@@ -170,8 +170,7 @@ def test_criterion_09_dirichlet_kernel():
     pathwise = all(np.all(kw <= uw + 1e-15)
                    for kw, uw in zip(killed, unkilled))
     est = fk._stratified_estimate(killed, t)
-    exact = fk.exact_dirichlet_trace(Truncation.build(G1, SPEC, POT, 4),
-                                     _on_ball(xi, 4), t)
+    exact = Truncation.build(G1, SPEC, POT, 4).traces([_on_ball(xi, 4)], t)[0]
     z = abs(est.mean - exact) / est.stderr
     ok = z <= 4.0 and pathwise
     _report(9, f"dirichlet kernel z={z:.2f} killed<=unkilled={pathwise}", ok)
@@ -197,7 +196,7 @@ def test_criterion_10_variance_estimator_identity():
 
 def test_criterion_11_poisson_domination():
     rep = tail_check({"q": "1", "t": "0.5", "n_paths": "1000000",
-                      "x_max": "10"}, seed=110)
+                      "x_max": "10", "seed": "110"})
     xs = [x for x, *_ in rep.rows]
     ok = rep.passed and xs == list(range(1, 11))
     _report(11, f"jump tail dominated at x={xs[0]}..{xs[-1]}", ok)
@@ -206,8 +205,8 @@ def test_criterion_11_poisson_domination():
 def test_criterion_12_rigidity_predictor():
     cfg = {"radius": "12", "members": "500", "alpha": "2", "gamma0": "1",
            "noise": "iid", "t_grid": "1 0.5 0.25 0.125", "cut_index": "1",
-           "mae_threshold": "0.25"}
-    rep = rigidity_demo(cfg, seed=120)
+           "mae_threshold": "0.25", "seed": "120"}
+    rep = rigidity_demo(cfg)
     inversions = sum(1 for a, b in zip(rep.mae, rep.mae[1:]) if b > a + 1e-12)
     ok = rep.passed and inversions <= 1 and rep.mae[-1] < 0.25
     _report(12, f"rigidity mae={['%.4f' % m for m in rep.mae]}", ok)

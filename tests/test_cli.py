@@ -99,6 +99,20 @@ def test_import_loads_no_scipy(code):
     assert _scipy_modules_after(code) == []
 
 
+def test_walker_imports_neither_operators_nor_estimators():
+    # The walker reads a truncation's arrays without importing the module
+    # that builds them.  The package imports every module, so the walker is
+    # imported under an empty ``fksim`` package.
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('fksim')\n"
+            f"pkg.__path__ = [{str(Path(fksim.__file__).parent)!r}]\n"
+            "sys.modules['fksim'] = pkg\n"
+            "import fksim.walker")
+    mods = _scipy_modules_after(code, ("fksim",))
+    assert "fksim.walker" in mods
+    assert not {"fksim.operators", "fksim.feynman_kac"} & set(mods)
+
+
 def _scipy_modules_after_main(tmp_path, command, text):
     """scipy modules loaded by a fresh process that runs ``command`` to
     completion, with a passing result, on the config ``text``."""
@@ -383,7 +397,7 @@ t = 0.5
 n_paths = 100000
 x_max = 8
 """))
-    rep = cli.tail_check(cfg, seed=0)
+    rep = cli.tail_check({**cfg, "seed": "0"})
     assert rep.passed
     assert all(x > 0.5 for x, *_ in rep.rows)   # x <= q t excluded
 
@@ -406,8 +420,9 @@ def _tail_rows_by_scan(q, t, n_paths, x_max, seed):
     (0.5, 4.0, 9, False)])
 def test_tail_check_rows_equal_a_scan_per_x(q, t, x_max, beyond):
     # beyond: some x exceeds every count; q t >= 1 in the last two cases.
-    cfg = {"q": str(q), "t": str(t), "n_paths": "20000", "x_max": str(x_max)}
-    rep = cli.tail_check(cfg, seed=5)
+    cfg = {"q": str(q), "t": str(t), "n_paths": "20000", "x_max": str(x_max),
+           "seed": "5"}
+    rep = cli.tail_check(cfg)
     rows, top = _tail_rows_by_scan(q, t, 20000, x_max, 5)
     assert rep.rows == rows and rows
     assert (x_max > top) == beyond
@@ -421,7 +436,7 @@ def test_tail_check_t_zero_trivial(tmp_path):
 
 def test_tail_check_without_rows_fails():
     rep = cli.tail_check({"q": "1", "t": "20", "n_paths": "1000",
-                          "x_max": "10"}, seed=0)
+                          "x_max": "10", "seed": "0"})
     assert rep.rows == () and not rep.passed
 
 
@@ -429,17 +444,22 @@ def test_tail_check_without_rows_fails():
     ("tail-check", "n_paths = 0\n"),
     ("tail-check", "n_paths = -3\n"),
     ("fk-compare", "radius = 4\nn_paths = 0\n"),
-    ("fk-compare", "radius = 4\nn_paths = -5\n")])
+    ("fk-compare", "radius = 4\nn_paths = -5\n"),
+    ("tail-check", "x_max = 0\n"),
+    ("tail-check", "x_max = -2\n")])
 def test_cli_refuses_fewer_than_one_path(tmp_path, capsys, command, text):
     # No path is no evidence: refused as an input error, not run to a
     # division by zero (tail-check) or 21 walks with se=nan (fk-compare).
+    # Nor is a tail check without a point to compare (x_max < 1).  The
+    # error names the config's last key.
+    key = text.splitlines()[-1].split("=")[0].strip()
     cfg = _write(tmp_path, text)
     assert cli.main([command, "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "n_paths" in captured.err
+    assert key in captured.err
     run = {"tail-check": cli.tail_check, "fk-compare": cli.fk_compare}[command]
-    with pytest.raises(ConfigError, match="n_paths"):
+    with pytest.raises(ConfigError, match=key):
         run(cli.parse_config(cfg))
 
 
@@ -694,6 +714,47 @@ x,empirical,bound,se
 8,0.0,4.20967679111302e-07,0.0
 9,0.0,2.4777104370464048e-08,0.0
 10,0.0,1.3046608232091703e-09,0.0
+"""
+
+
+def _benchmark_run(name, tmp_path, capsys):
+    """Summary line and CSV of one benchmark config at seed 41."""
+    out = tmp_path / f"{name}.csv"
+    argv = [_BENCH_COMMANDS[name], "--config",
+            str(_BENCH_CONFIGS / f"{name}.cfg"), "--seed", "41",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out, out.read_text()
+
+
+def test_cli_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
+    # The member fields and the exact member traces feed the ens_var and
+    # ens_se columns.
+    summary, csv = _benchmark_run("exact_sweep_variance", tmp_path, capsys)
+    assert summary == "slope=1.671104 ci95=0.270601 r2=0.997175 pass=True\n"
+    assert csv == """\
+# config_hash=6e45f7fdedad3615
+t,frozen,ens_var,ens_se,lower,radius
+0.5,0.646473439268386,0.2739722716661215,0.015155423623583979,0.2378242875702342,6
+0.25,0.17209004382093246,0.10377045180272886,0.0038977636720969986,0.10437788780868616,6
+0.125,0.0567032762704771,0.04379725779990577,0.0015682434467833898,0.04416055596216178,6
+0.0625,0.019698127078166133,0.017485050956043253,0.0006381237323272196,0.01738353613319936,6
+"""
+
+
+def test_cli_rigidity_demo_benchmark_csv_is_pinned(tmp_path, capsys):
+    # The member fields and their eigenvalues feed every column.
+    summary, csv = _benchmark_run("exact_rigidity_demo", tmp_path, capsys)
+    assert summary == \
+        "cut=0.318411 mae=['0.3740', '0.2125', '0.0790', '0.0085'] pass=True\n"
+    assert csv == """\
+# config_hash=7745023c0dcb0487
+# expectation column is the plug-in ensemble mean of the exponential linear statistic
+t,mean_statistic,mae
+1.0,1.2951432171364043,0.374
+0.5,1.8273045098398837,0.2125
+0.25,2.894480251017454,0.079
+0.125,4.476694500507761,0.0085
 """
 
 

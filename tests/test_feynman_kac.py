@@ -312,7 +312,7 @@ def test_trace_refuses_a_field_of_another_shape(field):
     with pytest.raises(InputError):
         fk.mc_dirichlet_trace(_trunc(2), field, 0.5, 100, seed=2)
     with pytest.raises(InputError):
-        fk.exact_dirichlet_trace(_trunc(2), field, 0.5)
+        _trunc(2).traces([field], 0.5)
 
 
 def test_trace_refuses_a_negative_kill_radius():
@@ -489,7 +489,7 @@ def _member_fields_reference(trunc, graph, model, seed, m):
     else:
         chol = noise._psd_factor(noise.covariance_matrix(model, graph, ball))
         rows = [chol @ z for z in rng.standard_normal((m, n))]
-    return np.array(rows)[:, [ball.index(v) for v in trunc.region.vertices]]
+    return np.array(rows)[:, [ball.index(v) for v in trunc.vertices]]
 
 
 def _field_cases():
@@ -497,7 +497,7 @@ def _field_cases():
     explicit = Truncation.build(
         G_IRREGULAR, symmetric_walk(G_IRREGULAR, 1.0),
         PotentialSpec(custom={v: 0.1 * v for v in range(6)}), 3)
-    assert explicit.region.vertices == (0, 1, 2, 4, 3, 5)
+    assert explicit.vertices == (0, 1, 2, 4, 3, 5)
     g2 = GraphModel.zd_l1(2)
     return [(G1, Truncation.build(G1, SPEC, POT, 5)),
             (g2, Truncation.build(g2, symmetric_walk(g2, 1.0), POT, 3)),
@@ -516,7 +516,7 @@ def test_member_fields_equal_single_draws(case, model):
     graph, trunc = _field_cases()[case]
     got = fk.member_fields(trunc, graph, model, 49, 9)
     want = _member_fields_reference(trunc, graph, model, 49, 9)
-    assert got.shape == (9, len(trunc.region.vertices))
+    assert got.shape == (9, len(trunc.vertices))
     assert got.tobytes() == want.tobytes()
     ball = graph.ball(graph.root, trunc.radius)
     ss = np.random.SeedSequence(50)

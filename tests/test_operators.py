@@ -271,9 +271,9 @@ def test_truncation_matches_loop_on_explicit_graph():
     spec = _explicit_spec(G_EXPLICIT)
     pot = PotentialSpec(custom={v: 0.3 * v - 0.4 for v in range(6)})
     trunc = Truncation.build(G_EXPLICIT, spec, pot, 2)
-    assert trunc.region.vertices == (0, 1, 2, 4, 3)
+    assert trunc.vertices == (0, 1, 2, 4, 3)
     # The values drawn for vertices 0..5, read on the ball.
-    xi = _random_field(list(range(6)), seed=40)[list(trunc.region.vertices)]
+    xi = _random_field(list(range(6)), seed=40)[list(trunc.vertices)]
     h = assemble(G_EXPLICIT, spec, pot, xi, 2)
     _assert_same_assembly(h, _reference_assembly(G_EXPLICIT, spec, pot, xi,
                                                  2))
@@ -367,7 +367,7 @@ def test_batched_eigenvalues_match_per_member(monkeypatch, case, per_stack):
 
 
 @pytest.mark.parametrize("case", [0, 1])
-def test_eigen_traces_match_matrix_exponential(case):
+def test_eigen_traces_match_matrix_exponential(monkeypatch, case):
     trunc, _ = _route_cases()[case]
     fields = np.random.default_rng(45).standard_normal(
         (5, len(trunc.potential)))
@@ -377,6 +377,19 @@ def test_eigen_traces_match_matrix_exponential(case):
         want = [np.trace(expm_neg(trunc.matrices(f[None])[0], t))
                 for f in fields]
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        # The one trace route: the eigenvalue sum on the symmetric route,
+        # the trace of expm_neg on the general one.
+        stacks, fill = [], Truncation.matrices
+        monkeypatch.setattr(Truncation, "matrices",
+                            lambda self, f: stacks.append(len(f))
+                            or fill(self, f))
+        traces = trunc.traces(fields, t)
+        monkeypatch.setattr(Truncation, "matrices", fill)
+        assert traces.tobytes() == np.asarray(
+            got if trunc.symmetric else want).tobytes()
+        if not trunc.symmetric:
+            # One member's matrix at a time.
+            assert stacks == [1] * len(fields)
 
 
 def test_assemble_is_one_row_of_matrices():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fksim import walker
 from fksim.errors import ConfigError, DomainError, InputError
 from fksim.lattice import GraphModel
-from fksim.walker import (MarkovSpec, Region, chernoff_jump_bound,
+from fksim.operators import PotentialSpec, Truncation
+from fksim.walker import (MarkovSpec, chernoff_jump_bound,
                           sample_jump_counts, sample_path, sample_walks,
                           symmetric_walk, validate_markov_spec)
 
@@ -95,6 +96,12 @@ def test_negative_horizon_rejected():
         sample_jump_counts(1.0, -1.0, 10, seed=0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, 0.5])
+def test_jump_counts_refuse_a_negative_path_count(horizon):
+    with pytest.raises(ConfigError, match="n_paths"):
+        sample_jump_counts(1.0, horizon, -3, seed=0)
+
+
 # -- batched sampler against the single-path reference ----------------------
 
 
@@ -117,19 +124,19 @@ def _two_sample_z(p1, n1, p2, n2):
     return abs(p1 - p2) / se if se > 0 else 0.0
 
 
-def _assert_matches_reference(graph, spec, region_verts, start, horizon,
+def _assert_matches_reference(graph, spec, radius, start, horizon,
                               kill_radius, cost_of, seed):
     n = 20000
-    region = Region.build(graph, spec, region_verts)
-    cost = np.array([cost_of(v) for v in region.vertices])
-    walks = sample_walks(region, np.full(n, region.vertices.index(start)),
+    trunc = Truncation.build(graph, spec, PotentialSpec(), radius)
+    cost = np.array([cost_of(v) for v in trunc.vertices])
+    walks = sample_walks(trunc, np.full(n, trunc.vertices.index(start)),
                          horizon, np.random.default_rng(seed), cost=cost,
                          kill_radius=kill_radius)
     ends, exits, costs = _reference_walks(graph, spec, start, horizon,
                                           kill_radius, cost_of, n, seed + 1)
     # Every endpoint probability, the exit frequency and the mean integral
     # agree within 5 two-sample SE (20000 paths per side).
-    got = [region.vertices[i] for i in walks.endpoint]
+    got = [trunc.vertices[i] for i in walks.endpoint]
     for v in set(got) | set(ends):
         assert _two_sample_z(got.count(v) / n, n, ends.count(v) / n, n) < 5, v
     assert _two_sample_z(walks.exited.mean(), n, exits.mean(), n) < 5
@@ -139,8 +146,7 @@ def _assert_matches_reference(graph, spec, region_verts, start, horizon,
 
 
 def test_batched_walks_match_sample_path_on_z1():
-    verts = G1.ball((0,), 15)
-    _assert_matches_reference(G1, SPEC, verts, (1,), 1.5, 2,
+    _assert_matches_reference(G1, SPEC, 15, (1,), 1.5, 2,
                               lambda v: float(v[0] ** 2), seed=30)
 
 
@@ -162,7 +168,7 @@ G_EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
 def test_batched_walks_match_sample_path_on_explicit_graph():
     spec = _explicit_spec(G_EXPLICIT)
     validate_markov_spec(G_EXPLICIT, spec, range(6))
-    _assert_matches_reference(G_EXPLICIT, spec, range(6), 0, 2.0, 1,
+    _assert_matches_reference(G_EXPLICIT, spec, 3, 0, 2.0, 1,
                               lambda v: 0.3 * v - 0.5, seed=31)
 
 
@@ -170,11 +176,11 @@ def test_batched_walks_local_times_agree_with_integrals():
     # The same stream gives the same paths in both modes, so the local-time
     # rows reproduce the integrals and sum to the horizon.
     spec = _explicit_spec(G_EXPLICIT)
-    region = Region.build(G_EXPLICIT, spec, range(6))
+    trunc = Truncation.build(G_EXPLICIT, spec, PotentialSpec(), 3)
     cost = np.linspace(-1.0, 2.0, 6)
     starts = np.arange(3000) % 6
-    a = sample_walks(region, starts, 1.7, np.random.default_rng(32), cost=cost)
-    b = sample_walks(region, starts, 1.7, np.random.default_rng(32))
+    a = sample_walks(trunc, starts, 1.7, np.random.default_rng(32), cost=cost)
+    b = sample_walks(trunc, starts, 1.7, np.random.default_rng(32))
     assert np.array_equal(a.endpoint, b.endpoint)
     np.testing.assert_allclose(b.local @ cost, a.integral, rtol=1e-12,
                                atol=1e-12)
@@ -182,9 +188,8 @@ def test_batched_walks_local_times_agree_with_integrals():
 
 
 def test_batched_walks_byte_identical_for_a_seed():
-    verts = G1.ball((0,), 3)
-    region = Region.build(G1, SPEC, verts)
-    runs = [sample_walks(region, np.repeat(np.arange(7), 500), 2.0,
+    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 3)
+    runs = [sample_walks(trunc, np.repeat(np.arange(7), 500), 2.0,
                          np.random.default_rng(33)) for _ in range(2)]
     assert runs[0].exited.any()
     for name in ("endpoint", "exited", "local"):
@@ -193,26 +198,25 @@ def test_batched_walks_byte_identical_for_a_seed():
 
 
 def test_batched_walks_stop_or_refuse_at_the_region_edge():
-    # Without a kill radius a walker exits by leaving the region and stops;
-    # with one it walks on, so leaving the region is refused.
-    verts = G1.ball((0,), 1)
-    region = Region.build(G1, SPEC, verts)
-    starts = np.full(200, verts.index((0,)))
-    walks = sample_walks(region, starts, 5.0, np.random.default_rng(34),
+    # Without a kill radius a walker exits by leaving the ball and stops;
+    # with one it walks on, so leaving the ball is refused.
+    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 1)
+    starts = np.full(200, trunc.vertices.index((0,)))
+    walks = sample_walks(trunc, starts, 5.0, np.random.default_rng(34),
                          cost=np.zeros(3))
     assert walks.exited.any()
     assert np.all(walks.endpoint[walks.exited] == -1)
     with pytest.raises(InputError):
-        sample_walks(region, starts, 5.0, np.random.default_rng(34),
+        sample_walks(trunc, starts, 5.0, np.random.default_rng(34),
                      cost=np.zeros(3), kill_radius=1)
 
 
 def test_batched_walks_started_past_the_kill_radius_have_exited():
     # Over a short horizon most walkers never jump; each is still flagged.
-    verts = G1.ball((0,), 3)
-    region = Region.build(G1, SPEC, verts)
-    starts = np.repeat([verts.index((0,)), verts.index((2,))], 1000)
-    walks = sample_walks(region, starts, 1e-3, np.random.default_rng(35),
+    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 3)
+    starts = np.repeat([trunc.vertices.index((0,)), trunc.vertices.index((2,))],
+                       1000)
+    walks = sample_walks(trunc, starts, 1e-3, np.random.default_rng(35),
                          cost=np.zeros(7), kill_radius=1)
     assert np.array_equal(walks.exited[1000:], np.ones(1000, dtype=bool))
     assert walks.exited[:1000].sum() < 10
