@@ -10,7 +10,7 @@ from .errors import ConfigError, DomainError, InputError, NumericalError
 from .lattice import GraphModel
 from .noise import (NoiseModel, constant_gaussian, covariance, iid_gaussian,
                     moment_bound_probe, power_decay_gaussian, sample_field,
-                    taylor_bound_check, variance_at_origin)
+                    sample_fields, taylor_bound_check)
 from .operators import (PotentialSpec, assemble, expm_neg,
                         multiplicity_pushforward, spectrum,
                         trace_identity_residual)

@@ -21,10 +21,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .lattice import GraphModel
 from .noise import (constant_gaussian, iid_gaussian, power_decay_gaussian,
-                    sample_field)
+                    sample_field, sample_fields)
 from .operators import PotentialSpec, Truncation, _expm_traces
 from .feynman_kac import (ensemble_variance, frozen_variance_sum,
-                          mc_dirichlet_trace, member_fields, radius_for)
+                          mc_dirichlet_trace, radius_for)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
 
@@ -185,10 +185,6 @@ def sweep_variance(cfg):
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
     fixed_radius = cfg.get("radius")
-    # With a nonnegative covariance no path pair lowers the variance, and
-    # each walker stays put with probability >= e^{-q t}: the pairs in which
-    # neither jumps give lower = e^{-2qt} frozen for any radial potential.
-    do_lower = model.gamma0 >= 0
 
     rows, below = [], []
     for k in range(k_min, k_max + 1):
@@ -200,7 +196,11 @@ def sweep_variance(cfg):
         # The frozen-sum column always uses its certified radius; a fixed
         # radius only constrains the matrix-exponential ensemble.
         frozen = frozen_variance_sum(t, graph, pot, model)
-        lower = exp(-2.0 * spec.sup_rate * t) * frozen if do_lower else None
+        # Every admissible covariance is nonnegative, so no path pair lowers
+        # the variance, and each walker stays put with probability
+        # >= e^{-q t}: the pairs in which neither jumps give
+        # lower = e^{-2qt} frozen for any radial potential.
+        lower = exp(-2.0 * spec.sup_rate * t) * frozen
         ens_var = ens_se = None
         if m_draws:
             est = ensemble_variance(graph, spec, pot, model, radius, t,
@@ -265,8 +265,8 @@ def rigidity_demo(cfg):
     if dim > 400:
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
     # members x dim, ascending real parts
-    eigs = trunc.eigenvalues(member_fields(trunc, graph, model, cfg["seed"],
-                                           members))
+    eigs = trunc.eigenvalues(sample_fields(model, graph, trunc.vertices,
+                                           members, cfg["seed"]))
     # B is a half-plane of real eigenvalues until B in C is supported:
     # taking Re would turn sum e^{-t lambda} into sum e^{-t Re lambda}.
     imag = np.abs(eigs.imag).max()
@@ -378,7 +378,8 @@ def spectral_check(cfg):
     if not t_grid:
         raise ConfigError("empty t grid")
     trunc = Truncation.build(graph, spec, pot, cfg["radius"])
-    fields = member_fields(trunc, graph, model, cfg["seed"], n_trials)
+    fields = sample_fields(model, graph, trunc.vertices, n_trials,
+                           cfg["seed"])
     worst = 0.0
     for field, eigs in zip(fields, trunc.eigenvalues(fields)):
         traces = _expm_traces(trunc.matrices(field[None])[0], t_grid)

@@ -3,17 +3,18 @@ identity, and the deterministic sums behind the small-t scaling laws.
 
 Monte Carlo routes walk on an ``operators.Truncation`` and sample all
 paths in numpy batches with ``walker.sample_walks``.  A field is a float
-array on the truncation's vertices, as its exact traces take it.  Trace
+array on the truncation's vertices, as its exact traces take it; ensemble
+members are rows of ``noise.sample_fields`` on those vertices.  Trace
 estimators weight each path by e^{-integral of (V + xi)}; killed-trace
 walkers stop at their exit from the truncation's ball, so the field is
-needed on the ball alone, unless the no-killing estimate is wanted too:
-then they walk inside a larger truncation that carries the field and are
-flagged past the ball's radius.  The paired-walker variance uses dense
+needed on the ball alone.  The paired-walker variance uses dense
 local-time rows, so that every start pair of a replicate comes from one
 matrix product with the box covariance.  Deterministic routes evaluate the
 frozen-walk double sum on a certified box: in closed radial form for
 independent and constant noise, and for power decay on the lattices as one
-FFT autocorrelation of the weights against the covariance kernel.
+FFT autocorrelation of the weights against the covariance kernel.  A
+``NoiseModel`` is checked when it is made, so no estimator re-checks its
+kind or the sign of its covariance.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InputError
+from .errors import DomainError, InputError
 from .lattice import ZD_L1, ZD_LINF
-from .noise import (CONSTANT, IID, POWER_DECAY, _field_rows,
-                    covariance_matrix, decay_kernel, variance_at_origin)
+from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
+                    sample_fields)
 from .operators import PotentialSpec, Truncation
 from .walker import _MAX_ELEMS, sample_walks
 
@@ -58,13 +59,14 @@ class VarianceEstimate:
         return (self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr)
 
 
-def radius_for(t, alpha=2.0, kappa=1.0, q_sup=1.0):
+def radius_for(t, alpha=2.0, kappa=1.0):
     """Box radius making the truncated terms < 1e-12 of the central one,
-    plus an allowance for walker displacement over the horizon."""
+    plus an allowance for the displacement of a unit-rate walker over the
+    horizon."""
     if t <= 0:
         raise DomainError("t must be positive")
     core = ceil((_LN_TAIL / t) ** (1.0 / alpha) / kappa)
-    return core + ceil(q_sup * _E * t) + 40
+    return core + ceil(_E * t) + 40
 
 
 # -- Monte Carlo trace ---------------------------------------------------------
@@ -113,35 +115,17 @@ def _stratified_estimate(weights, t):
     return TraceEstimate(mean=mean, stderr=se, n_paths=weights.size, t=t)
 
 
-def mc_dirichlet_trace(trunc, field, t, n_paths, seed, kill_radius=None):
-    """Estimate Tr e^{-tH_n} from paths killed on leaving the radius-n ball,
-    stratified evenly over the ball's start vertices.
-
-    Without ``kill_radius`` the ball is the truncation ``trunc`` and
-    ``field`` its values there.  With ``kill_radius=n``, ``trunc`` is a
-    larger truncation carrying the field, the killed walkers walk on inside
-    it, and the no-killing estimate from the same paths is returned too.
-    """
+def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
+    """Estimate Tr e^{-tH_n} from paths killed on leaving the ball of the
+    truncation ``trunc``, with ``field`` its values there, stratified evenly
+    over the ball's start vertices."""
     if t <= 0:
         raise DomainError("t must be positive")
-    killed, unkilled = _trace_samples(trunc, field, t, n_paths, seed,
-                                      kill_radius)
-    est = _stratified_estimate(killed, t)
-    if kill_radius is None:
-        return est
-    return est, _stratified_estimate(unkilled, t)
+    return _stratified_estimate(
+        _trace_samples(trunc, field, t, n_paths, seed)[0], t)
 
 
 # -- variance estimators -------------------------------------------------------
-
-
-def member_fields(trunc, graph, model, seed, m):
-    """Fields of m ensemble members on the truncation's vertices, one row
-    each: member i is row i of one (m, n) draw of ``default_rng(seed)``, so
-    a member does not depend on m.  The covariance is factored once for all
-    members."""
-    return _field_rows(model, graph, trunc.vertices, m,
-                       np.random.default_rng(seed))
 
 
 def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
@@ -155,7 +139,8 @@ def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
         raise DomainError("need at least three noise draws (the jackknife "
                           "divides by m - 2)")
     trunc = Truncation.build(graph, spec, pot, n)
-    traces = trunc.traces(member_fields(trunc, graph, model, seed, m_draws), t)
+    traces = trunc.traces(
+        sample_fields(model, graph, trunc.vertices, m_draws, seed), t)
     d = traces - traces[0]
     value = float(np.var(d, ddof=1))
     # Leave-one-out variances from running sums.
@@ -178,9 +163,6 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     With local-time rows L_a, L_b of a replicate's two families, all the
     <L,L~> of the replicate are the matrix L_a Gamma L_b^T.
     """
-    if model.kind not in (IID, CONSTANT, POWER_DECAY):
-        raise ConfigError(f"unsupported noise kind {model.kind!r} "
-                          "(closed-form inner covariance is Gaussian-only)")
     if n_rep < 2:
         raise DomainError("need at least two replicates")
     trunc = Truncation.build(graph, spec, pot, box_radius)
@@ -346,29 +328,24 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
         raise DomainError(f"box radius {r} below certified radius {required} "
                           f"for t={t}")
     t2 = t * t
-    g0 = variance_at_origin(model)
-    if model.kind == IID:
-        factor = exp(t2 * g0) * expm1(t2 * g0)
-        return factor * _radial_weight_sum(graph, pot, 2.0 * t, r)
-    if model.kind == CONSTANT:
-        factor = exp(t2 * g0) * expm1(t2 * g0)
-        radial = _radial_weight_sum(graph, pot, t, r)
-        return factor * radial * radial
+    g0 = model.gamma0
     if model.kind == POWER_DECAY:
         return exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot, model, r)
-    raise DomainError(f"unknown noise kind {model.kind!r}")
+    factor = exp(t2 * g0) * expm1(t2 * g0)
+    if model.kind == IID:
+        return factor * _radial_weight_sum(graph, pot, 2.0 * t, r)
+    radial = _radial_weight_sum(graph, pot, t, r)
+    return factor * radial * radial
 
 
 def lower_bound_sum(t, delta, model, graph, r=None):
     """Certified lower bound e^{-2t} * frozen sum for the preset
     V(v) = d(0, v)^delta and unit jump rate: each walker of a pair stays at
-    its start with probability e^{-t}, and with a nonnegative covariance no
-    other path pair contributes negatively.
+    its start with probability e^{-t}, and as every admissible covariance is
+    nonnegative no other path pair contributes negatively.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
-    if model.gamma0 < 0 or (model.kind == POWER_DECAY and model.decay_scale < 0):
-        raise DomainError("covariance must be nonnegative for the lower bound")
     return exp(-2.0 * t) * frozen_variance_sum(
         t, graph, PotentialSpec(alpha=delta), model, r)
 

@@ -1,7 +1,10 @@
 """Gaussian noise fields on vertex sets and covariance machinery.
 
 Three covariance structures are shipped: independent sites, distance power
-decay, and a fully correlated (constant) field.
+decay, and a fully correlated (constant) field.  ``NoiseModel`` refuses
+any other kind and any bad parameter when it is made, so the functions
+that take a model never re-check it.  ``sample_fields`` is the one field
+sampler: m rows from one generator with the covariance factored once.
 """
 
 from __future__ import annotations
@@ -24,16 +27,28 @@ CONSTANT = "constant"
 class NoiseModel:
     """Centered Gaussian field specification.
 
-    ``decay_scale`` is the power-decay prefactor (also its covariance-decay
-    certificate constant); ``moment_constant`` certifies the p-th moment bound
-    p! * moment_constant**p.
+    ``gamma0`` is the variance gamma(v, v) at every vertex, and for power
+    decay also the prefactor of gamma0 * (dist + 1)^-beta; every admissible
+    covariance is therefore nonnegative.  ``moment_constant`` certifies the
+    p-th moment bound p! * moment_constant**p.
     """
 
     kind: str
     gamma0: float = 1.0
     beta: Optional[float] = None
-    decay_scale: float = 1.0
     moment_constant: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in (IID, POWER_DECAY, CONSTANT):
+            raise DomainError(f"unknown noise kind {self.kind!r}")
+        if not self.gamma0 >= 0:
+            raise DomainError(f"noise variance gamma0 must be nonnegative, "
+                              f"got {self.gamma0}")
+        if self.kind == POWER_DECAY:
+            if self.beta is None or not self.beta > 0:
+                raise DomainError("decay exponent beta must be positive")
+            if self.gamma0 == 0:
+                raise DomainError("decay scale must be positive")
 
 
 def iid_gaussian(gamma0=1.0, moment_constant=1.0):
@@ -41,12 +56,8 @@ def iid_gaussian(gamma0=1.0, moment_constant=1.0):
 
 
 def power_decay_gaussian(beta, decay_scale=1.0, moment_constant=1.0):
-    if beta <= 0:
-        raise DomainError("decay exponent beta must be positive")
-    if decay_scale <= 0:
-        raise DomainError("decay scale must be positive")
     return NoiseModel(POWER_DECAY, gamma0=decay_scale, beta=beta,
-                      decay_scale=decay_scale, moment_constant=moment_constant)
+                      moment_constant=moment_constant)
 
 
 def constant_gaussian(gamma0=1.0, moment_constant=1.0):
@@ -59,9 +70,7 @@ def covariance(model, graph, u, v):
         return model.gamma0 if u == v else 0.0
     if model.kind == CONSTANT:
         return model.gamma0
-    if model.kind == POWER_DECAY:
-        return decay_kernel(model, graph.distance(u, v))
-    raise DomainError(f"unknown noise kind {model.kind!r}")
+    return decay_kernel(model, graph.distance(u, v))
 
 
 def covariance_matrix(model, graph, vertices):
@@ -71,8 +80,6 @@ def covariance_matrix(model, graph, vertices):
         return model.gamma0 * np.eye(m)
     if model.kind == CONSTANT:
         return np.full((m, m), model.gamma0)
-    if model.kind != POWER_DECAY:
-        raise DomainError(f"unknown noise kind {model.kind!r}")
     if graph.kind in (ZD_L1, ZD_LINF):
         coords = np.array(vertices, dtype=float).reshape(m, graph.d)
         dist = np.abs(coords[:, None, :] - coords[None, :, :])
@@ -84,29 +91,22 @@ def covariance_matrix(model, graph, vertices):
 
 
 def decay_kernel(model, dist):
-    """Power-decay covariance decay_scale * (dist + 1)^-beta at graph
-    distance ``dist`` (elementwise for an array)."""
-    return model.decay_scale * (dist + 1.0) ** -model.beta
-
-
-def variance_at_origin(model):
-    """gamma(v, v), identical for all v by stationarity."""
-    if model.kind == POWER_DECAY:
-        return model.decay_scale
-    return model.gamma0
+    """Power-decay covariance gamma0 * (dist + 1)^-beta at graph distance
+    ``dist`` (elementwise for an array)."""
+    return model.gamma0 * (dist + 1.0) ** -model.beta
 
 
 def sample_field(model, graph, vertices, seed=None, rng=None):
     """One realization of the field on an ordered vertex list: a float
     array whose i-th value is the field at ``vertices[i]``."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _field_rows(model, graph, tuple(vertices), 1, rng)[0]
+    return sample_fields(model, graph, vertices, 1,
+                         seed if rng is None else rng)[0]
 
 
-def _field_rows(model, graph, vertices, m, rng):
+def sample_fields(model, graph, vertices, m, seed):
     """m draws of the field on an ordered vertex list from one generator,
-    one row each, with the covariance factored once.
+    ``default_rng(seed)`` (a Generator is used as it is), one row each,
+    with the covariance factored once.
 
     Row i comes from row i of one (m, n) standard-normal draw (one normal
     per row for constant noise), and a power-decay row is ``chol @ z`` as
@@ -114,17 +114,16 @@ def _field_rows(model, graph, vertices, m, rng):
     bits depend on m), so the rows for m are a prefix of those for any
     larger m.
     """
+    rng = np.random.default_rng(seed)
     n = len(vertices)
     if model.kind == IID:
         return sqrt(model.gamma0) * rng.standard_normal((m, n))
     if model.kind == CONSTANT:
         z = rng.standard_normal((m, 1))
         return np.repeat(sqrt(model.gamma0) * z, n, axis=1)
-    if model.kind == POWER_DECAY:
-        chol = _psd_factor(covariance_matrix(model, graph, vertices))
-        z = rng.standard_normal((m, n))
-        return np.matmul(chol, z[:, :, None])[..., 0]
-    raise DomainError(f"unknown noise kind {model.kind!r}")
+    chol = _psd_factor(covariance_matrix(model, graph, vertices))
+    z = rng.standard_normal((m, n))
+    return np.matmul(chol, z[:, :, None])[..., 0]
 
 
 def _psd_factor(cov):
@@ -172,8 +171,7 @@ def taylor_bound_check(f, model, graph, n_samples, seed):
     if not support:
         return BoundReport(lhs=0.0, rhs=rhs, stderr=0.0, passed=True)
     coeffs = np.array([f[v] for v in support])
-    rng = np.random.default_rng(seed)
-    fields = _field_rows(model, graph, support, n_samples, rng)
+    fields = sample_fields(model, graph, support, n_samples, seed)
     vals = np.exp(fields @ coeffs)
     lhs = abs(vals.mean() - 1.0)
     se = vals.std(ddof=1) / sqrt(n_samples)
@@ -184,8 +182,7 @@ def moment_bound_probe(model, graph, p_max, n_samples, seed):
     """Max over even p <= p_max of empirical E|xi|^p / (p! m^p) at one vertex."""
     if p_max > 10:
         raise DomainError("sampling accuracy limits the probe to p <= 10")
-    rng = np.random.default_rng(seed)
-    draws = _field_rows(model, graph, (graph.root,), n_samples, rng)[:, 0]
+    draws = sample_fields(model, graph, (graph.root,), n_samples, seed)[:, 0]
     m = model.moment_constant
     worst = 0.0
     for p in range(2, p_max + 1, 2):

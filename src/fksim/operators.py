@@ -120,6 +120,19 @@ class Truncation:
             nbr[i, :k] = [index.get(u, -1) for u in targets]
             cum[i, :k] = probs
             rate[i] = r
+        # A self-jump entry would overwrite the matrix diagonal, and in a row
+        # that does not end at 1 the walk and the matrix would give the last
+        # target different probabilities.
+        own = np.flatnonzero((nbr == np.arange(m)[:, None]).any(axis=1))
+        if own.size:
+            raise ConfigError(f"vertex {vertices[own[0]]} lists itself as a "
+                              "jump target")
+        ends = cum[np.arange(m), deg - 1]
+        short = np.flatnonzero((deg > 0) & ~(np.abs(ends - 1.0) <= 1e-12))
+        if short.size:
+            i = short[0]
+            raise ConfigError(f"jump probabilities at vertex {vertices[i]} "
+                              f"end at {float(ends[i])!r}, not 1")
         dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
                            dtype=np.int64, count=m)
         # Targets inside the ball (nbr -1 marks the others and the padding),

@@ -13,8 +13,8 @@ import pytest
 import fksim
 from fksim.errors import ConfigError, DomainError
 from fksim import cli, operators
-from fksim.feynman_kac import member_fields
 from fksim.lattice import GraphModel
+from fksim.noise import sample_fields
 from fksim.walker import MarkovSpec, chernoff_jump_bound, sample_jump_counts
 
 
@@ -111,6 +111,21 @@ def test_walker_imports_neither_operators_nor_estimators():
     mods = _scipy_modules_after(code, ("fksim",))
     assert "fksim.walker" in mods
     assert not {"fksim.operators", "fksim.feynman_kac"} & set(mods)
+
+
+def test_no_module_imports_private_names_of_noise():
+    # noise owns its model checks, its sampler and its covariance factor;
+    # every other module reaches them through public names.
+    found = []
+    for path in sorted(Path(fksim.__file__).parent.glob("*.py")):
+        if path.stem == "noise":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module in ("noise", "fksim.noise"):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []
 
 
 def _scipy_modules_after_main(tmp_path, command, text):
@@ -383,7 +398,7 @@ def test_rigidity_demo_refuses_complex_spectra(monkeypatch):
     graph, model, pot, spec = cli._model_from(cli.effective_config(
         "rigidity-demo", cfg))
     trunc = operators.Truncation.build(graph, spec, pot, 6)
-    eigs = trunc.eigenvalues(member_fields(trunc, graph, model, 0, 5))
+    eigs = trunc.eigenvalues(sample_fields(model, graph, trunc.vertices, 5, 0))
     assert not trunc.symmetric and np.abs(eigs.imag).max() > 0.01
     with pytest.raises(DomainError, match="imaginary parts up to "
                        f"{np.abs(eigs.imag).max():.3e}"):
@@ -461,6 +476,22 @@ def test_cli_refuses_fewer_than_one_path(tmp_path, capsys, command, text):
     run = {"tail-check": cli.tail_check, "fk-compare": cli.fk_compare}[command]
     with pytest.raises(ConfigError, match=key):
         run(cli.parse_config(cfg))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep-variance", "gamma0 = -1\n"),
+    ("rigidity-demo", "gamma0 = -1\nradius = 4\n"),
+    ("spectral-check", "gamma0 = -1\nradius = 4\n"),
+    ("fk-compare", "gamma0 = -1\nradius = 4\n")])
+def test_cli_refuses_a_negative_noise_variance(tmp_path, capsys, command,
+                                                text):
+    # The noise model refuses it when the config is read, before a square
+    # root of it ends in "math domain error" or a negative "variance" in
+    # the slope fit.
+    assert cli.main([command, "--config", _write(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma0" in captured.err
 
 
 def test_cli_tail_check_refuses_negative_t(tmp_path, capsys):
@@ -756,6 +787,39 @@ t,mean_statistic,mae
 0.25,2.894480251017454,0.079
 0.125,4.476694500507761,0.0085
 """
+
+
+def test_cli_power_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
+    # The power-decay prefactor and exponent feed the FFT kernel behind
+    # every frozen and lower value.
+    summary, csv = _benchmark_run("power_sweep_variance", tmp_path, capsys)
+    assert summary == "slope=1.217150 ci95=0.005697 r2=0.999956 pass=True\n"
+    assert csv == """\
+# config_hash=ebcc2332364b16bc
+t,frozen,ens_var,ens_se,lower,radius
+0.015625,0.02196259536513585,,,0.021286877343245785,84
+0.0078125,0.009670740815058152,,,0.00952080987562753,101
+0.00390625,0.004231165778940054,,,0.004198238585617198,126
+0.001953125,0.001840612070427061,,,0.001833436204015624,160
+0.0009765625,0.0007966597660376793,,,0.0007951053084512724,210
+0.00048828125,0.0003433084866184037,,,0.00034297338807340804,279
+0.000244140625,0.00014738840359113914,,,0.00014731645416440567,378
+0.0001220703125,6.307328691023984e-05,,,6.305789003813024e-05,517
+6.103515625e-05,2.691768659546138e-05,,,2.6914400945591127e-05,714
+3.0517578125e-05,1.1460914001839887e-05,,,1.1460214504510199e-05,993
+1.52587890625e-05,4.870170012755866e-06,,,4.870021389229846e-06,1387
+7.62939453125e-06,2.0660659807999212e-06,,,2.0660344553754515e-06,1945
+"""
+
+
+def test_cli_power_spectral_check_benchmark_summary_is_pinned(capsys):
+    # The correlated member fields (one covariance factor, one draw of all
+    # trials) feed every matrix whose residual this line reports.
+    argv = ["spectral-check", "--config",
+            str(_BENCH_CONFIGS / "power_spectral_check.cfg"), "--seed", "41"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == \
+        "max_residual=5.427e-14 trials=200 pass=True\n"
 
 
 def test_cli_fk_compare_summary_repeats_for_a_seed(tmp_path, capsys):

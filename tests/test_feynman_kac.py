@@ -45,8 +45,10 @@ def test_killed_below_unkilled_pathwise():
 
 
 def test_killing_immaterial_for_huge_radius():
-    k, u = fk.mc_dirichlet_trace(_trunc(80), np.zeros(161), 0.5, 3000,
-                                 seed=10, kill_radius=40)
+    killed, unkilled = fk._trace_samples(_trunc(80), np.zeros(161), 0.5, 3000,
+                                         seed=10, kill_radius=40)
+    k = fk._stratified_estimate(killed, 0.5)
+    u = fk._stratified_estimate(unkilled, 0.5)
     assert k.mean == u.mean
 
 
@@ -72,7 +74,7 @@ def _traces_by_expm(graph, spec, pot, model, n, t, m, seed):
     trunc = Truncation.build(graph, spec, pot, n)
     return trunc, np.array([
         np.trace(expm_neg(trunc.matrices(f[None])[0], t))
-        for f in fk.member_fields(trunc, graph, model, seed, m)])
+        for f in noise.sample_fields(model, graph, trunc.vertices, m, seed)])
 
 
 # 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4: uniform jumps on
@@ -91,8 +93,8 @@ def test_ensemble_variance_matches_expm_traces(graph, n, symmetric):
     trunc, traces = _traces_by_expm(graph, spec, pot, iid_gaussian(1.0), n,
                                     t, m, seed=47)
     assert trunc.symmetric == symmetric
-    eigs = trunc.eigenvalues(fk.member_fields(trunc, graph,
-                                              iid_gaussian(1.0), 47, m))
+    eigs = trunc.eigenvalues(noise.sample_fields(iid_gaussian(1.0), graph,
+                                                 trunc.vertices, m, 47))
     assert np.allclose(np.exp(-t * eigs).sum(axis=1), traces, rtol=1e-12,
                        atol=0.0)
     est = fk.ensemble_variance(graph, spec, pot, iid_gaussian(1.0), n, t, m,
@@ -134,6 +136,18 @@ def test_paired_walker_benchmark_estimate_is_pinned():
         int(cfg["n_rep"]), int(cfg["box_radius"]), seed=41)
     assert (est.value, est.stderr) == (0.2604176500283649,
                                        0.003954473740516742)
+
+
+@pytest.mark.parametrize("model, pinned", [
+    (power_decay_gaussian(0.5), (0.7022911169473162, 0.02333363696511744)),
+    (constant_gaussian(0.7), (0.6064417820920244, 0.019242489741122786))],
+    ids=["power_decay", "constant"])
+def test_paired_walker_correlated_estimate_is_pinned(model, pinned):
+    # The box covariance matrix of each correlated kind feeds every pair
+    # weight, so a change to its prefactor or its kind dispatch shows here.
+    est = fk.paired_walker_variance(G1, SPEC, POT, model, 0.5, 300, 6,
+                                    seed=41)
+    assert (est.value, est.stderr) == pinned
 
 
 def test_paired_walker_single_vertex_lognormal():
@@ -302,8 +316,7 @@ def test_unkilled_trace_refuses_walks_beyond_the_field():
     verts = G1.ball((0,), 2)
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
     with pytest.raises(InputError):
-        fk.mc_dirichlet_trace(_trunc(2), xi, 5.0, 2000, seed=2,
-                              kill_radius=2)
+        fk._trace_samples(_trunc(2), xi, 5.0, 2000, seed=2, kill_radius=2)
 
 
 @pytest.mark.parametrize("field", [[0.3], np.zeros(4), np.zeros((1, 5))])
@@ -317,8 +330,8 @@ def test_trace_refuses_a_field_of_another_shape(field):
 
 def test_trace_refuses_a_negative_kill_radius():
     with pytest.raises(DomainError):
-        fk.mc_dirichlet_trace(_trunc(2), np.zeros(5), 0.5, 100, seed=2,
-                              kill_radius=-1)
+        fk._trace_samples(_trunc(2), np.zeros(5), 0.5, 100, seed=2,
+                          kill_radius=-1)
 
 
 def test_stratified_se_undefined_with_one_path_per_stratum():
@@ -474,10 +487,10 @@ def _single_draw(model, graph, vertices, rng):
 
 
 def _member_fields_reference(trunc, graph, model, seed, m):
-    """member_fields written out: row i of one (m, n) standard-normal draw
-    of default_rng(seed) on the ball (one normal per row for constant
-    noise), correlated row by row as a single draw is, and read back on the
-    truncation's vertices."""
+    """sample_fields on the truncation's vertices written out: row i of
+    one (m, n) standard-normal draw of default_rng(seed) on the ball (one
+    normal per row for constant noise), correlated row by row as a single
+    draw is, and read back on the truncation's vertices."""
     ball = graph.ball(graph.root, trunc.radius)
     n = len(ball)
     rng = np.random.default_rng(seed)
@@ -514,7 +527,7 @@ def test_member_fields_equal_single_draws(case, model):
     """Members are the rows of a single draw of one generator per ensemble,
     and the public single draw keeps its bits."""
     graph, trunc = _field_cases()[case]
-    got = fk.member_fields(trunc, graph, model, 49, 9)
+    got = noise.sample_fields(model, graph, trunc.vertices, 9, 49)
     want = _member_fields_reference(trunc, graph, model, 49, 9)
     assert got.shape == (9, len(trunc.vertices))
     assert got.tobytes() == want.tobytes()
@@ -528,37 +541,43 @@ def test_member_fields_equal_single_draws(case, model):
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
 def test_member_fields_are_prefixes_of_larger_ensembles(model):
     for graph, trunc in _field_cases():
-        many = fk.member_fields(trunc, graph, model, 53, 200)
+        many = noise.sample_fields(model, graph, trunc.vertices, 200, 53)
         for m in (1, 2, 5, 12):
-            few = fk.member_fields(trunc, graph, model, 53, m)
+            few = noise.sample_fields(model, graph, trunc.vertices, m, 53)
             assert few.tobytes() == many[:m].tobytes(), m
 
 
 def test_member_fields_use_one_generator(monkeypatch):
     made, spawned, drawn = [], [], []
-    default_rng, field_rows = np.random.default_rng, fk._field_rows
+    default_rng = np.random.default_rng
 
     class CountingSeedSequence(np.random.SeedSequence):
         def spawn(self, n):
             spawned.append(n)
             return super().spawn(n)
 
+    class RecordingRng:
+        """The generator default_rng made, recording the rows of each
+        normal draw and the type of the generator that makes it."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            drawn.append((size[0], type(self.rng)))
+            return self.rng.standard_normal(size)
+
     def counting_rng(*a):
         made.append(a)
-        return default_rng(*a)
-
-    def recording_rows(model, graph, vertices, m, rng):
-        drawn.append((m, type(rng)))
-        return field_rows(model, graph, vertices, m, rng)
+        return RecordingRng(default_rng(*a))
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-    monkeypatch.setattr(fk, "_field_rows", recording_rows)
     for model in _FIELD_MODELS:
         for graph, trunc in _field_cases():
             made.clear()
             drawn.clear()
-            fk.member_fields(trunc, graph, model, 54, 13)
+            noise.sample_fields(model, graph, trunc.vertices, 13, 54)
             assert made == [(54,)]
             assert drawn == [(13, np.random.Generator)]
     assert spawned == []
@@ -567,8 +586,8 @@ def test_member_fields_use_one_generator(monkeypatch):
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
 def test_member_fields_do_not_depend_on_m(model):
     for graph, trunc in _field_cases():
-        few = fk.member_fields(trunc, graph, model, 51, 5)
-        many = fk.member_fields(trunc, graph, model, 51, 12)
+        few = noise.sample_fields(model, graph, trunc.vertices, 5, 51)
+        many = noise.sample_fields(model, graph, trunc.vertices, 12, 51)
         assert few.tobytes() == many[:5].tobytes()
 
 
@@ -578,5 +597,6 @@ def test_member_fields_factor_the_covariance_once(monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     for graph, trunc in _field_cases():
         calls.clear()
-        fk.member_fields(trunc, graph, power_decay_gaussian(1.0), 52, 11)
+        noise.sample_fields(power_decay_gaussian(1.0), graph, trunc.vertices,
+                            11, 52)
         assert len(calls) == 1

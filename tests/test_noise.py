@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from fksim.errors import DomainError
 from fksim import noise
 from fksim.lattice import GraphModel
-from fksim.noise import (constant_gaussian, covariance,
+from fksim.noise import (NoiseModel, constant_gaussian, covariance,
                          covariance_matrix, iid_gaussian, moment_bound_probe,
                          power_decay_gaussian, sample_field,
-                         taylor_bound_check, variance_at_origin)
+                         taylor_bound_check)
 
 G1 = GraphModel.zd_l1(1)
 
@@ -21,7 +21,7 @@ def test_covariance_values():
     assert covariance(constant_gaussian(0.7), G1, (0,), (9,)) == 0.7
     m = power_decay_gaussian(beta=1.0)
     assert covariance(m, G1, (0,), (3,)) == pytest.approx(0.25)
-    assert variance_at_origin(m) == 1.0
+    assert m.gamma0 == 1.0
 
 
 _EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
@@ -49,6 +49,26 @@ def test_power_decay_requires_positive_parameters():
         power_decay_gaussian(beta=-1.0)
     with pytest.raises(DomainError):
         power_decay_gaussian(beta=1.0, decay_scale=0.0)
+
+
+@pytest.mark.parametrize("params, match", [
+    ({"kind": "laplace"}, "unknown noise kind 'laplace'"),
+    ({"kind": "iid", "gamma0": -1.0}, "gamma0"),
+    ({"kind": "iid", "gamma0": math.nan}, "gamma0"),
+    ({"kind": "constant", "gamma0": -0.5}, "gamma0"),
+    ({"kind": "power_decay", "gamma0": -2.0, "beta": 1.0}, "gamma0"),
+    ({"kind": "power_decay"}, "beta must be positive"),
+    ({"kind": "power_decay", "beta": 0.0}, "beta must be positive"),
+    ({"kind": "power_decay", "beta": -1.0}, "beta must be positive"),
+    ({"kind": "power_decay", "gamma0": 0.0, "beta": 1.0},
+     "decay scale must be positive")],
+    ids=["unknown-kind", "iid-negative", "iid-nan", "constant-negative",
+         "power-negative", "power-no-beta", "power-zero-beta",
+         "power-negative-beta", "power-zero-scale"])
+def test_noise_model_refuses_bad_parameters(params, match):
+    # The model is checked when it is made, so no estimator re-checks it.
+    with pytest.raises(DomainError, match=match):
+        NoiseModel(**params)
 
 
 def test_iid_sample_variance():
@@ -143,8 +163,8 @@ def test_bound_checks_keep_their_draws(model):
                 for p in (2, 4, 6, 8))
     ratio = moment_bound_probe(model, g2, p_max=8, n_samples=20000, seed=18)
     if model.kind == "power_decay":
-        got = noise._field_rows(model, g2, support, 5000,
-                                np.random.default_rng(17))
+        got = noise.sample_fields(model, g2, support, 5000,
+                                  np.random.default_rng(17))
         assert np.abs(got - rows).max() <= 1e-15 * np.abs(rows).max()
         # lhs = |mean - 1| is about 5e-3 here, so draws 1e-15 apart may
         # move it by some 1e-13 relative.

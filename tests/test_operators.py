@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fksim import operators
-from fksim.errors import DomainError, InputError, NumericalError
-from fksim.feynman_kac import member_fields
+from fksim.errors import (ConfigError, DomainError, InputError,
+                          NumericalError)
 from fksim.lattice import GraphModel
-from fksim.noise import iid_gaussian, sample_field
+from fksim.noise import iid_gaussian, sample_field, sample_fields
 from fksim.operators import (PotentialSpec, Truncation, assemble, expm_neg,
                              multiplicity_pushforward, spectrum,
                              trace_identity_residual)
@@ -134,7 +134,8 @@ def test_expm_traces_match_eigenvalues_at_benchmark_scale():
     trunc = Truncation.build(graph, symmetric_walk(graph, 1.0),
                              PotentialSpec(alpha=2.0), 10)
     for seed in range(5):
-        field = member_fields(trunc, graph, iid_gaussian(1.0), seed, 1)
+        field = sample_fields(iid_gaussian(1.0), graph, trunc.vertices, 1,
+                              seed)
         mat = trunc.matrices(field)[0]
         lam = np.linalg.eigvalsh(mat)
         got = operators._expm_traces(mat, (0.5, 1.0))
@@ -259,6 +260,30 @@ def _explicit_spec(graph):
         return targets, list(np.cumsum(w / w.sum()))
     return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
                       kernel=kernel)
+
+
+def _z1_spec(kernel):
+    return MarkovSpec(rate=lambda v: 1.0, sup_rate=1.0, kernel=kernel)
+
+
+def test_truncation_refuses_a_self_jump():
+    # A self-jump of probability 1/2 would write the matrix diagonal over
+    # the rate and the potential: the Monte Carlo trace then read 1.978
+    # against an "exact" 11.717.
+    def kernel(v):
+        return [v, (v[0] - 1,), (v[0] + 1,)], [0.5, 0.75, 1.0]
+    with pytest.raises(ConfigError,
+                       match=r"vertex \(-4,\) lists itself as a jump target"):
+        Truncation.build(G1, _z1_spec(kernel), PotentialSpec(), 4)
+
+
+def test_truncation_refuses_a_row_that_ends_below_one():
+    # The walk would send the missing 0.2 to the last target, the matrix
+    # nowhere: the Monte Carlo trace then sat 6.75 SE off the exact one.
+    def kernel(v):
+        return [(v[0] - 1,), (v[0] + 1,)], [0.4, 0.8]
+    with pytest.raises(ConfigError, match=r"vertex \(-4,\) end at 0\.8,"):
+        Truncation.build(G1, _z1_spec(kernel), PotentialSpec(), 4)
 
 
 def _random_field(verts, seed):
