@@ -15,8 +15,7 @@ from .operators import (PotentialSpec, assemble, expm_neg,
                         multiplicity_pushforward, spectrum,
                         trace_identity_residual)
 from .walker import (MarkovSpec, PathRecord, chernoff_jump_bound,
-                     sample_jump_counts, sample_path, symmetric_walk,
-                     validate_markov_spec)
+                     sample_jump_counts, sample_path, symmetric_walk)
 from .feynman_kac import (TraceEstimate, VarianceEstimate, ensemble_variance,
                           frozen_variance_sum, lower_bound_sum,
                           mc_dirichlet_trace, paired_walker_variance,

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .lattice import GraphModel
-from .noise import (constant_gaussian, iid_gaussian, power_decay_gaussian,
-                    sample_field, sample_fields)
+from .noise import NoiseModel, sample_field, sample_fields
 from .operators import PotentialSpec, Truncation, _expm_traces
 from .feynman_kac import (ensemble_variance, frozen_variance_sum,
                           mc_dirichlet_trace, radius_for)
@@ -74,39 +73,27 @@ def config_hash(cfg):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _required(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    return cfg[key]
-
-
 def _graph_from(cfg):
     kind, d = cfg["graph"], cfg["d"]
+    if kind == "edge_list":
+        if "graph_file" not in cfg:
+            raise ConfigError("missing config key 'graph_file'")
+        return GraphModel.from_edge_list(cfg["graph_file"], d=d)
+    if "graph_file" in cfg:
+        raise ConfigError(f"config key 'graph_file' needs graph = edge_list, "
+                          f"not {kind!r}")
     if kind == "zd_l1":
         return GraphModel.zd_l1(d)
     if kind == "zd_linf":
         return GraphModel.zd_linf(d)
-    if kind == "edge_list":
-        return GraphModel.from_edge_list(_required(cfg, "graph_file"), d=d)
     raise ConfigError(f"unknown graph kind {kind!r}")
 
 
-def _noise_from(cfg):
-    kind, gamma0, moment = cfg["noise"], cfg["gamma0"], cfg["moment_constant"]
-    if kind == "iid":
-        return iid_gaussian(gamma0, moment)
-    if kind == "constant":
-        return constant_gaussian(gamma0, moment)
-    if kind == "power_decay":
-        return power_decay_gaussian(_required(cfg, "beta"),
-                                    cfg["decay_scale"], moment)
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
 def _model_from(cfg):
-    """The graph, noise model, potential and walk a config describes."""
+    """The graph, noise model, potential and walk a config describes.  The
+    model types refuse a bad value, and a beta on noise that has none."""
     graph = _graph_from(cfg)
-    return (graph, _noise_from(cfg),
+    return (graph, NoiseModel(cfg["noise"], cfg["gamma0"], cfg.get("beta")),
             PotentialSpec(alpha=cfg["alpha"], kappa=cfg["kappa"],
                           mu=cfg["mu"]),
             symmetric_walk(graph, cfg["q"]))
@@ -411,8 +398,7 @@ def fk_compare(cfg):
     # Killed walkers stop at their exit, so the field is needed on the
     # truncation ball alone.  Both estimators share the one truncation.
     trunc = Truncation.build(graph, spec, pot, radius)
-    field = sample_field(model, graph, trunc.vertices,
-                         rng=np.random.default_rng(cfg["seed"]))
+    field = sample_field(model, graph, trunc.vertices, cfg["seed"])
     est = mc_dirichlet_trace(trunc, field, t, n_paths, cfg["seed"] + 1)
     exact = float(trunc.traces([field], t)[0])
     # Without a finite positive SE (a stratum with one path, or every weight
@@ -432,10 +418,9 @@ def fk_compare(cfg):
 # run needs it).
 _MODEL_KEYS = {
     "graph": (str, "zd_l1"), "d": (int, 1), "graph_file": (str, None),
-    "noise": (str, "iid"), "gamma0": (float, 1.0),
-    "moment_constant": (float, 1.0), "beta": (float, None),
-    "decay_scale": (float, 1.0), "alpha": (float, 2.0), "kappa": (float, 1.0),
-    "mu": (float, 0.0), "q": (float, 1.0), "seed": (int, 0)}
+    "noise": (str, "iid"), "gamma0": (float, 1.0), "beta": (float, None),
+    "alpha": (float, 2.0), "kappa": (float, 1.0), "mu": (float, 0.0),
+    "q": (float, 1.0), "seed": (int, 0)}
 _COMMANDS = {
     "sweep-variance": (
         sweep_variance, _write_sweep_csv,

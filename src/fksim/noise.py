@@ -29,8 +29,9 @@ class NoiseModel:
 
     ``gamma0`` is the variance gamma(v, v) at every vertex, and for power
     decay also the prefactor of gamma0 * (dist + 1)^-beta; every admissible
-    covariance is therefore nonnegative.  ``moment_constant`` certifies the
-    p-th moment bound p! * moment_constant**p.
+    covariance is therefore nonnegative.  ``beta`` is power decay's alone.
+    ``moment_constant`` certifies the p-th moment bound
+    p! * moment_constant**p.
     """
 
     kind: str
@@ -44,19 +45,25 @@ class NoiseModel:
         if not self.gamma0 >= 0:
             raise DomainError(f"noise variance gamma0 must be nonnegative, "
                               f"got {self.gamma0}")
-        if self.kind == POWER_DECAY:
-            if self.beta is None or not self.beta > 0:
-                raise DomainError("decay exponent beta must be positive")
-            if self.gamma0 == 0:
-                raise DomainError("decay scale must be positive")
+        if not self.moment_constant > 0:
+            raise DomainError(f"moment_constant must be positive, got "
+                              f"{self.moment_constant}")
+        if self.kind != POWER_DECAY:
+            if self.beta is not None:
+                raise DomainError(f"noise kind {self.kind!r} takes no beta")
+        elif self.beta is None or not self.beta > 0:
+            raise DomainError("decay exponent beta must be positive")
+        elif self.gamma0 == 0:
+            raise DomainError(f"decay scale must be positive, got gamma0 = "
+                              f"{self.gamma0}")
 
 
 def iid_gaussian(gamma0=1.0, moment_constant=1.0):
     return NoiseModel(IID, gamma0=gamma0, moment_constant=moment_constant)
 
 
-def power_decay_gaussian(beta, decay_scale=1.0, moment_constant=1.0):
-    return NoiseModel(POWER_DECAY, gamma0=decay_scale, beta=beta,
+def power_decay_gaussian(beta, gamma0=1.0, moment_constant=1.0):
+    return NoiseModel(POWER_DECAY, gamma0=gamma0, beta=beta,
                       moment_constant=moment_constant)
 
 
@@ -96,11 +103,11 @@ def decay_kernel(model, dist):
     return model.gamma0 * (dist + 1.0) ** -model.beta
 
 
-def sample_field(model, graph, vertices, seed=None, rng=None):
+def sample_field(model, graph, vertices, seed):
     """One realization of the field on an ordered vertex list: a float
-    array whose i-th value is the field at ``vertices[i]``."""
-    return sample_fields(model, graph, vertices, 1,
-                         seed if rng is None else rng)[0]
+    array whose i-th value is the field at ``vertices[i]``; the first row
+    of ``sample_fields`` (``seed`` may be a Generator)."""
+    return sample_fields(model, graph, vertices, 1, seed)[0]
 
 
 def sample_fields(model, graph, vertices, m, seed):

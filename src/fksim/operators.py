@@ -95,7 +95,8 @@ class Truncation:
     @classmethod
     def build(cls, graph, spec, pot, n):
         """Truncation of the radius-n ball; calls ``spec.rate``,
-        ``spec.kernel`` and ``pot.value`` once per vertex."""
+        ``spec.kernel``, ``pot.value`` and ``graph.neighbors`` once per
+        vertex, and refuses a walk that breaks ``MarkovSpec``'s rules."""
         if n < 0:
             raise DomainError("truncation radius must be >= 0")
         vertices = tuple(graph.ball(graph.root, n))
@@ -133,6 +134,21 @@ class Truncation:
             i = short[0]
             raise ConfigError(f"jump probabilities at vertex {vertices[i]} "
                               f"end at {float(ends[i])!r}, not 1")
+        # A walker stays put with probability >= e^{-sup_rate t} (the bound
+        # behind sweep-variance's lower column) only if no rate exceeds
+        # sup_rate; and the walk jumps along the graph's edges alone.
+        fast = np.flatnonzero(rate > spec.sup_rate)
+        if fast.size:
+            i = fast[0]
+            raise ConfigError(f"rate {float(rate[i])!r} at vertex "
+                              f"{vertices[i]} exceeds sup_rate "
+                              f"{spec.sup_rate!r}")
+        for v, (targets, _) in zip(vertices, kernels):
+            nbrs = set(graph.neighbors(v))
+            for u in targets:
+                if u not in nbrs:
+                    raise ConfigError(f"vertex {v} lists {u}, not a graph "
+                                      "neighbour, as a jump target")
         dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
                            dtype=np.int64, count=m)
         # Targets inside the ball (nbr -1 marks the others and the padding),

@@ -37,7 +37,8 @@ class MarkovSpec:
     """Site-dependent jump rates q(v) <= sup_rate and a row-stochastic jump kernel.
 
     ``kernel(v)`` returns ``(targets, cumulative_probs)`` over the neighbors
-    of v (no self-transitions).
+    of v (no self-transitions).  ``operators.Truncation.build`` checks this
+    on its ball and refuses a spec that breaks it.
     """
 
     rate: Callable
@@ -65,26 +66,6 @@ def symmetric_walk(graph, q=1.0):
     # Isolated vertices get rate 0 (nowhere to jump, so the walker sits).
     return MarkovSpec(rate=lambda v: q if graph.neighbors(v) else 0.0,
                       sup_rate=q, kernel=kernel)
-
-
-def validate_markov_spec(graph, spec, vertices, tol=1e-12):
-    """Check the kernel is row-stochastic, edge-supported and rate-bounded."""
-    for v in vertices:
-        if spec.rate(v) > spec.sup_rate + tol:
-            raise ConfigError(f"rate at {v} exceeds declared supremum")
-        targets, cum = spec.kernel(v)
-        if not targets:
-            if spec.rate(v) != 0.0:
-                raise ConfigError(f"isolated vertex {v} must have rate 0")
-            continue
-        if abs(cum[-1] - 1.0) > tol:
-            raise ConfigError(f"jump probabilities at {v} do not sum to 1")
-        nbrs = set(graph.neighbors(v))
-        for u in targets:
-            if u == v:
-                raise ConfigError(f"self-transition at {v}")
-            if u not in nbrs:
-                raise ConfigError(f"kernel at {v} puts mass on non-neighbor {u}")
 
 
 @dataclass

@@ -70,7 +70,7 @@ def test_criterion_06_trace_identity():
     rng = np.random.default_rng(60)
     worst = 0.0
     for _ in range(50):
-        xi = sample_field(iid_gaussian(1.0), G1, verts, rng=rng)
+        xi = sample_field(iid_gaussian(1.0), G1, verts, rng)
         h = assemble(G1, SPEC, POT, xi, 8)
         for t in (0.5, 1.0):
             worst = max(worst, trace_identity_residual(h, t))

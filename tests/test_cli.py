@@ -14,7 +14,8 @@ import fksim
 from fksim.errors import ConfigError, DomainError
 from fksim import cli, operators
 from fksim.lattice import GraphModel
-from fksim.noise import sample_fields
+from fksim.feynman_kac import frozen_variance_sum
+from fksim.noise import power_decay_gaussian, sample_field, sample_fields
 from fksim.walker import MarkovSpec, chernoff_jump_bound, sample_jump_counts
 
 
@@ -494,6 +495,101 @@ def test_cli_refuses_a_negative_noise_variance(tmp_path, capsys, command,
     assert "gamma0" in captured.err
 
 
+_MODEL_COMMANDS = {"sweep-variance": "", "rigidity-demo": "radius = 4\n",
+                   "spectral-check": "radius = 4\n",
+                   "fk-compare": "radius = 4\n"}
+
+
+@pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+@pytest.mark.parametrize("key", ["decay_scale", "moment_constant"])
+def test_cli_refuses_the_keys_that_changed_nothing(tmp_path, capsys, command,
+                                                   key):
+    # gamma0 is the power-decay prefactor, and the moment constant feeds
+    # the library's noise bound checks alone: both keys are unknown.
+    path = _write(tmp_path, _MODEL_COMMANDS[command] + f"{key} = -3\n")
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown config key(s) for {command}: {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+@pytest.mark.parametrize("text, key", [
+    ("noise = iid\nbeta = 0.5\n", "beta"),
+    ("noise = constant\nbeta = 0.5\n", "beta"),
+    ("graph = zd_l1\ngraph_file = g.txt\n", "graph_file"),
+    ("graph = zd_linf\ngraph_file = g.txt\n", "graph_file")])
+def test_cli_refuses_a_key_the_model_does_not_take(tmp_path, capsys, command,
+                                                   text, key):
+    # Such a key was read and ignored: the run went on as without it.
+    path = _write(tmp_path, _MODEL_COMMANDS[command] + text)
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+def test_power_decay_sweep_reads_gamma0(tmp_path, capsys):
+    # gamma0 is the prefactor of the power-decay covariance: the frozen
+    # column is the library's sum for that model, and another gamma0 moves it.
+    text = "noise = power_decay\nbeta = 0.5\nt_exp_min = 6\nt_exp_max = 9\n"
+    frozen = {}
+    for gamma0 in (1.0, 5.0):
+        out = tmp_path / f"{gamma0}.csv"
+        assert cli.main(["sweep-variance", "--config",
+                         _write(tmp_path, text + f"gamma0 = {gamma0}\n"),
+                         "--out", str(out)]) == 0
+        frozen[gamma0] = [float(line.split(",")[1])
+                          for line in out.read_text().splitlines()[2:]]
+    capsys.readouterr()
+    assert frozen[5.0] != frozen[1.0]
+    model = power_decay_gaussian(0.5, gamma0=5.0)
+    assert frozen[5.0] == [
+        frozen_variance_sum(2.0 ** -k, GraphModel.zd_l1(1),
+                            operators.PotentialSpec(), model)
+        for k in range(6, 10)]
+
+
+# A value other than the default for each model key.  The guard below sets
+# d = 2 besides, where zd_linf is not zd_l1.
+_OTHER_VALUES = {"graph": "zd_linf", "d": "3", "graph_file": "g.txt",
+                 "noise": "constant", "gamma0": "2", "beta": "0.5",
+                 "alpha": "3", "kappa": "2", "mu": "1", "q": "2",
+                 "seed": "1"}
+
+
+def _drawn_operator(cfg):
+    """One draw of the matrix of H on the radius-2 ball ``cfg`` describes:
+    the model of ``_model_from`` and the field of the config's seed."""
+    cfg = cli.effective_config("fk-compare", cfg)
+    graph, model, pot, spec = cli._model_from(cfg)
+    trunc = operators.Truncation.build(graph, spec, pot, 2)
+    field = sample_field(model, graph, trunc.vertices, cfg["seed"])
+    return trunc.matrices([field])[0]
+
+
+@pytest.mark.parametrize("key", sorted(cli._MODEL_KEYS))
+def test_every_model_key_changes_the_model_or_is_refused(tmp_path, capsys,
+                                                         key):
+    # No model key is inert: another value draws another operator, or the
+    # model types refuse it, naming the key, and the CLI exits 1.
+    assert key in _OTHER_VALUES, f"give {key!r} a non-default value here"
+    base = {"d": "2"}
+    cfg = {**base, key: _OTHER_VALUES[key]}
+    try:
+        drawn = _drawn_operator(cfg)
+    except (ConfigError, DomainError) as err:
+        assert key in str(err)
+        path = _write(tmp_path, "".join(f"{k} = {v}\n"
+                                        for k, v in cfg.items()))
+        assert cli.main(["fk-compare", "--config", path]) == 1
+        assert key in capsys.readouterr().err
+    else:
+        before = _drawn_operator(base)
+        assert (drawn.shape != before.shape
+                or not np.array_equal(drawn, before))
+
+
 def test_cli_tail_check_refuses_negative_t(tmp_path, capsys):
     cfg = _write(tmp_path, "t = -1\n")
     assert cli.main(["tail-check", "--config", cfg]) == 1
@@ -764,7 +860,7 @@ def test_cli_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("exact_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.671104 ci95=0.270601 r2=0.997175 pass=True\n"
     assert csv == """\
-# config_hash=6e45f7fdedad3615
+# config_hash=87d36e7a397c86da
 t,frozen,ens_var,ens_se,lower,radius
 0.5,0.646473439268386,0.2739722716661215,0.015155423623583979,0.2378242875702342,6
 0.25,0.17209004382093246,0.10377045180272886,0.0038977636720969986,0.10437788780868616,6
@@ -779,7 +875,7 @@ def test_cli_rigidity_demo_benchmark_csv_is_pinned(tmp_path, capsys):
     assert summary == \
         "cut=0.318411 mae=['0.3740', '0.2125', '0.0790', '0.0085'] pass=True\n"
     assert csv == """\
-# config_hash=7745023c0dcb0487
+# config_hash=7f3f4a230e3cc372
 # expectation column is the plug-in ensemble mean of the exponential linear statistic
 t,mean_statistic,mae
 1.0,1.2951432171364043,0.374
@@ -795,7 +891,7 @@ def test_cli_power_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("power_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.217150 ci95=0.005697 r2=0.999956 pass=True\n"
     assert csv == """\
-# config_hash=ebcc2332364b16bc
+# config_hash=4b0f9d6200d24311
 t,frozen,ens_var,ens_se,lower,radius
 0.015625,0.02196259536513585,,,0.021286877343245785,84
 0.0078125,0.009670740815058152,,,0.00952080987562753,101

@@ -518,7 +518,7 @@ def _field_cases():
 
 
 _FIELD_MODELS = [iid_gaussian(1.7), constant_gaussian(0.6),
-                 power_decay_gaussian(1.0, decay_scale=0.8)]
+                 power_decay_gaussian(1.0, gamma0=0.8)]
 
 
 @pytest.mark.parametrize("case", [0, 1, 2])
@@ -533,7 +533,7 @@ def test_member_fields_equal_single_draws(case, model):
     assert got.tobytes() == want.tobytes()
     ball = graph.ball(graph.root, trunc.radius)
     ss = np.random.SeedSequence(50)
-    one = sample_field(model, graph, ball, rng=np.random.default_rng(ss))
+    one = sample_field(model, graph, ball, np.random.default_rng(ss))
     ref = _single_draw(model, graph, ball, np.random.default_rng(ss))
     assert one.tobytes() == ref.tobytes()
 

@@ -31,7 +31,7 @@ _EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
 @pytest.mark.parametrize("model", [
     iid_gaussian(1.3), constant_gaussian(0.7),
     power_decay_gaussian(beta=1.0), power_decay_gaussian(beta=0.7,
-                                                         decay_scale=2.5)])
+                                                         gamma0=2.5)])
 @pytest.mark.parametrize("graph", [GraphModel.zd_l1(2), GraphModel.zd_linf(2),
                                    _EXPLICIT])
 def test_covariance_matrix_matches_scalar_covariance(model, graph):
@@ -48,7 +48,7 @@ def test_power_decay_requires_positive_parameters():
     with pytest.raises(DomainError):
         power_decay_gaussian(beta=-1.0)
     with pytest.raises(DomainError):
-        power_decay_gaussian(beta=1.0, decay_scale=0.0)
+        power_decay_gaussian(beta=1.0, gamma0=0.0)
 
 
 @pytest.mark.parametrize("params, match", [
@@ -61,10 +61,19 @@ def test_power_decay_requires_positive_parameters():
     ({"kind": "power_decay", "beta": 0.0}, "beta must be positive"),
     ({"kind": "power_decay", "beta": -1.0}, "beta must be positive"),
     ({"kind": "power_decay", "gamma0": 0.0, "beta": 1.0},
-     "decay scale must be positive")],
+     "decay scale must be positive"),
+    ({"kind": "iid", "beta": 0.5}, "noise kind 'iid' takes no beta"),
+    ({"kind": "constant", "beta": 0.5}, "noise kind 'constant' takes no beta"),
+    ({"kind": "iid", "moment_constant": -3.0},
+     "moment_constant must be positive"),
+    ({"kind": "iid", "moment_constant": 0.0},
+     "moment_constant must be positive"),
+    ({"kind": "power_decay", "beta": 1.0, "moment_constant": math.nan},
+     "moment_constant must be positive")],
     ids=["unknown-kind", "iid-negative", "iid-nan", "constant-negative",
          "power-negative", "power-no-beta", "power-zero-beta",
-         "power-negative-beta", "power-zero-scale"])
+         "power-negative-beta", "power-zero-scale", "iid-beta",
+         "constant-beta", "moment-negative", "moment-zero", "moment-nan"])
 def test_noise_model_refuses_bad_parameters(params, match):
     # The model is checked when it is made, so no estimator re-checks it.
     with pytest.raises(DomainError, match=match):
@@ -74,7 +83,7 @@ def test_noise_model_refuses_bad_parameters(params, match):
 def test_iid_sample_variance():
     verts = G1.ball((0,), 0)
     rng = np.random.default_rng(0)
-    draws = np.array([sample_field(iid_gaussian(1.0), G1, verts, rng=rng)[0]
+    draws = np.array([sample_field(iid_gaussian(1.0), G1, verts, rng)[0]
                       for _ in range(100000)])
     se = math.sqrt(2.0 / len(draws))   # var of the sample variance, gaussian
     assert abs(draws.var() - 1.0) < 3 * se
@@ -88,7 +97,7 @@ def test_power_decay_empirical_covariance():
     a = np.empty(100000)
     b = np.empty(100000)
     for i in range(len(a)):
-        f = sample_field(model, G1, verts, rng=rng)
+        f = sample_field(model, G1, verts, rng)
         a[i], b[i] = f[i0], f[i3]
     cov = np.cov(a, b)[0, 1]
     assert abs(cov - 0.25) < 3 * 4.0 / math.sqrt(len(a))
@@ -102,7 +111,7 @@ def test_constant_field_is_flat():
 
 
 def test_power_decay_order_certificate():
-    model = power_decay_gaussian(beta=2.0, decay_scale=1.5)
+    model = power_decay_gaussian(beta=2.0, gamma0=1.5)
     for n in range(0, 6):
         got = covariance(model, G1, (0,), (n,))
         assert abs(got) <= 1.5 * (n + 1.0) ** (-2.0) + 1e-15
@@ -146,7 +155,7 @@ def _old_field_matrix(model, graph, vertices, n_samples, rng):
 
 @pytest.mark.parametrize("model", [
     iid_gaussian(1.7), constant_gaussian(0.6),
-    power_decay_gaussian(1.0, decay_scale=0.8)], ids=lambda m: m.kind)
+    power_decay_gaussian(1.0, gamma0=0.8)], ids=lambda m: m.kind)
 def test_bound_checks_keep_their_draws(model):
     g2 = GraphModel.zd_l1(2)
     support = tuple(g2.ball(g2.root, 1)) + ((2, 0),)

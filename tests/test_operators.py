@@ -174,7 +174,7 @@ def test_trace_identity_on_random_assemblies():
     verts = G1.ball((0,), 8)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        xi = sample_field(iid_gaussian(1.0), G1, verts, rng=rng)
+        xi = sample_field(iid_gaussian(1.0), G1, verts, rng)
         h = assemble(G1, SPEC, PotentialSpec(alpha=2.0), xi, 8)
         for t in (0.5, 1.0):
             assert trace_identity_residual(h, t) < 1e-8
@@ -283,6 +283,25 @@ def test_truncation_refuses_a_row_that_ends_below_one():
     def kernel(v):
         return [(v[0] - 1,), (v[0] + 1,)], [0.4, 0.8]
     with pytest.raises(ConfigError, match=r"vertex \(-4,\) end at 0\.8,"):
+        Truncation.build(G1, _z1_spec(kernel), PotentialSpec(), 4)
+
+
+def test_truncation_refuses_a_rate_above_sup_rate():
+    # sweep-variance's lower = e^{-2 sup_rate t} frozen bounds the variance
+    # only if no walker jumps faster than sup_rate.
+    spec = MarkovSpec(rate=lambda v: 2.0 if v == (2,) else 1.0,
+                      sup_rate=1.0, kernel=SPEC.kernel)
+    with pytest.raises(ConfigError,
+                       match=r"rate 2\.0 at vertex \(2,\) exceeds sup_rate"):
+        Truncation.build(G1, spec, PotentialSpec(), 4)
+
+
+def test_truncation_refuses_a_target_that_is_not_a_neighbour():
+    # A jump from v to v + 2 is no edge of Z^1: the walk X runs on edges.
+    def kernel(v):
+        return [(v[0] - 1,), (v[0] + 2,)], [0.5, 1.0]
+    with pytest.raises(ConfigError, match=r"vertex \(-4,\) lists \(-2,\), "
+                                          "not a graph neighbour"):
         Truncation.build(G1, _z1_spec(kernel), PotentialSpec(), 4)
 
 
