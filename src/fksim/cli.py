@@ -28,7 +28,8 @@ from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
 
 def parse_config(path):
-    """Flat key=value file; later keys override earlier ones."""
+    """Flat key=value file.  A key set twice is refused, naming the line
+    that sets it again: no later value overrides an earlier one."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -42,16 +43,26 @@ def parse_config(path):
             key = key.strip()
             if not key:
                 raise ConfigError(f"{path}:{lineno}: empty key")
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} is "
+                                  f"set twice")
             out[key] = val.strip()
     return out
 
 
 def effective_config(command, cfg):
     """The typed values ``command`` runs with: each key it declares, read
-    from ``cfg`` or else its default (a key with neither is left out).
+    from ``cfg`` or else its default (a key with neither is left out).  The
+    one gate of a config: it refuses an undeclared key, a value that does
+    not parse or is below its least value, and an inert key (``_INERT``).
     Applied to its own output it changes nothing."""
+    keys = _COMMANDS[command][3]
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {command}: "
+                          + ", ".join(map(repr, unknown)))
     out = {}
-    for key, (cast, default) in _COMMANDS[command][3].items():
+    for key, (cast, default, *least) in keys.items():
         if key not in cfg:
             if default is not None:
                 out[key] = default
@@ -61,6 +72,12 @@ def effective_config(command, cfg):
         except ValueError:
             raise ConfigError(f"config key {key!r}: cannot parse "
                               f"{cfg[key]!r}") from None
+        if least and out[key] < least[0]:
+            raise ConfigError(f"config key {key!r} must be >= {least[0]}")
+    for key, partner, inert in _INERT:
+        if key in out and out[key] != keys[key][1] and inert(out.get(partner)):
+            raise ConfigError(f"config key {key!r} changes nothing with "
+                              f"{partner} = {out.get(partner)!r}")
     return out
 
 
@@ -74,18 +91,15 @@ def config_hash(cfg):
 
 
 def _graph_from(cfg):
-    kind, d = cfg["graph"], cfg["d"]
+    kind = cfg["graph"]
     if kind == "edge_list":
         if "graph_file" not in cfg:
             raise ConfigError("missing config key 'graph_file'")
-        return GraphModel.from_edge_list(cfg["graph_file"], d=d)
-    if "graph_file" in cfg:
-        raise ConfigError(f"config key 'graph_file' needs graph = edge_list, "
-                          f"not {kind!r}")
+        return GraphModel.from_edge_list(cfg["graph_file"])
     if kind == "zd_l1":
-        return GraphModel.zd_l1(d)
+        return GraphModel.zd_l1(cfg["d"])
     if kind == "zd_linf":
-        return GraphModel.zd_linf(d)
+        return GraphModel.zd_linf(cfg["d"])
     raise ConfigError(f"unknown graph kind {kind!r}")
 
 
@@ -100,9 +114,12 @@ def _model_from(cfg):
 
 
 def _floats(value):
-    """A whitespace-separated list of numbers (or an already parsed one)."""
-    return tuple(map(float, value.split() if isinstance(value, str)
-                     else value))
+    """A nonempty whitespace-separated list of numbers, or a parsed one."""
+    out = tuple(map(float, value.split() if isinstance(value, str)
+                    else value))
+    if not out:
+        raise ValueError("empty list")
+    return out
 
 
 def _fmt(x):
@@ -202,7 +219,7 @@ def sweep_variance(cfg):
 
     slope, ci, r2 = fit_exponent([(t, f) for t, f, *_ in rows])
     expect = cfg.get("expect_slope")
-    passed = expect is None or abs(slope - expect) <= cfg["slope_tol"]
+    passed = expect is None or abs(slope - expect) <= 0.1
     return SweepResult(rows=tuple(rows), slope=slope, slope_ci=ci,
                        r_squared=r2, passed=passed)
 
@@ -242,18 +259,16 @@ def rigidity_demo(cfg):
     """
     cfg = effective_config("rigidity-demo", cfg)
     graph, model, pot, spec = _model_from(cfg)
-    radius, members, t_grid = cfg["radius"], cfg["members"], cfg["t_grid"]
-    if not t_grid:
-        raise ConfigError("empty t grid")
-    if members < 1:
-        raise ConfigError("members must be >= 1")
-    trunc = Truncation.build(graph, spec, pot, radius)
+    trunc = Truncation.build(graph, spec, pot, cfg["radius"])
     dim = len(trunc.vertices)
     if dim > 400:
         raise DomainError(f"spectrum dimension {dim} exceeds the 400 cap")
+    cut, idx = cfg.get("cut_value"), cfg["cut_index"]
+    if cut is None and not 1 <= idx <= dim:
+        raise ConfigError(f"cut_index {idx} outside 1..{dim}")
     # members x dim, ascending real parts
     eigs = trunc.eigenvalues(sample_fields(model, graph, trunc.vertices,
-                                           members, cfg["seed"]))
+                                           cfg["members"], cfg["seed"]))
     # B is a half-plane of real eigenvalues until B in C is supported:
     # taking Re would turn sum e^{-t lambda} into sum e^{-t Re lambda}.
     imag = np.abs(eigs.imag).max()
@@ -262,11 +277,7 @@ def rigidity_demo(cfg):
                           f"have imaginary parts up to {imag:.3e}")
     spectra = eigs.real
 
-    cut = cfg.get("cut_value")
     if cut is None:
-        idx = cfg["cut_index"]
-        if not 1 <= idx <= spectra.shape[1]:
-            raise ConfigError(f"cut_index {idx} outside 1..{spectra.shape[1]}")
         cut = float(spectra.mean(axis=0)[idx - 1])
     outside = spectra > cut - 1e-12 * (1.0 + np.abs(spectra).max())
     inside = (~outside).sum(axis=1)
@@ -276,15 +287,15 @@ def rigidity_demo(cfg):
               file=sys.stderr)
 
     mean_stats, maes = [], []
-    for t in t_grid:
+    for t in cfg["t_grid"]:
         weight = np.exp(-t * spectra)
         mean_stat = float(weight.sum(axis=1).mean())
         predictor = mean_stat - np.where(outside, weight, 0.0).sum(axis=1)
         maes.append(float(np.abs(np.rint(predictor) - inside).mean()))
         mean_stats.append(mean_stat)
     inversions = sum(1 for a, b in zip(maes, maes[1:]) if b > a + 1e-12)
-    passed = inversions <= 1 and maes[-1] < cfg["mae_threshold"]
-    return RigidityReport(t_grid=t_grid, mean_statistic=tuple(mean_stats),
+    passed = inversions <= 1 and maes[-1] < 0.25
+    return RigidityReport(t_grid=cfg["t_grid"], mean_statistic=tuple(mean_stats),
                           mae=tuple(maes), cut=cut, empty_b=empty_b,
                           passed=passed)
 
@@ -314,10 +325,6 @@ def tail_check(cfg):
     """Empirical jump-count tail versus the analytic Chernoff bound."""
     cfg = effective_config("tail-check", cfg)
     q, t, n_paths, x_max = cfg["q"], cfg["t"], cfg["n_paths"], cfg["x_max"]
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
-    if x_max < 1:
-        raise ConfigError("x_max must be >= 1")
     if t == 0.0:
         return TailReport(rows=(), passed=False)
     counts = sample_jump_counts(q, t, n_paths, cfg["seed"])
@@ -360,10 +367,6 @@ def spectral_check(cfg):
     cfg = effective_config("spectral-check", cfg)
     graph, model, pot, spec = _model_from(cfg)
     n_trials, t_grid = cfg["trials"], cfg["t_grid"]
-    if n_trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if not t_grid:
-        raise ConfigError("empty t grid")
     trunc = Truncation.build(graph, spec, pot, cfg["radius"])
     fields = sample_fields(model, graph, trunc.vertices, n_trials,
                            cfg["seed"])
@@ -373,7 +376,7 @@ def spectral_check(cfg):
         for t, tr in zip(t_grid, traces):
             worst = max(worst, abs(tr - np.exp(-t * eigs).sum()) / abs(tr))
     return SpectralReport(max_residual=worst, n_trials=n_trials,
-                          passed=worst < cfg["residual_tol"])
+                          passed=worst < 1e-8)
 
 
 # -- fk-compare ----------------------------------------------------------------------
@@ -393,8 +396,6 @@ def fk_compare(cfg):
     cfg = effective_config("fk-compare", cfg)
     graph, model, pot, spec = _model_from(cfg)
     radius, t, n_paths = cfg["radius"], cfg["t"], cfg["n_paths"]
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
     # Killed walkers stop at their exit, so the field is needed on the
     # truncation ball alone.  Both estimators share the one truncation.
     trunc = Truncation.build(graph, spec, pot, radius)
@@ -414,8 +415,8 @@ def fk_compare(cfg):
 
 # The keys of the graph, noise, potential, walk and seed, then per subcommand
 # its run, CSV writer, summary before "pass=" and keys.  A key maps to its
-# type and default; None means no default (optional, or required where the
-# run needs it).
+# type, its default (None: no default, so optional or required where the run
+# needs it) and, for some, the least value it takes.
 _MODEL_KEYS = {
     "graph": (str, "zd_l1"), "d": (int, 1), "graph_file": (str, None),
     "noise": (str, "iid"), "gamma0": (float, 1.0), "beta": (float, None),
@@ -428,30 +429,34 @@ _COMMANDS = {
                   f"r2={r.r_squared:.6f}",
         {**_MODEL_KEYS, "t_exp_min": (int, 6), "t_exp_max": (int, 12),
          "ensemble": (int, 0), "radius": (int, None),
-         "expect_slope": (float, None), "slope_tol": (float, 0.1)}),
+         "expect_slope": (float, None)}),
     "rigidity-demo": (
         rigidity_demo, _write_rigidity_csv,
         lambda r: f"cut={r.cut:.6f} mae={['%.4f' % m for m in r.mae]}",
-        {**_MODEL_KEYS, "radius": (int, 12), "members": (int, 500),
+        {**_MODEL_KEYS, "radius": (int, 12), "members": (int, 500, 1),
          "t_grid": (_floats, (1.0, 0.5, 0.25, 0.125)),
-         "mae_threshold": (float, 0.25), "cut_value": (float, None),
-         "cut_index": (int, 1)}),
+         "cut_value": (float, None), "cut_index": (int, 1)}),
     "tail-check": (
         tail_check, _write_tail_csv, lambda r: f"points={len(r.rows)}",
-        {"q": (float, 1.0), "t": (float, 0.5), "n_paths": (int, 10 ** 6),
-         "x_max": (int, 10), "seed": (int, 0)}),
+        {"q": (float, 1.0), "t": (float, 0.5), "n_paths": (int, 10 ** 6, 1),
+         "x_max": (int, 10, 1), "seed": (int, 0)}),
     "spectral-check": (
         spectral_check, None,
         lambda r: f"max_residual={r.max_residual:.3e} trials={r.n_trials}",
-        {**_MODEL_KEYS, "radius": (int, 8), "trials": (int, 50),
-         "t_grid": (_floats, (0.5, 1.0)), "residual_tol": (float, 1e-8)}),
+        {**_MODEL_KEYS, "radius": (int, 8), "trials": (int, 50, 1),
+         "t_grid": (_floats, (0.5, 1.0))}),
     "fk-compare": (
         fk_compare, None,
         lambda r: f"mc={r.mc_mean:.6f} se={r.mc_se:.6f} "
                   f"exact={r.exact:.6f} z={r.z:.3f}",
         {**_MODEL_KEYS, "radius": (int, 10), "t": (float, 0.25),
-         "n_paths": (int, 200_000)}),
+         "n_paths": (int, 200_000, 1)}),
 }
+# Keys that change nothing given a partner's value: (key, partner, test of
+# that value).  Refused only away from the default, which hashes as left out.
+_INERT = (("d", "graph", lambda g: g == "edge_list"),
+          ("graph_file", "graph", lambda g: g != "edge_list"),
+          ("cut_index", "cut_value", lambda c: c is not None))
 
 
 def main(argv=None):
@@ -469,14 +474,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as err:   # a usage error is an input error: exit 1
         return 1 if err.code else 0
-    run, write, summary, keys = _COMMANDS[args.command]
+    run, write, summary, _ = _COMMANDS[args.command]
 
     try:
         cfg = parse_config(args.config)
-        unknown = sorted(set(cfg) - set(keys))
-        if unknown:
-            raise ConfigError(f"unknown config key(s) for {args.command}: "
-                              + ", ".join(map(repr, unknown)))
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
         cfg = effective_config(args.command, cfg)

@@ -161,18 +161,24 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     e^{-<L+L~,V>} * e^{(<L,L>+<L~,L~>)/2} (e^{<L,L~>} - 1)
     when both walkers return to their starts without leaving the box.
     With local-time rows L_a, L_b of a replicate's two families, all the
-    <L,L~> of the replicate are the matrix L_a Gamma L_b^T.
+    <L,L~> of the replicate are the matrix L_a Gamma L_b^T.  A box on
+    which one replicate needs more than the walker's array budget of
+    elements is refused with ``DomainError`` before any work.
     """
     if n_rep < 2:
         raise DomainError("need at least two replicates")
     trunc = Truncation.build(graph, spec, pot, box_radius)
+    m = len(trunc.vertices)
+    # One replicate holds L, L Gamma and the m x m pair matrices.
+    if 3 * m * m > _MAX_ELEMS:
+        raise DomainError(f"one replicate on a box of m = {m} vertices needs "
+                          f"3 m^2 = {3 * m * m} array elements, above the "
+                          f"budget of {_MAX_ELEMS}")
     pv = trunc.potential
     gamma = covariance_matrix(model, graph, trunc.vertices)
     rng = np.random.default_rng(seed)
-    m = len(trunc.vertices)
     ids = np.arange(m)
-    # Replicates per block: L, L Gamma and the m x m pair matrices.
-    block = max(1, _MAX_ELEMS // max(1, 3 * m * m))
+    block = _MAX_ELEMS // (3 * m * m)   # replicates per block
     totals = np.empty(n_rep)
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)

@@ -64,24 +64,27 @@ class GraphModel:
         return cls(EXPLICIT, d, root, adjacency=adjacency)
 
     @classmethod
-    def from_edge_list(cls, path, d=1):
-        """Load an explicit graph: first line 'n_vertices root', then 'u v' pairs."""
+    def from_edge_list(cls, path):
+        """Load an explicit graph: first line 'n_vertices root', then 'u v'
+        pairs ('#' starts a comment).  A line that is not two integers is a
+        ``ConfigError`` naming ``path:line``."""
+        rows = []
         with open(path) as fh:
-            lines = [ln.split("#")[0].strip() for ln in fh]
-        lines = [ln for ln in lines if ln]
-        if not lines:
+            for lineno, raw in enumerate(fh, 1):
+                parts = raw.split("#", 1)[0].split()
+                if not parts:
+                    continue
+                try:
+                    u, v = map(int, parts)
+                except ValueError:
+                    want = "an edge 'u v'" if rows else "'n_vertices root'"
+                    raise ConfigError(f"{path}:{lineno}: expected {want}, got "
+                                      f"{raw.strip()!r}") from None
+                rows.append((u, v))
+        if not rows:
             raise ConfigError(f"empty edge-list file {path}")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ConfigError("first line must be 'n_vertices root_index'")
-        n, root = int(head[0]), int(head[1])
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ConfigError(f"bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        return cls.explicit(n, edges, root=root, d=d)
+        (n, root), *edges = rows
+        return cls.explicit(n, edges, root=root)
 
     # -- basic queries ----------------------------------------------------
 

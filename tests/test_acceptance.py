@@ -205,7 +205,7 @@ def test_criterion_11_poisson_domination():
 def test_criterion_12_rigidity_predictor():
     cfg = {"radius": "12", "members": "500", "alpha": "2", "gamma0": "1",
            "noise": "iid", "t_grid": "1 0.5 0.25 0.125", "cut_index": "1",
-           "mae_threshold": "0.25", "seed": "120"}
+           "seed": "120"}
     rep = rigidity_demo(cfg)
     inversions = sum(1 for a, b in zip(rep.mae, rep.mae[1:]) if b > a + 1e-12)
     ok = rep.passed and inversions <= 1 and rep.mae[-1] < 0.25

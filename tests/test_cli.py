@@ -1,7 +1,9 @@
 import ast
 import importlib.util
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -29,6 +31,14 @@ def test_parse_config(tmp_path):
     path = _write(tmp_path, "a = 1\n# comment\nb=two  # trailing\n\nc=3\n")
     cfg = cli.parse_config(path)
     assert cfg == {"a": "1", "b": "two", "c": "3"}
+
+
+def test_parse_config_refuses_a_key_set_twice(tmp_path):
+    # The later value used to win: t = 0.5 then t = 2 ran at t = 2.
+    path = _write(tmp_path, "t = 0.5\nq = 1\nt = 2\n")
+    with pytest.raises(ConfigError,
+                       match=r"run\.cfg:3: config key 't' is set twice"):
+        cli.parse_config(path)
 
 
 def test_parse_config_bad_line(tmp_path):
@@ -312,7 +322,10 @@ t_exp_max = 5
 ])
 def test_sweep_warns_below_the_certified_radius(tmp_path, capsys, text,
                                                 warned):
-    path = _write(tmp_path, "ensemble = 3\nt_exp_min = 1\nt_exp_max = 4\n"
+    # Three ensemble members, unless the case sets the key itself: a key
+    # is set once.
+    ensemble = "" if "ensemble" in text else "ensemble = 3\n"
+    path = _write(tmp_path, ensemble + "t_exp_min = 1\nt_exp_max = 4\n"
                   + text)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep-variance", "--config", path, "--seed", "6",
@@ -462,21 +475,24 @@ def test_tail_check_without_rows_fails():
     ("fk-compare", "radius = 4\nn_paths = 0\n"),
     ("fk-compare", "radius = 4\nn_paths = -5\n"),
     ("tail-check", "x_max = 0\n"),
-    ("tail-check", "x_max = -2\n")])
+    ("tail-check", "x_max = -2\n"),
+    ("rigidity-demo", "members = 0\n"),
+    ("spectral-check", "trials = -1\n"),
+    ("rigidity-demo", "t_grid =\n")])
 def test_cli_refuses_fewer_than_one_path(tmp_path, capsys, command, text):
     # No path is no evidence: refused as an input error, not run to a
     # division by zero (tail-check) or 21 walks with se=nan (fk-compare).
-    # Nor is a tail check without a point to compare (x_max < 1).  The
-    # error names the config's last key.
+    # Nor is a tail check without a point to compare (x_max < 1), nor a
+    # run without a member, a trial or a t.  The error names the config's
+    # last key.
     key = text.splitlines()[-1].split("=")[0].strip()
     cfg = _write(tmp_path, text)
     assert cli.main([command, "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
-    run = {"tail-check": cli.tail_check, "fk-compare": cli.fk_compare}[command]
     with pytest.raises(ConfigError, match=key):
-        run(cli.parse_config(cfg))
+        cli._COMMANDS[command][0](cli.parse_config(cfg))
 
 
 @pytest.mark.parametrize("command, text", [
@@ -860,7 +876,7 @@ def test_cli_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("exact_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.671104 ci95=0.270601 r2=0.997175 pass=True\n"
     assert csv == """\
-# config_hash=87d36e7a397c86da
+# config_hash=e02f74aa6453236f
 t,frozen,ens_var,ens_se,lower,radius
 0.5,0.646473439268386,0.2739722716661215,0.015155423623583979,0.2378242875702342,6
 0.25,0.17209004382093246,0.10377045180272886,0.0038977636720969986,0.10437788780868616,6
@@ -875,7 +891,7 @@ def test_cli_rigidity_demo_benchmark_csv_is_pinned(tmp_path, capsys):
     assert summary == \
         "cut=0.318411 mae=['0.3740', '0.2125', '0.0790', '0.0085'] pass=True\n"
     assert csv == """\
-# config_hash=7f3f4a230e3cc372
+# config_hash=f3c2329dd24d5792
 # expectation column is the plug-in ensemble mean of the exponential linear statistic
 t,mean_statistic,mae
 1.0,1.2951432171364043,0.374
@@ -891,7 +907,7 @@ def test_cli_power_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("power_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.217150 ci95=0.005697 r2=0.999956 pass=True\n"
     assert csv == """\
-# config_hash=4b0f9d6200d24311
+# config_hash=551febeb860ed210
 t,frozen,ens_var,ens_se,lower,radius
 0.015625,0.02196259536513585,,,0.021286877343245785,84
 0.0078125,0.009670740815058152,,,0.00952080987562753,101
@@ -954,3 +970,124 @@ def test_sweep_rejects_too_small_ensemble(tmp_path, capsys, m):
     with pytest.raises(ConfigError):
         cli.sweep_variance(cli.parse_config(cfg))
     assert cli.main(["sweep-variance", "--config", cfg]) == 1
+
+
+# -- the one config gate -------------------------------------------------------
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("key", ["frobnicate", "slope_tol", "residual_tol",
+                                 "mae_threshold"])
+def test_library_calls_and_main_refuse_an_unknown_key(tmp_path, capsys,
+                                                      command, key):
+    # The library calls pass through the gate that main uses.  The three
+    # pass tolerances are constants (0.1, 1e-8, 0.25), not keys.
+    with pytest.raises(ConfigError, match=f"unknown config key.*{key!r}"):
+        cli._COMMANDS[command][0]({key: "7"})
+    assert cli.main([command, "--config",
+                     _write(tmp_path, f"{key} = 7\n")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(key) in captured.err
+
+
+def test_main_holds_no_refusal_of_its_own():
+    # Every refusal of a config is the gate's, so main and the library
+    # calls accept and refuse the same configs.
+    tree = ast.parse(inspect.getsource(cli.main))
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+
+
+def test_least_values_are_declared_in_the_key_table():
+    # No subcommand body checks a key's least value.
+    bounded = sorted((command, key)
+                     for command, (*_, keys) in cli._COMMANDS.items()
+                     for key, spec in keys.items() if len(spec) == 3)
+    assert bounded == [("fk-compare", "n_paths"), ("rigidity-demo", "members"),
+                       ("spectral-check", "trials"), ("tail-check", "n_paths"),
+                       ("tail-check", "x_max")]
+
+
+def _cycle_file(tmp_path, n=10):
+    """An edge list of the n-cycle, a regular graph, rooted at 0."""
+    path = tmp_path / "cycle.txt"
+    path.write_text(f"{n} 0\n" + "".join(f"{k} {(k + 1) % n}\n"
+                                          for k in range(n)))
+    return str(path)
+
+
+_EDGE_LIST = "graph = edge_list\ngraph_file = {}\n"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("rigidity-demo", _EDGE_LIST + "d = 5\n", "d"),
+    ("fk-compare", _EDGE_LIST + "d = 5\n", "d"),
+    ("rigidity-demo", "cut_value = 0.5\ncut_index = 7\n", "cut_index")])
+def test_gate_refuses_a_key_its_partner_makes_inert(tmp_path, capsys,
+                                                    command, text, key):
+    # Each ran as without the key, yet entered the config hash.
+    path = _write(tmp_path, "radius = 4\n"
+                  + text.format(_cycle_file(tmp_path)))
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config key {key!r} changes nothing with" in captured.err
+    with pytest.raises(ConfigError, match=f"{key!r} changes nothing"):
+        cli._COMMANDS[command][0](cli.parse_config(path))
+
+
+@pytest.mark.parametrize("text, default", [
+    (_EDGE_LIST, "d = 1\n"), ("cut_value = 0.5\n", "cut_index = 1\n")])
+def test_gate_accepts_an_inert_key_at_its_default(tmp_path, capsys, text,
+                                                  default):
+    # Written out at its default the key runs, and hashes, as left out.
+    text = "radius = 4\nmembers = 20\n" + text.format(_cycle_file(tmp_path))
+    runs = []
+    for name, body in (("bare", text), ("default", text + default)):
+        path, out = _write(tmp_path, body, f"{name}.cfg"), tmp_path / "r.csv"
+        rc = cli.main(["rigidity-demo", "--config", path, "--seed", "3",
+                       "--out", str(out)])
+        runs.append((rc, capsys.readouterr().out, out.read_text()))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 2)
+    cfg = cli.effective_config("rigidity-demo", cli.parse_config(path))
+    assert cli.effective_config("rigidity-demo", cfg) == cfg
+
+
+def test_rigidity_demo_checks_cut_index_before_any_spectrum(monkeypatch):
+    # The range is known once the truncation is built (25 vertices here);
+    # no member's spectrum is solved first.
+    def solved(self, fields):
+        raise AssertionError("eigenvalues solved before the cut_index check")
+    monkeypatch.setattr(operators.Truncation, "eigenvalues", solved)
+    for idx in (0, 26, 1000):
+        with pytest.raises(ConfigError, match=rf"cut_index {idx} outside "
+                                              r"1\.\.25"):
+            cli.rigidity_demo({"radius": "12", "members": "500",
+                               "cut_index": str(idx)})
+
+
+@pytest.mark.parametrize("expect, code", [("1.41", 0), ("1.39", 2)])
+def test_sweep_slope_tolerance_is_0_1(tmp_path, capsys, expect, code):
+    # The fitted slope is 1.500067 here: 0.09 away passes, 0.11 away fails.
+    path = _write(tmp_path, f"t_exp_min = 6\nt_exp_max = 12\n"
+                            f"expect_slope = {expect}\n")
+    assert cli.main(["sweep-variance", "--config", path,
+                     "--out", str(tmp_path / "sweep.csv")]) == code
+    assert capsys.readouterr().out.startswith("slope=1.500067 ")
+
+
+def test_cli_names_the_bad_edge_list_line(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 0\n0 1\n1 x\n")
+    path = _write(tmp_path, _EDGE_LIST.format(graph) + "radius = 2\n")
+    assert cli.main(["fk-compare", "--config", path]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {graph}:3: expected an edge 'u v', got '1 x'\n"
+
+
+def test_readme_sweep_example_runs(tmp_path, capsys):
+    # The README's example config passes the gate and the check, so it
+    # names no key that the gate refuses.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block, = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert cli.main(["sweep-variance", "--config", _write(tmp_path, block),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert capsys.readouterr().out.endswith(" pass=True\n")

@@ -296,6 +296,23 @@ def test_paired_walker_rejects_short_runs():
                                   2, seed=22)
 
 
+def test_paired_walker_refuses_a_replicate_above_the_array_budget(
+        monkeypatch):
+    # Z^2 l1, box radius 25: m = 1301 starts, and one replicate's local-time
+    # rows, their products with Gamma and the pair matrices need
+    # 3 m^2 = 5 077 803 elements, above the 4.1M budget.  Refused before the
+    # covariance is built or a walk is sampled.
+    def started(*args, **kwargs):
+        raise AssertionError("work began before the budget check")
+    monkeypatch.setattr(fk, "covariance_matrix", started)
+    monkeypatch.setattr(fk, "sample_walks", started)
+    g2 = GraphModel.zd_l1(2)
+    with pytest.raises(DomainError, match=r"m = 1301 vertices .* budget of "
+                                          r"4100000"):
+        fk.paired_walker_variance(g2, symmetric_walk(g2, 1.0), POT,
+                                  iid_gaussian(1.0), 0.5, 10, 25, seed=0)
+
+
 def test_radius_for_monotone_in_t():
     assert fk.radius_for(2.0 ** -12) > fk.radius_for(2.0 ** -6)
     with pytest.raises(DomainError):

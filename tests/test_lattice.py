@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from fksim.errors import DomainError, InputError
+from fksim.errors import ConfigError, DomainError, InputError
 from fksim.lattice import GraphModel
 
 
@@ -125,6 +125,20 @@ def test_edge_list_round_trip(tmp_path):
     g = GraphModel.from_edge_list(p)
     assert g.root == 0
     assert g.distance(0, 3) == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    ("3 0\n0 x\n", 2),             # not an integer
+    ("3 0\n0 1 2\n", 2),           # three tokens
+    ("# a path\n3\n0 1\n", 2),     # a header without its root
+    ("3 0\n0 1\n\n1\n", 4)])       # blank lines keep their numbers
+def test_edge_list_names_the_bad_line(tmp_path, text, line):
+    # A bad token used to surface as int()'s "invalid literal", naming
+    # neither the file nor the line.
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=rf"g\.txt:{line}: expected "):
+        GraphModel.from_edge_list(p)
 
 
 def test_bad_edge_list(tmp_path):
