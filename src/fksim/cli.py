@@ -188,34 +188,31 @@ def sweep_variance(cfg):
     if m_draws != 0 and m_draws < 3:
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
-    fixed_radius = cfg.get("radius")
-
-    rows, below = [], []
-    for k in range(k_min, k_max + 1):
-        t = 2.0 ** (-k)
-        certified = radius_for(t, pot.alpha, pot.kappa)
-        radius = certified if fixed_radius is None else fixed_radius
-        if m_draws and radius < certified:
-            below.append(t)
-        # The frozen-sum column always uses its certified radius; a fixed
-        # radius only constrains the matrix-exponential ensemble.
-        frozen = frozen_variance_sum(t, graph, pot, model)
-        # Every admissible covariance is nonnegative, so no path pair lowers
-        # the variance, and each walker stays put with probability
-        # >= e^{-q t}: the pairs in which neither jumps give
-        # lower = e^{-2qt} frozen for any radial potential.
-        lower = exp(-2.0 * spec.sup_rate * t) * frozen
-        ens_var = ens_se = None
-        if m_draws:
-            est = ensemble_variance(graph, spec, pot, model, radius, t,
-                                    m_draws, cfg["seed"] + k)
-            ens_var, ens_se = est.value, est.stderr
-        rows.append((t, frozen, ens_var, ens_se, lower, radius))
-    if below:
-        print(f"warning: radius {fixed_radius} is below radius_for(t) at "
-              f"t = {', '.join(map(_fmt, below))}; frozen and lower are "
-              f"summed over the certified box and need not bound those rows' "
-              f"ens_var", file=sys.stderr)
+    ts = [2.0 ** -k for k in range(k_min, k_max + 1)]
+    certified = [radius_for(t, pot.alpha, pot.kappa) for t in ts]
+    # The frozen-sum column always uses its certified radius.
+    frozen = [frozen_variance_sum(t, graph, pot, model) for t in ts]
+    radii, ens = certified, [(None, None)] * len(ts)
+    if m_draws:
+        # One ball and one draw of members serve every t: the radius key,
+        # or else the largest certified radius of the grid (radius_for is
+        # not monotone in t: its walker allowance grows with t).
+        radius = cfg.get("radius", max(certified))
+        radii = [radius] * len(ts)
+        ens = [(e.value, e.stderr) for e in ensemble_variance(
+            graph, spec, pot, model, radius, ts, m_draws, cfg["seed"])]
+        below = [t for t, c in zip(ts, certified) if radius < c]
+        if below:
+            print(f"warning: radius {radius} is below radius_for(t) at "
+                  f"t = {', '.join(map(_fmt, below))}; frozen and lower are "
+                  f"summed over the certified box and need not bound those "
+                  f"rows' ens_var", file=sys.stderr)
+    # Every admissible covariance is nonnegative, so no path pair lowers the
+    # variance, and each walker stays put with probability >= e^{-q t}: the
+    # pairs in which neither jumps give lower = e^{-2qt} frozen for any
+    # radial potential.
+    rows = [(t, f, var, se, exp(-2.0 * spec.sup_rate * t) * f, r)
+            for t, f, (var, se), r in zip(ts, frozen, ens, radii)]
 
     slope, ci, r2 = fit_exponent([(t, f) for t, f, *_ in rows])
     expect = cfg.get("expect_slope")
@@ -401,7 +398,7 @@ def fk_compare(cfg):
     trunc = Truncation.build(graph, spec, pot, radius)
     field = sample_field(model, graph, trunc.vertices, cfg["seed"])
     est = mc_dirichlet_trace(trunc, field, t, n_paths, cfg["seed"] + 1)
-    exact = float(trunc.traces([field], t)[0])
+    exact = float(trunc.traces([field], [t])[0, 0])
     # Without a finite positive SE (a stratum with one path, or every weight
     # zero) there is no evidence either way: z is NaN and the check fails.
     evidence = isfinite(est.stderr) and est.stderr > 0
@@ -428,12 +425,12 @@ _COMMANDS = {
         lambda r: f"slope={r.slope:.6f} ci95={r.slope_ci:.6f} "
                   f"r2={r.r_squared:.6f}",
         {**_MODEL_KEYS, "t_exp_min": (int, 6), "t_exp_max": (int, 12),
-         "ensemble": (int, 0), "radius": (int, None),
+         "ensemble": (int, 0), "radius": (int, None, 0),
          "expect_slope": (float, None)}),
     "rigidity-demo": (
         rigidity_demo, _write_rigidity_csv,
         lambda r: f"cut={r.cut:.6f} mae={['%.4f' % m for m in r.mae]}",
-        {**_MODEL_KEYS, "radius": (int, 12), "members": (int, 500, 1),
+        {**_MODEL_KEYS, "radius": (int, 12, 0), "members": (int, 500, 1),
          "t_grid": (_floats, (1.0, 0.5, 0.25, 0.125)),
          "cut_value": (float, None), "cut_index": (int, 1)}),
     "tail-check": (
@@ -443,20 +440,21 @@ _COMMANDS = {
     "spectral-check": (
         spectral_check, None,
         lambda r: f"max_residual={r.max_residual:.3e} trials={r.n_trials}",
-        {**_MODEL_KEYS, "radius": (int, 8), "trials": (int, 50, 1),
+        {**_MODEL_KEYS, "radius": (int, 8, 0), "trials": (int, 50, 1),
          "t_grid": (_floats, (0.5, 1.0))}),
     "fk-compare": (
         fk_compare, None,
         lambda r: f"mc={r.mc_mean:.6f} se={r.mc_se:.6f} "
                   f"exact={r.exact:.6f} z={r.z:.3f}",
-        {**_MODEL_KEYS, "radius": (int, 10), "t": (float, 0.25),
+        {**_MODEL_KEYS, "radius": (int, 10, 0), "t": (float, 0.25),
          "n_paths": (int, 200_000, 1)}),
 }
 # Keys that change nothing given a partner's value: (key, partner, test of
 # that value).  Refused only away from the default, which hashes as left out.
 _INERT = (("d", "graph", lambda g: g == "edge_list"),
           ("graph_file", "graph", lambda g: g != "edge_list"),
-          ("cut_index", "cut_value", lambda c: c is not None))
+          ("cut_index", "cut_value", lambda c: c is not None),
+          ("radius", "ensemble", lambda m: m == 0))
 
 
 def main(argv=None):

@@ -10,9 +10,10 @@ walkers stop at their exit from the truncation's ball, so the field is
 needed on the ball alone.  The paired-walker variance uses dense
 local-time rows, so that every start pair of a replicate comes from one
 matrix product with the box covariance.  Deterministic routes evaluate the
-frozen-walk double sum on a certified box: in closed radial form for
-independent and constant noise, and for power decay on the lattices as one
-FFT autocorrelation of the weights against the covariance kernel.  A
+frozen-walk double sum on a certified box: on the lattices in closed
+radial form for independent and constant noise and for power decay as one
+FFT autocorrelation of the weights against the covariance kernel, and on
+explicit graphs as the pairwise sum over the ball for every kind.  A
 ``NoiseModel`` is checked when it is made, so no estimator re-checks its
 kind or the sign of its covariance.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, nan, sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -43,8 +43,6 @@ class TraceEstimate:
 
     mean: float
     stderr: float
-    n_paths: int
-    t: float
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,6 @@ class VarianceEstimate:
     value: float
     stderr: float
     n_samples: int
-    t: float
-    radius: Optional[int] = None
 
     def ci95(self):
         return (self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr)
@@ -103,7 +99,7 @@ def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
     return kw, (None if kill_radius is None else uw)
 
 
-def _stratified_estimate(weights, t):
+def _stratified_estimate(weights):
     """Sum of the stratum (row) means, in row order; the SE is NaN when a
     stratum has fewer than two paths, since its variance is then undefined."""
     per = weights.shape[1]
@@ -112,7 +108,7 @@ def _stratified_estimate(weights, t):
         se = nan
     else:
         se = sqrt(sum((weights.var(axis=1, ddof=1) / per).tolist()))
-    return TraceEstimate(mean=mean, stderr=se, n_paths=weights.size, t=t)
+    return TraceEstimate(mean=mean, stderr=se)
 
 
 def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
@@ -122,34 +118,38 @@ def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
     if t <= 0:
         raise DomainError("t must be positive")
     return _stratified_estimate(
-        _trace_samples(trunc, field, t, n_paths, seed)[0], t)
+        _trace_samples(trunc, field, t, n_paths, seed)[0])
 
 
 # -- variance estimators -------------------------------------------------------
 
 
-def ensemble_variance(graph, spec, pot, model, n, t, m_draws, seed):
-    """Var over the noise of the exact truncated trace, with jackknife SE.
+def ensemble_variance(graph, spec, pot, model, n, ts, m_draws, seed):
+    """Var over the noise of the exact truncated trace, with jackknife SE,
+    at each t of ``ts``: one truncation and one draw of members serve every
+    t, and ``Truncation.traces`` takes their traces.
 
-    Member traces come from ``Truncation.traces``.  The variance and the
-    leave-one-out variances are taken of the traces less the first
-    member's, so identical members give exactly 0.
+    Each t's variance and leave-one-out variances are taken of its trace
+    column less the first member's, so identical members give exactly 0
+    and a t's estimate is that of a one-t call.
     """
     if m_draws < 3:
         raise DomainError("need at least three noise draws (the jackknife "
                           "divides by m - 2)")
     trunc = Truncation.build(graph, spec, pot, n)
     traces = trunc.traces(
-        sample_fields(model, graph, trunc.vertices, m_draws, seed), t)
-    d = traces - traces[0]
-    value = float(np.var(d, ddof=1))
-    # Leave-one-out variances from running sums.
-    m = m_draws
-    s1 = d.sum()
-    s2 = (d ** 2).sum()
-    loo = (s2 - d ** 2 - (s1 - d) ** 2 / (m - 1)) / (m - 2)
-    se = sqrt((m - 1) / m * float(((loo - loo.mean()) ** 2).sum()))
-    return VarianceEstimate(value=value, stderr=se, n_samples=m, t=t, radius=n)
+        sample_fields(model, graph, trunc.vertices, m_draws, seed), ts)
+    out, m = [], m_draws
+    for col in traces.T:
+        d = col - col[0]
+        value = float(np.var(d, ddof=1))
+        # Leave-one-out variances from running sums.
+        s1 = d.sum()
+        s2 = (d ** 2).sum()
+        loo = (s2 - d ** 2 - (s1 - d) ** 2 / (m - 1)) / (m - 2)
+        se = sqrt((m - 1) / m * float(((loo - loo.mean()) ** 2).sum()))
+        out.append(VarianceEstimate(value=value, stderr=se, n_samples=m))
+    return out
 
 
 def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
@@ -198,8 +198,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
                                       u[:, 1])
     value = float(totals.mean())
     se = float(totals.std(ddof=1)) / sqrt(n_rep)
-    return VarianceEstimate(value=value, stderr=se, n_samples=n_rep, t=t,
-                            radius=box_radius)
+    return VarianceEstimate(value=value, stderr=se, n_samples=n_rep)
 
 
 # -- deterministic radial sums -------------------------------------------------
@@ -239,16 +238,6 @@ def _radial_weight_sum(graph, pot, c, r):
     return total
 
 
-def _ball_arrays(graph, pot, model, r):
-    """Potential vector and covariance matrix over the radius-r ball."""
-    verts = graph.ball(graph.root, r)
-    m = len(verts)
-    if m * m > 40_000_000:
-        raise DomainError(f"pairwise sum over {m} vertices is too large")
-    vvec = np.array([pot.value(graph, v) for v in verts])
-    return vvec, covariance_matrix(model, graph, verts)
-
-
 def _grid_norms(graph, coords):
     """Lattice norm (l1 or l-infinity) of every point of coords^d, as a
     d-dimensional array indexed like the coordinate array along each axis."""
@@ -277,25 +266,21 @@ def _next_fast_len(n):
 
 def _power_decay_pair_sum(t, graph, pot, model, r):
     """S = sum over u, v in the radius-r ball of
-    w(u) w(v) expm1(t^2 gamma(u, v)), w = e^{-tV}, for power-decay gamma.
+    w(u) w(v) expm1(t^2 gamma(u, v)), w = e^{-tV}, for power-decay gamma
+    on a lattice.
 
-    On the lattices gamma depends on the norm of u - v alone, so S is
+    There gamma depends on the norm of u - v alone, so S is
     sum_z K(z) A(z) over the lags z in [-2r, 2r]^d, with
-    K(z) = expm1(t^2 scale (|z| + 1)^-beta) and A the autocorrelation of w
+    K(z) = expm1(t^2 gamma0 (|z| + 1)^-beta) and A the autocorrelation of w
     on the (2r+1)^d box (0 outside the ball).  A is
     irfftn(|rfftn(w, s)|^2, s) with s = _next_fast_len(4r + 1) per axis, so
     lags up to 2r do not alias; a grid of more than ``_MAX_ELEMS`` points is
     refused before anything is allocated.  Roundoff: the FFT leaves an
     absolute error of about eps log(s^d) A(0) at each lag, and since A and K
     are nonnegative, S >= K(0) A(0), so the relative error of S is at most
-    about eps log(s^d) sum_z K(z) / K(0).  Explicit graphs have no
-    translation invariance and take the pairwise sum over the ball.
+    about eps log(s^d) sum_z K(z) / K(0).
     """
     t2 = t * t
-    if graph.kind not in (ZD_L1, ZD_LINF):
-        vvec, gam = _ball_arrays(graph, pot, model, r)
-        w = np.exp(-t * vvec)
-        return float(w @ np.expm1(t2 * gam) @ w)
     d = graph.d
     s = _next_fast_len(4 * r + 1)
     if s ** d > _MAX_ELEMS:
@@ -315,12 +300,12 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
 def frozen_variance_sum(t, graph, pot, model, r=None):
     """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}].
 
-    Independent and constant covariances collapse to radial single sums
-    (``_radial_weight_sum``, with its integral tail on Z^1 past
-    ``_EXACT_TERM_CAP`` terms); power decay is a convolution on the lattices
-    and a pairwise sum over the ball on explicit graphs
-    (``_power_decay_pair_sum``).  Every route assumes the radial potential
-    V = (kappa d)^alpha - mu, so a potential with custom values is refused.
+    On the lattices independent and constant covariances collapse to radial
+    single sums (``_radial_weight_sum``, with its integral tail on Z^1 past
+    ``_EXACT_TERM_CAP`` terms) and power decay is a convolution
+    (``_power_decay_pair_sum``); explicit graphs, with neither, take the
+    pairwise sum over the ball for every kind.  Every route assumes the
+    radial potential V = (kappa d)^alpha - mu, so custom values are refused.
     """
     if t <= 0:
         raise DomainError("t must be positive")
@@ -335,6 +320,14 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
                           f"for t={t}")
     t2 = t * t
     g0 = model.gamma0
+    if graph.kind not in (ZD_L1, ZD_LINF):
+        verts = graph.ball(graph.root, r)
+        if len(verts) ** 2 > 40_000_000:
+            raise DomainError(f"pairwise sum over {len(verts)} vertices is "
+                              "too large")
+        w = np.exp(-t * np.array([pot.value(graph, v) for v in verts]))
+        gam = covariance_matrix(model, graph, verts)
+        return exp(t2 * g0) * float(w @ np.expm1(t2 * gam) @ w)
     if model.kind == POWER_DECAY:
         return exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot, model, r)
     factor = exp(t2 * g0) * expm1(t2 * g0)

@@ -49,7 +49,7 @@ class GraphModel:
         return cls(ZD_LINF, d, root=(0,) * d)
 
     @classmethod
-    def explicit(cls, n_vertices, edges, root=0, d=1):
+    def explicit(cls, n_vertices, edges, root=0):
         adj = [set() for _ in range(n_vertices)]
         for u, v in edges:
             if u == v:
@@ -61,7 +61,7 @@ class GraphModel:
         adjacency = tuple(tuple(sorted(s)) for s in adj)
         if not 0 <= root < n_vertices:
             raise InputError(f"root {root} not a vertex")
-        return cls(EXPLICIT, d, root, adjacency=adjacency)
+        return cls(EXPLICIT, 1, root, adjacency=adjacency)
 
     @classmethod
     def from_edge_list(cls, path):

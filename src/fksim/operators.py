@@ -8,11 +8,11 @@ dense assembly, the batched eigenvalues, the exact traces and the Monte
 Carlo walks share.  At build it decides the eigen route: a truncation
 whose off-diagonal part is symmetric up to roundoff (the lattices) takes
 LAPACK's symmetric solver, any other the general one, and
-``Truncation.traces`` takes the exact traces Tr e^{-tM} the same way.
-Matrix exponentials are a degree-16 Taylor polynomial, evaluated with six
-matrix products (Paterson-Stockmeyer), with scaling and squaring and a
-diagonal shift folded into the scale; no linear solve.  Traces over a t
-grid square e^{-tM} where the grid doubles t instead of exponentiating
+``Truncation.traces`` takes the exact traces Tr e^{-tM} over a t grid the
+same way.  Matrix exponentials are a degree-16 Taylor polynomial, evaluated
+with six matrix products (Paterson-Stockmeyer), with scaling and squaring
+and a diagonal shift folded into the scale; no linear solve.  Traces over a
+t grid square e^{-tM} where the grid doubles t instead of exponentiating
 again.
 """
 
@@ -198,17 +198,22 @@ class Truncation:
                  for lo in range(0, len(fields), step)]
         return np.sort(np.concatenate(parts or [np.empty((0, size))]), axis=1)
 
-    def traces(self, fields, t):
-        """Tr e^{-tM} for the matrix M of each row of ``fields``.
-
-        The symmetric route sums e^{-t lambda} over ``eigenvalues``; the
-        general one takes the trace of ``expm_neg`` one member at a time,
-        so no more than one matrix is held.
-        """
+    def traces(self, fields, ts):
+        """Tr e^{-tM}, M the matrix of each row of ``fields`` (rows), at
+        each t of ``ts`` (columns).  The symmetric route sums e^{-t lambda}
+        over one ``eigenvalues`` call, a column at a time, so a column has
+        the bits of a one-t call; the general one takes ``_expm_traces`` one
+        member at a time, so no more than one matrix is held."""
+        fields = np.asarray(fields, dtype=float)
+        out = np.empty((len(fields), len(ts)))
         if self.symmetric:
-            return np.exp(-t * self.eigenvalues(fields)).sum(axis=1)
-        return np.array([np.trace(expm_neg(self.matrices(f[None])[0], t))
-                         for f in np.asarray(fields, dtype=float)])
+            eigs = self.eigenvalues(fields)
+            for j, t in enumerate(ts):
+                out[:, j] = np.exp(-t * eigs).sum(axis=1)
+        else:
+            for i, f in enumerate(fields):
+                out[i] = _expm_traces(self.matrices(f[None])[0], ts)
+        return out
 
 
 def assemble(graph, spec, pot, field, n):

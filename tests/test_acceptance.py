@@ -152,7 +152,7 @@ def test_criterion_08_fk_vs_expm():
     t = 0.25
     trunc = Truncation.build(G1, SPEC, POT, 10)
     est = fk.mc_dirichlet_trace(trunc, xi, t, 200_000, seed=80)
-    exact = trunc.traces([xi], t)[0]
+    exact = trunc.traces([xi], [t])[0, 0]
     z = abs(est.mean - exact) / est.stderr
     rel = est.stderr / exact
     ok = z <= 4.0 and rel < 0.02
@@ -169,8 +169,9 @@ def test_criterion_09_dirichlet_kernel():
                                          kill_radius=4)
     pathwise = all(np.all(kw <= uw + 1e-15)
                    for kw, uw in zip(killed, unkilled))
-    est = fk._stratified_estimate(killed, t)
-    exact = Truncation.build(G1, SPEC, POT, 4).traces([_on_ball(xi, 4)], t)[0]
+    est = fk._stratified_estimate(killed)
+    exact = Truncation.build(G1, SPEC, POT, 4).traces([_on_ball(xi, 4)],
+                                                      [t])[0, 0]
     z = abs(est.mean - exact) / est.stderr
     ok = z <= 4.0 and pathwise
     _report(9, f"dirichlet kernel z={z:.2f} killed<=unkilled={pathwise}", ok)
@@ -182,7 +183,8 @@ def test_criterion_10_variance_estimator_identity():
     detail = []
     for model, name in ((iid_gaussian(1.0), "iid"),
                         (constant_gaussian(1.0), "constant")):
-        ens = fk.ensemble_variance(G1, SPEC, POT, model, 6, t, 6000, seed=100)
+        ens, = fk.ensemble_variance(G1, SPEC, POT, model, 6, (t,), 6000,
+                                    seed=100)
         pw = fk.paired_walker_variance(G1, SPEC, POT, model, t, 2500, 6,
                                        seed=101)
         lo1, hi1 = ens.ci95()

@@ -317,8 +317,7 @@ t_exp_max = 5
 @pytest.mark.parametrize("text, warned", [
     ("radius = 55\n", (0.125, 0.0625)),  # radius_for: 50, 52, 56, 63
     ("radius = 70\n", ()),
-    ("", ()),                            # each t at its certified radius
-    ("radius = 55\nensemble = 0\n", ()),  # no ens_var column to bound
+    ("", ()),                            # one ball of radius_for(2^-4)
 ])
 def test_sweep_warns_below_the_certified_radius(tmp_path, capsys, text,
                                                 warned):
@@ -478,13 +477,18 @@ def test_tail_check_without_rows_fails():
     ("tail-check", "x_max = -2\n"),
     ("rigidity-demo", "members = 0\n"),
     ("spectral-check", "trials = -1\n"),
-    ("rigidity-demo", "t_grid =\n")])
+    ("rigidity-demo", "t_grid =\n"),
+    ("rigidity-demo", "radius = -3\n"), ("spectral-check", "radius = -3\n"),
+    ("fk-compare", "radius = -3\n"),
+    ("sweep-variance", "ensemble = 3\nradius = -1\n"),
+    ("sweep-variance", "ensemble = 0\nradius = -1\n")])
 def test_cli_refuses_fewer_than_one_path(tmp_path, capsys, command, text):
     # No path is no evidence: refused as an input error, not run to a
     # division by zero (tail-check) or 21 walks with se=nan (fk-compare).
     # Nor is a tail check without a point to compare (x_max < 1), nor a
-    # run without a member, a trial or a t.  The error names the config's
-    # last key.
+    # run without a member, a trial or a t, nor a negative radius (which
+    # the truncation refused without naming the key).  The error names the
+    # config's last key.
     key = text.splitlines()[-1].split("=")[0].strip()
     cfg = _write(tmp_path, text)
     assert cli.main([command, "--config", cfg]) == 1
@@ -845,7 +849,7 @@ def test_cli_tail_check_benchmark_csv_is_pinned(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "points=10 pass=True\n"
     assert out.read_text() == """\
-# config_hash=04ce2274ea1830ff
+# config_hash=9f5e58a77802c3f7
 x,empirical,bound,se
 1,0.393002,0.8243606353500641,0.0004884172683228962
 2,0.090381,0.2801055668961291,0.00028672682964626803
@@ -871,17 +875,18 @@ def _benchmark_run(name, tmp_path, capsys):
 
 
 def test_cli_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
-    # The member fields and the exact member traces feed the ens_var and
-    # ens_se columns.
+    # The member fields (one draw at the config's seed for every t) and the
+    # exact member traces feed the ens_var and ens_se columns.  Every ens_var
+    # sits below its lower: the radius-6 ball is far inside radius_for(t).
     summary, csv = _benchmark_run("exact_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.671104 ci95=0.270601 r2=0.997175 pass=True\n"
     assert csv == """\
-# config_hash=e02f74aa6453236f
+# config_hash=9cade611caf78fab
 t,frozen,ens_var,ens_se,lower,radius
-0.5,0.646473439268386,0.2739722716661215,0.015155423623583979,0.2378242875702342,6
-0.25,0.17209004382093246,0.10377045180272886,0.0038977636720969986,0.10437788780868616,6
-0.125,0.0567032762704771,0.04379725779990577,0.0015682434467833898,0.04416055596216178,6
-0.0625,0.019698127078166133,0.017485050956043253,0.0006381237323272196,0.01738353613319936,6
+0.5,0.646473439268386,0.22810831219918976,0.010878841001045069,0.2378242875702342,6
+0.25,0.17209004382093246,0.09527754313665089,0.0035878936669408255,0.10437788780868616,6
+0.125,0.0567032762704771,0.03985890991154497,0.001404947564071442,0.04416055596216178,6
+0.0625,0.019698127078166133,0.015991718717204235,0.0005514902547799689,0.01738353613319936,6
 """
 
 
@@ -891,7 +896,7 @@ def test_cli_rigidity_demo_benchmark_csv_is_pinned(tmp_path, capsys):
     assert summary == \
         "cut=0.318411 mae=['0.3740', '0.2125', '0.0790', '0.0085'] pass=True\n"
     assert csv == """\
-# config_hash=f3c2329dd24d5792
+# config_hash=d145c57ba7e4f7bf
 # expectation column is the plug-in ensemble mean of the exponential linear statistic
 t,mean_statistic,mae
 1.0,1.2951432171364043,0.374
@@ -907,7 +912,7 @@ def test_cli_power_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("power_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.217150 ci95=0.005697 r2=0.999956 pass=True\n"
     assert csv == """\
-# config_hash=551febeb860ed210
+# config_hash=e8b956bf62327927
 t,frozen,ens_var,ens_se,lower,radius
 0.015625,0.02196259536513585,,,0.021286877343245785,84
 0.0078125,0.009670740815058152,,,0.00952080987562753,101
@@ -1001,8 +1006,10 @@ def test_least_values_are_declared_in_the_key_table():
     bounded = sorted((command, key)
                      for command, (*_, keys) in cli._COMMANDS.items()
                      for key, spec in keys.items() if len(spec) == 3)
-    assert bounded == [("fk-compare", "n_paths"), ("rigidity-demo", "members"),
-                       ("spectral-check", "trials"), ("tail-check", "n_paths"),
+    assert bounded == [("fk-compare", "n_paths"), ("fk-compare", "radius"),
+                       ("rigidity-demo", "members"), ("rigidity-demo", "radius"),
+                       ("spectral-check", "radius"), ("spectral-check", "trials"),
+                       ("sweep-variance", "radius"), ("tail-check", "n_paths"),
                        ("tail-check", "x_max")]
 
 
@@ -1020,7 +1027,8 @@ _EDGE_LIST = "graph = edge_list\ngraph_file = {}\n"
 @pytest.mark.parametrize("command, text, key", [
     ("rigidity-demo", _EDGE_LIST + "d = 5\n", "d"),
     ("fk-compare", _EDGE_LIST + "d = 5\n", "d"),
-    ("rigidity-demo", "cut_value = 0.5\ncut_index = 7\n", "cut_index")])
+    ("rigidity-demo", "cut_value = 0.5\ncut_index = 7\n", "cut_index"),
+    ("sweep-variance", "ensemble = 0\n", "radius")])
 def test_gate_refuses_a_key_its_partner_makes_inert(tmp_path, capsys,
                                                     command, text, key):
     # Each ran as without the key, yet entered the config hash.
@@ -1091,3 +1099,77 @@ def test_readme_sweep_example_runs(tmp_path, capsys):
     assert cli.main(["sweep-variance", "--config", _write(tmp_path, block),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
     assert capsys.readouterr().out.endswith(" pass=True\n")
+
+
+# -- one ensemble per sweep ------------------------------------------------------
+
+
+def test_sweep_draws_one_ensemble_for_every_t(monkeypatch):
+    # One truncation, one draw of members and one eigenvalue solve serve
+    # the whole t grid, and every t uses the config's seed: each row is the
+    # one-t library call at that seed, bit for bit.
+    from fksim import feynman_kac
+    calls = []
+    build, solve = operators.Truncation.build, operators.Truncation.eigenvalues
+    draw = feynman_kac.sample_fields
+    monkeypatch.setattr(operators.Truncation, "build", classmethod(
+        lambda cls, *a: calls.append("build") or build(*a)))
+    monkeypatch.setattr(operators.Truncation, "eigenvalues",
+                        lambda self, f: calls.append("eigenvalues")
+                        or solve(self, f))
+    monkeypatch.setattr(feynman_kac, "sample_fields",
+                        lambda *a: calls.append("sample_fields") or draw(*a))
+    res = cli.sweep_variance({"t_exp_min": "1", "t_exp_max": "6",
+                              "ensemble": "20", "radius": "5", "seed": "7"})
+    assert sorted(calls) == ["build", "eigenvalues", "sample_fields"]
+    graph, model, pot, spec = cli._model_from(
+        cli.effective_config("sweep-variance", {}))
+    for t, _, ens_var, ens_se, _, radius in res.rows:
+        est, = feynman_kac.ensemble_variance(graph, spec, pot, model, 5,
+                                             (t,), 20, 7)
+        assert (ens_var, ens_se, radius) == (est.value, est.stderr, 5), t
+
+
+@pytest.mark.parametrize("text, radius", [
+    ("t_exp_min = 1\nt_exp_max = 4\n", [50, 52, 56, 63]),
+    ("t_exp_min = 1\nt_exp_max = 4\nensemble = 3\n", [63] * 4),
+    # t = 8 .. 1: radius_for is 64, 54, 50, 49, largest at the largest t.
+    ("t_exp_min = -3\nt_exp_max = 0\nensemble = 3\n", [64] * 4)])
+def test_sweep_radius_column(tmp_path, capsys, text, radius):
+    # With the ensemble off the column is radius_for(t); with it on, the
+    # ensemble's one ball, certified for every t of the grid.
+    rows = _sweep_rows(tmp_path, text, seed=2)
+    assert [int(r["radius"]) for r in rows] == radius
+    assert all(int(r["radius"]) >= cli.radius_for(r["t"]) for r in rows)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("noise", ["noise = iid\n", "noise = constant\n",
+                                   "noise = power_decay\nbeta = 1\n"])
+def test_sweep_on_an_explicit_graph_takes_the_pairwise_sum(tmp_path, capsys,
+                                                            noise):
+    # The 10-cycle has no closed radial counts: every noise kind takes the
+    # pairwise sum over the ball.  iid and constant noise used to fail with
+    # "radial closed forms require a lattice kind".
+    text = (_EDGE_LIST.format(_cycle_file(tmp_path)) + noise
+            + "t_exp_min = 6\nt_exp_max = 9\n")
+    rows = _sweep_rows(tmp_path, text, seed=3)
+    cfg = cli.effective_config("sweep-variance",
+                               cli.parse_config(_write(tmp_path, text)))
+    graph, model, pot, _ = cli._model_from(cfg)
+    assert [r["frozen"] for r in rows] == [
+        frozen_variance_sum(r["t"], graph, pot, model) for r in rows]
+    assert all(r["frozen"] > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+@pytest.mark.parametrize("text, named", [
+    ("graph = edge_list\n", "'graph_file'"), ("graph = torus\n", "'torus'")])
+def test_cli_refuses_a_graph_it_cannot_build(tmp_path, capsys, command, text,
+                                             named):
+    path = _write(tmp_path, _MODEL_COMMANDS[command] + text)
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+    with pytest.raises(ConfigError, match=named):
+        cli._COMMANDS[command][0](cli.parse_config(path))

@@ -47,14 +47,14 @@ def test_killed_below_unkilled_pathwise():
 def test_killing_immaterial_for_huge_radius():
     killed, unkilled = fk._trace_samples(_trunc(80), np.zeros(161), 0.5, 3000,
                                          seed=10, kill_radius=40)
-    k = fk._stratified_estimate(killed, 0.5)
-    u = fk._stratified_estimate(unkilled, 0.5)
+    k = fk._stratified_estimate(killed)
+    u = fk._stratified_estimate(unkilled)
     assert k.mean == u.mean
 
 
 def test_ensemble_variance_degenerate_noise():
-    est = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), 4, 0.5,
-                               50, seed=11)
+    est, = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), 4, (0.5,),
+                                50, seed=11)
     assert est.value == 0.0
 
 
@@ -63,10 +63,11 @@ def test_ensemble_variance_identical_members_give_zero(m):
     # Zero noise makes every member the same matrix.  The mean of m equal
     # traces need not round back to the trace, so an unshifted variance
     # reads about 1e-31 in many of these cases.
+    ts = (1.0, 0.5, 0.25, 0.125)
     for n in range(1, 9):
-        for t in (1.0, 0.5, 0.25, 0.125):
-            est = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), n,
-                                       t, m, seed=11)
+        ests = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), n, ts,
+                                    m, seed=11)
+        for t, est in zip(ts, ests, strict=True):
             assert (est.value, est.stderr) == (0.0, 0.0), (n, t)
 
 
@@ -97,9 +98,34 @@ def test_ensemble_variance_matches_expm_traces(graph, n, symmetric):
                                                  trunc.vertices, m, 47))
     assert np.allclose(np.exp(-t * eigs).sum(axis=1), traces, rtol=1e-12,
                        atol=0.0)
-    est = fk.ensemble_variance(graph, spec, pot, iid_gaussian(1.0), n, t, m,
-                               seed=47)
+    est, = fk.ensemble_variance(graph, spec, pot, iid_gaussian(1.0), n, (t,),
+                                m, seed=47)
     assert est.value == pytest.approx(np.var(traces, ddof=1), rel=1e-12)
+
+
+@pytest.mark.parametrize("graph, n", [(G1, 5), (GraphModel.zd_l1(2), 2),
+                                      (G_IRREGULAR, 2)],
+                         ids=["z1", "z2", "irregular"])
+def test_ensemble_variance_over_a_grid_is_one_t_calls(graph, n):
+    # One truncation and one draw serve every t.  On the symmetric route
+    # each t's estimate has the bits of a one-t call with the same seed; the
+    # general route squares e^{-tM} where the grid doubles t, so it agrees
+    # to roundoff.
+    spec, pot, model = symmetric_walk(graph, 1.0), PotentialSpec(), \
+        iid_gaussian(1.0)
+    symmetric = Truncation.build(graph, spec, pot, n).symmetric
+    assert symmetric == (graph is not G_IRREGULAR)
+    ts = (1.0, 0.5, 0.25, 0.125)
+    got = fk.ensemble_variance(graph, spec, pot, model, n, ts, 30, seed=49)
+    assert len(got) == len(ts)
+    for t, est in zip(ts, got):
+        want, = fk.ensemble_variance(graph, spec, pot, model, n, (t,), 30,
+                                     seed=49)
+        if symmetric:
+            assert est == want, t
+        else:
+            assert est.value == pytest.approx(want.value, rel=1e-12), t
+            assert est.stderr == pytest.approx(want.stderr, rel=1e-9), t
 
 
 def test_ensemble_variance_single_vertex_lognormal():
@@ -107,18 +133,18 @@ def test_ensemble_variance_single_vertex_lognormal():
     spec = symmetric_walk(g, 1.0)
     pot = PotentialSpec(custom={0: 0.0})
     t = 0.7
-    est = fk.ensemble_variance(g, spec, pot, iid_gaussian(1.0), 0, t,
-                               100000, seed=12)
+    est, = fk.ensemble_variance(g, spec, pot, iid_gaussian(1.0), 0, (t,),
+                                100000, seed=12)
     exact = math.exp(t * t) * (math.exp(t * t) - 1.0)
     assert abs(est.value - exact) < 3 * est.stderr
 
 
 def test_ensemble_variance_repeats_for_a_seed():
-    a = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 60,
-                             seed=13)
-    b = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 60,
-                             seed=13)
-    assert a == b and a.value > 0.0
+    a = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, (0.5, 1.0),
+                             60, seed=13)
+    b = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, (0.5, 1.0),
+                             60, seed=13)
+    assert a == b and a[0].value > 0.0
 
 
 def test_paired_walker_benchmark_estimate_is_pinned():
@@ -166,7 +192,7 @@ def test_paired_walker_single_vertex_lognormal():
 @pytest.mark.parametrize("model", [iid_gaussian(1.0), constant_gaussian(1.0)])
 def test_variance_estimators_agree(model):
     t = 0.5
-    ens = fk.ensemble_variance(G1, SPEC, POT, model, 6, t, 3000, seed=15)
+    ens, = fk.ensemble_variance(G1, SPEC, POT, model, 6, (t,), 3000, seed=15)
     pw = fk.paired_walker_variance(G1, SPEC, POT, model, t, 1200, 6, seed=16)
     lo1, hi1 = ens.ci95()
     lo2, hi2 = pw.ci95()
@@ -222,8 +248,8 @@ def test_lower_bound_below_ensemble():
     t = 0.5
     delta = 2.0
     r = 6
-    ens = fk.ensemble_variance(G1, SPEC, PotentialSpec(alpha=delta),
-                               iid_gaussian(1.0), r, t, 3000, seed=17)
+    ens, = fk.ensemble_variance(G1, SPEC, PotentialSpec(alpha=delta),
+                                iid_gaussian(1.0), r, (t,), 3000, seed=17)
     low = fk.lower_bound_sum(t, delta, iid_gaussian(1.0), G1)
     assert low <= ens.value + 3 * ens.stderr
 
@@ -342,7 +368,7 @@ def test_trace_refuses_a_field_of_another_shape(field):
     with pytest.raises(InputError):
         fk.mc_dirichlet_trace(_trunc(2), field, 0.5, 100, seed=2)
     with pytest.raises(InputError):
-        _trunc(2).traces([field], 0.5)
+        _trunc(2).traces([field], [0.5])
 
 
 def test_trace_refuses_a_negative_kill_radius():
@@ -361,7 +387,7 @@ def test_stratified_se_undefined_with_one_path_per_stratum():
 def test_paired_walker_power_decay_agrees_with_ensemble():
     t = 0.5
     model = power_decay_gaussian(beta=1.0)
-    ens = fk.ensemble_variance(G1, SPEC, POT, model, 4, t, 3000, seed=15)
+    ens, = fk.ensemble_variance(G1, SPEC, POT, model, 4, (t,), 3000, seed=15)
     pw = fk.paired_walker_variance(G1, SPEC, POT, model, t, 1200, 4, seed=16)
     lo1, hi1 = ens.ci95()
     lo2, hi2 = pw.ci95()
@@ -370,7 +396,7 @@ def test_paired_walker_power_decay_agrees_with_ensemble():
 
 def test_ensemble_variance_rejects_two_draws():
     with pytest.raises(DomainError):
-        fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, 0.5, 2,
+        fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 4, (0.5,), 2,
                              seed=23)
 
 
@@ -440,15 +466,17 @@ def test_power_decay_convolution_matches_pairwise(graph, beta, r):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_power_decay_explicit_path_graph_takes_the_pairwise_route():
+@pytest.mark.parametrize("model", [iid_gaussian(1.0), constant_gaussian(0.7),
+                                   power_decay_gaussian(beta=0.5)],
+                         ids=["iid", "constant", "power_decay"])
+def test_explicit_path_graph_takes_the_pairwise_route(model):
     # A path graph rooted in its middle is Z^1 out to the certified radius,
     # so the explicit graph's pairwise sum is a second route to the lattice
-    # convolution at a certified radius.
+    # radial sums and convolution at a certified radius, for every kind.
     t = 2.0 ** -6
     r = fk.radius_for(t)
     path = GraphModel.explicit(2 * r + 1, [(i, i + 1) for i in range(2 * r)],
                                root=r)
-    model = power_decay_gaussian(beta=0.5)
     assert fk.frozen_variance_sum(t, path, POT, model) == pytest.approx(
         fk.frozen_variance_sum(t, G1, POT, model), rel=1e-12, abs=0.0)
     assert fk.lower_bound_sum(t, 2.0, model, path) == pytest.approx(

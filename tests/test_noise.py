@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fksim.errors import DomainError
+from fksim.errors import DomainError, NumericalError
 from fksim import noise
 from fksim.lattice import GraphModel
 from fksim.noise import (NoiseModel, constant_gaussian, covariance,
@@ -181,3 +181,19 @@ def test_bound_checks_keep_their_draws(model):
         assert ratio == pytest.approx(worst, rel=1e-15)
     else:
         assert (rep.lhs, rep.stderr, ratio) == (lhs, se, worst)
+
+
+def test_psd_factor_retries_a_singular_matrix_with_a_ridge():
+    # The all-ones matrix is PSD of rank 1: plain Cholesky fails on it, and
+    # the factor of the ridged matrix reproduces it to the ridge's size.
+    cov = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    chol = noise._psd_factor(cov)
+    assert np.abs(chol @ chol.T - cov).max() <= 1.1e-12
+
+
+def test_psd_factor_names_the_first_indefinite_minor():
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1; its 1x1 minor is fine.
+    with pytest.raises(NumericalError, match=r"leading minor 2\)"):
+        noise._psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -427,13 +427,40 @@ def test_eigen_traces_match_matrix_exponential(monkeypatch, case):
         monkeypatch.setattr(Truncation, "matrices",
                             lambda self, f: stacks.append(len(f))
                             or fill(self, f))
-        traces = trunc.traces(fields, t)
+        traces = trunc.traces(fields, [t])[:, 0]
         monkeypatch.setattr(Truncation, "matrices", fill)
         assert traces.tobytes() == np.asarray(
             got if trunc.symmetric else want).tobytes()
         if not trunc.symmetric:
             # One member's matrix at a time.
             assert stacks == [1] * len(fields)
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_grid_traces_are_one_t_traces(monkeypatch, case):
+    # One row per field, one column per t.  The symmetric route solves each
+    # member's eigenvalues once for the whole grid, and each column has the
+    # bits of a one-t call; the general route is _expm_traces per member.
+    trunc, _ = _route_cases()[case]
+    fields = np.random.default_rng(50).standard_normal(
+        (4, len(trunc.potential)))
+    ts = (1.0, 0.5, 0.25, 0.3)
+    solves, real = [], Truncation.eigenvalues
+    monkeypatch.setattr(Truncation, "eigenvalues",
+                        lambda self, f: solves.append(len(f)) or real(self, f))
+    got = trunc.traces(fields, ts)
+    assert got.shape == (len(fields), len(ts))
+    assert solves == ([len(fields)] if trunc.symmetric else [])
+    for j, t in enumerate(ts):
+        one = trunc.traces(fields, [t])[:, 0]
+        if trunc.symmetric:
+            assert got[:, j].tobytes() == one.tobytes(), t
+        else:
+            assert np.allclose(got[:, j], one, rtol=1e-12, atol=0.0), t
+    if not trunc.symmetric:
+        for f, row in zip(fields, got):
+            want = operators._expm_traces(trunc.matrices(f[None])[0], ts)
+            assert row.tobytes() == np.asarray(want).tobytes()
 
 
 def test_assemble_is_one_row_of_matrices():
