@@ -180,10 +180,11 @@ class SweepResult:
 
 def sweep_variance(cfg):
     cfg = effective_config("sweep-variance", cfg)
-    graph, model, pot, spec = _model_from(cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
-    if k_max < k_min:
-        raise ConfigError("t_exp_max must be >= t_exp_min")
+    if k_max - k_min < 3:   # refused before any sum or ensemble runs
+        raise ConfigError(f"t_exp_min = {k_min} and t_exp_max = {k_max} give "
+                          "fewer than the 4 t values the exponent fit needs")
+    graph, model, pot, spec = _model_from(cfg)
     m_draws = cfg["ensemble"]
     if m_draws != 0 and m_draws < 3:
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
@@ -359,8 +360,9 @@ class SpectralReport:
 
 def spectral_check(cfg):
     """Trace of the matrix exponential vs the exponential linear statistic
-    over random assemblies.  Each trial's eigenvalues serve every t, and so
-    does its one matrix exponential where the grid doubles t."""
+    over random assemblies.  Each trial's matrix is filled once, in
+    ``Truncation.blocks``; its eigenvalues serve every t, and so does its
+    one matrix exponential where the grid doubles t."""
     cfg = effective_config("spectral-check", cfg)
     graph, model, pot, spec = _model_from(cfg)
     n_trials, t_grid = cfg["trials"], cfg["t_grid"]
@@ -368,10 +370,12 @@ def spectral_check(cfg):
     fields = sample_fields(model, graph, trunc.vertices, n_trials,
                            cfg["seed"])
     worst = 0.0
-    for field, eigs in zip(fields, trunc.eigenvalues(fields)):
-        traces = _expm_traces(trunc.matrices(field[None])[0], t_grid)
-        for t, tr in zip(t_grid, traces):
-            worst = max(worst, abs(tr - np.exp(-t * eigs).sum()) / abs(tr))
+    for mats, block_eigs in trunc.blocks(fields):
+        for mat, eigs in zip(mats, block_eigs):
+            traces = _expm_traces(mat, t_grid)
+            for t, tr in zip(t_grid, traces):
+                worst = max(worst,
+                            abs(tr - np.exp(-t * eigs).sum()) / abs(tr))
     return SpectralReport(max_residual=worst, n_trials=n_trials,
                           passed=worst < 1e-8)
 

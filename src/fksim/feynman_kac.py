@@ -30,7 +30,7 @@ from .lattice import ZD_L1, ZD_LINF
 from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
                     sample_fields)
 from .operators import PotentialSpec, Truncation
-from .walker import _MAX_ELEMS, sample_walks
+from .walker import _BLOCK_ELEMS, _MAX_ELEMS, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
@@ -163,7 +163,10 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     With local-time rows L_a, L_b of a replicate's two families, all the
     <L,L~> of the replicate are the matrix L_a Gamma L_b^T.  A box on
     which one replicate needs more than the walker's array budget of
-    elements is refused with ``DomainError`` before any work.
+    elements is refused with ``DomainError`` before any work.  Walks are
+    sampled in blocks of that budget, which fixes the random stream; their
+    pair algebra runs over cache-sized sub-blocks of replicates
+    (``_BLOCK_ELEMS`` local-time entries), whose size changes no output.
     """
     if n_rep < 2:
         raise DomainError("need at least two replicates")
@@ -178,24 +181,28 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     gamma = covariance_matrix(model, graph, trunc.vertices)
     rng = np.random.default_rng(seed)
     ids = np.arange(m)
-    block = _MAX_ELEMS // (3 * m * m)   # replicates per block
+    block = _MAX_ELEMS // (3 * m * m)   # replicates per walk block
+    sub = max(1, _BLOCK_ELEMS // (2 * m * m))   # replicates per sub-block
     totals = np.empty(n_rep)
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)
         block_ids = np.tile(ids, 2 * r)
         walks = sample_walks(trunc, block_ids, t, rng)
-        loc = walks.local
-        lg = loc @ gamma
         back = walks.endpoint == block_ids
-        # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest; only
-        # returning rows are exponentiated, so the others cannot overflow.
-        expo = 0.5 * np.einsum("ij,ij->i", lg, loc) - loc @ pv
-        u = np.exp(expo, out=np.zeros(len(loc)), where=back)
-        u = u.reshape(r, 2, m)
-        ab = lg.reshape(r, 2, m, m)[:, 0] \
-            @ loc.reshape(r, 2, m, m)[:, 1].transpose(0, 2, 1)
-        totals[lo:lo + r] = np.einsum("ra,rab,rb->r", u[:, 0], np.expm1(ab),
-                                      u[:, 1])
+        for s in range(0, r, sub):
+            k = min(sub, r - s)
+            rows = slice(2 * m * s, 2 * m * (s + k))
+            loc = walks.local[rows]
+            lg = loc @ gamma
+            # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest:
+            # only returning rows are exponentiated, so no other overflows.
+            expo = 0.5 * np.einsum("ij,ij->i", lg, loc) - loc @ pv
+            u = np.exp(expo, out=np.zeros(len(loc)), where=back[rows])
+            u = u.reshape(k, 2, m)
+            ab = lg.reshape(k, 2, m, m)[:, 0] \
+                @ loc.reshape(k, 2, m, m)[:, 1].transpose(0, 2, 1)
+            totals[lo + s:lo + s + k] = np.einsum(
+                "ra,rab,rb->r", u[:, 0], np.expm1(ab), u[:, 1])
     value = float(totals.mean())
     se = float(totals.std(ddof=1)) / sqrt(n_rep)
     return VarianceEstimate(value=value, stderr=se, n_samples=n_rep)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, InputError, NumericalError
-from .walker import _MAX_ELEMS
+from .walker import _BLOCK_ELEMS
 
 
 @dataclass(frozen=True)
@@ -183,20 +183,28 @@ class Truncation:
         h[:, rows, cols] = vals
         return h
 
-    def eigenvalues(self, fields):
-        """Ascending eigenvalues of the matrix of each row of ``fields``.
+    def blocks(self, fields):
+        """Yield (matrices, ascending eigenvalues) for the rows of ``fields``
+        in order, a block at a time: a block holds at most ``_BLOCK_ELEMS``
+        matrix entries, or one member that alone has more.
 
         The symmetric route (``eigvalsh``) gives real rows; the general one
-        (``eigvals``) gives rows sorted by real then imaginary part.  The
-        matrices are filled in stacks of at most ``_MAX_ELEMS`` entries.
+        (``eigvals``) gives rows sorted by real then imaginary part.  Each
+        matrix is solved alone, so no row depends on the block size.
         """
         fields = np.asarray(fields, dtype=float)
         size = len(self.potential)
         solve = np.linalg.eigvalsh if self.symmetric else np.linalg.eigvals
-        step = max(1, _MAX_ELEMS // (size * size))
-        parts = [solve(self.matrices(fields[lo:lo + step]))
-                 for lo in range(0, len(fields), step)]
-        return np.sort(np.concatenate(parts or [np.empty((0, size))]), axis=1)
+        step = max(1, _BLOCK_ELEMS // (size * size))
+        for lo in range(0, len(fields), step):
+            h = self.matrices(fields[lo:lo + step])
+            yield h, np.sort(solve(h), axis=1)
+
+    def eigenvalues(self, fields):
+        """Ascending eigenvalues of the matrix of each row of ``fields``,
+        one row each, from ``blocks``."""
+        parts = [eigs for _, eigs in self.blocks(fields)]
+        return np.concatenate(parts or [np.empty((0, len(self.potential)))])
 
     def traces(self, fields, ts):
         """Tr e^{-tM}, M the matrix of each row of ``fields`` (rows), at

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -237,6 +238,25 @@ def test_sweep_empty_grid_rejected(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "t_exp_min = 9\nt_exp_max = 6\n"))
     with pytest.raises(ConfigError):
         cli.sweep_variance(cfg)
+
+
+@pytest.mark.parametrize("grid", ["t_exp_min = 1\nt_exp_max = 3\n",
+                                  "t_exp_min = 5\nt_exp_max = 5\n",
+                                  "t_exp_min = 9\nt_exp_max = 6\n"])
+def test_sweep_refuses_a_short_grid_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, grid):
+    # The exponent fit needs four rows; a shorter grid is known from the two
+    # keys, so neither the frozen sums nor the ensemble may run first.
+    calls = []
+    monkeypatch.setattr(cli, "frozen_variance_sum",
+                        lambda *a, **k: calls.append("frozen"))
+    monkeypatch.setattr(cli, "ensemble_variance",
+                        lambda *a, **k: calls.append("ensemble"))
+    path = _write(tmp_path, grid + "ensemble = 4000\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "t_exp_min" in err and "t_exp_max" in err and "4 t values" in err
+    assert calls == []
 
 
 def test_sweep_csv_byte_identical(tmp_path, capsys):
@@ -774,6 +794,44 @@ def test_every_traced_function_exists():
 def test_cli_spectral_check(tmp_path, capsys):
     cfg = _write(tmp_path, "radius = 6\ntrials = 5\n")
     assert cli.main(["spectral-check", "--config", cfg, "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("radius, trials, block", [
+    (3, 7, 1 << 16), (3, 7, 2 * 25 * 25), (3, 7, 3 * 25 * 25 - 1),
+    (3, 7, 1), (6, 200, 1 << 16)])
+def test_spectral_check_fills_each_trial_once_in_blocks(monkeypatch, radius,
+                                                        trials, block):
+    # Z^2 balls of 25 and 85 vertices: every trial's matrix is filled once,
+    # in blocks of at most the block budget (a member larger than the block
+    # alone is a block of its own), and the summary does not depend on it.
+    cfg = {"d": "2", "radius": str(radius), "trials": str(trials)}
+    want = cli.spectral_check(cfg)
+    monkeypatch.setattr(operators, "_BLOCK_ELEMS", block)
+    sizes, fill = [], operators.Truncation.matrices
+    monkeypatch.setattr(operators.Truncation, "matrices",
+                        lambda self, f: sizes.append(f.shape)
+                        or fill(self, f))
+    assert cli.spectral_check(cfg) == want
+    assert sum(n for n, _ in sizes) == trials
+    assert all(n * m * m <= block or n == 1 for n, m in sizes)
+    per_block = max(1, block // sizes[0][1] ** 2)
+    assert [n for n, _ in sizes] == [min(per_block, trials - lo)
+                                     for lo in range(0, trials, per_block)]
+
+
+def test_power_spectral_check_peak_stays_bounded():
+    # power_spectral_check.cfg at seed 41: 200 trials of dimension 85.  With
+    # every trial matrix filled at once the traced peak was 11.5 MiB; a block
+    # at a time, it is 1.3 MiB.
+    cfg = {**cli.parse_config(_BENCH_CONFIGS / "power_spectral_check.cfg"),
+           "seed": "41"}
+    tracemalloc.start()
+    try:
+        cli.spectral_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_spectral_check_one_expm_per_trial(monkeypatch):

@@ -339,6 +339,39 @@ def test_paired_walker_refuses_a_replicate_above_the_array_budget(
                                   iid_gaussian(1.0), 0.5, 10, 25, seed=0)
 
 
+@pytest.mark.parametrize("graph, model, box", [
+    (G1, iid_gaussian(1.0), 6),
+    (GraphModel.zd_l1(2), power_decay_gaussian(1.0), 3)], ids=["z1_iid",
+                                                             "z2_power"])
+def test_paired_walker_does_not_depend_on_the_block(monkeypatch, graph,
+                                                    model, box):
+    # The pair algebra runs over sub-blocks of a walk block; one replicate
+    # per sub-block, the default and one sub-block per walk block give the
+    # same estimate bit for bit.
+    spec = symmetric_walk(graph, 1.0)
+    got = []
+    for block in (1, fk._BLOCK_ELEMS, 10 ** 9):
+        monkeypatch.setattr(fk, "_BLOCK_ELEMS", block)
+        got.append(fk.paired_walker_variance(graph, spec, POT, model, 0.5,
+                                             300, box, seed=41))
+    assert got[0] == got[1] == got[2]
+
+
+def test_paired_walker_benchmark_peak_stays_bounded():
+    # mc_paired.cfg's parameters: 2500 replicates of 2 x 13 walks in one walk
+    # block, whose local-time rows take 6.8 MB.  With the pair algebra of all
+    # replicates at once the traced peak was 21.6 MiB; a cache-sized
+    # sub-block at a time, it is 10.8 MiB.
+    tracemalloc.start()
+    try:
+        fk.paired_walker_variance(G1, SPEC, POT, iid_gaussian(1.0), 0.5, 2500,
+                                  6, seed=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
 def test_radius_for_monotone_in_t():
     assert fk.radius_for(2.0 ** -12) > fk.radius_for(2.0 ** -6)
     with pytest.raises(DomainError):

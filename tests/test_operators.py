@@ -392,11 +392,11 @@ def _route_cases():
 @pytest.mark.parametrize("case", [0, 1])
 @pytest.mark.parametrize("per_stack", [1, 2, 3, 7, 100])
 def test_batched_eigenvalues_match_per_member(monkeypatch, case, per_stack):
-    # The entry budget sets how many of the 7 members share a stack, so a
+    # The block budget sets how many of the 7 members share a stack, so a
     # member lands first, inside or last in a full or a partial stack.
     trunc, solve = _route_cases()[case]
     size = len(trunc.potential)
-    monkeypatch.setattr(operators, "_MAX_ELEMS", per_stack * size * size)
+    monkeypatch.setattr(operators, "_BLOCK_ELEMS", per_stack * size * size)
     fields = np.random.default_rng(44).standard_normal((7, size))
     stacks, fill = [], Truncation.matrices
     monkeypatch.setattr(Truncation, "matrices",
