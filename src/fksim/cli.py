@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from math import exp, isfinite, nan, sqrt
+from math import exp, inf, isfinite, nan, sqrt
 
 import numpy as np
 
@@ -53,8 +53,9 @@ def parse_config(path):
 def effective_config(command, cfg):
     """The typed values ``command`` runs with: each key it declares, read
     from ``cfg`` or else its default (a key with neither is left out).  The
-    one gate of a config: it refuses an undeclared key, a value that does
-    not parse or is below its least value, and an inert key (``_INERT``).
+    one gate of a config: it refuses an undeclared key, a value that its
+    type refuses (it does not parse, or a t_grid time is not positive and
+    finite) or below its least value, and an inert key (``_INERT``).
     Applied to its own output it changes nothing."""
     keys = _COMMANDS[command][3]
     unknown = sorted(set(cfg) - set(keys))
@@ -69,9 +70,9 @@ def effective_config(command, cfg):
             continue
         try:
             out[key] = cast(cfg[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: cannot parse "
-                              f"{cfg[key]!r}") from None
+        except ValueError as err:
+            raise ConfigError(f"config key {key!r} = {cfg[key]!r}: "
+                              f"{err}") from None
         if least and out[key] < least[0]:
             raise ConfigError(f"config key {key!r} must be >= {least[0]}")
     for key, partner, inert in _INERT:
@@ -113,12 +114,16 @@ def _model_from(cfg):
             symmetric_walk(graph, cfg["q"]))
 
 
-def _floats(value):
-    """A nonempty whitespace-separated list of numbers, or a parsed one."""
+def _times(value):
+    """A nonempty whitespace-separated list of times, or a parsed one; at
+    t = 0 a trace identity reads n = n, so each t is positive and finite."""
     out = tuple(map(float, value.split() if isinstance(value, str)
                     else value))
     if not out:
         raise ValueError("empty list")
+    bad = [t for t in out if not 0.0 < t < inf]
+    if bad:
+        raise ValueError(f"t = {bad[0]!r} is not positive and finite")
     return out
 
 
@@ -369,10 +374,10 @@ def spectral_check(cfg):
     trunc = Truncation.build(graph, spec, pot, cfg["radius"])
     fields = sample_fields(model, graph, trunc.vertices, n_trials,
                            cfg["seed"])
-    worst = 0.0
+    worst, work = 0.0, {}
     for mats, block_eigs in trunc.blocks(fields):
         for mat, eigs in zip(mats, block_eigs):
-            traces = _expm_traces(mat, t_grid)
+            traces = _expm_traces(mat, t_grid, work=work)
             for t, tr in zip(t_grid, traces):
                 worst = max(worst,
                             abs(tr - np.exp(-t * eigs).sum()) / abs(tr))
@@ -435,7 +440,7 @@ _COMMANDS = {
         rigidity_demo, _write_rigidity_csv,
         lambda r: f"cut={r.cut:.6f} mae={['%.4f' % m for m in r.mae]}",
         {**_MODEL_KEYS, "radius": (int, 12, 0), "members": (int, 500, 1),
-         "t_grid": (_floats, (1.0, 0.5, 0.25, 0.125)),
+         "t_grid": (_times, (1.0, 0.5, 0.25, 0.125)),
          "cut_value": (float, None), "cut_index": (int, 1)}),
     "tail-check": (
         tail_check, _write_tail_csv, lambda r: f"points={len(r.rows)}",
@@ -445,7 +450,7 @@ _COMMANDS = {
         spectral_check, None,
         lambda r: f"max_residual={r.max_residual:.3e} trials={r.n_trials}",
         {**_MODEL_KEYS, "radius": (int, 8, 0), "trials": (int, 50, 1),
-         "t_grid": (_floats, (0.5, 1.0))}),
+         "t_grid": (_times, (0.5, 1.0))}),
     "fk-compare": (
         fk_compare, None,
         lambda r: f"mc={r.mc_mean:.6f} se={r.mc_se:.6f} "

@@ -11,9 +11,11 @@ LAPACK's symmetric solver, any other the general one, and
 ``Truncation.traces`` takes the exact traces Tr e^{-tM} over a t grid the
 same way.  Matrix exponentials are a degree-16 Taylor polynomial, evaluated
 with six matrix products (Paterson-Stockmeyer), with scaling and squaring
-and a diagonal shift folded into the scale; no linear solve.  Traces over a
-t grid square e^{-tM} where the grid doubles t instead of exponentiating
-again.
+and a diagonal shift folded into the scale; no linear solve.  On a large
+exactly symmetric real matrix, the squares among those products are R R^T
+(BLAS syrk, half the flops), and a caller with many exponentials passes one
+workspace that every call reuses.  Traces over a t grid square e^{-tM}
+where the grid doubles t instead of exponentiating again.
 """
 
 from __future__ import annotations
@@ -219,8 +221,10 @@ class Truncation:
             for j, t in enumerate(ts):
                 out[:, j] = np.exp(-t * eigs).sum(axis=1)
         else:
+            work = {}
             for i, f in enumerate(fields):
-                out[i] = _expm_traces(self.matrices(f[None])[0], ts)
+                out[i] = _expm_traces(self.matrices(f[None])[0], ts,
+                                      work=work)
         return out
 
 
@@ -241,9 +245,20 @@ _THETA_16 = 0.8246
 _TAYLOR_BLOCKS = np.array([[1.0 / factorial(4 * j + i) for i in range(4)]
                            for j in range(4)])
 _TAYLOR_16 = 1.0 / factorial(16)
+# From this dimension on, an exactly symmetric real X is squared as X @ X.T,
+# which numpy hands to BLAS syrk (half of gemm's flops).  With one OpenBLAS
+# thread syrk took 1.19 times gemm's time at n = 100, where OpenBLAS's
+# small-matrix gemm (n^3 <= 10^6) still runs, and 0.74 at n = 101.
+_SYRK_MIN_DIM = 101
 
 
-def expm_neg(mat, t=1.0):
+def _expm_buffers(n, dtype):
+    """One exponential's working arrays, (9, n, n): X, X^2, X^3, X^4, the
+    four Paterson-Stockmeyer blocks and one product buffer."""
+    return np.empty((9, n, n), dtype=dtype)
+
+
+def expm_neg(mat, t=1.0, *, work=None):
     """e^{-t M} by Taylor scaling and squaring (Higham 2005's shift).
 
     With A = -tM and mu the midpoint of the real parts of A's diagonal,
@@ -251,52 +266,70 @@ def expm_neg(mat, t=1.0):
     its degree-16 Taylor polynomial (six products, Paterson-Stockmeyer with
     block 4) times e^{mu / 2^s} is squared s times.  Folding e^mu into the
     scaled factor keeps every intermediate within the size of the unshifted
-    method's, so the shift adds no overflow.  Real and complex M; a
-    non-finite or overflowing result raises ``NumericalError``.
+    method's, so the shift adds no overflow.  X^2, X^4 and the s squarings
+    are R R^T when X is real, exactly symmetric and n >= ``_SYRK_MIN_DIM``.
+    Real and complex M; a non-finite or overflowing result raises
+    ``NumericalError``.  ``work``, a dict the caller keeps across calls,
+    holds the working arrays (``_expm_buffers`` per (n, dtype)); the result
+    is a fresh array either way.
     """
     a = np.asarray(mat)
     if not np.issubdtype(a.dtype, np.complexfloating):
-        a = a.astype(float)
+        a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix has non-finite entries")
-    a = -t * a
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("overflow forming -t*M")
     n = len(a)
     if n == 0:
-        return a
-    diag = np.arange(n)
-    real = a.real.diagonal()
+        return np.empty_like(a)
+    work = {} if work is None else work
+    buf = work.get((n, a.dtype))
+    if buf is None:
+        buf = work[n, a.dtype] = _expm_buffers(n, a.dtype)
+    x, x2, x3, x4, blocks = buf[0], buf[1], buf[2], buf[3], buf[4:8]
+    np.multiply(a, -t, out=x)
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("overflow forming -t*M")
+    real = x.real.diagonal()
     mu = 0.5 * (real.max() + real.min())
-    a[diag, diag] -= mu
-    norm = np.abs(a).sum(axis=0).max()
+    x.reshape(-1)[::n + 1] -= mu
+    norm = np.abs(x).sum(axis=0).max()
     if not isfinite(norm):
         raise NumericalError("overflow in the matrix exponential")
     s = max(0, ceil(log2(norm / _THETA_16))) if norm > 0.0 else 0
+    sym = (n >= _SYRK_MIN_DIM and x.dtype == float
+           and np.array_equal(x, x.T))
+
+    def square(m, out):
+        return np.matmul(m, m.T if sym else m, out=out)
+
+    # r passes between ``out`` and buf[8] over the 3 + s products after
+    # its first value; it starts where the last product lands in ``out``.
+    out = np.empty_like(x)
+    r, spare = (out, buf[8]) if s % 2 else (buf[8], out)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.empty((3, n, n), dtype=a.dtype)
-        np.multiply(a, 2.0 ** -s, out=powers[0])
-        np.matmul(powers[0], powers[0], out=powers[1])
-        np.matmul(powers[1], powers[0], out=powers[2])
-        x4 = powers[1] @ powers[1]
-        blocks = (_TAYLOR_BLOCKS[:, 1:]
-                  @ powers.reshape(3, -1)).reshape(4, n, n)
-        blocks[:, diag, diag] += _TAYLOR_BLOCKS[:, :1]
-        r = _TAYLOR_16 * x4 + blocks[3]
+        x *= 2.0 ** -s
+        square(x, x2)
+        np.matmul(x2, x, out=x3)
+        square(x2, x4)
+        np.matmul(_TAYLOR_BLOCKS[:, 1:], buf[:3].reshape(3, -1),
+                  out=blocks.reshape(4, -1))
+        blocks.reshape(4, -1)[:, ::n + 1] += _TAYLOR_BLOCKS[:, :1]
+        np.multiply(x4, _TAYLOR_16, out=r)
+        r += blocks[3]
         for j in (2, 1, 0):
-            r = x4 @ r
+            r, spare = np.matmul(x4, r, out=spare), r
             r += blocks[j]
         r *= np.exp(mu * 2.0 ** -s)
         for _ in range(s):
-            r = r @ r
+            r, spare = square(r, spare), r
     if not np.all(np.isfinite(r)):
         raise NumericalError("overflow in the matrix exponential")
     return r
 
 
-def _expm_traces(mat, t_grid):
+def _expm_traces(mat, t_grid, *, work=None):
     """Tr e^{-tM} for each t of ``t_grid``, in grid order.
 
     The distinct t are walked in ascending order.  When t/2 is in the grid
@@ -304,14 +337,15 @@ def _expm_traces(mat, t_grid):
     is Tr E^2 = sum_ij E_ij E_ji, an elementwise product; E @ E itself is
     formed only when 2t is in the grid too.  Any other t takes ``expm_neg``,
     so a grid of successive doublings costs one matrix exponential.  A
-    trace that overflows raises, as ``expm_neg`` does.
+    trace that overflows raises, as ``expm_neg`` does.  ``work`` is passed
+    on to ``expm_neg``.
     """
     wanted = set(t_grid)
     traces, halves = {}, {}
     for t in sorted(wanted):
         e = halves.pop(t / 2, None)
         if e is None:
-            e = expm_neg(mat, t)
+            e = expm_neg(mat, t, work=work)
             tr = np.trace(e)
         else:
             tr = np.sum(e * e.T)

@@ -837,7 +837,8 @@ def test_power_spectral_check_peak_stays_bounded():
 def test_spectral_check_one_expm_per_trial(monkeypatch):
     calls, real = [], operators.expm_neg
     monkeypatch.setattr(operators, "expm_neg",
-                        lambda mat, t: calls.append(t) or real(mat, t))
+                        lambda mat, t, **kw: calls.append(t)
+                        or real(mat, t, **kw))
     for grid, per_trial in (("0.5 1", 1), ("1 .5 .25 .125", 1),
                             ("0.3 0.7", 2)):
         calls.clear()
@@ -845,6 +846,39 @@ def test_spectral_check_one_expm_per_trial(monkeypatch):
                                   "t_grid": grid})
         assert rep.passed
         assert len(calls) == 4 * per_trial
+
+
+def test_spectral_check_builds_one_workspace(monkeypatch):
+    # Every trial's exponentials reuse one set of working arrays.
+    built, real = [], operators._expm_buffers
+    monkeypatch.setattr(operators, "_expm_buffers",
+                        lambda n, dtype: built.append(n) or real(n, dtype))
+    rep = cli.spectral_check({"radius": "3", "trials": "4",
+                              "t_grid": "0.3 0.7"})
+    assert rep.passed
+    assert built == [7]   # one (n, dtype): the radius-3 ball of Z^1
+
+
+@pytest.mark.parametrize("command", ["spectral-check", "rigidity-demo"])
+@pytest.mark.parametrize("grid", ["0", "0 0 0 0", "nan", "-0.5 1", "1 inf"])
+def test_t_grid_refuses_a_time_not_positive_and_finite(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      grid):
+    # At t = 0 the trace identity reads n = n and passed without evidence,
+    # as did a rigidity MAE of 0; nan failed as an overflow, and a negative
+    # t ran to an MAE of 4.4e7.  Refused at the gate, before any field.
+    draws = []
+    monkeypatch.setattr(cli, "sample_fields",
+                        lambda *a: draws.append(a) or sample_fields(*a))
+    cfg = _write(tmp_path, f"radius = 3\nt_grid = {grid}\n")
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t_grid" in captured.err
+    with pytest.raises(ConfigError, match="t_grid"):
+        cli._COMMANDS[command][0](cli.parse_config(cfg))
+    assert draws == []
+    assert cli.effective_config(command, {})["t_grid"] == \
+        cli._COMMANDS[command][3]["t_grid"][1]
 
 
 @pytest.mark.parametrize("module", ["fksim", "fksim.cli"])

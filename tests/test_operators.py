@@ -144,6 +144,75 @@ def test_expm_traces_match_eigenvalues_at_benchmark_scale():
                                        abs=0.0)
 
 
+def _z2_matrix(n, seed=3):
+    """The leading n x n block of a radius-11 Z^2 truncation's matrix (265
+    vertices) with an i.i.d. field: real, exactly symmetric, 1-norm ~ 250."""
+    graph = GraphModel.zd_l1(2)
+    trunc = Truncation.build(graph, symmetric_walk(graph, 1.0),
+                             PotentialSpec(alpha=2.0), 11)
+    field = sample_fields(iid_gaussian(1.0), graph, trunc.vertices, 1, seed)
+    return trunc.matrices(field)[0][:n, :n].copy()
+
+
+@pytest.mark.parametrize("n", [operators._SYRK_MIN_DIM - 1,
+                               operators._SYRK_MIN_DIM, 221])
+def test_expm_syrk_route_matches_eigh(monkeypatch, n):
+    # From _SYRK_MIN_DIM on, an exactly symmetric real X is squared as
+    # R R^T (syrk); its squarings leave the result exactly symmetric, which
+    # the gemm route does not.  Both routes agree with Q e^{-t Lambda} Q^T.
+    mat = _z2_matrix(n)
+    lam, q = np.linalg.eigh(mat)
+    for t in (0.05, 0.5):
+        ref = (q * np.exp(-t * lam)) @ q.T
+        got = expm_neg(mat, t)
+        routes = {}
+        for gate in (0, n + 1):
+            monkeypatch.setattr(operators, "_SYRK_MIN_DIM", gate)
+            routes[gate] = expm_neg(mat, t)
+            assert np.allclose(routes[gate], ref, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref).max()), gate
+        monkeypatch.undo()
+        assert np.array_equal(routes[0], routes[0].T)
+        assert not np.array_equal(routes[n + 1], routes[n + 1].T)
+        taken = routes[0] if n >= operators._SYRK_MIN_DIM else routes[n + 1]
+        assert got.tobytes() == taken.tobytes()
+
+
+def test_expm_near_symmetric_takes_gemm(monkeypatch):
+    # One ulp off symmetric (as Z^3 l1 is) is not symmetric: the gemm route,
+    # bit for bit.
+    mat = _z2_matrix(221)
+    i, j = np.argwhere(np.triu(mat, 1))[0]
+    mat[i, j] = np.nextafter(mat[i, j], np.inf)
+    got = expm_neg(mat, 0.5)
+    monkeypatch.setattr(operators, "_SYRK_MIN_DIM", 10 ** 9)
+    assert got.tobytes() == expm_neg(mat, 0.5).tobytes()
+
+
+def test_expm_workspace_gives_fresh_calls_bits():
+    # One workspace across sizes and dtypes: each result has the bits of a
+    # call without one, is no view of the workspace, and is not overwritten
+    # by later calls.
+    rng = np.random.default_rng(7)
+    big = _z2_matrix(120)
+    cases = []
+    for n, t in ((5, 0.5), (120, 0.5), (5, 1.0), (30, 0.3), (120, 0.25)):
+        real = big[:n, :n]
+        cases += [(real, t), (real + 1j * rng.standard_normal((n, n)), t)]
+    work, kept = {}, []
+    for mat, t in cases + cases[::-1]:
+        got = expm_neg(mat, t, work=work)
+        want = expm_neg(mat, t)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(got, b) for b in work.values())
+        kept.append((got, want))
+    assert sorted((n, dt.kind) for n, dt in work) == [
+        (5, "c"), (5, "f"), (30, "c"), (30, "f"), (120, "c"), (120, "f")]
+    for got, want in kept:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_spectrum_multiplicities():
     res = spectrum(np.diag([1.0, 1.0, 2.0]))
     assert res.total_multiplicity == 3
@@ -480,20 +549,24 @@ def test_assemble_is_one_row_of_matrices():
 @pytest.mark.parametrize("case", [0, 1])
 @pytest.mark.parametrize("grid, n_expm", [
     ((0.5, 1.0), 1), ((1.0, 0.5, 0.25, 0.125), 1), ((0.3, 0.7), 2),
-    ((0.5, 0.5, 1.0), 1)])
+    ((0.5, 0.5, 1.0), 1), ((0.3, 0.35, 0.6), 2)])
 def test_grid_traces_match_per_t_expm(monkeypatch, case, grid, n_expm):
     # Case 1 is non-symmetric, where sum_ij E_ij E_ij (no transpose) is not
     # Tr E^2; t/2 in the grid must reuse e^{-(t/2)M}, anything else not.
+    # One workspace serves every member, and e^{-0.3 M} outlives the
+    # exponential at 0.35 that reuses it.
     trunc, _ = _route_cases()[case]
     fields = np.random.default_rng(48).standard_normal(
         (3, len(trunc.potential)))
     calls, real = [], operators.expm_neg
     monkeypatch.setattr(operators, "expm_neg",
-                        lambda mat, t: calls.append(t) or real(mat, t))
+                        lambda mat, t, **kw: calls.append(t)
+                        or real(mat, t, **kw))
+    work = {}
     for f in fields:
         mat = trunc.matrices(f[None])[0]
         assert np.array_equal(mat, mat.T) == (case == 0)
-        got = operators._expm_traces(mat, grid)
+        got = operators._expm_traces(mat, grid, work=work)
         want = [np.trace(real(mat, t)) for t in grid]
         assert len(got) == len(grid)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
