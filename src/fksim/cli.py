@@ -297,7 +297,7 @@ def rigidity_demo(cfg):
         maes.append(float(np.abs(np.rint(predictor) - inside).mean()))
         mean_stats.append(mean_stat)
     inversions = sum(1 for a, b in zip(maes, maes[1:]) if b > a + 1e-12)
-    passed = inversions <= 1 and maes[-1] < 0.25
+    passed = not empty_b and inversions <= 1 and maes[-1] < 0.25
     return RigidityReport(t_grid=cfg["t_grid"], mean_statistic=tuple(mean_stats),
                           mae=tuple(maes), cut=cut, empty_b=empty_b,
                           passed=passed)
@@ -367,20 +367,22 @@ def spectral_check(cfg):
     """Trace of the matrix exponential vs the exponential linear statistic
     over random assemblies.  Each trial's matrix is filled once, in
     ``Truncation.blocks``; its eigenvalues serve every t, and so does its
-    one matrix exponential where the grid doubles t."""
+    one matrix exponential where the grid doubles t.  A NaN residual (0/0,
+    once every e^{-t lambda} underflows) reaches ``max_residual`` and fails."""
     cfg = effective_config("spectral-check", cfg)
     graph, model, pot, spec = _model_from(cfg)
     n_trials, t_grid = cfg["trials"], cfg["t_grid"]
     trunc = Truncation.build(graph, spec, pot, cfg["radius"])
     fields = sample_fields(model, graph, trunc.vertices, n_trials,
                            cfg["seed"])
-    worst, work = 0.0, {}
+    residuals, work = [], {}
     for mats, block_eigs in trunc.blocks(fields):
         for mat, eigs in zip(mats, block_eigs):
             traces = _expm_traces(mat, t_grid, work=work)
-            for t, tr in zip(t_grid, traces):
-                worst = max(worst,
-                            abs(tr - np.exp(-t * eigs).sum()) / abs(tr))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                residuals += [abs(tr - np.exp(-t * eigs).sum()) / abs(tr)
+                              for t, tr in zip(t_grid, traces)]
+    worst = float(np.max(residuals))   # unlike max(), np.max keeps a NaN
     return SpectralReport(max_residual=worst, n_trials=n_trials,
                           passed=worst < 1e-8)
 

@@ -58,9 +58,12 @@ class VarianceEstimate:
 def radius_for(t, alpha=2.0, kappa=1.0):
     """Box radius making the truncated terms < 1e-12 of the central one,
     plus an allowance for the displacement of a unit-rate walker over the
-    horizon."""
+    horizon; without growth (alpha, kappa > 0) no box is certified."""
     if t <= 0:
         raise DomainError("t must be positive")
+    for name, value in (("alpha", alpha), ("kappa", kappa)):
+        if not value > 0:
+            raise DomainError(f"radius_for needs {name} > 0, got {value!r}")
     core = ceil((_LN_TAIL / t) ** (1.0 / alpha) / kappa)
     return core + ceil(_E * t) + 40
 
@@ -311,14 +314,11 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
     single sums (``_radial_weight_sum``, with its integral tail on Z^1 past
     ``_EXACT_TERM_CAP`` terms) and power decay is a convolution
     (``_power_decay_pair_sum``); explicit graphs, with neither, take the
-    pairwise sum over the ball for every kind.  Every route assumes the
-    radial potential V = (kappa d)^alpha - mu, so custom values are refused.
+    pairwise sum over the ball for every kind, with ``pot.radial`` of the
+    root distances.
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    if pot.custom is not None:
-        raise DomainError("the frozen sum needs the radial potential; custom "
-                          "values are not supported")
     required = radius_for(t, pot.alpha, pot.kappa)
     if r is None:
         r = required
@@ -332,7 +332,8 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
         if len(verts) ** 2 > 40_000_000:
             raise DomainError(f"pairwise sum over {len(verts)} vertices is "
                               "too large")
-        w = np.exp(-t * np.array([pot.value(graph, v) for v in verts]))
+        w = np.exp(-t * pot.radial([graph.distance(graph.root, v)
+                                    for v in verts]))
         gam = covariance_matrix(model, graph, verts)
         return exp(t2 * g0) * float(w @ np.expm1(t2 * gam) @ w)
     if model.kind == POWER_DECAY:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, factorial, inf, isfinite, log2
-from typing import Optional
 
 import numpy as np
 
@@ -32,33 +31,30 @@ from .walker import _BLOCK_ELEMS
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Deterministic potential V(v) = (kappa * d(0, v))**alpha - mu.
+    """Deterministic potential V(v) = (kappa * d(0, v))**alpha - mu, the one
+    law that the truncations, the radial sums and ``radius_for`` assume.
 
-    A ``custom`` map overrides the radial rule entirely; its values must be
-    finite.
+    Refuses, naming the field, a non-finite value, alpha <= 0 and
+    kappa < 0; kappa = 0 is the constant potential -mu.
     """
 
     alpha: float = 2.0
     kappa: float = 1.0
     mu: float = 0.0
-    custom: Optional[dict] = None
 
     def __post_init__(self):
-        if self.custom is not None and not all(map(isfinite,
-                                                   self.custom.values())):
-            raise InputError("custom potential values must be finite")
-
-    def value(self, graph, v):
-        if self.custom is not None:
-            try:
-                return self.custom[v]
-            except KeyError:
-                raise InputError(f"custom potential has no value at {v!r}") from None
-        return self.radial(graph.distance(graph.root, v))
+        for name in ("alpha", "kappa", "mu"):
+            v = getattr(self, name)
+            if not isfinite(v):
+                raise DomainError(f"potential {name} = {v!r} is not finite")
+        if self.alpha <= 0:
+            raise DomainError(f"potential alpha = {self.alpha!r} must be > 0")
+        if self.kappa < 0:
+            raise DomainError(f"potential kappa = {self.kappa!r} must be >= 0")
 
     def radial(self, dist):
-        """(kappa * dist)**alpha - mu, elementwise for an array of distances."""
-        return (self.kappa * dist) ** self.alpha - self.mu
+        """(kappa * dist)**alpha - mu, elementwise, as floats."""
+        return (self.kappa * np.asarray(dist, float)) ** self.alpha - self.mu
 
 
 # Off-diagonal entries that differ by at most this fraction of the largest
@@ -97,14 +93,14 @@ class Truncation:
     @classmethod
     def build(cls, graph, spec, pot, n):
         """Truncation of the radius-n ball; calls ``spec.rate``,
-        ``spec.kernel``, ``pot.value`` and ``graph.neighbors`` once per
-        vertex, and refuses a walk that breaks ``MarkovSpec``'s rules."""
+        ``spec.kernel``, ``graph.neighbors`` and ``graph.distance`` once per
+        vertex and ``pot.radial`` once, on the array of root distances, and
+        refuses a walk that breaks ``MarkovSpec``'s rules."""
         if n < 0:
             raise DomainError("truncation radius must be >= 0")
         vertices = tuple(graph.ball(graph.root, n))
         index = {v: i for i, v in enumerate(vertices)}
         m = len(vertices)
-        potential = np.array([pot.value(graph, v) for v in vertices])
         kernels = [spec.kernel(v) for v in vertices]
         width = max([1] + [len(targets) for targets, _ in kernels])
         nbr = np.full((m, width), -1, dtype=np.intp)
@@ -153,6 +149,7 @@ class Truncation:
                                       "neighbour, as a jump target")
         dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
                            dtype=np.int64, count=m)
+        potential = pot.radial(dist)
         # Targets inside the ball (nbr -1 marks the others and the padding),
         # with their jump probabilities from the cumulative rows.
         rows, k = np.nonzero(nbr >= 0)

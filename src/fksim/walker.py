@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, exp, log, log1p
+from math import ceil, exp, inf, log, log1p
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,8 +51,8 @@ class MarkovSpec:
 
 def symmetric_walk(graph, q=1.0):
     """Constant-rate walk jumping uniformly to a neighbor."""
-    if q <= 0:
-        raise ConfigError("jump rate must be positive")
+    if not 0 < q < inf:
+        raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
     cache = {}
 
     def kernel(v):
@@ -254,8 +254,8 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     depend on the generator calls alone: one ``exponential`` per round, of
     the survivors' number, in chunk order.
     """
-    if q <= 0:
-        raise ConfigError("jump rate must be positive")
+    if not 0 < q < inf:
+        raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
     if n_paths < 0:

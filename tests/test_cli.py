@@ -406,6 +406,19 @@ cut_value = -1000
     assert rep.empty_b
     # inside count is zero everywhere and the predictor rounds to zero
     assert rep.mae[-1] < 0.05
+    assert not rep.passed
+
+
+def test_cli_rigidity_demo_fails_on_an_empty_b(tmp_path, capsys):
+    # Every member's spectrum lies above the default cut (the mean smallest
+    # eigenvalue) within roundoff, so B is empty: a count of zero inside it
+    # is no evidence, and the run fails with its warning kept.
+    cfg = _write(tmp_path, "radius = 4\nmembers = 1\n")
+    assert cli.main(["rigidity-demo", "--config", cfg, "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "pass=False" in captured.out
+    assert captured.err == "warning: cut below the spectral range; B is " \
+        "empty\n"
 
 
 def _rotation_walk(bias):
@@ -519,20 +532,35 @@ def test_cli_refuses_fewer_than_one_path(tmp_path, capsys, command, text):
         cli._COMMANDS[command][0](cli.parse_config(cfg))
 
 
-@pytest.mark.parametrize("command, text", [
-    ("sweep-variance", "gamma0 = -1\n"),
-    ("rigidity-demo", "gamma0 = -1\nradius = 4\n"),
-    ("spectral-check", "gamma0 = -1\nradius = 4\n"),
-    ("fk-compare", "gamma0 = -1\nradius = 4\n")])
+_BAD_MODEL_VALUES = [
+    ("sweep-variance", "gamma0 = -1\n", "gamma0"),
+    ("rigidity-demo", "gamma0 = -1\nradius = 4\n", "gamma0"),
+    ("spectral-check", "gamma0 = -1\nradius = 4\n", "gamma0"),
+    ("fk-compare", "gamma0 = -1\nradius = 4\n", "gamma0"),
+    ("sweep-variance", "kappa = -1\nalpha = 1.5\n", "kappa"),
+    ("sweep-variance", "kappa = 0\n", "kappa"),
+    ("sweep-variance", "alpha = 0\n", "alpha"),
+    ("fk-compare", "mu = nan\nradius = 4\n", "mu"),
+    ("rigidity-demo", "alpha = 0\nradius = 4\n", "alpha"),
+    ("spectral-check", "q = nan\nradius = 4\n", "q"),
+    ("fk-compare", "q = inf\nradius = 4\n", "q"),
+    ("tail-check", "q = nan\n", "q"),
+    ("tail-check", "q = 0\n", "q")]
+
+
+@pytest.mark.parametrize("command, text, key", _BAD_MODEL_VALUES,
+                         ids=[f"{c}-{t}" for c, t, _ in _BAD_MODEL_VALUES])
 def test_cli_refuses_a_negative_noise_variance(tmp_path, capsys, command,
-                                                text):
-    # The noise model refuses it when the config is read, before a square
-    # root of it ends in "math domain error" or a negative "variance" in
-    # the slope fit.
+                                                text, key):
+    # The model types refuse a bad value, naming its key, when the config
+    # is read: before a square root of a negative gamma0 ends in "math
+    # domain error", a negative kappa in negative radii that pass, a zero
+    # kappa or alpha in a division by zero in radius_for, or a NaN q in an
+    # error that names no key.
     assert cli.main([command, "--config", _write(tmp_path, text)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "gamma0" in captured.err
+    assert re.search(rf"\b{key}\b", captured.err)
 
 
 _MODEL_COMMANDS = {"sweep-variance": "", "rigidity-demo": "radius = 4\n",
@@ -893,6 +921,20 @@ def test_python_m_runs_the_cli_quietly(tmp_path, module):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "pass=True" in proc.stdout
+
+
+@pytest.mark.parametrize("grid", ["1", "0.5 1"])
+def test_cli_spectral_check_fails_on_a_nan_residual(tmp_path, capsys, grid):
+    # With mu = -800 every e^{-t lambda} underflows at t = 1, so each
+    # residual there is 0/0: the NaN reaches max_residual and fails the
+    # check, also after the finite residuals at t = 0.5, and numpy's
+    # warning does not reach stderr.
+    cfg = _write(tmp_path, "radius = 3\ntrials = 3\nmu = -800\n"
+                 f"t_grid = {grid}\n")
+    assert cli.main(["spectral-check", "--config", cfg, "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "max_residual=nan trials=3 pass=False\n"
+    assert captured.err == ""
 
 
 def test_cli_fk_compare(tmp_path, capsys):

@@ -20,16 +20,22 @@ SPEC = symmetric_walk(G1, 1.0)
 def test_two_vertex_assembly():
     g = GraphModel.explicit(2, [(0, 1)])
     spec = symmetric_walk(g, 1.0)
-    h = assemble(g, spec, PotentialSpec(custom={0: 0.0, 1: 0.0}),
-                 np.zeros(2), 1)
+    h = assemble(g, spec, PotentialSpec(kappa=0.0), np.zeros(2), 1)
     assert np.allclose(h, [[1.0, -1.0], [-1.0, 1.0]])
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_custom_potential_must_be_finite(bad):
-    # An infinite value would otherwise reach the matrices and the walks.
-    with pytest.raises(InputError, match="finite"):
-        PotentialSpec(custom={0: 0.0, 1: bad})
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": math.nan}, "alpha = nan is not finite"),
+    ({"kappa": math.inf}, "kappa = inf is not finite"),
+    ({"mu": -math.inf}, "mu = -inf is not finite"),
+    ({"alpha": 0.0}, "alpha = 0.0 must be > 0"),
+    ({"alpha": -1.5}, "alpha = -1.5 must be > 0"),
+    ({"kappa": -1.0, "alpha": 1.5}, "kappa = -1.0 must be >= 0")])
+def test_potential_refuses_bad_parameters(kwargs, message):
+    # A non-finite value would reach the matrices and the walks, and a
+    # negative kappa or a non-positive alpha gives no growing potential.
+    with pytest.raises(DomainError, match=message):
+        PotentialSpec(**kwargs)
 
 
 def test_z1_quadratic_potential_assembly():
@@ -298,7 +304,8 @@ def _reference_assembly(graph, spec, pot, xi, n):
     m = len(vertices)
     h = np.zeros((m, m))
     for v, i in index.items():
-        h[i, i] = spec.rate(v) + (pot.value(graph, v) + xi[i])
+        h[i, i] = spec.rate(v) + (pot.radial(graph.distance(graph.root, v))
+                                  + xi[i])
         targets, cum = spec.kernel(v)
         prev = 0.0
         for u, c in zip(targets, cum):
@@ -382,7 +389,7 @@ def test_truncation_matches_loop_on_explicit_graph():
     # Radius 2 leaves vertex 5 outside, so targets drop out; the kernel
     # makes the matrix non-symmetric.
     spec = _explicit_spec(G_EXPLICIT)
-    pot = PotentialSpec(custom={v: 0.3 * v - 0.4 for v in range(6)})
+    pot = PotentialSpec(alpha=1.0, kappa=0.3, mu=0.4)
     trunc = Truncation.build(G_EXPLICIT, spec, pot, 2)
     assert trunc.vertices == (0, 1, 2, 4, 3)
     # The values drawn for vertices 0..5, read on the ball.
@@ -391,8 +398,8 @@ def test_truncation_matches_loop_on_explicit_graph():
     _assert_same_assembly(h, _reference_assembly(G_EXPLICIT, spec, pot, xi,
                                                  2))
     assert not np.array_equal(h, h.T)
-    assert np.array_equal(trunc.potential,
-                          [0.3 * v - 0.4 for v in (0, 1, 2, 4, 3)])
+    assert np.array_equal(trunc.dist, [0, 1, 1, 2, 2])
+    assert np.array_equal(trunc.potential, pot.radial(trunc.dist))
 
 
 def test_truncation_matches_loop_on_z2_linf_ball():
@@ -444,8 +451,7 @@ def test_z3_route_allows_roundoff_asymmetry():
 def test_non_regular_graph_takes_the_general_route():
     # Uniform jumps on vertices of degree 2, 3 and 1 give rates 1/deg that
     # differ between an edge's two directions.
-    pot = PotentialSpec(custom={v: 0.0 for v in range(6)})
-    trunc = _build(G_EXPLICIT, 3, pot)
+    trunc = _build(G_EXPLICIT, 3, PotentialSpec(kappa=0.0))
     h = trunc.matrices(np.zeros((1, 6)))[0]
     assert not np.allclose(h, h.T)
     assert not trunc.symmetric
@@ -453,7 +459,7 @@ def test_non_regular_graph_takes_the_general_route():
 
 def _route_cases():
     z2 = _build(GraphModel.zd_l1(2), 3)
-    pot = PotentialSpec(custom={v: 0.1 * v for v in range(6)})
+    pot = PotentialSpec(alpha=1.0, kappa=0.1)
     return [(z2, np.linalg.eigvalsh), (_build(G_EXPLICIT, 3, pot),
                                        np.linalg.eigvals)]
 
