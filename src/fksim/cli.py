@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from math import exp, inf, isfinite, nan, sqrt
+from math import exp, inf, isfinite, ldexp, log, nan, sqrt
 
 import numpy as np
 
@@ -54,8 +54,9 @@ def effective_config(command, cfg):
     """The typed values ``command`` runs with: each key it declares, read
     from ``cfg`` or else its default (a key with neither is left out).  The
     one gate of a config: it refuses an undeclared key, a value that its
-    type refuses (it does not parse, or a t_grid time is not positive and
-    finite) or below its least value, and an inert key (``_INERT``).
+    type refuses (it does not parse, a float is not finite, or a time is
+    not positive and finite) or below its least value, and an inert key
+    (``_INERT``).
     Applied to its own output it changes nothing."""
     keys = _COMMANDS[command][3]
     unknown = sorted(set(cfg) - set(keys))
@@ -114,16 +115,29 @@ def _model_from(cfg):
             symmetric_walk(graph, cfg["q"]))
 
 
+def _finite(value):
+    """A float key's value: NaN and infinities are refused."""
+    out = float(value)
+    if not isfinite(out):
+        raise ValueError(f"{out!r} is not finite")
+    return out
+
+
+def _time(value):
+    """A time: positive and finite (at t = 0 a trace identity reads n = n
+    and a jump tail has no row)."""
+    out = float(value)
+    if not 0.0 < out < inf:
+        raise ValueError(f"t = {out!r} is not positive and finite")
+    return out
+
+
 def _times(value):
-    """A nonempty whitespace-separated list of times, or a parsed one; at
-    t = 0 a trace identity reads n = n, so each t is positive and finite."""
-    out = tuple(map(float, value.split() if isinstance(value, str)
+    """A nonempty whitespace-separated list of times, or a parsed one."""
+    out = tuple(map(_time, value.split() if isinstance(value, str)
                     else value))
     if not out:
         raise ValueError("empty list")
-    bad = [t for t in out if not 0.0 < t < inf]
-    if bad:
-        raise ValueError(f"t = {bad[0]!r} is not positive and finite")
     return out
 
 
@@ -174,6 +188,9 @@ def fit_exponent(rows):
 # -- sweep-variance --------------------------------------------------------------
 
 
+_LN_MAX = log(sys.float_info.max)   # e^x overflows past x = 709.78
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple        # (t, frozen, ens_var, ens_se, lower, radius)
@@ -189,6 +206,16 @@ def sweep_variance(cfg):
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
         raise ConfigError(f"t_exp_min = {k_min} and t_exp_max = {k_max} give "
                           "fewer than the 4 t values the exponent fit needs")
+    # The frozen sums take e^{t^2 gamma0}; at the largest t, 2^-t_exp_min,
+    # it must not overflow.  ldexp raises past the largest float.
+    try:
+        top = ldexp(cfg["gamma0"], -2 * k_min)
+    except OverflowError:
+        top = inf
+    if top > _LN_MAX:
+        raise ConfigError(f"t_exp_min = {k_min} gives t^2 gamma0 = {top!r} "
+                          f"at t = 2^{-k_min}, above ln(max float) = "
+                          f"{_LN_MAX:.2f}, where e^(t^2 gamma0) overflows")
     graph, model, pot, spec = _model_from(cfg)
     m_draws = cfg["ensemble"]
     if m_draws != 0 and m_draws < 3:
@@ -328,8 +355,6 @@ def tail_check(cfg):
     """Empirical jump-count tail versus the analytic Chernoff bound."""
     cfg = effective_config("tail-check", cfg)
     q, t, n_paths, x_max = cfg["q"], cfg["t"], cfg["n_paths"], cfg["x_max"]
-    if t == 0.0:
-        return TailReport(rows=(), passed=False)
     counts = sample_jump_counts(q, t, n_paths, cfg["seed"])
     # at_least[x]: the number of paths with x or more jumps.
     at_least = np.bincount(counts, minlength=x_max + 2)[::-1].cumsum()[::-1]
@@ -427,9 +452,10 @@ def fk_compare(cfg):
 # needs it) and, for some, the least value it takes.
 _MODEL_KEYS = {
     "graph": (str, "zd_l1"), "d": (int, 1), "graph_file": (str, None),
-    "noise": (str, "iid"), "gamma0": (float, 1.0), "beta": (float, None),
-    "alpha": (float, 2.0), "kappa": (float, 1.0), "mu": (float, 0.0),
-    "q": (float, 1.0), "seed": (int, 0)}
+    "noise": (str, "iid"), "gamma0": (_finite, 1.0),
+    "beta": (_finite, None), "alpha": (_finite, 2.0),
+    "kappa": (_finite, 1.0), "mu": (_finite, 0.0), "q": (_finite, 1.0),
+    "seed": (int, 0)}
 _COMMANDS = {
     "sweep-variance": (
         sweep_variance, _write_sweep_csv,
@@ -437,16 +463,17 @@ _COMMANDS = {
                   f"r2={r.r_squared:.6f}",
         {**_MODEL_KEYS, "t_exp_min": (int, 6), "t_exp_max": (int, 12),
          "ensemble": (int, 0), "radius": (int, None, 0),
-         "expect_slope": (float, None)}),
+         "expect_slope": (_finite, None)}),
     "rigidity-demo": (
         rigidity_demo, _write_rigidity_csv,
         lambda r: f"cut={r.cut:.6f} mae={['%.4f' % m for m in r.mae]}",
         {**_MODEL_KEYS, "radius": (int, 12, 0), "members": (int, 500, 1),
          "t_grid": (_times, (1.0, 0.5, 0.25, 0.125)),
-         "cut_value": (float, None), "cut_index": (int, 1)}),
+         "cut_value": (_finite, None), "cut_index": (int, 1)}),
     "tail-check": (
         tail_check, _write_tail_csv, lambda r: f"points={len(r.rows)}",
-        {"q": (float, 1.0), "t": (float, 0.5), "n_paths": (int, 10 ** 6, 1),
+        {"q": (_finite, 1.0), "t": (_time, 0.5),
+         "n_paths": (int, 10 ** 6, 1),
          "x_max": (int, 10, 1), "seed": (int, 0)}),
     "spectral-check": (
         spectral_check, None,
@@ -457,7 +484,7 @@ _COMMANDS = {
         fk_compare, None,
         lambda r: f"mc={r.mc_mean:.6f} se={r.mc_se:.6f} "
                   f"exact={r.exact:.6f} z={r.z:.3f}",
-        {**_MODEL_KEYS, "radius": (int, 10, 0), "t": (float, 0.25),
+        {**_MODEL_KEYS, "radius": (int, 10, 0), "t": (_time, 0.25),
          "n_paths": (int, 200_000, 1)}),
 }
 # Keys that change nothing given a partner's value: (key, partner, test of

@@ -3,14 +3,16 @@
 Three covariance structures are shipped: independent sites, distance power
 decay, and a fully correlated (constant) field.  ``NoiseModel`` refuses
 any other kind and any bad parameter when it is made, so the functions
-that take a model never re-check it.  ``sample_fields`` is the one field
-sampler: m rows from one generator with the covariance factored once.
+that take a model never re-check it.  Every kind has variance gamma0 at
+each site, so the moment constant of the noise law is derived from it,
+not set.  ``sample_fields`` is the one field sampler: m rows from one
+generator with the covariance factored once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import factorial, inf, sqrt
 from typing import Optional
 
 import numpy as np
@@ -30,45 +32,46 @@ class NoiseModel:
     ``gamma0`` is the variance gamma(v, v) at every vertex, and for power
     decay also the prefactor of gamma0 * (dist + 1)^-beta; every admissible
     covariance is therefore nonnegative.  ``beta`` is power decay's alone.
-    ``moment_constant`` certifies the p-th moment bound
-    p! * moment_constant**p.
     """
 
     kind: str
     gamma0: float = 1.0
     beta: Optional[float] = None
-    moment_constant: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (IID, POWER_DECAY, CONSTANT):
             raise DomainError(f"unknown noise kind {self.kind!r}")
-        if not self.gamma0 >= 0:
-            raise DomainError(f"noise variance gamma0 must be nonnegative, "
-                              f"got {self.gamma0}")
-        if not self.moment_constant > 0:
-            raise DomainError(f"moment_constant must be positive, got "
-                              f"{self.moment_constant}")
+        if not 0 <= self.gamma0 < inf:
+            raise DomainError(f"noise variance gamma0 must be nonnegative "
+                              f"and finite, got {self.gamma0}")
         if self.kind != POWER_DECAY:
             if self.beta is not None:
                 raise DomainError(f"noise kind {self.kind!r} takes no beta")
-        elif self.beta is None or not self.beta > 0:
-            raise DomainError("decay exponent beta must be positive")
+        elif self.beta is None or not 0 < self.beta < inf:
+            raise DomainError(f"decay exponent beta must be positive and "
+                              f"finite, got {self.beta}")
         elif self.gamma0 == 0:
             raise DomainError(f"decay scale must be positive, got gamma0 = "
                               f"{self.gamma0}")
 
-
-def iid_gaussian(gamma0=1.0, moment_constant=1.0):
-    return NoiseModel(IID, gamma0=gamma0, moment_constant=moment_constant)
-
-
-def power_decay_gaussian(beta, gamma0=1.0, moment_constant=1.0):
-    return NoiseModel(POWER_DECAY, gamma0=gamma0, beta=beta,
-                      moment_constant=moment_constant)
+    @property
+    def moment_constant(self):
+        """m = sqrt(gamma0), with E|xi(v)|^p <= p! m^p at every vertex: each
+        xi(v) is a centred Gaussian of variance gamma0, and for one of
+        standard deviation s, E|xi|^p <= p! s^p."""
+        return sqrt(self.gamma0)
 
 
-def constant_gaussian(gamma0=1.0, moment_constant=1.0):
-    return NoiseModel(CONSTANT, gamma0=gamma0, moment_constant=moment_constant)
+def iid_gaussian(gamma0=1.0):
+    return NoiseModel(IID, gamma0=gamma0)
+
+
+def power_decay_gaussian(beta, gamma0=1.0):
+    return NoiseModel(POWER_DECAY, gamma0=gamma0, beta=beta)
+
+
+def constant_gaussian(gamma0=1.0):
+    return NoiseModel(CONSTANT, gamma0=gamma0)
 
 
 def covariance(model, graph, u, v):
@@ -168,10 +171,11 @@ class BoundReport:
 
 
 def taylor_bound_check(f, model, graph, n_samples, seed):
-    """Monte Carlo check of |E e^{<f,xi>} - 1| <= 2 m^2 |f|_1^2."""
+    """Monte Carlo check of |E e^{<f,xi>} - 1| <= 2 m^2 |f|_1^2, for
+    |f|_1 <= 1/(2m) (any f when m = 0)."""
     m = model.moment_constant
     norm1 = sum(abs(x) for x in f.values())
-    if norm1 > 1.0 / (2.0 * m):
+    if 2.0 * m * norm1 > 1.0:
         raise DomainError("requires |f|_1 <= 1/(2m)")
     rhs = 2.0 * m * m * norm1 * norm1
     support = tuple(v for v, c in f.items() if c != 0.0)
@@ -186,11 +190,14 @@ def taylor_bound_check(f, model, graph, n_samples, seed):
 
 
 def moment_bound_probe(model, graph, p_max, n_samples, seed):
-    """Max over even p <= p_max of empirical E|xi|^p / (p! m^p) at one vertex."""
+    """Max over even p <= p_max of empirical E|xi|^p / (p! m^p) at one
+    vertex; 0 when m = 0, where xi = 0 meets every bound p! m^p = 0."""
     if p_max > 10:
         raise DomainError("sampling accuracy limits the probe to p <= 10")
-    draws = sample_fields(model, graph, (graph.root,), n_samples, seed)[:, 0]
     m = model.moment_constant
+    if m == 0.0:
+        return 0.0
+    draws = sample_fields(model, graph, (graph.root,), n_samples, seed)[:, 0]
     worst = 0.0
     for p in range(2, p_max + 1, 2):
         worst = max(worst, (np.abs(draws) ** p).mean() / (factorial(p) * m ** p))

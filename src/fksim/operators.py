@@ -407,12 +407,12 @@ def spectrum(mat, cluster_tol=None):
     return SpectrumResult(clusters=clusters, tol=cluster_tol)
 
 
-def trace_identity_residual(mat, t, cluster_tol=None):
+def trace_identity_residual(mat, t):
     """Relative gap between Tr e^{-tM} and the exponential linear statistic."""
     if t <= 0:
         raise DomainError("t must be positive")
     tr = np.trace(expm_neg(mat, t))
-    stat = spectrum(mat, cluster_tol).linear_statistic(t)
+    stat = spectrum(mat).linear_statistic(t)
     return abs(tr - stat) / abs(tr)
 
 

@@ -2,12 +2,14 @@
 
 Walks are sampled exactly (Gillespie-style): an exponential holding time at
 each visited vertex, then a jump drawn from the vertex's kernel; time is
-never discretised.  ``sample_path`` draws one trajectory with its local-time
-map.  The Monte Carlo estimators instead advance whole batches of walkers
-together in numpy with ``sample_walks``, over the arrays of an
-``operators.Truncation`` (vertex ids, neighbour table, cumulative jump
-rows, rates and distances); a walker stops on leaving the truncation's
-ball or, given a kill radius, is flagged past it and walks on.
+never discretised.  ``sample_path`` draws one trajectory and records its
+endpoint, jump count, local-time map and exit time: the single-path
+reference that the batched sampler is tested against.  The Monte Carlo
+estimators instead advance whole batches of walkers together in numpy with
+``sample_walks``, over the arrays of an ``operators.Truncation`` (vertex
+ids, neighbour table, cumulative jump rows, rates and distances); a walker
+stops on leaving the truncation's ball or, given a kill radius, is flagged
+past it and walks on.
 ``sample_jump_counts`` gives the jump counts of constant-rate walks for the
 Poisson-tail checks.
 """
@@ -75,37 +77,30 @@ def symmetric_walk(graph, q=1.0):
 class PathRecord:
     """One sampled trajectory up to a fixed horizon.
 
-    ``local_time`` maps each visited vertex to its occupation time; the values
-    sum to the horizon.  ``exit_time`` is None when no kill radius was given or
-    the walker stayed inside over the whole horizon.
+    ``endpoint`` is the vertex at the horizon and ``jumps`` the number of
+    jumps.  ``local_time`` maps each visited vertex to its occupation time;
+    the values sum to the horizon.  ``exit_time`` is None when no kill radius
+    was given or the walker stayed inside over the whole horizon.
     """
 
-    start: object
-    horizon: float
     endpoint: object
     jumps: int
     local_time: dict
     exit_time: Optional[float] = None
-    jump_times: Optional[list] = None
-    states: Optional[list] = None
 
 
 def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
-                light=False, rng=None):
+                rng=None):
     """Sample one CTMC path; deterministic given (inputs, seed).
 
-    Holding times are exponential via inverse CDF on [0, 1); ``light`` skips
-    the jump-time and state lists.
+    Holding times are exponential via inverse CDF on [0, 1).
     """
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
     if spec.rate(start) < 0:
         raise ConfigError(f"rate at start vertex {start} must be nonnegative")
     if spec.rate(start) == 0.0:
-        return PathRecord(start=start, horizon=horizon, endpoint=start, jumps=0,
-                          local_time={start: horizon},
-                          jump_times=None if light else [],
-                          states=None if light else [start])
+        return PathRecord(endpoint=start, jumps=0, local_time={start: horizon})
     if rng is None:
         rng = np.random.default_rng(seed)
     rand = rng.random
@@ -118,8 +113,6 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
     elapsed = 0.0
     jumps = 0
     local = {}
-    jump_times = None if light else []
-    states = None if light else [start]
     exit_time = None
 
     while True:
@@ -132,16 +125,12 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
         targets, cum = kernel(cur)
         cur = targets[bisect_right(cum, rand())]
         jumps += 1
-        if not light:
-            jump_times.append(elapsed)
-            states.append(cur)
         if kill_radius is not None and exit_time is None:
             if dist(root, cur) > kill_radius:
                 exit_time = elapsed
 
-    return PathRecord(start=start, horizon=horizon, endpoint=cur, jumps=jumps,
-                      local_time=local, exit_time=exit_time,
-                      jump_times=jump_times, states=states)
+    return PathRecord(endpoint=cur, jumps=jumps, local_time=local,
+                      exit_time=exit_time)
 
 
 @dataclass(frozen=True)

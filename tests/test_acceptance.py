@@ -216,7 +216,7 @@ def test_criterion_12_rigidity_predictor():
 
 def test_criterion_13_noise_bound_suite():
     rng = np.random.default_rng(130)
-    model = iid_gaussian(1.0, moment_constant=1.0)
+    model = iid_gaussian(1.0)
     ok = True
     for _ in range(20):
         support = rng.integers(-5, 6, size=rng.integers(1, 4))

@@ -259,6 +259,37 @@ def test_sweep_refuses_a_short_grid_before_any_work(tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("text", [
+    "t_exp_min = -5\nt_exp_max = -2\n",
+    "gamma0 = 3\nt_exp_min = -4\nt_exp_max = 0\n",
+    "noise = power_decay\nbeta = 1\nt_exp_min = -5\nt_exp_max = 0\n",
+    "t_exp_min = -2000\nt_exp_max = 0\n"])
+def test_sweep_refuses_a_grid_whose_exponential_overflows(tmp_path, capsys,
+                                                          monkeypatch, text):
+    # The frozen sums take e^{t^2 gamma0}, which overflows past t^2 gamma0 =
+    # ln(max float) = 709.78 and ended in "math range error", naming no
+    # key.  Refused before any sum or ensemble runs.
+    calls = []
+    monkeypatch.setattr(cli, "frozen_variance_sum",
+                        lambda *a, **k: calls.append("frozen"))
+    monkeypatch.setattr(cli, "ensemble_variance",
+                        lambda *a, **k: calls.append("ensemble"))
+    path = _write(tmp_path, text + "ensemble = 4000\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"\bt_exp_min\b", captured.err)
+    assert calls == []
+
+
+def test_sweep_runs_below_the_overflow(tmp_path, capsys):
+    # At gamma0 = 1, t = 2^4 gives t^2 gamma0 = 256: the sums stay finite.
+    path = _write(tmp_path, "t_exp_min = -4\nt_exp_max = -1\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert [float(r.split(",")[0]) for r in rows] == [16.0, 8.0, 4.0, 2.0]
+
+
 def test_sweep_csv_byte_identical(tmp_path, capsys):
     path = _write(tmp_path, "t_exp_min = 6\nt_exp_max = 10\n")
     out1 = tmp_path / "a.csv"
@@ -489,10 +520,16 @@ def test_tail_check_rows_equal_a_scan_per_x(q, t, x_max, beyond):
     assert (x_max > top) == beyond
 
 
-def test_tail_check_t_zero_trivial(tmp_path):
-    cfg = cli.parse_config(_write(tmp_path, "t = 0\n"))
-    rep = cli.tail_check(cfg)
-    assert not rep.passed and rep.rows == ()
+def test_tail_check_t_zero_trivial(tmp_path, capsys):
+    # At t = 0 no x exceeds q t = 0 with a count, so the check had no row
+    # and failed without evidence; the gate refuses that horizon, naming t.
+    path = _write(tmp_path, "t = 0\n")
+    with pytest.raises(ConfigError, match=r"config key 't'"):
+        cli.tail_check(cli.parse_config(path))
+    assert cli.main(["tail-check", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"\bt\b", captured.err)
 
 
 def test_tail_check_without_rows_fails():
@@ -563,6 +600,45 @@ def test_cli_refuses_a_negative_noise_variance(tmp_path, capsys, command,
     assert re.search(rf"\b{key}\b", captured.err)
 
 
+def _reads_floats(cast):
+    """Whether a key's type reads "0.5" as a float or a tuple of them."""
+    try:
+        return isinstance(cast("0.5"), (float, tuple))
+    except ValueError:
+        return False
+
+
+# (command, key) of every float key, taken from the key table itself.
+_FLOAT_KEYS = [(command, key) for command, (*_, keys) in cli._COMMANDS.items()
+               for key, (cast, *_) in keys.items() if _reads_floats(cast)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", _FLOAT_KEYS,
+                         ids=[f"{c}-{k}" for c, k in _FLOAT_KEYS])
+def test_gate_refuses_a_non_finite_float(tmp_path, capsys, command, key,
+                                         value):
+    # beta = inf ran and passed, expect_slope and cut_value at nan or +-inf
+    # ended in a failed check (exit 2), fk-compare with t = nan printed
+    # z=nan, and tail-check with t = nan a NaN-to-integer error naming no
+    # key.  beta is read with power-decay noise alone.
+    context = "noise = power_decay\n" if key == "beta" else ""
+    path = _write(tmp_path, f"{context}{key} = {value}\n")
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"\b{key}\b", captured.err)
+
+
+def test_float_keys_are_found_in_the_key_table():
+    # The keys the test above runs over include those the defects were
+    # seen on, so it cannot pass by running over none.
+    assert {("sweep-variance", "beta"), ("sweep-variance", "expect_slope"),
+            ("rigidity-demo", "cut_value"), ("fk-compare", "t"),
+            ("tail-check", "t"), ("spectral-check", "t_grid")} \
+        <= set(_FLOAT_KEYS)
+
+
 _MODEL_COMMANDS = {"sweep-variance": "", "rigidity-demo": "radius = 4\n",
                    "spectral-check": "radius = 4\n",
                    "fk-compare": "radius = 4\n"}
@@ -572,8 +648,8 @@ _MODEL_COMMANDS = {"sweep-variance": "", "rigidity-demo": "radius = 4\n",
 @pytest.mark.parametrize("key", ["decay_scale", "moment_constant"])
 def test_cli_refuses_the_keys_that_changed_nothing(tmp_path, capsys, command,
                                                    key):
-    # gamma0 is the power-decay prefactor, and the moment constant feeds
-    # the library's noise bound checks alone: both keys are unknown.
+    # gamma0 is the power-decay prefactor, and the moment constant is
+    # sqrt(gamma0), derived by the noise model: both keys are unknown.
     path = _write(tmp_path, _MODEL_COMMANDS[command] + f"{key} = -3\n")
     assert cli.main([command, "--config", path]) == 1
     captured = capsys.readouterr()
@@ -661,7 +737,8 @@ def test_every_model_key_changes_the_model_or_is_refused(tmp_path, capsys,
 def test_cli_tail_check_refuses_negative_t(tmp_path, capsys):
     cfg = _write(tmp_path, "t = -1\n")
     assert cli.main(["tail-check", "--config", cfg]) == 1
-    assert capsys.readouterr().err == "error: horizon must be >= 0\n"
+    assert capsys.readouterr().err == ("error: config key 't' = '-1': t = "
+                                       "-1.0 is not positive and finite\n")
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -1084,7 +1161,6 @@ def test_cli_fk_compare_summary_repeats_for_a_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "q = 1\nt = 20\nn_paths = 1000\nx_max = 10\n",   # every x <= q t
-    "t = 0\n",
 ])
 def test_cli_tail_check_refuses_without_rows(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)

@@ -55,25 +55,25 @@ def test_power_decay_requires_positive_parameters():
     ({"kind": "laplace"}, "unknown noise kind 'laplace'"),
     ({"kind": "iid", "gamma0": -1.0}, "gamma0"),
     ({"kind": "iid", "gamma0": math.nan}, "gamma0"),
+    ({"kind": "iid", "gamma0": math.inf}, "gamma0"),
+    ({"kind": "constant", "gamma0": -math.inf}, "gamma0"),
+    ({"kind": "power_decay", "gamma0": math.inf, "beta": 1.0}, "gamma0"),
     ({"kind": "constant", "gamma0": -0.5}, "gamma0"),
     ({"kind": "power_decay", "gamma0": -2.0, "beta": 1.0}, "gamma0"),
     ({"kind": "power_decay"}, "beta must be positive"),
     ({"kind": "power_decay", "beta": 0.0}, "beta must be positive"),
     ({"kind": "power_decay", "beta": -1.0}, "beta must be positive"),
+    ({"kind": "power_decay", "beta": math.inf}, "beta must be positive"),
+    ({"kind": "power_decay", "beta": math.nan}, "beta must be positive"),
     ({"kind": "power_decay", "gamma0": 0.0, "beta": 1.0},
      "decay scale must be positive"),
     ({"kind": "iid", "beta": 0.5}, "noise kind 'iid' takes no beta"),
-    ({"kind": "constant", "beta": 0.5}, "noise kind 'constant' takes no beta"),
-    ({"kind": "iid", "moment_constant": -3.0},
-     "moment_constant must be positive"),
-    ({"kind": "iid", "moment_constant": 0.0},
-     "moment_constant must be positive"),
-    ({"kind": "power_decay", "beta": 1.0, "moment_constant": math.nan},
-     "moment_constant must be positive")],
-    ids=["unknown-kind", "iid-negative", "iid-nan", "constant-negative",
+    ({"kind": "constant", "beta": 0.5}, "noise kind 'constant' takes no beta")],
+    ids=["unknown-kind", "iid-negative", "iid-nan", "iid-inf",
+         "constant-negative-inf", "power-inf", "constant-negative",
          "power-negative", "power-no-beta", "power-zero-beta",
-         "power-negative-beta", "power-zero-scale", "iid-beta",
-         "constant-beta", "moment-negative", "moment-zero", "moment-nan"])
+         "power-negative-beta", "power-inf-beta", "power-nan-beta",
+         "power-zero-scale", "iid-beta", "constant-beta"])
 def test_noise_model_refuses_bad_parameters(params, match):
     # The model is checked when it is made, so no estimator re-checks it.
     with pytest.raises(DomainError, match=match):
@@ -129,6 +129,32 @@ def test_moment_bound_probe():
     assert ratio <= 1.0
 
 
+@pytest.mark.parametrize("gamma0", [4.0, 0.25])
+@pytest.mark.parametrize("make", [iid_gaussian, constant_gaussian,
+                                  lambda g: power_decay_gaussian(1.0, g)],
+                         ids=["iid", "constant", "power_decay"])
+def test_moment_constant_is_the_noise_standard_deviation(make, gamma0):
+    # The bound E|xi|^p <= p! m^p is a property of the noise law: with
+    # m = 1 whatever gamma0, this probe read 1.998 at gamma0 = 4.
+    model = make(gamma0)
+    assert model.moment_constant == math.sqrt(gamma0)
+    assert moment_bound_probe(model, G1, p_max=8, n_samples=200000,
+                              seed=4) <= 1.0
+
+
+@pytest.mark.parametrize("make", [iid_gaussian, constant_gaussian])
+def test_bound_checks_take_noise_free_fields(make):
+    # gamma0 = 0 gives m = 0 and xi = 0: both bounds hold with equality,
+    # and neither check divides by m (pytest turns a warning into an error).
+    model = make(0.0)
+    assert model.moment_constant == 0.0
+    rep = taylor_bound_check({(0,): 0.5, (3,): -2.0}, model, G1,
+                             n_samples=100, seed=3)
+    assert (rep.lhs, rep.rhs, rep.stderr, rep.passed) == (0.0, 0.0, 0.0, True)
+    assert moment_bound_probe(model, G1, p_max=8, n_samples=100,
+                              seed=4) == 0.0
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=20, deadline=None)
 def test_sampling_deterministic_given_seed(seed):
@@ -168,7 +194,8 @@ def test_bound_checks_keep_their_draws(model):
     rep = taylor_bound_check(f, model, g2, n_samples=5000, seed=17)
     draws = _old_field_matrix(model, g2, (g2.root,), 20000,
                               np.random.default_rng(18))[:, 0]
-    worst = max((np.abs(draws) ** p).mean() / math.factorial(p)
+    m = math.sqrt(model.gamma0)
+    worst = max((np.abs(draws) ** p).mean() / (math.factorial(p) * m ** p)
                 for p in (2, 4, 6, 8))
     ratio = moment_bound_probe(model, g2, p_max=8, n_samples=20000, seed=18)
     if model.kind == "power_decay":

@@ -30,8 +30,10 @@ def test_local_time_conserved():
 def test_local_time_conservation_property(seed, horizon):
     p = sample_path(G1, SPEC, (0,), horizon, seed=seed)
     assert abs(sum(p.local_time.values()) - horizon) < 1e-9
-    assert p.jumps == len(p.jump_times)
-    assert p.states[-1] == p.endpoint
+    # Each vertex after the start is reached by a jump, and the walker sits
+    # at its endpoint when the horizon comes.
+    assert p.jumps >= len(p.local_time) - 1
+    assert p.local_time.get(p.endpoint, 0.0) > 0.0
 
 
 def test_deterministic_given_seed():
@@ -43,7 +45,7 @@ def test_deterministic_given_seed():
 def test_stay_probability_matches_simulation():
     n = 40000
     rng = np.random.default_rng(0)
-    stays = sum(sample_path(G1, SPEC, (0,), 1.0, rng=rng, light=True).jumps == 0
+    stays = sum(sample_path(G1, SPEC, (0,), 1.0, rng=rng).jumps == 0
                 for _ in range(n))
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / n)
@@ -110,7 +112,7 @@ def _reference_walks(graph, spec, start, horizon, kill_radius, cost_of, n,
     rng = np.random.default_rng(seed)
     ends, exits, costs = [], [], []
     for _ in range(n):
-        p = sample_path(graph, spec, start, horizon, rng=rng, light=True,
+        p = sample_path(graph, spec, start, horizon, rng=rng,
                         kill_radius=kill_radius)
         ends.append(p.endpoint)
         exits.append(p.exit_time is not None)
