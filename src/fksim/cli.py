@@ -206,23 +206,39 @@ def sweep_variance(cfg):
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
         raise ConfigError(f"t_exp_min = {k_min} and t_exp_max = {k_max} give "
                           "fewer than the 4 t values the exponent fit needs")
-    # The frozen sums take e^{t^2 gamma0}; at the largest t, 2^-t_exp_min,
-    # it must not overflow.  ldexp raises past the largest float.
+    # The frozen sums take e^{t^2 gamma0} (e^{t^2 gamma0} - 1), up to
+    # e^{2 t^2 gamma0}; at the largest t, 2^-t_exp_min, it must not overflow.
+    # ldexp raises past the largest float.
     try:
-        top = ldexp(cfg["gamma0"], -2 * k_min)
+        top = ldexp(cfg["gamma0"], 1 - 2 * k_min)
     except OverflowError:
         top = inf
     if top > _LN_MAX:
-        raise ConfigError(f"t_exp_min = {k_min} gives t^2 gamma0 = {top!r} "
+        raise ConfigError(f"t_exp_min = {k_min} gives 2 t^2 gamma0 = {top!r} "
                           f"at t = 2^{-k_min}, above ln(max float) = "
-                          f"{_LN_MAX:.2f}, where e^(t^2 gamma0) overflows")
+                          f"{_LN_MAX:.2f}, where e^(t^2 gamma0) "
+                          f"(e^(t^2 gamma0) - 1) overflows")
     graph, model, pot, spec = _model_from(cfg)
     m_draws = cfg["ensemble"]
     if m_draws != 0 and m_draws < 3:
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
-    ts = [2.0 ** -k for k in range(k_min, k_max + 1)]
-    certified = [radius_for(t, pot.alpha, pot.kappa) for t in ts]
+    ts, certified = [], []
+    for k in range(k_min, k_max + 1):
+        # Far out at either end of the grid, t = 2^-k or its certified
+        # radius leaves the floats: refused, naming the key of that end.
+        try:
+            t = ldexp(1.0, -k)
+            radius = radius_for(t, pot.alpha, pot.kappa) if t else None
+        except OverflowError:
+            radius = None
+        if radius is None:
+            key = "t_exp_min" if k < 0 else "t_exp_max"
+            raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}, "
+                              "where t or its certified radius is not a "
+                              "finite positive number")
+        ts.append(t)
+        certified.append(radius)
     # The frozen-sum column always uses its certified radius.
     frozen = [frozen_variance_sum(t, graph, pot, model) for t in ts]
     radii, ens = certified, [(None, None)] * len(ts)

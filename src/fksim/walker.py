@@ -9,7 +9,9 @@ estimators instead advance whole batches of walkers together in numpy with
 ``sample_walks``, over the arrays of an ``operators.Truncation`` (vertex
 ids, neighbour table, cumulative jump rows, rates and distances); a walker
 stops on leaving the truncation's ball or, given a kill radius, is flagged
-past it and walks on.
+past it and walks on.  The first step, when every walker is live and, over
+short horizons, most sit until the horizon, runs on whole arrays; only the
+walkers that jump go on to rounds over index arrays of the survivors.
 ``sample_jump_counts`` gives the jump counts of constant-rate walks for the
 Poisson-tail checks.
 """
@@ -199,13 +201,43 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
         else:
             acc[idx] += cost[verts] * dt
 
-    left = np.full(len(cur), float(horizon))
-    live = np.arange(len(cur))
+    def jump(live, at):
+        """Move the walkers ``live`` on from ``at``; return those still in."""
+        u = rng.random(live.size)
+        k = np.minimum((cum[at] <= u[:, None]).sum(axis=1), deg[at] - 1)
+        nxt = nbr[at, k]
+        cur[live] = nxt
+        out = nxt < 0
+        if kill_radius is None:
+            exited[live[out]] = True
+            return live[~out]
+        if out.any():
+            v = trunc.vertices[at[np.argmax(out)]]
+            raise InputError(f"a walk left the ball from vertex {v!r}")
+        exited[live[dist[nxt] > kill_radius]] = True
+        return live
+
+    # First step, on whole arrays: every walker is live, and most sit.  The
+    # holding time draw / rate outlasts the horizon (always so at rate 0):
+    # the walker sits until the horizon.
+    horizon = float(horizon) + 0.0   # a -0.0 horizon charges +0.0
+    draw = rng.standard_exponential(len(cur))
+    at_rate = rate[cur]
+    sits = draw >= at_rate * horizon
+    moves = ~sits
+    hold = np.divide(draw, at_rate, out=np.full(len(cur), horizon),
+                     where=moves)
+    if cost is None:
+        acc[np.arange(len(cur)), cur] = hold
+    else:
+        acc += cost[cur] * hold   # added, so a -0.0 product reads +0.0
+    left = horizon - hold
+    live = np.flatnonzero(moves)
+    if live.size:
+        live = jump(live, cur[live])
     while live.size:
         at = cur[live]
         draw = rng.standard_exponential(live.size)
-        # The holding time draw / rate outlasts the remaining time (always so
-        # at rate 0): the walker sits until the horizon.
         sits = draw >= rate[at] * left[live]
         if sits.any():
             charge(live[sits], at[sits], left[live[sits]])
@@ -216,19 +248,7 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
         hold = draw[moves] / rate[at]
         charge(live, at, hold)
         left[live] -= hold
-        u = rng.random(live.size)
-        k = np.minimum((cum[at] <= u[:, None]).sum(axis=1), deg[at] - 1)
-        nxt = nbr[at, k]
-        cur[live] = nxt
-        out = nxt < 0
-        if kill_radius is None:
-            exited[live[out]] = True
-            live = live[~out]
-        elif out.any():
-            v = trunc.vertices[at[np.argmax(out)]]
-            raise InputError(f"a walk left the ball from vertex {v!r}")
-        else:
-            exited[live[dist[nxt] > kill_radius]] = True
+        live = jump(live, at)
 
 
 def sample_jump_counts(q, horizon, n_paths, seed):
@@ -239,9 +259,11 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     first holding time is drawn for the whole chunk; after that only the
     survivors (paths whose last arrival is before the horizon) are kept,
     as two compact arrays of their indices and arrival times, and each
-    round draws one more holding time for each of them.  The output bits
-    depend on the generator calls alone: one ``exponential`` per round, of
-    the survivors' number, in chunk order.
+    round draws one more holding time for each of them and records the
+    count of each survivor.  The output bits depend on the generator calls
+    alone: one ``standard_exponential`` fill per round, of the survivors'
+    number and scaled by 1/q (the bits of ``exponential(1/q)``), in chunk
+    order.
     """
     if not 0 < q < inf:
         raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
@@ -255,18 +277,19 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     rng = np.random.default_rng(seed)
     out = np.zeros(n_paths, dtype=np.int64)
+    scale = 1.0 / q
     for lo in range(0, n_paths, _JUMP_CHUNK):
         counts = out[lo:lo + _JUMP_CHUNK]
-        arrival = rng.exponential(1.0 / q, size=len(counts))
+        arrival = rng.standard_exponential(len(counts)) * scale
         live = np.flatnonzero(arrival < horizon)
         arrival = arrival[live]
         # Round k counts the k-th arrival of the survivors and draws their
         # (k+1)-th; a survivor after round cap - 1 has cap arrivals.
-        for _ in range(cap - 1):
+        for k in range(1, cap):
             if not live.size:
                 break
-            counts[live] += 1
-            arrival += rng.exponential(1.0 / q, size=live.size)
+            counts[live] = k
+            arrival += rng.standard_exponential(live.size) * scale
             alive = arrival < horizon
             live, arrival = live[alive], arrival[alive]
         if live.size:

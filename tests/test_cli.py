@@ -263,12 +263,16 @@ def test_sweep_refuses_a_short_grid_before_any_work(tmp_path, capsys,
     "t_exp_min = -5\nt_exp_max = -2\n",
     "gamma0 = 3\nt_exp_min = -4\nt_exp_max = 0\n",
     "noise = power_decay\nbeta = 1\nt_exp_min = -5\nt_exp_max = 0\n",
-    "t_exp_min = -2000\nt_exp_max = 0\n"])
+    "t_exp_min = -2000\nt_exp_max = 0\n",
+    "gamma0 = 2\nt_exp_min = -4\nt_exp_max = 0\n",
+    "noise = power_decay\nbeta = 1\ngamma0 = 2\nt_exp_min = -4\n"
+    "t_exp_max = 0\n"])
 def test_sweep_refuses_a_grid_whose_exponential_overflows(tmp_path, capsys,
                                                           monkeypatch, text):
-    # The frozen sums take e^{t^2 gamma0}, which overflows past t^2 gamma0 =
-    # ln(max float) = 709.78 and ended in "math range error", naming no
-    # key.  Refused before any sum or ensemble runs.
+    # The frozen sums take e^{t^2 gamma0} (e^{t^2 gamma0} - 1), which
+    # overflows past 2 t^2 gamma0 = ln(max float) = 709.78 and ended in
+    # "math range error" or "value inf is not finite", naming no key.
+    # Refused before any sum or ensemble runs.
     calls = []
     monkeypatch.setattr(cli, "frozen_variance_sum",
                         lambda *a, **k: calls.append("frozen"))
@@ -282,8 +286,29 @@ def test_sweep_refuses_a_grid_whose_exponential_overflows(tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("text, key", [
+    ("gamma0 = 0\nt_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),
+    ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_max")])
+def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
+                                                 monkeypatch, text, key):
+    # t = 2^1100 overflows ("Numerical result out of range"), and at t =
+    # 2^-1060 radius_for(t) is infinite ("cannot convert float infinity to
+    # integer"); neither named a key.  Refused before any sum runs.
+    calls = []
+    monkeypatch.setattr(cli, "frozen_variance_sum",
+                        lambda *a, **k: calls.append("frozen"))
+    monkeypatch.setattr(cli, "ensemble_variance",
+                        lambda *a, **k: calls.append("ensemble"))
+    path = _write(tmp_path, text + "ensemble = 4000\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"\b{key}\b", captured.err)
+    assert calls == []
+
+
 def test_sweep_runs_below_the_overflow(tmp_path, capsys):
-    # At gamma0 = 1, t = 2^4 gives t^2 gamma0 = 256: the sums stay finite.
+    # At gamma0 = 1, t = 2^4 gives 2 t^2 gamma0 = 512: the sums stay finite.
     path = _write(tmp_path, "t_exp_min = -4\nt_exp_max = -1\n")
     assert cli.main(["sweep-variance", "--config", path]) == 0
     rows = capsys.readouterr().out.splitlines()[2:6]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,55 @@ def test_batched_walks_started_past_the_kill_radius_have_exited():
     assert walks.exited[:1000].sum() < 10
 
 
+def _stopped_at_five():
+    """G_EXPLICIT's walk with rate 0 at vertex 5, which has a neighbour."""
+    base = _explicit_spec(G_EXPLICIT)
+    spec = MarkovSpec(rate=lambda v: 0.0 if v == 5 else base.rate(v),
+                      sup_rate=2.0, kernel=base.kernel)
+    return Truncation.build(G_EXPLICIT, spec, PotentialSpec(), 3), 5
+
+
+def _isolated_root():
+    g = GraphModel.explicit(1, [])
+    return Truncation.build(g, symmetric_walk(g, 1.0), PotentialSpec(), 3), 0
+
+
+@pytest.mark.parametrize("build", [_isolated_root, _stopped_at_five])
+def test_batched_walkers_at_a_rate_zero_vertex_sit_out_the_horizon(build):
+    # A walker at a rate-0 vertex never jumps, and its holding time is
+    # never divided by the rate, so no warning is raised.
+    trunc, v = build()
+    m = len(trunc.vertices)
+    i = trunc.vertices.index(v)
+    starts = np.arange(600) % m
+    cost = np.linspace(-1.0, 2.0, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = sample_walks(trunc, starts, 1.3, np.random.default_rng(37),
+                         cost=cost)
+        b = sample_walks(trunc, starts, 1.3, np.random.default_rng(37))
+    at_v = starts == i
+    assert np.all(a.endpoint[at_v] == i)
+    assert np.all(a.integral[at_v] == cost[i] * 1.3)
+    assert np.all(b.local[at_v, i] == 1.3)
+    assert np.all(np.delete(b.local[at_v], i, axis=1) == 0.0)
+    assert m == 1 or not np.all(a.endpoint == starts)   # the others move
+
+
+@pytest.mark.parametrize("horizon", [0.0, -0.0])
+def test_batched_walks_over_no_time_charge_positive_zeros(horizon):
+    # A negative cost times a zero holding time is -0.0; the integrals and
+    # the local times still read +0.0.
+    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 3)
+    starts = np.arange(7)
+    a = sample_walks(trunc, starts, horizon, np.random.default_rng(38),
+                     cost=-np.arange(1.0, 8.0))
+    b = sample_walks(trunc, starts, horizon, np.random.default_rng(38))
+    assert a.integral.tobytes() == np.zeros(7).tobytes()
+    assert b.local.tobytes() == np.zeros((7, 7)).tobytes()
+    assert np.array_equal(a.endpoint, starts)
+
+
 def test_jump_count_tail_matches_poisson(monkeypatch):
     from scipy import stats
     # Rounds of 30000 paths, so the 200000 paths span several rounds.
@@ -285,6 +335,9 @@ class _EvenHolds:
 
     def exponential(self, scale, size):
         return np.full(size, self.hold)
+
+    def standard_exponential(self, size):
+        return np.full(size, self.hold)   # at q = 1, the same holds
 
 
 @pytest.mark.parametrize("arrivals", [40, 41])
