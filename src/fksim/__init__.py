@@ -22,4 +22,4 @@ from .feynman_kac import (TraceEstimate, VarianceEstimate, ensemble_variance,
                           radius_for, riemann_tail_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.3.0"
+__version__ = "0.4.0"

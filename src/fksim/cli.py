@@ -224,21 +224,30 @@ def sweep_variance(cfg):
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
     ts, certified = [], []
+    g0 = cfg["gamma0"]
     for k in range(k_min, k_max + 1):
-        # Far out at either end of the grid, t = 2^-k or its certified
-        # radius leaves the floats: refused, naming the key of that end.
+        # Far out at either end of the grid, t = 2^-k, t^2 or the certified
+        # radius leaves the floats: t^2 must be finite and positive and,
+        # for gamma0 > 0, t^2 gamma0 (the size of each frozen sum) a normal
+        # float.  Refused, naming the key of that end.
         try:
             t = ldexp(1.0, -k)
-            radius = radius_for(t, pot.alpha, pot.kappa) if t else None
+            t2 = t * t
+            inside = 0.0 < t2 < inf and (
+                g0 == 0.0 or t2 * g0 >= sys.float_info.min)
+            radius = radius_for(t, pot.alpha, pot.kappa) if inside else None
         except OverflowError:
             radius = None
         if radius is None:
             key = "t_exp_min" if k < 0 else "t_exp_max"
             raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}, "
-                              "where t or its certified radius is not a "
-                              "finite positive number")
+                              "where t, t^2, t^2 gamma0 or the certified "
+                              "radius leaves the (normal) floats")
         ts.append(t)
         certified.append(radius)
+    if g0 == 0.0:
+        raise ConfigError("gamma0 = 0 makes every frozen sum 0, so there is "
+                          "no exponent to fit")
     # The frozen-sum column always uses its certified radius.
     frozen = [frozen_variance_sum(t, graph, pot, model) for t in ts]
     radii, ens = certified, [(None, None)] * len(ts)
@@ -371,9 +380,11 @@ def tail_check(cfg):
     """Empirical jump-count tail versus the analytic Chernoff bound."""
     cfg = effective_config("tail-check", cfg)
     q, t, n_paths, x_max = cfg["q"], cfg["t"], cfg["n_paths"], cfg["x_max"]
-    counts = sample_jump_counts(q, t, n_paths, cfg["seed"])
-    # at_least[x]: the number of paths with x or more jumps.
-    at_least = np.bincount(counts, minlength=x_max + 2)[::-1].cumsum()[::-1]
+    hist = sample_jump_counts(q, t, n_paths, cfg["seed"])
+    # at_least[x]: the number of paths with x or more jumps; none reaches
+    # the end of the histogram (the sampler's cap).
+    at_least = np.concatenate([hist[::-1].cumsum()[::-1],
+                               np.zeros(x_max + 1, dtype=np.int64)])
     rows = []
     ok = True
     for x in range(1, x_max + 1):

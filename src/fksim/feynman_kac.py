@@ -7,14 +7,16 @@ array on the truncation's vertices, as its exact traces take it; ensemble
 members are rows of ``noise.sample_fields`` on those vertices.  Trace
 estimators weight each path by e^{-integral of (V + xi)}; killed-trace
 walkers stop at their exit from the truncation's ball, so the field is
-needed on the ball alone.  The paired-walker variance uses dense
-local-time rows, so that every start pair of a replicate comes from one
-matrix product with the box covariance.  Deterministic routes evaluate the
-frozen-walk double sum on a certified box: on the lattices in closed
-radial form for independent and constant noise and for power decay as one
-FFT autocorrelation of the weights against the covariance kernel, and on
-explicit graphs as the pairwise sum over the ball for every kind.  A
-``NoiseModel`` is checked when it is made, so no estimator re-checks its
+needed on the ball alone.  A path that makes no jump has a known weight, so
+the killed trace draws how many of each start's paths sit out and walks
+only the others, conditioned on a first jump.  The paired-walker variance
+uses dense local-time rows, so that every start pair of a replicate comes
+from one matrix product with the box covariance.  Deterministic routes
+evaluate the frozen-walk double sum on a certified box: on the lattices in
+closed radial form for independent and constant noise and for power decay
+as one FFT autocorrelation of the weights against the covariance kernel,
+and on explicit graphs as the pairwise sum over the ball for every kind.
+A ``NoiseModel`` is checked when it is made, so no estimator re-checks its
 kind or the sign of its covariance.
 """
 
@@ -71,12 +73,31 @@ def radius_for(t, alpha=2.0, kappa=1.0):
 # -- Monte Carlo trace ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Strata:
+    """Path weights of ``per`` paths from each start: in stratum x,
+    ``sits[x]`` paths make no jump and each weighs ``sit_weight[x]``, and
+    ``weights`` are the sampled paths of the others, whose strata are
+    ``owner`` (ascending)."""
+
+    per: int
+    sits: np.ndarray
+    sit_weight: np.ndarray
+    owner: np.ndarray
+    weights: np.ndarray
+
+
 def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
     """Per-start-vertex killed and unkilled return weights from shared paths
     on the truncation ``trunc`` with ``field`` on its vertices.
 
-    Returns (killed, unkilled), float arrays with one row of paths per
-    start vertex.  Without ``kill_radius`` the walks start on every vertex
+    Returns (killed, unkilled), ``_Strata`` with ``per`` paths per start
+    vertex.  Of those, Binomial(per, e^{-q(x) t}) make no jump (one
+    ``binomial`` call over the starts): such a path sits at its start x,
+    returns and is never killed, with weight e^{-t c(x)}, c = V + field.
+    Only the others are walked, by ``sample_walks`` conditioned on a first
+    jump, so each stratum's multiset of weights has the law of ``per``
+    plain walks.  Without ``kill_radius`` the walks start on every vertex
     of ``trunc``, are killed on leaving it and stop there, and unkilled is
     None.  With it, they start on the vertices within ``kill_radius`` of
     the root (the radius-n ball, in its order), are killed past it and walk
@@ -92,26 +113,40 @@ def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
     else:
         starts = np.flatnonzero(trunc.dist <= kill_radius)
     per = max(1, ceil(n_paths / len(starts)))
-    ids = np.repeat(starts, per)
-    walks = sample_walks(trunc, ids, t, np.random.default_rng(seed),
-                         cost=trunc.potential + field,
-                         kill_radius=kill_radius)
+    rng = np.random.default_rng(seed)
+    cost = trunc.potential + field
+    sits = rng.binomial(per, np.exp(-trunc.rate[starts] * t))
+    owner = np.repeat(np.arange(len(starts)), per - sits)
+    ids = starts[owner]
+    walks = sample_walks(trunc, ids, t, rng, cost=cost,
+                         kill_radius=kill_radius, first_jump=True)
     uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
-    uw = uw.reshape(len(starts), per)
-    kw = np.where(walks.exited.reshape(uw.shape), 0.0, uw)
-    return kw, (None if kill_radius is None else uw)
+    kw = np.where(walks.exited, 0.0, uw)
+    sit_weight = np.exp(-t * cost[starts])
+    killed = _Strata(per, sits, sit_weight, owner, kw)
+    if kill_radius is None:
+        return killed, None
+    return killed, _Strata(per, sits, sit_weight, owner, uw)
 
 
-def _stratified_estimate(weights):
-    """Sum of the stratum (row) means, in row order; the SE is NaN when a
-    stratum has fewer than two paths, since its variance is then undefined."""
-    per = weights.shape[1]
-    mean = sum(weights.mean(axis=1).tolist())
-    if per < 2:
+def _stratified_estimate(strata):
+    """Sum of the stratum means, in stratum order, with its SE from each
+    stratum's sum of squared deviations from its mean (two passes over the
+    per-start sums); the SE is NaN when a stratum has fewer than two paths,
+    since its variance is then undefined."""
+    s = strata
+    n = len(s.sits)
+    # A stratum of sit-outs alone has the mean sit_weight and no spread.
+    mean = (s.sits / s.per * s.sit_weight
+            + np.bincount(s.owner, s.weights, minlength=n) / s.per)
+    if s.per < 2:
         se = nan
     else:
-        se = sqrt(sum((weights.var(axis=1, ddof=1) / per).tolist()))
-    return TraceEstimate(mean=mean, stderr=se)
+        dev = (s.sits * (s.sit_weight - mean) ** 2
+               + np.bincount(s.owner, (s.weights - mean[s.owner]) ** 2,
+                             minlength=n))
+        se = sqrt(sum((dev / ((s.per - 1) * s.per)).tolist()))
+    return TraceEstimate(mean=sum(mean.tolist()), stderr=se)
 
 
 def mc_dirichlet_trace(trunc, field, t, n_paths, seed):

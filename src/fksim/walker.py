@@ -11,16 +11,20 @@ ids, neighbour table, cumulative jump rows, rates and distances); a walker
 stops on leaving the truncation's ball or, given a kill radius, is flagged
 past it and walks on.  The first step, when every walker is live and, over
 short horizons, most sit until the horizon, runs on whole arrays; only the
-walkers that jump go on to rounds over index arrays of the survivors.
-``sample_jump_counts`` gives the jump counts of constant-rate walks for the
-Poisson-tail checks.
+walkers that jump go on to rounds over index arrays of the survivors.  With
+``first_jump`` every walker is conditioned to jump before the horizon: its
+first holding time is the exponential truncated to [0, horizon).  A caller
+that draws how many of its walkers make no jump, whose paths are known,
+walks only the others that way (conditional Monte Carlo).
+``sample_jump_counts`` gives the histogram of the jump counts of
+constant-rate walks for the Poisson-tail checks, drawn the same way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, exp, inf, log, log1p
+from math import ceil, exp, expm1, inf, log, log1p, nextafter
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,13 +155,21 @@ class Walks:
     local: Optional[np.ndarray] = None
 
 
-def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
+def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None,
+                 first_jump=False):
     """Sample one walk from each start (a vertex row of the truncation
     ``trunc``) up to the horizon.
 
     All walkers of a batch advance together in numpy; each live walker draws
     an exponential holding time and then its jump, as in ``sample_path``.
     The result is deterministic given the generator state.
+
+    With ``first_jump`` each walk is conditioned on a jump before the
+    horizon: the first holding time is drawn from the exponential truncated
+    to [0, horizon), as -log1p(-u (1 - e^{-q t})) / q of a uniform u (one
+    ``random`` fill, in place of the ``standard_exponential`` one), kept
+    strictly below the horizon, and every walker jumps.  That needs a
+    positive horizon and a positive rate at every start.
 
     Without ``kill_radius`` a walker exits by leaving the ball and stops
     there.  With it, a walker exits on reaching a vertex farther than
@@ -171,6 +183,9 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
         raise DomainError("horizon must be >= 0")
     starts = np.asarray(starts, dtype=np.intp)
     n = len(starts)
+    if first_jump and n and not (horizon > 0 and trunc.rate[starts].min() > 0):
+        raise DomainError("a walk conditioned on a jump needs a positive "
+                          "horizon and a positive rate at its start")
     endpoint = starts.copy()
     # A walker that starts past the kill radius has exited, jump or not.
     exited = (np.zeros(n, dtype=bool) if kill_radius is None
@@ -183,17 +198,21 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
     for lo in range(0, n, _BATCH):
         part = slice(lo, lo + _BATCH)
         _advance(trunc, endpoint[part], exited[part], acc[part], horizon,
-                 rng, cost, kill_radius)
+                 rng, cost, kill_radius, first_jump)
     if cost is None:
         return Walks(endpoint=endpoint, exited=exited, local=acc)
     return Walks(endpoint=endpoint, exited=exited, integral=acc)
 
 
-def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
+def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
+             first_jump):
     """Walk one batch in place: ``cur`` holds the start ids on entry and the
     endpoints on return; ``acc`` receives integrals or local-time rows."""
-    rate, nbr, cum, deg, dist = (trunc.rate, trunc.nbr, trunc.cum, trunc.deg,
-                                 trunc.dist)
+    rate, nbr, deg, dist = trunc.rate, trunc.nbr, trunc.deg, trunc.dist
+    # The cumulative rows as columns: a walker's row is gathered, compared
+    # and counted along the short first axis, several times faster than
+    # along rows.
+    cum_t = np.ascontiguousarray(trunc.cum.T)
 
     def charge(idx, verts, dt):
         if cost is None:
@@ -204,7 +223,8 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
     def jump(live, at):
         """Move the walkers ``live`` on from ``at``; return those still in."""
         u = rng.random(live.size)
-        k = np.minimum((cum[at] <= u[:, None]).sum(axis=1), deg[at] - 1)
+        k = np.minimum((np.take(cum_t, at, axis=1) <= u).sum(axis=0),
+                       deg[at] - 1)
         nxt = nbr[at, k]
         cur[live] = nxt
         out = nxt < 0
@@ -219,20 +239,27 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
 
     # First step, on whole arrays: every walker is live, and most sit.  The
     # holding time draw / rate outlasts the horizon (always so at rate 0):
-    # the walker sits until the horizon.
+    # the walker sits until the horizon.  A walker conditioned on a jump
+    # draws its hold below the horizon by inversion, and every one moves.
     horizon = float(horizon) + 0.0   # a -0.0 horizon charges +0.0
-    draw = rng.standard_exponential(len(cur))
     at_rate = rate[cur]
-    sits = draw >= at_rate * horizon
-    moves = ~sits
-    hold = np.divide(draw, at_rate, out=np.full(len(cur), horizon),
-                     where=moves)
+    if first_jump:
+        hold = np.log1p(rng.random(len(cur)) * np.expm1(-at_rate * horizon))
+        hold /= -at_rate
+        np.minimum(hold, nextafter(horizon, 0.0), out=hold)
+        live = np.arange(len(cur))
+    else:
+        draw = rng.standard_exponential(len(cur))
+        sits = draw >= at_rate * horizon
+        moves = ~sits
+        hold = np.divide(draw, at_rate, out=np.full(len(cur), horizon),
+                         where=moves)
+        live = np.flatnonzero(moves)
     if cost is None:
         acc[np.arange(len(cur)), cur] = hold
     else:
         acc += cost[cur] * hold   # added, so a -0.0 product reads +0.0
     left = horizon - hold
-    live = np.flatnonzero(moves)
     if live.size:
         live = jump(live, cur[live])
     while live.size:
@@ -252,18 +279,21 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
 
 
 def sample_jump_counts(q, horizon, n_paths, seed):
-    """Jump counts of n_paths constant-rate walks, vectorized over paths.
+    """Histogram of the jump counts of n_paths constant-rate walks: entry k
+    is the number of paths with k jumps, for k below the cap (an array of
+    ``cap`` int64 entries, summing to n_paths).
 
     Holding times are i.i.d. exponential(q); the count is the number of
-    arrivals before the horizon.  Per chunk of ``_JUMP_CHUNK`` paths the
-    first holding time is drawn for the whole chunk; after that only the
-    survivors (paths whose last arrival is before the horizon) are kept,
-    as two compact arrays of their indices and arrival times, and each
-    round draws one more holding time for each of them and records the
-    count of each survivor.  The output bits depend on the generator calls
-    alone: one ``standard_exponential`` fill per round, of the survivors'
-    number and scaled by 1/q (the bits of ``exponential(1/q)``), in chunk
-    order.
+    arrivals before the horizon.  Per chunk of ``_JUMP_CHUNK`` paths, the
+    number of paths with no arrival is drawn as Binomial(chunk, e^{-qt});
+    each other path gets its first arrival from the exponential truncated
+    to [0, horizon) (by inversion of one uniform, kept strictly below the
+    horizon), and then rounds over the survivors' arrival times draw one
+    more holding time each and count the paths that leave.  The output
+    bits depend on the generator calls alone: per chunk one ``binomial``,
+    one ``random`` fill of the movers' number, and one
+    ``standard_exponential`` fill per round, of the survivors' number and
+    scaled by 1/q.  A path with ``cap`` arrivals is refused.
     """
     if not 0 < q < inf:
         raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
@@ -271,30 +301,36 @@ def sample_jump_counts(q, horizon, n_paths, seed):
         raise DomainError("horizon must be >= 0")
     if n_paths < 0:
         raise ConfigError("n_paths must be >= 0")
-    if horizon == 0:
-        return np.zeros(n_paths, dtype=np.int64)
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
+    hist = np.zeros(cap, dtype=np.int64)
+    if horizon == 0:
+        hist[0] = n_paths
+        return hist
     rng = np.random.default_rng(seed)
-    out = np.zeros(n_paths, dtype=np.int64)
     scale = 1.0 / q
+    sit, p_jump = exp(-q * horizon), -expm1(-q * horizon)
+    below = nextafter(horizon, 0.0)
     for lo in range(0, n_paths, _JUMP_CHUNK):
-        counts = out[lo:lo + _JUMP_CHUNK]
-        arrival = rng.standard_exponential(len(counts)) * scale
-        live = np.flatnonzero(arrival < horizon)
-        arrival = arrival[live]
-        # Round k counts the k-th arrival of the survivors and draws their
-        # (k+1)-th; a survivor after round cap - 1 has cap arrivals.
-        for k in range(1, cap):
-            if not live.size:
-                break
-            counts[live] = k
-            arrival += rng.standard_exponential(live.size) * scale
+        size = min(_JUMP_CHUNK, n_paths - lo)
+        sits = int(rng.binomial(size, sit))
+        hist[0] += sits
+        arrival = np.log1p(rng.random(size - sits) * -p_jump)
+        arrival /= -q
+        np.minimum(arrival, below, out=arrival)
+        # Entering round k the survivors have k arrivals; those whose
+        # (k+1)-th falls past the horizon have k jumps.
+        k = 1
+        while arrival.size:
+            if k == cap:
+                raise ConfigError("jump-count cap saturated; horizon too "
+                                  "large")
+            arrival += rng.standard_exponential(arrival.size) * scale
             alive = arrival < horizon
-            live, arrival = live[alive], arrival[alive]
-        if live.size:
-            raise ConfigError("jump-count cap saturated; horizon too large")
-    return out
+            arrival = arrival[alive]
+            hist[k] += alive.size - arrival.size
+            k += 1
+    return hist
 
 
 def chernoff_jump_bound(q_sup, horizon, x):

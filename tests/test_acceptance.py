@@ -167,8 +167,8 @@ def test_criterion_09_dirichlet_kernel():
     outer = Truncation.build(G1, SPEC, POT, _WIDE)
     killed, unkilled = fk._trace_samples(outer, xi, t, 200_000, seed=90,
                                          kill_radius=4)
-    pathwise = all(np.all(kw <= uw + 1e-15)
-                   for kw, uw in zip(killed, unkilled))
+    # The sit-outs are never killed; each walked path is compared.
+    pathwise = bool(np.all(killed.weights <= unkilled.weights + 1e-15))
     est = fk._stratified_estimate(killed)
     exact = Truncation.build(G1, SPEC, POT, 4).traces([_on_ball(xi, 4)],
                                                       [t])[0, 0]

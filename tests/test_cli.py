@@ -307,6 +307,69 @@ def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("text, key", [
+    ("gamma0 = 0\nt_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min"),
+    ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_max"),
+    ("gamma0 = 0\nt_exp_min = -512\nt_exp_max = -508\n", "t_exp_min"),
+    ("t_exp_min = 509\nt_exp_max = 512\n", "t_exp_max"),
+    ("gamma0 = 0.25\nt_exp_min = 508\nt_exp_max = 511\n", "t_exp_max")])
+def test_sweep_refuses_a_grid_whose_sums_leave_the_floats(tmp_path, capsys,
+                                                          text, key):
+    # t = 2^1020 is finite, but its t^2 is not: the radial sums overflowed
+    # with a RuntimeWarning and "(34, 'Numerical result out of range')".  At
+    # t = 2^-1000, t^2 is 0 and so was every frozen sum ("row 0: value 0.0
+    # is not positive").  t^2 overflows from t = 2^512, and t^2 gamma0
+    # leaves the normal floats below 2^-1022 (from t = 2^-512 at gamma0 = 1,
+    # and from t = 2^-511 at gamma0 = 0.25).  The real sums run here, with
+    # warnings as errors: the refusal comes first.
+    path = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"\b{key}\b", captured.err)
+    assert "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("text, noise_free", [
+    ("gamma0 = 0\nt_exp_min = -511\nt_exp_max = -508\n", True),
+    ("t_exp_min = 508\nt_exp_max = 511\n", False),
+    ("gamma0 = 0.25\nt_exp_min = 507\nt_exp_max = 510\n", False)])
+def test_sweep_grid_gate_admits_the_edge_of_the_floats(tmp_path, capsys,
+                                                       monkeypatch, text,
+                                                       noise_free):
+    # One step inside each refusal above, the grid passes the gate: the
+    # sums are reached (and stubbed, since the certified radius of t =
+    # 2^-511 is 3.8e77), or, at gamma0 = 0, gamma0 is refused by name.
+    calls = []
+    monkeypatch.setattr(cli, "frozen_variance_sum",
+                        lambda t, *a, **k: calls.append(t) or t * t)
+    path = _write(tmp_path, text)
+    rc = cli.main(["sweep-variance", "--config", path])
+    captured = capsys.readouterr()
+    if noise_free:
+        assert rc == 1 and calls == []
+        assert re.search(r"\bgamma0\b", captured.err)
+        assert "t_exp" not in captured.err
+    else:
+        assert rc == 0 and len(calls) == 4, captured.err
+
+
+def test_sweep_refuses_noise_free_fields_by_name(tmp_path, capsys,
+                                                 monkeypatch):
+    # At gamma0 = 0 every frozen sum is exactly 0, and the run failed in the
+    # fit with "row 0: value 0.0 is not positive"; refused before any sum.
+    calls = []
+    monkeypatch.setattr(cli, "frozen_variance_sum",
+                        lambda *a, **k: calls.append("frozen"))
+    path = _write(tmp_path, "gamma0 = 0\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert re.search(r"\bgamma0\b", captured.err)
+
+
 def test_sweep_runs_below_the_overflow(tmp_path, capsys):
     # At gamma0 = 1, t = 2^4 gives 2 t^2 gamma0 = 512: the sums stay finite.
     path = _write(tmp_path, "t_exp_min = -4\nt_exp_max = -1\n")
@@ -520,16 +583,16 @@ x_max = 8
 
 
 def _tail_rows_by_scan(q, t, n_paths, x_max, seed):
-    """tail_check's rows as one scan of the counts per x, and the largest
-    count."""
-    counts = sample_jump_counts(q, t, n_paths, seed)
+    """tail_check's rows as one sum of the histogram's tail per x, and the
+    largest count."""
+    hist = sample_jump_counts(q, t, n_paths, seed)
     rows = []
     for x in range(1, x_max + 1):
         if x > q * t:
-            emp = float((counts >= x).mean())
+            emp = float(hist[x:].sum() / n_paths)
             rows.append((x, emp, chernoff_jump_bound(q, t, x),
                          math.sqrt(emp * (1.0 - emp) / n_paths)))
-    return tuple(rows), int(counts.max())
+    return tuple(rows), int(np.flatnonzero(hist)[-1])
 
 
 @pytest.mark.parametrize("q, t, x_max, beyond", [
@@ -543,6 +606,21 @@ def test_tail_check_rows_equal_a_scan_per_x(q, t, x_max, beyond):
     rows, top = _tail_rows_by_scan(q, t, 20000, x_max, 5)
     assert rep.rows == rows and rows
     assert (x_max > top) == beyond
+
+
+def test_tail_check_rows_past_the_jump_count_cap_read_zero(tmp_path,
+                                                          capsys):
+    # q t = 0.5: the sampler's histogram has 41 entries (its cap), and rows
+    # x = 41..60 lie past it.  They read 0, with no IndexError.
+    out = tmp_path / "tail.csv"
+    path = _write(tmp_path, "q = 1\nt = 0.5\nn_paths = 20000\nx_max = 60\n")
+    assert len(sample_jump_counts(1.0, 0.5, 20000, 0)) == 41
+    assert cli.main(["tail-check", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "points=60 pass=True\n"
+    rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 61))
+    assert all(float(r[1]) == 0.0 and float(r[3]) == 0.0 for r in rows[9:])
+    assert float(rows[0][1]) > 0.0
 
 
 def test_tail_check_t_zero_trivial(tmp_path, capsys):
@@ -921,6 +999,35 @@ def test_every_traced_function_exists():
                        iid_gaussian, symmetric_walk)
 
 
+def _bench_trace():
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", _BENCH_CONFIGS.parent / "bench_trace.py")
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    return bench_trace
+
+
+@pytest.mark.parametrize("command, text, span", [
+    ("tail-check", "n_paths = 20000\n", "walker.sample_jump_counts"),
+    ("fk-compare", "radius = 4\nn_paths = 2000\n",
+     "feynman_kac.mc_dirichlet_trace")])
+def test_traced_span_is_called_once_per_run(tmp_path, capsys, command, text,
+                                            span):
+    # perfbench's walker.jump_counts_s and feynman_kac.mc_trace_self_s read
+    # these spans; a run that reached its work some other way would leave
+    # them at 0.
+    bench_trace = _bench_trace()
+    path = _write(tmp_path, text)
+    with bench_trace.Tracer() as tracer:
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "o.csv")]
+                        if command == "tail-check"
+                        else [command, "--config", path]) == 0
+    capsys.readouterr()
+    assert tracer.calls[span] == 1
+    assert tracer.total[span] > 0.0
+
+
 def test_cli_spectral_check(tmp_path, capsys):
     cfg = _write(tmp_path, "radius = 6\ntrials = 5\n")
     assert cli.main(["spectral-check", "--config", cfg, "--seed", "3"]) == 0
@@ -1054,6 +1161,16 @@ def test_cli_fk_compare_refuses_without_evidence(tmp_path, capsys, text):
     assert "pass=False" in capsys.readouterr().out
 
 
+def test_cli_fk_compare_fails_without_evidence_at_one_path_per_start(
+        tmp_path, capsys):
+    # 21 starts and 21 paths: one path per stratum, whether it sits out or
+    # is walked, so no stratum has a variance.  The SE and z are NaN.
+    cfg = _write(tmp_path, "radius = 10\nn_paths = 21\n")
+    assert cli.main(["fk-compare", "--config", cfg, "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    assert " se=nan " in out and out.endswith(" z=nan pass=False\n")
+
+
 def test_cli_fk_compare_builds_one_ball(tmp_path, capsys, monkeypatch):
     # The field, the Monte Carlo walks and the exact trace share one
     # truncation, so the radius-n ball is built once.
@@ -1073,7 +1190,7 @@ def test_cli_fk_compare_benchmark_summary_is_pinned(capsys):
             "--seed", "41"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == \
-        "mc=3.140079 se=0.007583 exact=3.137941 z=0.282 pass=True\n"
+        "mc=3.140315 se=0.007583 exact=3.137941 z=0.313 pass=True\n"
 
 
 def test_cli_tail_check_benchmark_csv_is_pinned(tmp_path, capsys):
@@ -1085,14 +1202,14 @@ def test_cli_tail_check_benchmark_csv_is_pinned(tmp_path, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "points=10 pass=True\n"
     assert out.read_text() == """\
-# config_hash=9f5e58a77802c3f7
+# config_hash=9292dfcbefb5521b
 x,empirical,bound,se
-1,0.393002,0.8243606353500641,0.0004884172683228962
-2,0.090381,0.2801055668961291,0.00028672682964626803
-3,0.014412,0.05640043500325683,0.0001191817698140114
-4,0.001791,0.008084827138352622,4.22822932088599e-05
-5,0.000171,0.0009001713130052196,1.3075578725241955e-05
-6,1.7e-05,8.194683302530091e-05,4.123070579070895e-06
+1,0.392562,0.8243606353500641,0.0004883206693925621
+2,0.090277,0.2801055668961291,0.0002865781974801991
+3,0.014306,0.05640043500325683,0.00011874905626572363
+4,0.001709,0.008084827138352622,4.130471303616574e-05
+5,0.000164,0.0009001713130052196,1.2805198319432621e-05
+6,1.9e-05,8.194683302530091e-05,4.358857533804013e-06
 7,0.0,6.309833254801593e-06,0.0
 8,0.0,4.20967679111302e-07,0.0
 9,0.0,2.4777104370464048e-08,0.0
@@ -1117,7 +1234,7 @@ def test_cli_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("exact_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.671104 ci95=0.270601 r2=0.997175 pass=True\n"
     assert csv == """\
-# config_hash=9cade611caf78fab
+# config_hash=9d18b28913835bf6
 t,frozen,ens_var,ens_se,lower,radius
 0.5,0.646473439268386,0.22810831219918976,0.010878841001045069,0.2378242875702342,6
 0.25,0.17209004382093246,0.09527754313665089,0.0035878936669408255,0.10437788780868616,6
@@ -1132,7 +1249,7 @@ def test_cli_rigidity_demo_benchmark_csv_is_pinned(tmp_path, capsys):
     assert summary == \
         "cut=0.318411 mae=['0.3740', '0.2125', '0.0790', '0.0085'] pass=True\n"
     assert csv == """\
-# config_hash=d145c57ba7e4f7bf
+# config_hash=da4e172b17c98566
 # expectation column is the plug-in ensemble mean of the exponential linear statistic
 t,mean_statistic,mae
 1.0,1.2951432171364043,0.374
@@ -1148,7 +1265,7 @@ def test_cli_power_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     summary, csv = _benchmark_run("power_sweep_variance", tmp_path, capsys)
     assert summary == "slope=1.217150 ci95=0.005697 r2=0.999956 pass=True\n"
     assert csv == """\
-# config_hash=e8b956bf62327927
+# config_hash=577e45937bba551e
 t,frozen,ens_var,ens_se,lower,radius
 0.015625,0.02196259536513585,,,0.021286877343245785,84
 0.0078125,0.009670740815058152,,,0.00952080987562753,101

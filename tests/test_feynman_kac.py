@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from fksim.lattice import GraphModel
 from fksim.noise import (constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
 from fksim.operators import PotentialSpec, Truncation, expm_neg
-from fksim.walker import symmetric_walk
+from fksim.walker import MarkovSpec, sample_walks, symmetric_walk
 from fksim import feynman_kac as fk, noise
 
 G1 = GraphModel.zd_l1(1)
@@ -40,8 +41,11 @@ def test_killed_below_unkilled_pathwise():
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=8)
     killed, unkilled = fk._trace_samples(_trunc(60), xi, 0.8, 5000, seed=9,
                                          kill_radius=3)
-    for kw, uw in zip(killed, unkilled):
-        assert np.all(kw <= uw + 1e-15)
+    # The two share their paths: the same sit-outs and the same walkers.
+    assert np.array_equal(killed.sits, unkilled.sits)
+    assert np.array_equal(killed.sit_weight, unkilled.sit_weight)
+    assert np.array_equal(killed.owner, unkilled.owner)
+    assert np.all(killed.weights <= unkilled.weights + 1e-15)
 
 
 def test_killing_immaterial_for_huge_radius():
@@ -430,6 +434,131 @@ def test_stratified_se_undefined_with_one_path_per_stratum():
     xi = sample_field(iid_gaussian(1.0), G1, verts, seed=4)
     est = fk.mc_dirichlet_trace(_trunc(10), xi, 0.25, 5, seed=5)
     assert math.isnan(est.stderr)
+
+
+# -- the sit-outs drawn in bulk against the plain per-walker estimator -------
+
+
+def _plain_killed_trace(trunc, field, t, n_paths, seed):
+    """The killed trace with every path walked from its start: one row of
+    ``per`` path weights per start, its mean summed and its SE taken from
+    the rows' sample variances (the estimator before the sit-outs were
+    drawn in bulk)."""
+    m = len(trunc.vertices)
+    per = max(1, math.ceil(n_paths / m))
+    ids = np.repeat(np.arange(m), per)
+    walks = sample_walks(trunc, ids, t, np.random.default_rng(seed),
+                         cost=trunc.potential + field)
+    w = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
+    w = w.reshape(m, per)
+    return (float(w.mean(axis=1).sum()),
+            math.sqrt(float((w.var(axis=1, ddof=1) / per).sum())))
+
+
+def _site_rate_spec(graph):
+    """Rates 0.5 + 0.25 v and a kernel tilted toward larger targets."""
+    def kernel(v):
+        targets = graph.neighbors(v)
+        w = np.array([u + 1.0 for u in targets])
+        return targets, list(np.cumsum(w / w.sum()))
+    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
+                      kernel=kernel)
+
+
+# 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4
+G_EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                     (4, 5), (1, 4)])
+_LAW_CASES = {
+    "z1-short": (G1, SPEC, 6, 0.25),
+    "z1-long": (G1, SPEC, 4, 1.0),
+    "z2": (GraphModel.zd_l1(2), symmetric_walk(GraphModel.zd_l1(2), 1.0), 3,
+           0.5),
+    "explicit-site-rates": (G_EXPLICIT, _site_rate_spec(G_EXPLICIT), 3, 0.8),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAW_CASES))
+def test_bulk_sit_outs_keep_the_law_of_the_killed_trace(case):
+    # 40 runs of 20 000 paths per route: seeds 1000..1039 for
+    # mc_dirichlet_trace (sit-outs drawn in bulk) and 2000..2039 for the
+    # plain estimator, on one field (seed 3).  In SE units of the mean of 40
+    # runs, within 4: the bulk mean from the exact trace, the bulk mean from
+    # the plain mean, and the two routes' mean SEs (the SE of a mean SE from
+    # the runs' spread).  The bulk runs' sum of z^2 lies between the 1e-4
+    # and 1 - 1e-4 quantiles of chi^2(40), so their SEs are honest.
+    from scipy import stats
+    graph, spec, radius, t = _LAW_CASES[case]
+    trunc = Truncation.build(graph, spec, POT, radius)
+    xi = sample_field(iid_gaussian(1.0), graph, trunc.vertices, seed=3)
+    exact = trunc.traces([xi], [t])[0, 0]
+    runs = 40
+    bulk = np.array([[e.mean, e.stderr] for e in (
+        fk.mc_dirichlet_trace(trunc, xi, t, 20_000, 1000 + s)
+        for s in range(runs))])
+    plain = np.array([_plain_killed_trace(trunc, xi, t, 20_000, 2000 + s)
+                      for s in range(runs)])
+    se_bulk = math.sqrt((bulk[:, 1] ** 2).mean() / runs)
+    se_plain = math.sqrt((plain[:, 1] ** 2).mean() / runs)
+    assert abs(bulk[:, 0].mean() - exact) <= 4 * se_bulk
+    assert abs(bulk[:, 0].mean() - plain[:, 0].mean()) \
+        <= 4 * math.hypot(se_bulk, se_plain)
+    se_of_se = math.sqrt((bulk[:, 1].var(ddof=1)
+                          + plain[:, 1].var(ddof=1)) / runs)
+    assert abs(bulk[:, 1].mean() - plain[:, 1].mean()) <= 4 * se_of_se
+    chi2 = float((((bulk[:, 0] - exact) / bulk[:, 1]) ** 2).sum())
+    assert stats.chi2.ppf(1e-4, runs) < chi2 < stats.chi2.ppf(1 - 1e-4, runs)
+
+
+def _stopped_at_five():
+    """G_EXPLICIT's walk with rate 0 at vertex 5, which has a neighbour."""
+    base = _site_rate_spec(G_EXPLICIT)
+    spec = MarkovSpec(rate=lambda v: 0.0 if v == 5 else base.rate(v),
+                      sup_rate=2.0, kernel=base.kernel)
+    return G_EXPLICIT, spec
+
+
+def _isolated_root():
+    g = GraphModel.explicit(1, [])
+    return g, symmetric_walk(g, 1.0)
+
+
+@pytest.mark.parametrize("build", [_isolated_root, _stopped_at_five])
+def test_rate_zero_starts_sit_out_without_a_conditioned_draw(build):
+    # A start of rate 0 sits out with probability 1, so every one of its
+    # paths is a sit-out (e^{-t c} each) and none reaches the conditioned
+    # draw, which would divide by the rate: no warning is raised.  On the
+    # isolated root every weight is e^{-t c(0)}, so the SE is 0; with
+    # moving starts beside it, the estimate meets the exact trace.
+    graph, spec = build()
+    trunc = Truncation.build(graph, spec, POT, 3)
+    xi = np.linspace(-0.5, 0.5, len(trunc.vertices))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        killed, _ = fk._trace_samples(trunc, xi, 1.3, 6000, seed=12)
+        est = fk.mc_dirichlet_trace(trunc, xi, 1.3, 6000, seed=12)
+    zero = np.flatnonzero(trunc.rate == 0.0)
+    assert zero.size == 1
+    assert killed.sits[zero[0]] == killed.per
+    assert not np.any(killed.owner == zero[0])
+    exact = trunc.traces([xi], [1.3])[0, 0]
+    if len(trunc.vertices) == 1:
+        assert est.mean == math.exp(-1.3 * (trunc.potential[0] + xi[0]))
+        assert est.stderr == 0.0
+    else:
+        assert abs(est.mean - exact) <= 4 * est.stderr
+
+
+def test_sit_outs_follow_the_binomial_law_per_start():
+    # 200 runs on G_EXPLICIT (rates 0.5 to 1.75) at t = 0.8: each start's
+    # total of sit-outs over the runs is Binomial(200 per, e^{-q(x) t}),
+    # within 5 SE.
+    trunc = Truncation.build(G_EXPLICIT, _site_rate_spec(G_EXPLICIT), POT, 3)
+    xi = np.zeros(len(trunc.vertices))
+    total = sum(fk._trace_samples(trunc, xi, 0.8, 600, seed=s)[0].sits
+                for s in range(300, 500))
+    n = 200 * 100
+    p = np.exp(-trunc.rate * 0.8)
+    assert np.all(np.abs(total - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
 
 
 def test_paired_walker_power_decay_agrees_with_ensemble():

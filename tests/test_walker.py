@@ -72,10 +72,13 @@ def test_zero_rate_walker_sits():
 
 
 def test_jump_counts_mean_is_poisson_like():
-    counts = sample_jump_counts(1.0, 2.0, 100000, seed=1)
+    hist = sample_jump_counts(1.0, 2.0, 100000, seed=1)
+    assert hist.sum() == 100000
+    k = np.arange(len(hist))
+    mean = (k * hist).sum() / 100000
     # jump count of the constant-rate walk is Poisson(q t)
-    assert abs(counts.mean() - 2.0) < 0.02
-    assert abs(counts.var() - 2.0) < 0.05
+    assert abs(mean - 2.0) < 0.02
+    assert abs((k * k * hist).sum() / 100000 - mean ** 2 - 2.0) < 0.05
 
 
 def test_chernoff_bound_dominates_poisson_tail():
@@ -108,13 +111,16 @@ def test_jump_counts_refuse_a_negative_path_count(horizon):
 
 
 def _reference_walks(graph, spec, start, horizon, kill_radius, cost_of, n,
-                     seed):
-    """Endpoints, exit flags and cost integrals of n sample_path walks."""
+                     seed, jumped=False):
+    """Endpoints, exit flags and cost integrals of n sample_path walks; with
+    ``jumped``, of the first n that jump before the horizon (rejection)."""
     rng = np.random.default_rng(seed)
     ends, exits, costs = [], [], []
-    for _ in range(n):
+    while len(ends) < n:
         p = sample_path(graph, spec, start, horizon, rng=rng,
                         kill_radius=kill_radius)
+        if jumped and not p.jumps:
+            continue
         ends.append(p.endpoint)
         exits.append(p.exit_time is not None)
         costs.append(sum(lt * cost_of(x) for x, lt in p.local_time.items()))
@@ -127,15 +133,16 @@ def _two_sample_z(p1, n1, p2, n2):
 
 
 def _assert_matches_reference(graph, spec, radius, start, horizon,
-                              kill_radius, cost_of, seed):
+                              kill_radius, cost_of, seed, first_jump=False):
     n = 20000
     trunc = Truncation.build(graph, spec, PotentialSpec(), radius)
     cost = np.array([cost_of(v) for v in trunc.vertices])
     walks = sample_walks(trunc, np.full(n, trunc.vertices.index(start)),
                          horizon, np.random.default_rng(seed), cost=cost,
-                         kill_radius=kill_radius)
+                         kill_radius=kill_radius, first_jump=first_jump)
     ends, exits, costs = _reference_walks(graph, spec, start, horizon,
-                                          kill_radius, cost_of, n, seed + 1)
+                                          kill_radius, cost_of, n, seed + 1,
+                                          jumped=first_jump)
     # Every endpoint probability, the exit frequency and the mean integral
     # agree within 5 two-sample SE (20000 paths per side).
     got = [trunc.vertices[i] for i in walks.endpoint]
@@ -279,35 +286,84 @@ def test_jump_count_tail_matches_poisson(monkeypatch):
     # Rounds of 30000 paths, so the 200000 paths span several rounds.
     monkeypatch.setattr(walker, "_JUMP_CHUNK", 30000)
     n = 200000
-    counts = sample_jump_counts(1.0, 0.5, n, seed=36)
+    hist = sample_jump_counts(1.0, 0.5, n, seed=36)
     for x in range(1, 6):
         p = stats.poisson.sf(x - 1, 0.5)
-        assert abs((counts >= x).mean() - p) < 5 * math.sqrt(p * (1 - p) / n)
+        assert abs(hist[x:].sum() / n - p) < 5 * math.sqrt(p * (1 - p) / n)
 
 
-# -- jump counts: survivor arrays against the whole-chunk loop --------------
+def _binomial_p(k, n, p):
+    """Two-sided exact binomial tail of k successes in n trials: twice the
+    smaller of P[K <= k] and P[K >= k], at most 1."""
+    from scipy import stats
+    return min(1.0, 2.0 * min(stats.binom.cdf(k, n, p),
+                              stats.binom.sf(k - 1, n, p)))
 
 
-def _jump_counts_by_chunk_rounds(q, horizon, n_paths, seed):
-    """sample_jump_counts as a loop that re-indexes the chunk's full
-    elapsed-time array every round; the survivor-array sampler must make the
-    same generator calls, in the same order and sizes."""
+# Two-sided normal tail at 5 SE (5.7e-7): the width of each exact test.
+_TAIL_ALPHA = math.erfc(5.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("q, horizon, seed", [
+    (1.0, 0.5, 50), (0.3, 2.0, 51), (2.7, 1.5, 52), (4.0, 0.05, 53)])
+def test_jump_count_histogram_matches_poisson_exactly(monkeypatch, q,
+                                                      horizon, seed):
+    # 300 000 paths in chunks of 70 000 (four full chunks and a short one).
+    # Each count hist[k] is Binomial(n, P[N = k]) and each tail sum
+    # Binomial(n, P[N >= k]) for N ~ Poisson(q t); every k with a
+    # probability above 1e-9 is tested with its exact binomial tails.
+    from scipy import stats
+    monkeypatch.setattr(walker, "_JUMP_CHUNK", 70_000)
+    n = 300_000
+    hist = sample_jump_counts(q, horizon, n, seed)
+    assert hist.sum() == n
+    lam = q * horizon
+    tested = 0
+    for k in range(len(hist)):
+        p_at, p_tail = stats.poisson.pmf(k, lam), stats.poisson.sf(k - 1, lam)
+        if p_tail < 1e-9:
+            assert hist[k:].sum() == 0
+            break
+        assert _binomial_p(hist[k], n, p_at) > _TAIL_ALPHA, k
+        assert _binomial_p(hist[k:].sum(), n, p_tail) > _TAIL_ALPHA, k
+        tested += 1
+    assert tested >= 4
+
+
+# -- jump counts: the histogram against a per-path loop ----------------------
+
+
+def _jump_hist_by_chunk_rounds(q, horizon, n_paths, seed):
+    """sample_jump_counts as a loop over per-path counts that re-indexes the
+    chunk's full arrival-time array every round and takes their bincount at
+    the end.  It must make the same generator calls as the histogram
+    sampler, in the same order and sizes: per chunk one binomial (the paths
+    without a jump), one uniform fill of the others (their first arrivals,
+    from the exponential truncated to the horizon), then one
+    standard_exponential fill per round of the survivors."""
     cap = math.ceil(q * horizon) + max(40, int(10 * math.ceil(q * horizon)))
+    counts = np.zeros(n_paths, dtype=np.int64)
+    if horizon == 0:
+        return np.bincount(counts, minlength=cap)
     rng = np.random.default_rng(seed)
-    out = np.zeros(n_paths, dtype=np.int64)
     for lo in range(0, n_paths, walker._JUMP_CHUNK):
-        counts = out[lo:lo + walker._JUMP_CHUNK]
-        elapsed = np.zeros(len(counts))
-        live = np.arange(len(counts))
-        for _ in range(cap):
-            elapsed[live] += rng.exponential(1.0 / q, size=live.size)
-            live = live[elapsed[live] < horizon]
+        chunk = counts[lo:lo + walker._JUMP_CHUNK]
+        sits = rng.binomial(len(chunk), math.exp(-q * horizon))
+        movers = chunk[sits:]   # a path's place in its chunk is immaterial
+        u = rng.random(len(movers))
+        elapsed = np.minimum(np.log1p(u * math.expm1(-q * horizon)) / -q,
+                             math.nextafter(horizon, 0.0))
+        movers[:] = 1
+        live = np.arange(len(movers))
+        for _ in range(cap - 1):
             if not live.size:
                 break
-            counts[live] += 1
+            elapsed[live] += rng.standard_exponential(live.size) * (1.0 / q)
+            live = live[elapsed[live] < horizon]
+            movers[live] += 1
         if live.size:
             raise ConfigError("jump-count cap saturated")
-    return out
+    return np.bincount(counts, minlength=cap)
 
 
 @pytest.mark.parametrize("q, horizon, n, seed", [
@@ -315,8 +371,10 @@ def _jump_counts_by_chunk_rounds(q, horizon, n_paths, seed):
     (2.7, 1.5, 50_000, 44),     # q t >= 1
     (1.0, 0.0, 10, 45)])
 def test_jump_counts_equal_the_chunk_loop(q, horizon, n, seed):
-    assert np.array_equal(sample_jump_counts(q, horizon, n, seed),
-                          _jump_counts_by_chunk_rounds(q, horizon, n, seed))
+    hist = sample_jump_counts(q, horizon, n, seed)
+    assert hist.dtype == np.int64 and hist.sum() == n
+    assert np.array_equal(hist,
+                          _jump_hist_by_chunk_rounds(q, horizon, n, seed))
 
 
 @pytest.mark.parametrize("q", [0.3, 1.0, 2.7])
@@ -324,20 +382,26 @@ def test_jump_counts_equal_the_chunk_loop_over_small_chunks(monkeypatch, q):
     # 25 001 paths in rounds of 7000: three full chunks and a short one.
     monkeypatch.setattr(walker, "_JUMP_CHUNK", 7000)
     assert np.array_equal(sample_jump_counts(q, 0.8, 25_001, 46),
-                          _jump_counts_by_chunk_rounds(q, 0.8, 25_001, 46))
+                          _jump_hist_by_chunk_rounds(q, 0.8, 25_001, 46))
 
 
 class _EvenHolds:
-    """A generator stand-in whose every holding time is ``hold``."""
+    """A generator stand-in at q = 1 whose every holding time is ``hold``:
+    no path sits out, and the uniform it gives inverts the first arrival,
+    the exponential truncated to ``horizon``, to ``hold`` as well."""
 
-    def __init__(self, hold):
+    def __init__(self, hold, horizon):
         self.hold = hold
+        self.u = math.expm1(-hold) / math.expm1(-horizon)
 
-    def exponential(self, scale, size):
-        return np.full(size, self.hold)
+    def binomial(self, n, p):
+        return 0
+
+    def random(self, size):
+        return np.full(size, self.u)
 
     def standard_exponential(self, size):
-        return np.full(size, self.hold)   # at q = 1, the same holds
+        return np.full(size, self.hold)
 
 
 @pytest.mark.parametrize("arrivals", [40, 41])
@@ -345,16 +409,105 @@ def test_jump_count_cap_refuses_exactly_at_cap_arrivals(monkeypatch,
                                                         arrivals):
     # q = 1, t = 0.5: the cap is 41 arrivals.  Every path has `arrivals`
     # arrivals before the horizon, so the sampler refuses at 41 and
-    # returns 40 everywhere at 40, as the chunk loop does.
+    # counts 40 everywhere at 40, as the per-path loop does.
     hold = 0.5 / (arrivals + 0.5)
     monkeypatch.setattr(walker.np.random, "default_rng",
-                        lambda seed: _EvenHolds(hold))
+                        lambda seed: _EvenHolds(hold, 0.5))
     if arrivals == 41:
-        for sampler in (sample_jump_counts, _jump_counts_by_chunk_rounds):
+        for sampler in (sample_jump_counts, _jump_hist_by_chunk_rounds):
             with pytest.raises(ConfigError):
                 sampler(1.0, 0.5, 1000, 0)
     else:
-        counts = sample_jump_counts(1.0, 0.5, 1000, 0)
-        assert np.array_equal(counts, np.full(1000, 40))
-        assert np.array_equal(counts,
-                              _jump_counts_by_chunk_rounds(1.0, 0.5, 1000, 0))
+        hist = sample_jump_counts(1.0, 0.5, 1000, 0)
+        assert len(hist) == 41 and hist[40] == 1000 and hist.sum() == 1000
+        assert np.array_equal(hist,
+                              _jump_hist_by_chunk_rounds(1.0, 0.5, 1000, 0))
+
+
+# -- the first holding time conditioned on a jump ----------------------------
+
+
+_LAST_U = 1.0 - 2.0 ** -53   # the largest uniform below 1
+
+
+class _LastUniform:
+    """A generator stand-in: no path sits out, every uniform is 1 - 2^-53,
+    and the holding times after the first are ``later``."""
+
+    def __init__(self, later):
+        self.later = later
+
+    def binomial(self, n, p):
+        return 0
+
+    def random(self, size):
+        return np.full(size, _LAST_U)
+
+    def standard_exponential(self, size):
+        return np.full(size, self.later)
+
+
+# At q t = 3e-12 the unclamped inversion rounds to the horizon itself.
+_EDGE_RATES = [(1.0, 1e-12), (1.0, 40.0), (3.0, 1e-12)]
+
+
+@pytest.mark.parametrize("q, horizon", _EDGE_RATES)
+def test_conditioned_first_hold_stays_below_the_horizon(q, horizon):
+    # The first hold at the largest uniform is below the horizon, and the
+    # walker jumps; its later holds outlast the horizon, so it sits there.
+    trunc = Truncation.build(G1, symmetric_walk(G1, q), PotentialSpec(), 2)
+    root = trunc.vertices.index((0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        walks = sample_walks(trunc, [root], horizon, _LastUniform(1e300),
+                             first_jump=True)
+    first = walks.local[0, root]
+    end = walks.endpoint[0]
+    assert 0.0 < first < horizon
+    assert end != root and walks.local[0, end] == horizon - first > 0.0
+
+
+@pytest.mark.parametrize("q, horizon", _EDGE_RATES)
+def test_conditioned_first_arrival_stays_below_the_horizon(monkeypatch, q,
+                                                           horizon):
+    # A second arrival 0.0 after the first is still before the horizon
+    # only if the first is, so every path then has exactly two jumps.
+    calls = []
+
+    def later(size):
+        calls.append(size)
+        return np.full(size, 0.0 if len(calls) == 1 else 1e300)
+
+    fake = _LastUniform(0.0)
+    fake.standard_exponential = later
+    monkeypatch.setattr(walker.np.random, "default_rng", lambda seed: fake)
+    hist = sample_jump_counts(q, horizon, 1000, 0)
+    assert hist[2] == 1000 and hist.sum() == 1000
+
+
+def test_conditioned_walks_refuse_a_start_that_cannot_jump():
+    trunc, v = _stopped_at_five()
+    i = trunc.vertices.index(v)
+    with pytest.raises(DomainError, match="positive rate"):
+        sample_walks(trunc, [0, i], 1.0, np.random.default_rng(0),
+                     first_jump=True)
+    with pytest.raises(DomainError, match="positive horizon"):
+        sample_walks(trunc, [0], 0.0, np.random.default_rng(0),
+                     first_jump=True)
+    # With no start there is nothing to condition.
+    walks = sample_walks(trunc, [], 1.0, np.random.default_rng(0),
+                         cost=np.zeros(6), first_jump=True)
+    assert walks.endpoint.size == 0 and walks.integral.size == 0
+
+
+def test_conditioned_walks_match_sample_path_given_a_jump_on_z1():
+    # Against the sample_path walks that jump; most walks sit at t = 0.3.
+    _assert_matches_reference(G1, SPEC, 15, (1,), 0.3, 1,
+                              lambda v: float(v[0] ** 2), seed=60,
+                              first_jump=True)
+
+
+def test_conditioned_walks_match_sample_path_given_a_jump_on_explicit_graph():
+    _assert_matches_reference(G_EXPLICIT, _explicit_spec(G_EXPLICIT), 3, 0,
+                              0.8, 1, lambda v: 0.3 * v - 0.5, seed=61,
+                              first_jump=True)
