@@ -248,8 +248,14 @@ def sweep_variance(cfg):
     if g0 == 0.0:
         raise ConfigError("gamma0 = 0 makes every frozen sum 0, so there is "
                           "no exponent to fit")
-    # The frozen-sum column always uses its certified radius.
-    frozen = [frozen_variance_sum(t, graph, pot, model) for t in ts]
+    # The frozen-sum column always uses its certified radius.  Its terms
+    # carry e^{-tV}, V(0) = -mu: only a large mu takes a sum past the floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        frozen = [frozen_variance_sum(t, graph, pot, model) for t in ts]
+    for t, f in zip(ts, frozen):
+        if not isfinite(f):
+            raise ConfigError(f"mu = {pot.mu!r} takes the frozen sum at "
+                              f"t = {t!r} past the largest float")
     radii, ens = certified, [(None, None)] * len(ts)
     if m_draws:
         # One ball and one draw of members serve every t: the radius key,
@@ -427,10 +433,10 @@ def spectral_check(cfg):
     trunc = Truncation.build(graph, spec, pot, cfg["radius"])
     fields = sample_fields(model, graph, trunc.vertices, n_trials,
                            cfg["seed"])
-    residuals, work = [], {}
+    residuals = []
     for mats, block_eigs in trunc.blocks(fields):
         for mat, eigs in zip(mats, block_eigs):
-            traces = _expm_traces(mat, t_grid, work=work)
+            traces = _expm_traces(mat, t_grid)
             with np.errstate(invalid="ignore", divide="ignore"):
                 residuals += [abs(tr - np.exp(-t * eigs).sum()) / abs(tr)
                               for t, tr in zip(t_grid, traces)]

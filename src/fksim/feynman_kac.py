@@ -277,9 +277,12 @@ def _radial_weight_sum(graph, pot, c, r):
     if r > n_exact:
         from scipy.special import gammaincc
         k, b = 1.0 / pot.alpha, c * pot.kappa ** pot.alpha
-        total += 2.0 * exp(c * pot.mu) * _gamma_fn(k) * b ** -k / pot.alpha \
-            * (gammaincc(k, b * (n_exact + 1) ** pot.alpha)
-               - gammaincc(k, b * (r + 1) ** pot.alpha))
+        # b (n + 1)^alpha may pass the largest float; gammaincc(k, inf) = 0.
+        # e^{c mu} overflows where the central term already has.
+        with np.errstate(over="ignore"):
+            lo, hi = (b * np.float64(n + 1) ** pot.alpha for n in (n_exact, r))
+        total += 2.0 * np.exp(c * pot.mu) * _gamma_fn(k) * b ** -k \
+            / pot.alpha * (gammaincc(k, lo) - gammaincc(k, hi))
     return total
 
 
@@ -342,7 +345,7 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
     return float((kern * acf[np.ix_(*[lags] * d)]).sum())
 
 
-def frozen_variance_sum(t, graph, pot, model, r=None):
+def frozen_variance_sum(t, graph, pot, model):
     """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}].
 
     On the lattices independent and constant covariances collapse to radial
@@ -350,16 +353,10 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
     ``_EXACT_TERM_CAP`` terms) and power decay is a convolution
     (``_power_decay_pair_sum``); explicit graphs, with neither, take the
     pairwise sum over the ball for every kind, with ``pot.radial`` of the
-    root distances.
+    root distances.  The box is the certified one, of radius ``radius_for(t,
+    pot.alpha, pot.kappa)``.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    required = radius_for(t, pot.alpha, pot.kappa)
-    if r is None:
-        r = required
-    elif r < required:
-        raise DomainError(f"box radius {r} below certified radius {required} "
-                          f"for t={t}")
+    r = radius_for(t, pot.alpha, pot.kappa)
     t2 = t * t
     g0 = model.gamma0
     if graph.kind not in (ZD_L1, ZD_LINF):
@@ -380,7 +377,7 @@ def frozen_variance_sum(t, graph, pot, model, r=None):
     return factor * radial * radial
 
 
-def lower_bound_sum(t, delta, model, graph, r=None):
+def lower_bound_sum(t, delta, model, graph):
     """Certified lower bound e^{-2t} * frozen sum for the preset
     V(v) = d(0, v)^delta and unit jump rate: each walker of a pair stays at
     its start with probability e^{-t}, and as every admissible covariance is
@@ -389,7 +386,7 @@ def lower_bound_sum(t, delta, model, graph, r=None):
     if delta <= 0:
         raise DomainError("delta must be positive")
     return exp(-2.0 * t) * frozen_variance_sum(
-        t, graph, PotentialSpec(alpha=delta), model, r)
+        t, graph, PotentialSpec(alpha=delta), model)
 
 
 def riemann_tail_sum(t, kappa, alpha, graph):

@@ -2,7 +2,7 @@
 
 The truncated operator lives on the radius-n ball around the root; a walk
 is killed when it leaves the ball.  ``Truncation`` describes that ball once
-as arrays (vertices, neighbour table, cumulative jump rows, rates,
+as arrays (vertices, neighbour table, cumulative jump table, rates,
 distances, the potential vector and the off-diagonal entries), which the
 dense assembly, the batched eigenvalues, the exact traces and the Monte
 Carlo walks share.  At build it decides the eigen route: a truncation
@@ -11,11 +11,11 @@ LAPACK's symmetric solver, any other the general one, and
 ``Truncation.traces`` takes the exact traces Tr e^{-tM} over a t grid the
 same way.  Matrix exponentials are a degree-16 Taylor polynomial, evaluated
 with six matrix products (Paterson-Stockmeyer), with scaling and squaring
-and a diagonal shift folded into the scale; no linear solve.  On a large
-exactly symmetric real matrix, the squares among those products are R R^T
-(BLAS syrk, half the flops), and a caller with many exponentials passes one
-workspace that every call reuses.  Traces over a t grid square e^{-tM}
-where the grid doubles t instead of exponentiating again.
+and a diagonal shift folded into the scale; no linear solve, real
+matrices alone.  On a large exactly symmetric matrix, the squares among
+those products are R R^T (BLAS syrk, half the flops).  Traces over a t
+grid square e^{-tM} where the grid doubles t instead of exponentiating
+again.
 """
 
 from __future__ import annotations
@@ -68,21 +68,21 @@ class Truncation:
     """The radius-n ball, as arrays in ``graph.ball`` order.
 
     Row i describes ``vertices[i]``: ``nbr[i, k]`` is the row of its k-th
-    kernel target (-1 for a target outside the ball, and as padding beyond
-    its ``deg[i]`` targets), ``cum[i, k]`` the cumulative probability of
-    targets 0..k, ``rate[i]`` its jump rate, ``dist[i]`` its graph distance
-    to the root and ``potential[i]`` V there.  ``offdiag`` is the (rows,
-    cols, values) of -H_X off the diagonal, and ``symmetric`` says whether
-    those entries are symmetric up to roundoff, which selects the eigen
-    route.  Built once per (graph, walk, potential, radius), it serves the
-    walker and any number of fields; a field is a float array with one value
-    per vertex, in ``vertices`` order.
+    kernel target (-1 for a target outside the ball, and as padding),
+    ``cum[k, i]`` the cumulative probability of targets 0..k, +inf at the
+    last and as padding (the walker counts a column's entries <= u),
+    ``rate[i]`` its jump rate, ``dist[i]`` its graph distance to the root
+    and ``potential[i]`` V there.  ``offdiag`` is the (rows, cols, values)
+    of -H_X off the diagonal, and ``symmetric`` says whether those entries
+    are symmetric up to roundoff, which selects the eigen route.  Built
+    once per (graph, walk, potential, radius), it serves the walker and any
+    number of fields; a field is a float array with one value per vertex,
+    in ``vertices`` order.
     """
 
     vertices: tuple
     nbr: np.ndarray
     cum: np.ndarray
-    deg: np.ndarray
     rate: np.ndarray
     dist: np.ndarray
     potential: np.ndarray
@@ -164,8 +164,12 @@ class Truncation:
         tol = _SYMMETRY_RTOL * np.abs(vals).max(initial=0.0)
         symmetric = bool(np.array_equal(flat[a], mirror[b])
                          and np.all(np.abs(vals[a] - vals[b]) <= tol))
-        return cls(vertices=vertices, nbr=nbr, cum=cum, deg=deg, rate=rate,
-                   dist=dist, potential=potential, radius=n,
+        # Any u past the other ends takes the last target (a row without
+        # targets, read at column -1, is +inf throughout already).
+        cum[np.arange(m), deg - 1] = inf
+        return cls(vertices=vertices, nbr=nbr,
+                   cum=np.ascontiguousarray(cum.T), rate=rate, dist=dist,
+                   potential=potential, radius=n,
                    offdiag=(rows, cols, vals), symmetric=symmetric)
 
     def matrices(self, fields):
@@ -218,10 +222,8 @@ class Truncation:
             for j, t in enumerate(ts):
                 out[:, j] = np.exp(-t * eigs).sum(axis=1)
         else:
-            work = {}
             for i, f in enumerate(fields):
-                out[i] = _expm_traces(self.matrices(f[None])[0], ts,
-                                      work=work)
+                out[i] = _expm_traces(self.matrices(f[None])[0], ts)
         return out
 
 
@@ -242,37 +244,30 @@ _THETA_16 = 0.8246
 _TAYLOR_BLOCKS = np.array([[1.0 / factorial(4 * j + i) for i in range(4)]
                            for j in range(4)])
 _TAYLOR_16 = 1.0 / factorial(16)
-# From this dimension on, an exactly symmetric real X is squared as X @ X.T,
+# From this dimension on, an exactly symmetric X is squared as X @ X.T,
 # which numpy hands to BLAS syrk (half of gemm's flops).  With one OpenBLAS
 # thread syrk took 1.19 times gemm's time at n = 100, where OpenBLAS's
 # small-matrix gemm (n^3 <= 10^6) still runs, and 0.74 at n = 101.
 _SYRK_MIN_DIM = 101
 
 
-def _expm_buffers(n, dtype):
-    """One exponential's working arrays, (9, n, n): X, X^2, X^3, X^4, the
-    four Paterson-Stockmeyer blocks and one product buffer."""
-    return np.empty((9, n, n), dtype=dtype)
-
-
-def expm_neg(mat, t=1.0, *, work=None):
+def expm_neg(mat, t=1.0):
     """e^{-t M} by Taylor scaling and squaring (Higham 2005's shift).
 
-    With A = -tM and mu the midpoint of the real parts of A's diagonal,
-    e^A = e^mu e^{A - mu I}.  X = (A - mu I) / 2^s has ||X||_1 <= 0.8246;
+    With A = -tM and mu the midpoint of A's diagonal, e^A = e^mu
+    e^{A - mu I}.  X = (A - mu I) / 2^s has ||X||_1 <= 0.8246;
     its degree-16 Taylor polynomial (six products, Paterson-Stockmeyer with
     block 4) times e^{mu / 2^s} is squared s times.  Folding e^mu into the
     scaled factor keeps every intermediate within the size of the unshifted
     method's, so the shift adds no overflow.  X^2, X^4 and the s squarings
-    are R R^T when X is real, exactly symmetric and n >= ``_SYRK_MIN_DIM``.
-    Real and complex M; a non-finite or overflowing result raises
-    ``NumericalError``.  ``work``, a dict the caller keeps across calls,
-    holds the working arrays (``_expm_buffers`` per (n, dtype)); the result
-    is a fresh array either way.
+    are R R^T when X is exactly symmetric and n >= ``_SYRK_MIN_DIM``.  A
+    complex M raises ``InputError``, a non-finite or overflowing result
+    ``NumericalError``.  The result is a fresh array.
     """
     a = np.asarray(mat)
-    if not np.issubdtype(a.dtype, np.complexfloating):
-        a = a.astype(float, copy=False)
+    if np.iscomplexobj(a):
+        raise InputError(f"expm_neg takes a real matrix, not {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
     if not np.all(np.isfinite(a)):
@@ -280,23 +275,19 @@ def expm_neg(mat, t=1.0, *, work=None):
     n = len(a)
     if n == 0:
         return np.empty_like(a)
-    work = {} if work is None else work
-    buf = work.get((n, a.dtype))
-    if buf is None:
-        buf = work[n, a.dtype] = _expm_buffers(n, a.dtype)
+    buf = np.empty((9, n, n))   # X .. X^4, 4 blocks, a product buffer
     x, x2, x3, x4, blocks = buf[0], buf[1], buf[2], buf[3], buf[4:8]
     np.multiply(a, -t, out=x)
     if not np.all(np.isfinite(x)):
         raise NumericalError("overflow forming -t*M")
-    real = x.real.diagonal()
-    mu = 0.5 * (real.max() + real.min())
+    diag = x.diagonal()
+    mu = 0.5 * (diag.max() + diag.min())
     x.reshape(-1)[::n + 1] -= mu
     norm = np.abs(x).sum(axis=0).max()
     if not isfinite(norm):
         raise NumericalError("overflow in the matrix exponential")
     s = max(0, ceil(log2(norm / _THETA_16))) if norm > 0.0 else 0
-    sym = (n >= _SYRK_MIN_DIM and x.dtype == float
-           and np.array_equal(x, x.T))
+    sym = n >= _SYRK_MIN_DIM and np.array_equal(x, x.T)
 
     def square(m, out):
         return np.matmul(m, m.T if sym else m, out=out)
@@ -326,7 +317,7 @@ def expm_neg(mat, t=1.0, *, work=None):
     return r
 
 
-def _expm_traces(mat, t_grid, *, work=None):
+def _expm_traces(mat, t_grid):
     """Tr e^{-tM} for each t of ``t_grid``, in grid order.
 
     The distinct t are walked in ascending order.  When t/2 is in the grid
@@ -334,15 +325,14 @@ def _expm_traces(mat, t_grid, *, work=None):
     is Tr E^2 = sum_ij E_ij E_ji, an elementwise product; E @ E itself is
     formed only when 2t is in the grid too.  Any other t takes ``expm_neg``,
     so a grid of successive doublings costs one matrix exponential.  A
-    trace that overflows raises, as ``expm_neg`` does.  ``work`` is passed
-    on to ``expm_neg``.
+    trace that overflows raises, as ``expm_neg`` does.
     """
     wanted = set(t_grid)
     traces, halves = {}, {}
     for t in sorted(wanted):
         e = halves.pop(t / 2, None)
         if e is None:
-            e = expm_neg(mat, t, work=work)
+            e = expm_neg(mat, t)
             tr = np.trace(e)
         else:
             tr = np.sum(e * e.T)
@@ -434,13 +424,20 @@ def multiplicity_pushforward(mat, t, cluster_tol=1e-6):
 
     Source eigenvalue clusters whose images coincide within tolerance while
     the sources stay separated are flagged as aliased and counted toward the
-    summed side.
+    summed side.  A complex M = B + iC takes e^{-tM} from the real
+    [[B, -C], [C, B]], whose exponential is [[Re, -Im], [Im, Re]] of it.
     """
     a = np.asarray(mat)
-    if a.shape[0] > 50:
+    n = a.shape[0]
+    if n > 50:
         raise DomainError("exactness regime limited to dimension <= 50")
     src = spectrum(a, cluster_tol)
-    img = spectrum(expm_neg(a, t), cluster_tol)
+    if np.iscomplexobj(a):
+        e = expm_neg(np.block([[a.real, -a.imag], [a.imag, a.real]]), t)
+        e = e[:n, :n] + 1j * e[n:, :n]
+    else:
+        e = expm_neg(a, t)
+    img = spectrum(e, cluster_tol)
     checks = []
     for mu, m_img in img.clusters:
         sources = [(lam, m) for lam, m in src.clusters

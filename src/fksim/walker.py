@@ -7,7 +7,7 @@ endpoint, jump count, local-time map and exit time: the single-path
 reference that the batched sampler is tested against.  The Monte Carlo
 estimators instead advance whole batches of walkers together in numpy with
 ``sample_walks``, over the arrays of an ``operators.Truncation`` (vertex
-ids, neighbour table, cumulative jump rows, rates and distances); a walker
+ids, neighbour table, cumulative jump table, rates and distances); a walker
 stops on leaving the truncation's ball or, given a kill radius, is flagged
 past it and walks on.  The first step, when every walker is live and, over
 short horizons, most sit until the horizon, runs on whole arrays; only the
@@ -95,9 +95,9 @@ class PathRecord:
     exit_time: Optional[float] = None
 
 
-def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
-                rng=None):
-    """Sample one CTMC path; deterministic given (inputs, seed).
+def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None):
+    """Sample one CTMC path; deterministic given (inputs, seed), where
+    ``seed`` may be a ``Generator``, drawn from as it is.
 
     Holding times are exponential via inverse CDF on [0, 1).
     """
@@ -107,9 +107,7 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None,
         raise ConfigError(f"rate at start vertex {start} must be nonnegative")
     if spec.rate(start) == 0.0:
         return PathRecord(endpoint=start, jumps=0, local_time={start: horizon})
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    rand = rng.random
+    rand = np.random.default_rng(seed).random
     rate = spec.rate
     kernel = spec.kernel
     root = graph.root
@@ -208,11 +206,7 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
              first_jump):
     """Walk one batch in place: ``cur`` holds the start ids on entry and the
     endpoints on return; ``acc`` receives integrals or local-time rows."""
-    rate, nbr, deg, dist = trunc.rate, trunc.nbr, trunc.deg, trunc.dist
-    # The cumulative rows as columns: a walker's row is gathered, compared
-    # and counted along the short first axis, several times faster than
-    # along rows.
-    cum_t = np.ascontiguousarray(trunc.cum.T)
+    rate, nbr, cum, dist = trunc.rate, trunc.nbr, trunc.cum, trunc.dist
 
     def charge(idx, verts, dt):
         if cost is None:
@@ -223,9 +217,7 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
     def jump(live, at):
         """Move the walkers ``live`` on from ``at``; return those still in."""
         u = rng.random(live.size)
-        k = np.minimum((np.take(cum_t, at, axis=1) <= u).sum(axis=0),
-                       deg[at] - 1)
-        nxt = nbr[at, k]
+        nxt = nbr[at, (np.take(cum, at, axis=1) <= u).sum(axis=0)]
         cur[live] = nxt
         out = nxt < 0
         if kill_radius is None:
@@ -244,9 +236,8 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
     horizon = float(horizon) + 0.0   # a -0.0 horizon charges +0.0
     at_rate = rate[cur]
     if first_jump:
-        hold = np.log1p(rng.random(len(cur)) * np.expm1(-at_rate * horizon))
-        hold /= -at_rate
-        np.minimum(hold, nextafter(horizon, 0.0), out=hold)
+        hold = _hold_below(rng.random(len(cur)), at_rate, horizon,
+                           np.expm1(-at_rate * horizon))
         live = np.arange(len(cur))
     else:
         draw = rng.standard_exponential(len(cur))
@@ -276,6 +267,16 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
         charge(live, at, hold)
         left[live] -= hold
         live = jump(live, at)
+
+
+def _hold_below(u, rate, horizon, em1):
+    """Exponential(rate) holds truncated to [0, horizon) at the uniforms u,
+    in place: log1p(u em1) / -rate with the caller's em1 = expm1(-rate
+    horizon) (numpy's and math's may differ by an ulp), kept below the
+    horizon, to which it can round."""
+    hold = np.log1p(np.multiply(u, em1, out=u), out=u)
+    hold /= -rate
+    return np.minimum(hold, nextafter(horizon, 0.0), out=hold)
 
 
 def sample_jump_counts(q, horizon, n_paths, seed):
@@ -309,15 +310,12 @@ def sample_jump_counts(q, horizon, n_paths, seed):
         return hist
     rng = np.random.default_rng(seed)
     scale = 1.0 / q
-    sit, p_jump = exp(-q * horizon), -expm1(-q * horizon)
-    below = nextafter(horizon, 0.0)
+    sit, em1 = exp(-q * horizon), expm1(-q * horizon)
     for lo in range(0, n_paths, _JUMP_CHUNK):
         size = min(_JUMP_CHUNK, n_paths - lo)
         sits = int(rng.binomial(size, sit))
         hist[0] += sits
-        arrival = np.log1p(rng.random(size - sits) * -p_jump)
-        arrival /= -q
-        np.minimum(arrival, below, out=arrival)
+        arrival = _hold_below(rng.random(size - sits), q, horizon, em1)
         # Entering round k the survivors have k arrivals; those whose
         # (k+1)-th falls past the horizon have k jumps.
         k = 1

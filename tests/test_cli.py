@@ -370,6 +370,52 @@ def test_sweep_refuses_noise_free_fields_by_name(tmp_path, capsys,
     assert re.search(r"\bgamma0\b", captured.err)
 
 
+_TINY_NOISE_HUGE_T = ("gamma0 = 1e-300\nalpha = 4\nt_exp_min = -300\n"
+                      "t_exp_max = -296\n")
+
+
+def test_sweep_sums_an_integral_tail_past_the_floats(tmp_path, capsys,
+                                                      monkeypatch):
+    # At t = 2^300 the certified radius is 5.5e90, and b (r + 1)^4 of the
+    # Z^1 integral tail passes the largest float: the run exited with
+    # "(34, 'Numerical result out of range')".  gammaincc is 0 there, and
+    # every term past the centre underflows, so each frozen sum is
+    # e^{t^2 gamma0} (e^{t^2 gamma0} - 1), t^2 gamma0 to roundoff.
+    monkeypatch.setattr(fksim.feynman_kac, "_EXACT_TERM_CAP", 1000)
+    path = _write(tmp_path, _TINY_NOISE_HUGE_T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    rows = [line.split(",") for line in lines[2:-1]]
+    assert len(rows) == 5 and captured.err == ""
+    for t, frozen, *_ in rows:
+        assert float(frozen) == pytest.approx(float(t) ** 2 * 1e-300,
+                                              rel=1e-12)
+    assert lines[-1].startswith("slope=2.000000 ")
+
+
+@pytest.mark.parametrize("text", [
+    "mu = 1000\nt_exp_min = -2\nt_exp_max = 1\n",
+    "mu = 1\n" + _TINY_NOISE_HUGE_T])
+def test_sweep_refuses_a_mu_that_takes_the_sums_past_the_floats(
+        tmp_path, capsys, monkeypatch, text):
+    # With V(0) = -mu every frozen sum holds e^{2 t mu}.  At mu = 1000 and
+    # t = 4 numpy warned of an overflow in exp and the run failed with
+    # "row 0: value inf is not finite"; past the Z^1 integral tail's cap,
+    # e^{t mu} raised "math range error".  Refused by mu, without a warning.
+    monkeypatch.setattr(fksim.feynman_kac, "_EXACT_TERM_CAP", 1000)
+    path = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"\bmu\b", captured.err)
+    assert "Warning" not in captured.err and "row" not in captured.err
+
+
 def test_sweep_runs_below_the_overflow(tmp_path, capsys):
     # At gamma0 = 1, t = 2^4 gives 2 t^2 gamma0 = 512: the sums stay finite.
     path = _write(tmp_path, "t_exp_min = -4\nt_exp_max = -1\n")
@@ -1083,17 +1129,6 @@ def test_spectral_check_one_expm_per_trial(monkeypatch):
                                   "t_grid": grid})
         assert rep.passed
         assert len(calls) == 4 * per_trial
-
-
-def test_spectral_check_builds_one_workspace(monkeypatch):
-    # Every trial's exponentials reuse one set of working arrays.
-    built, real = [], operators._expm_buffers
-    monkeypatch.setattr(operators, "_expm_buffers",
-                        lambda n, dtype: built.append(n) or real(n, dtype))
-    rep = cli.spectral_check({"radius": "3", "trials": "4",
-                              "t_grid": "0.3 0.7"})
-    assert rep.passed
-    assert built == [7]   # one (n, dtype): the radius-3 ball of Z^1
 
 
 @pytest.mark.parametrize("command", ["spectral-check", "rigidity-demo"])

@@ -232,7 +232,7 @@ def test_frozen_sum_power_decay_brute_force():
             gam = 1.0 / (abs(u[0] - v[0]) + 1.0)
             brute += (math.exp(-t * u[0] ** 2 - t * v[0] ** 2)
                       * math.exp(t * t) * (math.exp(t * t * gam) - 1.0))
-    got = fk.frozen_variance_sum(t, G1, POT, model, r)
+    got = fk.frozen_variance_sum(t, G1, POT, model)
     assert got == pytest.approx(brute)
 
 
@@ -250,11 +250,6 @@ def test_exact_route_and_radial_sums_share_v(graph, r):
     if graph is G1:
         grid = pot.radial(np.arange(r + 1.0))
         assert trunc.potential.tobytes() == grid[trunc.dist].tobytes()
-
-
-def test_frozen_sum_refuses_small_box():
-    with pytest.raises(DomainError):
-        fk.frozen_variance_sum(2.0 ** -8, G1, POT, iid_gaussian(1.0), 5)
 
 
 def test_lower_bound_zero_covariance():

@@ -111,19 +111,10 @@ def test_expm_rejects_nonsquare():
         expm_neg(np.zeros((2, 3)))
 
 
-def test_expm_complex_hermitian_matches_eigh():
-    # e^{-tH} = Q e^{-t Lambda} Q* for a complex Hermitian H = Q Lambda Q*.
-    rng = np.random.default_rng(1)
-    for n in (3, 12, 40):
-        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = c + c.conj().T + np.diag(rng.uniform(0.0, 10.0, n))
-        lam, q = np.linalg.eigh(h)
-        for t in (0.1, 1.0, 4.0):
-            ref = (q * np.exp(-t * lam)) @ q.conj().T
-            got = expm_neg(h, t)
-            assert got.dtype == complex
-            assert np.allclose(got, ref, rtol=0.0,
-                               atol=1e-12 * np.abs(ref).max())
+def test_expm_refuses_a_complex_matrix():
+    h = np.array([[1.0, 1j], [-1j, 2.0]])
+    with pytest.raises(InputError, match="real matrix"):
+        expm_neg(h, 0.5)
 
 
 def test_expm_wide_diagonal_needs_no_overflow():
@@ -195,30 +186,6 @@ def test_expm_near_symmetric_takes_gemm(monkeypatch):
     assert got.tobytes() == expm_neg(mat, 0.5).tobytes()
 
 
-def test_expm_workspace_gives_fresh_calls_bits():
-    # One workspace across sizes and dtypes: each result has the bits of a
-    # call without one, is no view of the workspace, and is not overwritten
-    # by later calls.
-    rng = np.random.default_rng(7)
-    big = _z2_matrix(120)
-    cases = []
-    for n, t in ((5, 0.5), (120, 0.5), (5, 1.0), (30, 0.3), (120, 0.25)):
-        real = big[:n, :n]
-        cases += [(real, t), (real + 1j * rng.standard_normal((n, n)), t)]
-    work, kept = {}, []
-    for mat, t in cases + cases[::-1]:
-        got = expm_neg(mat, t, work=work)
-        want = expm_neg(mat, t)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        assert not any(np.shares_memory(got, b) for b in work.values())
-        kept.append((got, want))
-    assert sorted((n, dt.kind) for n, dt in work) == [
-        (5, "c"), (5, "f"), (30, "c"), (30, "f"), (120, "c"), (120, "f")]
-    for got, want in kept:
-        assert got.tobytes() == want.tobytes()
-
-
 def test_spectrum_multiplicities():
     res = spectrum(np.diag([1.0, 1.0, 2.0]))
     assert res.total_multiplicity == 3
@@ -282,6 +249,15 @@ def test_multiplicity_pushforward_aliased():
     assert len(checks) == 1
     assert checks[0].aliased and checks[0].passed
     assert checks[0].mult_image == 3
+
+
+def test_multiplicity_pushforward_complex_matrix():
+    # A spectrum {i, 2} not closed under conjugation, through the real
+    # [[B, -C], [C, B]]: e^{-i} has the source i, and e^{+i} would have none.
+    m = np.array([[1j, 0.5], [0.0, 2.0]])
+    checks = multiplicity_pushforward(m, 1.0)
+    assert len(checks) == 2 and all(c.passed for c in checks)
+    assert min(abs(c.image - np.exp(-1j)) for c in checks) < 1e-12
 
 
 def test_pushforward_dimension_cap():
@@ -559,20 +535,17 @@ def test_assemble_is_one_row_of_matrices():
 def test_grid_traces_match_per_t_expm(monkeypatch, case, grid, n_expm):
     # Case 1 is non-symmetric, where sum_ij E_ij E_ij (no transpose) is not
     # Tr E^2; t/2 in the grid must reuse e^{-(t/2)M}, anything else not.
-    # One workspace serves every member, and e^{-0.3 M} outlives the
-    # exponential at 0.35 that reuses it.
+    # e^{-0.3 M} outlives the exponential at 0.35 that reuses it.
     trunc, _ = _route_cases()[case]
     fields = np.random.default_rng(48).standard_normal(
         (3, len(trunc.potential)))
     calls, real = [], operators.expm_neg
     monkeypatch.setattr(operators, "expm_neg",
-                        lambda mat, t, **kw: calls.append(t)
-                        or real(mat, t, **kw))
-    work = {}
+                        lambda mat, t: calls.append(t) or real(mat, t))
     for f in fields:
         mat = trunc.matrices(f[None])[0]
         assert np.array_equal(mat, mat.T) == (case == 0)
-        got = operators._expm_traces(mat, grid, work=work)
+        got = operators._expm_traces(mat, grid)
         want = [np.trace(real(mat, t)) for t in grid]
         assert len(got) == len(grid)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -46,7 +46,7 @@ def test_deterministic_given_seed():
 def test_stay_probability_matches_simulation():
     n = 40000
     rng = np.random.default_rng(0)
-    stays = sum(sample_path(G1, SPEC, (0,), 1.0, rng=rng).jumps == 0
+    stays = sum(sample_path(G1, SPEC, (0,), 1.0, rng).jumps == 0
                 for _ in range(n))
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / n)
@@ -57,7 +57,7 @@ def test_kill_radius_records_exit():
     rng = np.random.default_rng(3)
     seen_exit = False
     for _ in range(200):
-        p = sample_path(G1, SPEC, (0,), 4.0, rng=rng, kill_radius=1)
+        p = sample_path(G1, SPEC, (0,), 4.0, rng, kill_radius=1)
         if p.exit_time is not None:
             seen_exit = True
             assert 0 < p.exit_time <= 4.0
@@ -117,7 +117,7 @@ def _reference_walks(graph, spec, start, horizon, kill_radius, cost_of, n,
     rng = np.random.default_rng(seed)
     ends, exits, costs = [], [], []
     while len(ends) < n:
-        p = sample_path(graph, spec, start, horizon, rng=rng,
+        p = sample_path(graph, spec, start, horizon, rng,
                         kill_radius=kill_radius)
         if jumped and not p.jumps:
             continue
@@ -483,6 +483,23 @@ def test_conditioned_first_arrival_stays_below_the_horizon(monkeypatch, q,
     monkeypatch.setattr(walker.np.random, "default_rng", lambda seed: fake)
     hist = sample_jump_counts(q, horizon, 1000, 0)
     assert hist[2] == 1000 and hist.sum() == 1000
+
+
+def test_a_row_ending_below_one_sends_the_rest_to_its_last_target():
+    # Vertex 1's row ends at 1 - 2^-53, which build accepts within 1e-12.
+    # A uniform at that end takes the last target, not the padding past
+    # it, and the matrix keeps that target's probability, 1 - 2^-53 - 1/4.
+    g = GraphModel.explicit(3, [(0, 1), (1, 2)])
+    rows = {0: ([1], [1.0]), 1: ([0, 2], [0.25, _LAST_U]), 2: ([1], [1.0])}
+    spec = MarkovSpec(rate=lambda v: 1.0, sup_rate=1.0,
+                      kernel=rows.__getitem__)
+    trunc = Truncation.build(g, spec, PotentialSpec(), 2)
+    one, two = trunc.vertices.index(1), trunc.vertices.index(2)
+    walks = sample_walks(trunc, [one], 1.0, _LastUniform(1e300),
+                         first_jump=True)
+    assert walks.endpoint[0] == two and not walks.exited[0]
+    r, c, vals = trunc.offdiag
+    assert vals[(r == one) & (c == two)].tolist() == [-(_LAST_U - 0.25)]
 
 
 def test_conditioned_walks_refuse_a_start_that_cannot_jump():
