@@ -42,7 +42,8 @@ def parse_config(path):
             key, val = line.split("=", 1)
             key = key.strip()
             if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
+                raise ConfigError(f"{path}:{lineno}: empty key in "
+                                  f"{raw.strip()!r}")
             if key in out:
                 raise ConfigError(f"{path}:{lineno}: config key {key!r} is "
                                   f"set twice")
@@ -249,13 +250,14 @@ def sweep_variance(cfg):
         raise ConfigError("gamma0 = 0 makes every frozen sum 0, so there is "
                           "no exponent to fit")
     # The frozen-sum column always uses its certified radius.  Its terms
-    # carry e^{-tV}, V(0) = -mu: only a large mu takes a sum past the floats.
-    with np.errstate(over="ignore", invalid="ignore"):
-        frozen = [frozen_variance_sum(t, graph, pot, model) for t in ts]
-    for t, f in zip(ts, frozen):
-        if not isfinite(f):
+    # carry e^{2 t mu}: only a large mu takes a sum past the floats.
+    frozen = []
+    for t in ts:
+        try:
+            frozen.append(frozen_variance_sum(t, graph, pot, model))
+        except OverflowError:
             raise ConfigError(f"mu = {pot.mu!r} takes the frozen sum at "
-                              f"t = {t!r} past the largest float")
+                              f"t = {t!r} past the largest float") from None
     radii, ens = certified, [(None, None)] * len(ts)
     if m_draws:
         # One ball and one draw of members serve every t: the radius key,

@@ -23,7 +23,8 @@ kind or the sign of its covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, e as _E, exp, expm1, gamma as _gamma_fn, nan, sqrt
+from math import (ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, ldexp,
+                  log, nan, sqrt)
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .walker import _BLOCK_ELEMS, _MAX_ELEMS, sample_walks
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
 _RADIAL_CHUNK = 2_000_000      # radial terms per vectorised block
+_LN2 = log(2.0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
     truncation ``trunc``, with ``field`` its values there, stratified evenly
     over the ball's start vertices."""
     if t <= 0:
-        raise DomainError("t must be positive")
+        raise DomainError(f"t must be positive, got {t!r}")
     return _stratified_estimate(
         _trace_samples(trunc, field, t, n_paths, seed)[0])
 
@@ -257,12 +259,13 @@ def _coord_leading(graph):
 
 
 def _radial_weight_sum(graph, pot, c, r):
-    """sum over n = 0..r of c_n e^{-c V(n)}, V(n) = (kappa n)^alpha - mu.
+    """sum over n = 0..r of c_n e^{-c V(n)}, V(n) = (kappa n)^alpha; ``pot``
+    has mu = 0.
 
     The terms are summed exactly, in blocks of ``_RADIAL_CHUNK``.  On Z^1 a
     box radius past ``_EXACT_TERM_CAP`` adds the remainder as a certified
     integral lower bound instead: c_n = 2 for n >= 1 on both kinds, and the
-    summand e^{c mu} e^{-b n^alpha}, b = c kappa^alpha, decreases, so its
+    summand e^{-b n^alpha}, b = c kappa^alpha, decreases, so its
     sum over n = cap + 1 .. r is at least its integral from cap + 1 to r + 1,
     a difference of upper incomplete gamma functions.  Other graphs sum
     every term.
@@ -278,23 +281,11 @@ def _radial_weight_sum(graph, pot, c, r):
         from scipy.special import gammaincc
         k, b = 1.0 / pot.alpha, c * pot.kappa ** pot.alpha
         # b (n + 1)^alpha may pass the largest float; gammaincc(k, inf) = 0.
-        # e^{c mu} overflows where the central term already has.
         with np.errstate(over="ignore"):
             lo, hi = (b * np.float64(n + 1) ** pot.alpha for n in (n_exact, r))
-        total += 2.0 * np.exp(c * pot.mu) * _gamma_fn(k) * b ** -k \
+        total += 2.0 * _gamma_fn(k) * b ** -k \
             / pot.alpha * (gammaincc(k, lo) - gammaincc(k, hi))
     return total
-
-
-def _grid_norms(graph, coords):
-    """Lattice norm (l1 or l-infinity) of every point of coords^d, as a
-    d-dimensional array indexed like the coordinate array along each axis."""
-    a = np.abs(coords).astype(float)
-    combine = np.add if graph.kind == ZD_L1 else np.maximum
-    out = a
-    for _ in range(graph.d - 1):
-        out = combine.outer(out, a)
-    return out
 
 
 def _next_fast_len(n):
@@ -334,14 +325,14 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
     if s ** d > _MAX_ELEMS:
         raise DomainError(f"FFT grid of {s}^{d} = {s ** d} points for box "
                           f"radius {r} exceeds the budget of {_MAX_ELEMS}")
-    norm = _grid_norms(graph, np.arange(-r, r + 1))
+    norm = graph.grid_norms(np.arange(-r, r + 1))
     w = np.where(norm <= r, np.exp(-t * pot.radial(norm)), 0.0)
     axes = tuple(range(d))
     spec = np.fft.rfftn(w, (s,) * d, axes)
     acf = np.fft.irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d, axes)
     # Lag -k sits at index s - k, which a negative index reads directly.
     lags = np.r_[0:2 * r + 1, -2 * r:0]
-    kern = np.expm1(t2 * decay_kernel(model, _grid_norms(graph, lags)))
+    kern = np.expm1(t2 * decay_kernel(model, graph.grid_norms(lags)))
     return float((kern * acf[np.ix_(*[lags] * d)]).sum())
 
 
@@ -352,29 +343,42 @@ def frozen_variance_sum(t, graph, pot, model):
     single sums (``_radial_weight_sum``, with its integral tail on Z^1 past
     ``_EXACT_TERM_CAP`` terms) and power decay is a convolution
     (``_power_decay_pair_sum``); explicit graphs, with neither, take the
-    pairwise sum over the ball for every kind, with ``pot.radial`` of the
-    root distances.  The box is the certified one, of radius ``radius_for(t,
-    pot.alpha, pot.kappa)``.
+    pairwise sum over the ball for every kind, with the radial law of the
+    root distances.  Each route sums with mu = 0, and the factor e^{2 t mu}
+    that V = (kappa d)^alpha - mu gives every term is applied once, last; a
+    sum past the largest float raises ``OverflowError``.  The box is the
+    certified one, of radius ``radius_for(t, pot.alpha, pot.kappa)``.
     """
     r = radius_for(t, pot.alpha, pot.kappa)
     t2 = t * t
     g0 = model.gamma0
+    pot0 = PotentialSpec(pot.alpha, pot.kappa)
     if graph.kind not in (ZD_L1, ZD_LINF):
         verts = graph.ball(graph.root, r)
         if len(verts) ** 2 > 40_000_000:
             raise DomainError(f"pairwise sum over {len(verts)} vertices is "
                               "too large")
-        w = np.exp(-t * pot.radial([graph.distance(graph.root, v)
-                                    for v in verts]))
+        w = np.exp(-t * pot0.radial(graph.distances([graph.root], verts)[0]))
         gam = covariance_matrix(model, graph, verts)
-        return exp(t2 * g0) * float(w @ np.expm1(t2 * gam) @ w)
-    if model.kind == POWER_DECAY:
-        return exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot, model, r)
-    factor = exp(t2 * g0) * expm1(t2 * g0)
-    if model.kind == IID:
-        return factor * _radial_weight_sum(graph, pot, 2.0 * t, r)
-    radial = _radial_weight_sum(graph, pot, t, r)
-    return factor * radial * radial
+        total = exp(t2 * g0) * float(w @ np.expm1(t2 * gam) @ w)
+    elif model.kind == POWER_DECAY:
+        total = exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot0, model, r)
+    else:
+        factor = exp(t2 * g0) * expm1(t2 * g0)
+        if model.kind == IID:
+            total = factor * _radial_weight_sum(graph, pot0, 2.0 * t, r)
+        else:
+            radial = _radial_weight_sum(graph, pot0, t, r)
+            total = factor * radial * radial
+    # Every term carries e^{2 t mu}, applied here as ldexp(total e^x, k) with
+    # 2 t mu = k ln 2 + x, which keeps every bit at mu = 0.  Past |2 t mu| =
+    # 4096 (where 2 t mu may be infinite) any nonzero float leaves the floats,
+    # so the exponent is clipped there.
+    k, x = divmod(min(max(2.0 * t * pot.mu, -4096.0), 4096.0), _LN2)
+    out = ldexp(float(total) * exp(x), int(k))
+    if out == inf:
+        raise OverflowError("the frozen sum passes the largest float")
+    return out
 
 
 def lower_bound_sum(t, delta, model, graph):
@@ -383,8 +387,6 @@ def lower_bound_sum(t, delta, model, graph):
     its start with probability e^{-t}, and as every admissible covariance is
     nonnegative no other path pair contributes negatively.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
     return exp(-2.0 * t) * frozen_variance_sum(
         t, graph, PotentialSpec(alpha=delta), model)
 
@@ -395,7 +397,8 @@ def riemann_tail_sum(t, kappa, alpha, graph):
     kappa^{-2d} Gamma(d/min(1,alpha))^2 / min(1,alpha^2) limit."""
     d = graph.d
     if t <= 0 or kappa <= 0 or alpha <= 0:
-        raise DomainError("t, kappa, alpha must be positive")
+        raise DomainError(f"t, kappa, alpha must be positive, got {t!r}, "
+                          f"{kappa!r}, {alpha!r}")
     m = min(alpha, 1.0)
     s = kappa * t ** (1.0 / alpha)
     lead = _coord_leading(graph)

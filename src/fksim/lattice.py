@@ -7,7 +7,7 @@ vertices of explicit graphs are 0-based integer indices.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -31,7 +31,7 @@ class GraphModel:
         if kind not in (_LATTICE_KINDS + (EXPLICIT,)):
             raise ConfigError(f"unknown graph kind {kind!r}")
         if d < 1:
-            raise ConfigError("growth dimension d must be >= 1")
+            raise ConfigError(f"growth dimension d must be >= 1, got {d!r}")
         self.kind = kind
         self.d = int(d)
         self.root = root
@@ -126,19 +126,38 @@ class GraphModel:
             raise InputError(f"no path between {u} and {v}")
         return dist[v]
 
+    def distances(self, us, vs):
+        """Graph distances as an int64 matrix, a row per vertex of ``us`` and
+        a column per vertex of ``vs``: the lattice norm of the coordinate
+        differences, or BFS distances that raise as ``distance`` does."""
+        if self.kind in _LATTICE_KINDS:
+            a, b = (np.array(w, dtype=np.int64).reshape(len(w), self.d)
+                    for w in (us, vs))
+            diff = np.abs(a[:, None] - b[None])
+            return diff.sum(axis=2) if self.kind == ZD_L1 else diff.max(axis=2)
+        rows = []
+        for u in us:
+            dist = self._bfs_from(u)
+            rows.append([dist[v] if v in dist else self.distance(u, v)
+                         for v in vs])
+        return np.array(rows, dtype=np.int64).reshape(len(us), len(vs))
+
+    def grid_norms(self, coords):
+        """Lattice norm of every point of coords^d, as a d-dimensional array
+        indexed like ``coords`` along each axis."""
+        if self.kind not in _LATTICE_KINDS:
+            raise DomainError(f"grid norms need a lattice kind, not "
+                              f"{self.kind!r}")
+        a = np.abs(coords).astype(float)
+        combine = np.add if self.kind == ZD_L1 else np.maximum
+        return reduce(combine.outer, [a] * self.d)
+
     def _bfs_from(self, u):
-        cached = self._dist_cache.get(u)
-        if cached is not None:
-            return cached
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x in self.adjacency[w]:
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    queue.append(x)
-        self._dist_cache[u] = dist
+        dist = self._dist_cache.get(u)
+        if dist is None:
+            layers = self._spheres(u, len(self.adjacency) - 1)
+            dist = {v: k for k, layer in enumerate(layers) for v in layer}
+            self._dist_cache[u] = dist
         return dist
 
     # -- spheres and balls -------------------------------------------------
@@ -190,7 +209,7 @@ class GraphModel:
                 raise DomainError("radial closed forms require a lattice kind")
             n = np.asarray(n, dtype=float)
         elif n < 0:
-            raise InputError("n must be >= 0")
+            raise InputError(f"n must be >= 0, got {n!r}")
         elif n == 0:
             return 1
         d = self.d

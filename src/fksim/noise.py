@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lattice import ZD_L1, ZD_LINF
 
 IID = "iid"
 POWER_DECAY = "power_decay"
@@ -90,14 +89,7 @@ def covariance_matrix(model, graph, vertices):
         return model.gamma0 * np.eye(m)
     if model.kind == CONSTANT:
         return np.full((m, m), model.gamma0)
-    if graph.kind in (ZD_L1, ZD_LINF):
-        coords = np.array(vertices, dtype=float).reshape(m, graph.d)
-        dist = np.abs(coords[:, None, :] - coords[None, :, :])
-        dist = dist.sum(axis=2) if graph.kind == ZD_L1 else dist.max(axis=2)
-    else:
-        dist = np.array([[graph.distance(u, v) for v in vertices]
-                         for u in vertices], dtype=float).reshape(m, m)
-    return decay_kernel(model, dist)
+    return decay_kernel(model, graph.distances(vertices, vertices))
 
 
 def decay_kernel(model, dist):
@@ -176,7 +168,8 @@ def taylor_bound_check(f, model, graph, n_samples, seed):
     m = model.moment_constant
     norm1 = sum(abs(x) for x in f.values())
     if 2.0 * m * norm1 > 1.0:
-        raise DomainError("requires |f|_1 <= 1/(2m)")
+        raise DomainError(f"requires |f|_1 <= 1/(2m) = {0.5 / m!r}, got "
+                          f"|f|_1 = {norm1!r}")
     rhs = 2.0 * m * m * norm1 * norm1
     support = tuple(v for v, c in f.items() if c != 0.0)
     if not support:
@@ -193,7 +186,8 @@ def moment_bound_probe(model, graph, p_max, n_samples, seed):
     """Max over even p <= p_max of empirical E|xi|^p / (p! m^p) at one
     vertex; 0 when m = 0, where xi = 0 meets every bound p! m^p = 0."""
     if p_max > 10:
-        raise DomainError("sampling accuracy limits the probe to p <= 10")
+        raise DomainError(f"sampling accuracy limits the probe to p <= 10, "
+                          f"got p_max = {p_max!r}")
     m = model.moment_constant
     if m == 0.0:
         return 0.0

@@ -93,9 +93,9 @@ class Truncation:
     @classmethod
     def build(cls, graph, spec, pot, n):
         """Truncation of the radius-n ball; calls ``spec.rate``,
-        ``spec.kernel``, ``graph.neighbors`` and ``graph.distance`` once per
-        vertex and ``pot.radial`` once, on the array of root distances, and
-        refuses a walk that breaks ``MarkovSpec``'s rules."""
+        ``spec.kernel`` and ``graph.neighbors`` once per vertex, and
+        ``graph.distances`` and ``pot.radial`` once, for the root distances,
+        and refuses a walk that breaks ``MarkovSpec``'s rules."""
         if n < 0:
             raise DomainError("truncation radius must be >= 0")
         vertices = tuple(graph.ball(graph.root, n))
@@ -110,10 +110,11 @@ class Truncation:
         for i, (v, (targets, probs)) in enumerate(zip(vertices, kernels)):
             r = spec.rate(v)
             if r < 0:
-                raise ConfigError(f"rate at vertex {v} must be nonnegative")
+                raise ConfigError(f"rate {r!r} at vertex {v} must be "
+                                  "nonnegative")
             if r > 0 and not targets:
-                raise ConfigError(f"vertex {v} has a positive rate but no "
-                                  "jump targets")
+                raise ConfigError(f"vertex {v} has a positive rate {r!r} but "
+                                  "no jump targets")
             k = len(targets)
             deg[i] = k
             nbr[i, :k] = [index.get(u, -1) for u in targets]
@@ -147,8 +148,7 @@ class Truncation:
                 if u not in nbrs:
                     raise ConfigError(f"vertex {v} lists {u}, not a graph "
                                       "neighbour, as a jump target")
-        dist = np.fromiter((graph.distance(graph.root, v) for v in vertices),
-                           dtype=np.int64, count=m)
+        dist = graph.distances([graph.root], vertices)[0]
         potential = pot.radial(dist)
         # Targets inside the ball (nbr -1 marks the others and the padding),
         # with their jump probabilities from the cumulative rows.
@@ -277,13 +277,15 @@ def expm_neg(mat, t=1.0):
         return np.empty_like(a)
     buf = np.empty((9, n, n))   # X .. X^4, 4 blocks, a product buffer
     x, x2, x3, x4, blocks = buf[0], buf[1], buf[2], buf[3], buf[4:8]
-    np.multiply(a, -t, out=x)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("overflow forming -t*M")
-    diag = x.diagonal()
-    mu = 0.5 * (diag.max() + diag.min())
-    x.reshape(-1)[::n + 1] -= mu
-    norm = np.abs(x).sum(axis=0).max()
+    # Each overflow here is refused below, with no numpy warning first.
+    with np.errstate(over="ignore"):
+        np.multiply(a, -t, out=x)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("overflow forming -t*M")
+        diag = x.diagonal()
+        mu = 0.5 * (diag.max() + diag.min())
+        x.reshape(-1)[::n + 1] -= mu
+        norm = np.abs(x).sum(axis=0).max()
     if not isfinite(norm):
         raise NumericalError("overflow in the matrix exponential")
     s = max(0, ceil(log2(norm / _THETA_16))) if norm > 0.0 else 0
@@ -355,10 +357,6 @@ class SpectrumResult:
     clusters: tuple
     tol: float
 
-    @property
-    def total_multiplicity(self):
-        return sum(m for _, m in self.clusters)
-
     def linear_statistic(self, t):
         """sum of m_a * e^{-t lambda} over the clusters."""
         return sum(m * np.exp(-t * lam) for lam, m in self.clusters)
@@ -400,7 +398,7 @@ def spectrum(mat, cluster_tol=None):
 def trace_identity_residual(mat, t):
     """Relative gap between Tr e^{-tM} and the exponential linear statistic."""
     if t <= 0:
-        raise DomainError("t must be positive")
+        raise DomainError(f"t must be positive, got {t!r}")
     tr = np.trace(expm_neg(mat, t))
     stat = spectrum(mat).linear_statistic(t)
     return abs(tr - stat) / abs(tr)

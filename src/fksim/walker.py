@@ -102,9 +102,10 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None):
     Holding times are exponential via inverse CDF on [0, 1).
     """
     if horizon < 0:
-        raise DomainError("horizon must be >= 0")
+        raise DomainError(f"horizon must be >= 0, got {horizon!r}")
     if spec.rate(start) < 0:
-        raise ConfigError(f"rate at start vertex {start} must be nonnegative")
+        raise ConfigError(f"rate {spec.rate(start)!r} at start vertex {start} "
+                          "must be nonnegative")
     if spec.rate(start) == 0.0:
         return PathRecord(endpoint=start, jumps=0, local_time={start: horizon})
     rand = np.random.default_rng(seed).random
@@ -178,7 +179,7 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None,
     the cost along it; without one it carries its local times.
     """
     if horizon < 0:
-        raise DomainError("horizon must be >= 0")
+        raise DomainError(f"horizon must be >= 0, got {horizon!r}")
     starts = np.asarray(starts, dtype=np.intp)
     n = len(starts)
     if first_jump and n and not (horizon > 0 and trunc.rate[starts].min() > 0):
@@ -334,7 +335,7 @@ def sample_jump_counts(q, horizon, n_paths, seed):
 def chernoff_jump_bound(q_sup, horizon, x):
     """Poisson-tail Chernoff bound e^{-qt} (q e t / x)^x, valid for x > q t."""
     if q_sup <= 0:
-        raise DomainError("q_sup must be positive")
+        raise DomainError(f"q_sup must be positive, got {q_sup!r}")
     if x <= q_sup * horizon:
         raise DomainError(f"bound requires x > q_sup*t = {q_sup * horizon}")
     if horizon == 0:

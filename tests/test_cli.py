@@ -18,7 +18,8 @@ from fksim.errors import ConfigError, DomainError
 from fksim import cli, operators
 from fksim.lattice import GraphModel
 from fksim.feynman_kac import frozen_variance_sum
-from fksim.noise import power_decay_gaussian, sample_field, sample_fields
+from fksim.noise import (iid_gaussian, power_decay_gaussian, sample_field,
+                         sample_fields)
 from fksim.walker import MarkovSpec, chernoff_jump_bound, sample_jump_counts
 
 
@@ -137,6 +138,20 @@ def test_no_module_imports_private_names_of_noise():
                     and node.module in ("noise", "fksim.noise"):
                 found += [(path.name, a.name) for a in node.names
                           if a.name.startswith("_")]
+    assert found == []
+
+
+def test_noise_imports_nothing_from_lattice():
+    # lattice alone knows how a lattice measures distance; noise asks the
+    # graph for its distances.
+    found = []
+    for node in ast.walk(ast.parse(Path(fksim.noise.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names
+                      if node.module in ("lattice", "fksim.lattice")
+                      or a.name == "lattice"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if "lattice" in a.name]
     assert found == []
 
 
@@ -414,6 +429,28 @@ def test_sweep_refuses_a_mu_that_takes_the_sums_past_the_floats(
     assert captured.out == ""
     assert re.search(r"\bmu\b", captured.err)
     assert "Warning" not in captured.err and "row" not in captured.err
+
+
+def test_sweep_applies_mu_once(tmp_path, capsys):
+    # Each frozen sum is e^{2 t mu} times its mu = 0 value.  Formed with
+    # e^{t mu} inside the radial sum, the t = 1/2 sum (about 8.7e133)
+    # overflowed before the e^{t^2 gamma0} - 1 = 2.5e-301 noise factor
+    # scaled it down, and the run was refused by mu.
+    path = _write(tmp_path, "gamma0 = 1e-300\nmu = 1000\nt_exp_min = 1\n"
+                            "t_exp_max = 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[2:-1]]
+    assert len(rows) == 4 and captured.err == ""
+    graph, model = GraphModel.zd_l1(1), iid_gaussian(1e-300)
+    for t, frozen, *_ in rows:
+        t = float(t)
+        at_zero = frozen_variance_sum(t, graph, operators.PotentialSpec(),
+                                      model)
+        assert float(frozen) == pytest.approx(
+            math.exp(math.log(at_zero) + 2.0 * t * 1000.0), rel=1e-12)
 
 
 def test_sweep_runs_below_the_overflow(tmp_path, capsys):
@@ -1560,3 +1597,21 @@ def test_cli_refuses_a_graph_it_cannot_build(tmp_path, capsys, command, text,
     assert captured.out == "" and named in captured.err
     with pytest.raises(ConfigError, match=named):
         cli._COMMANDS[command][0](cli.parse_config(path))
+
+
+@pytest.mark.parametrize("command", ["fk-compare", "spectral-check"])
+def test_a_zero_jump_rate_is_refused_by_name(tmp_path, capsys, command):
+    # symmetric_walk refuses q = 0, as the README promises.
+    path = _write(tmp_path, "q = 0\n")
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: jump rate q = 0.0 must be positive")
+    with pytest.raises(ConfigError, match=r"jump rate q = 0\.0"):
+        cli._COMMANDS[command][0]({"q": "0"})
+
+
+def test_parse_config_refuses_an_empty_key(tmp_path):
+    path = _write(tmp_path, "radius = 3\n = 4\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: empty key in '= 4'"):
+        cli.parse_config(path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -806,3 +807,72 @@ def test_member_fields_factor_the_covariance_once(monkeypatch):
         noise.sample_fields(power_decay_gaussian(1.0), graph, trunc.vertices,
                             11, 52)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", [iid_gaussian(0.8), constant_gaussian(0.6),
+                                   power_decay_gaussian(beta=0.7, gamma0=1.2)],
+                         ids=["iid", "constant", "power_decay"])
+@pytest.mark.parametrize("graph", [G1, G_IRREGULAR], ids=["z1", "explicit"])
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.5])
+def test_frozen_sum_matches_the_pair_loop_with_mu(graph, model, mu):
+    # V = (kappa d)^alpha - mu: mu enters every route as one factor e^{2 t mu}.
+    t = 0.5
+    pot = PotentialSpec(alpha=1.5, kappa=0.8, mu=mu)
+    verts = graph.ball(graph.root, fk.radius_for(t, pot.alpha, pot.kappa))
+    w = [math.exp(-t * ((pot.kappa * graph.distance(graph.root, u))
+                        ** pot.alpha - mu)) for u in verts]
+    want = math.exp(t * t * model.gamma0) * math.fsum(
+        w[i] * w[j] * math.expm1(t * t * noise.covariance(model, graph, u, v))
+        for i, u in enumerate(verts) for j, v in enumerate(verts))
+    got = fk.frozen_variance_sum(t, graph, pot, model)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_explicit_frozen_route_takes_root_distances_in_one_call(monkeypatch):
+    path = GraphModel.explicit(9, [(i, i + 1) for i in range(8)], root=4)
+    t = 0.5
+    models = (iid_gaussian(1.0), power_decay_gaussian(beta=0.5))
+    want = [fk.frozen_variance_sum(t, path, POT, m) for m in models]
+
+    def per_vertex(u, v):
+        raise AssertionError("per-vertex distance call")
+
+    monkeypatch.setattr(path, "distance", per_vertex)
+    assert [fk.frozen_variance_sum(t, path, POT, m) for m in models] == want
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: fk.mc_dirichlet_trace(_trunc(2), np.zeros(5), 0.0, 10, 1),
+     "got 0.0"),
+    (lambda: fk.mc_dirichlet_trace(_trunc(2), np.zeros(5), -0.5, 10, 1),
+     "got -0.5"),
+    (lambda: fk.riemann_tail_sum(0.0, 1.0, 2.0, G1), "got 0.0, 1.0, 2.0"),
+    (lambda: fk.riemann_tail_sum(0.1, -1.0, 2.0, G1), "got 0.1, -1.0, 2.0"),
+    (lambda: fk.riemann_tail_sum(0.1, 1.0, 0.0, G1), "got 0.1, 1.0, 0.0"),
+    (lambda: fk.lower_bound_sum(0.25, 0, iid_gaussian(1.0), G1),
+     "alpha = 0"),
+    (lambda: fk.lower_bound_sum(0.25, -0.5, iid_gaussian(1.0), G1),
+     "alpha = -0.5")],
+    ids=["trace-t-zero", "trace-t-negative", "riemann-t", "riemann-kappa",
+         "riemann-alpha", "lower-delta-zero", "lower-delta-negative"])
+def test_estimator_refusals_name_the_value(call, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
+
+
+def test_a_frozen_sum_past_the_floats_raises_overflow():
+    # e^{t^2 gamma0} (e^{t^2 gamma0} - 1) = e^708 is finite, but the radial
+    # sum of kappa = 0.1 (about 12.5) takes the product past the floats.
+    with pytest.raises(OverflowError):
+        fk.frozen_variance_sum(1.0, G1, PotentialSpec(kappa=0.1),
+                               iid_gaussian(354.0))
+
+
+def test_an_infinite_2_t_mu_leaves_the_floats():
+    # 2 t mu = +-8e308 is infinite: the factor e^{2 t mu} overflows, or
+    # underflows to 0, rather than failing on the infinite exponent.
+    model = iid_gaussian(1.0)
+    with pytest.raises(OverflowError):
+        fk.frozen_variance_sum(4.0, G1, PotentialSpec(mu=1e308), model)
+    assert fk.frozen_variance_sum(4.0, G1, PotentialSpec(mu=-1e308),
+                                  model) == 0.0

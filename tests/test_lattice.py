@@ -1,3 +1,5 @@
+import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -146,3 +148,80 @@ def test_bad_edge_list(tmp_path):
     p.write_text("3 0\n0 5\n")
     with pytest.raises(InputError):
         GraphModel.from_edge_list(p)
+
+
+# Vertex 6 has no edge, so every pair with it is disconnected.
+_EXPLICIT = GraphModel.explicit(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                                    (4, 5), (1, 4)], root=2)
+
+
+@pytest.mark.parametrize("g, n", [
+    (GraphModel.zd_l1(1), 5), (GraphModel.zd_l1(2), 3),
+    (GraphModel.zd_linf(2), 3), (GraphModel.zd_l1(3), 2), (_EXPLICIT, 3)],
+    ids=["z1", "z2-l1", "z2-linf", "z3-l1", "explicit"])
+def test_distances_match_distance_pair_by_pair(g, n):
+    us = g.ball(g.root, n)
+    # Columns: the ball around a neighbour of the root, in reverse order.
+    vs = g.ball(g.neighbors(g.root)[0], n)[::-1]
+    got = g.distances(us, vs)
+    assert got.dtype == np.int64 and got.shape == (len(us), len(vs))
+    assert got.tolist() == [[g.distance(u, v) for v in vs] for u in us]
+    assert g.distances([g.root], []).shape == (1, 0)
+
+
+@pytest.mark.parametrize("us, vs, named", [
+    ([0, 1], [2, 6], "no path between 0 and 6"),
+    ([6], [6, 0], "no path between 6 and 0"),
+    ([0], [7], "vertex 7 not in graph"),
+    ([-1], [0], "vertex -1 not in graph")],
+    ids=["disconnected", "isolated-row", "no-vertex", "negative-vertex"])
+def test_explicit_distances_raise_what_distance_raises(us, vs, named):
+    with pytest.raises(InputError, match=re.escape(named)):
+        _EXPLICIT.distances(us, vs)
+
+
+@pytest.mark.parametrize("us", [[(0, 0), (1, 2, 3)], [(0, 0, 0)], [(1,)]])
+def test_lattice_distances_refuse_vertices_of_another_arity(us):
+    # A coordinate array of the wrong width cannot be reshaped to (n, d).
+    with pytest.raises(ValueError):
+        GraphModel.zd_l1(2).distances(us, [(0, 0)])
+
+
+@pytest.mark.parametrize("make", [GraphModel.zd_l1, GraphModel.zd_linf])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_norms_are_the_distances_to_the_origin(make, d):
+    g = make(d)
+    coords = np.arange(-3, 4)
+    points = list(itertools.product(coords.tolist(), repeat=d))
+    want = g.distances([g.root], points)[0].reshape((len(coords),) * d)
+    assert np.array_equal(g.grid_norms(coords), want)
+
+
+def _empty_edge_list(tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("# no header, no edges\n\n")
+    return GraphModel.from_edge_list(p)
+
+
+@pytest.mark.parametrize("call, exc, named", [
+    (lambda tmp: GraphModel("zd_l3", 1, (0,)), ConfigError, "'zd_l3'"),
+    (lambda tmp: GraphModel.zd_l1(0), ConfigError, "got 0"),
+    (lambda tmp: GraphModel.explicit(3, [(0, 1), (2, 2)]), ConfigError,
+     "self-loop at vertex 2"),
+    (lambda tmp: GraphModel.explicit(3, [(0, 1)], root=3), InputError,
+     "root 3"),
+    (_empty_edge_list, ConfigError, "empty.txt"),
+    (lambda tmp: _EXPLICIT.check_vertex(9), InputError, "vertex 9"),
+    (lambda tmp: GraphModel.zd_l1(2).check_vertex((1,)), InputError,
+     "vertex (1,)"),
+    (lambda tmp: GraphModel.zd_l1(1).sphere((0,), -1), DomainError, "got -1"),
+    (lambda tmp: GraphModel.zd_l1(2).coordination_count(-1), InputError,
+     "got -1"),
+    (lambda tmp: _EXPLICIT.grid_norms(np.arange(3)), DomainError,
+     "'explicit'")],
+    ids=["kind", "dimension", "self-loop", "root", "empty-file",
+         "explicit-vertex", "lattice-vertex", "sphere", "coordination",
+         "grid-norms"])
+def test_graph_refusals_name_the_value(tmp_path, call, exc, named):
+    with pytest.raises(exc, match=re.escape(named)):
+        call(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,3 +225,15 @@ def test_psd_factor_names_the_first_indefinite_minor():
     # [[1, 2], [2, 1]] has eigenvalues 3 and -1; its 1x1 minor is fine.
     with pytest.raises(NumericalError, match=r"leading minor 2\)"):
         noise._psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call, named", [
+    # m = 1, so |f|_1 may be at most 1/2.
+    (lambda: taylor_bound_check({(0,): 0.25, (1,): -0.375}, iid_gaussian(1.0),
+                                G1, 100, 0), "|f|_1 = 0.625"),
+    (lambda: moment_bound_probe(iid_gaussian(1.0), G1, 12, 100, 0),
+     "p_max = 12")],
+    ids=["taylor-norm", "moment-order"])
+def test_bound_check_refusals_name_the_value(call, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +119,25 @@ def test_expm_refuses_a_complex_matrix():
         expm_neg(h, 0.5)
 
 
+@pytest.mark.parametrize("mat, t, message", [
+    ([[1e300, 0.0], [0.0, 1.0]], 1e10, "overflow forming -t*M"),
+    # -t M is finite, but its diagonal's midpoint overflows.
+    ([[1.5e308, 0.0], [1.5e308, 1.5e308]], 1.0,
+     "overflow in the matrix exponential")])
+def test_expm_overflow_is_refused_without_a_warning(mat, t, message):
+    # numpy's overflow warning came first, and under warnings-as-errors it
+    # was raised in place of the refusal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            expm_neg(np.array(mat), t)
+
+
+def test_expm_of_an_empty_matrix_is_empty():
+    got = expm_neg(np.zeros((0, 0)), 0.5)
+    assert got.shape == (0, 0)
+
+
 def test_expm_wide_diagonal_needs_no_overflow():
     # The shift by the diagonal's midpoint (-1000) is folded into the scaled
     # factor, so e^{-2000} underflows to 0 and nothing overflows on the way.
@@ -188,7 +209,7 @@ def test_expm_near_symmetric_takes_gemm(monkeypatch):
 
 def test_spectrum_multiplicities():
     res = spectrum(np.diag([1.0, 1.0, 2.0]))
-    assert res.total_multiplicity == 3
+    assert sum(m for _, m in res.clusters) == 3
     vals = sorted((lam.real, m) for lam, m in res.clusters)
     assert vals == [(pytest.approx(1.0), 2), (pytest.approx(2.0), 1)]
 
@@ -208,7 +229,7 @@ def test_spectrum_clusters_interleaved_complex_pairs():
 
 def test_spectrum_clusters_near_degenerate():
     res = spectrum(np.diag([1.0, 1.0 + 1e-9, 5.0]))
-    assert res.total_multiplicity == 3
+    assert sum(m for _, m in res.clusters) == 3
     assert len(res.clusters) == 2
 
 
@@ -562,3 +583,41 @@ def test_grid_traces_refuse_overflow_in_the_square():
             expm_neg(mat, 2.0)
         with pytest.raises(NumericalError):
             operators._expm_traces(mat, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("g", [GraphModel.zd_l1(2), GraphModel.explicit(
+    5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], root=2)],
+    ids=["z2", "explicit"])
+def test_build_takes_root_distances_in_one_call(monkeypatch, g):
+    # The build asks the graph for its root distances once, as an array.
+    want = [g.distance(g.root, v) for v in g.ball(g.root, 2)]
+
+    def per_vertex(u, v):
+        raise AssertionError("per-vertex distance call")
+
+    monkeypatch.setattr(g, "distance", per_vertex)
+    trunc = Truncation.build(g, symmetric_walk(g, 1.0), PotentialSpec(), 2)
+    assert trunc.dist.tolist() == want
+
+
+def _without_targets_at_origin(v):
+    return ((), ()) if v == (0,) else SPEC.kernel(v)
+
+
+@pytest.mark.parametrize("call, exc, named", [
+    (lambda: Truncation.build(G1, MarkovSpec(
+        rate=lambda v: -0.5 if v == (1,) else 1.0, sup_rate=1.0,
+        kernel=SPEC.kernel), PotentialSpec(), 3), ConfigError,
+     "rate -0.5 at vertex (1,)"),
+    (lambda: Truncation.build(G1, MarkovSpec(
+        rate=lambda v: 1.0, sup_rate=1.0, kernel=_without_targets_at_origin),
+        PotentialSpec(), 3), ConfigError,
+     "vertex (0,) has a positive rate 1.0 but no jump targets"),
+    (lambda: trace_identity_residual(np.eye(2), 0.0), DomainError, "got 0.0"),
+    (lambda: trace_identity_residual(np.eye(2), -1.5), DomainError,
+     "got -1.5")],
+    ids=["negative-rate", "rate-without-targets", "residual-t-zero",
+         "residual-t-negative"])
+def test_operator_refusals_name_the_value(call, exc, named):
+    with pytest.raises(exc, match=re.escape(named)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -528,3 +529,19 @@ def test_conditioned_walks_match_sample_path_given_a_jump_on_explicit_graph():
     _assert_matches_reference(G_EXPLICIT, _explicit_spec(G_EXPLICIT), 3, 0,
                               0.8, 1, lambda v: 0.3 * v - 0.5, seed=61,
                               first_jump=True)
+
+
+@pytest.mark.parametrize("call, exc, named", [
+    (lambda: sample_walks(Truncation.build(G1, SPEC, PotentialSpec(), 2),
+                          [0, 1], -0.5, np.random.default_rng(0)),
+     DomainError, "got -0.5"),
+    (lambda: sample_path(G1, MarkovSpec(rate=lambda v: -2.0, sup_rate=1.0,
+                                        kernel=SPEC.kernel), (0,), 1.0, 0),
+     ConfigError, "rate -2.0 at start vertex (0,)"),
+    (lambda: chernoff_jump_bound(0.0, 1.0, 3), DomainError, "got 0.0"),
+    (lambda: chernoff_jump_bound(-1.0, 1.0, 3), DomainError, "got -1.0")],
+    ids=["walks-horizon", "path-start-rate", "chernoff-q-zero",
+         "chernoff-q-negative"])
+def test_walker_refusals_name_the_value(call, exc, named):
+    with pytest.raises(exc, match=re.escape(named)):
+        call()
