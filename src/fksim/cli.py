@@ -22,7 +22,7 @@ from .errors import ConfigError, DomainError
 from .lattice import GraphModel
 from .noise import NoiseModel, sample_field, sample_fields
 from .operators import PotentialSpec, Truncation, _expm_traces
-from .feynman_kac import (ensemble_variance, frozen_variance_sum,
+from .feynman_kac import (_log_frozen_sum, ensemble_variance,
                           mc_dirichlet_trace, radius_for)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
@@ -189,7 +189,8 @@ def fit_exponent(rows):
 # -- sweep-variance --------------------------------------------------------------
 
 
-_LN_MAX = log(sys.float_info.max)   # e^x overflows past x = 709.78
+_LN_MIN = log(sys.float_info.min)   # -708.40
+_LN_MAX = log(sys.float_info.max)   # 709.78
 
 
 @dataclass(frozen=True)
@@ -202,62 +203,57 @@ class SweepResult:
 
 
 def sweep_variance(cfg):
+    """Frozen sums, their fitted exponent and ensemble variances on the grid.
+    After the input refusals one rule guards the results: a t whose log
+    frozen is outside [ln(min normal), ln(max float)] is refused by name."""
     cfg = effective_config("sweep-variance", cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
         raise ConfigError(f"t_exp_min = {k_min} and t_exp_max = {k_max} give "
                           "fewer than the 4 t values the exponent fit needs")
-    # The frozen sums take e^{t^2 gamma0} (e^{t^2 gamma0} - 1), up to
-    # e^{2 t^2 gamma0}; at the largest t, 2^-t_exp_min, it must not overflow.
-    # ldexp raises past the largest float.
-    try:
-        top = ldexp(cfg["gamma0"], 1 - 2 * k_min)
-    except OverflowError:
-        top = inf
-    if top > _LN_MAX:
-        raise ConfigError(f"t_exp_min = {k_min} gives 2 t^2 gamma0 = {top!r} "
-                          f"at t = 2^{-k_min}, above ln(max float) = "
-                          f"{_LN_MAX:.2f}, where e^(t^2 gamma0) "
-                          f"(e^(t^2 gamma0) - 1) overflows")
     graph, model, pot, spec = _model_from(cfg)
     m_draws = cfg["ensemble"]
     if m_draws != 0 and m_draws < 3:
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
     ts, certified = [], []
-    g0 = cfg["gamma0"]
     for k in range(k_min, k_max + 1):
         # Far out at either end of the grid, t = 2^-k, t^2 or the certified
-        # radius leaves the floats: t^2 must be finite and positive and,
-        # for gamma0 > 0, t^2 gamma0 (the size of each frozen sum) a normal
-        # float.  Refused, naming the key of that end.
+        # radius leaves the floats.  Refused, naming the key of that end.
         try:
             t = ldexp(1.0, -k)
-            t2 = t * t
-            inside = 0.0 < t2 < inf and (
-                g0 == 0.0 or t2 * g0 >= sys.float_info.min)
-            radius = radius_for(t, pot.alpha, pot.kappa) if inside else None
+            radius = radius_for(t, pot.alpha, pot.kappa) \
+                if 0.0 < t * t < inf else None
         except OverflowError:
             radius = None
         if radius is None:
             key = "t_exp_min" if k < 0 else "t_exp_max"
             raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}, "
-                              "where t, t^2, t^2 gamma0 or the certified "
-                              "radius leaves the (normal) floats")
+                              "where t, t^2 or the certified radius leaves "
+                              "the floats")
         ts.append(t)
         certified.append(radius)
-    if g0 == 0.0:
+    if cfg["gamma0"] == 0.0:
         raise ConfigError("gamma0 = 0 makes every frozen sum 0, so there is "
                           "no exponent to fit")
-    # The frozen-sum column always uses its certified radius.  Its terms
-    # carry e^{2 t mu}: only a large mu takes a sum past the floats.
+    # The frozen column always uses its certified radius.
     frozen = []
-    for t in ts:
+    for i, t in enumerate(ts):
         try:
-            frozen.append(frozen_variance_sum(t, graph, pot, model))
-        except OverflowError:
-            raise ConfigError(f"mu = {pot.mu!r} takes the frozen sum at "
-                              f"t = {t!r} past the largest float") from None
+            v = _log_frozen_sum(t, graph, pot, model)
+        except DomainError as err:   # too many terms, refused before summing
+            key = "t_exp_min" if k_min + i < 0 else "t_exp_max"
+            raise ConfigError(f"{key} = {cfg[key]} reaches t = {t!r}: "
+                              f"{err}") from None
+        # Sums leave the floats at one end of a grid: the first t's or the last.
+        if not _LN_MIN <= v <= _LN_MAX:
+            key = "t_exp_max" if i else "t_exp_min"
+            raise ConfigError(
+                f"gamma0 = {model.gamma0!r}, kappa = {pot.kappa!r} and mu = "
+                f"{pot.mu!r} give the frozen sum at t = {t!r} the log "
+                f"{v:.2f}, outside [{_LN_MIN:.2f}, {_LN_MAX:.2f}] of the "
+                f"normal floats; {key} = {cfg[key]} reaches that t")
+        frozen.append(exp(v))
     radii, ens = certified, [(None, None)] * len(ts)
     if m_draws:
         # One ball and one draw of members serve every t: the radius key,

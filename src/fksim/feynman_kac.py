@@ -23,8 +23,8 @@ kind or the sign of its covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import (ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, ldexp,
-                  log, nan, sqrt)
+from math import (ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, log,
+                  nan, sqrt)
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .walker import _BLOCK_ELEMS, _MAX_ELEMS, sample_walks
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
 _RADIAL_CHUNK = 2_000_000      # radial terms per vectorised block
-_LN2 = log(2.0)
+_TERM_CAP = 60_000_000         # radial terms any one sum may take
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,12 @@ def _radial_weight_sum(graph, pot, c, r):
     summand e^{-b n^alpha}, b = c kappa^alpha, decreases, so its
     sum over n = cap + 1 .. r is at least its integral from cap + 1 to r + 1,
     a difference of upper incomplete gamma functions.  Other graphs sum
-    every term.
+    every term, and refuse more than ``_TERM_CAP`` before summing.
     """
     n_exact = min(r, _EXACT_TERM_CAP) if graph.d == 1 else r
+    if n_exact > _TERM_CAP:
+        raise DomainError(f"alpha = {pot.alpha!r} and kappa = {pot.kappa!r} "
+                          f"need {r} terms, over the cap of {_TERM_CAP}")
     total = float(np.exp(-c * pot.radial(np.array([0.0])))[0])
     for lo in range(1, n_exact + 1, _RADIAL_CHUNK):
         ns = np.arange(lo, min(n_exact, lo + _RADIAL_CHUNK - 1) + 1,
@@ -303,23 +306,26 @@ def _next_fast_len(n):
     return best
 
 
-def _power_decay_pair_sum(t, graph, pot, model, r):
-    """S = sum over u, v in the radius-r ball of
-    w(u) w(v) expm1(t^2 gamma(u, v)), w = e^{-tV}, for power-decay gamma
-    on a lattice.
+def _pair_kernel(xg, x):
+    """expm1(xg) / expm1(x) for 0 <= xg <= x, 0 < x < inf: no step past 1."""
+    return np.exp(xg - x) * np.expm1(-xg) / expm1(-x)
 
-    There gamma depends on the norm of u - v alone, so S is
-    sum_z K(z) A(z) over the lags z in [-2r, 2r]^d, with
-    K(z) = expm1(t^2 gamma0 (|z| + 1)^-beta) and A the autocorrelation of w
-    on the (2r+1)^d box (0 outside the ball).  A is
+
+def _power_decay_pair_sum(t, graph, pot, model, r):
+    """I = sum over u, v in the radius-r ball of w(u) w(v) k(u, v),
+    w = e^{-tV}, k = _pair_kernel(t^2 gamma(u, v), t^2 gamma0), for
+    power-decay gamma on a lattice.
+
+    There gamma depends on the norm of u - v alone, so I is sum_z k(z) A(z)
+    over the lags z in [-2r, 2r]^d, with k(z) at gamma0 (|z| + 1)^-beta and
+    A the autocorrelation of w on the (2r+1)^d box (0 outside the ball).  A is
     irfftn(|rfftn(w, s)|^2, s) with s = _next_fast_len(4r + 1) per axis, so
     lags up to 2r do not alias; a grid of more than ``_MAX_ELEMS`` points is
     refused before anything is allocated.  Roundoff: the FFT leaves an
-    absolute error of about eps log(s^d) A(0) at each lag, and since A and K
-    are nonnegative, S >= K(0) A(0), so the relative error of S is at most
-    about eps log(s^d) sum_z K(z) / K(0).
+    absolute error of about eps log(s^d) A(0) at each lag, and since A and k
+    are nonnegative and k(0) = 1, I >= A(0), so the relative error of I is
+    at most about eps log(s^d) sum_z k(z).
     """
-    t2 = t * t
     d = graph.d
     s = _next_fast_len(4 * r + 1)
     if s ** d > _MAX_ELEMS:
@@ -332,26 +338,24 @@ def _power_decay_pair_sum(t, graph, pot, model, r):
     acf = np.fft.irfftn(spec.real ** 2 + spec.imag ** 2, (s,) * d, axes)
     # Lag -k sits at index s - k, which a negative index reads directly.
     lags = np.r_[0:2 * r + 1, -2 * r:0]
-    kern = np.expm1(t2 * decay_kernel(model, graph.grid_norms(lags)))
+    kern = _pair_kernel(t * t * decay_kernel(model, graph.grid_norms(lags)),
+                        t * t * model.gamma0)
     return float((kern * acf[np.ix_(*[lags] * d)]).sum())
 
 
-def frozen_variance_sum(t, graph, pot, model):
-    """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}].
-
-    On the lattices independent and constant covariances collapse to radial
-    single sums (``_radial_weight_sum``, with its integral tail on Z^1 past
-    ``_EXACT_TERM_CAP`` terms) and power decay is a convolution
-    (``_power_decay_pair_sum``); explicit graphs, with neither, take the
-    pairwise sum over the ball for every kind, with the radial law of the
-    root distances.  Each route sums with mu = 0, and the factor e^{2 t mu}
-    that V = (kappa d)^alpha - mu gives every term is applied once, last; a
-    sum past the largest float raises ``OverflowError``.  The box is the
-    certified one, of radius ``radius_for(t, pot.alpha, pot.kappa)``.
+def _log_frozen_sum(t, graph, pot, model):
+    """log of ``frozen_variance_sum``, 2x + log(1 - e^{-x}) + log I + 2 t mu
+    with x = t^2 gamma0, in which nothing overflows: each covariance e^x
+    expm1(t^2 gamma) is e^{2x} (1 - e^{-x}) ``_pair_kernel``, and every term
+    has e^{2 t mu} from V = (kappa d)^alpha - mu.  I >= 1 sums w(u) w(v)
+    kernel(u, v), w = e^{-tV} at mu = 0, over the box of ``radius_for``: by
+    the radial sums S(2t) and S(t)^2 on the lattices for independent and
+    constant noise, a convolution for power decay, pairwise on explicit graphs.
     """
     r = radius_for(t, pot.alpha, pot.kappa)
-    t2 = t * t
-    g0 = model.gamma0
+    x = t * t * model.gamma0
+    if not 0.0 < x < inf:
+        return -inf if x == 0.0 else inf
     pot0 = PotentialSpec(pot.alpha, pot.kappa)
     if graph.kind not in (ZD_L1, ZD_LINF):
         verts = graph.ball(graph.root, r)
@@ -359,24 +363,24 @@ def frozen_variance_sum(t, graph, pot, model):
             raise DomainError(f"pairwise sum over {len(verts)} vertices is "
                               "too large")
         w = np.exp(-t * pot0.radial(graph.distances([graph.root], verts)[0]))
-        gam = covariance_matrix(model, graph, verts)
-        total = exp(t2 * g0) * float(w @ np.expm1(t2 * gam) @ w)
+        kern = _pair_kernel(t * t * covariance_matrix(model, graph, verts), x)
+        log_i = log(float(w @ kern @ w))
     elif model.kind == POWER_DECAY:
-        total = exp(t2 * g0) * _power_decay_pair_sum(t, graph, pot0, model, r)
+        log_i = log(_power_decay_pair_sum(t, graph, pot0, model, r))
+    elif model.kind == IID:
+        log_i = log(_radial_weight_sum(graph, pot0, 2.0 * t, r))
     else:
-        factor = exp(t2 * g0) * expm1(t2 * g0)
-        if model.kind == IID:
-            total = factor * _radial_weight_sum(graph, pot0, 2.0 * t, r)
-        else:
-            radial = _radial_weight_sum(graph, pot0, t, r)
-            total = factor * radial * radial
-    # Every term carries e^{2 t mu}, applied here as ldexp(total e^x, k) with
-    # 2 t mu = k ln 2 + x, which keeps every bit at mu = 0.  Past |2 t mu| =
-    # 4096 (where 2 t mu may be infinite) any nonzero float leaves the floats,
-    # so the exponent is clipped there.
-    k, x = divmod(min(max(2.0 * t * pot.mu, -4096.0), 4096.0), _LN2)
-    out = ldexp(float(total) * exp(x), int(k))
-    if out == inf:
+        log_i = 2.0 * log(_radial_weight_sum(graph, pot0, t, r))
+    # Within eps of log(1 - e^-x) at any x > 0 (Maechler's log1p branch gains
+    # digits past x = ln 2 that 2x swamps).
+    return 2.0 * x + log(-expm1(-x)) + log_i + 2.0 * t * pot.mu
+
+
+def frozen_variance_sum(t, graph, pot, model):
+    """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}]:
+    e^{``_log_frozen_sum``}, or ``OverflowError`` past the largest float."""
+    out = exp(_log_frozen_sum(t, graph, pot, model))
+    if out == inf:   # exp(inf) is inf, where a finite argument raises
         raise OverflowError("the frozen sum passes the largest float")
     return out
 
@@ -408,7 +412,7 @@ def riemann_tail_sum(t, kappa, alpha, graph):
     while 2.0 * gammaincc(d / m, z) > 1e-9 and z < 200.0:
         z += 5.0
     n_max = ceil(z ** (1.0 / m) / s)
-    if n_max > 60_000_000:
+    if n_max > _TERM_CAP:
         raise DomainError(f"tail certification needs {n_max} terms, above the "
                           "summation cap")
     total = _radial_weight_sum(graph, PotentialSpec(alpha=m, kappa=s), 1.0,

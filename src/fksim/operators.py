@@ -270,24 +270,23 @@ def expm_neg(mat, t=1.0):
     a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("matrix has non-finite entries")
     n = len(a)
     if n == 0:
         return np.empty_like(a)
     buf = np.empty((9, n, n))   # X .. X^4, 4 blocks, a product buffer
     x, x2, x3, x4, blocks = buf[0], buf[1], buf[2], buf[3], buf[4:8]
-    # Each overflow here is refused below, with no numpy warning first.
-    with np.errstate(over="ignore"):
+    # A non-finite M or -tM, or an overflow, makes the norm inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(a, -t, out=x)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError("overflow forming -t*M")
         diag = x.diagonal()
         mu = 0.5 * (diag.max() + diag.min())
         x.reshape(-1)[::n + 1] -= mu
         norm = np.abs(x).sum(axis=0).max()
-    if not isfinite(norm):
-        raise NumericalError("overflow in the matrix exponential")
+        if not isfinite(norm):
+            raise NumericalError(
+                "matrix has non-finite entries" if not np.isfinite(a).all()
+                else "overflow forming -t*M" if not np.isfinite(a * -t).all()
+                else "overflow in the matrix exponential")
     s = max(0, ceil(log2(norm / _THETA_16))) if norm > 0.0 else 0
     sym = n >= _SYRK_MIN_DIM and np.array_equal(x, x.T)
 

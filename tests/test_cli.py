@@ -255,23 +255,30 @@ def test_sweep_empty_grid_rejected(tmp_path):
         cli.sweep_variance(cfg)
 
 
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """The stages of a sweep that ran, in order: "frozen" for each frozen
+    sum (the real one runs) and "ensemble" for the ensemble (a stub)."""
+    calls, real = [], cli._log_frozen_sum
+    monkeypatch.setattr(cli, "_log_frozen_sum",
+                        lambda *a: calls.append("frozen") or real(*a))
+    monkeypatch.setattr(cli, "ensemble_variance",
+                        lambda *a, **k: calls.append("ensemble"))
+    return calls
+
+
 @pytest.mark.parametrize("grid", ["t_exp_min = 1\nt_exp_max = 3\n",
                                   "t_exp_min = 5\nt_exp_max = 5\n",
                                   "t_exp_min = 9\nt_exp_max = 6\n"])
 def test_sweep_refuses_a_short_grid_before_any_work(tmp_path, capsys,
-                                                    monkeypatch, grid):
+                                                    sweep_calls, grid):
     # The exponent fit needs four rows; a shorter grid is known from the two
     # keys, so neither the frozen sums nor the ensemble may run first.
-    calls = []
-    monkeypatch.setattr(cli, "frozen_variance_sum",
-                        lambda *a, **k: calls.append("frozen"))
-    monkeypatch.setattr(cli, "ensemble_variance",
-                        lambda *a, **k: calls.append("ensemble"))
     path = _write(tmp_path, grid + "ensemble = 4000\n")
     assert cli.main(["sweep-variance", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "t_exp_min" in err and "t_exp_max" in err and "4 t values" in err
-    assert calls == []
+    assert sweep_calls == []
 
 
 @pytest.mark.parametrize("text", [
@@ -283,60 +290,48 @@ def test_sweep_refuses_a_short_grid_before_any_work(tmp_path, capsys,
     "noise = power_decay\nbeta = 1\ngamma0 = 2\nt_exp_min = -4\n"
     "t_exp_max = 0\n"])
 def test_sweep_refuses_a_grid_whose_exponential_overflows(tmp_path, capsys,
-                                                          monkeypatch, text):
-    # The frozen sums take e^{t^2 gamma0} (e^{t^2 gamma0} - 1), which
-    # overflows past 2 t^2 gamma0 = ln(max float) = 709.78 and ended in
-    # "math range error" or "value inf is not finite", naming no key.
-    # Refused before any sum or ensemble runs.
-    calls = []
-    monkeypatch.setattr(cli, "frozen_variance_sum",
-                        lambda *a, **k: calls.append("frozen"))
-    monkeypatch.setattr(cli, "ensemble_variance",
-                        lambda *a, **k: calls.append("ensemble"))
+                                                          sweep_calls, text):
+    # The frozen sums hold e^{t^2 gamma0} (e^{t^2 gamma0} - 1), which
+    # passes the largest float with 2 t^2 gamma0 > ln(max float) = 709.78,
+    # and ended in "math range error" or "value inf is not finite", naming
+    # no key.  Refused, with warnings as errors, before the ensemble runs.
     path = _write(tmp_path, text + "ensemble = 4000\n")
-    assert cli.main(["sweep-variance", "--config", path]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(r"\bt_exp_min\b", captured.err)
-    assert calls == []
+    assert "ensemble" not in sweep_calls
 
 
 @pytest.mark.parametrize("text, key", [
     ("gamma0 = 0\nt_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),
     ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_max")])
 def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
-                                                 monkeypatch, text, key):
+                                                 sweep_calls, text, key):
     # t = 2^1100 overflows ("Numerical result out of range"), and at t =
     # 2^-1060 radius_for(t) is infinite ("cannot convert float infinity to
     # integer"); neither named a key.  Refused before any sum runs.
-    calls = []
-    monkeypatch.setattr(cli, "frozen_variance_sum",
-                        lambda *a, **k: calls.append("frozen"))
-    monkeypatch.setattr(cli, "ensemble_variance",
-                        lambda *a, **k: calls.append("ensemble"))
     path = _write(tmp_path, text + "ensemble = 4000\n")
     assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(rf"\b{key}\b", captured.err)
-    assert calls == []
+    assert sweep_calls == []
 
 
 @pytest.mark.parametrize("text, key", [
     ("gamma0 = 0\nt_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min"),
     ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_max"),
-    ("gamma0 = 0\nt_exp_min = -512\nt_exp_max = -508\n", "t_exp_min"),
-    ("t_exp_min = 509\nt_exp_max = 512\n", "t_exp_max"),
-    ("gamma0 = 0.25\nt_exp_min = 508\nt_exp_max = 511\n", "t_exp_max")])
+    ("gamma0 = 0\nt_exp_min = -512\nt_exp_max = -508\n", "t_exp_min")])
 def test_sweep_refuses_a_grid_whose_sums_leave_the_floats(tmp_path, capsys,
                                                           text, key):
     # t = 2^1020 is finite, but its t^2 is not: the radial sums overflowed
     # with a RuntimeWarning and "(34, 'Numerical result out of range')".  At
     # t = 2^-1000, t^2 is 0 and so was every frozen sum ("row 0: value 0.0
-    # is not positive").  t^2 overflows from t = 2^512, and t^2 gamma0
-    # leaves the normal floats below 2^-1022 (from t = 2^-512 at gamma0 = 1,
-    # and from t = 2^-511 at gamma0 = 0.25).  The real sums run here, with
-    # warnings as errors: the refusal comes first.
+    # is not positive").  t^2 overflows from t = 2^512.  The real sums run
+    # here, with warnings as errors: the refusal comes first.
     path = _write(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -347,41 +342,107 @@ def test_sweep_refuses_a_grid_whose_sums_leave_the_floats(tmp_path, capsys,
     assert "Warning" not in captured.err
 
 
+def _theta_frozen(t, gamma0, mu):
+    """The Z^1 iid frozen sum of V = n^2 - mu over all of Z, by the Jacobi
+    theta form sum_n e^{-2t n^2} = sqrt(pi/2t) sum_k e^{-pi^2 k^2/2t}, taken
+    in logs: e^x expm1(x) e^{2 t mu} times it, x = t^2 gamma0."""
+    a = 2.0 * t
+    theta = math.sqrt(math.pi / a) * math.fsum(
+        math.exp(-math.pi ** 2 * k * k / a) for k in range(-5, 6))
+    x = t * t * gamma0
+    return math.exp(x + math.log(math.expm1(x)) + math.log(theta)
+                    + 2.0 * t * mu)
+
+
 @pytest.mark.parametrize("text, noise_free", [
     ("gamma0 = 0\nt_exp_min = -511\nt_exp_max = -508\n", True),
     ("t_exp_min = 508\nt_exp_max = 511\n", False),
-    ("gamma0 = 0.25\nt_exp_min = 507\nt_exp_max = 510\n", False)])
+    ("gamma0 = 0.25\nt_exp_min = 507\nt_exp_max = 510\n", False),
+    # t^2 gamma0 is subnormal: these were refused for it, though every
+    # frozen sum is a normal float (5.7e-232 and more).
+    ("t_exp_min = 509\nt_exp_max = 512\n", False),
+    ("gamma0 = 0.25\nt_exp_min = 508\nt_exp_max = 511\n", False),
+    # Refused for e^{2 t^2 gamma0} = e^800 at t = 1, though the frozen sum
+    # there is e^{700.24} (mu = -50), and for t^2 gamma0 below the normal
+    # floats from t = 2^-13, though each frozen sum is 5.9e-307 or more.
+    ("gamma0 = 400\nmu = -50\nt_exp_min = 0\nt_exp_max = 3\n", False),
+    ("gamma0 = 1e-300\nt_exp_min = 11\nt_exp_max = 14\n", False)])
 def test_sweep_grid_gate_admits_the_edge_of_the_floats(tmp_path, capsys,
-                                                       monkeypatch, text,
+                                                       monkeypatch,
+                                                       sweep_calls, text,
                                                        noise_free):
-    # One step inside each refusal above, the grid passes the gate: the
-    # sums are reached (and stubbed, since the certified radius of t =
-    # 2^-511 is 3.8e77), or, at gamma0 = 0, gamma0 is refused by name.
-    calls = []
-    monkeypatch.setattr(cli, "frozen_variance_sum",
-                        lambda t, *a, **k: calls.append(t) or t * t)
+    # A grid whose frozen sums are all normal floats runs, with warnings as
+    # errors, and each sum is the theta closed form; at gamma0 = 0 (one step
+    # inside the refusal of t^2), gamma0 is refused by name.  The Z^1
+    # integral tail starts after 1000 terms (the certified radius of
+    # t = 2^-512 is 7.5e77), which moves no sum by 1e-70 of itself.
+    monkeypatch.setattr(fksim.feynman_kac, "_EXACT_TERM_CAP", 1000)
     path = _write(tmp_path, text)
-    rc = cli.main(["sweep-variance", "--config", path])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["sweep-variance", "--config", path])
     captured = capsys.readouterr()
     if noise_free:
-        assert rc == 1 and calls == []
+        assert rc == 1 and sweep_calls == []
         assert re.search(r"\bgamma0\b", captured.err)
         assert "t_exp" not in captured.err
-    else:
-        assert rc == 0 and len(calls) == 4, captured.err
+        return
+    assert rc == 0 and sweep_calls == ["frozen"] * 4, captured.err
+    cfg = cli.effective_config("sweep-variance",
+                               cli.parse_config(path))
+    for line in captured.out.splitlines()[2:-1]:
+        t, frozen = map(float, line.split(",")[:2])
+        assert frozen >= sys.float_info.min
+        assert frozen == pytest.approx(
+            _theta_frozen(t, cfg["gamma0"], cfg["mu"]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("text, key, log", [
+    ("gamma0 = 354\nkappa = 0.1\nt_exp_min = 0\nt_exp_max = 3\n",
+     "t_exp_min", "710.53"),
+    ("gamma0 = 1e-300\nt_exp_min = 17\nt_exp_max = 20\n", "t_exp_max",
+     "-709.26")])
+def test_sweep_refuses_a_frozen_sum_outside_the_normal_floats(
+        tmp_path, capsys, sweep_calls, text, key, log):
+    # The radial sum of kappa = 0.1 (about 12.5) takes e^708 to e^{710.53}
+    # at t = 1, and mu = 0 was blamed for it; at t = 2^-18, t^2 gamma0
+    # sqrt(pi/2t) is 9.3e-309, a subnormal float.  Refused by the keys that
+    # set the sum, with its log, before the ensemble runs.
+    path = _write(tmp_path, text + "ensemble = 40\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ensemble" not in sweep_calls
+    for name in ("gamma0", "kappa", "mu", key):
+        assert re.search(rf"\b{name}\b", captured.err)
+    assert f"the log {log}," in captured.err
+    assert "Warning" not in captured.err and "row" not in captured.err
+
+
+def test_sweep_refuses_a_radial_sum_of_too_many_terms(tmp_path, capsys,
+                                                      sweep_calls):
+    # On Z^2 every radial term is summed: 2.0e9 of them at t = 2^-57, which
+    # at about 5e-8 s each would have run for minutes.  Refused before any
+    # term is summed.
+    path = _write(tmp_path, "d = 2\nt_exp_min = 57\nt_exp_max = 60\n"
+                            "ensemble = 40\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and sweep_calls == ["frozen"]
+    for name in ("t_exp_max", "alpha", "kappa"):
+        assert re.search(rf"\b{name}\b", captured.err)
+    assert "over the cap of 60000000" in captured.err
 
 
 def test_sweep_refuses_noise_free_fields_by_name(tmp_path, capsys,
-                                                 monkeypatch):
+                                                 sweep_calls):
     # At gamma0 = 0 every frozen sum is exactly 0, and the run failed in the
     # fit with "row 0: value 0.0 is not positive"; refused before any sum.
-    calls = []
-    monkeypatch.setattr(cli, "frozen_variance_sum",
-                        lambda *a, **k: calls.append("frozen"))
     path = _write(tmp_path, "gamma0 = 0\n")
     assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and calls == []
+    assert captured.out == "" and sweep_calls == []
     assert re.search(r"\bgamma0\b", captured.err)
 
 
@@ -1308,10 +1369,10 @@ def test_cli_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     assert csv == """\
 # config_hash=9d18b28913835bf6
 t,frozen,ens_var,ens_se,lower,radius
-0.5,0.646473439268386,0.22810831219918976,0.010878841001045069,0.2378242875702342,6
-0.25,0.17209004382093246,0.09527754313665089,0.0035878936669408255,0.10437788780868616,6
-0.125,0.0567032762704771,0.03985890991154497,0.001404947564071442,0.04416055596216178,6
-0.0625,0.019698127078166133,0.015991718717204235,0.0005514902547799689,0.01738353613319936,6
+0.5,0.6464734392683859,0.22810831219918976,0.010878841001045069,0.23782428757023416,6
+0.25,0.17209004382093251,0.09527754313665089,0.0035878936669408255,0.10437788780868619,6
+0.125,0.05670327627047712,0.03985890991154497,0.001404947564071442,0.04416055596216179,6
+0.0625,0.01969812707816612,0.015991718717204235,0.0005514902547799689,0.01738353613319935,6
 """
 
 
@@ -1339,18 +1400,18 @@ def test_cli_power_sweep_variance_benchmark_csv_is_pinned(tmp_path, capsys):
     assert csv == """\
 # config_hash=577e45937bba551e
 t,frozen,ens_var,ens_se,lower,radius
-0.015625,0.02196259536513585,,,0.021286877343245785,84
+0.015625,0.02196259536513586,,,0.021286877343245796,84
 0.0078125,0.009670740815058152,,,0.00952080987562753,101
-0.00390625,0.004231165778940054,,,0.004198238585617198,126
-0.001953125,0.001840612070427061,,,0.001833436204015624,160
-0.0009765625,0.0007966597660376793,,,0.0007951053084512724,210
-0.00048828125,0.0003433084866184037,,,0.00034297338807340804,279
-0.000244140625,0.00014738840359113914,,,0.00014731645416440567,378
-0.0001220703125,6.307328691023984e-05,,,6.305789003813024e-05,517
-6.103515625e-05,2.691768659546138e-05,,,2.6914400945591127e-05,714
-3.0517578125e-05,1.1460914001839887e-05,,,1.1460214504510199e-05,993
-1.52587890625e-05,4.870170012755866e-06,,,4.870021389229846e-06,1387
-7.62939453125e-06,2.0660659807999212e-06,,,2.0660344553754515e-06,1945
+0.00390625,0.004231165778940052,,,0.004198238585617195,126
+0.001953125,0.0018406120704270602,,,0.0018334362040156231,160
+0.0009765625,0.000796659766037679,,,0.0007951053084512722,210
+0.00048828125,0.0003433084866184035,,,0.0003429733880734079,279
+0.000244140625,0.00014738840359113936,,,0.00014731645416440588,378
+0.0001220703125,6.307328691023999e-05,,,6.305789003813038e-05,517
+6.103515625e-05,2.6917686595461417e-05,,,2.6914400945591164e-05,714
+3.0517578125e-05,1.1460914001839898e-05,,,1.146021450451021e-05,993
+1.52587890625e-05,4.870170012755873e-06,,,4.870021389229853e-06,1387
+7.62939453125e-06,2.0660659807999238e-06,,,2.066034455375454e-06,1945
 """
 
 

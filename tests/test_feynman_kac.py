@@ -620,10 +620,11 @@ def _pairwise_power_decay(graph, pot, beta, t, r):
                                    GraphModel.zd_linf(2)],
                          ids=["z1", "z2_l1", "z2_linf"])
 def test_power_decay_convolution_matches_pairwise(graph, beta, r):
+    # The convolution sums the kernel expm1(t^2 gamma) / expm1(t^2 gamma0).
     t = 0.25
     pot = PotentialSpec(alpha=1.5, kappa=0.5, mu=0.3)
     got = fk._power_decay_pair_sum(t, graph, pot, power_decay_gaussian(beta),
-                                   r)
+                                   r) * math.expm1(t * t)
     want = _pairwise_power_decay(graph, pot, beta, t, r)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -825,6 +826,30 @@ def test_frozen_sum_matches_the_pair_loop_with_mu(graph, model, mu):
         w[i] * w[j] * math.expm1(t * t * noise.covariance(model, graph, u, v))
         for i, u in enumerate(verts) for j, v in enumerate(verts))
     got = fk.frozen_variance_sum(t, graph, pot, model)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [
+    iid_gaussian(1500.0), constant_gaussian(1500.0),
+    power_decay_gaussian(beta=0.7, gamma0=1500.0)],
+    ids=["iid", "constant", "power_decay"])
+@pytest.mark.parametrize("graph", [G1, G_IRREGULAR], ids=["z1", "explicit"])
+def test_frozen_sum_past_an_overflowing_noise_factor(graph, model):
+    # At t = 1/2, e^{t^2 gamma0} (e^{t^2 gamma0} - 1) = e^750 passes the
+    # largest float, and mu = -46 brings every sum back below it: each route
+    # forms the sum in logs, so none raises.  The pair loop adds the
+    # exponents in logs too.
+    t, mu = 0.5, -46.0
+    pot = PotentialSpec(alpha=1.5, kappa=0.8, mu=mu)
+    verts = graph.ball(graph.root, fk.radius_for(t, pot.alpha, pot.kappa))
+    w = [math.exp(-t * (pot.kappa * graph.distance(graph.root, u))
+                  ** pot.alpha) for u in verts]
+    pairs = math.fsum(
+        w[i] * w[j] * math.expm1(t * t * noise.covariance(model, graph, u, v))
+        for i, u in enumerate(verts) for j, v in enumerate(verts))
+    want = math.exp(t * t * model.gamma0 + math.log(pairs) + 2.0 * t * mu)
+    got = fk.frozen_variance_sum(t, graph, pot, model)
+    assert want > 1e300
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

@@ -123,7 +123,11 @@ def test_expm_refuses_a_complex_matrix():
     ([[1e300, 0.0], [0.0, 1.0]], 1e10, "overflow forming -t*M"),
     # -t M is finite, but its diagonal's midpoint overflows.
     ([[1.5e308, 0.0], [1.5e308, 1.5e308]], 1.0,
-     "overflow in the matrix exponential")])
+     "overflow in the matrix exponential"),
+    # The norm's one test also catches a NaN or infinite entry of M.
+    ([[1.0, math.nan], [0.0, 1.0]], 0.5, "matrix has non-finite entries"),
+    ([[math.inf, 0.0], [0.0, 1.0]], 0.5, "matrix has non-finite entries"),
+    ([[1.0, 0.0], [-math.inf, 1.0]], 0.5, "matrix has non-finite entries")])
 def test_expm_overflow_is_refused_without_a_warning(mat, t, message):
     # numpy's overflow warning came first, and under warnings-as-errors it
     # was raised in place of the refusal.
