@@ -204,8 +204,9 @@ class SweepResult:
 
 def sweep_variance(cfg):
     """Frozen sums, their fitted exponent and ensemble variances on the grid.
-    After the input refusals one rule guards the results: a t whose log
-    frozen is outside [ln(min normal), ln(max float)] is refused by name."""
+    A grid t that its sum refuses (t or its radius past the floats, a term,
+    FFT or pair cap, a log frozen outside [ln(min normal), ln(max float)])
+    is refused by one rule: ``t_exp_min`` for t >= 1, else ``t_exp_max``."""
     cfg = effective_config("sweep-variance", cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
@@ -216,44 +217,35 @@ def sweep_variance(cfg):
     if m_draws != 0 and m_draws < 3:
         raise ConfigError("ensemble must be 0 (off) or at least 3 (the "
                           "jackknife SE divides by ensemble - 2)")
-    ts, certified = [], []
-    for k in range(k_min, k_max + 1):
-        # Far out at either end of the grid, t = 2^-k, t^2 or the certified
-        # radius leaves the floats.  Refused, naming the key of that end.
-        try:
-            t = ldexp(1.0, -k)
-            radius = radius_for(t, pot.alpha, pot.kappa) \
-                if 0.0 < t * t < inf else None
-        except OverflowError:
-            radius = None
-        if radius is None:
-            key = "t_exp_min" if k < 0 else "t_exp_max"
-            raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}, "
-                              "where t, t^2 or the certified radius leaves "
-                              "the floats")
-        ts.append(t)
-        certified.append(radius)
-    if cfg["gamma0"] == 0.0:
+    if model.gamma0 == 0.0:
         raise ConfigError("gamma0 = 0 makes every frozen sum 0, so there is "
                           "no exponent to fit")
-    # The frozen column always uses its certified radius.
-    frozen = []
-    for i, t in enumerate(ts):
+    # t = 2^-k.  Every cap grows with the box and radius_for is convex in t,
+    # so the widest box is at a grid end: the ends are summed first, and an
+    # oversized grid is refused after at most two sums.
+    done = {}
+    for k in (k_min, k_max, *range(k_min + 1, k_max)):
         try:
+            t = ldexp(1.0, -k)
+            radius = radius_for(t, pot.alpha, pot.kappa)
+            # A t^2 of 0 or inf gives a log of -inf or inf.
             v = _log_frozen_sum(t, graph, pot, model)
-        except DomainError as err:   # too many terms, refused before summing
-            key = "t_exp_min" if k_min + i < 0 else "t_exp_max"
-            raise ConfigError(f"{key} = {cfg[key]} reaches t = {t!r}: "
-                              f"{err}") from None
-        # Sums leave the floats at one end of a grid: the first t's or the last.
-        if not _LN_MIN <= v <= _LN_MAX:
-            key = "t_exp_max" if i else "t_exp_min"
-            raise ConfigError(
-                f"gamma0 = {model.gamma0!r}, kappa = {pot.kappa!r} and mu = "
-                f"{pot.mu!r} give the frozen sum at t = {t!r} the log "
-                f"{v:.2f}, outside [{_LN_MIN:.2f}, {_LN_MAX:.2f}] of the "
-                f"normal floats; {key} = {cfg[key]} reaches that t")
-        frozen.append(exp(v))
+            if not _LN_MIN <= v <= _LN_MAX:
+                raise DomainError(
+                    f"gamma0 = {model.gamma0!r}, kappa = {pot.kappa!r} and "
+                    f"mu = {pot.mu!r} give the frozen sum the log {v:.2f}, "
+                    f"outside [{_LN_MIN:.2f}, {_LN_MAX:.2f}] of the normal "
+                    "floats")
+        except OverflowError:
+            why = "t or its certified radius leaves the floats"
+        except DomainError as err:
+            why = err
+        else:
+            done[k] = (t, exp(v), radius)
+            continue
+        key = "t_exp_min" if k <= 0 else "t_exp_max"   # t = 2^-k >= 1, or < 1
+        raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}: {why}")
+    ts, frozen, certified = zip(*(done[k] for k in sorted(done)))
     radii, ens = certified, [(None, None)] * len(ts)
     if m_draws:
         # One ball and one draw of members serve every t: the radius key,
@@ -486,7 +478,7 @@ _MODEL_KEYS = {
     "noise": (str, "iid"), "gamma0": (_finite, 1.0),
     "beta": (_finite, None), "alpha": (_finite, 2.0),
     "kappa": (_finite, 1.0), "mu": (_finite, 0.0), "q": (_finite, 1.0),
-    "seed": (int, 0)}
+    "seed": (int, 0, 0)}
 _COMMANDS = {
     "sweep-variance": (
         sweep_variance, _write_sweep_csv,
@@ -505,7 +497,7 @@ _COMMANDS = {
         tail_check, _write_tail_csv, lambda r: f"points={len(r.rows)}",
         {"q": (_finite, 1.0), "t": (_time, 0.5),
          "n_paths": (int, 10 ** 6, 1),
-         "x_max": (int, 10, 1), "seed": (int, 0)}),
+         "x_max": (int, 10, 1), "seed": (int, 0, 0)}),
     "spectral-check": (
         spectral_check, None,
         lambda r: f"max_residual={r.max_residual:.3e} trials={r.n_trials}",

@@ -64,7 +64,7 @@ def radius_for(t, alpha=2.0, kappa=1.0):
     plus an allowance for the displacement of a unit-rate walker over the
     horizon; without growth (alpha, kappa > 0) no box is certified."""
     if t <= 0:
-        raise DomainError("t must be positive")
+        raise DomainError(f"t must be positive, got {t!r}")
     for name, value in (("alpha", alpha), ("kappa", kappa)):
         if not value > 0:
             raise DomainError(f"radius_for needs {name} > 0, got {value!r}")

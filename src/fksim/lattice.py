@@ -7,6 +7,7 @@ vertices of explicit graphs are 0-based integer indices.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import reduce
 from math import comb
 
@@ -22,7 +23,7 @@ _LATTICE_KINDS = (ZD_L1, ZD_LINF)
 
 
 class GraphModel:
-    """A rooted graph with distance, sphere/ball enumeration and coordination counts.
+    """A rooted graph with distance, ball enumeration and lattice coordination counts.
 
     Immutable after construction (distance caches aside).
     """
@@ -50,8 +51,16 @@ class GraphModel:
 
     @classmethod
     def explicit(cls, n_vertices, edges, root=0):
+        """Vertices 0..n_vertices - 1; edges and root may be any integers
+        (numpy's too), which are stored as Python ints."""
+        def vertex(v):
+            try:
+                return operator.index(v)
+            except TypeError:
+                raise InputError(f"vertex {v!r} is not an integer") from None
         adj = [set() for _ in range(n_vertices)]
         for u, v in edges:
+            u, v = vertex(u), vertex(v)
             if u == v:
                 raise ConfigError(f"self-loop at vertex {u}")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
@@ -59,6 +68,7 @@ class GraphModel:
             adj[u].add(v)
             adj[v].add(u)
         adjacency = tuple(tuple(sorted(s)) for s in adj)
+        root = vertex(root)
         if not 0 <= root < n_vertices:
             raise InputError(f"root {root} not a vertex")
         return cls(EXPLICIT, 1, root, adjacency=adjacency)
@@ -162,14 +172,10 @@ class GraphModel:
 
     # -- spheres and balls -------------------------------------------------
 
-    def sphere(self, center, n):
-        """All vertices at graph distance exactly n from center."""
-        if n < 0:
-            raise DomainError(f"sphere radius must be >= 0, got {n}")
-        return self._spheres(center, n)[n]
-
     def _spheres(self, center, n):
-        """Spheres 0..n via breadth-first layers."""
+        """Spheres 0..n via breadth-first layers, to the last nonempty one."""
+        if n < 0:
+            raise DomainError(f"radius must be >= 0, got {n}")
         self.check_vertex(center)
         layers = [[center]]
         seen = {center}
@@ -180,6 +186,8 @@ class GraphModel:
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
+            if not nxt:   # a finite graph's radius may pass its diameter
+                break
             layers.append(nxt)
         return layers
 
@@ -196,17 +204,17 @@ class GraphModel:
         return verts
 
     def coordination_count(self, n):
-        """c_n: number of vertices at distance exactly n from the root.
+        """c_n: number of vertices at distance exactly n from the root of a
+        lattice, in closed form.
 
-        Closed forms for the lattice kinds; BFS for explicit graphs.  On the
-        lattices ``n`` may also be an array of n >= 1, which gives float
-        counts.  Both closed forms are sums of positive terms, so nothing
-        cancels: an integer n gives the exact count, an array the count to
-        roundoff (exact below 2**53).
+        ``n`` may also be an array of n >= 1, which gives float counts.  Both
+        closed forms are sums of positive terms, so nothing cancels: an
+        integer n gives the exact count, an array the count to roundoff
+        (exact below 2**53).
         """
+        if self.kind not in _LATTICE_KINDS:
+            raise DomainError("radial closed forms require a lattice kind")
         if np.ndim(n):
-            if self.kind not in _LATTICE_KINDS:
-                raise DomainError("radial closed forms require a lattice kind")
             n = np.asarray(n, dtype=float)
         elif n < 0:
             raise InputError(f"n must be >= 0, got {n!r}")
@@ -222,8 +230,6 @@ class GraphModel:
                 total = total + comb(d, k) * 2 ** k * binom
                 binom = binom * (n - k) // k
             return total
-        if self.kind == ZD_LINF:
-            # (2n+1)^d - (2n-1)^d as the sum of its odd binomial terms.
-            return sum(2 * comb(d, k) * (2 * n) ** (d - k)
-                       for k in range(1, d + 1, 2))
-        return len(self._spheres(self.root, n)[n])
+        # (2n+1)^d - (2n-1)^d as the sum of its odd binomial terms.
+        return sum(2 * comb(d, k) * (2 * n) ** (d - k)
+                   for k in range(1, d + 1, 2))

@@ -86,7 +86,6 @@ class Truncation:
     rate: np.ndarray
     dist: np.ndarray
     potential: np.ndarray
-    radius: int
     offdiag: tuple
     symmetric: bool
 
@@ -169,7 +168,7 @@ class Truncation:
         cum[np.arange(m), deg - 1] = inf
         return cls(vertices=vertices, nbr=nbr,
                    cum=np.ascontiguousarray(cum.T), rate=rate, dist=dist,
-                   potential=potential, radius=n,
+                   potential=potential,
                    offdiag=(rows, cols, vals), symmetric=symmetric)
 
     def matrices(self, fields):

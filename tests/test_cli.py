@@ -306,13 +306,15 @@ def test_sweep_refuses_a_grid_whose_exponential_overflows(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("text, key", [
-    ("gamma0 = 0\nt_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),
+    ("gamma0 = 0\nt_exp_min = -1100\nt_exp_max = -1096\n", "gamma0"),
+    ("gamma0 = 1\nt_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),
     ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_max")])
 def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
                                                  sweep_calls, text, key):
     # t = 2^1100 overflows ("Numerical result out of range"), and at t =
     # 2^-1060 radius_for(t) is infinite ("cannot convert float infinity to
-    # integer"); neither named a key.  Refused before any sum runs.
+    # integer"); neither named a key.  Refused before any sum runs, and at
+    # gamma0 = 0, which makes every sum 0 whatever the grid, by gamma0.
     path = _write(tmp_path, text + "ensemble = 4000\n")
     assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
@@ -322,9 +324,11 @@ def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("text, key", [
-    ("gamma0 = 0\nt_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min"),
+    ("gamma0 = 0\nt_exp_min = -1020\nt_exp_max = -1016\n", "gamma0"),
+    ("gamma0 = 1\nt_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min"),
     ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_max"),
-    ("gamma0 = 0\nt_exp_min = -512\nt_exp_max = -508\n", "t_exp_min")])
+    ("gamma0 = 0\nt_exp_min = -512\nt_exp_max = -508\n", "gamma0"),
+    ("gamma0 = 1\nt_exp_min = -512\nt_exp_max = -508\n", "t_exp_min")])
 def test_sweep_refuses_a_grid_whose_sums_leave_the_floats(tmp_path, capsys,
                                                           text, key):
     # t = 2^1020 is finite, but its t^2 is not: the radial sums overflowed
@@ -401,13 +405,14 @@ def test_sweep_grid_gate_admits_the_edge_of_the_floats(tmp_path, capsys,
     ("gamma0 = 354\nkappa = 0.1\nt_exp_min = 0\nt_exp_max = 3\n",
      "t_exp_min", "710.53"),
     ("gamma0 = 1e-300\nt_exp_min = 17\nt_exp_max = 20\n", "t_exp_max",
-     "-709.26")])
+     "-711.34")])
 def test_sweep_refuses_a_frozen_sum_outside_the_normal_floats(
         tmp_path, capsys, sweep_calls, text, key, log):
     # The radial sum of kappa = 0.1 (about 12.5) takes e^708 to e^{710.53}
-    # at t = 1, and mu = 0 was blamed for it; at t = 2^-18, t^2 gamma0
-    # sqrt(pi/2t) is 9.3e-309, a subnormal float.  Refused by the keys that
-    # set the sum, with its log, before the ensemble runs.
+    # at t = 1, and mu = 0 was blamed for it; at t = 2^-20, the far end of
+    # the grid (summed second), t^2 gamma0 sqrt(pi/2t) is 1.2e-309, a
+    # subnormal float.  Refused by the keys that set the sum, with its log,
+    # before the ensemble runs.
     path = _write(tmp_path, text + "ensemble = 40\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -444,6 +449,97 @@ def test_sweep_refuses_noise_free_fields_by_name(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and sweep_calls == []
     assert re.search(r"\bgamma0\b", captured.err)
+
+
+def test_sweep_refuses_a_wide_grid_after_its_two_ends(tmp_path, capsys,
+                                                     sweep_calls):
+    # Every cap grows with the box, which is widest at a grid end.  From
+    # t_exp_min = 6 the sweep summed t = 2^-6 ... 2^-46 (41 sums, about 7 s)
+    # before the term cap refused t = 2^-47; the ends come first now.
+    path = _write(tmp_path, "d = 2\nt_exp_max = 60\nensemble = 40\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and sweep_calls == ["frozen"] * 2
+    assert "t_exp_max = 60 reaches t = 2^-60: " in captured.err
+    assert "over the cap of 60000000" in captured.err
+
+
+def _refuse_one_t(monkeypatch, kind, bad_t):
+    """Stub the stages of a sweep's grid so that t = ``bad_t`` alone is
+    refused, by ``kind``: t or its radius past the floats, a cap, or a log
+    frozen above, below or at +-inf; every other t sums to the log 0."""
+    real_ldexp, real_radius = cli.ldexp, cli.radius_for
+
+    def ldexp(x, e):
+        if kind == "t" and real_ldexp(x, e) == bad_t:
+            raise OverflowError("math range error")
+        return real_ldexp(x, e)
+
+    def radius_for(t, *a):
+        if kind == "radius" and t == bad_t:
+            raise OverflowError("cannot convert float infinity to integer")
+        return real_radius(t, *a)
+
+    def log_frozen_sum(t, *a):
+        if t != bad_t:
+            return 0.0
+        if kind == "cap":
+            raise DomainError("need 61000000 terms, over the cap")
+        return {"above": 709.8, "below": -708.5, "inf": math.inf,
+                "-inf": -math.inf}[kind]
+
+    monkeypatch.setattr(cli, "ldexp", ldexp)
+    monkeypatch.setattr(cli, "radius_for", radius_for)
+    monkeypatch.setattr(cli, "_log_frozen_sum", log_frozen_sum)
+
+
+@pytest.mark.parametrize("kind", ["t", "radius", "cap", "above", "below",
+                                  "inf", "-inf"])
+@pytest.mark.parametrize("lo, hi, k, key", [
+    (0, 3, 0, "t_exp_min"), (-3, 0, 0, "t_exp_min"),
+    (1, 4, 1, "t_exp_max"), (-2, 1, 1, "t_exp_max")])
+def test_sweep_names_a_refused_t_by_its_side_of_one(tmp_path, capsys,
+                                                   monkeypatch, kind, lo, hi,
+                                                   k, key):
+    # One rule names every grid refusal, at either end of the grid:
+    # t_exp_min for a refused t >= 1, else t_exp_max.
+    _refuse_one_t(monkeypatch, kind, 2.0 ** -k)
+    path = _write(tmp_path, f"t_exp_min = {lo}\nt_exp_max = {hi}\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    err = capsys.readouterr().err
+    value = lo if key == "t_exp_min" else hi
+    assert err.startswith(f"error: {key} = {value} reaches t = 2^{-k}: ")
+    other = ({"t_exp_min", "t_exp_max"} - {key}).pop()
+    assert other not in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("t_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),     # ldexp
+    ("t_exp_min = -1023\nt_exp_max = -1020\n", "t_exp_min"),     # e t
+    ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_max"),       # 27.6 / t
+    ("alpha = 0.1\nt_exp_min = 600\nt_exp_max = 603\n", "t_exp_max"),
+    ("t_exp_min = 1080\nt_exp_max = 1090\n", "t_exp_max"),       # t = 0
+    ("d = 2\nt_exp_min = 57\nt_exp_max = 60\n", "t_exp_max"),   # cap
+    ("noise = power_decay\nbeta = 1\nd = 2\nt_exp_min = 17\n"
+     "t_exp_max = 20\n", "t_exp_max"),                          # FFT
+    ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_max"),       # t^2 = 0
+    ("t_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min")])    # t^2 = inf
+def test_sweep_grid_refusals_print_no_raw_python_text(tmp_path, capsys, text,
+                                                      key):
+    # Each grid refusal, with warnings as errors, is one line of the sweep's
+    # own text: no "math range error", "cannot convert float infinity" or
+    # "(34, 'Numerical result out of range')" from the float it came from.
+    path = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} = ")
+    assert captured.err.count("\n") == 1
+    for raw in ("math range error", "cannot convert float infinity", "(34, ",
+                "Warning"):
+        assert raw not in captured.err
 
 
 _TINY_NOISE_HUGE_T = ("gamma0 = 1e-300\nalpha = 4\nt_exp_min = -300\n"
@@ -1094,6 +1190,23 @@ def test_cli_accepts_seed_key(tmp_path, capsys):
     assert cli.main(["spectral-check", "--config", path]) == 0
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("how", ["option", "key"])
+def test_cli_refuses_a_negative_seed_by_name_before_any_work(
+        tmp_path, capsys, monkeypatch, command, how):
+    # numpy refused it with "expected non-negative integer", naming no key,
+    # and sweep-variance only after every frozen sum had run.
+    work = []
+    monkeypatch.setattr(cli, "_model_from", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "sample_jump_counts", lambda *a: work.append(a))
+    path = _write(tmp_path, "seed = -3\n" if how == "key" else "")
+    argv = [command, "--config", path]
+    assert cli.main(argv + ["--seed", "-3"] if how == "option" else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and work == []
+    assert "config key 'seed' must be >= 0" in captured.err
+
+
 # Subcommand of each benchmark config; mc_paired.cfg feeds a library call.
 _BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 _BENCH_COMMANDS = {"exact_rigidity_demo": "rigidity-demo",
@@ -1492,9 +1605,13 @@ def test_least_values_are_declared_in_the_key_table():
                      for command, (*_, keys) in cli._COMMANDS.items()
                      for key, spec in keys.items() if len(spec) == 3)
     assert bounded == [("fk-compare", "n_paths"), ("fk-compare", "radius"),
+                       ("fk-compare", "seed"),
                        ("rigidity-demo", "members"), ("rigidity-demo", "radius"),
-                       ("spectral-check", "radius"), ("spectral-check", "trials"),
-                       ("sweep-variance", "radius"), ("tail-check", "n_paths"),
+                       ("rigidity-demo", "seed"),
+                       ("spectral-check", "radius"), ("spectral-check", "seed"),
+                       ("spectral-check", "trials"),
+                       ("sweep-variance", "radius"), ("sweep-variance", "seed"),
+                       ("tail-check", "n_paths"), ("tail-check", "seed"),
                        ("tail-check", "x_max")]
 
 

@@ -694,12 +694,12 @@ def _single_draw(model, graph, vertices, rng):
     return chol @ rng.standard_normal(n)
 
 
-def _member_fields_reference(trunc, graph, model, seed, m):
+def _member_fields_reference(trunc, graph, radius, model, seed, m):
     """sample_fields on the truncation's vertices written out: row i of
-    one (m, n) standard-normal draw of default_rng(seed) on the ball (one
-    normal per row for constant noise), correlated row by row as a single
-    draw is, and read back on the truncation's vertices."""
-    ball = graph.ball(graph.root, trunc.radius)
+    one (m, n) standard-normal draw of default_rng(seed) on the radius
+    ball (one normal per row for constant noise), correlated row by row as
+    a single draw is, and read back on the truncation's vertices."""
+    ball = graph.ball(graph.root, radius)
     n = len(ball)
     rng = np.random.default_rng(seed)
     if model.kind == noise.IID:
@@ -714,15 +714,16 @@ def _member_fields_reference(trunc, graph, model, seed, m):
 
 
 def _field_cases():
+    """(graph, radius, truncation of that radius) triples."""
     # The explicit graph's ball keeps BFS order, not sorted order.
     explicit = Truncation.build(
         G_IRREGULAR, symmetric_walk(G_IRREGULAR, 1.0),
         PotentialSpec(alpha=1.0, kappa=0.1), 3)
     assert explicit.vertices == (0, 1, 2, 4, 3, 5)
     g2 = GraphModel.zd_l1(2)
-    return [(G1, Truncation.build(G1, SPEC, POT, 5)),
-            (g2, Truncation.build(g2, symmetric_walk(g2, 1.0), POT, 3)),
-            (G_IRREGULAR, explicit)]
+    return [(G1, 5, Truncation.build(G1, SPEC, POT, 5)),
+            (g2, 3, Truncation.build(g2, symmetric_walk(g2, 1.0), POT, 3)),
+            (G_IRREGULAR, 3, explicit)]
 
 
 _FIELD_MODELS = [iid_gaussian(1.7), constant_gaussian(0.6),
@@ -734,12 +735,12 @@ _FIELD_MODELS = [iid_gaussian(1.7), constant_gaussian(0.6),
 def test_member_fields_equal_single_draws(case, model):
     """Members are the rows of a single draw of one generator per ensemble,
     and the public single draw keeps its bits."""
-    graph, trunc = _field_cases()[case]
+    graph, radius, trunc = _field_cases()[case]
     got = noise.sample_fields(model, graph, trunc.vertices, 9, 49)
-    want = _member_fields_reference(trunc, graph, model, 49, 9)
+    want = _member_fields_reference(trunc, graph, radius, model, 49, 9)
     assert got.shape == (9, len(trunc.vertices))
     assert got.tobytes() == want.tobytes()
-    ball = graph.ball(graph.root, trunc.radius)
+    ball = graph.ball(graph.root, radius)
     ss = np.random.SeedSequence(50)
     one = sample_field(model, graph, ball, np.random.default_rng(ss))
     ref = _single_draw(model, graph, ball, np.random.default_rng(ss))
@@ -748,7 +749,7 @@ def test_member_fields_equal_single_draws(case, model):
 
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
 def test_member_fields_are_prefixes_of_larger_ensembles(model):
-    for graph, trunc in _field_cases():
+    for graph, _, trunc in _field_cases():
         many = noise.sample_fields(model, graph, trunc.vertices, 200, 53)
         for m in (1, 2, 5, 12):
             few = noise.sample_fields(model, graph, trunc.vertices, m, 53)
@@ -782,7 +783,7 @@ def test_member_fields_use_one_generator(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     for model in _FIELD_MODELS:
-        for graph, trunc in _field_cases():
+        for graph, _, trunc in _field_cases():
             made.clear()
             drawn.clear()
             noise.sample_fields(model, graph, trunc.vertices, 13, 54)
@@ -793,7 +794,7 @@ def test_member_fields_use_one_generator(monkeypatch):
 
 @pytest.mark.parametrize("model", _FIELD_MODELS, ids=lambda m: m.kind)
 def test_member_fields_do_not_depend_on_m(model):
-    for graph, trunc in _field_cases():
+    for graph, _, trunc in _field_cases():
         few = noise.sample_fields(model, graph, trunc.vertices, 5, 51)
         many = noise.sample_fields(model, graph, trunc.vertices, 12, 51)
         assert few.tobytes() == many[:5].tobytes()
@@ -803,7 +804,7 @@ def test_member_fields_factor_the_covariance_once(monkeypatch):
     calls, real = [], noise.covariance_matrix
     monkeypatch.setattr(noise, "covariance_matrix",
                         lambda *a: calls.append(a) or real(*a))
-    for graph, trunc in _field_cases():
+    for graph, _, trunc in _field_cases():
         calls.clear()
         noise.sample_fields(power_decay_gaussian(1.0), graph, trunc.vertices,
                             11, 52)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from fksim.errors import ConfigError, DomainError, InputError
+from fksim.feynman_kac import frozen_variance_sum
 from fksim.lattice import GraphModel
+from fksim.noise import power_decay_gaussian
+from fksim.operators import PotentialSpec, Truncation
+from fksim.walker import symmetric_walk
 
 
 def test_z1_neighbors_and_distance():
@@ -36,14 +40,19 @@ def test_coordination_counts_z2():
     assert [g.coordination_count(n) for n in range(1, 5)] == [4, 8, 12, 16]
     # match brute-force sphere sizes
     for n in range(1, 4):
-        assert g.coordination_count(n) == len(g.sphere((0, 0), n))
+        assert g.coordination_count(n) == _bfs_count(g, n)
 
 
 def test_coordination_counts_linf():
     g = GraphModel.zd_linf(2)
     for n in range(1, 4):
         assert g.coordination_count(n) == (2 * n + 1) ** 2 - (2 * n - 1) ** 2
-        assert g.coordination_count(n) == len(g.sphere((0, 0), n))
+        assert g.coordination_count(n) == _bfs_count(g, n)
+
+
+def _bfs_count(graph, n):
+    """The number of vertices at distance n >= 1, from two BFS balls."""
+    return len(graph.ball(graph.root, n)) - len(graph.ball(graph.root, n - 1))
 
 
 def _exact_count(graph, n):
@@ -74,10 +83,12 @@ def test_coordination_count_arrays_are_exact(make, d):
 
 
 def test_coordination_count_arrays_need_a_lattice():
+    # Explicit graphs take the pairwise frozen sum, so nothing counts their
+    # spheres: a scalar n is refused as an array is.
     g = GraphModel.explicit(4, [(0, 1), (1, 2), (2, 3)])
-    assert g.coordination_count(2) == 1
-    with pytest.raises(DomainError):
-        g.coordination_count(np.arange(1, 3))
+    for n in (2, np.arange(1, 3)):
+        with pytest.raises(DomainError, match="lattice kind"):
+            g.coordination_count(n)
 
 
 def test_ball_sizes_and_index():
@@ -112,7 +123,7 @@ def test_explicit_graph_bfs_distance():
     # path graph 0-1-2-3
     g = GraphModel.explicit(4, [(0, 1), (1, 2), (2, 3)])
     assert g.distance(0, 3) == 3
-    assert g.sphere(0, 2) == [2]
+    assert g.ball(0, 2) == [0, 1, 2]
 
 
 def test_explicit_disconnected_raises():
@@ -214,14 +225,63 @@ def _empty_edge_list(tmp_path):
     (lambda tmp: _EXPLICIT.check_vertex(9), InputError, "vertex 9"),
     (lambda tmp: GraphModel.zd_l1(2).check_vertex((1,)), InputError,
      "vertex (1,)"),
-    (lambda tmp: GraphModel.zd_l1(1).sphere((0,), -1), DomainError, "got -1"),
+    (lambda tmp: GraphModel.zd_l1(1).ball((0,), -1), DomainError, "got -1"),
     (lambda tmp: GraphModel.zd_l1(2).coordination_count(-1), InputError,
      "got -1"),
     (lambda tmp: _EXPLICIT.grid_norms(np.arange(3)), DomainError,
      "'explicit'")],
     ids=["kind", "dimension", "self-loop", "root", "empty-file",
-         "explicit-vertex", "lattice-vertex", "sphere", "coordination",
+         "explicit-vertex", "lattice-vertex", "ball", "coordination",
          "grid-norms"])
 def test_graph_refusals_name_the_value(tmp_path, call, exc, named):
     with pytest.raises(exc, match=re.escape(named)):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("g", [GraphModel.zd_l1(2), _EXPLICIT],
+                         ids=["z2-l1", "explicit"])
+def test_ball_refuses_a_negative_radius(g):
+    # The ball of radius -1 was [root]: the sphere's refusal did not reach it.
+    with pytest.raises(DomainError, match=re.escape("radius must be >= 0, "
+                                                    "got -1")):
+        g.ball(g.root, -1)
+
+
+def test_explicit_ball_stops_at_the_last_layer():
+    # A radius past the diameter ends the BFS at its last nonempty layer:
+    # the radius of a tiny t (10^12) used to step through every empty one.
+    assert _EXPLICIT.ball(2, 10 ** 12) == _EXPLICIT.ball(2, 3)
+    assert len(_EXPLICIT.ball(6, 10 ** 12)) == 1
+
+
+def test_explicit_graph_takes_numpy_integers():
+    # np.int64 vertices were kept, and check_vertex refused them as "not in
+    # graph"; the numpy-built graph is the list-built one.
+    pairs = [(i, i + 1) for i in range(8)]
+    plain = GraphModel.explicit(9, pairs, root=4)
+    numpy = GraphModel.explicit(np.int64(9), np.array(pairs),
+                                root=np.int64(4))
+    assert numpy.root == 4 and type(numpy.root) is int
+    assert numpy.adjacency == plain.adjacency
+    assert {type(v) for nbrs in numpy.adjacency for v in nbrs} == {int}
+    pot = PotentialSpec()
+    for t in (0.5, 0.125):
+        assert frozen_variance_sum(t, numpy, pot, power_decay_gaussian(0.5)) \
+            == frozen_variance_sum(t, plain, pot, power_decay_gaussian(0.5))
+    for r in range(5):
+        assert numpy.ball(numpy.root, r) == plain.ball(plain.root, r)
+        a, b = (Truncation.build(g, symmetric_walk(g, 1.0), pot, r)
+                for g in (numpy, plain))
+        assert a.vertices == b.vertices
+        assert a.potential.tobytes() == b.potential.tobytes()
+        assert all(np.array_equal(x, y) for x, y in zip(a.offdiag, b.offdiag))
+
+
+@pytest.mark.parametrize("edges, root, named", [
+    ([(0, 1.0)], 0, "vertex 1.0"),
+    ([(0, 1)], 0.5, "vertex 0.5"),
+    (np.array([(0.0, 1.0)]), 0, "vertex np.float64(0.0)")],
+    ids=["float-edge", "float-root", "numpy-float-edges"])
+def test_explicit_graph_refuses_a_non_integer_vertex(edges, root, named):
+    with pytest.raises(InputError, match=re.escape(named)):
+        GraphModel.explicit(3, edges, root=root)
