@@ -206,7 +206,7 @@ def sweep_variance(cfg):
     """Frozen sums, their fitted exponent and ensemble variances on the grid.
     A grid t that its sum refuses (t or its radius past the floats, a term,
     FFT or pair cap, a log frozen outside [ln(min normal), ln(max float)])
-    is refused by one rule: ``t_exp_min`` for t >= 1, else ``t_exp_max``."""
+    is refused as ``t_exp_min`` for the first t, else ``t_exp_max``."""
     cfg = effective_config("sweep-variance", cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
@@ -243,7 +243,7 @@ def sweep_variance(cfg):
         else:
             done[k] = (t, exp(v), radius)
             continue
-        key = "t_exp_min" if k <= 0 else "t_exp_max"   # t = 2^-k >= 1, or < 1
+        key = "t_exp_min" if k == k_min else "t_exp_max"
         raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}: {why}")
     ts, frozen, certified = zip(*(done[k] for k in sorted(done)))
     radii, ens = certified, [(None, None)] * len(ts)

@@ -9,8 +9,8 @@ estimators weight each path by e^{-integral of (V + xi)}; killed-trace
 walkers stop at their exit from the truncation's ball, so the field is
 needed on the ball alone.  A path that makes no jump has a known weight, so
 the killed trace draws how many of each start's paths sit out and walks
-only the others, conditioned on a first jump.  The paired-walker variance
-uses dense local-time rows, so that every start pair of a replicate comes
+only the others, conditioned on a first jump, as does the paired-walker
+variance, whose dense local-time rows give every start pair of a replicate
 from one matrix product with the box covariance.  Deterministic routes
 evaluate the frozen-walk double sum on a certified box: on the lattices in
 closed radial form for independent and constant noise and for power decay
@@ -121,7 +121,7 @@ def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
     owner = np.repeat(np.arange(len(starts)), per - sits)
     ids = starts[owner]
     walks = sample_walks(trunc, ids, t, rng, cost=cost,
-                         kill_radius=kill_radius, first_jump=True)
+                         kill_radius=kill_radius)
     uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
     kw = np.where(walks.exited, 0.0, uw)
     sit_weight = np.exp(-t * cost[starts])
@@ -204,12 +204,16 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     <L,L~> of the replicate are the matrix L_a Gamma L_b^T.  A box on
     which one replicate needs more than the walker's array budget of
     elements is refused with ``DomainError`` before any work.  Walks are
-    sampled in blocks of that budget, which fixes the random stream; their
-    pair algebra runs over cache-sized sub-blocks of replicates
+    sampled in blocks of that budget, which fixes the random stream; walker
+    i sits out when u_i < e^{-q(x_i) t} (row t at its start), and the others
+    are walked conditioned on a jump, so each keeps the plain walk's law.
+    Their pair algebra runs over cache-sized sub-blocks of replicates
     (``_BLOCK_ELEMS`` local-time entries), whose size changes no output.
     """
     if n_rep < 2:
         raise DomainError("need at least two replicates")
+    if not 0 <= t < inf:
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
     trunc = Truncation.build(graph, spec, pot, box_radius)
     m = len(trunc.vertices)
     # One replicate holds L, L Gamma and the m x m pair matrices.
@@ -217,27 +221,34 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
         raise DomainError(f"one replicate on a box of m = {m} vertices needs "
                           f"3 m^2 = {3 * m * m} array elements, above the "
                           f"budget of {_MAX_ELEMS}")
-    pv = trunc.potential
     gamma = covariance_matrix(model, graph, trunc.vertices)
     rng = np.random.default_rng(seed)
-    ids = np.arange(m)
     block = _MAX_ELEMS // (3 * m * m)   # replicates per walk block
     sub = max(1, _BLOCK_ELEMS // (2 * m * m))   # replicates per sub-block
     totals = np.empty(n_rep)
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)
-        block_ids = np.tile(ids, 2 * r)
-        walks = sample_walks(trunc, block_ids, t, rng)
-        back = walks.endpoint == block_ids
+        # Walker (i, a) starts at vertex a; row i is a replicate's family.
+        moves = (rng.random((2 * r, m)) >= np.exp(-trunc.rate * t)).ravel()
+        movers = np.flatnonzero(moves) % m
+        walks = sample_walks(trunc, movers, t, rng)
+        back = ~moves
+        back[moves] = walks.endpoint == movers
+        done = 0   # walked rows of the sub-blocks before this one
         for s in range(0, r, sub):
             k = min(sub, r - s)
-            rows = slice(2 * m * s, 2 * m * (s + k))
-            loc = walks.local[rows]
+            a, b = 2 * m * s, 2 * m * (s + k)
+            loc = np.zeros((b - a, m))
+            walked = np.flatnonzero(moves[a:b])
+            loc[walked] = walks.local[done:done + walked.size]
+            done += walked.size
+            idle = np.flatnonzero(~moves[a:b])
+            loc.ravel()[idle * m + idle % m] = t
             lg = loc @ gamma
             # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest:
             # only returning rows are exponentiated, so no other overflows.
-            expo = 0.5 * np.einsum("ij,ij->i", lg, loc) - loc @ pv
-            u = np.exp(expo, out=np.zeros(len(loc)), where=back[rows])
+            expo = 0.5 * np.einsum("ij,ij->i", lg, loc) - loc @ trunc.potential
+            u = np.exp(expo, out=np.zeros(len(loc)), where=back[a:b])
             u = u.reshape(k, 2, m)
             ab = lg.reshape(k, 2, m, m)[:, 0] \
                 @ loc.reshape(k, 2, m, m)[:, 1].transpose(0, 2, 1)

@@ -22,6 +22,14 @@ EXPLICIT = "explicit"
 _LATTICE_KINDS = (ZD_L1, ZD_LINF)
 
 
+def _index(v, name):
+    """``v`` as a Python int (numpy's too), or InputError naming it."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InputError(f"{name} {v!r} is not an integer") from None
+
+
 class GraphModel:
     """A rooted graph with distance, ball enumeration and lattice coordination counts.
 
@@ -51,16 +59,12 @@ class GraphModel:
 
     @classmethod
     def explicit(cls, n_vertices, edges, root=0):
-        """Vertices 0..n_vertices - 1; edges and root may be any integers
-        (numpy's too), which are stored as Python ints."""
-        def vertex(v):
-            try:
-                return operator.index(v)
-            except TypeError:
-                raise InputError(f"vertex {v!r} is not an integer") from None
+        """Vertices 0..n_vertices - 1; n_vertices, edges and root may be any
+        integers (numpy's too), which are stored as Python ints."""
+        n_vertices = _index(n_vertices, "n_vertices")
         adj = [set() for _ in range(n_vertices)]
         for u, v in edges:
-            u, v = vertex(u), vertex(v)
+            u, v = _index(u, "vertex"), _index(v, "vertex")
             if u == v:
                 raise ConfigError(f"self-loop at vertex {u}")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
@@ -68,7 +72,7 @@ class GraphModel:
             adj[u].add(v)
             adj[v].add(u)
         adjacency = tuple(tuple(sorted(s)) for s in adj)
-        root = vertex(root)
+        root = _index(root, "vertex")
         if not 0 <= root < n_vertices:
             raise InputError(f"root {root} not a vertex")
         return cls(EXPLICIT, 1, root, adjacency=adjacency)
@@ -99,12 +103,15 @@ class GraphModel:
     # -- basic queries ----------------------------------------------------
 
     def check_vertex(self, v):
+        """``v`` (an explicit graph's as a Python int), or InputError."""
         if self.kind == EXPLICIT:
-            if not (isinstance(v, int) and 0 <= v < len(self.adjacency)):
+            i = _index(v, "vertex")
+            if not 0 <= i < len(self.adjacency):
                 raise InputError(f"vertex {v!r} not in graph")
-        else:
-            if len(v) != self.d:
-                raise InputError(f"vertex {v!r} has arity != d={self.d}")
+            return i
+        if len(v) != self.d:
+            raise InputError(f"vertex {v!r} has arity != d={self.d}")
+        return v
 
     def neighbors(self, v):
         if self.kind == ZD_L1:
@@ -125,8 +132,7 @@ class GraphModel:
 
     def distance(self, u, v):
         """Graph distance; raises InputError for invalid or disconnected pairs."""
-        self.check_vertex(u)
-        self.check_vertex(v)
+        u, v = self.check_vertex(u), self.check_vertex(v)
         if self.kind == ZD_L1:
             return sum(abs(a - b) for a, b in zip(u, v))
         if self.kind == ZD_LINF:
@@ -176,7 +182,7 @@ class GraphModel:
         """Spheres 0..n via breadth-first layers, to the last nonempty one."""
         if n < 0:
             raise DomainError(f"radius must be >= 0, got {n}")
-        self.check_vertex(center)
+        center = self.check_vertex(center)
         layers = [[center]]
         seen = {center}
         for _ in range(n):

@@ -9,15 +9,14 @@ estimators instead advance whole batches of walkers together in numpy with
 ``sample_walks``, over the arrays of an ``operators.Truncation`` (vertex
 ids, neighbour table, cumulative jump table, rates and distances); a walker
 stops on leaving the truncation's ball or, given a kill radius, is flagged
-past it and walks on.  The first step, when every walker is live and, over
-short horizons, most sit until the horizon, runs on whole arrays; only the
-walkers that jump go on to rounds over index arrays of the survivors.  With
-``first_jump`` every walker is conditioned to jump before the horizon: its
-first holding time is the exponential truncated to [0, horizon).  A caller
-that draws how many of its walkers make no jump, whose paths are known,
-walks only the others that way (conditional Monte Carlo).
-``sample_jump_counts`` gives the histogram of the jump counts of
-constant-rate walks for the Poisson-tail checks, drawn the same way.
+past it and walks on.  Every walker of ``sample_walks`` jumps before the
+horizon: its first hold, on whole arrays, is the exponential truncated to
+[0, horizon); rounds over the survivors' index arrays follow.  Each
+estimator draws which of its walks make no jump, whose paths are known, and
+walks only the others (conditional Monte Carlo), so every walk keeps the
+plain walk's law.  ``sample_jump_counts`` gives the histogram of the jump
+counts of constant-rate walks for the Poisson-tail checks, drawn the same
+way.
 """
 
 from __future__ import annotations
@@ -154,21 +153,17 @@ class Walks:
     local: Optional[np.ndarray] = None
 
 
-def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None,
-                 first_jump=False):
+def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
     """Sample one walk from each start (a vertex row of the truncation
-    ``trunc``) up to the horizon.
+    ``trunc``) up to the horizon, conditioned on a jump before it.
 
-    All walkers of a batch advance together in numpy; each live walker draws
-    an exponential holding time and then its jump, as in ``sample_path``.
-    The result is deterministic given the generator state.
-
-    With ``first_jump`` each walk is conditioned on a jump before the
-    horizon: the first holding time is drawn from the exponential truncated
-    to [0, horizon), as -log1p(-u (1 - e^{-q t})) / q of a uniform u (one
-    ``random`` fill, in place of the ``standard_exponential`` one), kept
-    strictly below the horizon, and every walker jumps.  That needs a
-    positive horizon and a positive rate at every start.
+    All walkers of a batch advance together in numpy.  The first holding
+    time is drawn from the exponential truncated to [0, horizon), as
+    -log1p(-u (1 - e^{-q t})) / q of a uniform u (one ``random`` fill), kept
+    strictly below the horizon, and every walker jumps; each later holding
+    time and jump is drawn as in ``sample_path``.  That needs a positive
+    horizon and a positive rate at every start.  The result is deterministic
+    given the generator state.
 
     Without ``kill_radius`` a walker exits by leaving the ball and stops
     there.  With it, a walker exits on reaching a vertex farther than
@@ -178,13 +173,12 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None,
     With a ``cost`` vector over the ball each path carries the integral of
     the cost along it; without one it carries its local times.
     """
-    if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon!r}")
     starts = np.asarray(starts, dtype=np.intp)
     n = len(starts)
-    if first_jump and n and not (horizon > 0 and trunc.rate[starts].min() > 0):
+    if n and not (horizon > 0 and trunc.rate[starts].min() > 0):
         raise DomainError("a walk conditioned on a jump needs a positive "
-                          "horizon and a positive rate at its start")
+                          f"horizon (got {horizon!r}) and a positive rate at "
+                          "its start")
     endpoint = starts.copy()
     # A walker that starts past the kill radius has exited, jump or not.
     exited = (np.zeros(n, dtype=bool) if kill_radius is None
@@ -197,14 +191,13 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None,
     for lo in range(0, n, _BATCH):
         part = slice(lo, lo + _BATCH)
         _advance(trunc, endpoint[part], exited[part], acc[part], horizon,
-                 rng, cost, kill_radius, first_jump)
+                 rng, cost, kill_radius)
     if cost is None:
         return Walks(endpoint=endpoint, exited=exited, local=acc)
     return Walks(endpoint=endpoint, exited=exited, integral=acc)
 
 
-def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
-             first_jump):
+def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
     """Walk one batch in place: ``cur`` holds the start ids on entry and the
     endpoints on return; ``acc`` receives integrals or local-time rows."""
     rate, nbr, cum, dist = trunc.rate, trunc.nbr, trunc.cum, trunc.dist
@@ -230,30 +223,18 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius,
         exited[live[dist[nxt] > kill_radius]] = True
         return live
 
-    # First step, on whole arrays: every walker is live, and most sit.  The
-    # holding time draw / rate outlasts the horizon (always so at rate 0):
-    # the walker sits until the horizon.  A walker conditioned on a jump
-    # draws its hold below the horizon by inversion, and every one moves.
-    horizon = float(horizon) + 0.0   # a -0.0 horizon charges +0.0
+    # First step, on whole arrays: every walker draws its hold below the
+    # horizon by inversion, and every one moves.
     at_rate = rate[cur]
-    if first_jump:
-        hold = _hold_below(rng.random(len(cur)), at_rate, horizon,
-                           np.expm1(-at_rate * horizon))
-        live = np.arange(len(cur))
-    else:
-        draw = rng.standard_exponential(len(cur))
-        sits = draw >= at_rate * horizon
-        moves = ~sits
-        hold = np.divide(draw, at_rate, out=np.full(len(cur), horizon),
-                         where=moves)
-        live = np.flatnonzero(moves)
+    hold = _hold_below(rng.random(len(cur)), at_rate, horizon,
+                       np.expm1(-at_rate * horizon))
+    live = np.arange(len(cur))
     if cost is None:
-        acc[np.arange(len(cur)), cur] = hold
+        acc[live, cur] = hold
     else:
         acc += cost[cur] * hold   # added, so a -0.0 product reads +0.0
     left = horizon - hold
-    if live.size:
-        live = jump(live, cur[live])
+    live = jump(live, cur.copy())
     while live.size:
         at = cur[live]
         draw = rng.standard_exponential(live.size)

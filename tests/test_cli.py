@@ -308,7 +308,7 @@ def test_sweep_refuses_a_grid_whose_exponential_overflows(tmp_path, capsys,
 @pytest.mark.parametrize("text, key", [
     ("gamma0 = 0\nt_exp_min = -1100\nt_exp_max = -1096\n", "gamma0"),
     ("gamma0 = 1\nt_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),
-    ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_max")])
+    ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_min")])
 def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
                                                  sweep_calls, text, key):
     # t = 2^1100 overflows ("Numerical result out of range"), and at t =
@@ -326,7 +326,7 @@ def test_sweep_refuses_exponents_past_the_floats(tmp_path, capsys,
 @pytest.mark.parametrize("text, key", [
     ("gamma0 = 0\nt_exp_min = -1020\nt_exp_max = -1016\n", "gamma0"),
     ("gamma0 = 1\nt_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min"),
-    ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_max"),
+    ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_min"),
     ("gamma0 = 0\nt_exp_min = -512\nt_exp_max = -508\n", "gamma0"),
     ("gamma0 = 1\nt_exp_min = -512\nt_exp_max = -508\n", "t_exp_min")])
 def test_sweep_refuses_a_grid_whose_sums_leave_the_floats(tmp_path, capsys,
@@ -435,7 +435,7 @@ def test_sweep_refuses_a_radial_sum_of_too_many_terms(tmp_path, capsys,
     assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and sweep_calls == ["frozen"]
-    for name in ("t_exp_max", "alpha", "kappa"):
+    for name in ("t_exp_min", "alpha", "kappa"):
         assert re.search(rf"\b{name}\b", captured.err)
     assert "over the cap of 60000000" in captured.err
 
@@ -496,13 +496,14 @@ def _refuse_one_t(monkeypatch, kind, bad_t):
 @pytest.mark.parametrize("kind", ["t", "radius", "cap", "above", "below",
                                   "inf", "-inf"])
 @pytest.mark.parametrize("lo, hi, k, key", [
-    (0, 3, 0, "t_exp_min"), (-3, 0, 0, "t_exp_min"),
-    (1, 4, 1, "t_exp_max"), (-2, 1, 1, "t_exp_max")])
-def test_sweep_names_a_refused_t_by_its_side_of_one(tmp_path, capsys,
-                                                   monkeypatch, kind, lo, hi,
-                                                   k, key):
-    # One rule names every grid refusal, at either end of the grid:
-    # t_exp_min for a refused t >= 1, else t_exp_max.
+    (0, 3, 0, "t_exp_min"), (-3, 0, 0, "t_exp_max"),
+    (1, 4, 1, "t_exp_min"), (-2, 1, 1, "t_exp_max")])
+def test_sweep_names_a_refused_t_by_its_grid_end(tmp_path, capsys,
+                                                 monkeypatch, kind, lo, hi, k,
+                                                 key):
+    # One rule names every grid refusal, at either end of the grid: the
+    # end the refused t sits at, t_exp_min for t = 2^-t_exp_min, else
+    # t_exp_max.
     _refuse_one_t(monkeypatch, kind, 2.0 ** -k)
     path = _write(tmp_path, f"t_exp_min = {lo}\nt_exp_max = {hi}\n")
     assert cli.main(["sweep-variance", "--config", path]) == 1
@@ -516,13 +517,13 @@ def test_sweep_names_a_refused_t_by_its_side_of_one(tmp_path, capsys,
 @pytest.mark.parametrize("text, key", [
     ("t_exp_min = -1100\nt_exp_max = -1096\n", "t_exp_min"),     # ldexp
     ("t_exp_min = -1023\nt_exp_max = -1020\n", "t_exp_min"),     # e t
-    ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_max"),       # 27.6 / t
-    ("alpha = 0.1\nt_exp_min = 600\nt_exp_max = 603\n", "t_exp_max"),
-    ("t_exp_min = 1080\nt_exp_max = 1090\n", "t_exp_max"),       # t = 0
-    ("d = 2\nt_exp_min = 57\nt_exp_max = 60\n", "t_exp_max"),   # cap
+    ("t_exp_min = 1060\nt_exp_max = 1066\n", "t_exp_min"),       # 27.6 / t
+    ("alpha = 0.1\nt_exp_min = 600\nt_exp_max = 603\n", "t_exp_min"),
+    ("t_exp_min = 1080\nt_exp_max = 1090\n", "t_exp_min"),       # t = 0
+    ("d = 2\nt_exp_min = 57\nt_exp_max = 60\n", "t_exp_min"),   # cap
     ("noise = power_decay\nbeta = 1\nd = 2\nt_exp_min = 17\n"
-     "t_exp_max = 20\n", "t_exp_max"),                          # FFT
-    ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_max"),       # t^2 = 0
+     "t_exp_max = 20\n", "t_exp_min"),                          # FFT
+    ("t_exp_min = 1000\nt_exp_max = 1004\n", "t_exp_min"),       # t^2 = 0
     ("t_exp_min = -1020\nt_exp_max = -1016\n", "t_exp_min")])    # t^2 = inf
 def test_sweep_grid_refusals_print_no_raw_python_text(tmp_path, capsys, text,
                                                       key):
@@ -540,6 +541,25 @@ def test_sweep_grid_refusals_print_no_raw_python_text(tmp_path, capsys, text,
     for raw in ("math range error", "cannot convert float infinity", "(34, ",
                 "Warning"):
         assert raw not in captured.err
+
+
+@pytest.mark.parametrize("text, key, k", [
+    ("gamma0 = 5e-309\nt_exp_min = -3\nt_exp_max = 0\n", "t_exp_max", 0),
+    ("gamma0 = 5e-309\nt_exp_min = -4\nt_exp_max = -1\n", "t_exp_max", -1),
+    ("gamma0 = 2000\nt_exp_min = 1\nt_exp_max = 4\n", "t_exp_min", 1)],
+    ids=["tiny-noise-t-one", "tiny-noise-t-two", "huge-noise-t-half"])
+def test_sweep_blames_the_grid_end_that_cures_the_refusal(tmp_path, capsys,
+                                                          text, key, k):
+    # The log frozen sum leaves the normal floats at one grid end: below
+    # them at the small-t end of a tiny gamma0 (t = 2^0 and 2^1), above
+    # them at the large-t end of a huge one (t = 2^-1).  The refusal named
+    # the key of that t's side of one, which moving could not cure.
+    path = _write(tmp_path, text)
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    err = capsys.readouterr().err
+    value = re.search(rf"{key} = (-?\d+)", text).group(1)
+    assert err.startswith(f"error: {key} = {value} reaches t = 2^{-k}: ")
+    assert "normal floats" in err
 
 
 _TINY_NOISE_HUGE_T = ("gamma0 = 1e-300\nalpha = 4\nt_exp_min = -300\n"

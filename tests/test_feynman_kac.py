@@ -13,7 +13,8 @@ from fksim.lattice import GraphModel
 from fksim.noise import (constant_gaussian, iid_gaussian,
                          power_decay_gaussian, sample_field)
 from fksim.operators import PotentialSpec, Truncation, expm_neg
-from fksim.walker import MarkovSpec, sample_walks, symmetric_walk
+from fksim.walker import (MarkovSpec, sample_path, sample_walks,
+                          symmetric_walk)
 from fksim import feynman_kac as fk, noise
 
 G1 = GraphModel.zd_l1(1)
@@ -164,13 +165,13 @@ def test_paired_walker_benchmark_estimate_is_pinned():
         PotentialSpec(alpha=float(cfg["alpha"])),
         iid_gaussian(float(cfg["gamma0"])), float(cfg["t"]),
         int(cfg["n_rep"]), int(cfg["box_radius"]), seed=41)
-    assert (est.value, est.stderr) == (0.2604176500283649,
-                                       0.003954473740516742)
+    assert (est.value, est.stderr) == (0.26599660347883064,
+                                       0.004003435742837548)
 
 
 @pytest.mark.parametrize("model, pinned", [
-    (power_decay_gaussian(0.5), (0.7022911169473162, 0.02333363696511744)),
-    (constant_gaussian(0.7), (0.6064417820920244, 0.019242489741122786))],
+    (power_decay_gaussian(0.5), (0.6396107839554696, 0.02359883432139057)),
+    (constant_gaussian(0.7), (0.5531790519091987, 0.019521105747642764))],
     ids=["power_decay", "constant"])
 def test_paired_walker_correlated_estimate_is_pinned(model, pinned):
     # The box covariance matrix of each correlated kind feeds every pair
@@ -180,13 +181,28 @@ def test_paired_walker_correlated_estimate_is_pinned(model, pinned):
     assert (est.value, est.stderr) == pinned
 
 
-def test_paired_walker_single_vertex_lognormal():
+def _count_walkers(monkeypatch):
+    """Route fk.sample_walks through a wrapper; the returned list collects
+    the number of starts of each call."""
+    walked = []
+
+    def counted(trunc, starts, *args, **kwargs):
+        walked.append(len(starts))
+        return sample_walks(trunc, starts, *args, **kwargs)
+    monkeypatch.setattr(fk, "sample_walks", counted)
+    return walked
+
+
+def test_paired_walker_single_vertex_lognormal(monkeypatch):
+    # The isolated root has rate 0: every walker sits out and none is walked.
+    walked = _count_walkers(monkeypatch)
     g = GraphModel.explicit(1, [])
     spec = symmetric_walk(g, 1.0)
     pot = PotentialSpec()
     t = 0.7
     est = fk.paired_walker_variance(g, spec, pot, iid_gaussian(1.0), t,
                                     10, 0, seed=14)
+    assert sum(walked) == 0
     exact = math.exp(t * t) * (math.exp(t * t) - 1.0)
     # deterministic here: single vertex paths are degenerate
     assert est.value == pytest.approx(exact)
@@ -337,6 +353,31 @@ def test_paired_walker_rejects_short_runs():
                                   2, seed=22)
 
 
+@pytest.mark.parametrize("t, named", [
+    (-0.5, "got -0.5"), (math.nan, "got nan"), (math.inf, "got inf")])
+def test_paired_walker_refuses_a_bad_t_by_name(monkeypatch, t, named):
+    # Refused before the box is built, the generator seeded or a walk drawn.
+    def started(*args, **kwargs):
+        raise AssertionError("work began before the t check")
+    for name in ("Truncation", "sample_walks"):
+        monkeypatch.setattr(fk, name, started)
+    monkeypatch.setattr(fk.np.random, "default_rng", started)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        fk.paired_walker_variance(G1, SPEC, POT, iid_gaussian(1.0), t, 10, 2,
+                                  seed=22)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0])
+def test_paired_walker_at_t_zero_walks_no_walker(monkeypatch, t):
+    # Every walker sits out with probability e^{-q 0} = 1, so no walker is
+    # walked, every <L,L~> is 0 and each pair term is 0.
+    walked = _count_walkers(monkeypatch)
+    est = fk.paired_walker_variance(G1, SPEC, POT, iid_gaussian(1.0), t, 50,
+                                    3, seed=23)
+    assert (est.value, est.stderr, est.n_samples) == (0.0, 0.0, 50)
+    assert sum(walked) == 0
+
+
 def test_paired_walker_refuses_a_replicate_above_the_array_budget(
         monkeypatch):
     # Z^2 l1, box radius 25: m = 1301 starts, and one replicate's local-time
@@ -376,7 +417,8 @@ def test_paired_walker_benchmark_peak_stays_bounded():
     # mc_paired.cfg's parameters: 2500 replicates of 2 x 13 walks in one walk
     # block, whose local-time rows take 6.8 MB.  With the pair algebra of all
     # replicates at once the traced peak was 21.6 MiB; a cache-sized
-    # sub-block at a time, it is 10.8 MiB.
+    # sub-block at a time, it was 10.8 MiB, and with only the walked rows
+    # held whole (the sitters' rows are built per sub-block), 5.7 MiB.
     tracemalloc.start()
     try:
         fk.paired_walker_variance(G1, SPEC, POT, iid_gaussian(1.0), 0.5, 2500,
@@ -436,16 +478,22 @@ def test_stratified_se_undefined_with_one_path_per_stratum():
 
 
 def _plain_killed_trace(trunc, field, t, n_paths, seed):
-    """The killed trace with every path walked from its start: one row of
-    ``per`` path weights per start, its mean summed and its SE taken from
-    the rows' sample variances (the estimator before the sit-outs were
-    drawn in bulk)."""
+    """The killed trace with every path drawn on its own: each of ``per``
+    paths per start sits out when its uniform is below e^{-q(x) t} (weight
+    e^{-t c(x)}) and is walked, conditioned on a first jump, otherwise,
+    which is the plain walk's law.  One row of path weights per start, its
+    mean summed and its SE taken from the rows' sample variances (the
+    estimator before the sit-outs were drawn in bulk)."""
     m = len(trunc.vertices)
     per = max(1, math.ceil(n_paths / m))
     ids = np.repeat(np.arange(m), per)
-    walks = sample_walks(trunc, ids, t, np.random.default_rng(seed),
-                         cost=trunc.potential + field)
-    w = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
+    rng = np.random.default_rng(seed)
+    cost = trunc.potential + field
+    w = np.exp(-t * cost[ids])
+    moves = rng.random(ids.size) >= np.exp(-trunc.rate[ids] * t)
+    walks = sample_walks(trunc, ids[moves], t, rng, cost=cost)
+    w[moves] = np.where(walks.endpoint == ids[moves],
+                        np.exp(-walks.integral), 0.0)
     w = w.reshape(m, per)
     return (float(w.mean(axis=1).sum()),
             math.sqrt(float((w.var(axis=1, ddof=1) / per).sum())))
@@ -555,6 +603,50 @@ def test_sit_outs_follow_the_binomial_law_per_start():
     n = 200 * 100
     p = np.exp(-trunc.rate * 0.8)
     assert np.all(np.abs(total - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
+
+
+def _sample_path_paired_variance(graph, spec, pot, model, t, n_rep,
+                                 box_radius, seed):
+    """The paired-walker variance with every walker a plain ``sample_path``
+    walk: per replicate and family one path from each box vertex, which
+    returns when it ends at its start without having passed the box radius.
+    Returns the mean of the replicates' pair sums and its SE."""
+    trunc = Truncation.build(graph, spec, pot, box_radius)
+    verts = trunc.vertices
+    m = len(verts)
+    col = {v: i for i, v in enumerate(verts)}
+    rng = np.random.default_rng(seed)
+    loc = np.zeros((n_rep, 2, m, m))
+    back = np.zeros((n_rep, 2, m), dtype=bool)
+    for r, f, a in itertools.product(range(n_rep), range(2), range(m)):
+        p = sample_path(graph, spec, verts[a], t, rng, kill_radius=box_radius)
+        if p.exit_time is None and p.endpoint == verts[a]:
+            back[r, f, a] = True
+            for x, lt in p.local_time.items():
+                loc[r, f, a, col[x]] = lt
+    lg = loc @ noise.covariance_matrix(model, graph, verts)
+    u = np.where(back, np.exp(0.5 * (lg * loc).sum(axis=3)
+                              - loc @ trunc.potential), 0.0)
+    ab = lg[:, 0] @ loc[:, 1].transpose(0, 2, 1)
+    totals = np.einsum("ra,rab,rb->r", u[:, 0], np.expm1(ab), u[:, 1])
+    return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(n_rep)
+
+
+@pytest.mark.parametrize("model, seeds", [
+    (iid_gaussian(1.0), (70, 80)), (power_decay_gaussian(1.0), (71, 81))],
+    ids=["iid", "power_decay"])
+def test_paired_walker_agrees_with_plain_sample_path_walkers(model, seeds):
+    # Z^1 box of radius 2 (5 vertices) at t = 0.5, 4000 replicates a side:
+    # the estimator, whose walkers sit out in bulk and otherwise jump, at
+    # the first seed, and the plain walks of sample_path at the second agree
+    # within 4 combined SE, and so do their SEs within a fifth of either.
+    n_rep = 4000
+    est = fk.paired_walker_variance(G1, SPEC, POT, model, 0.5, n_rep, 2,
+                                    seed=seeds[0])
+    ref, ref_se = _sample_path_paired_variance(G1, SPEC, POT, model, 0.5,
+                                               n_rep, 2, seeds[1])
+    assert abs(est.value - ref) <= 4 * math.hypot(est.stderr, ref_se)
+    assert abs(est.stderr - ref_se) <= 0.2 * min(est.stderr, ref_se)
 
 
 def test_paired_walker_power_decay_agrees_with_ensemble():

@@ -221,6 +221,8 @@ def _empty_edge_list(tmp_path):
      "self-loop at vertex 2"),
     (lambda tmp: GraphModel.explicit(3, [(0, 1)], root=3), InputError,
      "root 3"),
+    (lambda tmp: GraphModel.explicit(2.0, [(0, 1)]), InputError,
+     "n_vertices 2.0"),
     (_empty_edge_list, ConfigError, "empty.txt"),
     (lambda tmp: _EXPLICIT.check_vertex(9), InputError, "vertex 9"),
     (lambda tmp: GraphModel.zd_l1(2).check_vertex((1,)), InputError,
@@ -230,7 +232,7 @@ def _empty_edge_list(tmp_path):
      "got -1"),
     (lambda tmp: _EXPLICIT.grid_norms(np.arange(3)), DomainError,
      "'explicit'")],
-    ids=["kind", "dimension", "self-loop", "root", "empty-file",
+    ids=["kind", "dimension", "self-loop", "root", "n-vertices", "empty-file",
          "explicit-vertex", "lattice-vertex", "ball", "coordination",
          "grid-norms"])
 def test_graph_refusals_name_the_value(tmp_path, call, exc, named):
@@ -275,6 +277,16 @@ def test_explicit_graph_takes_numpy_integers():
         assert a.vertices == b.vertices
         assert a.potential.tobytes() == b.potential.tobytes()
         assert all(np.array_equal(x, y) for x, y in zip(a.offdiag, b.offdiag))
+
+
+def test_explicit_graph_queries_take_numpy_integers():
+    # ball refused an np.int64 centre as "not in graph"; a query now takes
+    # it as the Python int it equals, so no numpy integer enters the ball.
+    g = GraphModel.explicit(3, [(0, 1), (1, 2)])
+    got = g.ball(np.int64(0), 1)
+    assert got == [0, 1] and {type(v) for v in got} == {int}
+    assert g.distance(np.int64(0), np.int32(2)) == 2
+    assert g.check_vertex(np.uint8(2)) == 2
 
 
 @pytest.mark.parametrize("edges, root, named", [
