@@ -10,18 +10,19 @@ whose off-diagonal part is symmetric up to roundoff (the lattices) takes
 LAPACK's symmetric solver, any other the general one, and
 ``Truncation.traces`` takes the exact traces Tr e^{-tM} over a t grid the
 same way.  Matrix exponentials are a degree-16 Taylor polynomial, evaluated
-with six matrix products (Paterson-Stockmeyer), with scaling and squaring
-and a diagonal shift folded into the scale; no linear solve, real
-matrices alone.  On a large exactly symmetric matrix, the squares among
-those products are R R^T (BLAS syrk, half the flops).  Traces over a t
-grid square e^{-tM} where the grid doubles t instead of exponentiating
-again.
+with five matrix products, three of them squares (Sastre's scheme,
+B_1 + (B_2 + A_8) A_8 with A_8 = B_3 + B_4^2, its constant term moved out
+of A_8), with scaling and squaring and a diagonal shift folded into the
+scale; no linear solve, real matrices alone.  On a large exactly symmetric
+matrix, the squares among those products are R R^T (BLAS syrk, half the
+flops).  Traces over a t grid square e^{-tM} where the grid doubles t
+instead of exponentiating again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, inf, isfinite, log2
+from math import ceil, inf, isfinite, log2
 
 import numpy as np
 
@@ -237,12 +238,27 @@ def assemble(graph, spec, pot, field, n):
 # The largest theta with sum_{k>16} theta^k / k! <= 2^-53: for ||X||_1 <=
 # theta the degree-16 Taylor remainder of e^X is below unit roundoff.
 _THETA_16 = 0.8246
-# 1/k! for k = 4j + i in row j, column i: the Paterson-Stockmeyer blocks
-# B_j = sum_i c_{4j+i} X^i of T(X) = B_0 + X^4 (B_1 + X^4 (B_2 + X^4 (B_3
-# + c_16 X^4))).
-_TAYLOR_BLOCKS = np.array([[1.0 / factorial(4 * j + i) for i in range(4)]
-                           for j in range(4)])
-_TAYLOR_16 = 1.0 / factorial(16)
+# The degree-16 Taylor polynomial T(X) = sum_{k<=16} X^k / k! in five
+# products, T = B_1 + (B_2 + A_8) A_8 with A_8 = B_3 + B_4^2 (Sastre, Linear
+# Algebra Appl. 539, 2018; Bader, Blanes and Casas, Mathematics 7, 2019):
+# row j - 1 holds the coefficients of I, X, .., X^4 in B_j.  Derived at 50
+# digits and rounded to float.  P = A_8 + B_2/2 satisfies T = P^2 + (B_1 -
+# B_2^2/4), so P's coefficients p_8 .. p_1 (p_8 = +sqrt(1/16!)) follow one at
+# a time from T's degrees 16 .. 9, with p_0 = 4.3 free; -B_2^2/4 = T - P^2
+# on degrees 8 .. 5 gives B_2 (leading coefficient positive, B_2(0) = 0) and
+# B_4^2 = P on degrees 8 .. 5 gives B_4 (the same, B_4(0) = 0); B_1 and B_3
+# are what remains on degrees 0 .. 4.  Last, A_8's constant a = p_0 is moved
+# out (A_8 - a, B_2 + 2a, B_1 + a B_2 + a^2): with P(0) near 4 the terms
+# would otherwise be ~10 times the result and lose most of a digit.
+_TAYLOR_BLOCKS = np.array([
+    [1.0, 0.4291905284949576, 0.27521634838827314, 0.03579296805128414,
+     0.004310123447520192],
+    [8.6, 1.8499880303489713, 0.3066413697749773, 0.021029161802194565,
+     0.0016379638000869174],
+    [0.0, 0.06637319436105144, -0.014523119208874493, 0.004820311435975411,
+     0.000517224503414974],
+    [0.0, 0.16084351082268095, 0.016832460434931727, 0.0018702733816590808,
+     0.0004675683454147702]])
 # From this dimension on, an exactly symmetric X is squared as X @ X.T,
 # which numpy hands to BLAS syrk (half of gemm's flops).  With one OpenBLAS
 # thread syrk took 1.19 times gemm's time at n = 100, where OpenBLAS's
@@ -250,19 +266,28 @@ _TAYLOR_16 = 1.0 / factorial(16)
 _SYRK_MIN_DIM = 101
 
 
+def _check_t(t):
+    """Refuse a t that is NaN or infinite, by name."""
+    if not isfinite(t):
+        raise DomainError(f"t = {t!r} is not finite")
+
+
 def expm_neg(mat, t=1.0):
     """e^{-t M} by Taylor scaling and squaring (Higham 2005's shift).
 
     With A = -tM and mu the midpoint of A's diagonal, e^A = e^mu
-    e^{A - mu I}.  X = (A - mu I) / 2^s has ||X||_1 <= 0.8246;
-    its degree-16 Taylor polynomial (six products, Paterson-Stockmeyer with
-    block 4) times e^{mu / 2^s} is squared s times.  Folding e^mu into the
-    scaled factor keeps every intermediate within the size of the unshifted
-    method's, so the shift adds no overflow.  X^2, X^4 and the s squarings
-    are R R^T when X is exactly symmetric and n >= ``_SYRK_MIN_DIM``.  A
-    complex M raises ``InputError``, a non-finite or overflowing result
-    ``NumericalError``.  The result is a fresh array.
+    e^{A - mu I}.  X = (A - mu I) / 2^s has ||X||_1 <= 0.8246; its
+    degree-16 Taylor polynomial, B_1 + (B_2 + A_8) A_8 with A_8 = B_3 +
+    B_4^2 and each B_j a combination of I, X, .., X^4 (five products:
+    X^2, X^3, X^4, B_4^2 and the last), times e^{mu / 2^s} is squared s
+    times.  Folding e^mu into the scaled factor keeps every intermediate
+    within the size of the unshifted method's, so the shift adds no
+    overflow.  X^2, X^4, B_4^2 and the s squarings are R R^T when X is
+    exactly symmetric and n >= ``_SYRK_MIN_DIM``.  A non-finite t raises
+    ``DomainError``, a complex M ``InputError``, a non-finite or
+    overflowing result ``NumericalError``.  The result is a fresh array.
     """
+    _check_t(t)
     a = np.asarray(mat)
     if np.iscomplexobj(a):
         raise InputError(f"expm_neg takes a real matrix, not {a.dtype}")
@@ -292,23 +317,24 @@ def expm_neg(mat, t=1.0):
     def square(m, out):
         return np.matmul(m, m.T if sym else m, out=out)
 
-    # r passes between ``out`` and buf[8] over the 3 + s products after
-    # its first value; it starts where the last product lands in ``out``.
+    # r passes between ``out`` and buf[8] over the s squarings after its
+    # first value; it starts where the last product lands in ``out``.
     out = np.empty_like(x)
-    r, spare = (out, buf[8]) if s % 2 else (buf[8], out)
+    r, spare = (buf[8], out) if s % 2 else (out, buf[8])
     with np.errstate(over="ignore", invalid="ignore"):
         x *= 2.0 ** -s
         square(x, x2)
         np.matmul(x2, x, out=x3)
         square(x2, x4)
-        np.matmul(_TAYLOR_BLOCKS[:, 1:], buf[:3].reshape(3, -1),
+        np.matmul(_TAYLOR_BLOCKS[:, 1:], buf[:4].reshape(4, -1),
                   out=blocks.reshape(4, -1))
         blocks.reshape(4, -1)[:, ::n + 1] += _TAYLOR_BLOCKS[:, :1]
-        np.multiply(x4, _TAYLOR_16, out=r)
-        r += blocks[3]
-        for j in (2, 1, 0):
-            r, spare = np.matmul(x4, r, out=spare), r
-            r += blocks[j]
+        b1, b2, b3, b4 = blocks
+        a8 = square(b4, x)      # X is spent once the blocks are formed
+        a8 += b3
+        b2 += a8
+        np.matmul(b2, a8, out=r)
+        r += b1
         r *= np.exp(mu * 2.0 ** -s)
         for _ in range(s):
             r, spare = square(r, spare), r
@@ -325,8 +351,11 @@ def _expm_traces(mat, t_grid):
     is Tr E^2 = sum_ij E_ij E_ji, an elementwise product; E @ E itself is
     formed only when 2t is in the grid too.  Any other t takes ``expm_neg``,
     so a grid of successive doublings costs one matrix exponential.  A
-    trace that overflows raises, as ``expm_neg`` does.
+    trace that overflows raises, as ``expm_neg`` does, and a non-finite t
+    is refused before any exponential.
     """
+    for t in t_grid:
+        _check_t(t)
     wanted = set(t_grid)
     traces, halves = {}, {}
     for t in sorted(wanted):
@@ -395,6 +424,7 @@ def spectrum(mat, cluster_tol=None):
 
 def trace_identity_residual(mat, t):
     """Relative gap between Tr e^{-tM} and the exponential linear statistic."""
+    _check_t(t)
     if t <= 0:
         raise DomainError(f"t must be positive, got {t!r}")
     tr = np.trace(expm_neg(mat, t))

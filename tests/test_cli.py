@@ -1555,7 +1555,7 @@ def test_cli_power_spectral_check_benchmark_summary_is_pinned(capsys):
             str(_BENCH_CONFIGS / "power_spectral_check.cfg"), "--seed", "41"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == \
-        "max_residual=5.427e-14 trials=200 pass=True\n"
+        "max_residual=5.722e-14 trials=200 pass=True\n"
 
 
 def test_cli_fk_compare_summary_repeats_for_a_seed(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +139,25 @@ def test_expm_overflow_is_refused_without_a_warning(mat, t, message):
             expm_neg(np.array(mat), t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_t_is_refused_by_name(monkeypatch, t):
+    # Refused before any work: no product, no exponential of a grid's
+    # finite t, and not reported as an overflow forming -t*M.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the refusal")
+
+    monkeypatch.setattr(np, "matmul", no_work)
+    named = re.escape(f"t = {t!r} is not finite")
+    m = np.diag([1.0, 2.0])
+    with pytest.raises(DomainError, match=named):
+        expm_neg(m, t)
+    monkeypatch.setattr(operators, "expm_neg", no_work)
+    with pytest.raises(DomainError, match=named):
+        operators._expm_traces(m, (0.5, t))
+    with pytest.raises(DomainError, match=named):
+        trace_identity_residual(m, t)
+
+
 def test_expm_of_an_empty_matrix_is_empty():
     got = expm_neg(np.zeros((0, 0)), 0.5)
     assert got.shape == (0, 0)
@@ -209,6 +230,102 @@ def test_expm_near_symmetric_takes_gemm(monkeypatch):
     got = expm_neg(mat, 0.5)
     monkeypatch.setattr(operators, "_SYRK_MIN_DIM", 10 ** 9)
     assert got.tobytes() == expm_neg(mat, 0.5).tobytes()
+
+
+def _taylor_16_blocks(p0):
+    """B_1 .. B_4 of T = B_1 + (B_2 + A_8) A_8, A_8 = B_3 + B_4^2, by the
+    recipe beside ``operators._TAYLOR_BLOCKS``, in the current decimal
+    context."""
+    t = [Decimal(1) / math.factorial(k) for k in range(17)]
+
+    def conv(a, b, k):
+        return sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i
+                   < len(b))
+
+    def root_of(c, top, lead):
+        # The degree-<= top r with r^2 = c on degrees 2 top .. top + 1.
+        r = [Decimal(0)] * (top + 1)
+        r[top] = lead
+        for j in range(top - 1, 0, -1):
+            r[j] = (c[top + j] - conv(r, r, top + j)) / (2 * lead)
+        return r
+
+    p = root_of(t, 8, t[16].sqrt())
+    p[0] = p0
+    rest = [t[k] - conv(p, p, k) for k in range(9)]          # T - P^2
+    b2 = root_of([-4 * v for v in rest], 4, 2 * (-rest[8]).sqrt())
+    b4 = root_of(p, 4, p[8].sqrt())
+    b1 = [rest[k] + conv(b2, b2, k) / 4 for k in range(5)]
+    b3 = [p[k] - b2[k] / 2 - conv(b4, b4, k) for k in range(5)]
+    a = b3[0]                                                 # A_8(0)
+    b3[0] -= a
+    b1 = [b1[k] + a * b2[k] + (a * a if k == 0 else 0) for k in range(5)]
+    b2[0] += 2 * a
+    return [b1, b2, b3, b4]
+
+
+def test_taylor_blocks_are_the_recipe_rounded_to_float():
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = _taylor_16_blocks(Decimal("4.3"))
+    got = operators._TAYLOR_BLOCKS
+    assert got.shape == (4, 5)
+    for j in range(4):
+        for i in range(5):
+            assert got[j, i] == float(want[j][i]), (j, i)
+
+
+def test_taylor_blocks_expand_to_the_degree_16_taylor_polynomial():
+    # B_1 + (B_2 + A_8) A_8 from the float entries, in exact arithmetic.
+    b1, b2, b3, b4 = ([Fraction(float(v)) for v in row]
+                      for row in operators._TAYLOR_BLOCKS)
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    def add(a, b):
+        a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+        return [u + v for u, v in zip(a, b)]
+
+    a8 = add(b3, mul(b4, b4))
+    poly = add(b1, mul(add(b2, a8), a8))
+    assert len(poly) == 17
+    for k, c in enumerate(poly):
+        assert abs(c * math.factorial(k) - 1) <= Fraction(1, 10 ** 15), k
+
+
+def _expected_squarings(mat, t):
+    x = -t * np.asarray(mat, float)
+    d = x.diagonal()
+    x -= 0.5 * (d.max() + d.min()) * np.eye(len(x))
+    norm = np.abs(x).sum(axis=0).max()
+    return max(0, math.ceil(math.log2(norm / operators._THETA_16)))
+
+
+@pytest.mark.parametrize("n, t, syrk", [(21, 0.25, False), (85, 1.0, False),
+                                        (221, 0.5, True), (221, 0.02, True)])
+def test_expm_makes_five_products_and_s_squarings(monkeypatch, n, t, syrk):
+    # X^2, X^3, X^4, B_4^2, (B_2 + A_8) A_8 and s squarings; on the syrk
+    # route X^2, X^4, B_4^2 and the squarings are R R^T.
+    mat = _z2_matrix(n)
+    calls, real = [], np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        if a.shape == b.shape == (n, n):
+            calls.append(a.ctypes.data == b.ctypes.data
+                         and b.strides == a.strides[::-1])
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    expm_neg(mat, t)
+    monkeypatch.undo()
+    s = _expected_squarings(mat, t)
+    assert len(calls) == 5 + s
+    assert sum(calls) == (3 + s if syrk else 0)
 
 
 def test_spectrum_multiplicities():
@@ -619,9 +736,13 @@ def _without_targets_at_origin(v):
      "vertex (0,) has a positive rate 1.0 but no jump targets"),
     (lambda: trace_identity_residual(np.eye(2), 0.0), DomainError, "got 0.0"),
     (lambda: trace_identity_residual(np.eye(2), -1.5), DomainError,
-     "got -1.5")],
+     "got -1.5"),
+    (lambda: trace_identity_residual(np.eye(2), math.nan), DomainError,
+     "t = nan is not finite"),
+    (lambda: trace_identity_residual(np.eye(2), math.inf), DomainError,
+     "t = inf is not finite")],
     ids=["negative-rate", "rate-without-targets", "residual-t-zero",
-         "residual-t-negative"])
+         "residual-t-negative", "residual-t-nan", "residual-t-inf"])
 def test_operator_refusals_name_the_value(call, exc, named):
     with pytest.raises(exc, match=re.escape(named)):
         call()
