@@ -5,7 +5,9 @@ Configs are flat key=value text files ('#' starts a comment).  Each
 subcommand declares the keys it reads once, with their types and defaults
 (``_COMMANDS``).  Every CSV begins with a '# config_hash=...' line: a hash of
 the effective configuration (defaults included, values typed) and the
-package version, so outputs are traceable to their inputs.
+package version, so outputs are traceable to their inputs.  Usage:
+``fksim COMMAND --config PATH [--seed N] [--out PATH]``; a time key (``t``,
+``t_grid``) must be finite and positive.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from math import exp, inf, isfinite, ldexp, log, nan, sqrt
+from math import exp, isfinite, ldexp, log, nan, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_time
 from .lattice import GraphModel
 from .noise import NoiseModel, sample_field, sample_fields
 from .operators import PotentialSpec, Truncation, _expm_traces
@@ -125,12 +127,9 @@ def _finite(value):
 
 
 def _time(value):
-    """A time: positive and finite (at t = 0 a trace identity reads n = n
-    and a jump tail has no row)."""
-    out = float(value)
-    if not 0.0 < out < inf:
-        raise ValueError(f"t = {out!r} is not positive and finite")
-    return out
+    """A positive time (at t = 0 a trace identity reads n = n and a jump
+    tail has no row)."""
+    return check_time(float(value), positive=True)
 
 
 def _times(value):
@@ -523,12 +522,10 @@ def main(argv=None):
         prog="fksim",
         description="Simulation and verification suite for random "
                     "Schrodinger operators on graphs")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:   # a usage error is an input error: exit 1

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule for an admissible time."""
+
+from math import isfinite
 
 
 class ConfigError(ValueError):
@@ -15,3 +17,14 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Numerical routine failed (factorization, overflow, non-convergence)."""
+
+
+def check_time(value, name="t", *, positive=False):
+    """``value``, a time that is finite and >= 0 (> 0 if ``positive``);
+    any other raises ``DomainError`` naming ``name`` and the value."""
+    if not isfinite(value):
+        raise DomainError(f"{name} = {value!r} is not finite")
+    if value < 0 or positive and value == 0:
+        rule = "positive" if positive else ">= 0"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return value

@@ -17,7 +17,8 @@ closed radial form for independent and constant noise and for power decay
 as one FFT autocorrelation of the weights against the covariance kernel,
 and on explicit graphs as the pairwise sum over the ball for every kind.
 A ``NoiseModel`` is checked when it is made, so no estimator re-checks its
-kind or the sign of its covariance.
+kind or the sign of its covariance.  Every t must be finite and >= 0, and
+> 0 where a box is certified or a trace estimated.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import (ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, log,
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_time
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
                     sample_fields)
@@ -63,8 +64,7 @@ def radius_for(t, alpha=2.0, kappa=1.0):
     """Box radius making the truncated terms < 1e-12 of the central one,
     plus an allowance for the displacement of a unit-rate walker over the
     horizon; without growth (alpha, kappa > 0) no box is certified."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    check_time(t, positive=True)
     for name, value in (("alpha", alpha), ("kappa", kappa)):
         if not value > 0:
             raise DomainError(f"radius_for needs {name} > 0, got {value!r}")
@@ -155,8 +155,7 @@ def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
     """Estimate Tr e^{-tH_n} from paths killed on leaving the ball of the
     truncation ``trunc``, with ``field`` its values there, stratified evenly
     over the ball's start vertices."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    check_time(t, positive=True)
     return _stratified_estimate(
         _trace_samples(trunc, field, t, n_paths, seed)[0])
 
@@ -176,6 +175,8 @@ def ensemble_variance(graph, spec, pot, model, n, ts, m_draws, seed):
     if m_draws < 3:
         raise DomainError("need at least three noise draws (the jackknife "
                           "divides by m - 2)")
+    for t in ts:
+        check_time(t)
     trunc = Truncation.build(graph, spec, pot, n)
     traces = trunc.traces(
         sample_fields(model, graph, trunc.vertices, m_draws, seed), ts)
@@ -212,8 +213,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     """
     if n_rep < 2:
         raise DomainError("need at least two replicates")
-    if not 0 <= t < inf:
-        raise DomainError(f"t must be finite and >= 0, got {t!r}")
+    check_time(t)
     trunc = Truncation.build(graph, spec, pot, box_radius)
     m = len(trunc.vertices)
     # One replicate holds L, L Gamma and the m x m pair matrices.
@@ -402,8 +402,9 @@ def lower_bound_sum(t, delta, model, graph):
     its start with probability e^{-t}, and as every admissible covariance is
     nonnegative no other path pair contributes negatively.
     """
-    return exp(-2.0 * t) * frozen_variance_sum(
-        t, graph, PotentialSpec(alpha=delta), model)
+    # The frozen sum refuses a bad t before e^{-2t} could overflow.
+    return frozen_variance_sum(t, graph, PotentialSpec(alpha=delta),
+                               model) * exp(-2.0 * t)
 
 
 def riemann_tail_sum(t, kappa, alpha, graph):
@@ -411,7 +412,7 @@ def riemann_tail_sum(t, kappa, alpha, graph):
     normalization t^{d/alpha} S / c_lead, whose square tends to the
     kappa^{-2d} Gamma(d/min(1,alpha))^2 / min(1,alpha^2) limit."""
     d = graph.d
-    if t <= 0 or kappa <= 0 or alpha <= 0:
+    if check_time(t) <= 0 or kappa <= 0 or alpha <= 0:
         raise DomainError(f"t, kappa, alpha must be positive, got {t!r}, "
                           f"{kappa!r}, {alpha!r}")
     m = min(alpha, 1.0)

@@ -16,7 +16,7 @@ of A_8), with scaling and squaring and a diagonal shift folded into the
 scale; no linear solve, real matrices alone.  On a large exactly symmetric
 matrix, the squares among those products are R R^T (BLAS syrk, half the
 flops).  Traces over a t grid square e^{-tM} where the grid doubles t
-instead of exponentiating again.
+instead of exponentiating again.  Every t must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from math import ceil, inf, isfinite, log2
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InputError, NumericalError
+from .errors import (ConfigError, DomainError, InputError, NumericalError,
+                     check_time)
 from .walker import _BLOCK_ELEMS
 
 
@@ -96,8 +97,6 @@ class Truncation:
         ``spec.kernel`` and ``graph.neighbors`` once per vertex, and
         ``graph.distances`` and ``pot.radial`` once, for the root distances,
         and refuses a walk that breaks ``MarkovSpec``'s rules."""
-        if n < 0:
-            raise DomainError("truncation radius must be >= 0")
         vertices = tuple(graph.ball(graph.root, n))
         index = {v: i for i, v in enumerate(vertices)}
         m = len(vertices)
@@ -215,6 +214,8 @@ class Truncation:
         over one ``eigenvalues`` call, a column at a time, so a column has
         the bits of a one-t call; the general one takes ``_expm_traces`` one
         member at a time, so no more than one matrix is held."""
+        for t in ts:
+            check_time(t)
         fields = np.asarray(fields, dtype=float)
         out = np.empty((len(fields), len(ts)))
         if self.symmetric:
@@ -266,12 +267,6 @@ _TAYLOR_BLOCKS = np.array([
 _SYRK_MIN_DIM = 101
 
 
-def _check_t(t):
-    """Refuse a t that is NaN or infinite, by name."""
-    if not isfinite(t):
-        raise DomainError(f"t = {t!r} is not finite")
-
-
 def expm_neg(mat, t=1.0):
     """e^{-t M} by Taylor scaling and squaring (Higham 2005's shift).
 
@@ -283,11 +278,11 @@ def expm_neg(mat, t=1.0):
     times.  Folding e^mu into the scaled factor keeps every intermediate
     within the size of the unshifted method's, so the shift adds no
     overflow.  X^2, X^4, B_4^2 and the s squarings are R R^T when X is
-    exactly symmetric and n >= ``_SYRK_MIN_DIM``.  A non-finite t raises
-    ``DomainError``, a complex M ``InputError``, a non-finite or
-    overflowing result ``NumericalError``.  The result is a fresh array.
+    exactly symmetric and n >= ``_SYRK_MIN_DIM``.  A t below 0 or not
+    finite raises ``DomainError``, a complex M ``InputError``, a non-finite
+    or overflowing result ``NumericalError``.  The result is a fresh array.
     """
-    _check_t(t)
+    check_time(t)
     a = np.asarray(mat)
     if np.iscomplexobj(a):
         raise InputError(f"expm_neg takes a real matrix, not {a.dtype}")
@@ -351,11 +346,11 @@ def _expm_traces(mat, t_grid):
     is Tr E^2 = sum_ij E_ij E_ji, an elementwise product; E @ E itself is
     formed only when 2t is in the grid too.  Any other t takes ``expm_neg``,
     so a grid of successive doublings costs one matrix exponential.  A
-    trace that overflows raises, as ``expm_neg`` does, and a non-finite t
-    is refused before any exponential.
+    trace that overflows raises, as ``expm_neg`` does, and a negative or
+    non-finite t is refused before any exponential.
     """
     for t in t_grid:
-        _check_t(t)
+        check_time(t)
     wanted = set(t_grid)
     traces, halves = {}, {}
     for t in sorted(wanted):
@@ -424,9 +419,7 @@ def spectrum(mat, cluster_tol=None):
 
 def trace_identity_residual(mat, t):
     """Relative gap between Tr e^{-tM} and the exponential linear statistic."""
-    _check_t(t)
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    check_time(t, positive=True)
     tr = np.trace(expm_neg(mat, t))
     stat = spectrum(mat).linear_statistic(t)
     return abs(tr - stat) / abs(tr)
@@ -453,6 +446,7 @@ def multiplicity_pushforward(mat, t, cluster_tol=1e-6):
     summed side.  A complex M = B + iC takes e^{-tM} from the real
     [[B, -C], [C, B]], whose exponential is [[Re, -Im], [Im, Re]] of it.
     """
+    check_time(t)
     a = np.asarray(mat)
     n = a.shape[0]
     if n > 50:

@@ -16,7 +16,7 @@ estimator draws which of its walks make no jump, whose paths are known, and
 walks only the others (conditional Monte Carlo), so every walk keeps the
 plain walk's law.  ``sample_jump_counts`` gives the histogram of the jump
 counts of constant-rate walks for the Poisson-tail checks, drawn the same
-way.
+way.  Every horizon must be finite and >= 0 (``errors.check_time``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InputError
+from .errors import ConfigError, DomainError, InputError, check_time
 
 # Walkers advanced together by sample_walks, and the entry budget of the
 # estimators' array blocks (4.1 million float64 entries, 33 MB): peak memory
@@ -100,8 +100,7 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None):
 
     Holding times are exponential via inverse CDF on [0, 1).
     """
-    if horizon < 0:
-        raise DomainError(f"horizon must be >= 0, got {horizon!r}")
+    check_time(horizon, "horizon")
     if spec.rate(start) < 0:
         raise ConfigError(f"rate {spec.rate(start)!r} at start vertex {start} "
                           "must be nonnegative")
@@ -173,6 +172,7 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
     With a ``cost`` vector over the ball each path carries the integral of
     the cost along it; without one it carries its local times.
     """
+    check_time(horizon, "horizon")
     starts = np.asarray(starts, dtype=np.intp)
     n = len(starts)
     if n and not (horizon > 0 and trunc.rate[starts].min() > 0):
@@ -280,16 +280,12 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     """
     if not 0 < q < inf:
         raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
-    if horizon < 0:
-        raise DomainError("horizon must be >= 0")
+    check_time(horizon, "horizon")
     if n_paths < 0:
         raise ConfigError("n_paths must be >= 0")
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     hist = np.zeros(cap, dtype=np.int64)
-    if horizon == 0:
-        hist[0] = n_paths
-        return hist
     rng = np.random.default_rng(seed)
     scale = 1.0 / q
     sit, em1 = exp(-q * horizon), expm1(-q * horizon)
@@ -315,6 +311,7 @@ def sample_jump_counts(q, horizon, n_paths, seed):
 
 def chernoff_jump_bound(q_sup, horizon, x):
     """Poisson-tail Chernoff bound e^{-qt} (q e t / x)^x, valid for x > q t."""
+    check_time(horizon, "horizon")
     if q_sup <= 0:
         raise DomainError(f"q_sup must be positive, got {q_sup!r}")
     if x <= q_sup * horizon:

@@ -1100,8 +1100,8 @@ def test_every_model_key_changes_the_model_or_is_refused(tmp_path, capsys,
 def test_cli_tail_check_refuses_negative_t(tmp_path, capsys):
     cfg = _write(tmp_path, "t = -1\n")
     assert cli.main(["tail-check", "--config", cfg]) == 1
-    assert capsys.readouterr().err == ("error: config key 't' = '-1': t = "
-                                       "-1.0 is not positive and finite\n")
+    assert capsys.readouterr().err == ("error: config key 't' = '-1': t "
+                                       "must be positive, got -1.0\n")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

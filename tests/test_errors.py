@@ -1,0 +1,103 @@
+import inspect
+import math
+import re
+
+import numpy as np
+import pytest
+
+import fksim
+from fksim import operators, walker
+from fksim.errors import DomainError, check_time
+from fksim.lattice import GraphModel
+from fksim.noise import iid_gaussian
+from fksim.operators import PotentialSpec, Truncation
+
+G1 = GraphModel.zd_l1(1)
+SPEC = fksim.symmetric_walk(G1, 1.0)
+POT = PotentialSpec()
+TRUNC = Truncation.build(G1, SPEC, POT, 2)
+
+
+@pytest.mark.parametrize("value, positive", [
+    (0.0, False), (-0.0, False), (2.5, False), (3, False), (1e-300, True),
+    (np.float64(0.5), True)])
+def test_check_time_returns_an_admissible_time(value, positive):
+    assert check_time(value, positive=positive) is value
+
+
+@pytest.mark.parametrize("value, positive, named", [
+    (math.nan, False, "t = nan is not finite"),
+    (math.inf, True, "t = inf is not finite"),
+    (-math.inf, False, "t = -inf is not finite"),
+    (-0.5, False, "t must be >= 0, got -0.5"),
+    (-0.5, True, "t must be positive, got -0.5"),
+    (0.0, True, "t must be positive, got 0.0"),
+    (-0.0, True, "t must be positive, got -0.0")])
+def test_check_time_refuses_by_name(value, positive, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        check_time(value, positive=positive)
+    with pytest.raises(DomainError, match=re.escape(named.replace(
+            "t", "horizon", 1))):
+        check_time(value, "horizon", positive=positive)
+
+
+# One call per entry point that takes a time, with that time as t and every
+# other argument valid.
+_CALLS = {
+    "chernoff_jump_bound": lambda t: fksim.chernoff_jump_bound(1.0, t, 3),
+    "ensemble_variance": lambda t: fksim.ensemble_variance(
+        G1, SPEC, POT, iid_gaussian(1.0), 2, [t], 3, 0),
+    "expm_neg": lambda t: fksim.expm_neg(np.eye(2), t),
+    "frozen_variance_sum": lambda t: fksim.frozen_variance_sum(
+        t, G1, POT, iid_gaussian(1.0)),
+    "lower_bound_sum": lambda t: fksim.lower_bound_sum(
+        t, 2.0, iid_gaussian(1.0), G1),
+    "mc_dirichlet_trace": lambda t: fksim.mc_dirichlet_trace(
+        TRUNC, np.zeros(5), t, 10, 1),
+    "multiplicity_pushforward": lambda t: fksim.multiplicity_pushforward(
+        np.eye(2), t),
+    "paired_walker_variance": lambda t: fksim.paired_walker_variance(
+        G1, SPEC, POT, iid_gaussian(1.0), t, 10, 2, 0),
+    "radius_for": lambda t: fksim.radius_for(t),
+    "riemann_tail_sum": lambda t: fksim.riemann_tail_sum(t, 1.0, 2.0, G1),
+    "sample_jump_counts": lambda t: fksim.sample_jump_counts(1.0, t, 10, 0),
+    "sample_path": lambda t: fksim.sample_path(G1, SPEC, (0,), t, 0),
+    "trace_identity_residual": lambda t: fksim.trace_identity_residual(
+        np.eye(2), t),
+    "Truncation.traces": lambda t: TRUNC.traces(np.zeros((1, 5)), [t]),
+    "_expm_traces": lambda t: operators._expm_traces(np.eye(2), [t]),
+    "sample_walks": lambda t: walker.sample_walks(
+        TRUNC, [0], t, np.random.default_rng(0))}
+_TIME_PARAMS = {"t", "ts", "t_grid", "horizon"}
+
+
+def _timed_entry_points():
+    """Names of the public callables of ``fksim.__all__`` (and the public
+    methods of its classes), ``Truncation.traces``, ``_expm_traces`` and
+    ``sample_walks`` that have a parameter named as a time."""
+    found = {"Truncation.traces": Truncation.traces,
+             "_expm_traces": operators._expm_traces,
+             "sample_walks": walker.sample_walks}
+    for name in fksim.__all__:
+        obj = getattr(fksim, name)
+        if inspect.ismodule(obj) or (isinstance(obj, type)
+                                     and issubclass(obj, Exception)):
+            continue
+        found[name] = obj
+        if inspect.isclass(obj):
+            found.update((f"{name}.{key}", fn) for key, fn in vars(obj).items()
+                         if callable(fn) and not key.startswith("_"))
+    return sorted(name for name, fn in found.items()
+                  if _TIME_PARAMS & set(inspect.signature(fn).parameters))
+
+
+def test_the_guard_finds_every_entry_point_that_takes_a_time():
+    # A new entry point with a time parameter needs a row in _CALLS, so
+    # the next test holds it to the rule.
+    assert _timed_entry_points() == sorted(_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_every_entry_point_refuses_a_nan_time(name):
+    with pytest.raises(DomainError, match="nan is not finite"):
+        _CALLS[name](math.nan)

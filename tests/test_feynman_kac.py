@@ -354,7 +354,8 @@ def test_paired_walker_rejects_short_runs():
 
 
 @pytest.mark.parametrize("t, named", [
-    (-0.5, "got -0.5"), (math.nan, "got nan"), (math.inf, "got inf")])
+    (-0.5, "got -0.5"), (math.nan, "t = nan is not finite"),
+    (math.inf, "t = inf is not finite")])
 def test_paired_walker_refuses_a_bad_t_by_name(monkeypatch, t, named):
     # Refused before the box is built, the generator seeded or a walk drawn.
     def started(*args, **kwargs):
@@ -959,6 +960,25 @@ def test_explicit_frozen_route_takes_root_distances_in_one_call(monkeypatch):
     assert [fk.frozen_variance_sum(t, path, POT, m) for m in models] == want
 
 
+# A time is finite and >= 0 at every estimator, and > 0 where a box is
+# certified or a trace estimated: (t, id, message).
+_BAD_TIMES = ((math.nan, "nan", "t = nan is not finite"),
+              (math.inf, "inf", "t = inf is not finite"),
+              (-math.inf, "minus-inf", "t = -inf is not finite"),
+              (-0.5, "negative", "got -0.5"))
+_TIMED = {
+    "radius": lambda t: fk.radius_for(t),
+    "mc-trace": lambda t: fk.mc_dirichlet_trace(
+        _trunc(2), np.zeros(5), t, 10, 1),
+    "paired": lambda t: fk.paired_walker_variance(
+        G1, SPEC, POT, iid_gaussian(1.0), t, 10, 2, seed=22),
+    "ensemble": lambda t: fk.ensemble_variance(
+        G1, SPEC, POT, iid_gaussian(1.0), 2, [0.5, t], 3, 0),
+    "frozen": lambda t: fk.frozen_variance_sum(t, G1, POT, iid_gaussian(1.0)),
+    "lower": lambda t: fk.lower_bound_sum(t, 2.0, iid_gaussian(1.0), G1),
+    "riemann": lambda t: fk.riemann_tail_sum(t, 1.0, 2.0, G1)}
+
+
 @pytest.mark.parametrize("call, named", [
     (lambda: fk.mc_dirichlet_trace(_trunc(2), np.zeros(5), 0.0, 10, 1),
      "got 0.0"),
@@ -970,12 +990,42 @@ def test_explicit_frozen_route_takes_root_distances_in_one_call(monkeypatch):
     (lambda: fk.lower_bound_sum(0.25, 0, iid_gaussian(1.0), G1),
      "alpha = 0"),
     (lambda: fk.lower_bound_sum(0.25, -0.5, iid_gaussian(1.0), G1),
-     "alpha = -0.5")],
+     "alpha = -0.5"),
+    *[(lambda call=_TIMED[name]: call(0.0), "t must be positive, got 0.0")
+      for name in ("radius", "frozen", "lower")],
+    *[(lambda call=call, t=t: call(t), named)
+      for call in _TIMED.values() for t, _, named in _BAD_TIMES]],
     ids=["trace-t-zero", "trace-t-negative", "riemann-t", "riemann-kappa",
-         "riemann-alpha", "lower-delta-zero", "lower-delta-negative"])
+         "riemann-alpha", "lower-delta-zero", "lower-delta-negative",
+         "radius-t-zero", "frozen-t-zero", "lower-t-zero",
+         *[f"{name}-t-{label}" for name in _TIMED
+           for _, label, _ in _BAD_TIMES]])
 def test_estimator_refusals_name_the_value(call, named):
     with pytest.raises(DomainError, match=re.escape(named)):
         call()
+
+
+@pytest.mark.parametrize("t", [t for t, _, _ in _BAD_TIMES],
+                         ids=[label for _, label, _ in _BAD_TIMES])
+def test_a_bad_t_is_refused_before_any_build_draw_or_sum(monkeypatch, t):
+    trunc = _trunc(2)
+
+    def started(*args, **kwargs):
+        raise AssertionError("work began before the t check")
+
+    for name in ("Truncation", "sample_fields", "sample_walks",
+                 "_radial_weight_sum"):
+        monkeypatch.setattr(fk, name, started)
+    monkeypatch.setattr(fk.np.random, "default_rng", started)
+    with pytest.raises(DomainError):
+        fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(1.0), 2, [0.5, t],
+                             3, 0)
+    with pytest.raises(DomainError):
+        fk.mc_dirichlet_trace(trunc, np.zeros(5), t, 10, 1)
+    with pytest.raises(DomainError):
+        fk.frozen_variance_sum(t, G1, POT, iid_gaussian(1.0))
+    with pytest.raises(DomainError):
+        fk.riemann_tail_sum(t, 1.0, 2.0, G1)
 
 
 def test_a_frozen_sum_past_the_floats_raises_overflow():

@@ -725,6 +725,21 @@ def _without_targets_at_origin(v):
     return ((), ()) if v == (0,) else SPEC.kernel(v)
 
 
+# A time is finite and >= 0 at every entry point, which names what it
+# refuses: (t, id, message).
+_BAD_TIMES = ((math.nan, "nan", "t = nan is not finite"),
+              (math.inf, "inf", "t = inf is not finite"),
+              (-math.inf, "minus-inf", "t = -inf is not finite"),
+              (-0.5, "negative", "t must be >= 0, got -0.5"))
+_TIMED = {
+    "expm": lambda t: expm_neg(np.eye(2), t),
+    "expm-traces": lambda t: operators._expm_traces(np.eye(2), (0.5, t)),
+    "traces": lambda t: Truncation.build(G1, SPEC, PotentialSpec(), 2).traces(
+        np.zeros((1, 5)), [0.5, t]),
+    "pushforward": lambda t: multiplicity_pushforward(np.eye(2), t)}
+_CYCLE = GraphModel.explicit(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
 @pytest.mark.parametrize("call, exc, named", [
     (lambda: Truncation.build(G1, MarkovSpec(
         rate=lambda v: -0.5 if v == (1,) else 1.0, sup_rate=1.0,
@@ -740,9 +755,40 @@ def _without_targets_at_origin(v):
     (lambda: trace_identity_residual(np.eye(2), math.nan), DomainError,
      "t = nan is not finite"),
     (lambda: trace_identity_residual(np.eye(2), math.inf), DomainError,
-     "t = inf is not finite")],
+     "t = inf is not finite"),
+    (lambda: trace_identity_residual(np.eye(2), -math.inf), DomainError,
+     "t = -inf is not finite"),
+    (lambda: Truncation.build(G1, SPEC, PotentialSpec(), -1), DomainError,
+     "radius must be >= 0, got -1"),
+    (lambda: Truncation.build(_CYCLE, symmetric_walk(_CYCLE), PotentialSpec(),
+                              -1), DomainError, "radius must be >= 0, got -1"),
+    *[(lambda call=call, t=t: call(t), DomainError, named)
+      for call in _TIMED.values() for t, _, named in _BAD_TIMES]],
     ids=["negative-rate", "rate-without-targets", "residual-t-zero",
-         "residual-t-negative", "residual-t-nan", "residual-t-inf"])
+         "residual-t-negative", "residual-t-nan", "residual-t-inf",
+         "residual-t-minus-inf", "build-radius-lattice",
+         "build-radius-explicit",
+         *[f"{name}-t-{label}" for name in _TIMED
+           for _, label, _ in _BAD_TIMES]])
 def test_operator_refusals_name_the_value(call, exc, named):
     with pytest.raises(exc, match=re.escape(named)):
         call()
+
+
+@pytest.mark.parametrize("t", [t for t, _, _ in _BAD_TIMES],
+                         ids=[label for _, label, _ in _BAD_TIMES])
+def test_a_bad_t_is_refused_before_any_solve_or_product(monkeypatch, t):
+    # The exact traces and the push-forward check every t before they solve
+    # a spectrum or form a product.
+    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the refusal")
+
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_work)
+    monkeypatch.setattr(np, "matmul", no_work)
+    with pytest.raises(DomainError):
+        trunc.traces(np.zeros((1, 5)), [0.5, t])
+    with pytest.raises(DomainError):
+        multiplicity_pushforward(np.eye(2), t)

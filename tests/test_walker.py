@@ -493,6 +493,20 @@ def test_conditioned_walks_match_sample_path_given_a_jump_on_explicit_graph():
                               0.8, 1, lambda v: 0.3 * v - 0.5, seed=61)
 
 
+# A horizon is finite and >= 0 at every entry point, which names what it
+# refuses: (horizon, id, message).
+_BAD_HORIZONS = ((math.nan, "nan", "horizon = nan is not finite"),
+                 (math.inf, "inf", "horizon = inf is not finite"),
+                 (-math.inf, "minus-inf", "horizon = -inf is not finite"),
+                 (-0.5, "negative", "horizon must be >= 0, got -0.5"))
+_TIMED = {
+    "path": lambda h: sample_path(G1, SPEC, (0,), h, 0),
+    "jump-counts": lambda h: sample_jump_counts(1.0, h, 10, 0),
+    "chernoff": lambda h: chernoff_jump_bound(1.0, h, 3),
+    "walks": lambda h: sample_walks(Truncation.build(
+        G1, SPEC, PotentialSpec(), 2), [0, 1], h, np.random.default_rng(0))}
+
+
 @pytest.mark.parametrize("call, exc, named", [
     (lambda: sample_walks(Truncation.build(G1, SPEC, PotentialSpec(), 2),
                           [0, 1], -0.5, np.random.default_rng(0)),
@@ -501,9 +515,42 @@ def test_conditioned_walks_match_sample_path_given_a_jump_on_explicit_graph():
                                         kernel=SPEC.kernel), (0,), 1.0, 0),
      ConfigError, "rate -2.0 at start vertex (0,)"),
     (lambda: chernoff_jump_bound(0.0, 1.0, 3), DomainError, "got 0.0"),
-    (lambda: chernoff_jump_bound(-1.0, 1.0, 3), DomainError, "got -1.0")],
+    (lambda: chernoff_jump_bound(-1.0, 1.0, 3), DomainError, "got -1.0"),
+    *[(lambda call=call, h=h: call(h), DomainError, named)
+      for call in _TIMED.values() for h, _, named in _BAD_HORIZONS]],
     ids=["walks-horizon", "path-start-rate", "chernoff-q-zero",
-         "chernoff-q-negative"])
+         "chernoff-q-negative",
+         *[f"{name}-horizon-{label}" for name in _TIMED
+           for _, label, _ in _BAD_HORIZONS]])
 def test_walker_refusals_name_the_value(call, exc, named):
     with pytest.raises(exc, match=re.escape(named)):
         call()
+
+
+@pytest.mark.parametrize("horizon", [h for h, _, _ in _BAD_HORIZONS],
+                         ids=[label for _, label, _ in _BAD_HORIZONS])
+def test_a_bad_horizon_is_refused_before_any_draw(monkeypatch, horizon):
+    # No hold reaches a NaN or infinite horizon, so sample_path would draw
+    # for ever.  The samplers refuse it before they seed a generator;
+    # sample_walks, given no generator, before it would draw from it.
+    def seeded(*args, **kwargs):
+        raise AssertionError("a generator was seeded before the check")
+
+    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 2)
+    monkeypatch.setattr(walker.np.random, "default_rng", seeded)
+    with pytest.raises(DomainError, match="horizon"):
+        sample_path(G1, SPEC, (0,), horizon, 0)
+    with pytest.raises(DomainError, match="horizon"):
+        sample_jump_counts(1.0, horizon, 10, 0)
+    with pytest.raises(DomainError, match="horizon"):
+        sample_walks(trunc, [0, 1], horizon, None)
+
+
+def test_a_zero_horizon_is_admissible():
+    # At t = 0 a path sits at its start, every count is 0 and the tail
+    # bound is 0.
+    assert sample_path(G1, SPEC, (1,), 0.0, 0) == walker.PathRecord(
+        endpoint=(1,), jumps=0, local_time={(1,): 0.0})
+    hist = sample_jump_counts(1.0, 0.0, 7, 0)
+    assert hist[0] == 7 and hist.sum() == 7
+    assert chernoff_jump_bound(1.0, 0.0, 3) == 0.0
