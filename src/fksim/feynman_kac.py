@@ -10,12 +10,13 @@ walkers stop at their exit from the truncation's ball, so the field is
 needed on the ball alone.  A path that makes no jump has a known weight, so
 the killed trace draws how many of each start's paths sit out and walks
 only the others, conditioned on a first jump, as does the paired-walker
-variance, whose dense local-time rows give every start pair of a replicate
-from one matrix product with the box covariance.  Deterministic routes
-evaluate the frozen-walk double sum on a certified box: on the lattices in
-closed radial form for independent and constant noise and for power decay
-as one FFT autocorrelation of the weights against the covariance kernel,
-and on explicit graphs as the pairwise sum over the ball for every kind.
+variance.  It takes the pair terms of its sitters in closed form and pairs
+only the walked rows that return, through their products with the box
+covariance; the rest weigh 0.  Deterministic routes evaluate the
+frozen-walk double sum on a certified box: on the lattices in closed radial
+form for independent and constant noise and for power decay as one FFT
+autocorrelation of the weights against the covariance kernel, and on
+explicit graphs as the pairwise sum over the ball for every kind.
 A ``NoiseModel`` is checked when it is made, so no estimator re-checks its
 kind or the sign of its covariance.  Every t must be finite and >= 0, and
 > 0 where a box is certified or a trace estimated.
@@ -34,7 +35,7 @@ from .lattice import ZD_L1, ZD_LINF
 from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
                     sample_fields)
 from .operators import PotentialSpec, Truncation
-from .walker import _BLOCK_ELEMS, _MAX_ELEMS, sample_walks
+from .walker import _MAX_ELEMS, sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
@@ -200,60 +201,77 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     For each replicate, one pair of independent trajectories is drawn per
     start vertex; every ordered vertex pair contributes
     e^{-<L+L~,V>} * e^{(<L,L>+<L~,L~>)/2} (e^{<L,L~>} - 1)
-    when both walkers return to their starts without leaving the box.
-    With local-time rows L_a, L_b of a replicate's two families, all the
-    <L,L~> of the replicate are the matrix L_a Gamma L_b^T.  A box on
-    which one replicate needs more than the walker's array budget of
-    elements is refused with ``DomainError`` before any work.  Walks are
-    sampled in blocks of that budget, which fixes the random stream; walker
-    i sits out when u_i < e^{-q(x_i) t} (row t at its start), and the others
-    are walked conditioned on a jump, so each keeps the plain walk's law.
-    Their pair algebra runs over cache-sized sub-blocks of replicates
-    (``_BLOCK_ELEMS`` local-time entries), whose size changes no output.
+    when both walkers return to their starts without leaving the box, with
+    <L,L~> = L Gamma L~^T for local-time rows L, L~.  A box on which one
+    replicate needs more than the walker's array budget of elements is
+    refused with ``DomainError`` before any work.  Walks are sampled in
+    blocks of that budget, which fixes the random stream; walker i sits out
+    when u_i < e^{-q(x_i) t}, and the others are walked conditioned on a
+    jump, so each keeps the plain walk's law.  The pair algebra goes by
+    walker kind.  A sitter at a has L = t e_a, so its weight and its term
+    against another sitter are known in closed form, and a walk block's
+    sitter pairs are one product with expm1(t^2 Gamma).  A walker that
+    returned meets the other family's sitters through its row of L Gamma,
+    and the returned walkers of the other family in its replicate through
+    a ragged list of pairs.  Walkers that do not return weigh 0 and enter
+    no product.
     """
     if n_rep < 2:
         raise DomainError("need at least two replicates")
     check_time(t)
     trunc = Truncation.build(graph, spec, pot, box_radius)
     m = len(trunc.vertices)
-    # One replicate holds L, L Gamma and the m x m pair matrices.
+    # A walk block gives each replicate 3 m^2 elements: up to 2 m^2 for its
+    # walkers' local-time rows, and L Gamma of the walkers that return.
     if 3 * m * m > _MAX_ELEMS:
         raise DomainError(f"one replicate on a box of m = {m} vertices needs "
                           f"3 m^2 = {3 * m * m} array elements, above the "
                           f"budget of {_MAX_ELEMS}")
     gamma = covariance_matrix(model, graph, trunc.vertices)
+    # A sitter at a has L = t e_a: its weight, and the pair term of two
+    # sitters at a and b, expm1(t^2 Gamma_ab), are known in closed form.
+    sit_weight = np.exp(0.5 * (t * np.diag(gamma) * t) - t * trunc.potential)
+    sit_pair = np.expm1(t * gamma * t)
     rng = np.random.default_rng(seed)
     block = _MAX_ELEMS // (3 * m * m)   # replicates per walk block
-    sub = max(1, _BLOCK_ELEMS // (2 * m * m))   # replicates per sub-block
+    step = _MAX_ELEMS // (2 * m)   # walker pairs whose two rows fit the budget
     totals = np.empty(n_rep)
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)
         # Walker (i, a) starts at vertex a; row i is a replicate's family.
-        moves = (rng.random((2 * r, m)) >= np.exp(-trunc.rate * t)).ravel()
-        movers = np.flatnonzero(moves) % m
-        walks = sample_walks(trunc, movers, t, rng)
-        back = ~moves
-        back[moves] = walks.endpoint == movers
-        done = 0   # walked rows of the sub-blocks before this one
-        for s in range(0, r, sub):
-            k = min(sub, r - s)
-            a, b = 2 * m * s, 2 * m * (s + k)
-            loc = np.zeros((b - a, m))
-            walked = np.flatnonzero(moves[a:b])
-            loc[walked] = walks.local[done:done + walked.size]
-            done += walked.size
-            idle = np.flatnonzero(~moves[a:b])
-            loc.ravel()[idle * m + idle % m] = t
-            lg = loc @ gamma
-            # e^{-<L,V> + <L,L>/2} for returning walkers, 0 for the rest:
-            # only returning rows are exponentiated, so no other overflows.
-            expo = 0.5 * np.einsum("ij,ij->i", lg, loc) - loc @ trunc.potential
-            u = np.exp(expo, out=np.zeros(len(loc)), where=back[a:b])
-            u = u.reshape(k, 2, m)
-            ab = lg.reshape(k, 2, m, m)[:, 0] \
-                @ loc.reshape(k, 2, m, m)[:, 1].transpose(0, 2, 1)
-            totals[lo + s:lo + s + k] = np.einsum(
-                "ra,rab,rb->r", u[:, 0], np.expm1(ab), u[:, 1])
+        moves = rng.random((2 * r, m)) >= np.exp(-trunc.rate * t)
+        walker = np.flatnonzero(moves)
+        starts = walker % m
+        walks = sample_walks(trunc, starts, t, rng)
+        sits = np.where(moves, 0.0, sit_weight).reshape(r, 2, m)
+        total = ((sits[:, 0] @ sit_pair) * sits[:, 1]).sum(1)
+        # Only the walkers that return carry weight; the others never enter.
+        ret = np.flatnonzero(walks.endpoint == starts)
+        loc = walks.local[ret]
+        rep, fam = np.divmod(walker[ret] // m, 2)
+        lg = loc @ gamma
+        uw = np.exp(0.5 * np.einsum("ij,ij->i", lg, loc)
+                    - loc @ trunc.potential)
+        # A returned walker against the other family's sitters:
+        # <L, t e_b> = t (L Gamma)_b.
+        cross = (sits[rep, 1 - fam] * np.expm1(t * lg)).sum(1) * uw
+        total += np.bincount(rep, cross, minlength=r)
+        # Returned walkers of one replicate, family 0 against family 1, as a
+        # ragged pair list: ret is ordered by replicate, then family.
+        f0, f1 = np.flatnonzero(fam == 0), np.flatnonzero(fam == 1)
+        n1 = np.bincount(rep[f1], minlength=r)
+        first = np.cumsum(n1) - n1   # each replicate's first place in f1
+        k = n1[rep[f0]]   # partners of each family-0 walker
+        p0 = np.repeat(f0, k)
+        # The j-th pair of a family-0 walker takes its replicate's j-th.
+        p1 = f1[np.repeat(first[rep[f0]] - np.cumsum(k) + k, k)
+                + np.arange(p0.size)]
+        # Their gathered rows are taken a budget at a time.
+        for s in range(0, p0.size, step):
+            a, b = p0[s:s + step], p1[s:s + step]
+            pair = np.expm1(np.einsum("ij,ij->i", lg[a], loc[b]))
+            total += np.bincount(rep[a], uw[a] * pair * uw[b], minlength=r)
+        totals[lo:lo + r] = total
     value = float(totals.mean())
     se = float(totals.std(ddof=1)) / sqrt(n_rep)
     return VarianceEstimate(value=value, stderr=se, n_samples=n_rep)

@@ -35,8 +35,9 @@ from .errors import ConfigError, DomainError, InputError, check_time
 # stays bounded whatever the number of paths or replicates.
 _BATCH = 1 << 17
 _MAX_ELEMS = 4_100_000
-# Entries of one cache-sized working block (512 KiB of float64) of ensemble
-# matrices or paired-walker pair algebra; no output depends on it.
+# Entries of one cache-sized working block (512 KiB of float64) of the
+# ensemble matrices that operators.Truncation.blocks solves; no output
+# depends on it.
 _BLOCK_ELEMS = 1 << 16
 # Paths per round of sample_jump_counts; the draws depend on it.
 _JUMP_CHUNK = 100_000

@@ -170,8 +170,8 @@ def test_paired_walker_benchmark_estimate_is_pinned():
 
 
 @pytest.mark.parametrize("model, pinned", [
-    (power_decay_gaussian(0.5), (0.6396107839554696, 0.02359883432139057)),
-    (constant_gaussian(0.7), (0.5531790519091987, 0.019521105747642764))],
+    (power_decay_gaussian(0.5), (0.6396107839554696, 0.023598834321390573)),
+    (constant_gaussian(0.7), (0.5531790519091987, 0.019521105747642768))],
     ids=["power_decay", "constant"])
 def test_paired_walker_correlated_estimate_is_pinned(model, pinned):
     # The box covariance matrix of each correlated kind feeds every pair
@@ -381,10 +381,11 @@ def test_paired_walker_at_t_zero_walks_no_walker(monkeypatch, t):
 
 def test_paired_walker_refuses_a_replicate_above_the_array_budget(
         monkeypatch):
-    # Z^2 l1, box radius 25: m = 1301 starts, and one replicate's local-time
-    # rows, their products with Gamma and the pair matrices need
-    # 3 m^2 = 5 077 803 elements, above the 4.1M budget.  Refused before the
-    # covariance is built or a walk is sampled.
+    # Z^2 l1, box radius 25: m = 1301 starts, and one replicate's share of a
+    # walk block, 3 m^2 = 5 077 803 elements (2 m^2 for its walkers'
+    # local-time rows, m^2 for L Gamma of the walkers that return), passes
+    # the 4.1M budget.  Refused before the covariance is built or a walk is
+    # sampled.
     def started(*args, **kwargs):
         raise AssertionError("work began before the budget check")
     monkeypatch.setattr(fk, "covariance_matrix", started)
@@ -396,30 +397,12 @@ def test_paired_walker_refuses_a_replicate_above_the_array_budget(
                                   iid_gaussian(1.0), 0.5, 10, 25, seed=0)
 
 
-@pytest.mark.parametrize("graph, model, box", [
-    (G1, iid_gaussian(1.0), 6),
-    (GraphModel.zd_l1(2), power_decay_gaussian(1.0), 3)], ids=["z1_iid",
-                                                             "z2_power"])
-def test_paired_walker_does_not_depend_on_the_block(monkeypatch, graph,
-                                                    model, box):
-    # The pair algebra runs over sub-blocks of a walk block; one replicate
-    # per sub-block, the default and one sub-block per walk block give the
-    # same estimate bit for bit.
-    spec = symmetric_walk(graph, 1.0)
-    got = []
-    for block in (1, fk._BLOCK_ELEMS, 10 ** 9):
-        monkeypatch.setattr(fk, "_BLOCK_ELEMS", block)
-        got.append(fk.paired_walker_variance(graph, spec, POT, model, 0.5,
-                                             300, box, seed=41))
-    assert got[0] == got[1] == got[2]
-
-
 def test_paired_walker_benchmark_peak_stays_bounded():
     # mc_paired.cfg's parameters: 2500 replicates of 2 x 13 walks in one walk
-    # block, whose local-time rows take 6.8 MB.  With the pair algebra of all
-    # replicates at once the traced peak was 21.6 MiB; a cache-sized
-    # sub-block at a time, it was 10.8 MiB, and with only the walked rows
-    # held whole (the sitters' rows are built per sub-block), 5.7 MiB.
+    # block.  The traced peak is 5.7 MiB: 5.65 inside sample_walks and 5.68
+    # in the pair algebra, which holds the 2.5 MiB of walked rows.  The dense
+    # pair algebra of every replicate at once took 21.6 MiB, which the bound
+    # refuses.
     tracemalloc.start()
     try:
         fk.paired_walker_variance(G1, SPEC, POT, iid_gaussian(1.0), 0.5, 2500,
@@ -606,6 +589,19 @@ def test_sit_outs_follow_the_binomial_law_per_start():
     assert np.all(np.abs(total - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
 
 
+def _dense_pair_totals(loc, back, gamma, potential):
+    """Per-replicate pair sums from dense local-time rows ``loc`` of shape
+    (replicates, 2, m, m), one row per family and start, and the mask
+    ``back`` of walkers that returned: L Gamma, the weights
+    e^{<L,L>/2 - <L,V>} of the returned rows (0 for the rest), the batched
+    pair matrices L_0 Gamma L_1^T, their expm1, and one einsum."""
+    lg = loc @ gamma
+    expo = 0.5 * np.einsum("rfij,rfij->rfi", lg, loc) - loc @ potential
+    u = np.exp(expo, out=np.zeros(back.shape), where=back)
+    ab = lg[:, 0] @ loc[:, 1].transpose(0, 2, 1)
+    return np.einsum("ra,rab,rb->r", u[:, 0], np.expm1(ab), u[:, 1])
+
+
 def _sample_path_paired_variance(graph, spec, pot, model, t, n_rep,
                                  box_radius, seed):
     """The paired-walker variance with every walker a plain ``sample_path``
@@ -625,11 +621,9 @@ def _sample_path_paired_variance(graph, spec, pot, model, t, n_rep,
             back[r, f, a] = True
             for x, lt in p.local_time.items():
                 loc[r, f, a, col[x]] = lt
-    lg = loc @ noise.covariance_matrix(model, graph, verts)
-    u = np.where(back, np.exp(0.5 * (lg * loc).sum(axis=3)
-                              - loc @ trunc.potential), 0.0)
-    ab = lg[:, 0] @ loc[:, 1].transpose(0, 2, 1)
-    totals = np.einsum("ra,rab,rb->r", u[:, 0], np.expm1(ab), u[:, 1])
+    totals = _dense_pair_totals(
+        loc, back, noise.covariance_matrix(model, graph, verts),
+        trunc.potential)
     return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(n_rep)
 
 
@@ -648,6 +642,72 @@ def test_paired_walker_agrees_with_plain_sample_path_walkers(model, seeds):
                                                n_rep, 2, seeds[1])
     assert abs(est.value - ref) <= 4 * math.hypot(est.stderr, ref_se)
     assert abs(est.stderr - ref_se) <= 0.2 * min(est.stderr, ref_se)
+
+
+def _dense_paired_variance(graph, spec, pot, model, t, n_rep, box_radius,
+                           seed):
+    """The paired-walker variance with the estimator's random stream (per
+    walk block one ``random`` fill and one ``sample_walks`` call), each
+    walker given its dense local-time row (t at its start for a sitter)
+    and every replicate summed by ``_dense_pair_totals``."""
+    trunc = Truncation.build(graph, spec, pot, box_radius)
+    m = len(trunc.vertices)
+    gamma = noise.covariance_matrix(model, graph, trunc.vertices)
+    rng = np.random.default_rng(seed)
+    block = fk._MAX_ELEMS // (3 * m * m)
+    totals = []
+    for lo in range(0, n_rep, block):
+        r = min(block, n_rep - lo)
+        moves = (rng.random((2 * r, m)) >= np.exp(-trunc.rate * t)).ravel()
+        walker = np.flatnonzero(moves)
+        walks = sample_walks(trunc, walker % m, t, rng)
+        loc = np.zeros((2 * r * m, m))
+        loc[walker] = walks.local
+        idle = np.flatnonzero(~moves)
+        loc[idle, idle % m] = t
+        back = ~moves
+        back[walker] = walks.endpoint == walker % m
+        totals.append(_dense_pair_totals(loc.reshape(r, 2, m, m),
+                                         back.reshape(r, 2, m), gamma,
+                                         trunc.potential))
+    totals = np.concatenate(totals)
+    return float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(n_rep)
+
+
+_Z2 = GraphModel.zd_l1(2)
+_DENSE_CASES = {
+    **{f"z1-{kind}-t{t}": (G1, SPEC, model, t, 300, 6)
+       for kind, model in (("iid", iid_gaussian(1.0)),
+                           ("constant", constant_gaussian(0.7)),
+                           ("power", power_decay_gaussian(0.5)))
+       for t in (0.125, 0.5, 2.0)},
+    "z2-iid": (_Z2, symmetric_walk(_Z2, 1.0), iid_gaussian(1.0), 0.5, 200, 4),
+    "z2-power": (_Z2, symmetric_walk(_Z2, 1.0), power_decay_gaussian(1.0),
+                 0.5, 200, 4),
+    # m = 313 starts: walk blocks of 13 replicates, so three blocks.
+    "z2-power-blocks": (_Z2, symmetric_walk(_Z2, 1.0),
+                        power_decay_gaussian(1.0), 0.5, 27, 12),
+    # m = 421 starts at t = 2: 6668 returned pairs in the first walk block of
+    # 7 replicates, over the 4869 whose rows fit the budget at once.
+    "z2-iid-pair-chunks": (_Z2, symmetric_walk(_Z2, 1.0), iid_gaussian(1.0),
+                           2.0, 10, 14),
+    "explicit-site-rates": (G_EXPLICIT, _site_rate_spec(G_EXPLICIT),
+                            power_decay_gaussian(1.0), 0.8, 300, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_DENSE_CASES))
+def test_paired_walker_matches_dense_pair_algebra(case):
+    # The estimator's stream replayed through the dense pair algebra: the
+    # sitters in closed form, the returned walkers' ragged pair list and the
+    # walkers that do not return (left out) give the same value and SE.
+    graph, spec, model, t, n_rep, box = _DENSE_CASES[case]
+    est = fk.paired_walker_variance(graph, spec, POT, model, t, n_rep, box,
+                                    seed=41)
+    value, se = _dense_paired_variance(graph, spec, POT, model, t, n_rep,
+                                       box, seed=41)
+    assert est.value == pytest.approx(value, rel=1e-13, abs=0.0)
+    assert est.stderr == pytest.approx(se, rel=1e-13, abs=0.0)
 
 
 def test_paired_walker_power_decay_agrees_with_ensemble():
