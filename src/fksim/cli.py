@@ -16,15 +16,15 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from math import exp, isfinite, ldexp, log, nan, sqrt
+from math import exp, isfinite, ldexp, nan, sqrt
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, check_time
 from .lattice import GraphModel
 from .noise import NoiseModel, sample_field, sample_fields
-from .operators import PotentialSpec, Truncation, _expm_traces
-from .feynman_kac import (_log_frozen_sum, ensemble_variance,
+from .operators import PotentialSpec, Truncation, expm_traces
+from .feynman_kac import (ensemble_variance, frozen_variance_sum,
                           mc_dirichlet_trace, radius_for)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
@@ -188,10 +188,6 @@ def fit_exponent(rows):
 # -- sweep-variance --------------------------------------------------------------
 
 
-_LN_MIN = log(sys.float_info.min)   # -708.40
-_LN_MAX = log(sys.float_info.max)   # 709.78
-
-
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple        # (t, frozen, ens_var, ens_se, lower, radius)
@@ -203,9 +199,10 @@ class SweepResult:
 
 def sweep_variance(cfg):
     """Frozen sums, their fitted exponent and ensemble variances on the grid.
-    A grid t that its sum refuses (t or its radius past the floats, a term,
-    FFT or pair cap, a log frozen outside [ln(min normal), ln(max float)])
-    is refused as ``t_exp_min`` for the first t, else ``t_exp_max``."""
+    A grid t whose t or radius leaves the floats, or whose sum
+    ``frozen_variance_sum`` refuses (a term, FFT or pair cap, a sum outside
+    the normal floats), is refused as ``t_exp_min`` for the first t, else
+    ``t_exp_max``."""
     cfg = effective_config("sweep-variance", cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
@@ -227,20 +224,13 @@ def sweep_variance(cfg):
         try:
             t = ldexp(1.0, -k)
             radius = radius_for(t, pot.alpha, pot.kappa)
-            # A t^2 of 0 or inf gives a log of -inf or inf.
-            v = _log_frozen_sum(t, graph, pot, model)
-            if not _LN_MIN <= v <= _LN_MAX:
-                raise DomainError(
-                    f"gamma0 = {model.gamma0!r}, kappa = {pot.kappa!r} and "
-                    f"mu = {pot.mu!r} give the frozen sum the log {v:.2f}, "
-                    f"outside [{_LN_MIN:.2f}, {_LN_MAX:.2f}] of the normal "
-                    "floats")
+            frozen = frozen_variance_sum(t, graph, pot, model)
         except OverflowError:
             why = "t or its certified radius leaves the floats"
         except DomainError as err:
             why = err
         else:
-            done[k] = (t, exp(v), radius)
+            done[k] = (t, frozen, radius)
             continue
         key = "t_exp_min" if k == k_min else "t_exp_max"
         raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}: {why}")
@@ -425,7 +415,7 @@ def spectral_check(cfg):
     residuals = []
     for mats, block_eigs in trunc.blocks(fields):
         for mat, eigs in zip(mats, block_eigs):
-            traces = _expm_traces(mat, t_grid)
+            traces = expm_traces(mat, t_grid)
             with np.errstate(invalid="ignore", divide="ignore"):
                 residuals += [abs(tr - np.exp(-t * eigs).sum()) / abs(tr)
                               for t, tr in zip(t_grid, traces)]

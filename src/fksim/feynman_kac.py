@@ -17,6 +17,10 @@ frozen-walk double sum on a certified box: on the lattices in closed radial
 form for independent and constant noise and for power decay as one FFT
 autocorrelation of the weights against the covariance kernel, and on
 explicit graphs as the pairwise sum over the ball for every kind.
+``frozen_variance_sum`` is the one route to that sum, and it decides what
+a sum may be: exactly 0.0 at gamma0 = 0, otherwise a normal float, or a
+``DomainError`` that names the normal floats.  This module owns the array
+budget ``_MAX_ELEMS`` that its walk blocks, pair chunks and FFT grids spend.
 A ``NoiseModel`` is checked when it is made, so no estimator re-checks its
 kind or the sign of its covariance.  Every t must be finite and >= 0, and
 > 0 where a box is certified or a trace estimated.
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import (ceil, e as _E, exp, expm1, gamma as _gamma_fn, inf, log,
                   nan, sqrt)
+from sys import float_info
 
 import numpy as np
 
@@ -35,12 +40,21 @@ from .lattice import ZD_L1, ZD_LINF
 from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
                     sample_fields)
 from .operators import PotentialSpec, Truncation
-from .walker import _MAX_ELEMS, sample_walks
+from .walker import sample_walks
 
 _LN_TAIL = 27.631021115928547  # ln(1e12): relative cutoff for the box tail
 _EXACT_TERM_CAP = 20_000_000   # radial terms summed exactly before integral tails
 _RADIAL_CHUNK = 2_000_000      # radial terms per vectorised block
 _TERM_CAP = 60_000_000         # radial terms any one sum may take
+_PAIR_CAP = 40_000_000         # vertex pairs of one explicit-graph pairwise sum
+# Entry budget of the estimators' array blocks and of the FFT grid (4.1
+# million float64 entries, 33 MB): peak memory stays bounded whatever the
+# number of replicates.
+_MAX_ELEMS = 4_100_000
+# The logs of the least normal and the largest float: a frozen sum with
+# gamma0 > 0 is returned only between them.
+_LN_MIN = log(float_info.min)   # -708.40
+_LN_MAX = log(float_info.max)   # 709.78
 
 
 @dataclass(frozen=True)
@@ -203,8 +217,8 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     e^{-<L+L~,V>} * e^{(<L,L>+<L~,L~>)/2} (e^{<L,L~>} - 1)
     when both walkers return to their starts without leaving the box, with
     <L,L~> = L Gamma L~^T for local-time rows L, L~.  A box on which one
-    replicate needs more than the walker's array budget of elements is
-    refused with ``DomainError`` before any work.  Walks are sampled in
+    replicate needs more than the array budget of elements (``_MAX_ELEMS``)
+    is refused with ``DomainError`` before any work.  Walks are sampled in
     blocks of that budget, which fixes the random stream; walker i sits out
     when u_i < e^{-q(x_i) t}, and the others are walked conditioned on a
     jump, so each keeps the plain walk's law.  The pair algebra goes by
@@ -213,8 +227,10 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     sitter pairs are one product with expm1(t^2 Gamma).  A walker that
     returned meets the other family's sitters through its row of L Gamma,
     and the returned walkers of the other family in its replicate through
-    a ragged list of pairs.  Walkers that do not return weigh 0 and enter
-    no product.
+    a ragged list of pairs, whose rows are gathered in chunks of what the
+    block's arrays leave of the budget.  So a call holds at most about
+    ``_MAX_ELEMS`` + 2 m^2 entries: Gamma and expm1(t^2 Gamma) come on
+    top.  Walkers that do not return weigh 0 and enter no product.
     """
     if n_rep < 2:
         raise DomainError("need at least two replicates")
@@ -234,7 +250,6 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     sit_pair = np.expm1(t * gamma * t)
     rng = np.random.default_rng(seed)
     block = _MAX_ELEMS // (3 * m * m)   # replicates per walk block
-    step = _MAX_ELEMS // (2 * m)   # walker pairs whose two rows fit the budget
     totals = np.empty(n_rep)
     for lo in range(0, n_rep, block):
         r = min(block, n_rep - lo)
@@ -266,7 +281,11 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
         # The j-th pair of a family-0 walker takes its replicate's j-th.
         p1 = f1[np.repeat(first[rep[f0]] - np.cumsum(k) + k, k)
                 + np.arange(p0.size)]
-        # Their gathered rows are taken a budget at a time.
+        # Their gathered rows take what the block's arrays leave of the
+        # budget: the walked rows, L and L Gamma of the returned walkers,
+        # and the three temporaries of the cross term.
+        step = max(1, (_MAX_ELEMS - walks.local.size - 5 * loc.size)
+                   // (2 * m))
         for s in range(0, p0.size, step):
             a, b = p0[s:s + step], p1[s:s + step]
             pair = np.expm1(np.einsum("ij,ij->i", lg[a], loc[b]))
@@ -388,7 +407,7 @@ def _log_frozen_sum(t, graph, pot, model):
     pot0 = PotentialSpec(pot.alpha, pot.kappa)
     if graph.kind not in (ZD_L1, ZD_LINF):
         verts = graph.ball(graph.root, r)
-        if len(verts) ** 2 > 40_000_000:
+        if len(verts) ** 2 > _PAIR_CAP:
             raise DomainError(f"pairwise sum over {len(verts)} vertices is "
                               "too large")
         w = np.exp(-t * pot0.radial(graph.distances([graph.root], verts)[0]))
@@ -406,23 +425,39 @@ def _log_frozen_sum(t, graph, pot, model):
 
 
 def frozen_variance_sum(t, graph, pot, model):
-    """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}]:
-    e^{``_log_frozen_sum``}, or ``OverflowError`` past the largest float."""
-    out = exp(_log_frozen_sum(t, graph, pot, model))
-    if out == inf:   # exp(inf) is inf, where a finite argument raises
-        raise OverflowError("the frozen sum passes the largest float")
-    return out
+    """Double sum over the box of e^{-tV(u)-tV(v)} Cov[e^{-t xi(u)}, e^{-t xi(v)}].
+
+    Exactly 0.0 at gamma0 = 0.  Otherwise e^{``_log_frozen_sum``} when that
+    log lies in [ln(min normal), ln(max float)], and ``DomainError`` naming
+    the normal floats when it does not: no positive sum is returned as 0.0,
+    a subnormal float or inf.  The caps of ``_log_frozen_sum`` refuse a box
+    too large to sum.
+    """
+    v = _log_frozen_sum(t, graph, pot, model)
+    if model.gamma0 == 0.0:
+        return 0.0
+    if not _LN_MIN <= v <= _LN_MAX:
+        raise DomainError(
+            f"gamma0 = {model.gamma0!r}, kappa = {pot.kappa!r} and "
+            f"mu = {pot.mu!r} give the frozen sum the log {v:.2f}, "
+            f"outside [{_LN_MIN:.2f}, {_LN_MAX:.2f}] of the normal floats")
+    return exp(v)
 
 
 def lower_bound_sum(t, delta, model, graph):
     """Certified lower bound e^{-2t} * frozen sum for the preset
     V(v) = d(0, v)^delta and unit jump rate: each walker of a pair stays at
     its start with probability e^{-t}, and as every admissible covariance is
-    nonnegative no other path pair contributes negatively.
+    nonnegative no other path pair contributes negatively.  The frozen
+    sum's rule holds: a positive bound below the normal floats is refused.
     """
     # The frozen sum refuses a bad t before e^{-2t} could overflow.
-    return frozen_variance_sum(t, graph, PotentialSpec(alpha=delta),
-                               model) * exp(-2.0 * t)
+    frozen = frozen_variance_sum(t, graph, PotentialSpec(alpha=delta), model)
+    out = frozen * exp(-2.0 * t)
+    if out < float_info.min and frozen > 0.0:
+        raise DomainError(f"the lower bound e^(-2t) x {frozen!r} at "
+                          f"t = {t!r} is below the normal floats")
+    return out
 
 
 def riemann_tail_sum(t, kappa, alpha, graph):

@@ -9,14 +9,18 @@ Carlo walks share.  At build it decides the eigen route: a truncation
 whose off-diagonal part is symmetric up to roundoff (the lattices) takes
 LAPACK's symmetric solver, any other the general one, and
 ``Truncation.traces`` takes the exact traces Tr e^{-tM} over a t grid the
-same way.  Matrix exponentials are a degree-16 Taylor polynomial, evaluated
+same way.  ``Truncation.blocks`` fills and solves ensemble members a block
+of at most ``_BLOCK_ELEMS`` matrix entries at a time; this module owns that
+budget.  Matrix exponentials are a degree-16 Taylor polynomial, evaluated
 with five matrix products, three of them squares (Sastre's scheme,
 B_1 + (B_2 + A_8) A_8 with A_8 = B_3 + B_4^2, its constant term moved out
 of A_8), with scaling and squaring and a diagonal shift folded into the
 scale; no linear solve, real matrices alone.  On a large exactly symmetric
 matrix, the squares among those products are R R^T (BLAS syrk, half the
-flops).  Traces over a t grid square e^{-tM} where the grid doubles t
-instead of exponentiating again.  Every t must be finite and >= 0.
+flops).  ``expm_traces`` takes the traces of one matrix over a t grid from
+exponentials alone, squaring e^{-tM} where the grid doubles t instead of
+exponentiating again: the second route that ``spectral-check`` holds
+against the eigenvalues.  Every t must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InputError, NumericalError,
                      check_time)
-from .walker import _BLOCK_ELEMS
+
+# Entries of one cache-sized working block (512 KiB of float64) of the
+# ensemble matrices that Truncation.blocks solves; no output depends on it.
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,7 @@ class Truncation:
         """Tr e^{-tM}, M the matrix of each row of ``fields`` (rows), at
         each t of ``ts`` (columns).  The symmetric route sums e^{-t lambda}
         over one ``eigenvalues`` call, a column at a time, so a column has
-        the bits of a one-t call; the general one takes ``_expm_traces`` one
+        the bits of a one-t call; the general one takes ``expm_traces`` one
         member at a time, so no more than one matrix is held."""
         for t in ts:
             check_time(t)
@@ -224,7 +231,7 @@ class Truncation:
                 out[:, j] = np.exp(-t * eigs).sum(axis=1)
         else:
             for i, f in enumerate(fields):
-                out[i] = _expm_traces(self.matrices(f[None])[0], ts)
+                out[i] = expm_traces(self.matrices(f[None])[0], ts)
         return out
 
 
@@ -338,7 +345,7 @@ def expm_neg(mat, t=1.0):
     return r
 
 
-def _expm_traces(mat, t_grid):
+def expm_traces(mat, t_grid):
     """Tr e^{-tM} for each t of ``t_grid``, in grid order.
 
     The distinct t are walked in ascending order.  When t/2 is in the grid

@@ -30,15 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, InputError, check_time
 
-# Walkers advanced together by sample_walks, and the entry budget of the
-# estimators' array blocks (4.1 million float64 entries, 33 MB): peak memory
-# stays bounded whatever the number of paths or replicates.
+# Walkers advanced together by sample_walks, so that its working arrays
+# stay bounded whatever the number of walkers; the draws depend on it.
 _BATCH = 1 << 17
-_MAX_ELEMS = 4_100_000
-# Entries of one cache-sized working block (512 KiB of float64) of the
-# ensemble matrices that operators.Truncation.blocks solves; no output
-# depends on it.
-_BLOCK_ELEMS = 1 << 16
 # Paths per round of sample_jump_counts; the draws depend on it.
 _JUMP_CHUNK = 100_000
 

@@ -126,18 +126,26 @@ def test_walker_imports_neither_operators_nor_estimators():
     assert not {"fksim.operators", "fksim.feynman_kac"} & set(mods)
 
 
-def test_no_module_imports_private_names_of_noise():
-    # noise owns its model checks, its sampler and its covariance factor;
-    # every other module reaches them through public names.
+def test_no_module_imports_private_names_of_another():
+    # Each decision lives in one module: noise its model checks and sampler,
+    # feynman_kac the frozen-sum rule and the estimators' array budget,
+    # operators its block budget and the exponential traces.  Every other
+    # module reaches them through public names (dunders aside), and
+    # operators, whose truncation walker reads, imports nothing from walker.
     found = []
     for path in sorted(Path(fksim.__file__).parent.glob("*.py")):
-        if path.stem == "noise":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) \
-                    and node.module in ("noise", "fksim.noise"):
-                found += [(path.name, a.name) for a in node.names
-                          if a.name.startswith("_")]
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or module.split(".")[0] == "fksim"):
+                found += [(path.name, module, a.name) for a in node.names
+                          if a.name.startswith("_")
+                          and not a.name.endswith("__")]
+            if path.stem == "operators":
+                found += [(path.name, module, a.name) for a in node.names
+                          if "walker" in f"{module}.{a.name}"]
     assert found == []
 
 
@@ -259,8 +267,8 @@ def test_sweep_empty_grid_rejected(tmp_path):
 def sweep_calls(monkeypatch):
     """The stages of a sweep that ran, in order: "frozen" for each frozen
     sum (the real one runs) and "ensemble" for the ensemble (a stub)."""
-    calls, real = [], cli._log_frozen_sum
-    monkeypatch.setattr(cli, "_log_frozen_sum",
+    calls, real = [], fksim.feynman_kac._log_frozen_sum
+    monkeypatch.setattr(fksim.feynman_kac, "_log_frozen_sum",
                         lambda *a: calls.append("frozen") or real(*a))
     monkeypatch.setattr(cli, "ensemble_variance",
                         lambda *a, **k: calls.append("ensemble"))
@@ -490,7 +498,7 @@ def _refuse_one_t(monkeypatch, kind, bad_t):
 
     monkeypatch.setattr(cli, "ldexp", ldexp)
     monkeypatch.setattr(cli, "radius_for", radius_for)
-    monkeypatch.setattr(cli, "_log_frozen_sum", log_frozen_sum)
+    monkeypatch.setattr(fksim.feynman_kac, "_log_frozen_sum", log_frozen_sum)
 
 
 @pytest.mark.parametrize("kind", ["t", "radius", "cap", "above", "below",
@@ -1284,15 +1292,17 @@ def _bench_trace():
     return bench_trace
 
 
-@pytest.mark.parametrize("command, text, span", [
-    ("tail-check", "n_paths = 20000\n", "walker.sample_jump_counts"),
+@pytest.mark.parametrize("command, text, span, calls", [
+    ("tail-check", "n_paths = 20000\n", "walker.sample_jump_counts", 1),
     ("fk-compare", "radius = 4\nn_paths = 2000\n",
-     "feynman_kac.mc_dirichlet_trace")])
+     "feynman_kac.mc_dirichlet_trace", 1),
+    ("sweep-variance", "t_exp_min = 1\nt_exp_max = 4\n",
+     "feynman_kac.frozen_variance_sum", 4)])
 def test_traced_span_is_called_once_per_run(tmp_path, capsys, command, text,
-                                            span):
-    # perfbench's walker.jump_counts_s and feynman_kac.mc_trace_self_s read
-    # these spans; a run that reached its work some other way would leave
-    # them at 0.
+                                            span, calls):
+    # perfbench's walker.jump_counts_s, feynman_kac.mc_trace_self_s and
+    # feynman_kac.frozen_sum_s read these spans; a run that reached its work
+    # some other way would leave them at 0.  The sweep sums once per grid t.
     bench_trace = _bench_trace()
     path = _write(tmp_path, text)
     with bench_trace.Tracer() as tracer:
@@ -1301,7 +1311,7 @@ def test_traced_span_is_called_once_per_run(tmp_path, capsys, command, text,
                         if command == "tail-check"
                         else [command, "--config", path]) == 0
     capsys.readouterr()
-    assert tracer.calls[span] == 1
+    assert tracer.calls[span] == calls
     assert tracer.total[span] > 0.0
 
 
@@ -1711,6 +1721,22 @@ def test_cli_names_the_bad_edge_list_line(tmp_path, capsys):
     assert cli.main(["fk-compare", "--config", path]) == 1
     assert capsys.readouterr().err == \
         f"error: {graph}:3: expected an edge 'u v', got '1 x'\n"
+
+
+def test_sweep_refuses_a_pairwise_sum_over_the_cap(tmp_path, capsys,
+                                                  sweep_calls):
+    # A star of 6400 leaves: 6401 ball vertices at every certified radius,
+    # 6401^2 pairs over the pairwise cap.  Refused at the first grid t, by
+    # the key that sets it, after one frozen sum and before the ensemble.
+    graph = tmp_path / "star.txt"
+    graph.write_text("6401 0\n" + "".join(f"0 {k}\n" for k in range(1, 6401)))
+    path = _write(tmp_path, _EDGE_LIST.format(graph) + "t_exp_min = 1\n"
+                  "t_exp_max = 4\nensemble = 40\n")
+    assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and sweep_calls == ["frozen"]
+    assert captured.err == ("error: t_exp_min = 1 reaches t = 2^-1: pairwise "
+                            "sum over 6401 vertices is too large\n")
 
 
 def test_readme_sweep_example_runs(tmp_path, capsys):

@@ -65,7 +65,7 @@ _CALLS = {
     "trace_identity_residual": lambda t: fksim.trace_identity_residual(
         np.eye(2), t),
     "Truncation.traces": lambda t: TRUNC.traces(np.zeros((1, 5)), [t]),
-    "_expm_traces": lambda t: operators._expm_traces(np.eye(2), [t]),
+    "expm_traces": lambda t: operators.expm_traces(np.eye(2), [t]),
     "sample_walks": lambda t: walker.sample_walks(
         TRUNC, [0], t, np.random.default_rng(0))}
 _TIME_PARAMS = {"t", "ts", "t_grid", "horizon"}
@@ -73,10 +73,10 @@ _TIME_PARAMS = {"t", "ts", "t_grid", "horizon"}
 
 def _timed_entry_points():
     """Names of the public callables of ``fksim.__all__`` (and the public
-    methods of its classes), ``Truncation.traces``, ``_expm_traces`` and
+    methods of its classes), ``Truncation.traces``, ``expm_traces`` and
     ``sample_walks`` that have a parameter named as a time."""
     found = {"Truncation.traces": Truncation.traces,
-             "_expm_traces": operators._expm_traces,
+             "expm_traces": operators.expm_traces,
              "sample_walks": walker.sample_walks}
     for name in fksim.__all__:
         obj = getattr(fksim, name)

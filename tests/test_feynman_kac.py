@@ -413,6 +413,29 @@ def test_paired_walker_benchmark_peak_stays_bounded():
     assert peak < 16_000_000
 
 
+@pytest.mark.parametrize("model", [iid_gaussian(1.0),
+                                   power_decay_gaussian(1.0)],
+                         ids=["iid", "power_decay"])
+def test_paired_walker_peak_stays_within_the_budget(model):
+    # Z^2 l1, box radius 20 (m = 841) at t = 2: 6 walk blocks of one
+    # replicate, each with about 1450 walked rows and 4700 returned pairs.
+    # The pair rows took a full budget on top of the walked rows and L Gamma,
+    # a traced peak of 55.1 MiB (iid) and 53.8 MiB (power decay).  Sized
+    # from what the block leaves of the budget, they peak at 41.3 and
+    # 40.0 MiB: only Gamma and expm1(t^2 Gamma), m^2 entries each, come on
+    # top of the budget.
+    g2 = GraphModel.zd_l1(2)
+    m = 841
+    tracemalloc.start()
+    try:
+        fk.paired_walker_variance(g2, symmetric_walk(g2, 1.0), POT, model,
+                                  2.0, 6, 20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (fk._MAX_ELEMS + 2 * m * m)
+
+
 def test_radius_for_monotone_in_t():
     assert fk.radius_for(2.0 ** -12) > fk.radius_for(2.0 ** -6)
     with pytest.raises(DomainError):
@@ -688,7 +711,8 @@ _DENSE_CASES = {
     "z2-power-blocks": (_Z2, symmetric_walk(_Z2, 1.0),
                         power_decay_gaussian(1.0), 0.5, 27, 12),
     # m = 421 starts at t = 2: 6668 returned pairs in the first walk block of
-    # 7 replicates, over the 4869 whose rows fit the budget at once.
+    # 7 replicates, in 6 chunks of the 1236 whose rows fit what the block's
+    # arrays leave of the budget.
     "z2-iid-pair-chunks": (_Z2, symmetric_walk(_Z2, 1.0), iid_gaussian(1.0),
                            2.0, 10, 14),
     "explicit-site-rates": (G_EXPLICIT, _site_rate_spec(G_EXPLICIT),
@@ -1088,19 +1112,65 @@ def test_a_bad_t_is_refused_before_any_build_draw_or_sum(monkeypatch, t):
         fk.riemann_tail_sum(t, 1.0, 2.0, G1)
 
 
-def test_a_frozen_sum_past_the_floats_raises_overflow():
+def test_a_frozen_sum_past_the_floats_is_refused():
     # e^{t^2 gamma0} (e^{t^2 gamma0} - 1) = e^708 is finite, but the radial
-    # sum of kappa = 0.1 (about 12.5) takes the product past the floats.
-    with pytest.raises(OverflowError):
+    # sum of kappa = 0.1 (about 12.5) takes the product past the floats: a
+    # bare OverflowError, now refused by name with its log.
+    with pytest.raises(DomainError, match=r"the log 710\.53, outside "
+                                          r"\[-708\.40, 709\.78\] of the "
+                                          r"normal floats"):
         fk.frozen_variance_sum(1.0, G1, PotentialSpec(kappa=0.1),
                                iid_gaussian(354.0))
 
 
 def test_an_infinite_2_t_mu_leaves_the_floats():
     # 2 t mu = +-8e308 is infinite: the factor e^{2 t mu} overflows, or
-    # underflows to 0, rather than failing on the infinite exponent.
+    # underflows to 0, rather than failing on the infinite exponent.  The
+    # sum at mu = -1e308 was returned as 0.0; both are refused by name.
     model = iid_gaussian(1.0)
-    with pytest.raises(OverflowError):
-        fk.frozen_variance_sum(4.0, G1, PotentialSpec(mu=1e308), model)
-    assert fk.frozen_variance_sum(4.0, G1, PotentialSpec(mu=-1e308),
-                                  model) == 0.0
+    for mu, log in ((1e308, "inf"), (-1e308, "-inf")):
+        with pytest.raises(DomainError, match=rf"the log {log}, .* normal "
+                                              r"floats"):
+            fk.frozen_variance_sum(4.0, G1, PotentialSpec(mu=mu), model)
+
+
+@pytest.mark.parametrize("pot, gamma0, log", [
+    (PotentialSpec(mu=-800.0), 1.0, "-800.44"),
+    (POT, 1e-320, "-737.64")], ids=["mu", "gamma0"])
+def test_a_frozen_sum_below_the_normal_floats_is_refused(pot, gamma0, log):
+    # At t = 1/2 these sums were returned as 0.0 and as the subnormal
+    # 4.43e-321: a positive sum read as none, or with most of its digits
+    # gone.  Refused by name, with its log.
+    with pytest.raises(DomainError, match=rf"the log {log}, .* normal "
+                                          r"floats"):
+        fk.frozen_variance_sum(0.5, G1, pot, iid_gaussian(gamma0))
+
+
+@pytest.mark.parametrize("t, gamma0", [(2.0 ** -10, 1e-310),
+                                       (400.0, 1e-10)])
+def test_a_lower_bound_below_the_normal_floats_is_refused(t, gamma0):
+    # At t = 2^-10 the frozen sum is subnormal and the bound was the
+    # subnormal 9.98e-311; at t = 400 the frozen sum is about 1.6e-5 and
+    # e^{-800} took the bound to 0.0.  At gamma0 = 0 both sums are exactly
+    # 0.0.
+    with pytest.raises(DomainError, match="normal floats"):
+        fk.lower_bound_sum(t, 0.5, iid_gaussian(gamma0), G1)
+    assert fk.lower_bound_sum(t, 0.5, iid_gaussian(0.0), G1) == 0.0
+    assert fk.frozen_variance_sum(t, G1, PotentialSpec(alpha=0.5),
+                                  iid_gaussian(0.0)) == 0.0
+
+
+def test_explicit_pairwise_sum_refuses_too_many_vertices(monkeypatch):
+    # A star of 6400 leaves: its ball holds 6401 vertices at any radius
+    # >= 1, 6401^2 = 40 972 801 pairs, over the pairwise cap of 40 million.
+    # Refused before the covariance matrix is built.
+    star = GraphModel.explicit(6401, [(0, k) for k in range(1, 6401)])
+
+    def started(*args, **kwargs):
+        raise AssertionError("the covariance was built before the pair cap")
+
+    monkeypatch.setattr(fk, "covariance_matrix", started)
+    assert fk._PAIR_CAP == 40_000_000
+    with pytest.raises(DomainError, match="pairwise sum over 6401 vertices "
+                                          "is too large"):
+        fk.frozen_variance_sum(0.5, star, POT, iid_gaussian(1.0))

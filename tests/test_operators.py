@@ -153,7 +153,7 @@ def test_a_non_finite_t_is_refused_by_name(monkeypatch, t):
         expm_neg(m, t)
     monkeypatch.setattr(operators, "expm_neg", no_work)
     with pytest.raises(DomainError, match=named):
-        operators._expm_traces(m, (0.5, t))
+        operators.expm_traces(m, (0.5, t))
     with pytest.raises(DomainError, match=named):
         trace_identity_residual(m, t)
 
@@ -181,7 +181,7 @@ def test_expm_traces_match_eigenvalues_at_benchmark_scale():
                               seed)
         mat = trunc.matrices(field)[0]
         lam = np.linalg.eigvalsh(mat)
-        got = operators._expm_traces(mat, (0.5, 1.0))
+        got = operators.expm_traces(mat, (0.5, 1.0))
         for t, tr in zip((0.5, 1.0), got):
             assert tr == pytest.approx(np.exp(-t * lam).sum(), rel=1e-12,
                                        abs=0.0)
@@ -633,7 +633,7 @@ def test_eigen_traces_match_matrix_exponential(monkeypatch, case):
 def test_grid_traces_are_one_t_traces(monkeypatch, case):
     # One row per field, one column per t.  The symmetric route solves each
     # member's eigenvalues once for the whole grid, and each column has the
-    # bits of a one-t call; the general route is _expm_traces per member.
+    # bits of a one-t call; the general route is expm_traces per member.
     trunc, _ = _route_cases()[case]
     fields = np.random.default_rng(50).standard_normal(
         (4, len(trunc.potential)))
@@ -652,7 +652,7 @@ def test_grid_traces_are_one_t_traces(monkeypatch, case):
             assert np.allclose(got[:, j], one, rtol=1e-12, atol=0.0), t
     if not trunc.symmetric:
         for f, row in zip(fields, got):
-            want = operators._expm_traces(trunc.matrices(f[None])[0], ts)
+            want = operators.expm_traces(trunc.matrices(f[None])[0], ts)
             assert row.tobytes() == np.asarray(want).tobytes()
 
 
@@ -687,7 +687,7 @@ def test_grid_traces_match_per_t_expm(monkeypatch, case, grid, n_expm):
     for f in fields:
         mat = trunc.matrices(f[None])[0]
         assert np.array_equal(mat, mat.T) == (case == 0)
-        got = operators._expm_traces(mat, grid)
+        got = operators.expm_traces(mat, grid)
         want = [np.trace(real(mat, t)) for t in grid]
         assert len(got) == len(grid)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -697,13 +697,13 @@ def test_grid_traces_match_per_t_expm(monkeypatch, case, grid, n_expm):
 def test_grid_traces_refuse_overflow_in_the_square():
     # e^{400} is finite, its square e^{800} is not: as expm_neg at t = 2.
     mat = np.array([[-400.0]])
-    assert operators._expm_traces(mat, (1.0,))[0] == pytest.approx(
+    assert operators.expm_traces(mat, (1.0,))[0] == pytest.approx(
         math.exp(400.0))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError):
             expm_neg(mat, 2.0)
         with pytest.raises(NumericalError):
-            operators._expm_traces(mat, (1.0, 2.0))
+            operators.expm_traces(mat, (1.0, 2.0))
 
 
 @pytest.mark.parametrize("g", [GraphModel.zd_l1(2), GraphModel.explicit(
@@ -733,7 +733,7 @@ _BAD_TIMES = ((math.nan, "nan", "t = nan is not finite"),
               (-0.5, "negative", "t must be >= 0, got -0.5"))
 _TIMED = {
     "expm": lambda t: expm_neg(np.eye(2), t),
-    "expm-traces": lambda t: operators._expm_traces(np.eye(2), (0.5, t)),
+    "expm-traces": lambda t: operators.expm_traces(np.eye(2), (0.5, t)),
     "traces": lambda t: Truncation.build(G1, SPEC, PotentialSpec(), 2).traces(
         np.zeros((1, 5)), [0.5, t]),
     "pushforward": lambda t: multiplicity_pushforward(np.eye(2), t)}

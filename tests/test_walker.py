@@ -195,6 +195,31 @@ def test_batched_walks_byte_identical_for_a_seed():
             getattr(runs[1], name).tobytes()
 
 
+@pytest.mark.parametrize("form", ["cost", "local"])
+def test_batched_walks_over_several_batches_continue_one_stream(monkeypatch,
+                                                                form):
+    # In batches of 5, 23 walkers are the walks of consecutive calls on 5,
+    # 5, 5, 5 and 3 of them that share one generator: each batch draws
+    # after the last, and no batch loses or repeats a draw.  One batch of
+    # all 23 draws in another order, so the batch size is seen.
+    trunc = Truncation.build(G_EXPLICIT, _explicit_spec(G_EXPLICIT),
+                             PotentialSpec(), 3)
+    starts = np.arange(23) % 6
+    kw = {"cost": np.linspace(-1.0, 2.0, 6)} if form == "cost" else {}
+    one = sample_walks(trunc, starts, 1.7, np.random.default_rng(34), **kw)
+    monkeypatch.setattr(walker, "_BATCH", 5)
+    got = sample_walks(trunc, starts, 1.7, np.random.default_rng(34), **kw)
+    rng = np.random.default_rng(34)
+    parts = [sample_walks(trunc, starts[lo:lo + 5], 1.7, rng, **kw)
+             for lo in range(0, 23, 5)]
+    names = ("endpoint", "exited", "integral" if form == "cost" else "local")
+    for name in names:
+        want = np.concatenate([getattr(p, name) for p in parts])
+        assert getattr(got, name).tobytes() == want.tobytes()
+    assert getattr(got, names[2]).tobytes() != \
+        getattr(one, names[2]).tobytes()
+
+
 def test_batched_walks_stop_or_refuse_at_the_region_edge():
     # Without a kill radius a walker exits by leaving the ball and stops;
     # with one it walks on, so leaving the ball is refused.
