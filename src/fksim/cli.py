@@ -199,10 +199,10 @@ class SweepResult:
 
 def sweep_variance(cfg):
     """Frozen sums, their fitted exponent and ensemble variances on the grid.
-    A grid t whose t or radius leaves the floats, or whose sum
+    A grid t whose t or radius leaves the floats, whose sum
     ``frozen_variance_sum`` refuses (a term, FFT or pair cap, a sum outside
-    the normal floats), is refused as ``t_exp_min`` for the first t, else
-    ``t_exp_max``."""
+    the normal floats), or whose lower bound is below the normal floats, is
+    refused as ``t_exp_min`` for the first t, else ``t_exp_max``."""
     cfg = effective_config("sweep-variance", cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
     if k_max - k_min < 3:   # refused before any sum or ensemble runs
@@ -216,6 +216,11 @@ def sweep_variance(cfg):
     if model.gamma0 == 0.0:
         raise ConfigError("gamma0 = 0 makes every frozen sum 0, so there is "
                           "no exponent to fit")
+
+    def refuse(k, why):
+        key = "t_exp_min" if k == k_min else "t_exp_max"
+        return ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}: {why}")
+
     # t = 2^-k.  Every cap grows with the box and radius_for is convex in t,
     # so the widest box is at a grid end: the ends are summed first, and an
     # oversized grid is refused after at most two sums.
@@ -230,11 +235,21 @@ def sweep_variance(cfg):
         except DomainError as err:
             why = err
         else:
-            done[k] = (t, frozen, radius)
+            done[k] = (t, frozen, exp(-2.0 * spec.sup_rate * t) * frozen,
+                       radius)
             continue
-        key = "t_exp_min" if k == k_min else "t_exp_max"
-        raise ConfigError(f"{key} = {cfg[key]} reaches t = 2^{-k}: {why}")
-    ts, frozen, certified = zip(*(done[k] for k in sorted(done)))
+        raise refuse(k, why)
+    # Every admissible covariance is nonnegative, so no path pair lowers the
+    # variance, and each walker stays put with probability >= e^{-q t}: the
+    # pairs in which neither jumps give lower = e^{-2qt} frozen for any
+    # radial potential.  Like the frozen sum, it must be a normal float; it
+    # is checked once every sum is, the ends first.
+    for k, (t, frozen, lower, _) in done.items():
+        if lower < sys.float_info.min:
+            raise refuse(k, f"the lower bound e^(-2qt) x {frozen!r} = "
+                            f"{lower!r} at q = {spec.sup_rate!r} is below "
+                            "the normal floats")
+    ts, frozen, lower, certified = zip(*(done[k] for k in sorted(done)))
     radii, ens = certified, [(None, None)] * len(ts)
     if m_draws:
         # One ball and one draw of members serve every t: the radius key,
@@ -250,12 +265,8 @@ def sweep_variance(cfg):
                   f"t = {', '.join(map(_fmt, below))}; frozen and lower are "
                   f"summed over the certified box and need not bound those "
                   f"rows' ens_var", file=sys.stderr)
-    # Every admissible covariance is nonnegative, so no path pair lowers the
-    # variance, and each walker stays put with probability >= e^{-q t}: the
-    # pairs in which neither jumps give lower = e^{-2qt} frozen for any
-    # radial potential.
-    rows = [(t, f, var, se, exp(-2.0 * spec.sup_rate * t) * f, r)
-            for t, f, (var, se), r in zip(ts, frozen, ens, radii)]
+    rows = [(t, f, var, se, lo, r)
+            for t, f, lo, (var, se), r in zip(ts, frozen, lower, ens, radii)]
 
     slope, ci, r2 = fit_exponent([(t, f) for t, f, *_ in rows])
     expect = cfg.get("expect_slope")

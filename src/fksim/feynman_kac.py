@@ -5,8 +5,8 @@ Monte Carlo routes walk on an ``operators.Truncation`` and sample all
 paths in numpy batches with ``walker.sample_walks``.  A field is a float
 array on the truncation's vertices, as its exact traces take it; ensemble
 members are rows of ``noise.sample_fields`` on those vertices.  Trace
-estimators weight each path by e^{-integral of (V + xi)}; killed-trace
-walkers stop at their exit from the truncation's ball, so the field is
+estimators weight each path by e^{-integral of (V + xi)}.  A walk is
+killed on leaving the truncation's ball and weighs 0, so the field is
 needed on the ball alone.  A path that makes no jump has a known weight, so
 the killed trace draws how many of each start's paths sit out and walks
 only the others, conditioned on a first jump, as does the paired-walker
@@ -104,46 +104,31 @@ class _Strata:
     weights: np.ndarray
 
 
-def _trace_samples(trunc, field, t, n_paths, seed, kill_radius=None):
-    """Per-start-vertex killed and unkilled return weights from shared paths
-    on the truncation ``trunc`` with ``field`` on its vertices.
+def _trace_samples(trunc, field, t, n_paths, seed):
+    """Per-start-vertex return weights of paths killed on leaving the
+    truncation ``trunc``, with ``field`` on its vertices.
 
-    Returns (killed, unkilled), ``_Strata`` with ``per`` paths per start
-    vertex.  Of those, Binomial(per, e^{-q(x) t}) make no jump (one
-    ``binomial`` call over the starts): such a path sits at its start x,
-    returns and is never killed, with weight e^{-t c(x)}, c = V + field.
-    Only the others are walked, by ``sample_walks`` conditioned on a first
-    jump, so each stratum's multiset of weights has the law of ``per``
-    plain walks.  Without ``kill_radius`` the walks start on every vertex
-    of ``trunc``, are killed on leaving it and stop there, and unkilled is
-    None.  With it, they start on the vertices within ``kill_radius`` of
-    the root (the radius-n ball, in its order), are killed past it and walk
-    on inside ``trunc``.
+    Returns ``_Strata`` with ``per`` paths from each vertex of ``trunc``.
+    Of those, Binomial(per, e^{-q(x) t}) make no jump (one ``binomial`` call
+    over the starts): such a path sits at its start x and returns, with
+    weight e^{-t c(x)}, c = V + field.  Only the others are walked, by
+    ``sample_walks`` conditioned on a first jump, so each stratum's multiset
+    of weights has the law of ``per`` plain walks.  A killed walk ends at -1,
+    never at its start, so it weighs 0.
     """
     field = np.asarray(field, dtype=float)
     if field.shape != trunc.potential.shape:
         raise InputError(f"field must have {len(trunc.potential)} values")
-    if kill_radius is None:
-        starts = np.arange(len(trunc.vertices))
-    elif kill_radius < 0:
-        raise DomainError("kill radius must be >= 0")
-    else:
-        starts = np.flatnonzero(trunc.dist <= kill_radius)
-    per = max(1, ceil(n_paths / len(starts)))
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths!r}")
+    per = ceil(n_paths / len(trunc.vertices))
     rng = np.random.default_rng(seed)
     cost = trunc.potential + field
-    sits = rng.binomial(per, np.exp(-trunc.rate[starts] * t))
-    owner = np.repeat(np.arange(len(starts)), per - sits)
-    ids = starts[owner]
-    walks = sample_walks(trunc, ids, t, rng, cost=cost,
-                         kill_radius=kill_radius)
-    uw = np.where(walks.endpoint == ids, np.exp(-walks.integral), 0.0)
-    kw = np.where(walks.exited, 0.0, uw)
-    sit_weight = np.exp(-t * cost[starts])
-    killed = _Strata(per, sits, sit_weight, owner, kw)
-    if kill_radius is None:
-        return killed, None
-    return killed, _Strata(per, sits, sit_weight, owner, uw)
+    sits = rng.binomial(per, np.exp(-trunc.rate * t))
+    owner = np.repeat(np.arange(len(trunc.vertices)), per - sits)
+    walks = sample_walks(trunc, owner, t, rng, cost=cost)
+    weights = np.where(walks.endpoint == owner, np.exp(-walks.integral), 0.0)
+    return _Strata(per, sits, np.exp(-t * cost), owner, weights)
 
 
 def _stratified_estimate(strata):
@@ -171,8 +156,7 @@ def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
     truncation ``trunc``, with ``field`` its values there, stratified evenly
     over the ball's start vertices."""
     check_time(t, positive=True)
-    return _stratified_estimate(
-        _trace_samples(trunc, field, t, n_paths, seed)[0])
+    return _stratified_estimate(_trace_samples(trunc, field, t, n_paths, seed))
 
 
 # -- variance estimators -------------------------------------------------------
@@ -188,8 +172,8 @@ def ensemble_variance(graph, spec, pot, model, n, ts, m_draws, seed):
     and a t's estimate is that of a one-t call.
     """
     if m_draws < 3:
-        raise DomainError("need at least three noise draws (the jackknife "
-                          "divides by m - 2)")
+        raise DomainError(f"m_draws = {m_draws!r}: need at least three noise "
+                          "draws (the jackknife divides by m - 2)")
     for t in ts:
         check_time(t)
     trunc = Truncation.build(graph, spec, pot, n)
@@ -233,7 +217,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     top.  Walkers that do not return weigh 0 and enter no product.
     """
     if n_rep < 2:
-        raise DomainError("need at least two replicates")
+        raise DomainError(f"n_rep = {n_rep!r}: need at least two replicates")
     check_time(t)
     trunc = Truncation.build(graph, spec, pot, box_radius)
     m = len(trunc.vertices)

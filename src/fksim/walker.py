@@ -2,14 +2,14 @@
 
 Walks are sampled exactly (Gillespie-style): an exponential holding time at
 each visited vertex, then a jump drawn from the vertex's kernel; time is
-never discretised.  ``sample_path`` draws one trajectory and records its
-endpoint, jump count, local-time map and exit time: the single-path
+never discretised.  ``sample_path`` draws one trajectory on the whole graph
+and records its endpoint, jump count and local-time map: the single-path
 reference that the batched sampler is tested against.  The Monte Carlo
 estimators instead advance whole batches of walkers together in numpy with
 ``sample_walks``, over the arrays of an ``operators.Truncation`` (vertex
-ids, neighbour table, cumulative jump table, rates and distances); a walker
-stops on leaving the truncation's ball or, given a kill radius, is flagged
-past it and walks on.  Every walker of ``sample_walks`` jumps before the
+ids, neighbour table, cumulative jump table and rates).  It has one exit
+rule: a walker is killed on leaving the truncation's ball and stops there,
+with endpoint -1.  Every walker of ``sample_walks`` jumps before the
 horizon: its first hold, on whole arrays, is the exponential truncated to
 [0, horizon); rounds over the survivors' index arrays follow.  Each
 estimator draws which of its walks make no jump, whose paths are known, and
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InputError, check_time
+from .errors import ConfigError, DomainError, check_time
 
 # Walkers advanced together by sample_walks, so that its working arrays
 # stay bounded whatever the number of walkers; the draws depend on it.
@@ -79,19 +79,17 @@ class PathRecord:
 
     ``endpoint`` is the vertex at the horizon and ``jumps`` the number of
     jumps.  ``local_time`` maps each visited vertex to its occupation time;
-    the values sum to the horizon.  ``exit_time`` is None when no kill radius
-    was given or the walker stayed inside over the whole horizon.
+    the values sum to the horizon.
     """
 
     endpoint: object
     jumps: int
     local_time: dict
-    exit_time: Optional[float] = None
 
 
-def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None):
-    """Sample one CTMC path; deterministic given (inputs, seed), where
-    ``seed`` may be a ``Generator``, drawn from as it is.
+def sample_path(graph, spec, start, horizon, seed=None):
+    """Sample one CTMC path on the whole graph; deterministic given (inputs,
+    seed), where ``seed`` may be a ``Generator``, drawn from as it is.
 
     Holding times are exponential via inverse CDF on [0, 1).
     """
@@ -104,14 +102,11 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None):
     rand = np.random.default_rng(seed).random
     rate = spec.rate
     kernel = spec.kernel
-    root = graph.root
-    dist = graph.distance
 
     cur = start
     elapsed = 0.0
     jumps = 0
     local = {}
-    exit_time = None
 
     while True:
         hold = -log1p(-rand()) / rate(cur)
@@ -123,31 +118,26 @@ def sample_path(graph, spec, start, horizon, seed=None, *, kill_radius=None):
         targets, cum = kernel(cur)
         cur = targets[bisect_right(cum, rand())]
         jumps += 1
-        if kill_radius is not None and exit_time is None:
-            if dist(root, cur) > kill_radius:
-                exit_time = elapsed
 
-    return PathRecord(endpoint=cur, jumps=jumps, local_time=local,
-                      exit_time=exit_time)
+    return PathRecord(endpoint=cur, jumps=jumps, local_time=local)
 
 
 @dataclass(frozen=True)
 class Walks:
     """Per-path results of ``sample_walks``, in the order of the starts.
 
-    ``endpoint`` is the vertex row at the horizon (-1 for a walker stopped
-    at its exit), ``exited`` whether the walker exited before it.  Exactly
-    one of ``integral`` (the integral of the cost along the path) and
-    ``local`` (a dense row of local times over the ball) is set.
+    ``endpoint`` is the vertex row at the horizon, or -1 for a walker killed
+    on leaving the ball, whose path stops at its exit.  Exactly one of
+    ``integral`` (the integral of the cost along the path) and ``local`` (a
+    dense row of local times over the ball) is set.
     """
 
     endpoint: np.ndarray
-    exited: np.ndarray
     integral: Optional[np.ndarray] = None
     local: Optional[np.ndarray] = None
 
 
-def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
+def sample_walks(trunc, starts, horizon, rng, *, cost=None):
     """Sample one walk from each start (a vertex row of the truncation
     ``trunc``) up to the horizon, conditioned on a jump before it.
 
@@ -156,13 +146,9 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
     -log1p(-u (1 - e^{-q t})) / q of a uniform u (one ``random`` fill), kept
     strictly below the horizon, and every walker jumps; each later holding
     time and jump is drawn as in ``sample_path``.  That needs a positive
-    horizon and a positive rate at every start.  The result is deterministic
-    given the generator state.
-
-    Without ``kill_radius`` a walker exits by leaving the ball and stops
-    there.  With it, a walker exits on reaching a vertex farther than
-    ``kill_radius`` from the root and walks on, so the ball must hold every
-    vertex it reaches: a jump out of the ball raises InputError.
+    horizon and a positive rate at every start.  A walker that leaves the
+    ball is killed and stops there.  The result is deterministic given the
+    generator state.
 
     With a ``cost`` vector over the ball each path carries the integral of
     the cost along it; without one it carries its local times.
@@ -175,9 +161,6 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
                           f"horizon (got {horizon!r}) and a positive rate at "
                           "its start")
     endpoint = starts.copy()
-    # A walker that starts past the kill radius has exited, jump or not.
-    exited = (np.zeros(n, dtype=bool) if kill_radius is None
-              else trunc.dist[starts] > kill_radius)
     if cost is None:
         acc = np.zeros((n, len(trunc.vertices)))
     else:
@@ -185,17 +168,16 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None, kill_radius=None):
         acc = np.zeros(n)
     for lo in range(0, n, _BATCH):
         part = slice(lo, lo + _BATCH)
-        _advance(trunc, endpoint[part], exited[part], acc[part], horizon,
-                 rng, cost, kill_radius)
+        _advance(trunc, endpoint[part], acc[part], horizon, rng, cost)
     if cost is None:
-        return Walks(endpoint=endpoint, exited=exited, local=acc)
-    return Walks(endpoint=endpoint, exited=exited, integral=acc)
+        return Walks(endpoint=endpoint, local=acc)
+    return Walks(endpoint=endpoint, integral=acc)
 
 
-def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
+def _advance(trunc, cur, acc, horizon, rng, cost):
     """Walk one batch in place: ``cur`` holds the start ids on entry and the
     endpoints on return; ``acc`` receives integrals or local-time rows."""
-    rate, nbr, cum, dist = trunc.rate, trunc.nbr, trunc.cum, trunc.dist
+    rate, nbr, cum = trunc.rate, trunc.nbr, trunc.cum
 
     def charge(idx, verts, dt):
         if cost is None:
@@ -208,15 +190,7 @@ def _advance(trunc, cur, exited, acc, horizon, rng, cost, kill_radius):
         u = rng.random(live.size)
         nxt = nbr[at, (np.take(cum, at, axis=1) <= u).sum(axis=0)]
         cur[live] = nxt
-        out = nxt < 0
-        if kill_radius is None:
-            exited[live[out]] = True
-            return live[~out]
-        if out.any():
-            v = trunc.vertices[at[np.argmax(out)]]
-            raise InputError(f"a walk left the ball from vertex {v!r}")
-        exited[live[dist[nxt] > kill_radius]] = True
-        return live
+        return live[nxt >= 0]
 
     # First step, on whole arrays: every walker draws its hold below the
     # horizon by inversion, and every one moves.
@@ -276,8 +250,8 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     if not 0 < q < inf:
         raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
     check_time(horizon, "horizon")
-    if n_paths < 0:
-        raise ConfigError("n_paths must be >= 0")
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths!r}")
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     hist = np.zeros(cap, dtype=np.int64)

@@ -13,7 +13,7 @@ from fksim.noise import (constant_gaussian, iid_gaussian, moment_bound_probe,
                          taylor_bound_check)
 from fksim.operators import (PotentialSpec, Truncation, assemble,
                              multiplicity_pushforward, trace_identity_residual)
-from fksim.walker import symmetric_walk
+from fksim.walker import sample_walks, symmetric_walk
 from fksim import feynman_kac as fk
 
 G1 = GraphModel.zd_l1(1)
@@ -160,16 +160,29 @@ def test_criterion_08_fk_vs_expm():
 
 
 def test_criterion_09_dirichlet_kernel():
-    # Unkilled walkers go past radius 4, so they walk on the wide ball that
-    # carries the field.
+    # The killed trace of the radius-4 ball, from walks on the wide ball
+    # that carries the field: 200 000 paths spread evenly over the starts
+    # within radius 4, those that sit out drawn as one binomial, the others
+    # walked with local-time rows.  A path that spends time past radius 4
+    # is killed; unkilled, a returning path weighs e^{-integral}.
     xi = _fixed_field()
     t = 0.25
     outer = Truncation.build(G1, SPEC, POT, _WIDE)
-    killed, unkilled = fk._trace_samples(outer, xi, t, 200_000, seed=90,
-                                         kill_radius=4)
+    starts = np.flatnonzero(outer.dist <= 4)
+    per = math.ceil(200_000 / len(starts))
+    rng = np.random.default_rng(90)
+    cost = outer.potential + xi
+    sits = rng.binomial(per, np.exp(-outer.rate[starts] * t))
+    owner = np.repeat(np.arange(len(starts)), per - sits)
+    ids = starts[owner]
+    walks = sample_walks(outer, ids, t, rng)
+    unkilled = np.where(walks.endpoint == ids,
+                        np.exp(-(walks.local @ cost)), 0.0)
+    killed = np.where(walks.local @ (outer.dist > 4) > 0.0, 0.0, unkilled)
     # The sit-outs are never killed; each walked path is compared.
-    pathwise = bool(np.all(killed.weights <= unkilled.weights + 1e-15))
-    est = fk._stratified_estimate(killed)
+    pathwise = bool(np.all(killed <= unkilled))
+    est = fk._stratified_estimate(fk._Strata(
+        per, sits, np.exp(-t * cost[starts]), owner, killed))
     exact = Truncation.build(G1, SPEC, POT, 4).traces([_on_ball(xi, 4)],
                                                       [t])[0, 0]
     z = abs(est.mean - exact) / est.stderr

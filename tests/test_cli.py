@@ -433,6 +433,25 @@ def test_sweep_refuses_a_frozen_sum_outside_the_normal_floats(
     assert "Warning" not in captured.err and "row" not in captured.err
 
 
+def test_sweep_refuses_a_lower_bound_below_the_normal_floats(tmp_path,
+                                                            capsys,
+                                                            sweep_calls):
+    # At t = 8 the frozen sum is 6.4e-305, a normal float, but its lower
+    # bound e^-16 of it is the subnormal 7.2e-312, which the sweep wrote
+    # with pass=True and exit 0.  Refused by the grid end that reaches it,
+    # once every t's one frozen sum is taken and before the ensemble runs.
+    path = _write(tmp_path, "gamma0 = 1e-306\nt_exp_min = -3\nt_exp_max = 0\n"
+                            "ensemble = 40\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep-variance", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and sweep_calls == ["frozen"] * 4
+    assert re.search(r"\bt_exp_min\b", captured.err)
+    assert "7.202252803044e-312" in captured.err
+    assert "below the normal floats" in captured.err
+
+
 def test_sweep_refuses_a_radial_sum_of_too_many_terms(tmp_path, capsys,
                                                       sweep_calls):
     # On Z^2 every radial term is summed: 2.0e9 of them at t = 2^-57, which
@@ -580,20 +599,26 @@ def test_sweep_sums_an_integral_tail_past_the_floats(tmp_path, capsys,
     # Z^1 integral tail passes the largest float: the run exited with
     # "(34, 'Numerical result out of range')".  gammaincc is 0 there, and
     # every term past the centre underflows, so each frozen sum is
-    # e^{t^2 gamma0} (e^{t^2 gamma0} - 1), t^2 gamma0 to roundoff.
+    # e^{t^2 gamma0} (e^{t^2 gamma0} - 1), t^2 gamma0 to roundoff.  Each
+    # lower bound e^{-2t} of its sum is 0.0 in floats, so the sweep takes
+    # every sum and then refuses the grid by t_exp_min, without a warning.
     monkeypatch.setattr(fksim.feynman_kac, "_EXACT_TERM_CAP", 1000)
+    rows, real = [], cli.frozen_variance_sum
+    monkeypatch.setattr(cli, "frozen_variance_sum",
+                        lambda t, *a: rows.append((t, real(t, *a)))
+                        or rows[-1][1])
     path = _write(tmp_path, _TINY_NOISE_HUGE_T)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["sweep-variance", "--config", path]) == 0
+        assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    rows = [line.split(",") for line in lines[2:-1]]
-    assert len(rows) == 5 and captured.err == ""
-    for t, frozen, *_ in rows:
-        assert float(frozen) == pytest.approx(float(t) ** 2 * 1e-300,
-                                              rel=1e-12)
-    assert lines[-1].startswith("slope=2.000000 ")
+    assert captured.out == "" and len(rows) == 5
+    assert captured.err.startswith("error: t_exp_min = -300 reaches t = 2^300")
+    assert "below the normal floats" in captured.err
+    assert "Warning" not in captured.err
+    for t, frozen in rows:
+        assert frozen == pytest.approx(t ** 2 * 1e-300, rel=1e-12)
+    assert f"{cli.fit_exponent(sorted(rows))[0]:.6f}" == "2.000000"
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,7 @@
+import importlib
 import inspect
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 import fksim
 from fksim import operators, walker
-from fksim.errors import DomainError, check_time
+from fksim.errors import ConfigError, DomainError, check_time
 from fksim.lattice import GraphModel
 from fksim.noise import iid_gaussian
 from fksim.operators import PotentialSpec, Truncation
@@ -101,3 +103,51 @@ def test_the_guard_finds_every_entry_point_that_takes_a_time():
 def test_every_entry_point_refuses_a_nan_time(name):
     with pytest.raises(DomainError, match="nan is not finite"):
         _CALLS[name](math.nan)
+
+
+# One call per public function that takes a sample count: the name of its
+# count, and a call with that count as n and every other argument valid.
+_COUNT_CALLS = {
+    "ensemble_variance": ("m_draws", lambda n: fksim.ensemble_variance(
+        G1, SPEC, POT, iid_gaussian(1.0), 2, [0.5], n, 0)),
+    "mc_dirichlet_trace": ("n_paths", lambda n: fksim.mc_dirichlet_trace(
+        TRUNC, np.zeros(5), 0.5, n, 1)),
+    "moment_bound_probe": ("n_samples", lambda n: fksim.moment_bound_probe(
+        iid_gaussian(1.0), G1, 8, n, 0)),
+    "paired_walker_variance": ("n_rep", lambda n: fksim.paired_walker_variance(
+        G1, SPEC, POT, iid_gaussian(1.0), 0.5, n, 2, 0)),
+    "sample_jump_counts": ("n_paths", lambda n: fksim.sample_jump_counts(
+        1.0, 0.5, n, 0)),
+    "taylor_bound_check": ("n_samples", lambda n: fksim.taylor_bound_check(
+        {(0,): 0.25}, iid_gaussian(1.0), G1, n, 0))}
+_COUNT_PARAMS = {"n_paths", "n_rep", "m_draws", "n_samples"}
+
+
+def _counted_functions():
+    """Names of the public functions of every fksim module that have a
+    parameter named as a sample count.  Classes are records and are left
+    out: ``VarianceEstimate``'s ``n_samples`` is a result, not a request."""
+    found = set()
+    for info in pkgutil.iter_modules(fksim.__path__):
+        module = importlib.import_module(f"fksim.{info.name}")
+        found.update(
+            name for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            and not name.startswith("_")
+            and _COUNT_PARAMS & set(inspect.signature(fn).parameters))
+    return sorted(found)
+
+
+def test_the_guard_finds_every_function_that_takes_a_sample_count():
+    # A new function with a count parameter needs a row in _COUNT_CALLS, so
+    # the next test holds it to the rule.
+    assert _counted_functions() == sorted(_COUNT_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CALLS))
+def test_every_function_refuses_a_sample_count_of_zero_by_name(name):
+    # No draw gives no evidence: mc_dirichlet_trace returned a trace with a
+    # NaN SE, and moment_bound_probe a ratio of 0.0 that passes any bound.
+    count, call = _COUNT_CALLS[name]
+    with pytest.raises((ConfigError, DomainError), match=rf"\b{count}\b"):
+        call(0)

@@ -38,26 +38,6 @@ def test_dirichlet_root_only():
     assert abs(est.mean - expected) < 3 * est.stderr
 
 
-def test_killed_below_unkilled_pathwise():
-    verts = G1.ball((0,), 60)
-    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=8)
-    killed, unkilled = fk._trace_samples(_trunc(60), xi, 0.8, 5000, seed=9,
-                                         kill_radius=3)
-    # The two share their paths: the same sit-outs and the same walkers.
-    assert np.array_equal(killed.sits, unkilled.sits)
-    assert np.array_equal(killed.sit_weight, unkilled.sit_weight)
-    assert np.array_equal(killed.owner, unkilled.owner)
-    assert np.all(killed.weights <= unkilled.weights + 1e-15)
-
-
-def test_killing_immaterial_for_huge_radius():
-    killed, unkilled = fk._trace_samples(_trunc(80), np.zeros(161), 0.5, 3000,
-                                         seed=10, kill_radius=40)
-    k = fk._stratified_estimate(killed)
-    u = fk._stratified_estimate(unkilled)
-    assert k.mean == u.mean
-
-
 def test_ensemble_variance_degenerate_noise():
     est, = fk.ensemble_variance(G1, SPEC, POT, iid_gaussian(0.0), 4, (0.5,),
                                 50, seed=11)
@@ -452,13 +432,6 @@ def test_killed_trace_needs_the_field_on_the_ball_only():
     assert math.isfinite(est.stderr) and est.stderr > 0
 
 
-def test_unkilled_trace_refuses_walks_beyond_the_field():
-    verts = G1.ball((0,), 2)
-    xi = sample_field(iid_gaussian(1.0), G1, verts, seed=3)
-    with pytest.raises(InputError):
-        fk._trace_samples(_trunc(2), xi, 5.0, 2000, seed=2, kill_radius=2)
-
-
 @pytest.mark.parametrize("field", [[0.3], np.zeros(4), np.zeros((1, 5))])
 def test_trace_refuses_a_field_of_another_shape(field):
     # Radius 2 on Z^1 has 5 vertices; a length-1 row would broadcast.
@@ -466,12 +439,6 @@ def test_trace_refuses_a_field_of_another_shape(field):
         fk.mc_dirichlet_trace(_trunc(2), field, 0.5, 100, seed=2)
     with pytest.raises(InputError):
         _trunc(2).traces([field], [0.5])
-
-
-def test_trace_refuses_a_negative_kill_radius():
-    with pytest.raises(DomainError):
-        fk._trace_samples(_trunc(2), np.zeros(5), 0.5, 100, seed=2,
-                          kill_radius=-1)
 
 
 def test_stratified_se_undefined_with_one_path_per_stratum():
@@ -585,7 +552,7 @@ def test_rate_zero_starts_sit_out_without_a_conditioned_draw(build):
     xi = np.linspace(-0.5, 0.5, len(trunc.vertices))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        killed, _ = fk._trace_samples(trunc, xi, 1.3, 6000, seed=12)
+        killed = fk._trace_samples(trunc, xi, 1.3, 6000, seed=12)
         est = fk.mc_dirichlet_trace(trunc, xi, 1.3, 6000, seed=12)
     zero = np.flatnonzero(trunc.rate == 0.0)
     assert zero.size == 1
@@ -605,7 +572,7 @@ def test_sit_outs_follow_the_binomial_law_per_start():
     # within 5 SE.
     trunc = Truncation.build(G_EXPLICIT, _site_rate_spec(G_EXPLICIT), POT, 3)
     xi = np.zeros(len(trunc.vertices))
-    total = sum(fk._trace_samples(trunc, xi, 0.8, 600, seed=s)[0].sits
+    total = sum(fk._trace_samples(trunc, xi, 0.8, 600, seed=s).sits
                 for s in range(300, 500))
     n = 200 * 100
     p = np.exp(-trunc.rate * 0.8)
@@ -629,8 +596,9 @@ def _sample_path_paired_variance(graph, spec, pot, model, t, n_rep,
                                  box_radius, seed):
     """The paired-walker variance with every walker a plain ``sample_path``
     walk: per replicate and family one path from each box vertex, which
-    returns when it ends at its start without having passed the box radius.
-    Returns the mean of the replicates' pair sums and its SE."""
+    returns when it ends at its start and its local times hold no vertex
+    outside the box.  Returns the mean of the replicates' pair sums and its
+    SE."""
     trunc = Truncation.build(graph, spec, pot, box_radius)
     verts = trunc.vertices
     m = len(verts)
@@ -639,8 +607,8 @@ def _sample_path_paired_variance(graph, spec, pot, model, t, n_rep,
     loc = np.zeros((n_rep, 2, m, m))
     back = np.zeros((n_rep, 2, m), dtype=bool)
     for r, f, a in itertools.product(range(n_rep), range(2), range(m)):
-        p = sample_path(graph, spec, verts[a], t, rng, kill_radius=box_radius)
-        if p.exit_time is None and p.endpoint == verts[a]:
+        p = sample_path(graph, spec, verts[a], t, rng)
+        if p.endpoint == verts[a] and p.local_time.keys() <= col.keys():
             back[r, f, a] = True
             for x, lt in p.local_time.items():
                 loc[r, f, a, col[x]] = lt

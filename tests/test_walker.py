@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fksim import walker
-from fksim.errors import ConfigError, DomainError, InputError
+from fksim.errors import ConfigError, DomainError
 from fksim.lattice import GraphModel
 from fksim.operators import PotentialSpec, Truncation
 from fksim.walker import (MarkovSpec, chernoff_jump_bound,
@@ -52,17 +52,6 @@ def test_stay_probability_matches_simulation():
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / n)
     assert abs(stays / n - p) < 4 * se
-
-
-def test_kill_radius_records_exit():
-    rng = np.random.default_rng(3)
-    seen_exit = False
-    for _ in range(200):
-        p = sample_path(G1, SPEC, (0,), 4.0, rng, kill_radius=1)
-        if p.exit_time is not None:
-            seen_exit = True
-            assert 0 < p.exit_time <= 4.0
-    assert seen_exit
 
 
 def test_zero_rate_walker_sits():
@@ -111,21 +100,21 @@ def test_jump_counts_refuse_a_negative_path_count(horizon):
 # -- batched sampler against the single-path reference ----------------------
 
 
-def _reference_walks(graph, spec, start, horizon, kill_radius, cost_of, n,
-                     seed):
-    """Endpoints, exit flags and cost integrals of the first n sample_path
-    walks that jump before the horizon (rejection)."""
+def _reference_walks(graph, spec, start, horizon, ball, cost_of, n, seed):
+    """Endpoints (None once killed), kill flags and cost integrals of the
+    first n sample_path walks that jump before the horizon (rejection).  A
+    walk is killed when its local times hold a vertex outside ``ball``."""
     rng = np.random.default_rng(seed)
-    ends, exits, costs = [], [], []
+    ends, kills, costs = [], [], []
     while len(ends) < n:
-        p = sample_path(graph, spec, start, horizon, rng,
-                        kill_radius=kill_radius)
+        p = sample_path(graph, spec, start, horizon, rng)
         if not p.jumps:
             continue
-        ends.append(p.endpoint)
-        exits.append(p.exit_time is not None)
+        killed = not p.local_time.keys() <= ball
+        ends.append(None if killed else p.endpoint)
+        kills.append(killed)
         costs.append(sum(lt * cost_of(x) for x, lt in p.local_time.items()))
-    return ends, np.array(exits), np.array(costs)
+    return ends, np.array(kills), np.array(costs)
 
 
 def _two_sample_z(p1, n1, p2, n2):
@@ -133,25 +122,29 @@ def _two_sample_z(p1, n1, p2, n2):
     return abs(p1 - p2) / se if se > 0 else 0.0
 
 
-def _assert_matches_reference(graph, spec, radius, start, horizon,
-                              kill_radius, cost_of, seed):
+def _assert_matches_reference(graph, spec, radius, start, horizon, cost_of,
+                              seed):
     n = 20000
     trunc = Truncation.build(graph, spec, PotentialSpec(), radius)
     cost = np.array([cost_of(v) for v in trunc.vertices])
     walks = sample_walks(trunc, np.full(n, trunc.vertices.index(start)),
-                         horizon, np.random.default_rng(seed), cost=cost,
-                         kill_radius=kill_radius)
-    ends, exits, costs = _reference_walks(graph, spec, start, horizon,
-                                          kill_radius, cost_of, n, seed + 1)
-    # Every endpoint probability, the exit frequency and the mean integral
-    # agree within 5 two-sample SE (20000 paths per side).
-    got = [trunc.vertices[i] for i in walks.endpoint]
+                         horizon, np.random.default_rng(seed), cost=cost)
+    ends, kills, costs = _reference_walks(graph, spec, start, horizon,
+                                          set(trunc.vertices), cost_of, n,
+                                          seed + 1)
+    # Every endpoint probability (killed as one outcome), the kill frequency
+    # and the mean integral of the walks that stay in agree within 5
+    # two-sample SE (20000 paths per side); a killed walk's integral stops
+    # at its exit, the reference's does not.
+    killed = walks.endpoint < 0
+    got = [None if i < 0 else trunc.vertices[i] for i in walks.endpoint]
     for v in set(got) | set(ends):
         assert _two_sample_z(got.count(v) / n, n, ends.count(v) / n, n) < 5, v
-    assert _two_sample_z(walks.exited.mean(), n, exits.mean(), n) < 5
-    se = math.sqrt(walks.integral.var() / n + costs.var() / n)
-    assert abs(walks.integral.mean() - costs.mean()) < 5 * se
-    assert 0 < exits.mean() < 1   # both outcomes occur, so the check bites
+    assert _two_sample_z(killed.mean(), n, kills.mean(), n) < 5
+    a, b = walks.integral[~killed], costs[~kills]
+    se = math.sqrt(a.var() / a.size + b.var() / b.size)
+    assert abs(a.mean() - b.mean()) < 5 * se
+    assert 0 < kills.mean() < 1   # both outcomes occur, so the check bites
 
 
 def _explicit_spec(graph):
@@ -171,26 +164,36 @@ G_EXPLICIT = GraphModel.explicit(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
 
 def test_batched_walks_local_times_agree_with_integrals():
     # The same stream gives the same conditioned paths with and without a
-    # cost, so the local-time rows reproduce the integrals and sum to the
-    # horizon.
+    # cost, so the local-time rows reproduce the integrals.  The rows of
+    # walkers that stay in sum to the horizon; those of killed walkers,
+    # whose paths stop at their exit, sum to less.  The radius-3 ball holds
+    # every vertex, so no walker is killed there; the radius-1 ball holds
+    # the triangle 0-1-2, and a jump to 3 or 4 kills the walker.
     spec = _explicit_spec(G_EXPLICIT)
-    trunc = Truncation.build(G_EXPLICIT, spec, PotentialSpec(), 3)
-    cost = np.linspace(-1.0, 2.0, 6)
-    starts = np.arange(3000) % 6
-    a = sample_walks(trunc, starts, 1.7, np.random.default_rng(32), cost=cost)
-    b = sample_walks(trunc, starts, 1.7, np.random.default_rng(32))
-    assert np.array_equal(a.endpoint, b.endpoint)
-    np.testing.assert_allclose(b.local @ cost, a.integral, rtol=1e-12,
-                               atol=1e-12)
-    np.testing.assert_allclose(b.local.sum(axis=1), 1.7, rtol=1e-12)
+    for radius in (3, 1):
+        trunc = Truncation.build(G_EXPLICIT, spec, PotentialSpec(), radius)
+        m = len(trunc.vertices)
+        cost = np.linspace(-1.0, 2.0, m)
+        starts = np.arange(3000) % m
+        a = sample_walks(trunc, starts, 1.7, np.random.default_rng(32),
+                         cost=cost)
+        b = sample_walks(trunc, starts, 1.7, np.random.default_rng(32))
+        assert np.array_equal(a.endpoint, b.endpoint)
+        np.testing.assert_allclose(b.local @ cost, a.integral, rtol=1e-12,
+                                   atol=1e-12)
+        killed = a.endpoint < 0
+        assert killed.any() == (radius == 1)
+        np.testing.assert_allclose(b.local[~killed].sum(axis=1), 1.7,
+                                   rtol=1e-12)
+        assert np.all(b.local[killed].sum(axis=1) < 1.7)
 
 
 def test_batched_walks_byte_identical_for_a_seed():
     trunc = Truncation.build(G1, SPEC, PotentialSpec(), 3)
     runs = [sample_walks(trunc, np.repeat(np.arange(7), 500), 2.0,
                          np.random.default_rng(33)) for _ in range(2)]
-    assert runs[0].exited.any()
-    for name in ("endpoint", "exited", "local"):
+    assert (runs[0].endpoint < 0).any()
+    for name in ("endpoint", "local"):
         assert getattr(runs[0], name).tobytes() == \
             getattr(runs[1], name).tobytes()
 
@@ -212,38 +215,28 @@ def test_batched_walks_over_several_batches_continue_one_stream(monkeypatch,
     rng = np.random.default_rng(34)
     parts = [sample_walks(trunc, starts[lo:lo + 5], 1.7, rng, **kw)
              for lo in range(0, 23, 5)]
-    names = ("endpoint", "exited", "integral" if form == "cost" else "local")
+    names = ("endpoint", "integral" if form == "cost" else "local")
     for name in names:
         want = np.concatenate([getattr(p, name) for p in parts])
         assert getattr(got, name).tobytes() == want.tobytes()
-    assert getattr(got, names[2]).tobytes() != \
-        getattr(one, names[2]).tobytes()
+    assert getattr(got, names[1]).tobytes() != \
+        getattr(one, names[1]).tobytes()
 
 
 def test_batched_walks_stop_or_refuse_at_the_region_edge():
-    # Without a kill radius a walker exits by leaving the ball and stops;
-    # with one it walks on, so leaving the ball is refused.
+    # A walker that leaves the ball is killed and stops there: its endpoint
+    # is -1, and its local times end at its exit.  Over a short horizon a
+    # walker jumps once and then sits, so one that starts at the edge of
+    # the radius-1 ball is killed about half the time and one at the root
+    # almost never is.
     trunc = Truncation.build(G1, SPEC, PotentialSpec(), 1)
-    starts = np.full(200, trunc.vertices.index((0,)))
-    walks = sample_walks(trunc, starts, 5.0, np.random.default_rng(34),
-                         cost=np.zeros(3))
-    assert walks.exited.any()
-    assert np.all(walks.endpoint[walks.exited] == -1)
-    with pytest.raises(InputError):
-        sample_walks(trunc, starts, 5.0, np.random.default_rng(34),
-                     cost=np.zeros(3), kill_radius=1)
-
-
-def test_batched_walks_started_past_the_kill_radius_have_exited():
-    # Over a short horizon a walker jumps once and then sits; one that
-    # starts past the kill radius is flagged, even when it jumps back in.
-    trunc = Truncation.build(G1, SPEC, PotentialSpec(), 4)
-    starts = np.repeat([trunc.vertices.index((0,)), trunc.vertices.index((2,))],
-                       1000)
-    walks = sample_walks(trunc, starts, 1e-3, np.random.default_rng(35),
-                         cost=np.zeros(9), kill_radius=1)
-    assert np.array_equal(walks.exited[1000:], np.ones(1000, dtype=bool))
-    assert walks.exited[:1000].sum() < 10
+    root, edge = trunc.vertices.index((0,)), trunc.vertices.index((1,))
+    walks = sample_walks(trunc, np.repeat([root, edge], 1000), 1e-3,
+                         np.random.default_rng(35))
+    killed = walks.endpoint < 0
+    assert killed[:1000].sum() < 10
+    assert 400 < killed[1000:].sum() < 600
+    assert np.all(walks.local[killed].sum(axis=1) < 1e-3)
 
 
 def _stopped_at_five():
@@ -489,7 +482,7 @@ def test_a_row_ending_below_one_sends_the_rest_to_its_last_target():
     trunc = Truncation.build(g, spec, PotentialSpec(), 2)
     one, two = trunc.vertices.index(1), trunc.vertices.index(2)
     walks = sample_walks(trunc, [one], 1.0, _LastUniform(1e300))
-    assert walks.endpoint[0] == two and not walks.exited[0]
+    assert walks.endpoint[0] == two
     r, c, vals = trunc.offdiag
     assert vals[(r == one) & (c == two)].tolist() == [-(_LAST_U - 0.25)]
 
@@ -509,13 +502,13 @@ def test_conditioned_walks_refuse_a_start_that_cannot_jump():
 
 def test_conditioned_walks_match_sample_path_given_a_jump_on_z1():
     # Against the sample_path walks that jump; most walks sit at t = 0.3.
-    _assert_matches_reference(G1, SPEC, 15, (1,), 0.3, 1,
+    _assert_matches_reference(G1, SPEC, 1, (1,), 0.3,
                               lambda v: float(v[0] ** 2), seed=60)
 
 
 def test_conditioned_walks_match_sample_path_given_a_jump_on_explicit_graph():
-    _assert_matches_reference(G_EXPLICIT, _explicit_spec(G_EXPLICIT), 3, 0,
-                              0.8, 1, lambda v: 0.3 * v - 0.5, seed=61)
+    _assert_matches_reference(G_EXPLICIT, _explicit_spec(G_EXPLICIT), 1, 0,
+                              0.8, lambda v: 0.3 * v - 0.5, seed=61)
 
 
 # A horizon is finite and >= 0 at every entry point, which names what it
