@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from math import exp, isfinite, ldexp, nan, sqrt
+from math import isfinite, ldexp, nan, sqrt
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .lattice import GraphModel
 from .noise import NoiseModel, sample_field, sample_fields
 from .operators import PotentialSpec, Truncation, expm_traces
 from .feynman_kac import (ensemble_variance, frozen_variance_sum,
-                          mc_dirichlet_trace, radius_for)
+                          mc_dirichlet_trace, radius_for, stay_bound)
 from .walker import chernoff_jump_bound, sample_jump_counts, symmetric_walk
 
 
@@ -201,7 +201,7 @@ def sweep_variance(cfg):
     """Frozen sums, their fitted exponent and ensemble variances on the grid.
     A grid t whose t or radius leaves the floats, whose sum
     ``frozen_variance_sum`` refuses (a term, FFT or pair cap, a sum outside
-    the normal floats), or whose lower bound is below the normal floats, is
+    the normal floats), or whose lower bound ``stay_bound`` refuses, is
     refused as ``t_exp_min`` for the first t, else ``t_exp_max``."""
     cfg = effective_config("sweep-variance", cfg)
     k_min, k_max = cfg["t_exp_min"], cfg["t_exp_max"]
@@ -235,20 +235,15 @@ def sweep_variance(cfg):
         except DomainError as err:
             why = err
         else:
-            done[k] = (t, frozen, exp(-2.0 * spec.sup_rate * t) * frozen,
-                       radius)
+            done[k] = (t, frozen, radius)
             continue
         raise refuse(k, why)
-    # Every admissible covariance is nonnegative, so no path pair lowers the
-    # variance, and each walker stays put with probability >= e^{-q t}: the
-    # pairs in which neither jumps give lower = e^{-2qt} frozen for any
-    # radial potential.  Like the frozen sum, it must be a normal float; it
-    # is checked once every sum is, the ends first.
-    for k, (t, frozen, lower, _) in done.items():
-        if lower < sys.float_info.min:
-            raise refuse(k, f"the lower bound e^(-2qt) x {frozen!r} = "
-                            f"{lower!r} at q = {spec.sup_rate!r} is below "
-                            "the normal floats")
+    # The lower column is checked once every sum is taken, the ends first.
+    for k, (t, frozen, radius) in done.items():
+        try:
+            done[k] = (t, frozen, stay_bound(frozen, spec.sup_rate, t), radius)
+        except DomainError as err:
+            raise refuse(k, err) from None
     ts, frozen, lower, certified = zip(*(done[k] for k in sorted(done)))
     radii, ens = certified, [(None, None)] * len(ts)
     if m_draws:

@@ -428,20 +428,27 @@ def frozen_variance_sum(t, graph, pot, model):
     return exp(v)
 
 
-def lower_bound_sum(t, delta, model, graph):
-    """Certified lower bound e^{-2t} * frozen sum for the preset
-    V(v) = d(0, v)^delta and unit jump rate: each walker of a pair stays at
-    its start with probability e^{-t}, and as every admissible covariance is
-    nonnegative no other path pair contributes negatively.  The frozen
-    sum's rule holds: a positive bound below the normal floats is refused.
-    """
-    # The frozen sum refuses a bad t before e^{-2t} could overflow.
-    frozen = frozen_variance_sum(t, graph, PotentialSpec(alpha=delta), model)
-    out = frozen * exp(-2.0 * t)
+def stay_bound(frozen, q, t):
+    """e^{-2qt} * frozen: the pairs in which neither walker jumps, each
+    staying put with probability >= e^{-qt} at jump rates <= q.  Every
+    admissible covariance is nonnegative, so no other path pair lowers the
+    variance, and this bounds it below for any radial potential.  The
+    frozen sum's rule holds: a positive bound below the normal floats is
+    refused, as is a NaN, infinite or negative t."""
+    out = exp(-2.0 * q * check_time(t)) * frozen
     if out < float_info.min and frozen > 0.0:
-        raise DomainError(f"the lower bound e^(-2t) x {frozen!r} at "
-                          f"t = {t!r} is below the normal floats")
+        raise DomainError(f"the lower bound e^(-2qt) x {frozen!r} = {out!r} "
+                          f"at q = {q!r}, t = {t!r} is below the normal "
+                          "floats")
     return out
+
+
+def lower_bound_sum(t, delta, model, graph):
+    """Certified lower bound e^{-2t} * frozen sum (``stay_bound`` at q = 1)
+    for the preset V(v) = d(0, v)^delta and unit jump rate."""
+    return stay_bound(
+        frozen_variance_sum(t, graph, PotentialSpec(alpha=delta), model),
+        1.0, t)
 
 
 def riemann_tail_sum(t, kappa, alpha, graph):

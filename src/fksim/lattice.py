@@ -103,7 +103,8 @@ class GraphModel:
     # -- basic queries ----------------------------------------------------
 
     def check_vertex(self, v):
-        """``v`` (an explicit graph's as a Python int), or InputError."""
+        """``v`` (an explicit graph's as a Python int, a lattice's as a
+        tuple of Python ints), or InputError."""
         if self.kind == EXPLICIT:
             i = _index(v, "vertex")
             if not 0 <= i < len(self.adjacency):
@@ -111,7 +112,7 @@ class GraphModel:
             return i
         if len(v) != self.d:
             raise InputError(f"vertex {v!r} has arity != d={self.d}")
-        return v
+        return tuple(_index(c, "coordinate") for c in v)
 
     def neighbors(self, v):
         if self.kind == ZD_L1:
@@ -145,10 +146,16 @@ class GraphModel:
     def distances(self, us, vs):
         """Graph distances as an int64 matrix, a row per vertex of ``us`` and
         a column per vertex of ``vs``: the lattice norm of the coordinate
-        differences, or BFS distances that raise as ``distance`` does."""
+        differences, or BFS distances that raise as ``distance`` does.
+        Lattice coordinates must be integers."""
         if self.kind in _LATTICE_KINDS:
-            a, b = (np.array(w, dtype=np.int64).reshape(len(w), self.d)
-                    for w in (us, vs))
+            a, b = (np.asarray(w) for w in (us, vs))
+            for w in (a, b):
+                if w.size and not np.issubdtype(w.dtype, np.integer):
+                    raise InputError(f"lattice coordinates must be integers, "
+                                     f"got {w.dtype} vertices")
+            a, b = (w.astype(np.int64, copy=False).reshape(len(w), self.d)
+                    for w in (a, b))
             diff = np.abs(a[:, None] - b[None])
             return diff.sum(axis=2) if self.kind == ZD_L1 else diff.max(axis=2)
         rows = []

@@ -187,7 +187,11 @@ def taylor_bound_check(f, model, graph, n_samples, seed):
 
 def moment_bound_probe(model, graph, p_max, n_samples, seed):
     """Max over even p <= p_max of empirical E|xi|^p / (p! m^p) at one
-    vertex; 0 when m = 0, where xi = 0 meets every bound p! m^p = 0."""
+    vertex; 0 when m = 0, where xi = 0 meets every bound p! m^p = 0.  A
+    p_max below 2, which would take no moment, is refused."""
+    if p_max < 2:
+        raise DomainError(f"the probe takes even p from 2, got p_max = "
+                          f"{p_max!r}")
     if p_max > 10:
         raise DomainError(f"sampling accuracy limits the probe to p <= 10, "
                           f"got p_max = {p_max!r}")

@@ -379,26 +379,20 @@ def expm_traces(mat, t_grid):
 
 # -- spectra ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalue clusters (value, algebraic multiplicity) and the tolerance used."""
-
-    clusters: tuple
-    tol: float
-
-    def linear_statistic(self, t):
-        """sum of m_a * e^{-t lambda} over the clusters."""
-        return sum(m * np.exp(-t * lam) for lam, m in self.clusters)
+# Eigenvalues whose real parts, and then imaginary parts, lie within this of
+# a neighbour's form one cluster; images and sources match within it too.
+_CLUSTER_TOL = 1e-6
 
 
-def spectrum(mat, cluster_tol=None):
-    """Eigenvalues with algebraic multiplicities obtained by clustering.
+def spectrum(mat):
+    """Eigenvalue clusters (value, algebraic multiplicity), sorted by real
+    then imaginary part.
 
     The dense solver (balanced Hessenberg reduction plus shifted QR, via
     LAPACK) provides the raw eigenvalues.  Sorted by real part, they split
-    where consecutive real parts are more than the tolerance apart; each run,
-    sorted by imaginary part, splits the same way.  A cluster is reported at
-    the mean of its eigenvalues.
+    where consecutive real parts are more than ``_CLUSTER_TOL`` apart; each
+    run, sorted by imaginary part, splits the same way.  A cluster is
+    reported at the mean of its eigenvalues.
     """
     a = np.asarray(mat)
     if a.shape[0] > 2000:
@@ -407,29 +401,18 @@ def spectrum(mat, cluster_tol=None):
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"QR iteration failed: {err}") from None
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * (1.0 + float(np.abs(eigs).max(initial=0.0)))
     eigs = eigs[np.argsort(eigs.real)]
-    run = np.concatenate(([0], np.cumsum(np.diff(eigs.real) > cluster_tol)))
+    run = np.concatenate(([0], np.cumsum(np.diff(eigs.real) > _CLUSTER_TOL)))
     order = np.lexsort((eigs.imag, run))
     eigs, run = eigs[order], run[order]
     label = np.concatenate(([0], np.cumsum(
-        (np.diff(run) != 0) | (np.diff(eigs.imag) > cluster_tol))))
+        (np.diff(run) != 0) | (np.diff(eigs.imag) > _CLUSTER_TOL))))
     counts = np.bincount(label)
     centers = (np.bincount(label, eigs.real)
                + 1j * np.bincount(label, eigs.imag)) / counts
-    clusters = tuple(sorted(
+    return tuple(sorted(
         ((complex(c), int(m)) for c, m in zip(centers, counts)),
         key=lambda cm: (cm[0].real, cm[0].imag)))
-    return SpectrumResult(clusters=clusters, tol=cluster_tol)
-
-
-def trace_identity_residual(mat, t):
-    """Relative gap between Tr e^{-tM} and the exponential linear statistic."""
-    check_time(t, positive=True)
-    tr = np.trace(expm_neg(mat, t))
-    stat = spectrum(mat).linear_statistic(t)
-    return abs(tr - stat) / abs(tr)
 
 
 @dataclass(frozen=True)
@@ -437,7 +420,6 @@ class ClusterCheck:
     image: complex
     mult_image: int
     mult_summed: int
-    sources: tuple
     aliased: bool
 
     @property
@@ -445,35 +427,34 @@ class ClusterCheck:
         return self.mult_image == self.mult_summed
 
 
-def multiplicity_pushforward(mat, t, cluster_tol=1e-6):
+def multiplicity_pushforward(mat, t):
     """Verify m_a(mu, e^{-tM}) = sum of m_a(lambda, M) over e^{-t lambda} = mu.
 
-    Source eigenvalue clusters whose images coincide within tolerance while
-    the sources stay separated are flagged as aliased and counted toward the
-    summed side.  A complex M = B + iC takes e^{-tM} from the real
-    [[B, -C], [C, B]], whose exponential is [[Re, -Im], [Im, Re]] of it.
+    Source eigenvalue clusters whose images coincide within
+    ``_CLUSTER_TOL`` while the sources stay separated are flagged as aliased
+    and counted toward the summed side.  A complex M = B + iC takes
+    e^{-tM} from the real [[B, -C], [C, B]], whose exponential is
+    [[Re, -Im], [Im, Re]] of it.
     """
     check_time(t)
     a = np.asarray(mat)
     n = a.shape[0]
     if n > 50:
         raise DomainError("exactness regime limited to dimension <= 50")
-    src = spectrum(a, cluster_tol)
+    src = spectrum(a)
     if np.iscomplexobj(a):
         e = expm_neg(np.block([[a.real, -a.imag], [a.imag, a.real]]), t)
         e = e[:n, :n] + 1j * e[n:, :n]
     else:
         e = expm_neg(a, t)
-    img = spectrum(e, cluster_tol)
     checks = []
-    for mu, m_img in img.clusters:
-        sources = [(lam, m) for lam, m in src.clusters
-                   if abs(np.exp(-t * lam) - mu) <= max(cluster_tol, img.tol)]
-        summed = sum(m for _, m in sources)
-        aliased = any(abs(sources[i][0] - sources[j][0]) > src.tol
+    for mu, m_img in spectrum(e):
+        sources = [(lam, m) for lam, m in src
+                   if abs(np.exp(-t * lam) - mu) <= _CLUSTER_TOL]
+        aliased = any(abs(sources[i][0] - sources[j][0]) > _CLUSTER_TOL
                       for i in range(len(sources))
                       for j in range(i + 1, len(sources)))
         checks.append(ClusterCheck(image=mu, mult_image=m_img,
-                                   mult_summed=summed,
-                                   sources=tuple(sources), aliased=aliased))
+                                   mult_summed=sum(m for _, m in sources),
+                                   aliased=aliased))
     return checks

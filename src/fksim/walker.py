@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, exp, expm1, inf, log, log1p, nextafter
+from math import ceil, exp, expm1, inf, isfinite, log, log1p, nextafter
 from typing import Callable, Optional
 
 import numpy as np
@@ -279,8 +279,12 @@ def sample_jump_counts(q, horizon, n_paths, seed):
 
 
 def chernoff_jump_bound(q_sup, horizon, x):
-    """Poisson-tail Chernoff bound e^{-qt} (q e t / x)^x, valid for x > q t."""
+    """Poisson-tail Chernoff bound e^{-qt} (q e t / x)^x, valid for x > q t.
+    A NaN or infinite q_sup or x is refused by name."""
     check_time(horizon, "horizon")
+    for name, v in (("q_sup", q_sup), ("x", x)):
+        if not isfinite(v):
+            raise DomainError(f"{name} = {v!r} is not finite")
     if q_sup <= 0:
         raise DomainError(f"q_sup must be positive, got {q_sup!r}")
     if x <= q_sup * horizon:

@@ -6,13 +6,12 @@ import math
 
 import numpy as np
 
-from fksim.cli import fit_exponent, rigidity_demo, tail_check
+from fksim.cli import fit_exponent, rigidity_demo, spectral_check, tail_check
 from fksim.lattice import GraphModel
 from fksim.noise import (constant_gaussian, iid_gaussian, moment_bound_probe,
                          power_decay_gaussian, sample_field,
                          taylor_bound_check)
-from fksim.operators import (PotentialSpec, Truncation, assemble,
-                             multiplicity_pushforward, trace_identity_residual)
+from fksim.operators import PotentialSpec, Truncation, multiplicity_pushforward
 from fksim.walker import sample_walks, symmetric_walk
 from fksim import feynman_kac as fk
 
@@ -66,14 +65,9 @@ def test_criterion_05_riemann_limit():
 
 
 def test_criterion_06_trace_identity():
-    verts = G1.ball((0,), 8)
-    rng = np.random.default_rng(60)
-    worst = 0.0
-    for _ in range(50):
-        xi = sample_field(iid_gaussian(1.0), G1, verts, rng)
-        h = assemble(G1, SPEC, POT, xi, 8)
-        for t in (0.5, 1.0):
-            worst = max(worst, trace_identity_residual(h, t))
+    res = spectral_check({"radius": "8", "trials": "50", "t_grid": "0.5 1",
+                          "seed": "60"})
+    worst = res.max_residual
     _report(6, f"trace identity worst residual={worst:.2e}", worst < 1e-8)
 
 
@@ -125,7 +119,7 @@ def test_criterion_07_multiplicity_pushforward():
     saw_alias = False
     for m in mats:
         for t in (0.5, 1.0):
-            for check in multiplicity_pushforward(m, t, cluster_tol=1e-6):
+            for check in multiplicity_pushforward(m, t):
                 ok = ok and check.passed
                 saw_alias = saw_alias or check.aliased
     _report(7, f"pushforward on {len(mats)} matrices, aliasing seen={saw_alias}",

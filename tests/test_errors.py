@@ -64,8 +64,7 @@ _CALLS = {
     "riemann_tail_sum": lambda t: fksim.riemann_tail_sum(t, 1.0, 2.0, G1),
     "sample_jump_counts": lambda t: fksim.sample_jump_counts(1.0, t, 10, 0),
     "sample_path": lambda t: fksim.sample_path(G1, SPEC, (0,), t, 0),
-    "trace_identity_residual": lambda t: fksim.trace_identity_residual(
-        np.eye(2), t),
+    "stay_bound": lambda t: fksim.stay_bound(1.0, 1.0, t),
     "Truncation.traces": lambda t: TRUNC.traces(np.zeros((1, 5)), [t]),
     "expm_traces": lambda t: operators.expm_traces(np.eye(2), [t]),
     "sample_walks": lambda t: walker.sample_walks(

@@ -191,6 +191,23 @@ def test_explicit_distances_raise_what_distance_raises(us, vs, named):
         _EXPLICIT.distances(us, vs)
 
 
+def test_lattice_vertices_must_have_integer_coordinates():
+    # ball((0.5,), 1) gave [(-0.5,), (0.5,), (1.5,)], and distance gave 1.5
+    # where distances cast the point to int64 and gave 2.  Numpy integers
+    # and an empty vertex list stay accepted.
+    g = GraphModel.zd_l1(1)
+    for call in (lambda: g.check_vertex((0.5,)), lambda: g.ball((0.5,), 1),
+                 lambda: g.distance((0.5,), (2,)),
+                 lambda: g.distances([(0.5,)], [(2,)]),
+                 lambda: g.distances([(2,)], [(0.5,)])):
+        with pytest.raises(InputError, match="integer"):
+            call()
+    assert g.check_vertex((np.int64(3),)) == (3,)
+    assert g.distance((np.int32(1),), (4,)) == 3
+    assert g.distances([(np.int32(1),)], [(4,)]).tolist() == [[3]]
+    assert g.distances([], [(4,)]).shape == (0, 1)
+
+
 @pytest.mark.parametrize("us", [[(0, 0), (1, 2, 3)], [(0, 0, 0)], [(1,)]])
 def test_lattice_distances_refuse_vertices_of_another_arity(us):
     # A coordinate array of the wrong width cannot be reshaped to (n, d).

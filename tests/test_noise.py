@@ -232,8 +232,17 @@ def test_psd_factor_names_the_first_indefinite_minor():
     (lambda: taylor_bound_check({(0,): 0.25, (1,): -0.375}, iid_gaussian(1.0),
                                 G1, 100, 0), "|f|_1 = 0.625"),
     (lambda: moment_bound_probe(iid_gaussian(1.0), G1, 12, 100, 0),
-     "p_max = 12")],
-    ids=["taylor-norm", "moment-order"])
-def test_bound_check_refusals_name_the_value(call, named):
+     "p_max = 12"),
+    # Below 2 no moment is taken, and the probe returned 0.0, which meets
+    # every bound with no evidence.
+    *[(lambda p=p: moment_bound_probe(iid_gaussian(1.0), G1, p, 100, 0),
+       f"p_max = {p}") for p in (1, 0, -4)]],
+    ids=["taylor-norm", "moment-order", "moment-order-1", "moment-order-0",
+         "moment-order-minus-4"])
+def test_bound_check_refusals_name_the_value(monkeypatch, call, named):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a field was drawn before the refusal")
+
+    monkeypatch.setattr(noise, "sample_fields", drawn)
     with pytest.raises(DomainError, match=re.escape(named)):
         call()

@@ -534,10 +534,18 @@ _TIMED = {
      ConfigError, "rate -2.0 at start vertex (0,)"),
     (lambda: chernoff_jump_bound(0.0, 1.0, 3), DomainError, "got 0.0"),
     (lambda: chernoff_jump_bound(-1.0, 1.0, 3), DomainError, "got -1.0"),
+    # These returned nan, or raised a bare "math domain error" at x = inf.
+    *[(lambda q=q, x=x: chernoff_jump_bound(q, 0.5, x), DomainError, named)
+      for q, x, named in ((math.nan, 3, "q_sup = nan is not finite"),
+                          (math.inf, 3, "q_sup = inf is not finite"),
+                          (1.0, math.nan, "x = nan is not finite"),
+                          (1.0, math.inf, "x = inf is not finite"),
+                          (1.0, -math.inf, "x = -inf is not finite"))],
     *[(lambda call=call, h=h: call(h), DomainError, named)
       for call in _TIMED.values() for h, _, named in _BAD_HORIZONS]],
     ids=["walks-horizon", "path-start-rate", "chernoff-q-zero",
-         "chernoff-q-negative",
+         "chernoff-q-negative", "chernoff-q-nan", "chernoff-q-inf",
+         "chernoff-x-nan", "chernoff-x-inf", "chernoff-x-minus-inf",
          *[f"{name}-horizon-{label}" for name in _TIMED
            for _, label, _ in _BAD_HORIZONS]])
 def test_walker_refusals_name_the_value(call, exc, named):
