@@ -6,7 +6,8 @@ subcommand declares the keys it reads once, with their types and defaults
 (``_COMMANDS``).  Every CSV begins with a '# config_hash=...' line: a hash of
 the effective configuration (defaults included, values typed) and the
 package version, so outputs are traceable to their inputs.  Usage:
-``fksim COMMAND --config PATH [--seed N] [--out PATH]``; a time key (``t``,
+``fksim COMMAND --config PATH [--seed N] [--out PATH]``, where only a
+subcommand that writes a CSV takes ``--out``; a time key (``t``,
 ``t_grid``) must be finite and positive.
 """
 
@@ -20,7 +21,7 @@ from math import isfinite, ldexp, nan, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_time
+from .errors import ConfigError, DomainError, check_nonnegative
 from .lattice import GraphModel
 from .noise import NoiseModel, sample_field, sample_fields
 from .operators import PotentialSpec, Truncation, expm_traces
@@ -129,7 +130,7 @@ def _finite(value):
 def _time(value):
     """A positive time (at t = 0 a trace identity reads n = n and a jump
     tail has no row)."""
-    return check_time(float(value), positive=True)
+    return check_nonnegative(float(value), positive=True)
 
 
 def _times(value):
@@ -157,11 +158,8 @@ def fit_exponent(rows):
     if len(rows) < 4:
         raise DomainError(f"exponent fit needs >= 4 rows, got {len(rows)}")
     for i, (t, v) in enumerate(rows):
-        for name, val in (("value", v), ("t", t)):
-            if not isfinite(val):
-                raise DomainError(f"row {i}: {name} {val} is not finite")
-            if val <= 0:
-                raise DomainError(f"row {i}: {name} {val} is not positive")
+        check_nonnegative(v, f"row {i}: value", positive=True)
+        check_nonnegative(t, f"row {i}: t", positive=True)
     x = np.log([t for t, _ in rows])
     y = np.log([v for _, v in rows])
     if x.min() == x.max():
@@ -241,7 +239,7 @@ def sweep_variance(cfg):
     # The lower column is checked once every sum is taken, the ends first.
     for k, (t, frozen, radius) in done.items():
         try:
-            done[k] = (t, frozen, stay_bound(frozen, spec.sup_rate, t), radius)
+            done[k] = (t, frozen, stay_bound(frozen, cfg["q"], t), radius)
         except DomainError as err:
             raise refuse(k, err) from None
     ts, frozen, lower, certified = zip(*(done[k] for k in sorted(done)))
@@ -524,9 +522,12 @@ def main(argv=None):
     parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv)
+        run, write, summary, _ = _COMMANDS[args.command]
+        if write is None and args.out is not None:
+            parser.error(f"--out: {args.command} writes no CSV, so "
+                         f"{args.out!r} would be ignored")
     except SystemExit as err:   # a usage error is an input error: exit 1
         return 1 if err.code else 0
-    run, write, summary, _ = _COMMANDS[args.command]
 
     try:
         cfg = parse_config(args.config)

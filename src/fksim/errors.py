@@ -1,4 +1,6 @@
-"""Shared exception types, and the one rule for an admissible time."""
+"""Shared exception types, and the one rule for a nonnegative real: every
+time, jump rate, exponent, scale and variance of the package is checked by
+``check_nonnegative``."""
 
 from math import isfinite
 
@@ -19,8 +21,8 @@ class NumericalError(RuntimeError):
     """Numerical routine failed (factorization, overflow, non-convergence)."""
 
 
-def check_time(value, name="t", *, positive=False):
-    """``value``, a time that is finite and >= 0 (> 0 if ``positive``);
+def check_nonnegative(value, name="t", *, positive=False):
+    """``value``, a real that is finite and >= 0 (> 0 if ``positive``);
     any other raises ``DomainError`` naming ``name`` and the value."""
     if not isfinite(value):
         raise DomainError(f"{name} = {value!r} is not finite")

@@ -23,7 +23,9 @@ a sum may be: exactly 0.0 at gamma0 = 0, otherwise a normal float, or a
 budget ``_MAX_ELEMS`` that its walk blocks, pair chunks and FFT grids spend.
 A ``NoiseModel`` is checked when it is made, so no estimator re-checks its
 kind or the sign of its covariance.  Every t must be finite and >= 0, and
-> 0 where a box is certified or a trace estimated.
+> 0 where a box is certified or a trace estimated; the jump rate q must be
+finite and >= 0, and the exponents and scales alpha, kappa and delta finite
+and > 0 (``errors.check_nonnegative``, which names each).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DomainError, InputError, check_time
+from .errors import DomainError, InputError, check_nonnegative
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
                     sample_fields)
@@ -79,10 +81,9 @@ def radius_for(t, alpha=2.0, kappa=1.0):
     """Box radius making the truncated terms < 1e-12 of the central one,
     plus an allowance for the displacement of a unit-rate walker over the
     horizon; without growth (alpha, kappa > 0) no box is certified."""
-    check_time(t, positive=True)
-    for name, value in (("alpha", alpha), ("kappa", kappa)):
-        if not value > 0:
-            raise DomainError(f"radius_for needs {name} > 0, got {value!r}")
+    check_nonnegative(t, positive=True)
+    check_nonnegative(alpha, "alpha", positive=True)
+    check_nonnegative(kappa, "kappa", positive=True)
     core = ceil((_LN_TAIL / t) ** (1.0 / alpha) / kappa)
     return core + ceil(_E * t) + 40
 
@@ -155,7 +156,7 @@ def mc_dirichlet_trace(trunc, field, t, n_paths, seed):
     """Estimate Tr e^{-tH_n} from paths killed on leaving the ball of the
     truncation ``trunc``, with ``field`` its values there, stratified evenly
     over the ball's start vertices."""
-    check_time(t, positive=True)
+    check_nonnegative(t, positive=True)
     return _stratified_estimate(_trace_samples(trunc, field, t, n_paths, seed))
 
 
@@ -175,7 +176,7 @@ def ensemble_variance(graph, spec, pot, model, n, ts, m_draws, seed):
         raise DomainError(f"m_draws = {m_draws!r}: need at least three noise "
                           "draws (the jackknife divides by m - 2)")
     for t in ts:
-        check_time(t)
+        check_nonnegative(t)
     trunc = Truncation.build(graph, spec, pot, n)
     traces = trunc.traces(
         sample_fields(model, graph, trunc.vertices, m_draws, seed), ts)
@@ -218,7 +219,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     """
     if n_rep < 2:
         raise DomainError(f"n_rep = {n_rep!r}: need at least two replicates")
-    check_time(t)
+    check_nonnegative(t)
     trunc = Truncation.build(graph, spec, pot, box_radius)
     m = len(trunc.vertices)
     # A walk block gives each replicate 3 m^2 elements: up to 2 m^2 for its
@@ -434,8 +435,8 @@ def stay_bound(frozen, q, t):
     admissible covariance is nonnegative, so no other path pair lowers the
     variance, and this bounds it below for any radial potential.  The
     frozen sum's rule holds: a positive bound below the normal floats is
-    refused, as is a NaN, infinite or negative t."""
-    out = exp(-2.0 * q * check_time(t)) * frozen
+    refused, as is a NaN, infinite or negative q or t."""
+    out = exp(-2.0 * check_nonnegative(q, "q") * check_nonnegative(t)) * frozen
     if out < float_info.min and frozen > 0.0:
         raise DomainError(f"the lower bound e^(-2qt) x {frozen!r} = {out!r} "
                           f"at q = {q!r}, t = {t!r} is below the normal "
@@ -446,6 +447,7 @@ def stay_bound(frozen, q, t):
 def lower_bound_sum(t, delta, model, graph):
     """Certified lower bound e^{-2t} * frozen sum (``stay_bound`` at q = 1)
     for the preset V(v) = d(0, v)^delta and unit jump rate."""
+    check_nonnegative(delta, "delta", positive=True)
     return stay_bound(
         frozen_variance_sum(t, graph, PotentialSpec(alpha=delta), model),
         1.0, t)
@@ -456,9 +458,9 @@ def riemann_tail_sum(t, kappa, alpha, graph):
     normalization t^{d/alpha} S / c_lead, whose square tends to the
     kappa^{-2d} Gamma(d/min(1,alpha))^2 / min(1,alpha^2) limit."""
     d = graph.d
-    if check_time(t) <= 0 or kappa <= 0 or alpha <= 0:
-        raise DomainError(f"t, kappa, alpha must be positive, got {t!r}, "
-                          f"{kappa!r}, {alpha!r}")
+    check_nonnegative(t, positive=True)
+    check_nonnegative(kappa, "kappa", positive=True)
+    check_nonnegative(alpha, "alpha", positive=True)
     m = min(alpha, 1.0)
     s = kappa * t ** (1.0 / alpha)
     lead = _coord_leading(graph)

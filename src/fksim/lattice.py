@@ -1,7 +1,9 @@
 """Graph geometry: lattices Z^d (l1 or l∞ adjacency) and explicit finite graphs.
 
-Vertices of lattice graphs are integer coordinate tuples of arity d;
-vertices of explicit graphs are 0-based integer indices.
+Vertices of lattice graphs are integer coordinate tuples of arity d (a
+vertex of another shape, a bare number included, is refused by name);
+vertices of explicit graphs are 0-based integer indices, whose BFS hop
+counts are cached as one int64 array per source.
 """
 
 from __future__ import annotations
@@ -104,14 +106,19 @@ class GraphModel:
 
     def check_vertex(self, v):
         """``v`` (an explicit graph's as a Python int, a lattice's as a
-        tuple of Python ints), or InputError."""
+        tuple of Python ints), or InputError naming it."""
         if self.kind == EXPLICIT:
             i = _index(v, "vertex")
             if not 0 <= i < len(self.adjacency):
                 raise InputError(f"vertex {v!r} not in graph")
             return i
-        if len(v) != self.d:
-            raise InputError(f"vertex {v!r} has arity != d={self.d}")
+        try:
+            arity = len(v)
+        except TypeError:   # a bare number
+            arity = None
+        if arity != self.d:
+            raise InputError(f"vertex {v!r} is not a tuple of d={self.d} "
+                             "coordinates")
         return tuple(_index(c, "coordinate") for c in v)
 
     def neighbors(self, v):
@@ -138,32 +145,32 @@ class GraphModel:
             return sum(abs(a - b) for a, b in zip(u, v))
         if self.kind == ZD_LINF:
             return max(abs(a - b) for a, b in zip(u, v))
-        dist = self._bfs_from(u)
-        if v not in dist:
+        hops = self._bfs_from(u)[v]
+        if hops < 0:
             raise InputError(f"no path between {u} and {v}")
-        return dist[v]
+        return int(hops)
 
     def distances(self, us, vs):
         """Graph distances as an int64 matrix, a row per vertex of ``us`` and
         a column per vertex of ``vs``: the lattice norm of the coordinate
-        differences, or BFS distances that raise as ``distance`` does.
-        Lattice coordinates must be integers."""
+        differences, or BFS distances; each vertex is refused as
+        ``check_vertex`` refuses it, and a pair as ``distance`` does."""
         if self.kind in _LATTICE_KINDS:
-            a, b = (np.asarray(w) for w in (us, vs))
-            for w in (a, b):
-                if w.size and not np.issubdtype(w.dtype, np.integer):
-                    raise InputError(f"lattice coordinates must be integers, "
-                                     f"got {w.dtype} vertices")
-            a, b = (w.astype(np.int64, copy=False).reshape(len(w), self.d)
-                    for w in (a, b))
+            a, b = (np.array([self.check_vertex(w) for w in ws],
+                             dtype=np.int64).reshape(-1, self.d)
+                    for ws in (us, vs))
             diff = np.abs(a[:, None] - b[None])
             return diff.sum(axis=2) if self.kind == ZD_L1 else diff.max(axis=2)
-        rows = []
-        for u in us:
-            dist = self._bfs_from(u)
-            rows.append([dist[v] if v in dist else self.distance(u, v)
-                         for v in vs])
-        return np.array(rows, dtype=np.int64).reshape(len(us), len(vs))
+        us = [self.check_vertex(u) for u in us]
+        vs = [self.check_vertex(v) for v in vs]
+        out = np.empty((len(us), len(vs)), dtype=np.int64)
+        cols = np.array(vs, dtype=np.intp)
+        for i, u in enumerate(us):
+            out[i] = self._bfs_from(u)[cols]
+        if (out < 0).any():
+            i, j = np.argwhere(out < 0)[0]
+            raise InputError(f"no path between {us[i]} and {vs[j]}")
+        return out
 
     def grid_norms(self, coords):
         """Lattice norm of every point of coords^d, as a d-dimensional array
@@ -176,10 +183,15 @@ class GraphModel:
         return reduce(combine.outer, [a] * self.d)
 
     def _bfs_from(self, u):
+        """Hop counts from the vertex ``u`` of an explicit graph to every
+        vertex, -1 where there is no path, as one int64 array cached per
+        source."""
         dist = self._dist_cache.get(u)
         if dist is None:
+            dist = np.full(len(self.adjacency), -1, dtype=np.int64)
             layers = self._spheres(u, len(self.adjacency) - 1)
-            dist = {v: k for k, layer in enumerate(layers) for v in layer}
+            for k, layer in enumerate(layers):
+                dist[layer] = k
             self._dist_cache[u] = dist
         return dist
 

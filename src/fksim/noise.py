@@ -2,8 +2,9 @@
 
 Three covariance structures are shipped: independent sites, distance power
 decay, and a fully correlated (constant) field.  ``NoiseModel`` refuses
-any other kind and any bad parameter when it is made, so the functions
-that take a model never re-check it.  Every kind has variance gamma0 at
+any other kind and any bad parameter when it is made (gamma0 and beta by
+``errors.check_nonnegative``), so the functions that take a model never
+re-check it.  Every kind has variance gamma0 at
 each site, so the moment constant of the noise law is derived from it,
 not set.  ``sample_fields`` is the one field sampler: m rows from one
 generator with the covariance factored once.
@@ -12,12 +13,12 @@ generator with the covariance factored once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, inf, sqrt
+from math import factorial, sqrt
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_nonnegative
 
 IID = "iid"
 POWER_DECAY = "power_decay"
@@ -40,18 +41,16 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in (IID, POWER_DECAY, CONSTANT):
             raise DomainError(f"unknown noise kind {self.kind!r}")
-        if not 0 <= self.gamma0 < inf:
-            raise DomainError(f"noise variance gamma0 must be nonnegative "
-                              f"and finite, got {self.gamma0}")
+        # Power decay's gamma0 is also its decay scale, so it is positive.
+        check_nonnegative(self.gamma0, "gamma0",
+                          positive=self.kind == POWER_DECAY)
         if self.kind != POWER_DECAY:
             if self.beta is not None:
                 raise DomainError(f"noise kind {self.kind!r} takes no beta")
-        elif self.beta is None or not 0 < self.beta < inf:
-            raise DomainError(f"decay exponent beta must be positive and "
-                              f"finite, got {self.beta}")
-        elif self.gamma0 == 0:
-            raise DomainError(f"decay scale must be positive, got gamma0 = "
-                              f"{self.gamma0}")
+        elif self.beta is None:
+            raise DomainError("noise kind 'power_decay' needs a beta")
+        else:
+            check_nonnegative(self.beta, "beta", positive=True)
 
     @property
     def moment_constant(self):

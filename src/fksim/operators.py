@@ -20,7 +20,8 @@ matrix, the squares among those products are R R^T (BLAS syrk, half the
 flops).  ``expm_traces`` takes the traces of one matrix over a t grid from
 exponentials alone, squaring e^{-tM} where the grid doubles t instead of
 exponentiating again: the second route that ``spectral-check`` holds
-against the eigenvalues.  Every t must be finite and >= 0.
+against the eigenvalues.  Every t, every vertex rate and the potential's
+alpha (> 0) and kappa must be finite and >= 0 (``errors.check_nonnegative``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import ceil, inf, isfinite, log2
 import numpy as np
 
 from .errors import (ConfigError, DomainError, InputError, NumericalError,
-                     check_time)
+                     check_nonnegative)
 
 # Entries of one cache-sized working block (512 KiB of float64) of the
 # ensemble matrices that Truncation.blocks solves; no output depends on it.
@@ -52,14 +53,10 @@ class PotentialSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "kappa", "mu"):
-            v = getattr(self, name)
-            if not isfinite(v):
-                raise DomainError(f"potential {name} = {v!r} is not finite")
-        if self.alpha <= 0:
-            raise DomainError(f"potential alpha = {self.alpha!r} must be > 0")
-        if self.kappa < 0:
-            raise DomainError(f"potential kappa = {self.kappa!r} must be >= 0")
+        check_nonnegative(self.alpha, "alpha", positive=True)
+        check_nonnegative(self.kappa, "kappa")
+        if not isfinite(self.mu):
+            raise DomainError(f"mu = {self.mu!r} is not finite")
 
     def radial(self, dist):
         """(kappa * dist)**alpha - mu, elementwise, as floats."""
@@ -114,10 +111,7 @@ class Truncation:
         deg = np.empty(m, dtype=np.intp)
         rate = np.empty(m)
         for i, (v, (targets, probs)) in enumerate(zip(vertices, kernels)):
-            r = spec.rate(v)
-            if r < 0:
-                raise ConfigError(f"rate {r!r} at vertex {v} must be "
-                                  "nonnegative")
+            r = check_nonnegative(spec.rate(v), f"rate at vertex {v}")
             if r > 0 and not targets:
                 raise ConfigError(f"vertex {v} has a positive rate {r!r} but "
                                   "no jump targets")
@@ -139,15 +133,7 @@ class Truncation:
             i = short[0]
             raise ConfigError(f"jump probabilities at vertex {vertices[i]} "
                               f"end at {float(ends[i])!r}, not 1")
-        # A walker stays put with probability >= e^{-sup_rate t} (the bound
-        # behind sweep-variance's lower column) only if no rate exceeds
-        # sup_rate; and the walk jumps along the graph's edges alone.
-        fast = np.flatnonzero(rate > spec.sup_rate)
-        if fast.size:
-            i = fast[0]
-            raise ConfigError(f"rate {float(rate[i])!r} at vertex "
-                              f"{vertices[i]} exceeds sup_rate "
-                              f"{spec.sup_rate!r}")
+        # The walk jumps along the graph's edges alone.
         for v, (targets, _) in zip(vertices, kernels):
             nbrs = set(graph.neighbors(v))
             for u in targets:
@@ -222,7 +208,7 @@ class Truncation:
         the bits of a one-t call; the general one takes ``expm_traces`` one
         member at a time, so no more than one matrix is held."""
         for t in ts:
-            check_time(t)
+            check_nonnegative(t)
         fields = np.asarray(fields, dtype=float)
         out = np.empty((len(fields), len(ts)))
         if self.symmetric:
@@ -289,7 +275,7 @@ def expm_neg(mat, t=1.0):
     finite raises ``DomainError``, a complex M ``InputError``, a non-finite
     or overflowing result ``NumericalError``.  The result is a fresh array.
     """
-    check_time(t)
+    check_nonnegative(t)
     a = np.asarray(mat)
     if np.iscomplexobj(a):
         raise InputError(f"expm_neg takes a real matrix, not {a.dtype}")
@@ -357,7 +343,7 @@ def expm_traces(mat, t_grid):
     non-finite t is refused before any exponential.
     """
     for t in t_grid:
-        check_time(t)
+        check_nonnegative(t)
     wanted = set(t_grid)
     traces, halves = {}, {}
     for t in sorted(wanted):
@@ -436,7 +422,7 @@ def multiplicity_pushforward(mat, t):
     e^{-tM} from the real [[B, -C], [C, B]], whose exponential is
     [[Re, -Im], [Im, Re]] of it.
     """
-    check_time(t)
+    check_nonnegative(t)
     a = np.asarray(mat)
     n = a.shape[0]
     if n > 50:

@@ -16,7 +16,8 @@ estimator draws which of its walks make no jump, whose paths are known, and
 walks only the others (conditional Monte Carlo), so every walk keeps the
 plain walk's law.  ``sample_jump_counts`` gives the histogram of the jump
 counts of constant-rate walks for the Poisson-tail checks, drawn the same
-way.  Every horizon must be finite and >= 0 (``errors.check_time``).
+way.  Every horizon and every rate must be finite and >= 0, and a
+constant rate q > 0 (``errors.check_nonnegative``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_time
+from .errors import ConfigError, DomainError, check_nonnegative
 
 # Walkers advanced together by sample_walks, so that its working arrays
 # stay bounded whatever the number of walkers; the draws depend on it.
@@ -39,22 +40,21 @@ _JUMP_CHUNK = 100_000
 
 @dataclass(frozen=True)
 class MarkovSpec:
-    """Site-dependent jump rates q(v) <= sup_rate and a row-stochastic jump kernel.
+    """Site-dependent jump rates q(v) >= 0 and a row-stochastic jump kernel.
 
     ``kernel(v)`` returns ``(targets, cumulative_probs)`` over the neighbors
     of v (no self-transitions).  ``operators.Truncation.build`` checks this
-    on its ball and refuses a spec that breaks it.
+    on its ball and refuses a spec that breaks it; a bound on the rates of
+    a ball is ``trunc.rate.max()``.
     """
 
     rate: Callable
-    sup_rate: float
     kernel: Callable
 
 
 def symmetric_walk(graph, q=1.0):
     """Constant-rate walk jumping uniformly to a neighbor."""
-    if not 0 < q < inf:
-        raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
+    check_nonnegative(q, "q", positive=True)
     cache = {}
 
     def kernel(v):
@@ -70,7 +70,7 @@ def symmetric_walk(graph, q=1.0):
 
     # Isolated vertices get rate 0 (nowhere to jump, so the walker sits).
     return MarkovSpec(rate=lambda v: q if graph.neighbors(v) else 0.0,
-                      sup_rate=q, kernel=kernel)
+                      kernel=kernel)
 
 
 @dataclass
@@ -91,14 +91,11 @@ def sample_path(graph, spec, start, horizon, seed=None):
     """Sample one CTMC path on the whole graph; deterministic given (inputs,
     seed), where ``seed`` may be a ``Generator``, drawn from as it is.
 
-    Holding times are exponential via inverse CDF on [0, 1).
+    Holding times are exponential via inverse CDF on [0, 1); a vertex of
+    rate 0 holds the walker to the horizon, with no draw.  The rate of each
+    vertex reached is checked as it is read.
     """
-    check_time(horizon, "horizon")
-    if spec.rate(start) < 0:
-        raise ConfigError(f"rate {spec.rate(start)!r} at start vertex {start} "
-                          "must be nonnegative")
-    if spec.rate(start) == 0.0:
-        return PathRecord(endpoint=start, jumps=0, local_time={start: horizon})
+    check_nonnegative(horizon, "horizon")
     rand = np.random.default_rng(seed).random
     rate = spec.rate
     kernel = spec.kernel
@@ -109,7 +106,8 @@ def sample_path(graph, spec, start, horizon, seed=None):
     local = {}
 
     while True:
-        hold = -log1p(-rand()) / rate(cur)
+        r = check_nonnegative(rate(cur), f"rate at vertex {cur}")
+        hold = -log1p(-rand()) / r if r else inf
         if elapsed + hold >= horizon:
             local[cur] = local.get(cur, 0.0) + (horizon - elapsed)
             break
@@ -153,7 +151,7 @@ def sample_walks(trunc, starts, horizon, rng, *, cost=None):
     With a ``cost`` vector over the ball each path carries the integral of
     the cost along it; without one it carries its local times.
     """
-    check_time(horizon, "horizon")
+    check_nonnegative(horizon, "horizon")
     starts = np.asarray(starts, dtype=np.intp)
     n = len(starts)
     if n and not (horizon > 0 and trunc.rate[starts].min() > 0):
@@ -247,9 +245,8 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     ``standard_exponential`` fill per round, of the survivors' number and
     scaled by 1/q.  A path with ``cap`` arrivals is refused.
     """
-    if not 0 < q < inf:
-        raise ConfigError(f"jump rate q = {q!r} must be positive and finite")
-    check_time(horizon, "horizon")
+    check_nonnegative(q, "q", positive=True)
+    check_nonnegative(horizon, "horizon")
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths!r}")
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
@@ -281,12 +278,10 @@ def sample_jump_counts(q, horizon, n_paths, seed):
 def chernoff_jump_bound(q_sup, horizon, x):
     """Poisson-tail Chernoff bound e^{-qt} (q e t / x)^x, valid for x > q t.
     A NaN or infinite q_sup or x is refused by name."""
-    check_time(horizon, "horizon")
-    for name, v in (("q_sup", q_sup), ("x", x)):
-        if not isfinite(v):
-            raise DomainError(f"{name} = {v!r} is not finite")
-    if q_sup <= 0:
-        raise DomainError(f"q_sup must be positive, got {q_sup!r}")
+    check_nonnegative(horizon, "horizon")
+    check_nonnegative(q_sup, "q_sup", positive=True)
+    if not isfinite(x):
+        raise DomainError(f"x = {x!r} is not finite")
     if x <= q_sup * horizon:
         raise DomainError(f"bound requires x > q_sup*t = {q_sup * horizon}")
     if horizon == 0:

@@ -167,8 +167,9 @@ def _scipy_modules_after_main(tmp_path, command, text):
     """scipy modules loaded by a fresh process that runs ``command`` to
     completion, with a passing result, on the config ``text``."""
     cfg = _write(tmp_path, text, f"{command}.cfg")
-    argv = [command, "--config", cfg, "--seed", "3",
-            "--out", str(tmp_path / f"{command}.csv")]
+    argv = [command, "--config", cfg, "--seed", "3"]
+    if cli._COMMANDS[command][1] is not None:
+        argv += ["--out", str(tmp_path / f"{command}.csv")]
     return _scipy_modules_after(
         f"from fksim import cli\nassert cli.main({argv!r}) == 0")
 
@@ -844,7 +845,7 @@ def _rotation_walk(bias):
             w = np.array([1.0 + bias * ((u[1] - y) * x - (u[0] - x) * y)
                           / norm for u in targets])
             return targets, list(np.cumsum(w / w.sum()))
-        return MarkovSpec(rate=lambda v: q, sup_rate=q, kernel=kernel)
+        return MarkovSpec(rate=lambda v: q, kernel=kernel)
     return make
 
 
@@ -1281,13 +1282,15 @@ def test_benchmark_configs_use_known_keys(name):
 @pytest.mark.parametrize("name", sorted(_BENCH_COMMANDS))
 def test_benchmark_configs_repeat_for_a_seed(name, tmp_path, capsys):
     # Two runs at one seed print the same summary and write the same CSV
-    # (spectral-check and fk-compare write none).
-    argv = [_BENCH_COMMANDS[name], "--config",
-            str(_BENCH_CONFIGS / f"{name}.cfg"), "--seed", "41", "--out"]
+    # (spectral-check and fk-compare write none, and take no --out).
+    command = _BENCH_COMMANDS[name]
+    argv = [command, "--config", str(_BENCH_CONFIGS / f"{name}.cfg"),
+            "--seed", "41"]
     runs = []
     for k in range(2):
         out = tmp_path / f"{k}.csv"
-        rc = cli.main(argv + [str(out)])
+        writes = cli._COMMANDS[command][1] is not None
+        rc = cli.main(argv + (["--out", str(out)] if writes else []))
         runs.append((rc, capsys.readouterr().out,
                      out.read_bytes() if out.exists() else None))
     assert runs[0] == runs[1]
@@ -1699,6 +1702,18 @@ def test_gate_refuses_a_key_its_partner_makes_inert(tmp_path, capsys,
         cli._COMMANDS[command][0](cli.parse_config(path))
 
 
+@pytest.mark.parametrize("command", ["spectral-check", "fk-compare"])
+def test_out_is_refused_where_no_csv_is_written(tmp_path, capsys, command):
+    # Both printed their summary and exited 0 without writing the file.
+    out = tmp_path / "x.csv"
+    path = _write(tmp_path, "radius = 2\ntrials = 1\n" if command ==
+                  "spectral-check" else "radius = 2\nn_paths = 10\n")
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"--out: {command} writes no CSV" in captured.err
+
+
 @pytest.mark.parametrize("text, default", [
     (_EDGE_LIST, "d = 1\n"), ("cut_value = 0.5\n", "cut_index = 1\n")])
 def test_gate_accepts_an_inert_key_at_its_default(tmp_path, capsys, text,
@@ -1855,8 +1870,8 @@ def test_a_zero_jump_rate_is_refused_by_name(tmp_path, capsys, command):
     assert cli.main([command, "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: jump rate q = 0.0 must be positive")
-    with pytest.raises(ConfigError, match=r"jump rate q = 0\.0"):
+    assert captured.err == "error: q must be positive, got 0.0\n"
+    with pytest.raises(DomainError, match=r"q must be positive, got 0\.0"):
         cli._COMMANDS[command][0]({"q": "0"})
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import fksim
 from fksim import operators, walker
-from fksim.errors import ConfigError, DomainError, check_time
+from fksim.errors import ConfigError, DomainError, check_nonnegative
 from fksim.lattice import GraphModel
 from fksim.noise import iid_gaussian
 from fksim.operators import PotentialSpec, Truncation
@@ -24,7 +24,7 @@ TRUNC = Truncation.build(G1, SPEC, POT, 2)
     (0.0, False), (-0.0, False), (2.5, False), (3, False), (1e-300, True),
     (np.float64(0.5), True)])
 def test_check_time_returns_an_admissible_time(value, positive):
-    assert check_time(value, positive=positive) is value
+    assert check_nonnegative(value, positive=positive) is value
 
 
 @pytest.mark.parametrize("value, positive, named", [
@@ -37,10 +37,10 @@ def test_check_time_returns_an_admissible_time(value, positive):
     (-0.0, True, "t must be positive, got -0.0")])
 def test_check_time_refuses_by_name(value, positive, named):
     with pytest.raises(DomainError, match=re.escape(named)):
-        check_time(value, positive=positive)
+        check_nonnegative(value, positive=positive)
     with pytest.raises(DomainError, match=re.escape(named.replace(
             "t", "horizon", 1))):
-        check_time(value, "horizon", positive=positive)
+        check_nonnegative(value, "horizon", positive=positive)
 
 
 # One call per entry point that takes a time, with that time as t and every
@@ -150,3 +150,95 @@ def test_every_function_refuses_a_sample_count_of_zero_by_name(name):
     count, call = _COUNT_CALLS[name]
     with pytest.raises((ConfigError, DomainError), match=rf"\b{count}\b"):
         call(0)
+
+
+# One call per public callable of every fksim module (a class by its
+# constructor) that takes a jump rate, an exponent, a scale or a variance:
+# (callable, parameter) -> a call with that parameter as x and every other
+# argument valid.
+_PARAM_CALLS = {
+    ("NoiseModel", "beta"): lambda x: fksim.NoiseModel("power_decay", beta=x),
+    ("NoiseModel", "gamma0"): lambda x: fksim.NoiseModel("iid", gamma0=x),
+    ("PotentialSpec", "alpha"): lambda x: PotentialSpec(alpha=x),
+    ("PotentialSpec", "kappa"): lambda x: PotentialSpec(kappa=x),
+    ("chernoff_jump_bound", "q_sup"): lambda x: fksim.chernoff_jump_bound(
+        x, 0.5, 3),
+    ("constant_gaussian", "gamma0"): lambda x: fksim.constant_gaussian(x),
+    ("iid_gaussian", "gamma0"): lambda x: fksim.iid_gaussian(x),
+    ("lower_bound_sum", "delta"): lambda x: fksim.lower_bound_sum(
+        0.5, x, iid_gaussian(1.0), G1),
+    ("power_decay_gaussian", "beta"): lambda x: fksim.power_decay_gaussian(x),
+    ("power_decay_gaussian", "gamma0"): lambda x: fksim.power_decay_gaussian(
+        1.0, x),
+    ("radius_for", "alpha"): lambda x: fksim.radius_for(0.5, alpha=x),
+    ("radius_for", "kappa"): lambda x: fksim.radius_for(0.5, kappa=x),
+    ("riemann_tail_sum", "alpha"): lambda x: fksim.riemann_tail_sum(
+        0.5, 1.0, x, G1),
+    ("riemann_tail_sum", "kappa"): lambda x: fksim.riemann_tail_sum(
+        0.5, x, 2.0, G1),
+    ("sample_jump_counts", "q"): lambda x: fksim.sample_jump_counts(
+        x, 0.5, 10, 0),
+    ("stay_bound", "q"): lambda x: fksim.stay_bound(1.0, x, 0.5),
+    ("symmetric_walk", "q"): lambda x: fksim.symmetric_walk(G1, x)}
+_RATE_PARAMS = {"q", "q_sup", "alpha", "kappa", "delta", "gamma0", "beta"}
+
+
+def _rated_callables():
+    """(name, parameter) for each public function and class of every fksim
+    module, and each public method of those classes, that has a parameter
+    named as a rate, an exponent, a scale or a variance; a class is read
+    through its constructor."""
+    found = {}
+    for info in pkgutil.iter_modules(fksim.__path__):
+        module = importlib.import_module(f"fksim.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__
+                    or isinstance(obj, type) and issubclass(obj, Exception)):
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                found[name] = obj
+            if inspect.isclass(obj):
+                found.update((f"{name}.{key}", getattr(obj, key))
+                             for key in vars(obj) if not key.startswith("_")
+                             and callable(getattr(obj, key)))
+    return sorted((name, param) for name, fn in found.items()
+                  for param in inspect.signature(fn).parameters
+                  if param in _RATE_PARAMS)
+
+
+def test_the_guard_finds_every_callable_that_takes_a_rate_or_exponent():
+    # A new callable with such a parameter needs a row in _PARAM_CALLS, so
+    # the next test holds it to the rule.
+    assert _rated_callables() == sorted(_PARAM_CALLS)
+
+
+@pytest.mark.parametrize("key", sorted(_PARAM_CALLS),
+                         ids=[f"{name}-{param}"
+                              for name, param in sorted(_PARAM_CALLS)])
+def test_every_rate_and_exponent_refuses_nan_by_name(key):
+    # stay_bound returned nan, and riemann_tail_sum died on a bare "cannot
+    # convert float NaN to integer".
+    with pytest.raises(DomainError, match=rf"\b{key[1]} = nan is not finite"):
+        _PARAM_CALLS[key](math.nan)
+
+
+def test_truncation_refuses_a_nan_vertex_rate():
+    # A NaN rate passed the build's "rate < 0" test into the matrices.
+    spec = walker.MarkovSpec(rate=lambda v: math.nan if v == (1,) else 1.0,
+                             kernel=SPEC.kernel)
+    with pytest.raises(DomainError, match=re.escape(
+            "rate at vertex (1,) = nan is not finite")):
+        Truncation.build(G1, spec, POT, 2)
+
+
+@pytest.mark.parametrize("at", [(0,), (1,)], ids=["start", "visited"])
+def test_sample_path_refuses_a_nan_rate_where_it_reads_it(at):
+    # Every hold at a NaN rate is NaN, so the walk never reached its horizon
+    # and sample_path never returned.  The walk steps right, so it reaches
+    # (1,) within the horizon at this seed.
+    spec = walker.MarkovSpec(rate=lambda v: math.nan if v == at else 1.0,
+                             kernel=lambda v: ([(v[0] + 1,)], [1.0]))
+    with pytest.raises(DomainError, match=re.escape(
+            f"rate at vertex {at} = nan is not finite")):
+        fksim.sample_path(G1, spec, (0,), 50.0, 0)

@@ -479,8 +479,7 @@ def _site_rate_spec(graph):
         targets = graph.neighbors(v)
         w = np.array([u + 1.0 for u in targets])
         return targets, list(np.cumsum(w / w.sum()))
-    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
-                      kernel=kernel)
+    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, kernel=kernel)
 
 
 # 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4
@@ -531,7 +530,7 @@ def _stopped_at_five():
     """G_EXPLICIT's walk with rate 0 at vertex 5, which has a neighbour."""
     base = _site_rate_spec(G_EXPLICIT)
     spec = MarkovSpec(rate=lambda v: 0.0 if v == 5 else base.rate(v),
-                      sup_rate=2.0, kernel=base.kernel)
+                      kernel=base.kernel)
     return G_EXPLICIT, spec
 
 
@@ -1036,19 +1035,25 @@ _TIMED = {
      "got 0.0"),
     (lambda: fk.mc_dirichlet_trace(_trunc(2), np.zeros(5), -0.5, 10, 1),
      "got -0.5"),
-    (lambda: fk.riemann_tail_sum(0.0, 1.0, 2.0, G1), "got 0.0, 1.0, 2.0"),
-    (lambda: fk.riemann_tail_sum(0.1, -1.0, 2.0, G1), "got 0.1, -1.0, 2.0"),
-    (lambda: fk.riemann_tail_sum(0.1, 1.0, 0.0, G1), "got 0.1, 1.0, 0.0"),
+    (lambda: fk.riemann_tail_sum(0.0, 1.0, 2.0, G1),
+     "t must be positive, got 0.0"),
+    (lambda: fk.riemann_tail_sum(0.1, -1.0, 2.0, G1),
+     "kappa must be positive, got -1.0"),
+    (lambda: fk.riemann_tail_sum(0.1, 1.0, 0.0, G1),
+     "alpha must be positive, got 0.0"),
     (lambda: fk.lower_bound_sum(0.25, 0, iid_gaussian(1.0), G1),
-     "alpha = 0"),
+     "delta must be positive, got 0"),
     (lambda: fk.lower_bound_sum(0.25, -0.5, iid_gaussian(1.0), G1),
-     "alpha = -0.5"),
+     "delta must be positive, got -0.5"),
+    # stay_bound(1, -1, 1/2) returned e^{+1}.
+    (lambda: fk.stay_bound(1.0, -1.0, 0.5), "q must be >= 0, got -1.0"),
     *[(lambda call=_TIMED[name]: call(0.0), "t must be positive, got 0.0")
       for name in ("radius", "frozen", "lower")],
     *[(lambda call=call, t=t: call(t), named)
       for call in _TIMED.values() for t, _, named in _BAD_TIMES]],
     ids=["trace-t-zero", "trace-t-negative", "riemann-t", "riemann-kappa",
          "riemann-alpha", "lower-delta-zero", "lower-delta-negative",
+         "stay-q-negative",
          "radius-t-zero", "frozen-t-zero", "lower-t-zero",
          *[f"{name}-t-{label}" for name in _TIMED
            for _, label, _ in _BAD_TIMES]])

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -210,9 +211,56 @@ def test_lattice_vertices_must_have_integer_coordinates():
 
 @pytest.mark.parametrize("us", [[(0, 0), (1, 2, 3)], [(0, 0, 0)], [(1,)]])
 def test_lattice_distances_refuse_vertices_of_another_arity(us):
-    # A coordinate array of the wrong width cannot be reshaped to (n, d).
-    with pytest.raises(ValueError):
+    # These raised numpy's bare "cannot reshape array" ValueError.
+    bad = next(v for v in us if len(v) != 2)
+    message = re.escape(f"vertex {bad} is not a tuple of d=2 coordinates")
+    with pytest.raises(InputError, match=message):
         GraphModel.zd_l1(2).distances(us, [(0, 0)])
+    with pytest.raises(InputError, match=message):
+        GraphModel.zd_l1(2).distances([(0, 0)], us)
+
+
+def test_a_bare_int_is_no_vertex_of_z1():
+    # distances([0], [3]) returned [[3]] while distance(0, 3) died on
+    # "object of type 'int' has no len()".
+    g = GraphModel.zd_l1(1)
+    message = re.escape("vertex 0 is not a tuple of d=1 coordinates")
+    for call in (lambda: g.check_vertex(0), lambda: g.distance(0, (3,)),
+                 lambda: g.distances([0], [(3,)]),
+                 lambda: g.distances([(3,)], [0])):
+        with pytest.raises(InputError, match=message):
+            call()
+    with pytest.raises(InputError, match=re.escape(
+            "vertex 4 is not a tuple of d=2 coordinates")):
+        GraphModel.zd_l1(2).distances([(0, 0), 4], [(0, 0)])
+
+
+def _grid_graph(side):
+    edges = [(r * side + c, r * side + c + 1)
+             for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c)
+              for r in range(side - 1) for c in range(side)]
+    return GraphModel.explicit(side * side, edges)
+
+
+def test_explicit_distances_cache_one_array_per_source():
+    # Every source's BFS is cached for the life of the graph.  As one int64
+    # array of hop counts each, the cache and the result matrix are n^2
+    # entries apiece; as one dict per source the peak was 6.7 n^2 entries.
+    g = _grid_graph(16)
+    n = 256
+    tracemalloc.start()
+    try:
+        got = g.distances(range(n), range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+    rows = np.arange(n)
+    manhattan = (np.abs(rows[:, None] // 16 - rows // 16)
+                 + np.abs(rows[:, None] % 16 - rows % 16))
+    assert np.array_equal(got, manhattan)
+    assert g.distance(0, 255) == 30 and type(g.distance(0, 255)) is int
 
 
 @pytest.mark.parametrize("make", [GraphModel.zd_l1, GraphModel.zd_linf])

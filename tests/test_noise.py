@@ -61,13 +61,13 @@ def test_power_decay_requires_positive_parameters():
     ({"kind": "power_decay", "gamma0": math.inf, "beta": 1.0}, "gamma0"),
     ({"kind": "constant", "gamma0": -0.5}, "gamma0"),
     ({"kind": "power_decay", "gamma0": -2.0, "beta": 1.0}, "gamma0"),
-    ({"kind": "power_decay"}, "beta must be positive"),
+    ({"kind": "power_decay"}, "noise kind 'power_decay' needs a beta"),
     ({"kind": "power_decay", "beta": 0.0}, "beta must be positive"),
     ({"kind": "power_decay", "beta": -1.0}, "beta must be positive"),
-    ({"kind": "power_decay", "beta": math.inf}, "beta must be positive"),
-    ({"kind": "power_decay", "beta": math.nan}, "beta must be positive"),
+    ({"kind": "power_decay", "beta": math.inf}, "beta = inf is not finite"),
+    ({"kind": "power_decay", "beta": math.nan}, "beta = nan is not finite"),
     ({"kind": "power_decay", "gamma0": 0.0, "beta": 1.0},
-     "decay scale must be positive"),
+     "gamma0 must be positive, got 0.0"),
     ({"kind": "iid", "beta": 0.5}, "noise kind 'iid' takes no beta"),
     ({"kind": "constant", "beta": 0.5}, "noise kind 'constant' takes no beta")],
     ids=["unknown-kind", "iid-negative", "iid-nan", "iid-inf",

@@ -31,9 +31,9 @@ def test_two_vertex_assembly():
     ({"alpha": math.nan}, "alpha = nan is not finite"),
     ({"kappa": math.inf}, "kappa = inf is not finite"),
     ({"mu": -math.inf}, "mu = -inf is not finite"),
-    ({"alpha": 0.0}, "alpha = 0.0 must be > 0"),
-    ({"alpha": -1.5}, "alpha = -1.5 must be > 0"),
-    ({"kappa": -1.0, "alpha": 1.5}, "kappa = -1.0 must be >= 0")])
+    ({"alpha": 0.0}, "alpha must be positive, got 0.0"),
+    ({"alpha": -1.5}, "alpha must be positive, got -1.5"),
+    ({"kappa": -1.0, "alpha": 1.5}, "kappa must be >= 0, got -1.0")])
 def test_potential_refuses_bad_parameters(kwargs, message):
     # A non-finite value would reach the matrices and the walks, and a
     # negative kappa or a non-positive alpha gives no growing potential.
@@ -439,12 +439,11 @@ def _explicit_spec(graph):
         targets = graph.neighbors(v)
         w = np.array([float(u) for u in targets])
         return targets, list(np.cumsum(w / w.sum()))
-    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
-                      kernel=kernel)
+    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, kernel=kernel)
 
 
 def _z1_spec(kernel):
-    return MarkovSpec(rate=lambda v: 1.0, sup_rate=1.0, kernel=kernel)
+    return MarkovSpec(rate=lambda v: 1.0, kernel=kernel)
 
 
 def test_truncation_refuses_a_self_jump():
@@ -465,16 +464,6 @@ def test_truncation_refuses_a_row_that_ends_below_one():
         return [(v[0] - 1,), (v[0] + 1,)], [0.4, 0.8]
     with pytest.raises(ConfigError, match=r"vertex \(-4,\) end at 0\.8,"):
         Truncation.build(G1, _z1_spec(kernel), PotentialSpec(), 4)
-
-
-def test_truncation_refuses_a_rate_above_sup_rate():
-    # sweep-variance's lower = e^{-2 sup_rate t} frozen bounds the variance
-    # only if no walker jumps faster than sup_rate.
-    spec = MarkovSpec(rate=lambda v: 2.0 if v == (2,) else 1.0,
-                      sup_rate=1.0, kernel=SPEC.kernel)
-    with pytest.raises(ConfigError,
-                       match=r"rate 2\.0 at vertex \(2,\) exceeds sup_rate"):
-        Truncation.build(G1, spec, PotentialSpec(), 4)
 
 
 def test_truncation_refuses_a_target_that_is_not_a_neighbour():
@@ -729,11 +718,11 @@ _CYCLE = GraphModel.explicit(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 @pytest.mark.parametrize("call, exc, named", [
     (lambda: Truncation.build(G1, MarkovSpec(
-        rate=lambda v: -0.5 if v == (1,) else 1.0, sup_rate=1.0,
-        kernel=SPEC.kernel), PotentialSpec(), 3), ConfigError,
-     "rate -0.5 at vertex (1,)"),
+        rate=lambda v: -0.5 if v == (1,) else 1.0,
+        kernel=SPEC.kernel), PotentialSpec(), 3), DomainError,
+     "rate at vertex (1,) must be >= 0, got -0.5"),
     (lambda: Truncation.build(G1, MarkovSpec(
-        rate=lambda v: 1.0, sup_rate=1.0, kernel=_without_targets_at_origin),
+        rate=lambda v: 1.0, kernel=_without_targets_at_origin),
         PotentialSpec(), 3), ConfigError,
      "vertex (0,) has a positive rate 1.0 but no jump targets"),
     (lambda: Truncation.build(G1, SPEC, PotentialSpec(), -1), DomainError,

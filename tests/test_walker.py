@@ -61,6 +61,15 @@ def test_zero_rate_walker_sits():
     assert p.jumps == 0 and p.local_time == {0: 5.0}
 
 
+def test_a_walker_reaching_a_rate_zero_vertex_sits_there():
+    # The hold there divided by the rate 0 and raised ZeroDivisionError.
+    spec = MarkovSpec(rate=lambda v: 0.0 if v == (1,) else 1.0,
+                      kernel=lambda v: ([(v[0] + 1,)], [1.0]))
+    p = sample_path(G1, spec, (0,), 50.0, seed=0)
+    assert p.endpoint == (1,) and p.jumps == 1
+    assert math.fsum(p.local_time.values()) == pytest.approx(50.0)
+
+
 def test_jump_counts_mean_is_poisson_like():
     hist = sample_jump_counts(1.0, 2.0, 100000, seed=1)
     assert hist.sum() == 100000
@@ -153,8 +162,7 @@ def _explicit_spec(graph):
         targets = graph.neighbors(v)
         w = np.array([u + 1.0 for u in targets])
         return targets, list(np.cumsum(w / w.sum()))
-    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, sup_rate=2.0,
-                      kernel=kernel)
+    return MarkovSpec(rate=lambda v: 0.5 + 0.25 * v, kernel=kernel)
 
 
 # 0-1-2-0 triangle with a tail 2-3-4-5 and a chord 1-4
@@ -243,7 +251,7 @@ def _stopped_at_five():
     """G_EXPLICIT's walk with rate 0 at vertex 5, which has a neighbour."""
     base = _explicit_spec(G_EXPLICIT)
     spec = MarkovSpec(rate=lambda v: 0.0 if v == 5 else base.rate(v),
-                      sup_rate=2.0, kernel=base.kernel)
+                      kernel=base.kernel)
     return Truncation.build(G_EXPLICIT, spec, PotentialSpec(), 3), 5
 
 
@@ -477,8 +485,7 @@ def test_a_row_ending_below_one_sends_the_rest_to_its_last_target():
     # it, and the matrix keeps that target's probability, 1 - 2^-53 - 1/4.
     g = GraphModel.explicit(3, [(0, 1), (1, 2)])
     rows = {0: ([1], [1.0]), 1: ([0, 2], [0.25, _LAST_U]), 2: ([1], [1.0])}
-    spec = MarkovSpec(rate=lambda v: 1.0, sup_rate=1.0,
-                      kernel=rows.__getitem__)
+    spec = MarkovSpec(rate=lambda v: 1.0, kernel=rows.__getitem__)
     trunc = Truncation.build(g, spec, PotentialSpec(), 2)
     one, two = trunc.vertices.index(1), trunc.vertices.index(2)
     walks = sample_walks(trunc, [one], 1.0, _LastUniform(1e300))
@@ -529,9 +536,9 @@ _TIMED = {
     (lambda: sample_walks(Truncation.build(G1, SPEC, PotentialSpec(), 2),
                           [0, 1], -0.5, np.random.default_rng(0)),
      DomainError, "got -0.5"),
-    (lambda: sample_path(G1, MarkovSpec(rate=lambda v: -2.0, sup_rate=1.0,
+    (lambda: sample_path(G1, MarkovSpec(rate=lambda v: -2.0,
                                         kernel=SPEC.kernel), (0,), 1.0, 0),
-     ConfigError, "rate -2.0 at start vertex (0,)"),
+     DomainError, "rate at vertex (0,) must be >= 0, got -2.0"),
     (lambda: chernoff_jump_bound(0.0, 1.0, 3), DomainError, "got 0.0"),
     (lambda: chernoff_jump_bound(-1.0, 1.0, 3), DomainError, "got -1.0"),
     # These returned nan, or raised a bare "math domain error" at x = inf.
