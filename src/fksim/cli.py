@@ -526,6 +526,8 @@ def main(argv=None):
         if write is None and args.out is not None:
             parser.error(f"--out: {args.command} writes no CSV, so "
                          f"{args.out!r} would be ignored")
+        if args.out == "":
+            parser.error("--out: an empty path names no file")
     except SystemExit as err:   # a usage error is an input error: exit 1
         return 1 if err.code else 0
 
@@ -535,7 +537,7 @@ def main(argv=None):
             cfg["seed"] = str(args.seed)
         cfg = effective_config(args.command, cfg)
         res = run(cfg)
-        if write is not None and args.out:
+        if write is not None and args.out is not None:
             with open(args.out, "w") as out:
                 write(res, cfg, out)
         elif write is not None:

@@ -1,9 +1,10 @@
 """Graph geometry: lattices Z^d (l1 or l∞ adjacency) and explicit finite graphs.
 
 Vertices of lattice graphs are integer coordinate tuples of arity d (a
-vertex of another shape, a bare number included, is refused by name);
-vertices of explicit graphs are 0-based integer indices, whose BFS hop
-counts are cached as one int64 array per source.
+vertex of another shape, a bare number included, is refused by name), whose
+balls and distances come from the lattice norm alone; vertices of explicit
+graphs are 0-based integer indices, whose balls and hop counts come from one
+breadth-first search per source, cached as its order and layer ends.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _index(v, name):
 class GraphModel:
     """A rooted graph with distance, ball enumeration and lattice coordination counts.
 
-    Immutable after construction (distance caches aside).
+    Immutable after construction (BFS caches aside).
     """
 
     def __init__(self, kind, d, root, adjacency=None):
@@ -47,7 +48,8 @@ class GraphModel:
         self.d = int(d)
         self.root = root
         self.adjacency = adjacency
-        self._dist_cache = {}
+        self._combine = {ZD_L1: np.add, ZD_LINF: np.maximum}.get(kind)
+        self._bfs_cache = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -139,34 +141,29 @@ class GraphModel:
         return list(self.adjacency[v])
 
     def distance(self, u, v):
-        """Graph distance; raises InputError for invalid or disconnected pairs."""
-        u, v = self.check_vertex(u), self.check_vertex(v)
-        if self.kind == ZD_L1:
-            return sum(abs(a - b) for a, b in zip(u, v))
-        if self.kind == ZD_LINF:
-            return max(abs(a - b) for a, b in zip(u, v))
-        hops = self._bfs_from(u)[v]
-        if hops < 0:
-            raise InputError(f"no path between {u} and {v}")
-        return int(hops)
+        """The entry of ``distances([u], [v])`` as a Python int."""
+        return int(self.distances([u], [v])[0, 0])
 
     def distances(self, us, vs):
         """Graph distances as an int64 matrix, a row per vertex of ``us`` and
         a column per vertex of ``vs``: the lattice norm of the coordinate
-        differences, or BFS distances; each vertex is refused as
-        ``check_vertex`` refuses it, and a pair as ``distance`` does."""
+        differences, or hop counts from each row's cached BFS; each vertex is
+        refused as ``check_vertex`` refuses it, and a disconnected pair with
+        an InputError naming it."""
         if self.kind in _LATTICE_KINDS:
             a, b = (np.array([self.check_vertex(w) for w in ws],
                              dtype=np.int64).reshape(-1, self.d)
                     for ws in (us, vs))
-            diff = np.abs(a[:, None] - b[None])
-            return diff.sum(axis=2) if self.kind == ZD_L1 else diff.max(axis=2)
+            return self._combine.reduce(np.abs(a[:, None] - b[None]), axis=2)
         us = [self.check_vertex(u) for u in us]
         vs = [self.check_vertex(v) for v in vs]
         out = np.empty((len(us), len(vs)), dtype=np.int64)
         cols = np.array(vs, dtype=np.intp)
         for i, u in enumerate(us):
-            out[i] = self._bfs_from(u)[cols]
+            order, ends = self._bfs(u)
+            hops = np.full(len(self.adjacency), -1, dtype=np.int64)
+            hops[order] = np.repeat(range(len(ends)), np.diff(ends, prepend=0))
+            out[i] = hops[cols]
         if (out < 0).any():
             i, j = np.argwhere(out < 0)[0]
             raise InputError(f"no path between {us[i]} and {vs[j]}")
@@ -179,54 +176,48 @@ class GraphModel:
             raise DomainError(f"grid norms need a lattice kind, not "
                               f"{self.kind!r}")
         a = np.abs(coords).astype(float)
-        combine = np.add if self.kind == ZD_L1 else np.maximum
-        return reduce(combine.outer, [a] * self.d)
+        return reduce(self._combine.outer, [a] * self.d)
 
-    def _bfs_from(self, u):
-        """Hop counts from the vertex ``u`` of an explicit graph to every
-        vertex, -1 where there is no path, as one int64 array cached per
-        source."""
-        dist = self._dist_cache.get(u)
-        if dist is None:
-            dist = np.full(len(self.adjacency), -1, dtype=np.int64)
-            layers = self._spheres(u, len(self.adjacency) - 1)
-            for k, layer in enumerate(layers):
-                dist[layer] = k
-            self._dist_cache[u] = dist
-        return dist
+    def _bfs(self, source):
+        """The vertices an explicit graph's BFS from ``source`` reaches, in
+        discovery order as an int64 array, and the end of each nonempty layer
+        in it, cached per source."""
+        hit = self._bfs_cache.get(source)
+        if hit is None:
+            seen = [False] * len(self.adjacency)
+            seen[source] = True
+            order, ends = [source], [1]
+            for i, v in enumerate(order):   # order is the FIFO queue
+                if i == ends[-1]:   # the next layer is all in order now
+                    ends.append(len(order))
+                for w in self.adjacency[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        order.append(w)
+            hit = np.array(order, dtype=np.int64), ends
+            self._bfs_cache[source] = hit
+        return hit
 
-    # -- spheres and balls -------------------------------------------------
-
-    def _spheres(self, center, n):
-        """Spheres 0..n via breadth-first layers, to the last nonempty one."""
-        if n < 0:
-            raise DomainError(f"radius must be >= 0, got {n}")
-        center = self.check_vertex(center)
-        layers = [[center]]
-        seen = {center}
-        for _ in range(n):
-            nxt = []
-            for v in layers[-1]:
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:   # a finite graph's radius may pass its diameter
-                break
-            layers.append(nxt)
-        return layers
+    # -- balls -------------------------------------------------------------
 
     def ball(self, center, n):
         """Ordered vertex list of the radius-n ball.
 
         Lattice kinds are lexicographically ordered for reproducible matrices;
-        explicit graphs keep BFS insertion order.  Either way the radius-k
+        explicit graphs keep BFS discovery order.  Either way the radius-k
         ball, k <= n, is the radius-n ball's vertices within k, in order.
         """
-        verts = [v for layer in self._spheres(center, n) for v in layer]
+        n = _index(n, "radius")
+        if n < 0:
+            raise DomainError(f"radius must be >= 0, got {n}")
+        center = self.check_vertex(center)
         if self.kind in _LATTICE_KINDS:
-            verts.sort()
-        return verts
+            # argwhere lists the box's points in lexicographic order.
+            inside = self.grid_norms(np.arange(-n, n + 1)) <= n
+            points = np.argwhere(inside) + (np.array(center) - n)
+            return list(map(tuple, points.tolist()))
+        order, ends = self._bfs(center)
+        return order[:ends[min(n, len(ends) - 1)]].tolist()
 
     def coordination_count(self, n):
         """c_n: number of vertices at distance exactly n from the root of a

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_nonnegative
+from .errors import DomainError, check_nonnegative
 
 # Walkers advanced together by sample_walks, so that its working arrays
 # stay bounded whatever the number of walkers; the draws depend on it.
@@ -248,7 +248,7 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     check_nonnegative(q, "q", positive=True)
     check_nonnegative(horizon, "horizon")
     if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths!r}")
+        raise DomainError(f"n_paths must be >= 1, got {n_paths!r}")
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     hist = np.zeros(cap, dtype=np.int64)
@@ -265,7 +265,7 @@ def sample_jump_counts(q, horizon, n_paths, seed):
         k = 1
         while arrival.size:
             if k == cap:
-                raise ConfigError("jump-count cap saturated; horizon too "
+                raise DomainError("jump-count cap saturated; horizon too "
                                   "large")
             arrival += rng.standard_exponential(arrival.size) * scale
             alive = arrival < horizon

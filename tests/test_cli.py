@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import inspect
 import math
@@ -1297,6 +1298,36 @@ def test_benchmark_configs_repeat_for_a_seed(name, tmp_path, capsys):
     assert runs[0][0] == 0
 
 
+# Root-ball geometry of each benchmark config that names a radius, taken at
+# the version before lattice balls came from the norm: sha256 of the
+# vertices, dist, nbr and offdiag bytes.  No BLAS call enters them, so the
+# thread count cannot move them.
+_BENCH_GEOMETRY = {"exact_rigidity_demo": "741f5760adfe95b9",
+                   "exact_spectral_check": "7a487fef2aa1cb1f",
+                   "exact_sweep_variance": "d87560cecdc33e5d",
+                   "mc_fk_compare": "9165eca6e64f689d",
+                   "mc_paired": "d87560cecdc33e5d",
+                   "power_spectral_check": "247b7baef7be1234"}
+
+
+def _geometry_digest(cfg):
+    radius = int(cfg.get("radius", cfg.get("box_radius")))
+    graph, _, pot, spec = cli._model_from(cli.effective_config(
+        "fk-compare", {k: v for k, v in cfg.items() if k in cli._MODEL_KEYS}))
+    trunc = operators.Truncation.build(graph, spec, pot, radius)
+    digest = hashlib.sha256(np.array(trunc.vertices, dtype=np.int64).tobytes())
+    for arr in (trunc.dist, trunc.nbr, *trunc.offdiag):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_benchmark_truncation_geometry_is_pinned():
+    cfgs = {p.stem: cli.parse_config(p) for p in _BENCH_CONFIGS.glob("*.cfg")}
+    got = {name: _geometry_digest(cfg) for name, cfg in cfgs.items()
+           if {"radius", "box_radius"} & cfg.keys()}
+    assert got == _BENCH_GEOMETRY
+
+
 def test_every_traced_function_exists():
     # perfbench traces these functions at their module paths; one that is
     # renamed or moved would drop its layer metrics from a traced run.
@@ -1712,6 +1743,22 @@ def test_out_is_refused_where_no_csv_is_written(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert f"--out: {command} writes no CSV" in captured.err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep-variance", "t_exp_min = 1\nt_exp_max = 3\n"),
+    ("rigidity-demo", "radius = 2\nmembers = 5\n"),
+    ("tail-check", "n_paths = 1000\n")],
+    ids=["sweep-variance", "rigidity-demo", "tail-check"])
+def test_an_empty_out_path_is_refused(tmp_path, capsys, monkeypatch, command,
+                                      text):
+    # tail-check --out "" printed its CSV on stdout and exited 0.
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, text)
+    assert cli.main([command, "--config", path, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.listdir(tmp_path) == ["run.cfg"]
+    assert "--out: an empty path names no file" in captured.err
 
 
 @pytest.mark.parametrize("text, default", [

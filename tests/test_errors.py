@@ -9,7 +9,7 @@ import pytest
 
 import fksim
 from fksim import operators, walker
-from fksim.errors import ConfigError, DomainError, check_nonnegative
+from fksim.errors import DomainError, check_nonnegative
 from fksim.lattice import GraphModel
 from fksim.noise import iid_gaussian
 from fksim.operators import PotentialSpec, Truncation
@@ -148,7 +148,7 @@ def test_every_function_refuses_a_sample_count_of_zero_by_name(name):
     # No draw gives no evidence: mc_dirichlet_trace returned a trace with a
     # NaN SE, and moment_bound_probe a ratio of 0.0 that passes any bound.
     count, call = _COUNT_CALLS[name]
-    with pytest.raises((ConfigError, DomainError), match=rf"\b{count}\b"):
+    with pytest.raises(DomainError, match=rf"\b{count}\b"):
         call(0)
 
 

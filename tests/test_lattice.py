@@ -245,8 +245,9 @@ def _grid_graph(side):
 
 def test_explicit_distances_cache_one_array_per_source():
     # Every source's BFS is cached for the life of the graph.  As one int64
-    # array of hop counts each, the cache and the result matrix are n^2
-    # entries apiece; as one dict per source the peak was 6.7 n^2 entries.
+    # array of at most n vertices each (its discovery order), the cache and
+    # the result matrix are n^2 entries apiece; as one dict per source the
+    # peak was 6.7 n^2 entries.
     g = _grid_graph(16)
     n = 256
     tracemalloc.start()
@@ -293,12 +294,20 @@ def _empty_edge_list(tmp_path):
     (lambda tmp: GraphModel.zd_l1(2).check_vertex((1,)), InputError,
      "vertex (1,)"),
     (lambda tmp: GraphModel.zd_l1(1).ball((0,), -1), DomainError, "got -1"),
+    (lambda tmp: GraphModel.zd_l1(1).ball((0,), 2.5), InputError,
+     "radius 2.5 is not an integer"),
+    (lambda tmp: _EXPLICIT.ball(2, 2.5), InputError,
+     "radius 2.5 is not an integer"),
+    (lambda tmp: Truncation.build(_EXPLICIT, symmetric_walk(_EXPLICIT, 1.0),
+                                  PotentialSpec(), 2.5), InputError,
+     "radius 2.5 is not an integer"),
     (lambda tmp: GraphModel.zd_l1(2).coordination_count(-1), InputError,
      "got -1"),
     (lambda tmp: _EXPLICIT.grid_norms(np.arange(3)), DomainError,
      "'explicit'")],
     ids=["kind", "dimension", "self-loop", "root", "n-vertices", "empty-file",
-         "explicit-vertex", "lattice-vertex", "ball", "coordination",
+         "explicit-vertex", "lattice-vertex", "ball", "ball-radius",
+         "explicit-ball-radius", "truncation-radius", "coordination",
          "grid-norms"])
 def test_graph_refusals_name_the_value(tmp_path, call, exc, named):
     with pytest.raises(exc, match=re.escape(named)):
@@ -319,6 +328,88 @@ def test_explicit_ball_stops_at_the_last_layer():
     # the radius of a tiny t (10^12) used to step through every empty one.
     assert _EXPLICIT.ball(2, 10 ** 12) == _EXPLICIT.ball(2, 3)
     assert len(_EXPLICIT.ball(6, 10 ** 12)) == 1
+
+
+def _bfs_layers(graph, center, n):
+    """Layers 0..n of a plain breadth-first search over ``neighbors`` from
+    ``center``: the reference the geometry routes are held to."""
+    layers, seen = [[center]], {center}
+    for _ in range(n):
+        nxt = []
+        for v in layers[-1]:
+            for w in graph.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        layers.append(nxt)
+    return layers
+
+
+def _bfs_ball(graph, center, n):
+    """The radius-n ball of the reference BFS: sorted on the lattices, in
+    discovery order on explicit graphs."""
+    verts = [v for layer in _bfs_layers(graph, center, n) for v in layer]
+    return verts if graph.kind == "explicit" else sorted(verts)
+
+
+_LATTICES = {"z1": GraphModel.zd_l1(1), "z2-l1": GraphModel.zd_l1(2),
+             "z2-linf": GraphModel.zd_linf(2), "z3-l1": GraphModel.zd_l1(3)}
+# A grid, an irregular graph, and one of four components, two of them
+# isolated vertices.
+_EXPLICITS = {
+    "grid": _grid_graph(5),
+    "irregular": GraphModel.explicit(9, [(0, 5), (5, 2), (2, 8), (8, 0),
+                                         (5, 7), (7, 3), (3, 1), (1, 6),
+                                         (6, 4), (4, 7), (2, 3)], root=5),
+    "disconnected": GraphModel.explicit(8, [(0, 1), (1, 2), (3, 4), (4, 5),
+                                            (5, 3)], root=1)}
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICES))
+@pytest.mark.parametrize("where", ["root", "off-root"])
+def test_lattice_ball_is_the_sorted_bfs_ball(name, where):
+    g = _LATTICES[name]
+    center = g.root if where == "root" else (3, -2, 5)[:g.d]
+    for n in range(7):
+        got = g.ball(center, n)
+        assert got == _bfs_ball(g, center, n)
+        assert {type(v) for v in got} == {tuple}
+        assert {type(c) for v in got for c in v} == {int}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPLICITS))
+def test_explicit_geometry_is_the_bfs_geometry(name):
+    g = _EXPLICITS[name]
+    size = len(g.adjacency)
+    for u in range(size):
+        for n in range(7):
+            got = g.ball(u, n)
+            assert got == _bfs_ball(g, u, n)
+            assert {type(v) for v in got} == {int}
+        hops = {v: k for k, layer in enumerate(_bfs_layers(g, u, size))
+                for v in layer}
+        reached = sorted(hops)
+        assert g.distances([u], reached)[0].tolist() == \
+            [hops[v] for v in reached]
+        for v in sorted(set(range(size)) - hops.keys()):
+            with pytest.raises(InputError, match=f"no path between {u} and "
+                                                 f"{v}"):
+                g.distances([u], [v])
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICES) + sorted(_EXPLICITS))
+def test_geometry_queries_call_no_neighbors(name, monkeypatch):
+    # Lattice balls come from the norm and explicit ones from the BFS over
+    # the adjacency tuples; neither walks neighbors() lists.
+    g = {**_LATTICES, **_EXPLICITS}[name]
+    want = _bfs_ball(g, g.root, 4)
+
+    def refuse(self, v):
+        raise AssertionError("neighbors called")
+
+    monkeypatch.setattr(GraphModel, "neighbors", refuse)
+    assert g.ball(g.root, 4) == want
+    assert g.distances([g.root], want).max() <= 4
 
 
 def test_explicit_graph_takes_numpy_integers():

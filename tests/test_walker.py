@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fksim import walker
-from fksim.errors import ConfigError, DomainError
+from fksim.errors import DomainError
 from fksim.lattice import GraphModel
 from fksim.operators import PotentialSpec, Truncation
 from fksim.walker import (MarkovSpec, chernoff_jump_bound,
@@ -102,7 +102,7 @@ def test_negative_horizon_rejected():
 
 @pytest.mark.parametrize("horizon", [0.0, 0.5])
 def test_jump_counts_refuse_a_negative_path_count(horizon):
-    with pytest.raises(ConfigError, match="n_paths"):
+    with pytest.raises(DomainError, match="n_paths"):
         sample_jump_counts(1.0, horizon, -3, seed=0)
 
 
@@ -357,7 +357,7 @@ def _jump_hist_by_chunk_rounds(q, horizon, n_paths, seed):
             live = live[elapsed[live] < horizon]
             movers[live] += 1
         if live.size:
-            raise ConfigError("jump-count cap saturated")
+            raise DomainError("jump-count cap saturated")
     return np.bincount(counts, minlength=cap)
 
 
@@ -410,7 +410,7 @@ def test_jump_count_cap_refuses_exactly_at_cap_arrivals(monkeypatch,
                         lambda seed: _EvenHolds(hold, 0.5))
     if arrivals == 41:
         for sampler in (sample_jump_counts, _jump_hist_by_chunk_rounds):
-            with pytest.raises(ConfigError):
+            with pytest.raises(DomainError):
                 sampler(1.0, 0.5, 1000, 0)
     else:
         hist = sample_jump_counts(1.0, 0.5, 1000, 0)
