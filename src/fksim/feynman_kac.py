@@ -13,10 +13,10 @@ only the others, conditioned on a first jump, as does the paired-walker
 variance.  It takes the pair terms of its sitters in closed form and pairs
 only the walked rows that return, through their products with the box
 covariance; the rest weigh 0.  Deterministic routes evaluate the
-frozen-walk double sum on a certified box: on the lattices in closed radial
-form for independent and constant noise and for power decay as one FFT
-autocorrelation of the weights against the covariance kernel, and on
-explicit graphs as the pairwise sum over the ball for every kind.
+frozen-walk double sum on a certified box: in radial form on every graph
+for independent and constant noise, and for power decay as one FFT
+autocorrelation of the weights against the covariance kernel on the
+lattices and as the pairwise sum over the ball on explicit graphs.
 ``frozen_variance_sum`` is the one route to that sum, and it decides what
 a sum may be: exactly 0.0 at gamma0 = 0, otherwise a normal float, or a
 ``DomainError`` that names the normal floats.  This module owns the array
@@ -295,14 +295,20 @@ def _radial_weight_sum(graph, pot, c, r):
     """sum over n = 0..r of c_n e^{-c V(n)}, V(n) = (kappa n)^alpha; ``pot``
     has mu = 0.
 
-    The terms are summed exactly, in blocks of ``_RADIAL_CHUNK``.  On Z^1 a
-    box radius past ``_EXACT_TERM_CAP`` adds the remainder as a certified
+    An explicit graph counts c_n in its radius-r ball; the lattices sum
+    ``coordination_count`` in blocks of ``_RADIAL_CHUNK``.  On Z^1 a box
+    radius past ``_EXACT_TERM_CAP`` adds the remainder as a certified
     integral lower bound instead: c_n = 2 for n >= 1 on both kinds, and the
-    summand e^{-b n^alpha}, b = c kappa^alpha, decreases, so its
-    sum over n = cap + 1 .. r is at least its integral from cap + 1 to r + 1,
-    a difference of upper incomplete gamma functions.  Other graphs sum
+    summand e^{-b n^alpha}, b = c kappa^alpha, decreases, so its sum over
+    n = cap + 1 .. r is at least its integral from cap + 1 to r + 1, a
+    difference of upper incomplete gamma functions.  Other lattices sum
     every term, and refuse more than ``_TERM_CAP`` before summing.
     """
+    if graph.kind not in (ZD_L1, ZD_LINF):   # c_n counted in the ball
+        ball = graph.ball(graph.root, r)
+        counts = np.bincount(graph.distances([graph.root], ball)[0])
+        ns = np.arange(counts.size, dtype=float)
+        return float(np.dot(counts, np.exp(-c * pot.radial(ns))))
     n_exact = min(r, _EXACT_TERM_CAP) if graph.d == 1 else r
     if n_exact > _TERM_CAP:
         raise DomainError(f"alpha = {pot.alpha!r} and kappa = {pot.kappa!r} "
@@ -382,15 +388,21 @@ def _log_frozen_sum(t, graph, pot, model):
     expm1(t^2 gamma) is e^{2x} (1 - e^{-x}) ``_pair_kernel``, and every term
     has e^{2 t mu} from V = (kappa d)^alpha - mu.  I >= 1 sums w(u) w(v)
     kernel(u, v), w = e^{-tV} at mu = 0, over the box of ``radius_for``: by
-    the radial sums S(2t) and S(t)^2 on the lattices for independent and
-    constant noise, a convolution for power decay, pairwise on explicit graphs.
+    the radial sums S(2t) and S(t)^2 for independent and constant noise, and
+    for power decay by a convolution, or pairwise on explicit graphs.
     """
     r = radius_for(t, pot.alpha, pot.kappa)
     x = t * t * model.gamma0
     if not 0.0 < x < inf:
         return -inf if x == 0.0 else inf
     pot0 = PotentialSpec(pot.alpha, pot.kappa)
-    if graph.kind not in (ZD_L1, ZD_LINF):
+    if model.kind == IID:
+        log_i = log(_radial_weight_sum(graph, pot0, 2.0 * t, r))
+    elif model.kind != POWER_DECAY:   # constant
+        log_i = 2.0 * log(_radial_weight_sum(graph, pot0, t, r))
+    elif graph.kind in (ZD_L1, ZD_LINF):
+        log_i = log(_power_decay_pair_sum(t, graph, pot0, model, r))
+    else:
         verts = graph.ball(graph.root, r)
         if len(verts) ** 2 > _PAIR_CAP:
             raise DomainError(f"pairwise sum over {len(verts)} vertices is "
@@ -398,12 +410,6 @@ def _log_frozen_sum(t, graph, pot, model):
         w = np.exp(-t * pot0.radial(graph.distances([graph.root], verts)[0]))
         kern = _pair_kernel(t * t * covariance_matrix(model, graph, verts), x)
         log_i = log(float(w @ kern @ w))
-    elif model.kind == POWER_DECAY:
-        log_i = log(_power_decay_pair_sum(t, graph, pot0, model, r))
-    elif model.kind == IID:
-        log_i = log(_radial_weight_sum(graph, pot0, 2.0 * t, r))
-    else:
-        log_i = 2.0 * log(_radial_weight_sum(graph, pot0, t, r))
     # Within eps of log(1 - e^-x) at any x > 0 (Maechler's log1p branch gains
     # digits past x = ln 2 that 2x swamps).
     return 2.0 * x + log(-expm1(-x)) + log_i + 2.0 * t * pot.mu

@@ -14,6 +14,7 @@ from fksim.noise import (constant_gaussian, iid_gaussian, moment_bound_probe,
 from fksim.operators import PotentialSpec, Truncation, multiplicity_pushforward
 from fksim.walker import sample_walks, symmetric_walk
 from fksim import feynman_kac as fk
+from gasket import sierpinski_gasket
 
 G1 = GraphModel.zd_l1(1)
 SPEC = symmetric_walk(G1, 1.0)
@@ -250,3 +251,26 @@ def test_criterion_14_scaling_power_decay_d2():
             slopes.append(f"{slope:.4f}")
             ok = ok and abs(slope - beta / 2.0) <= 0.1
     _report(14, f"power-decay scaling on Z^2, slopes={slopes}", ok)
+
+
+def test_criterion_15_frozen_exponent_follows_volume_growth():
+    # On the level-10 Sierpinski gasket, rooted at a corner, balls grow as
+    # r^{d_f}, d_f = log2 3, and the frozen exponents are 2 - d_f/alpha for
+    # independent noise and 2 - 2 d_f/alpha for constant noise at alpha = 2.
+    # radius_for(2^-14) = 714 stays inside the side of 1024.  The local
+    # slopes wobble log-periodically (1.2061 to 1.2112 for independent
+    # noise between neighbouring t), so the fit over t = 2^-10..2^-14 is
+    # held within 0.01; the Z^1 and Z^2 exponents miss by more than 0.2.
+    graph = sierpinski_gasket(10)
+    assert len(graph.adjacency) == 88_575
+    assert fk.radius_for(2.0 ** -14) == 714 < 1024
+    d_f = math.log2(3.0)
+    ok, slopes = True, []
+    for model, want in ((iid_gaussian(1.0), 2.0 - d_f / 2.0),
+                        (constant_gaussian(1.0), 2.0 - d_f)):
+        rows = [(t, fk.frozen_variance_sum(t, graph, POT, model))
+                for t in (2.0 ** -k for k in range(10, 15))]
+        slope, _, _ = fit_exponent(rows)
+        slopes.append(f"{slope:.4f}")
+        ok = ok and abs(slope - want) <= 0.01
+    _report(15, f"frozen exponents on the gasket, slopes={slopes}", ok)

@@ -1810,20 +1810,49 @@ def test_cli_names_the_bad_edge_list_line(tmp_path, capsys):
         f"error: {graph}:3: expected an edge 'u v', got '1 x'\n"
 
 
+def _star_file(tmp_path):
+    """An edge list of the star of 6400 leaves, rooted at its centre."""
+    graph = tmp_path / "star.txt"
+    graph.write_text("6401 0\n" + "".join(f"0 {k}\n" for k in range(1, 6401)))
+    return graph
+
+
 def test_sweep_refuses_a_pairwise_sum_over_the_cap(tmp_path, capsys,
                                                   sweep_calls):
     # A star of 6400 leaves: 6401 ball vertices at every certified radius,
-    # 6401^2 pairs over the pairwise cap.  Refused at the first grid t, by
-    # the key that sets it, after one frozen sum and before the ensemble.
-    graph = tmp_path / "star.txt"
-    graph.write_text("6401 0\n" + "".join(f"0 {k}\n" for k in range(1, 6401)))
-    path = _write(tmp_path, _EDGE_LIST.format(graph) + "t_exp_min = 1\n"
+    # 6401^2 pairs over the pairwise cap, which only power decay meets on an
+    # explicit graph.  Refused at the first grid t, by the key that sets it,
+    # after one frozen sum and before the ensemble.
+    path = _write(tmp_path, _EDGE_LIST.format(_star_file(tmp_path))
+                  + "noise = power_decay\nbeta = 1\nt_exp_min = 1\n"
                   "t_exp_max = 4\nensemble = 40\n")
     assert cli.main(["sweep-variance", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and sweep_calls == ["frozen"]
     assert captured.err == ("error: t_exp_min = 1 reaches t = 2^-1: pairwise "
                             "sum over 6401 vertices is too large\n")
+
+
+def test_sweep_takes_independent_noise_on_a_star_over_the_pair_cap(
+        tmp_path, capsys, monkeypatch):
+    # Independent noise takes the radial sum over the star's two shells,
+    # which no pair cap limits and which builds no covariance matrix:
+    # e^{2x} (1 - e^{-x}) (1 + 6400 e^{-2t}), x = t^2, at V = d^2.
+    def built(*args, **kwargs):
+        raise AssertionError("a covariance matrix was built")
+
+    monkeypatch.setattr(fksim.feynman_kac, "covariance_matrix", built)
+    rows = _sweep_rows(tmp_path, _EDGE_LIST.format(_star_file(tmp_path))
+                       + "t_exp_min = 1\nt_exp_max = 4\n", seed=3)
+    assert [r["t"] for r in rows] == [0.5, 0.25, 0.125, 0.0625]
+    for r in rows:
+        t = r["t"]
+        want = math.exp(2.0 * t * t) * -math.expm1(-t * t) \
+            * (1.0 + 6400.0 * math.exp(-2.0 * t))
+        assert r["frozen"] == pytest.approx(want, rel=1e-14, abs=0.0), t
+    assert rows[0]["frozen"] == pytest.approx(859.0149804723721, rel=1e-14,
+                                               abs=0.0)
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_sweep_example_runs(tmp_path, capsys):
@@ -1883,9 +1912,10 @@ def test_sweep_radius_column(tmp_path, capsys, text, radius):
                                    "noise = power_decay\nbeta = 1\n"])
 def test_sweep_on_an_explicit_graph_takes_the_pairwise_sum(tmp_path, capsys,
                                                             noise):
-    # The 10-cycle has no closed radial counts: every noise kind takes the
-    # pairwise sum over the ball.  iid and constant noise used to fail with
-    # "radial closed forms require a lattice kind".
+    # The 10-cycle has no closed radial counts: iid and constant noise take
+    # the radial sum over its ball's shells, and power decay the pairwise
+    # sum over the ball.  iid and constant noise used to fail with "radial
+    # closed forms require a lattice kind".
     text = (_EDGE_LIST.format(_cycle_file(tmp_path)) + noise
             + "t_exp_min = 6\nt_exp_max = 9\n")
     rows = _sweep_rows(tmp_path, text, seed=3)

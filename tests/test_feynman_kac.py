@@ -16,6 +16,7 @@ from fksim.operators import PotentialSpec, Truncation, expm_neg
 from fksim.walker import (MarkovSpec, sample_path, sample_walks,
                           symmetric_walk)
 from fksim import feynman_kac as fk, noise
+from gasket import sierpinski_gasket
 
 G1 = GraphModel.zd_l1(1)
 SPEC = symmetric_walk(G1, 1.0)
@@ -778,8 +779,9 @@ def test_power_decay_convolution_matches_pairwise(graph, beta, r):
                          ids=["iid", "constant", "power_decay"])
 def test_explicit_path_graph_takes_the_pairwise_route(model):
     # A path graph rooted in its middle is Z^1 out to the certified radius,
-    # so the explicit graph's pairwise sum is a second route to the lattice
-    # radial sums and convolution at a certified radius, for every kind.
+    # so the explicit graph's routes are second routes to the lattice ones:
+    # the radial sums over its ball's shells for independent and constant
+    # noise, and the pairwise sum against the convolution for power decay.
     t = 2.0 ** -6
     r = fk.radius_for(t)
     path = GraphModel.explicit(2 * r + 1, [(i, i + 1) for i in range(2 * r)],
@@ -1136,7 +1138,8 @@ def test_a_lower_bound_below_the_normal_floats_is_refused(t, gamma0):
 def test_explicit_pairwise_sum_refuses_too_many_vertices(monkeypatch):
     # A star of 6400 leaves: its ball holds 6401 vertices at any radius
     # >= 1, 6401^2 = 40 972 801 pairs, over the pairwise cap of 40 million.
-    # Refused before the covariance matrix is built.
+    # Only power decay takes the pairwise sum on an explicit graph, so only
+    # it meets the cap; it is refused before the covariance matrix is built.
     star = GraphModel.explicit(6401, [(0, k) for k in range(1, 6401)])
 
     def started(*args, **kwargs):
@@ -1146,4 +1149,176 @@ def test_explicit_pairwise_sum_refuses_too_many_vertices(monkeypatch):
     assert fk._PAIR_CAP == 40_000_000
     with pytest.raises(DomainError, match="pairwise sum over 6401 vertices "
                                           "is too large"):
-        fk.frozen_variance_sum(0.5, star, POT, iid_gaussian(1.0))
+        fk.frozen_variance_sum(0.5, star, POT, power_decay_gaussian(1.0))
+
+
+def _no_covariance(*args, **kwargs):
+    raise AssertionError("a covariance matrix was built")
+
+
+def _star_frozen(t, gamma0, leaves):
+    """The frozen sum on a star rooted at its centre, V = d^2: a ball of
+    radius >= 1 holds the centre (V = 0) and every leaf (V = 1), so with
+    x = t^2 gamma0 it is e^{2x} (1 - e^{-x}) (1 + leaves e^{-2t}) for
+    independent noise."""
+    x = t * t * gamma0
+    return math.exp(2.0 * x) * -math.expm1(-x) \
+        * (1.0 + leaves * math.exp(-2.0 * t))
+
+
+def test_independent_noise_on_a_star_over_the_pair_cap(monkeypatch):
+    # The pairwise route refused this star (6401^2 pairs over the cap);
+    # independent noise takes the radial sum of its two shells, and no
+    # covariance matrix is built.
+    star = GraphModel.explicit(6401, [(0, k) for k in range(1, 6401)])
+
+    monkeypatch.setattr(fk, "covariance_matrix", _no_covariance)
+    assert _star_frozen(0.5, 1.0, 6400) == pytest.approx(859.0149804723721,
+                                                         rel=1e-15)
+    for t in (0.5, 2.0 ** -3, 2.0 ** -6):
+        assert fk.frozen_variance_sum(t, star, POT, iid_gaussian(1.0)) == \
+            pytest.approx(_star_frozen(t, 1.0, 6400), rel=1e-14, abs=0.0)
+
+
+# -- one frozen-sum route per covariance structure -------------------------------
+
+
+def _pairwise_frozen(t, graph, pot, model):
+    """The frozen sum by the dense pairwise route, which explicit graphs
+    took for every noise kind until independent and constant noise moved to
+    the radial sum: w @ _pair_kernel(t^2 Gamma, x) @ w over the ball of
+    ``radius_for``, w = e^{-tV} at mu = 0 and x = t^2 gamma0, in logs."""
+    x = t * t * model.gamma0
+    verts = graph.ball(graph.root, fk.radius_for(t, pot.alpha, pot.kappa))
+    w = np.exp(-t * PotentialSpec(pot.alpha, pot.kappa).radial(
+        graph.distances([graph.root], verts)[0]))
+    kern = fk._pair_kernel(
+        t * t * noise.covariance_matrix(model, graph, verts), x)
+    return math.exp(2.0 * x + math.log(-math.expm1(-x))
+                    + math.log(float(w @ kern @ w)) + 2.0 * t * pot.mu)
+
+
+def _grid_graph(n):
+    """The n x n grid as an explicit graph, rooted at a corner."""
+    edges = [(i * n + j, i * n + j + 1) for i in range(n) for j in range(n - 1)]
+    edges += [(i * n + j, (i + 1) * n + j)
+              for i in range(n - 1) for j in range(n)]
+    return GraphModel.explicit(n * n, edges)
+
+
+_EXPLICIT_GRAPHS = {
+    "irregular": G_IRREGULAR,
+    "grid12": _grid_graph(12),
+    # The root 0 is isolated: its ball is itself at every radius.
+    "isolated-root": GraphModel.explicit(5, [(1, 2), (2, 3), (3, 4)]),
+    "star": GraphModel.explicit(641, [(0, k) for k in range(1, 641)]),
+    "gasket6": sierpinski_gasket(6)}
+
+
+@pytest.mark.parametrize("model", [iid_gaussian(0.8), constant_gaussian(1.3)],
+                         ids=["iid", "constant"])
+@pytest.mark.parametrize("name", _EXPLICIT_GRAPHS)
+def test_explicit_radial_route_matches_the_pairwise_sum(monkeypatch, name,
+                                                        model):
+    # Independent and constant noise take the radial sum over the ball's
+    # shells on explicit graphs, and agree with the pairwise sum they took
+    # before to roundoff, with no covariance matrix built.
+    graph = _EXPLICIT_GRAPHS[name]
+    pot = PotentialSpec(alpha=1.5, kappa=0.8, mu=0.3)
+    ts = (0.5, 2.0 ** -3, 2.0 ** -5, 2.0 ** -7)
+    want = [_pairwise_frozen(t, graph, pot, model) for t in ts]
+
+    monkeypatch.setattr(fk, "covariance_matrix", _no_covariance)
+    for t, pairwise in zip(ts, want):
+        assert fk.frozen_variance_sum(t, graph, pot, model) == \
+            pytest.approx(pairwise, rel=1e-13, abs=0.0), t
+
+
+def test_explicit_radial_route_stops_at_the_certified_radius(monkeypatch):
+    # Every graph above fits in its certified ball (radius >= 41); on the
+    # level-7 gasket (side 128) the ball is a part of the graph, and its
+    # shells beyond the radius are not counted.
+    graph = sierpinski_gasket(7)
+    pot = PotentialSpec(alpha=1.5, kappa=0.8, mu=0.3)
+    ts = (0.5, 0.25)
+    models = (iid_gaussian(0.8), constant_gaussian(1.3))
+    want = [_pairwise_frozen(t, graph, pot, model)
+            for t in ts for model in models]
+    for t in ts:
+        r = fk.radius_for(t, pot.alpha, pot.kappa)
+        assert len(graph.ball(graph.root, r)) < len(graph.adjacency)
+    monkeypatch.setattr(fk, "covariance_matrix", _no_covariance)
+    assert [fk.frozen_variance_sum(t, graph, pot, model)
+            for t in ts for model in models] == \
+        pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_explicit_radial_sum_needs_no_term_cap():
+    # alpha = 1/2 at t = 2^-10 certifies a radius of 800 559 850, past the
+    # term cap of 60 million; the 21-vertex path's ball is the whole path,
+    # so the sum has 11 shells.  The pairwise route gave this value.
+    t, pot = 2.0 ** -10, PotentialSpec(alpha=0.5)
+    assert fk.radius_for(t, 0.5, 1.0) == 800_559_850 > fk._TERM_CAP
+    path = GraphModel.explicit(21, [(i, i + 1) for i in range(20)], root=10)
+    assert fk.frozen_variance_sum(t, path, pot, iid_gaussian(1.0)) == \
+        pytest.approx(1.9943688066799255e-05, rel=1e-14, abs=0.0)
+
+
+def test_explicit_sums_ignore_the_exact_term_cap(monkeypatch):
+    # The Z^1 integral tail past _EXACT_TERM_CAP is the lattice's alone: an
+    # explicit graph reports d = 1, yet sums its ball's shells exactly.
+    models = (iid_gaussian(1.0), constant_gaussian(1.0),
+              power_decay_gaussian(beta=0.5))
+    pots = (POT, PotentialSpec(alpha=0.5))
+    cases = [(t, graph, pot, model) for graph in _EXPLICIT_GRAPHS.values()
+             for t in (0.5, 2.0 ** -6) for pot in pots for model in models]
+    every = [fk.frozen_variance_sum(*case) for case in cases]
+    monkeypatch.setattr(fk, "_EXACT_TERM_CAP", 10)
+    assert [fk.frozen_variance_sum(*case) for case in cases] == every
+
+
+def test_riemann_tail_sum_needs_a_lattice():
+    # Its certified tail reads the lattice's leading coordination constant;
+    # an explicit graph is refused by name, not by a ZeroDivisionError.
+    with pytest.raises(DomainError, match="lattice kind"):
+        fk.riemann_tail_sum(0.1, 1.0, 2.0, G_IRREGULAR)
+
+
+# Lattice frozen sums at POT, gamma0 = 1 and beta = 0.5, as float.hex at
+# t = 2^-2, 2^-6 and 2^-10, taken at the commit before independent and
+# constant noise left the pairwise route on explicit graphs: the lattices'
+# routes kept every bit when the dispatch was reordered by noise kind, and
+# none of them builds a covariance matrix.
+_LATTICE_FROZEN_BITS = {
+    ("z1", "iid"): ("0x1.6070beb16cc60p-3", "0x1.40f747d271a4ap-9",
+                    "0x1.40d95013c0966p-15"),
+    ("z1", "constant"): ("0x1.b9b7f29cf1c12p-1", "0x1.92456a1275eb6p-5",
+                         "0x1.921fdaf73da4bp-9"),
+    ("z1", "power_decay"): ("0x1.2c947365bbd4cp-1", "0x1.67d5cd3506cb6p-6",
+                            "0x1.a1addd211e2ddp-11"),
+    ("z2_l1", "iid"): ("0x1.46bb21aacc4fbp-2", "0x1.02c1d89fb8bddp-6",
+                       "0x1.002ac19d7a22ep-10"),
+    ("z2_l1", "constant"): ("0x1.4959fe27e9c21p+2", "0x1.02c42950c0379p+2",
+                            "0x1.002ac3ed2c59ep+2"),
+    ("z2_l1", "power_decay"): ("0x1.76d281a13a7eap+1", "0x1.582bdbe6b8e6ep+0",
+                               "0x1.68eb00a45bd10p-1"),
+    ("z2_linf", "iid"): ("0x1.239483e39433dp-1", "0x1.00c1a89d63549p-5",
+                         "0x1.000ac19a7a22fp-9"),
+    ("z2_linf", "constant"): ("0x1.2468af73120cfp+4", "0x1.00c24f04d6535p+4",
+                              "0x1.000ac23f8a10ap+4"),
+    ("z2_linf", "power_decay"): ("0x1.4601e6600be8cp+3",
+                                 "0x1.5453f9f3d02a5p+2",
+                                 "0x1.688c71bdd87e0p+1")}
+
+
+@pytest.mark.parametrize("key", _LATTICE_FROZEN_BITS,
+                         ids=lambda key: "-".join(key))
+def test_lattice_frozen_sums_keep_their_bits(monkeypatch, key):
+    monkeypatch.setattr(fk, "covariance_matrix", _no_covariance)
+    graph = {"z1": G1, "z2_l1": GraphModel.zd_l1(2),
+             "z2_linf": GraphModel.zd_linf(2)}[key[0]]
+    model = {"iid": iid_gaussian(1.0), "constant": constant_gaussian(1.0),
+             "power_decay": power_decay_gaussian(beta=0.5)}[key[1]]
+    got = tuple(fk.frozen_variance_sum(2.0 ** -k, graph, POT, model).hex()
+                for k in (2, 6, 10))
+    assert got == _LATTICE_FROZEN_BITS[key]

@@ -84,8 +84,9 @@ def test_coordination_count_arrays_are_exact(make, d):
 
 
 def test_coordination_count_arrays_need_a_lattice():
-    # Explicit graphs take the pairwise frozen sum, so nothing counts their
-    # spheres: a scalar n is refused as an array is.
+    # The closed forms are the lattices' alone: an explicit graph's radial
+    # sums count the shells of its ball, so a scalar n is refused as an
+    # array is.
     g = GraphModel.explicit(4, [(0, 1), (1, 2), (2, 3)])
     for n in (2, np.arange(1, 3)):
         with pytest.raises(DomainError, match="lattice kind"):
