@@ -1,7 +1,9 @@
-"""Shared exception types, and the one rule for a nonnegative real: every
-time, jump rate, exponent, scale and variance of the package is checked by
-``check_nonnegative``."""
+"""Shared exception types, and the one rule for a nonnegative real and the
+one for a sample count: every time, jump rate, exponent, scale and variance
+of the package is checked by ``check_nonnegative``, and every number of
+paths, draws, replicates or samples by ``check_count``."""
 
+import operator
 from math import isfinite
 
 
@@ -30,3 +32,15 @@ def check_nonnegative(value, name="t", *, positive=False):
         rule = "positive" if positive else ">= 0"
         raise DomainError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def check_count(value, name, least):
+    """``value`` as a Python int, an integer (numpy's too) >= ``least``; any
+    other raises ``DomainError`` naming ``name`` and the value."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} = {value!r} is not an integer") from None
+    if count < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    return count

@@ -37,7 +37,7 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DomainError, InputError, check_nonnegative
+from .errors import DomainError, InputError, check_count, check_nonnegative
 from .lattice import ZD_L1, ZD_LINF
 from .noise import (IID, POWER_DECAY, covariance_matrix, decay_kernel,
                     sample_fields)
@@ -120,8 +120,7 @@ def _trace_samples(trunc, field, t, n_paths, seed):
     field = np.asarray(field, dtype=float)
     if field.shape != trunc.potential.shape:
         raise InputError(f"field must have {len(trunc.potential)} values")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths!r}")
+    n_paths = check_count(n_paths, "n_paths", 1)
     per = ceil(n_paths / len(trunc.vertices))
     rng = np.random.default_rng(seed)
     cost = trunc.potential + field
@@ -172,9 +171,7 @@ def ensemble_variance(graph, spec, pot, model, n, ts, m_draws, seed):
     column less the first member's, so identical members give exactly 0
     and a t's estimate is that of a one-t call.
     """
-    if m_draws < 3:
-        raise DomainError(f"m_draws = {m_draws!r}: need at least three noise "
-                          "draws (the jackknife divides by m - 2)")
+    m_draws = check_count(m_draws, "m_draws", 3)   # the jackknife takes m - 2
     for t in ts:
         check_nonnegative(t)
     trunc = Truncation.build(graph, spec, pot, n)
@@ -217,8 +214,7 @@ def paired_walker_variance(graph, spec, pot, model, t, n_rep, box_radius,
     ``_MAX_ELEMS`` + 2 m^2 entries: Gamma and expm1(t^2 Gamma) come on
     top.  Walkers that do not return weigh 0 and enter no product.
     """
-    if n_rep < 2:
-        raise DomainError(f"n_rep = {n_rep!r}: need at least two replicates")
+    n_rep = check_count(n_rep, "n_rep", 2)
     check_nonnegative(t)
     trunc = Truncation.build(graph, spec, pot, box_radius)
     m = len(trunc.vertices)

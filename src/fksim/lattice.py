@@ -4,7 +4,7 @@ Vertices of lattice graphs are integer coordinate tuples of arity d (a
 vertex of another shape, a bare number included, is refused by name), whose
 balls and distances come from the lattice norm alone; vertices of explicit
 graphs are 0-based integer indices, whose balls and hop counts come from one
-breadth-first search per source, cached as its order and layer ends.
+breadth-first search per query and source, which stops once it is answered.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _index(v, name):
 class GraphModel:
     """A rooted graph with distance, ball enumeration and lattice coordination counts.
 
-    Immutable after construction (BFS caches aside).
+    Immutable after construction: no query caches or stores anything.
     """
 
     def __init__(self, kind, d, root, adjacency=None):
@@ -49,7 +49,6 @@ class GraphModel:
         self.root = root
         self.adjacency = adjacency
         self._combine = {ZD_L1: np.add, ZD_LINF: np.maximum}.get(kind)
-        self._bfs_cache = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -147,9 +146,9 @@ class GraphModel:
     def distances(self, us, vs):
         """Graph distances as an int64 matrix, a row per vertex of ``us`` and
         a column per vertex of ``vs``: the lattice norm of the coordinate
-        differences, or hop counts from each row's cached BFS; each vertex is
-        refused as ``check_vertex`` refuses it, and a disconnected pair with
-        an InputError naming it."""
+        differences, or hop counts from a BFS per row that stops once it
+        reaches all of ``vs``; each vertex is refused as ``check_vertex``
+        refuses it, and a disconnected pair with an InputError naming it."""
         if self.kind in _LATTICE_KINDS:
             a, b = (np.array([self.check_vertex(w) for w in ws],
                              dtype=np.int64).reshape(-1, self.d)
@@ -159,10 +158,11 @@ class GraphModel:
         vs = [self.check_vertex(v) for v in vs]
         out = np.empty((len(us), len(vs)), dtype=np.int64)
         cols = np.array(vs, dtype=np.intp)
+        want = set(vs)
         for i, u in enumerate(us):
-            order, ends = self._bfs(u)
+            order, ends = self._bfs(u, len(self.adjacency), want)
             hops = np.full(len(self.adjacency), -1, dtype=np.int64)
-            hops[order] = np.repeat(range(len(ends)), np.diff(ends, prepend=0))
+            hops[order] = np.repeat(range(len(ends) - 1), np.diff(ends))
             out[i] = hops[cols]
         if (out < 0).any():
             i, j = np.argwhere(out < 0)[0]
@@ -178,25 +178,24 @@ class GraphModel:
         a = np.abs(coords).astype(float)
         return reduce(self._combine.outer, [a] * self.d)
 
-    def _bfs(self, source):
-        """The vertices an explicit graph's BFS from ``source`` reaches, in
-        discovery order as an int64 array, and the end of each nonempty layer
-        in it, cached per source."""
-        hit = self._bfs_cache.get(source)
-        if hit is None:
-            seen = [False] * len(self.adjacency)
-            seen[source] = True
-            order, ends = [source], [1]
-            for i, v in enumerate(order):   # order is the FIFO queue
-                if i == ends[-1]:   # the next layer is all in order now
-                    ends.append(len(order))
+    def _bfs(self, source, n, want):
+        """An explicit graph's FIFO breadth-first search from ``source``: the
+        vertices it reaches, in discovery order, and the bounds of its layers
+        in that list.  It stops after layer ``n``, or once it has reached
+        every vertex in ``want``, at the end of that layer."""
+        seen = [False] * len(self.adjacency)
+        seen[source] = True
+        left = len(want) - (source in want)
+        order, ends = [source], [0, 1]   # layer k is order[ends[k]:ends[k+1]]
+        while ends[-2] < ends[-1] and left and len(ends) <= n + 1:
+            for v in order[ends[-2]:]:   # the last layer, copied
                 for w in self.adjacency[v]:
                     if not seen[w]:
                         seen[w] = True
                         order.append(w)
-            hit = np.array(order, dtype=np.int64), ends
-            self._bfs_cache[source] = hit
-        return hit
+                        left -= w in want
+            ends.append(len(order))
+        return order, ends
 
     # -- balls -------------------------------------------------------------
 
@@ -216,8 +215,8 @@ class GraphModel:
             inside = self.grid_norms(np.arange(-n, n + 1)) <= n
             points = np.argwhere(inside) + (np.array(center) - n)
             return list(map(tuple, points.tolist()))
-        order, ends = self._bfs(center)
-        return order[:ends[min(n, len(ends) - 1)]].tolist()
+        # The search stops after layer n, so it finds the ball and no more.
+        return self._bfs(center, n, range(len(self.adjacency)))[0]
 
     def coordination_count(self, n):
         """c_n: number of vertices at distance exactly n from the root of a

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_nonnegative
+from .errors import (DomainError, NumericalError, check_count,
+                     check_nonnegative)
 
 IID = "iid"
 POWER_DECAY = "power_decay"
@@ -169,9 +170,7 @@ def taylor_bound_check(f, model, graph, n_samples, seed):
     if 2.0 * m * norm1 > 1.0:
         raise DomainError(f"requires |f|_1 <= 1/(2m) = {0.5 / m!r}, got "
                           f"|f|_1 = {norm1!r}")
-    if n_samples < 2:
-        raise DomainError("n_samples must be >= 2 (the SE divides by "
-                          f"n_samples - 1), got {n_samples!r}")
+    n_samples = check_count(n_samples, "n_samples", 2)   # the SE takes n - 1
     rhs = 2.0 * m * m * norm1 * norm1
     support = tuple(v for v, c in f.items() if c != 0.0)
     if not support:
@@ -194,8 +193,7 @@ def moment_bound_probe(model, graph, p_max, n_samples, seed):
     if p_max > 10:
         raise DomainError(f"sampling accuracy limits the probe to p <= 10, "
                           f"got p_max = {p_max!r}")
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    n_samples = check_count(n_samples, "n_samples", 1)
     m = model.moment_constant
     if m == 0.0:
         return 0.0

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, check_nonnegative
+from .errors import DomainError, check_count, check_nonnegative
 
 # Walkers advanced together by sample_walks, so that its working arrays
 # stay bounded whatever the number of walkers; the draws depend on it.
@@ -247,8 +247,7 @@ def sample_jump_counts(q, horizon, n_paths, seed):
     """
     check_nonnegative(q, "q", positive=True)
     check_nonnegative(horizon, "horizon")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths!r}")
+    n_paths = check_count(n_paths, "n_paths", 1)
     # Cap chosen so the Poisson tail beyond it is negligible (~1e-17 or less).
     cap = int(ceil(q * horizon)) + max(40, int(10 * ceil(q * horizon)))
     hist = np.zeros(cap, dtype=np.int64)

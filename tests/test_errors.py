@@ -9,7 +9,7 @@ import pytest
 
 import fksim
 from fksim import operators, walker
-from fksim.errors import DomainError, check_nonnegative
+from fksim.errors import DomainError, check_count, check_nonnegative
 from fksim.lattice import GraphModel
 from fksim.noise import iid_gaussian
 from fksim.operators import PotentialSpec, Truncation
@@ -41,6 +41,28 @@ def test_check_time_refuses_by_name(value, positive, named):
     with pytest.raises(DomainError, match=re.escape(named.replace(
             "t", "horizon", 1))):
         check_nonnegative(value, "horizon", positive=positive)
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(2), True])
+def test_check_count_returns_a_python_int(value):
+    got = check_count(value, "n", 1)
+    assert got == value and type(got) is int
+
+
+@pytest.mark.parametrize("value, least, named", [
+    (0, 1, "n must be >= 1, got 0"),
+    (-5, 1, "n must be >= 1, got -5"),
+    (2, 3, "n must be >= 3, got 2"),
+    (np.int64(1), 2, "n must be >= 2, got np.int64(1)"),
+    (2.5, 1, "n = 2.5 is not an integer"),
+    (3.0, 1, "n = 3.0 is not an integer"),
+    (np.float64(4.0), 1, "n = np.float64(4.0) is not an integer"),
+    (math.nan, 1, "n = nan is not an integer"),
+    ("3", 1, "n = '3' is not an integer"),
+    (None, 1, "n = None is not an integer")])
+def test_check_count_refuses_by_name(value, least, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        check_count(value, "n", least)
 
 
 # One call per entry point that takes a time, with that time as t and every
@@ -147,9 +169,14 @@ def test_the_guard_finds_every_function_that_takes_a_sample_count():
 def test_every_function_refuses_a_sample_count_of_zero_by_name(name):
     # No draw gives no evidence: mc_dirichlet_trace returned a trace with a
     # NaN SE, and moment_bound_probe a ratio of 0.0 that passes any bound.
+    # Nor is 2.5 a count: mc_dirichlet_trace took it as one path per start
+    # and returned an SE of NaN, and most others died on a bare TypeError.
     count, call = _COUNT_CALLS[name]
     with pytest.raises(DomainError, match=rf"\b{count}\b"):
         call(0)
+    with pytest.raises(DomainError, match=rf"\b{count} = 2.5 is not an "
+                                          "integer"):
+        call(2.5)
 
 
 # One call per public callable of every fksim module (a class by its

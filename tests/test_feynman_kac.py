@@ -1253,6 +1253,17 @@ def test_explicit_radial_route_stops_at_the_certified_radius(monkeypatch):
         pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def test_explicit_power_decay_sum_keeps_its_bits_on_the_level_8_gasket():
+    # Power decay on an explicit graph reads distances(ball, ball), whose
+    # searches stop once answered and keep nothing.  The sum keeps the bits
+    # it had when each of the 618 ball vertices (of 9843) kept a
+    # whole-graph search (beta = 1, alpha = 2, gamma0 = 1, t = 1).
+    graph = sierpinski_gasket(8)
+    assert len(graph.ball(graph.root, fk.radius_for(1.0))) == 618
+    assert fk.frozen_variance_sum(1.0, graph, POT, power_decay_gaussian(
+        beta=1.0)) == 9.25870741162422
+
+
 def test_explicit_radial_sum_needs_no_term_cap():
     # alpha = 1/2 at t = 2^-10 certifies a radius of 800 559 850, past the
     # term cap of 60 million; the 21-vertex path's ball is the whole path,

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 import tracemalloc
@@ -5,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from gasket import sierpinski_gasket
 
 from fksim.errors import ConfigError, DomainError, InputError
 from fksim.feynman_kac import frozen_variance_sum
@@ -245,10 +247,9 @@ def _grid_graph(side):
 
 
 def test_explicit_distances_cache_one_array_per_source():
-    # Every source's BFS is cached for the life of the graph.  As one int64
-    # array of at most n vertices each (its discovery order), the cache and
-    # the result matrix are n^2 entries apiece; as one dict per source the
-    # peak was 6.7 n^2 entries.
+    # The name is historical: nothing is cached.  Each row's search lives
+    # only while its row is filled, so the peak is the n^2 result and one
+    # search's arrays, under the bound of 3 n^2 entries.
     g = _grid_graph(16)
     n = 256
     tracemalloc.start()
@@ -396,6 +397,48 @@ def test_explicit_geometry_is_the_bfs_geometry(name):
             with pytest.raises(InputError, match=f"no path between {u} and "
                                                  f"{v}"):
                 g.distances([u], [v])
+
+
+def test_in_ball_distances_search_no_further_than_they_need():
+    # Known defect 10: distances(ball, ball) ran, and kept, a whole-graph
+    # search from every ball vertex.  On the level-7 gasket the radius-61
+    # ball (t = 1/2, alpha = 1.5, kappa = 0.8) holds 918 of 3282 vertices,
+    # and the 918 kept searches put the traced peak at 5.3 times the 6.7 MB
+    # of the 918 x 918 int64 result.  Now a search lives only while its row
+    # is filled, so the peak is the result and one search's arrays (1.14
+    # times the result), which 1.5 times the result bounds.
+    g = sierpinski_gasket(7)
+    ball = g.ball(g.root, 61)
+    m = len(ball)
+    assert m == 918 and len(g.adjacency) == 3282
+    tracemalloc.start()
+    try:
+        got = g.distances(ball, ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * m * 8
+    for i, u in enumerate(ball):
+        # Two vertices of the radius-61 ball are at most 122 apart.
+        hops = {v: k for k, layer in enumerate(_bfs_layers(g, u, 122))
+                for v in layer}
+        assert got[i].tolist() == [hops[v] for v in ball]
+
+
+@pytest.mark.parametrize("g", [_EXPLICITS["irregular"], GraphModel.zd_l1(2)],
+                         ids=["explicit", "z2-l1"])
+def test_a_query_leaves_the_graph_as_it_found_it(g):
+    # A graph is immutable: no query may cache or store anything on it, so
+    # a per-query cache cannot come back unnoticed.
+    before = dict(vars(g))
+    copies = copy.deepcopy(before)
+    center = 3 if g.kind == "explicit" else (1, -2)
+    g.ball(center, 3)
+    g.distances(g.ball(g.root, 2), g.ball(center, 1))
+    g.distance(g.root, center)
+    assert vars(g).keys() == before.keys()
+    assert all(vars(g)[name] is value for name, value in before.items())
+    assert vars(g) == copies
 
 
 @pytest.mark.parametrize("name", sorted(_LATTICES) + sorted(_EXPLICITS))
